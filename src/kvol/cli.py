@@ -12,10 +12,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Optional
 
@@ -227,12 +225,9 @@ def cmd_kvol_grid(args) -> int:
             )
         return lines
 
-    workers = min(8, os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(row, range(res)))
     out = ["x,y,kvol,dist,converged"]
-    for lines in rows:
-        out.extend(lines)
+    for j in range(res):
+        out.extend(row(j))
     _emit(args, "\n".join(out) + "\n")
     return EXIT_OK
 

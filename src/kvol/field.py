@@ -395,10 +395,6 @@ class CycloReal:
             object.__setattr__(self, "_float", f)
         return f
 
-    def interval(self, bits: int = 113) -> tuple[Fraction, Fraction]:
-        """Rigorous rational enclosure of the value at roughly `bits` precision."""
-        return _interval_eval(self.coeffs, *_phi_enclosure(self.n, bits))
-
     # -- serialization -------------------------------------------------------
 
     def to_dict(self) -> dict:

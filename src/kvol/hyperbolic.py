@@ -28,8 +28,8 @@ from typing import Iterable, Optional, Sequence, Union
 
 import mpmath
 
-from .field import CycloReal
-from .plane import Mat2
+from .field import CycloReal, _phi_float
+from .plane import Mat2, is_horizontal_label
 
 __all__ = [
     "point_of_surface",
@@ -45,13 +45,6 @@ __all__ = [
     "word_matrix",
     "dist_to_Gmax",
 ]
-
-_INF_LABELS = ("inf", "horizontal", "h")
-
-
-def _phi_float(n: int) -> float:
-    return float(CycloReal.phi(n))
-
 
 def _as_float_matrix(M) -> tuple[float, float, float, float]:
     if isinstance(M, Mat2):
@@ -98,17 +91,13 @@ def induced_action(g: Mat2) -> Mat2:
 
 
 def _direction_vector(label) -> tuple[float, float]:
-    if label is None or (isinstance(label, str) and label in _INF_LABELS):
-        return (1.0, 0.0)
-    if isinstance(label, float) and math.isinf(label):
+    if is_horizontal_label(label):
         return (1.0, 0.0)
     return (-float(label), 1.0)
 
 
 def _boundary_point(label) -> float:
-    if label is None or (isinstance(label, str) and label in _INF_LABELS):
-        return math.inf
-    if isinstance(label, float) and math.isinf(label):
+    if is_horizontal_label(label):
         return math.inf
     return float(label)
 

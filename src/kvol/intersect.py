@@ -31,14 +31,10 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .field import CycloReal
 from .plane import (
-    Vec2,
     canonical_orientation,
     cross,
-    dot,
     line_intersection,
-    norm2,
     same_ray,
     smul,
     vadd,
@@ -90,16 +86,6 @@ class ClosedCurve:
     @property
     def length(self) -> float:
         return sum(sc.length for sc in self.components)
-
-    def holonomy_is_closed(self) -> bool:
-        """True if the component holonomies sum to zero (null in homology
-        of the plane; not required for a closed curve on the surface)."""
-        x = self.components[0].holonomy[0] - self.components[0].holonomy[0]
-        y = x
-        for sc in self.components:
-            x = x + sc.holonomy[0]
-            y = y + sc.holonomy[1]
-        return x.is_zero() and y.is_zero()
 
     def passages(self) -> list[tuple[int, Germ, Germ]]:
         """Cone-point passages ``(class_id, in_germ, out_germ)``.
@@ -415,92 +401,37 @@ def _half_signs(S: TranslationSurface) -> dict:
     return signs
 
 
-def _vertex_index(S: TranslationSurface, f: int, p: Vec2) -> int:
-    for v, q in enumerate(S.faces[f]):
-        if p[0] == q[0] and p[1] == q[1]:
-            return v
-    raise ValueError("point is not a vertex of the face")
-
-
-def _as_int(c: CycloReal) -> int:
-    if not c.is_rational():
-        raise ArithmeticError("chain coefficient is not rational")
-    r = c.coeffs[0]
-    if r.denominator != 1:
-        raise ArithmeticError("chain coefficient is not an integer")
-    return int(r)
-
-
-def _edge_param(S, half, p) -> CycloReal:
-    """Parameter of a point on a half-edge, via cached inverse edge norms.
-
-    Equivalent to ``segment_param`` over the edge's endpoints, but the exact
-    division by the squared edge length is precomputed once per half-edge
-    (saddle-connection chains evaluate this at every crossing)."""
-    cache = getattr(S, "_edge_param_inv", None)
-    if cache is None:
-        cache = {}
-        S._edge_param_inv = cache
-    ent = cache.get(half)
-    if ent is None:
-        a, b = S.edge_endpoints(half)
-        d = vsub(b, a)
-        ent = (a, d, norm2(d).inverse())
-        cache[half] = ent
-    a, d, inv = ent
-    return dot(vsub(p, a), d) * inv
-
-
 def _sc_chain(sc: SaddleConnection, signs: dict) -> np.ndarray:
     """Integer chain of one saddle connection over the edge pairs.
 
     Each straight piece is homotoped rel endpoints onto the counterclockwise
-    boundary arc of its face; the fractional parts contributed at the two
-    sides of every face transition cancel exactly, so the sum of the arcs is
-    an integer combination of edge pairs.
+    boundary arc of its face.  The fractional edge parts at the two sides of
+    every crossing cancel exactly (a glued edge is traversed in opposite
+    directions), so only whole edges remain: the start vertex's outgoing
+    edge, and in each face every edge strictly counterclockwise between the
+    entry edge and the exit edge.  The first face is entered at the start
+    vertex's outgoing edge and the last left at the end vertex's.
     """
     S = sc.surface
-    one = CycloReal.from_rational(S.n, 1)
-    acc = [CycloReal.from_rational(S.n, 0) for _ in S.edge_pairs]
+    acc = [0] * len(S.edge_pairs)
 
-    def add(f: int, e: int, amount: CycloReal) -> None:
-        h = (f, e)
-        pid = S.pair_of[h]
-        if signs[h] > 0:
-            acc[pid] = acc[pid] + amount
-        else:
-            acc[pid] = acc[pid] - amount
+    def add(h) -> None:
+        acc[S.pair_of[h]] += signs[h]
 
-    def walk(f: int, e0: int, t0: CycloReal, e1: int, t1: CycloReal) -> None:
+    def arc(f: int, e_in: int, e_out: int) -> None:
         k = len(S.faces[f])
-        if e0 == e1 and (t1 - t0).sign() >= 0:
-            add(f, e0, t1 - t0)
-            return
-        add(f, e0, one - t0)
-        e = (e0 + 1) % k
-        while e != e1:
-            add(f, e, one)
+        e = (e_in + 1) % k
+        while e != e_out:
+            add((f, e))
             e = (e + 1) % k
-        add(f, e1, t1)
 
-    zero = CycloReal.from_rational(S.n, 0)
-    pieces = sc.pieces
-    # boundary positions (edge, parameter) of each piece's endpoints
-    f0 = pieces[0][0]
-    pos = (_vertex_index(S, f0, pieces[0][1]), zero)
-    for j, (f, _p, q) in enumerate(pieces):
-        if j < len(pieces) - 1:
-            half = sc.crossings[j][1]
-            end = (half[1], _edge_param(S, half, q))
-        else:
-            end = (_vertex_index(S, f, q), zero)
-        walk(f, pos[0], pos[1], end[0], end[1])
-        if j < len(pieces) - 1:
-            entry = S.glue[sc.crossings[j][1]]
-            f2 = pieces[j + 1][0]
-            assert entry[0] == f2
-            pos = (entry[1], _edge_param(S, entry, pieces[j + 1][1]))
-    return np.array([_as_int(c) for c in acc], dtype=np.int64)
+    (f, e_in), exits, last = sc.path
+    add((f, e_in))
+    for h in exits:
+        arc(f, e_in, h[1])
+        f, e_in = S.glue[h]
+    arc(f, e_in, last)
+    return np.array(acc, dtype=np.int64)
 
 
 def homology_class(curve: CurveLike) -> np.ndarray:

@@ -7,6 +7,7 @@ group, the staircase/n-gon conversion and SL(2,R) transforms.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -67,6 +68,16 @@ def same_ray(u: Vec2, v: Vec2) -> bool:
     return parallel(u, v) and dot(u, v).sign() > 0
 
 
+def is_horizontal_label(d) -> bool:
+    """True for the labels of the horizontal direction: None, "inf",
+    "horizontal", "h" and float infinity."""
+    if d is None:
+        return True
+    if isinstance(d, str):
+        return d in ("inf", "horizontal", "h")
+    return isinstance(d, float) and math.isinf(d)
+
+
 def canonical_orientation(u: Vec2) -> bool:
     """Upper half-plane convention: y > 0, or y == 0 and x > 0."""
     sy = u[1].sign()
@@ -82,12 +93,6 @@ def line_intersection(p: Vec2, u: Vec2, q: Vec2, v: Vec2) -> Optional[tuple[Cycl
     s = cross(w, v) / den
     t = cross(w, u) / den
     return s, t
-
-
-def segment_param(a: Vec2, b: Vec2, p: Vec2) -> CycloReal:
-    """Parameter t of a point p assumed to lie on the line a->b (p = a + t(b-a))."""
-    d = vsub(b, a)
-    return dot(vsub(p, a), d) / norm2(d)
 
 
 class Mat2:

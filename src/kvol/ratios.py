@@ -50,7 +50,7 @@ import numpy as np
 from .field import CycloReal, fmt_float, sqrt_in_field, trig_value
 from .hyperbolic import Geodesic, nearest_gmax_geodesic
 from .intersect import ClosedCurve, IntersectionForm, intersection_form
-from .plane import Mat2, cross, norm2
+from .plane import Mat2, cross, is_horizontal_label, norm2
 from .saddle import SaddleConnection, enumerate_saddle_connections
 from .surface import TranslationSurface, build_ngon, build_staircase
 
@@ -355,7 +355,7 @@ class DirectionPairReport:
 
     def to_dict(self) -> dict:
         def lab(x):
-            return "inf" if _is_horizontal_label(x) else float(x)
+            return "inf" if is_horizontal_label(x) else float(x)
 
         return {
             "d": lab(self.d),
@@ -420,7 +420,7 @@ class ParallelReport:
 
     def to_dict(self) -> dict:
         return {
-            "direction": "inf" if _is_horizontal_label(self.direction) else float(self.direction),
+            "direction": "inf" if is_horizontal_label(self.direction) else float(self.direction),
             "count_connections": self.count_connections,
             "count_curves": self.count_curves,
             "pairs_checked": self.pairs_checked,
@@ -603,20 +603,10 @@ def kvol_bruteforce(
     )
 
 
-def _is_horizontal_label(d) -> bool:
-    if d is None:
-        return True
-    if isinstance(d, str):
-        return d in ("inf", "horizontal", "h")
-    if isinstance(d, float):
-        return math.isinf(d)
-    return False
-
-
 def _canonical_pair(n: int, d1, d2):
     """Order two direction labels with the horizontal (infinite slope ratio)
     greatest; reject equal directions."""
-    h1, h2 = _is_horizontal_label(d1), _is_horizontal_label(d2)
+    h1, h2 = is_horizontal_label(d1), is_horizontal_label(d2)
     if h1 and h2:
         raise ValueError("directions coincide")
     if h1:

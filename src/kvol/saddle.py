@@ -5,10 +5,12 @@ the polygon complex with no vertex in its interior.  For each corner the
 enumerator develops the surface along a depth-first search over open
 direction cones: a cone entering a convex face either ends at vertices
 (strictly inside the cone, recorded when short enough) or continues through
-the boundary edges, splitting at every interior vertex direction.  All
-recorded data (holonomy, per-face pieces, edge crossings with developed
-coordinates, endpoint germs) is exact; floating point is used only as a
-filter, with every uncertain sign resolved in the field.
+the boundary edges, splitting at every interior vertex direction.  Each
+connection records its exact holonomy, endpoint germs and combinatorial
+path (start corner, crossed half-edges, end vertex); exact pieces and
+crossing points are traced from the path only when asked for.  Floating
+point is used only as a filter, with every uncertain sign resolved in the
+field.
 """
 
 from __future__ import annotations
@@ -24,15 +26,13 @@ from .plane import (
     Vec2,
     canonical_orientation,
     cross,
-    dot,
     norm2,
-    smul,
     vadd,
     vfloat,
     vneg,
     vsub,
 )
-from .surface import Half, TranslationSurface
+from .surface import TranslationSurface, trace_from_corner
 
 _EPS = 1e-9
 
@@ -52,11 +52,16 @@ class SaddleConnection:
     """An oriented saddle connection with exact geometric data.
 
     The stored orientation is canonical: holonomy (x, y) has y > 0, or y == 0
-    and x > 0.  ``pieces`` lists (face, entry point, exit point) in face
-    coordinates; ``crossings`` lists (pair id, half-edge crossed out of,
-    developed crossing point) for every transversal edge crossing, in order
-    along the segment.  ``edge_pair`` is set when the connection is itself an
-    edge of the complex.
+    and x > 0.  ``path`` is the combinatorial route ``((face, vertex), exits,
+    last)``: the corner the segment leaves in its first piece's face, the
+    half-edges it crosses out of in order, and the index of the vertex it
+    reaches in its last piece's face.  ``edge_pair`` is set when the
+    connection is itself an edge of the complex; its path runs along that
+    edge inside one face.
+
+    ``pieces`` (face, entry point, exit point in face coordinates) and
+    ``crossings`` (pair id, half-edge crossed out of, developed crossing
+    point) are traced exactly on first use and checked against the path.
     """
 
     __slots__ = (
@@ -64,21 +69,21 @@ class SaddleConnection:
         "holonomy",
         "start",
         "end",
-        "pieces",
-        "crossings",
+        "path",
         "edge_pair",
         "_len2",
+        "_trace",
     )
 
-    def __init__(self, surface, holonomy, start, end, pieces, crossings, edge_pair=None):
+    def __init__(self, surface, holonomy, start, end, path, edge_pair=None):
         self.surface = surface
         self.holonomy = holonomy
         self.start = start
         self.end = end
-        self.pieces = tuple(pieces)
-        self.crossings = tuple(crossings)
+        self.path = path
         self.edge_pair = edge_pair
         self._len2 = None
+        self._trace = None
 
     @property
     def length_sq(self) -> CycloReal:
@@ -97,23 +102,47 @@ class SaddleConnection:
             return None
         return x / y
 
-    def is_parallel_to(self, other: "SaddleConnection") -> bool:
-        return cross(self.holonomy, other.holonomy).is_zero()
+    def _last_corner(self) -> tuple[int, int]:
+        """(face, vertex) where the path ends, in its last piece's face."""
+        (f, _v), exits, last = self.path
+        if exits:
+            f = self.surface.glue[exits[-1]][0]
+        return (f, last)
+
+    @property
+    def pieces(self) -> tuple:
+        return self._traced()[0]
+
+    @property
+    def crossings(self) -> tuple:
+        return self._traced()[1]
+
+    def _traced(self):
+        if self._trace is None:
+            (f, v), exits, _last = self.path
+            # a consistent path ends after self.length; the slack only
+            # bounds the trace of an inconsistent one
+            tr = trace_from_corner(
+                self.surface, f, v, self.holonomy, max_length=2 * self.length
+            )
+            traced_exits = tuple(h for _pid, h, _dev in tr.crossings)
+            if traced_exits != exits or tr.end != ("vertex", self._last_corner()):
+                raise RuntimeError("traced saddle connection leaves its recorded path")
+            self._trace = (tuple(tr.pieces), tuple(tr.crossings))
+        return self._trace
 
     def reversed(self) -> "SaddleConnection":
-        hol = self.holonomy
-        pieces = [(f, q, p) for f, p, q in reversed(self.pieces)]
-        crossings = [
-            (pid, self.surface.glue[half], vsub(dev, hol))
-            for pid, half, dev in reversed(self.crossings)
-        ]
+        (_f, v), exits, _last = self.path
+        glue = self.surface.glue
+        path = (self._last_corner(), tuple(glue[h] for h in reversed(exits)), v)
         return SaddleConnection(
-            self.surface, vneg(hol), self.end, self.start, pieces, crossings, self.edge_pair
+            self.surface, vneg(self.holonomy), self.end, self.start, path, self.edge_pair
         )
 
     def transformed(self, M, target: Optional[TranslationSurface] = None) -> "SaddleConnection":
         """The image under an orientation-preserving linear map, on the
-        transformed surface (pass ``target`` to reuse one)."""
+        transformed surface (pass ``target`` to reuse one).  Such maps keep
+        face and edge indices, so the path carries over unchanged."""
         if M.det().sign() <= 0:
             raise ValueError("transformed() requires det > 0")
         T = target if target is not None else self.surface.transform(M)
@@ -122,8 +151,7 @@ class SaddleConnection:
             M.apply(self.holonomy),
             Germ(self.start.class_id, self.start.corner, M.apply(self.start.direction)),
             Germ(self.end.class_id, self.end.corner, M.apply(self.end.direction)),
-            [(f, M.apply(p), M.apply(q)) for f, p, q in self.pieces],
-            [(pid, half, M.apply(dev)) for pid, half, dev in self.crossings],
+            self.path,
             self.edge_pair,
         )
         if not canonical_orientation(sc.holonomy):
@@ -139,7 +167,7 @@ class SaddleConnection:
             "end_corner": list(self.end.corner),
             "start_class": self.start.class_id,
             "end_class": self.end.class_id,
-            "crossings": [S.pair_labels[pid] for pid, _h, _d in self.crossings],
+            "crossings": [S.pair_labels[S.pair_of[h]] for h in self.path[1]],
             "edge": None if self.edge_pair is None else S.pair_labels[self.edge_pair],
         }
 
@@ -158,7 +186,7 @@ class SaddleConnection:
         x, y = vfloat(self.holonomy)
         return (
             f"SaddleConnection(({x:.6g}, {y:.6g}), len={self.length:.6g}, "
-            f"{self.start.corner}->{self.end.corner}, crossings={len(self.crossings)})"
+            f"{self.start.corner}->{self.end.corner}, crossings={len(self.path[1])})"
         )
 
 
@@ -189,14 +217,12 @@ def edge_connection(S: TranslationSurface, pid: int) -> SaddleConnection:
     hol = S.edge_vector(h)
     f, e = h
     f2, e2 = S.glue[h]
-    a, b = S.edge_endpoints(h)
     return SaddleConnection(
         S,
         hol,
         Germ(S.corner_class[(f, e)][0], (f, e), hol),
         Germ(S.corner_class[(f2, e2)][0], (f2, e2), vneg(hol)),
-        [(f, a, b)],
-        [],
+        ((f, e), (), (e + 1) % len(S.faces[f])),
         edge_pair=pid,
     )
 
@@ -249,7 +275,6 @@ def enumerate_saddle_connections(
 
     fverts = [[vfloat(p) for p in verts] for verts in S.faces]
     fshift = {h: vfloat(t) for h, t in S.glue_shift.items()}
-    zero = CycloReal.from_rational(S.n, 0)
 
     found: list[SaddleConnection] = []
 
@@ -330,7 +355,7 @@ def enumerate_saddle_connections(
                         continue
                     if not canonical_orientation(Wx):
                         continue
-                    found.append(_build_sc(S, node, nearest, Wx, (f0, v0), zero))
+                    found.append(_cone_connection(S, node, nearest, Wx, (f0, v0)))
 
                 boundaries = [(lo_ex, lo_fl)] + split_dirs + [(hi_ex, hi_fl)]
                 for (d1_ex, d1_fl), (d2_ex, d2_fl) in zip(boundaries, boundaries[1:]):
@@ -405,15 +430,18 @@ def _exit_edge(S, f, Wfl, Wex, dm_ex, dm_fl, entry_e: Optional[int]) -> int:
                 return e
             if t < -margin or s < -margin or s > 1 + margin:
                 continue
-        # uncertain: exact decision
+        # uncertain: exact decision from the signs of t = cross(a, e)/den,
+        # s = cross(a, dm)/den and s - 1 = cross(b, dm)/den
         a_ex, b_ex = Wex(e), Wex((e + 1) % k)
         e_ex = vsub(b_ex, a_ex)
-        den_ex = cross(dm_ex, e_ex)
-        if den_ex.is_zero():
+        den = cross(dm_ex, e_ex).sign()
+        if den == 0:
             continue
-        t_ex = cross(a_ex, e_ex) / den_ex
-        s_ex = cross(a_ex, dm_ex) / den_ex
-        if t_ex.sign() > 0 and s_ex.sign() > 0 and (s_ex - 1).sign() < 0:
+        if (
+            cross(a_ex, e_ex).sign() == den
+            and cross(a_ex, dm_ex).sign() == den
+            and cross(b_ex, dm_ex).sign() == -den
+        ):
             return e
     raise RuntimeError("no exit edge found for an open cone")
 
@@ -449,42 +477,22 @@ def _prune_far(Wfl, e, k, d1_fl, d2_fl, L2f) -> bool:
     return best > L2f * (1 + 1e-6) + 1e-9
 
 
-def _build_sc(
+def _cone_connection(
     S: TranslationSurface,
     node: _Node,
     vertex: int,
     W: Vec2,
     start_corner: tuple[int, int],
-    zero: CycloReal,
 ) -> SaddleConnection:
-    chain = []
+    """The connection with holonomy ``W`` from ``start_corner`` to vertex
+    ``vertex`` of ``node``'s face, its path read off the cone's node chain."""
+    exits = []
     cur = node
-    while cur is not None:
-        chain.append(cur)
+    while cur.parent is not None:
+        exits.append(S.glue[cur.entry])
         cur = cur.parent
-    chain.reverse()
-    origin = (zero, zero)
-    pieces = []
-    crossings = []
-    prev_dev = origin
-    for i in range(1, len(chain)):
-        entry = chain[i].entry  # half-edge of chain[i].face
-        a, b = S.edge_endpoints(entry)
-        a_dev = vadd(a, chain[i].tau_ex)
-        b_dev = vadd(b, chain[i].tau_ex)
-        evec = vsub(b_dev, a_dev)
-        t = cross(a_dev, evec) / cross(W, evec)
-        q_dev = smul(t, W)
-        prev = chain[i - 1]
-        pieces.append((prev.face, vsub(prev_dev, prev.tau_ex), vsub(q_dev, prev.tau_ex)))
-        exit_half = S.glue[entry]
-        crossings.append((S.pair_of[entry], exit_half, q_dev))
-        prev_dev = q_dev
-    last = chain[-1]
-    end_point = vsub(W, last.tau_ex)
-    if end_point != S.faces[last.face][vertex]:
-        raise RuntimeError("saddle connection reconstruction mismatch")
-    pieces.append((last.face, vsub(prev_dev, last.tau_ex), end_point))
+    exits.reverse()
+    end_corner = (node.face, vertex)
     start = Germ(S.corner_class[start_corner][0], start_corner, W)
-    end = Germ(S.corner_class[(last.face, vertex)][0], (last.face, vertex), vneg(W))
-    return SaddleConnection(S, W, start, end, pieces, crossings, None)
+    end = Germ(S.corner_class[end_corner][0], end_corner, vneg(W))
+    return SaddleConnection(S, W, start, end, (start_corner, tuple(exits), vertex))

@@ -29,6 +29,7 @@ from .plane import (
     canonical_orientation,
     cross,
     dot,
+    is_horizontal_label,
     is_zero_vec,
     line_intersection,
     norm2,
@@ -69,9 +70,7 @@ def direction_vector(n: int, direction) -> Vec2:
     exact scalar (vertical = 0); or one of None/"inf"/"horizontal"/math.inf
     for the horizontal direction.
     """
-    if direction is None or (isinstance(direction, str) and direction in ("inf", "horizontal", "h")):
-        return (_as_field(n, 1), _as_field(n, 0))
-    if isinstance(direction, float) and math.isinf(direction):
+    if is_horizontal_label(direction):
         return (_as_field(n, 1), _as_field(n, 0))
     if isinstance(direction, tuple):
         v = (_as_field(n, direction[0]), _as_field(n, direction[1]))
@@ -495,15 +494,22 @@ def exit_through_face(
     """Follow the ray p + t v (t > 0) inside convex face f to the boundary.
 
     Returns (q, ("vertex", vi)) when the ray leaves at a corner, else
-    (q, ("edge", (f, e), s)) with s the exact open-edge parameter.
+    (q, ("edge", (f, e), s)) with s the exact open-edge parameter.  A ray
+    from a corner along the boundary stops at the next corner it reaches,
+    also at a straight-angle corner between two collinear edges.
     """
     verts = S.faces[f]
     k = len(verts)
-    best = None
+    best = None  # (t, exit)
     for e in range(k):
         a, b = verts[e], verts[(e + 1) % k]
         res = line_intersection(p, v, a, vsub(b, a))
         if res is None:
+            if cross(vsub(a, p), v).is_zero():
+                for vi, q in ((e, a), ((e + 1) % k, b)):
+                    t = dot(vsub(q, p), v) / norm2(v)
+                    if t.sign() > 0 and (best is None or t < best[0]):
+                        best = (t, ("vertex", vi))
             continue
         t, s = res
         if t.sign() <= 0:
@@ -512,16 +518,16 @@ def exit_through_face(
         if ss < 0 or s1 > 0:
             continue
         if best is None or t < best[0]:
-            best = (t, e, s, ss, s1)
+            if ss == 0:
+                best = (t, ("vertex", e))
+            elif s1 == 0:
+                best = (t, ("vertex", (e + 1) % k))
+            else:
+                best = (t, ("edge", (f, e), s))
     if best is None:
         raise SurfaceError("ray does not enter the face interior")
-    t, e, s, ss, s1 = best
-    q = vadd(p, smul(t, v))
-    if ss == 0:
-        return q, ("vertex", e)
-    if s1 == 0:
-        return q, ("vertex", (e + 1) % k)
-    return q, ("edge", (f, e), s)
+    t, exit_info = best
+    return vadd(p, smul(t, v)), exit_info
 
 
 @dataclass

@@ -5,11 +5,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from kvol.field import CycloReal, trig_value
-from kvol.plane import norm2, vadd, vfloat, vsub
-from kvol.saddle import enumerate_saddle_connections
+from kvol.intersect import intersection_form
+from kvol.plane import Mat2, norm2, vadd, vfloat, vsub
+from kvol.saddle import SaddleConnection, edge_connection, enumerate_saddle_connections
 from kvol.surface import (
     build_ngon,
     build_staircase,
@@ -180,6 +182,93 @@ class TestEquivariance:
             assert [pid for pid, _h, _d in im.crossings] == [
                 pid for pid, _h, _d in sc.crossings
             ]
+
+
+def _sheared_staircase(n):
+    return build_staircase(n).transform(Mat2(n, 1, Fraction(13, 37), 0, Fraction(31, 40)))
+
+
+def _assert_follows_path(sc):
+    """The lazily traced pieces and crossings run along the recorded path."""
+    S = sc.surface
+    (f0, v0), exits, last = sc.path
+    pieces, crossings = sc.pieces, sc.crossings
+    assert [half for _pid, half, _dev in crossings] == list(exits)
+    assert len(pieces) == len(exits) + 1
+    assert pieces[0][:2] == (f0, S.faces[f0][v0])
+    f_last, _p, q_last = pieces[-1]
+    assert q_last == S.faces[f_last][last]
+    dev = (F(S.n, 0), F(S.n, 0))
+    for i, (pid, half, dev_cross) in enumerate(crossings):
+        f, p_in, p_out = pieces[i]
+        assert half[0] == f and S.pair_of[half] == pid
+        dev = vadd(dev, vsub(p_out, p_in))
+        assert dev == dev_cross
+        nxt_face, nxt_in, _ = pieces[i + 1]
+        assert S.glue[half][0] == nxt_face
+        assert vadd(p_out, S.glue_shift[half]) == nxt_in
+    assert vadd(dev, vsub(q_last, pieces[-1][1])) == sc.holonomy
+
+
+class TestPath:
+    def test_edge_paths(self):
+        S = build_staircase(8)
+        for pid in range(len(S.edge_pairs)):
+            sc = edge_connection(S, pid)
+            (f, e), exits, last = sc.path
+            k = len(S.faces[f])
+            assert exits == () and last == (e + 1) % k
+            assert sc.reversed().path == ((f, (e + 1) % k), (), e)
+            _assert_follows_path(sc)
+            _assert_follows_path(sc.reversed())
+
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_sheared_staircase_connections_and_reverses(self, n):
+        S = _sheared_staircase(n)
+        scs = enumerate_saddle_connections(S, 3)
+        assert any(len(sc.path[1]) >= 3 for sc in scs)
+        classes = {sc.start.class_id for sc in scs} | {sc.end.class_id for sc in scs}
+        assert len(classes) == len(S.vertex_classes)
+        for sc in scs:
+            _assert_follows_path(sc)
+            r = sc.reversed()
+            _assert_follows_path(r)
+            assert r.reversed().path == sc.path
+            assert r.pieces == tuple((f, q, p) for f, p, q in reversed(sc.pieces))
+
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_transformed_pieces_and_classes(self, n):
+        S = _sheared_staircase(n)
+        M = Mat2(n, 1, Fraction(2, 7), 0, Fraction(5, 3))
+        T = S.transform(M)
+        form_S, form_T = intersection_form(S), intersection_form(T)
+        for sc in enumerate_saddle_connections(S, Fraction(5, 2)):
+            for base in (sc, sc.reversed()):
+                im = base.transformed(M, target=T)
+                if im.path != base.path:
+                    # non-canonical images come back reversed
+                    im = im.reversed()
+                assert im.path == base.path
+                _assert_follows_path(im)
+                assert im.pieces == tuple(
+                    (f, M.apply(p), M.apply(q)) for f, p, q in base.pieces
+                )
+                assert im.crossings == tuple(
+                    (pid, half, M.apply(dev)) for pid, half, dev in base.crossings
+                )
+            im = sc.transformed(M, target=T)
+            assert np.array_equal(form_T.class_vector(im), form_S.class_vector(sc))
+
+    def test_trace_rejects_a_wrong_path(self):
+        S = _sheared_staircase(8)
+        sc = next(sc for sc in enumerate_saddle_connections(S, 2) if sc.path[1])
+        (f, v), exits, last = sc.path
+        k = len(S.faces[S.glue[exits[-1]][0]])
+        bad = SaddleConnection(
+            S, sc.holonomy, sc.start, sc.end, ((f, v), exits, (last + 1) % k)
+        )
+        with pytest.raises(RuntimeError, match="recorded path"):
+            bad.pieces
 
 
 class TestSubdivide:
