@@ -8,6 +8,7 @@ its closed hyperbolic-distance formula on the Teichmueller disk.
 """
 
 from .field import (
+    ComputationLimitError,
     CycloReal,
     field_degree,
     fmt_float,
@@ -67,6 +68,7 @@ from .surface import (
 __all__ = [
     "BoundReport",
     "ClosedCurve",
+    "ComputationLimitError",
     "ConjectureReport",
     "CycloReal",
     "DirectionPairReport",

@@ -3,8 +3,8 @@ grids, and run the verification suites.
 
 Output is JSON (surfaces, point evaluations, verification reports) or CSV
 (grids) so external tools can plot the landscape.  Every command exits 0 on
-success, 2 on a configuration error, 3 on an unsupported case, and 4 when a
-verification suite fails.
+success, 2 on a configuration error, 3 on an unsupported case, 4 when a
+verification suite fails, and 5 when a computation hits its budget.
 """
 
 from __future__ import annotations
@@ -17,13 +17,12 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from .field import CycloReal, fmt_float, trig_value
+from .field import ComputationLimitError, CycloReal, fmt_float, trig_value
 from .hyperbolic import dist_to_Gmax_batch, in_fundamental_domain
 from .plane import Mat2
 from .ratios import (
     UnrealizedDirectionError,
     UnsupportedCaseError,
-    bound_4m2,
     check_parallel_criterion,
     is_side_pair_witness,
     k0_constant,
@@ -39,6 +38,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_UNSUPPORTED = 3
 EXIT_VERIFY = 4
+EXIT_LIMIT = 5
 
 # enumeration cap: absolute length bounds beyond this are refused up front
 MAX_ABS_LENGTH = 64.0
@@ -213,9 +213,7 @@ def cmd_kvol_grid(args) -> int:
         keep = [z for z in pts if in_fundamental_domain(z, n)]
         if not keep:
             return []
-        dists, flags = dist_to_Gmax_batch(
-            keep, n, k_max=args.k_max, word_len=args.word_len
-        )
+        dists, flags = dist_to_Gmax_batch(keep, n)
         lines = []
         for z, d, ok in zip(keep, dists, flags):
             kv = k0 / math.cosh(d)
@@ -372,8 +370,9 @@ def _add_length_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_formula_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--k-max", type=int, default=12, help="geodesic family truncation")
-    p.add_argument("--word-len", type=int, default=10, help="deck-word truncation")
+    # the orbit search is exact: both are only reported back in params
+    p.add_argument("--k-max", type=int, default=12, help="reported only; no longer bounds dist")
+    p.add_argument("--word-len", type=int, default=10, help="reported only; no longer bounds dist")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -447,6 +446,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except UnrealizedDirectionError as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
+    except ComputationLimitError as exc:
+        print(f"limit: {exc}", file=sys.stderr)
+        return EXIT_LIMIT
 
 
 if __name__ == "__main__":

@@ -27,13 +27,8 @@ _LADDER_MAX_BITS = 1 << 16
 _FLOAT_EPS = 2.0 ** -52
 
 
-def _poly_mul_int(p: Sequence[int], q: Sequence[int]) -> list[int]:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return out
+class ComputationLimitError(RuntimeError):
+    """A search or iteration hit its budget before reaching an answer."""
 
 
 def _poly_divexact_int(p: Sequence[int], q: Sequence[int]) -> list[int]:
@@ -512,6 +507,20 @@ def fmt_float(x: float) -> str:
     return f"{x:.17g}"
 
 
+def mpf_eval(x: CycloReal, root):
+    """``x`` as a polynomial evaluated at ``root`` in mpmath.
+
+    ``root`` is Phi, or one of its conjugates ``2 cos(k pi/n)`` for the other
+    real embeddings, as an mpf at the caller's working precision.
+    """
+    import mpmath
+
+    acc = mpmath.mpf(0)
+    for c in reversed(x.coeffs):
+        acc = acc * root + mpmath.mpf(c.numerator) / c.denominator
+    return acc
+
+
 def _conjugate_indices(n: int) -> list[int]:
     """The k with gcd(k, 2n) = 1, 0 < k < n: Phi's conjugates are 2cos(k*pi/n)."""
     return [k for k in range(1, n) if math.gcd(k, 2 * n) == 1]
@@ -539,12 +548,7 @@ def sqrt_in_field(x: CycloReal) -> Union[CycloReal, None]:
         return None
     with mpmath.workprec(260):
         phis = [2 * mpmath.cos(mpmath.pi * k / x.n) for k in ks]
-        vals = []
-        for p in phis:
-            acc = mpmath.mpf(0)
-            for c in reversed(x.coeffs):
-                acc = acc * p + mpmath.mpf(c.numerator) / c.denominator
-            vals.append(acc)
+        vals = [mpf_eval(x, p) for p in phis]
         if any(v < 0 for v in vals):
             return None
         roots = [mpmath.sqrt(v) for v in vals]

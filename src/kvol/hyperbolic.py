@@ -24,11 +24,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 import mpmath
+import numpy as np
 
-from .field import CycloReal, _phi_float
+from .field import ComputationLimitError, CycloReal, _phi_float, mpf_eval
 from .plane import Mat2, is_horizontal_label
 
 __all__ = [
@@ -208,19 +209,12 @@ def _phi_mpf(n: int) -> mpmath.mpf:
     return 2 * mpmath.cos(mpmath.pi / n)
 
 
-def _entry_mpf(x: CycloReal) -> mpmath.mpf:
-    phi = _phi_mpf(x.n)
-    acc = mpmath.mpf(0)
-    for c in reversed(x.coeffs):
-        acc = acc * phi + mpmath.mpf(c.numerator) / c.denominator
-    return acc
-
-
 def _moebius_exact(m: Mat2, z, prec: int):
     """Evaluate the Moebius action of an exact matrix at ``prec`` bits."""
     with mpmath.workprec(prec):
         zz = mpmath.mpc(z)
-        a, b, c, d = map(_entry_mpf, (m.a, m.b, m.c, m.d))
+        phi = _phi_mpf(m.n)
+        a, b, c, d = (mpf_eval(e, phi) for e in (m.a, m.b, m.c, m.d))
         return (a * zz + b) / (c * zz + d)
 
 
@@ -285,7 +279,7 @@ def reduce_to_fundamental_domain(
             word.append(("TV", -1))
         else:
             return (zc if exact_in else complex(zc)), word
-    raise RuntimeError("fundamental-domain reduction did not terminate")
+    raise ComputationLimitError("fundamental-domain reduction did not terminate")
 
 
 def apply_word(word: Iterable[tuple[str, int]], z, n: int):
@@ -332,141 +326,156 @@ def word_matrix(word: Iterable[tuple[str, int]], n: int) -> Mat2:
 # ---------------------------------------------------------------------------
 # distance to the orbit of the maximal-ratio geodesics
 # ---------------------------------------------------------------------------
+#
+# The distinguished family is gamma(inf, 0) and gamma(inf, +-1/(k phi)) for
+# k >= 1.  On boundary points TV^s fixes 0 and sends inf to 1/(s phi) and
+# 1/(k phi) to 1/((k + s) phi), so the <TV>-orbit S_0 of the family is every
+# geodesic joining two points of P = {inf, 0} u {1/(j phi) : j != 0}.  The
+# search runs over S = TH^-1 S_0 u S_0 u TH S_0.  In the frame
+# w = -1/(phi (z - m phi)) the translate TH^m S_0 is every geodesic joining
+# two points of Z u {inf}: 1/(j phi) + m phi goes to -j, inf to 0 and m phi
+# to inf.
 
-_MIN_RADIUS = 1e-5
+_FRAMES = np.array([-1.0, 0.0, 1.0])
+# beyond this frame height the index search is cut short and not certified
+_MAX_HEIGHT = 1e6
+# entries per vectorized block of the index search
+_BLOCK = 1 << 15
 
 
-def _orbit_candidates(n: int, k_max: int, word_len: int):
-    """Images of the base vertical family under short group words.
+def _offset_blocks(count):
+    """Blocks ``(rows, k)`` that together cover every offset index
+    ``k < count[row]``, each about ``_BLOCK`` entries large."""
+    order = np.argsort(count, kind="stable")
+    c = count[order]
+    start = 0
+    while start < c.size:
+        # (rows taken) * (largest count among them), nondecreasing in rows
+        span = np.arange(1, c.size - start + 1) * c[start:]
+        end = start + max(1, int(np.searchsorted(span, _BLOCK, side="right")))
+        rows = order[start:end]
+        top = int(c[end - 1])
+        step = max(1, _BLOCK // rows.size)
+        for k0 in range(0, top, step):
+            yield rows, np.arange(k0, min(top, k0 + step))[None, :]
+        start = end
 
-    The base family holds the verticals ``x = 0`` and ``x = +-1/(k phi)``
-    for ``k <= k_max``; the group is generated by ``x -> x +- phi`` and
-    ``x -> x/(+-phi x + 1)`` acting on ideal endpoints.  Queries are always
-    reduced to the fundamental strip first, so geodesics are stored modulo
-    the translation ``x -> x + phi`` (every candidate is re-centered into
-    ``[-phi/2, phi/2]`` and evaluated at the three nearby translates at
-    query time).  Circles smaller than ``_MIN_RADIUS`` are dropped: they sit
-    too deep in a cusp to ever realize the minimum at the heights queried.
-    The result is split into vertical feet and circle (center, radius)
-    arrays, each tripled by the ``-phi/0/+phi`` shifts.
+
+def _lattice_search(u, v):
+    """The geodesic joining two points of ``Z u {inf}`` nearest ``u + iv``.
+
+    Vectorized over arrays ``u``, ``v``.  Returns ``sinh`` of the distance,
+    the endpoints ``a`` and ``b`` (``b = inf`` for the vertical ``Re w = a``)
+    and whether the search reached its bound, ``v <= _MAX_HEIGHT``.
+
+    The search is exhaustive.  The vertical at ``a`` has
+    ``sinh dist = |u - a|/v``, least at the nearest integer.  With offsets
+    ``p = u - a`` and ``q = b - u``, the circle on integers ``a < b`` has
+    ``sinh dist = |v^2 - p q| / ((p + q) v)``.
+
+    * Both ends on one side, say ``a < b < u`` (so ``q < 0``): the value is
+      ``(v^2 + |p q|) / ((|p| - |q|) v) > |q|/v``, so the vertical at ``b``
+      is nearer, and the nearest vertical nearer still.
+    * Straddling, ``p, q >= 0``: let ``s`` be the smaller offset and ``t``
+      the other.  For fixed ``s`` the value falls in ``t`` up to
+      ``v^2/s``, where it is zero, and rises after it, so the best lattice
+      ``t`` is one of the two around ``v^2/s`` (the first lattice ``t`` when
+      ``v^2/s`` lies below it).  If ``s > v + 1``, moving the near end one
+      step toward ``u`` is strictly better: ``t >= s > v`` gives
+      ``v^2/t < v < s - 1``, and where ``s t >= v^2`` the value has
+      derivative ``(t^2 + v^2) / ((s + t)^2 v) > 0`` in ``s``.  So the
+      optimum has ``s <= v + 1``, and it suffices to enumerate
+      ``s = g, g + 1, ... <= v + 1`` on each side, ``g`` the distance from
+      ``u`` to the nearest integer on that side, with two ``t`` each.
+
+    Points with ``v > _MAX_HEIGHT`` only enumerate up to that height.
+    """
+    a = np.floor(u + 0.5)
+    best = np.abs(u - a) / v
+    b = np.full(u.shape, np.inf)
+    fl = np.floor(u)
+    f = u - fl
+    count = np.floor(np.minimum(v, _MAX_HEIGHT)).astype(np.int64) + 2
+    for rows, k in _offset_blocks(count):
+        uf, ff, vv = fl[rows, None], f[rows, None], v[rows, None]
+        v2 = vv * vv
+        s_left, s_right = ff + k, 1.0 - ff + k
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # index of the lattice t just below v^2/s, counted from the first
+            l_left = np.maximum(np.floor(v2 / s_left - (1.0 - ff)), 0.0)
+            l_right = np.maximum(np.floor(v2 / s_right - ff), 0.0)
+            s = np.stack([s_left, s_left, s_right, s_right])
+            t = np.stack([1.0 - ff + l_left, 2.0 - ff + l_left, ff + l_right, 1.0 + ff + l_right])
+            val = np.abs(v2 - s * t) / ((s + t) * vv)
+        # s = 0 puts u on the vertical at a, which already gives zero
+        val = np.where((k < count[rows, None]) & (s > 0) & np.isfinite(val), val, np.inf)
+        ends_a = np.stack([uf - k, uf - k, uf - l_right, uf - l_right - 1.0])
+        ends_b = np.stack([uf + 1.0 + l_left, uf + 2.0 + l_left, uf + 1.0 + k, uf + 1.0 + k])
+        # (candidate, row, k) -> (row, candidate * k)
+        flat = lambda x: x.transpose(1, 0, 2).reshape(rows.size, -1)
+        val = flat(val)
+        j = np.argmin(val, axis=1)
+        got = val[np.arange(rows.size), j]
+        better = got < best[rows]
+        hit = rows[better]
+        best[hit] = got[better]
+        a[hit] = flat(ends_a)[better, j[better]]
+        b[hit] = flat(ends_b)[better, j[better]]
+    return best, a, b, v <= _MAX_HEIGHT
+
+
+def _nearest(xs, ys, n: int):
+    """Nearest member of ``S`` to each point ``xs + i ys``.
+
+    Returns ``sinh`` of the distance, the frame ``m`` and endpoints ``a``,
+    ``b`` of the witness in that frame, and whether every frame's search
+    reached its bound.
+
+    At a point of the strip ``|x| <= phi/2`` no translate ``TH^m S_0`` with
+    ``m != 0``, in particular none with ``|m| >= 2``, is nearer than
+    ``S_0``.  The finite points of ``P`` lie in
+    ``[-1/phi, 1/phi]``, so for ``m >= 1`` every member of ``TH^m S_0`` lies
+    right of the vertical at its least endpoint ``p >= phi - 1/phi``.  That
+    vertical separates it from ``z``, so it is at least ``asinh((p - x)/y)``
+    away, while the vertical at ``1/phi`` in ``S_0`` is ``asinh(|x - 1/phi|/y)``
+    away, and ``|x - 1/phi| <= phi - 1/phi - x`` follows from ``2x <= phi``
+    and ``phi^2 >= 2``.  The case ``m <= -1`` is the mirror image.  The frames
+    ``m = +-1`` are still searched: they absorb the tolerance of
+    ``in_fundamental_domain``, and ``_certified`` evaluates images outside
+    the strip.
     """
     phi = _phi_float(n)
+    dx = xs[None, :] - _FRAMES[:, None] * phi
+    den = phi * (dx * dx + ys * ys)
+    shape = dx.shape
+    sinh, a, b, bounded = _lattice_search((-dx / den).ravel(), (ys / den).ravel())
+    sinh, a, b = (x.reshape(shape) for x in (sinh, a, b))
+    m = np.argmin(sinh, axis=0)
+    cols = np.arange(xs.size)
+    return sinh[m, cols], _FRAMES[m], a[m, cols], b[m, cols], bounded.reshape(shape).all(axis=0)
 
-    def mob(s: int, x: float) -> float:
-        # endpoint action of the vertical shear power s: x -> x/(s phi x + 1)
-        if math.isinf(x):
-            return 1.0 / (s * phi)
-        den = s * phi * x + 1.0
-        if den == 0.0:
-            return math.inf
-        return x / den
 
-    def canonical(pair):
-        p, q = pair
-        if math.isinf(p):
-            p, q = q, p
-        if math.isinf(q):  # vertical with foot p
-            shift = phi * round(p / phi)
-            return (p - shift, math.inf)
-        c = (p + q) / 2.0
-        shift = phi * round(c / phi)
-        lo, hi = min(p, q) - shift, max(p, q) - shift
-        return (lo, hi)
-
-    def key_of(pair):
-        p, q = pair
-        return (round(p, 9), "inf" if math.isinf(q) else round(q, 9))
-
-    seeds = [(0.0, math.inf)]
-    for k in range(1, k_max + 1):
-        seeds.append((1.0 / (k * phi), math.inf))
-        seeds.append((-1.0 / (k * phi), math.inf))
-
-    seen: dict = {}
-    frontier = []
-    for pair in map(canonical, seeds):
-        key = key_of(pair)
-        if key not in seen:
-            seen[key] = pair
-            frontier.append(pair)
-    for _ in range(word_len):
-        nxt = []
-        for base in frontier:
-            # expand from each translate so the shear sees every pole offset
-            for shift in (-phi, 0.0, phi):
-                p, q = base[0] + shift, base[1] + shift
-                for s in (1, -1):
-                    pair = canonical((mob(s, p), mob(s, q)))
-                    if not math.isinf(pair[1]):
-                        if (pair[1] - pair[0]) / 2.0 < _MIN_RADIUS:
-                            continue
-                    key = key_of(pair)
-                    if key not in seen:
-                        seen[key] = pair
-                        nxt.append(pair)
-        frontier = nxt
-
-    feet = []
-    centers = []
-    radii = []
-    for p, q in seen.values():
-        if math.isinf(q):
-            feet.append(p)
-        else:
-            centers.append((p + q) / 2.0)
-            radii.append((q - p) / 2.0)
-    import numpy as np
-
-    feet_arr = np.array(feet, dtype=float)
-    cen_arr = np.array(centers, dtype=float)
-    rad_arr = np.array(radii, dtype=float)
-    shifts = np.array([-phi, 0.0, phi])
-    feet_arr = (feet_arr[:, None] + shifts).ravel()
-    cen_arr, rad_arr = (
-        (cen_arr[:, None] + shifts).ravel(),
-        np.repeat(rad_arr, 3),
+def _certified(xs, ys, sinh, bounded, n: int, tol: float):
+    """The convergence flag: the search reached its bound, and none of the six
+    images ``TV^+-1(z)``, ``TV^+-1(z +- phi)`` is nearer ``S`` by more than
+    ``tol``.  The distance to the orbit is the same at every image, so a
+    nearer image would expose an orbit member outside ``S``."""
+    phi = _phi_float(n)
+    z = xs + 1j * ys
+    images = np.concatenate(
+        [(z + shift) / (s * phi * (z + shift) + 1.0) for shift in (0.0, phi, -phi) for s in (1, -1)]
     )
-    return feet_arr, cen_arr, rad_arr
+    img_sinh, _, _, _, img_bounded = _nearest(images.real, images.imag, n)
+    img_dist = np.arcsinh(img_sinh).reshape(6, -1).min(axis=0)
+    return bounded & img_bounded.reshape(6, -1).all(axis=0) & (img_dist >= np.arcsinh(sinh) - tol)
 
 
-_CANDIDATES: dict = {}
-
-
-def _candidates(n: int, k_max: int, word_len: int):
-    key = (n, k_max, word_len)
-    if key not in _CANDIDATES:
-        _CANDIDATES[key] = _orbit_candidates(n, k_max, word_len)
-    return _CANDIDATES[key]
-
-
-def _min_sinh_batch(xs, ys, cands):
-    """Per-point minimum of ``sinh dist`` over a candidate family.
-
-    Vectorized over points; the circle list is first pruned by a sound
-    necessary condition: a circle of radius ``r`` has ``sinh dist <= s``
-    somewhere at height ``y`` only when ``r >= y (sqrt(s^2+1) - s)``, with
-    ``s`` the bound already achieved by the verticals.
-    """
-    import numpy as np
-
-    feet, centers, radii = cands
-    best = np.full(xs.shape, np.inf)
-    if feet.size:
-        best = np.min(np.abs(xs[:, None] - feet[None, :]), axis=1) / ys
-    if centers.size:
-        thresh = float(np.min(ys * (np.sqrt(best**2 + 1.0) - best)))
-        keep = radii >= thresh
-        cen, rad = centers[keep], radii[keep]
-        for lo in range(0, cen.size, 65536):
-            c = cen[lo : lo + 65536]
-            r = rad[lo : lo + 65536]
-            vals = np.abs(
-                (xs[:, None] - c[None, :]) ** 2
-                + (ys**2)[:, None]
-                - (r**2)[None, :]
-            ) / (2.0 * r[None, :] * ys[:, None])
-            best = np.minimum(best, vals.min(axis=1))
-    return best
+def _reduced(z: complex, n: int) -> tuple[complex, list]:
+    """A fundamental-domain representative of ``z`` and the word reaching it;
+    points already in the domain are kept as they are."""
+    if in_fundamental_domain(z, n):
+        return z, []
+    return reduce_to_fundamental_domain(z, n)
 
 
 def dist_to_Gmax_batch(
@@ -475,23 +484,18 @@ def dist_to_Gmax_batch(
     *,
     k_max: int = 12,
     word_len: int = 10,
-    tol: float = 1e-9,
+    tol: float = 1e-12,
 ):
     """Vectorized ``dist_to_Gmax`` over many points.
 
     Returns a float array of distances and a bool array of convergence
-    flags.  Each point is reduced to the fundamental domain first.
+    flags.  Points outside the fundamental domain are reduced first.
     """
-    import numpy as np
-
-    reduced = [reduce_to_fundamental_domain(complex(z), n)[0] for z in zs]
-    xs = np.array([w.real for w in reduced])
-    ys = np.array([w.imag for w in reduced])
-    s0 = _min_sinh_batch(xs, ys, _candidates(n, k_max, word_len))
-    s1 = _min_sinh_batch(xs, ys, _candidates(n, k_max + 2, word_len + 2))
-    d0 = np.arcsinh(s0)
-    d1 = np.arcsinh(s1)
-    return d1, np.abs(d0 - d1) <= tol
+    reduced = [_reduced(complex(z), n)[0] for z in zs]
+    xs = np.array([w.real for w in reduced], dtype=float)
+    ys = np.array([w.imag for w in reduced], dtype=float)
+    sinh, _, _, _, bounded = _nearest(xs, ys, n)
+    return np.arcsinh(sinh), _certified(xs, ys, sinh, bounded, n, tol)
 
 
 def dist_to_Gmax(
@@ -500,30 +504,26 @@ def dist_to_Gmax(
     *,
     k_max: int = 12,
     word_len: int = 10,
-    tol: float = 1e-9,
+    tol: float = 1e-12,
 ) -> tuple[float, bool]:
     """Distance from a disk point to the orbit of the maximal-ratio verticals.
 
-    The point is first reduced to the fundamental domain (the orbit is
-    invariant, and reduction makes the search local).  The returned flag
-    reports convergence: the value is recomputed with the family truncation
-    and the word length both enlarged by two, and the flag is set when the
-    two estimates agree within the tolerance.  The deeper estimate is
-    returned.
+    The point is reduced to the fundamental domain (the orbit is invariant)
+    and the nearest member of ``S``, which lies in the orbit, is found by the
+    exhaustive index search of ``_nearest``.  The flag is ``_certified``.
+    ``k_max`` and ``word_len`` are accepted for compatibility; they no
+    longer bound the result.
     """
-    dists, flags = dist_to_Gmax_batch([z], n, k_max=k_max, word_len=word_len, tol=tol)
+    dists, flags = dist_to_Gmax_batch([z], n, tol=tol)
     return float(dists[0]), bool(flags[0])
 
 
-def _moebius_boundary(M, x: float) -> float:
-    """Image of a boundary point (real or +-inf) under an exact matrix."""
-    a, b, c, d = (float(M.a), float(M.b), float(M.c), float(M.d))
-    if math.isinf(x):
-        return a / c if c != 0.0 else math.inf
-    den = c * x + d
-    if den == 0.0:
-        return math.inf
-    return (a * x + b) / den
+def _boundary_image(M: Mat2, x: Optional[CycloReal]) -> Optional[CycloReal]:
+    """Exact image of a boundary point (None for infinity) under ``M``."""
+    if x is None:
+        return None if M.c.is_zero() else M.a / M.c
+    den = M.c * x + M.d
+    return None if den.is_zero() else (M.a * x + M.b) / den
 
 
 def nearest_gmax_geodesic(
@@ -532,41 +532,26 @@ def nearest_gmax_geodesic(
     *,
     k_max: int = 12,
     word_len: int = 10,
-    tol: float = 1e-9,
+    tol: float = 1e-12,
 ) -> tuple[float, bool, Geodesic, list]:
     """Like ``dist_to_Gmax`` but also reports a minimizing geodesic.
 
     Returns ``(dist, converged, geodesic, word)`` with the geodesic expressed
-    in the frame of the input point (the reduction word is inverted and
-    applied to its endpoints) and ``word`` the fundamental-domain reduction
-    word that was used.
+    in the frame of the input point (its endpoints are computed exactly from
+    the search indices and mapped back through the inverse reduction word)
+    and ``word`` the fundamental-domain reduction word that was used.
     """
-    import numpy as np
-
-    w, word = reduce_to_fundamental_domain(complex(z), n)
-    x, y = w.real, w.imag
-    xs = np.array([x])
-    ys = np.array([y])
-    s0 = _min_sinh_batch(xs, ys, _candidates(n, k_max, word_len))[0]
-    feet, centers, radii = _candidates(n, k_max + 2, word_len + 2)
-    best = math.inf
-    geod = None
-    if feet.size:
-        i = int(np.argmin(np.abs(x - feet)))
-        best = abs(x - feet[i]) / y
-        geod = Geodesic.vertical(float(feet[i]))
-    if centers.size:
-        vals = np.abs((x - centers) ** 2 + y * y - radii**2) / (2.0 * radii * y)
-        i = int(np.argmin(vals))
-        if vals[i] < best:
-            best = float(vals[i])
-            geod = Geodesic.circle(float(centers[i]), float(radii[i]))
-    dist = math.asinh(best)
-    converged = abs(math.asinh(float(s0)) - dist) <= tol
-    if word:
-        Minv = word_matrix(word, n).inverse()
-        p, q = geod.endpoints()
-        geod = Geodesic.from_endpoints(
-            _moebius_boundary(Minv, p), _moebius_boundary(Minv, q)
-        )
-    return dist, converged, geod, list(word)
+    w, word = _reduced(complex(z), n)
+    xs, ys = np.array([w.real]), np.array([w.imag])
+    sinh, m, a, b, bounded = _nearest(xs, ys, n)
+    converged = bool(_certified(xs, ys, sinh, bounded, n, tol)[0])
+    # w -> z = m phi - 1/(phi w) back to the reduced point, then undo the word
+    phi = CycloReal.phi(n)
+    back = Mat2(n, phi * phi * int(m[0]), -1, phi, 0)
+    back = word_matrix([(gen, -k) for gen, k in reversed(word)], n) * back
+    ends = [
+        _boundary_image(back, None if math.isinf(e) else CycloReal.from_rational(n, int(e)))
+        for e in (a[0], b[0])
+    ]
+    geod = Geodesic.from_endpoints(*(math.inf if e is None else float(e) for e in ends))
+    return math.asinh(float(sinh[0])), converged, geod, list(word)

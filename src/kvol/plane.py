@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 from typing import Optional, Union
 
-from .field import CycloReal, Rational
+from .field import CycloReal
 
 Vec2 = tuple[CycloReal, CycloReal]
 Scalar = Union[CycloReal, int, Fraction]

@@ -720,13 +720,13 @@ def kvol_closed_formula(
     of maximal-ratio geodesics).
 
     Valid for n = 0 mod 4 (single singularity class); for n = 2 mod 4 only
-    bounds are available - see ``bound_4m2``.
+    bounds are available - see ``bound_4m2``.  The distance search is exact
+    (``nearest_gmax_geodesic``); ``k_max`` and ``word_len`` no longer bound
+    it and are only reported in ``params``.
     """
     if n % 4 != 0 or n < 8:
         raise UnsupportedCaseError("closed formula requires n ≡ 0 mod 4; use kvol-bound")
-    dist, converged, geod, word = nearest_gmax_geodesic(
-        complex(z), n, k_max=k_max, word_len=word_len
-    )
+    dist, converged, geod, word = nearest_gmax_geodesic(complex(z), n)
     k0 = k0_constant(n)
     return KvolReport(
         mode="closed_formula",

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from typing import Optional
 
-from .field import CycloReal
+from .field import ComputationLimitError, CycloReal
 from .plane import (
     Vec2,
     canonical_orientation,
@@ -299,7 +299,7 @@ def enumerate_saddle_connections(
                 node, lo_ex, lo_fl, hi_ex, hi_fl = stack.pop()
                 nodes_seen += 1
                 if nodes_seen > max_nodes:
-                    raise RuntimeError("saddle enumeration exceeded the node budget")
+                    raise ComputationLimitError("saddle enumeration exceeded the node budget")
                 f = node.face
                 verts = S.faces[f]
                 k = len(verts)
@@ -443,7 +443,7 @@ def _exit_edge(S, f, Wfl, Wex, dm_ex, dm_fl, entry_e: Optional[int]) -> int:
             and cross(b_ex, dm_ex).sign() == -den
         ):
             return e
-    raise RuntimeError("no exit edge found for an open cone")
+    raise ComputationLimitError("no exit edge found for an open cone")
 
 
 def _prune_far(Wfl, e, k, d1_fl, d2_fl, L2f) -> bool:

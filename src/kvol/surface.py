@@ -658,12 +658,11 @@ def cylinder_decomposition(
     for cyc in S.vertex_classes:
         for f, vi in cyc:
             ra, _rb = S.wedge_rays(f, vi)
-            edge_aligned = same_ray(v, ra)
-            if not (edge_aligned or S.direction_in_wedge(f, vi, v)):
+            if same_ray(v, ra):
+                continue  # boundary separatrix along an existing edge
+            if not S.direction_in_wedge(f, vi, v):
                 continue
             tr = trace_from_corner(S, f, vi, v, max_length=max_length)
-            if edge_aligned:
-                continue  # boundary separatrix along an existing edge
             for face, p_in, p_out in tr.pieces:
                 chords[face].append((p_in, p_out))
 

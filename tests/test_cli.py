@@ -10,6 +10,7 @@ import pytest
 
 from kvol.cli import (
     EXIT_CONFIG,
+    EXIT_LIMIT,
     EXIT_OK,
     EXIT_UNSUPPORTED,
     EXIT_VERIFY,
@@ -207,3 +208,25 @@ class TestVerifyCommand:
                            "--L-abs", "1000")
         assert code == EXIT_CONFIG
         assert "cap" in err
+
+
+class TestComputationLimits:
+    def test_limit_maps_to_exit_code(self, capsys, monkeypatch):
+        import kvol.cli
+        from kvol.field import ComputationLimitError
+
+        def exhausted(*args, **kwargs):
+            raise ComputationLimitError("fundamental-domain reduction did not terminate")
+
+        monkeypatch.setattr(kvol.cli, "kvol_closed_formula", exhausted)
+        code, out, err = run(capsys, "kvol-point", "--n", "8", "--x", "0", "--y", "1")
+        assert code == EXIT_LIMIT == 5
+        assert out == ""
+        assert err == "limit: fundamental-domain reduction did not terminate\n"
+
+    def test_reduction_budget_raises_limit(self):
+        from kvol.field import ComputationLimitError
+        from kvol.hyperbolic import reduce_to_fundamental_domain
+
+        with pytest.raises(ComputationLimitError):
+            reduce_to_fundamental_domain(complex(5.0, 0.01), 8, max_steps=1)

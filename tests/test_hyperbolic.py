@@ -4,11 +4,13 @@ import math
 import random
 
 import mpmath
+import numpy as np
 import pytest
 
 from kvol.field import CycloReal
 from kvol.hyperbolic import (
     Geodesic,
+    _nearest,
     angle_sine,
     apply_word,
     dist_points,
@@ -20,9 +22,11 @@ from kvol.hyperbolic import (
     moebius,
     point_of_surface,
     reduce_to_fundamental_domain,
+    nearest_gmax_geodesic,
     word_matrix,
 )
 from kvol.plane import Mat2
+from kvol.ratios import kvol_closed_formula
 from kvol.surface import conversion_matrix, veech_generators
 
 
@@ -262,3 +266,96 @@ class TestDistToGmax:
         ]
         dists, _ = dist_to_Gmax_batch(pts, 8)
         assert float(dists.max()) <= math.asinh(1.0) + 1e-12
+
+
+def _window_sinh(z, n, width=60):
+    """Exhaustive sinh-distance to the members of S whose frame endpoints lie
+    within ``width`` of the point's nearest integer, in each frame."""
+    phi = _phi(n)
+    best = math.inf
+    for m in (-1, 0, 1):
+        dx = z.real - m * phi
+        den = phi * (dx * dx + z.imag * z.imag)
+        u, v = -dx / den, z.imag / den
+        ints = np.arange(round(u) - width, round(u) + width + 1, dtype=float)
+        best = min(best, float(np.min(np.abs(u - ints))) / v)
+        a, b = np.meshgrid(ints, ints, indexing="ij")
+        a, b = a[a < b], b[a < b]
+        best = min(best, float(np.min(np.abs((u - a) * (u - b) + v * v) / ((b - a) * v))))
+    return best
+
+
+def _witness(z, n):
+    """The index-search witness at ``z`` as a z-frame geodesic, and how far
+    its finite frame endpoints lie from the point's nearest integer."""
+    _, m, a, b, _ = _nearest(np.array([z.real]), np.array([z.imag]), n)
+    m, phi = m[0], _phi(n)
+    dx = z.real - m * phi
+    u = -dx / (phi * (dx * dx + z.imag * z.imag))
+    ends, reach = [], 0
+    for e in (a[0], b[0]):
+        if math.isinf(e):
+            ends.append(m * phi)
+        else:
+            ends.append(math.inf if e == 0 else m * phi - 1 / (e * phi))
+            reach = max(reach, abs(e - round(u)))
+    return Geodesic.from_endpoints(*ends), reach
+
+
+class TestOrbitSearch:
+    @pytest.mark.parametrize("k", [20, 30, 50])
+    def test_deep_distinguished_verticals(self, k):
+        # 1/(k phi) for k beyond any fixed truncation still lies on S
+        d, converged = dist_to_Gmax(complex(1 / (k * _phi(8)), 0.8), 8)
+        assert d < 1e-12
+        assert converged
+
+    def test_not_below_bruteforce_lower_bound(self):
+        # brute force at 20 l_m sqrt(y) finds 6.82639 here; the closed formula
+        # is the supremum, so it cannot be smaller
+        rep = kvol_closed_formula(8, complex(1 / 44, 5 / 11))
+        assert rep.converged
+        assert rep.value >= 6.8263
+
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    def test_matches_exhaustive_window(self, n):
+        inside = 0
+        for z in _interior_points(n, 40, seed=100 + n):
+            s, *_ = _nearest(np.array([z.real]), np.array([z.imag]), n)
+            geod, reach = _witness(z, n)
+            # the reported value is realized by the reported witness ...
+            assert abs(geod.sinh_dist(z) - s[0]) < 1e-12
+            # ... and nothing in the window beats it
+            window = _window_sinh(z, n)
+            assert s[0] <= window + 1e-15
+            if reach <= 60:
+                inside += 1
+                assert abs(s[0] - window) < 1e-12
+        assert inside >= 30
+
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    def test_orbit_images_never_nearer(self, n):
+        rng = random.Random(7 * n)
+        for z in _interior_points(n, 10, seed=n):
+            s0, *_ = _nearest(np.array([z.real]), np.array([z.imag]), n)
+            images = np.array([
+                apply_word(_random_word(rng, rng.randint(1, 6)), z, n) for _ in range(60)
+            ])
+            s, *_ = _nearest(images.real, images.imag, n)
+            assert float(np.arcsinh(s).min()) >= math.asinh(s0[0]) - 1e-12
+
+    def test_exact_witness_through_reduction(self):
+        # a point far from the domain: the witness comes back through the
+        # inverse reduction word and still realizes the distance
+        z = complex(3.3, 0.01)
+        d, converged, geod, word = nearest_gmax_geodesic(z, 8)
+        assert word and converged
+        assert abs(geod.dist_to(z) - d) < 1e-9
+
+    def test_unbounded_search_is_not_certified(self):
+        # deep in the domain's cusp at 0, where Im w is about 5e6 in frame 0
+        z = complex(5e-15, 1e-7)
+        assert in_fundamental_domain(z, 8, tol=0.0)
+        d, converged = dist_to_Gmax(z, 8)
+        assert not converged
+        assert math.isfinite(d)

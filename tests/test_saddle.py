@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kvol.field import CycloReal, trig_value
+from kvol.field import CycloReal
 from kvol.intersect import intersection_form
 from kvol.plane import Mat2, norm2, vadd, vfloat, vsub
 from kvol.saddle import SaddleConnection, edge_connection, enumerate_saddle_connections
