@@ -330,14 +330,14 @@ def word_matrix(word: Iterable[tuple[str, int]], n: int) -> Mat2:
 # The distinguished family is gamma(inf, 0) and gamma(inf, +-1/(k phi)) for
 # k >= 1.  On boundary points TV^s fixes 0 and sends inf to 1/(s phi) and
 # 1/(k phi) to 1/((k + s) phi), so the <TV>-orbit S_0 of the family is every
-# geodesic joining two points of P = {inf, 0} u {1/(j phi) : j != 0}.  The
-# search runs over S = TH^-1 S_0 u S_0 u TH S_0.  In the frame
-# w = -1/(phi (z - m phi)) the translate TH^m S_0 is every geodesic joining
-# two points of Z u {inf}: 1/(j phi) + m phi goes to -j, inf to 0 and m phi
-# to inf.
+# geodesic joining two points of P = {inf, 0} u {1/(j phi) : j != 0}.  A point
+# is first moved into the strip |x| <= phi/2 by a power TH^-m, and the search
+# runs over S_0 there; for the original point that is the translate TH^m S_0.
+# In the frame w = -1/(phi (z - m phi)) the translate TH^m S_0 is every
+# geodesic joining two points of Z u {inf}: 1/(j phi) + m phi goes to -j, inf
+# to 0 and m phi to inf.
 
-_FRAMES = np.array([-1.0, 0.0, 1.0])
-# beyond this frame height the index search is cut short and not certified
+# beyond this frame height the index search is cut short and not converged
 _MAX_HEIGHT = 1e6
 # entries per vectorized block of the index search
 _BLOCK = 1 << 15
@@ -425,41 +425,45 @@ def _lattice_search(u, v):
 
 
 def _nearest(xs, ys, n: int):
-    """Nearest member of ``S`` to each point ``xs + i ys``.
+    """Nearest member of ``TH^m S_0`` to each point ``xs + i ys``, where
+    ``m = round(x/phi)`` moves the point into the strip ``|x| <= phi/2``.
 
-    Returns ``sinh`` of the distance, the frame ``m`` and endpoints ``a``,
-    ``b`` of the witness in that frame, and whether every frame's search
-    reached its bound.
+    Returns ``sinh`` of the distance, the shift ``m`` and the endpoints
+    ``a``, ``b`` of the witness in the frame ``w = -1/(phi (z - m phi))``,
+    and whether the search reached its bound.  ``TH`` is in the group, so
+    the shift changes no distance to the orbit.
 
-    At a point of the strip ``|x| <= phi/2`` no translate ``TH^m S_0`` with
-    ``m != 0``, in particular none with ``|m| >= 2``, is nearer than
-    ``S_0``.  The finite points of ``P`` lie in
-    ``[-1/phi, 1/phi]``, so for ``m >= 1`` every member of ``TH^m S_0`` lies
-    right of the vertical at its least endpoint ``p >= phi - 1/phi``.  That
-    vertical separates it from ``z``, so it is at least ``asinh((p - x)/y)``
-    away, while the vertical at ``1/phi`` in ``S_0`` is ``asinh(|x - 1/phi|/y)``
-    away, and ``|x - 1/phi| <= phi - 1/phi - x`` follows from ``2x <= phi``
-    and ``phi^2 >= 2``.  The case ``m <= -1`` is the mirror image.  The frames
-    ``m = +-1`` are still searched: they absorb the tolerance of
-    ``in_fundamental_domain``, and ``_certified`` evaluates images outside
-    the strip.
+    At a point of the strip no translate ``TH^m S_0`` with ``m != 0``, in
+    particular none with ``|m| >= 2``, is nearer than ``S_0``.  The finite
+    points of ``P`` lie in ``[-1/phi, 1/phi]``, so for ``m >= 1`` every
+    member of ``TH^m S_0`` lies right of the vertical at its least endpoint
+    ``p >= phi - 1/phi``.  That vertical separates it from ``z``, so it is
+    at least ``asinh((p - x)/y)`` away, while the vertical at ``1/phi`` in
+    ``S_0`` is ``asinh(|x - 1/phi|/y)`` away, and
+    ``|x - 1/phi| <= phi - 1/phi - x`` follows from ``2x <= phi`` and
+    ``phi^2 >= 2``.  The case ``m <= -1`` is the mirror image.  So the
+    result is the distance to ``S = TH^-1 S_0 u S_0 u TH S_0`` for points of
+    the strip, and to the matching translate of ``S`` elsewhere.
     """
     phi = _phi_float(n)
-    dx = xs[None, :] - _FRAMES[:, None] * phi
+    m = np.round(xs / phi)
+    dx = xs - m * phi
     den = phi * (dx * dx + ys * ys)
-    shape = dx.shape
-    sinh, a, b, bounded = _lattice_search((-dx / den).ravel(), (ys / den).ravel())
-    sinh, a, b = (x.reshape(shape) for x in (sinh, a, b))
-    m = np.argmin(sinh, axis=0)
-    cols = np.arange(xs.size)
-    return sinh[m, cols], _FRAMES[m], a[m, cols], b[m, cols], bounded.reshape(shape).all(axis=0)
+    sinh, a, b, bounded = _lattice_search(-dx / den, ys / den)
+    return sinh, m, a, b, bounded
 
 
-def _certified(xs, ys, sinh, bounded, n: int, tol: float):
+def _converged(xs, ys, sinh, bounded, n: int, tol: float):
     """The convergence flag: the search reached its bound, and none of the six
-    images ``TV^+-1(z)``, ``TV^+-1(z +- phi)`` is nearer ``S`` by more than
+    images ``TV^+-1(z)``, ``TV^+-1(z +- phi)`` is nearer the members that
+    ``_nearest`` searches for it than ``z`` is to ``S``, by more than
     ``tol``.  The distance to the orbit is the same at every image, so a
-    nearer image would expose an orbit member outside ``S``."""
+    nearer image would expose an orbit member outside ``S``.
+
+    This is a local test, not a proof: it does not rule out an orbit member
+    outside ``S`` that is nearer ``z`` and is only seen from images reached
+    by longer words.  No such member has been found (random words of length
+    at most 6, ``tests/test_hyperbolic.py``)."""
     phi = _phi_float(n)
     z = xs + 1j * ys
     images = np.concatenate(
@@ -482,8 +486,6 @@ def dist_to_Gmax_batch(
     zs: Sequence[complex],
     n: int,
     *,
-    k_max: int = 12,
-    word_len: int = 10,
     tol: float = 1e-12,
 ):
     """Vectorized ``dist_to_Gmax`` over many points.
@@ -495,24 +497,22 @@ def dist_to_Gmax_batch(
     xs = np.array([w.real for w in reduced], dtype=float)
     ys = np.array([w.imag for w in reduced], dtype=float)
     sinh, _, _, _, bounded = _nearest(xs, ys, n)
-    return np.arcsinh(sinh), _certified(xs, ys, sinh, bounded, n, tol)
+    return np.arcsinh(sinh), _converged(xs, ys, sinh, bounded, n, tol)
 
 
 def dist_to_Gmax(
     z: complex,
     n: int,
     *,
-    k_max: int = 12,
-    word_len: int = 10,
     tol: float = 1e-12,
 ) -> tuple[float, bool]:
     """Distance from a disk point to the orbit of the maximal-ratio verticals.
 
     The point is reduced to the fundamental domain (the orbit is invariant)
     and the nearest member of ``S``, which lies in the orbit, is found by the
-    exhaustive index search of ``_nearest``.  The flag is ``_certified``.
-    ``k_max`` and ``word_len`` are accepted for compatibility; they no
-    longer bound the result.
+    exhaustive index search of ``_nearest``.  ``S`` is part of the orbit, so
+    the distance is never below the true one; the flag is the local check
+    of ``_converged``.
     """
     dists, flags = dist_to_Gmax_batch([z], n, tol=tol)
     return float(dists[0]), bool(flags[0])
@@ -530,8 +530,6 @@ def nearest_gmax_geodesic(
     z: complex,
     n: int,
     *,
-    k_max: int = 12,
-    word_len: int = 10,
     tol: float = 1e-12,
 ) -> tuple[float, bool, Geodesic, list]:
     """Like ``dist_to_Gmax`` but also reports a minimizing geodesic.
@@ -544,11 +542,11 @@ def nearest_gmax_geodesic(
     w, word = _reduced(complex(z), n)
     xs, ys = np.array([w.real]), np.array([w.imag])
     sinh, m, a, b, bounded = _nearest(xs, ys, n)
-    converged = bool(_certified(xs, ys, sinh, bounded, n, tol)[0])
-    # w -> z = m phi - 1/(phi w) back to the reduced point, then undo the word
-    phi = CycloReal.phi(n)
-    back = Mat2(n, phi * phi * int(m[0]), -1, phi, 0)
-    back = word_matrix([(gen, -k) for gen, k in reversed(word)], n) * back
+    converged = bool(_converged(xs, ys, sinh, bounded, n, tol)[0])
+    # w -> -1/(phi w) into the strip, TH^m back to the reduced point, then
+    # undo the reduction word
+    undo = [("TH", int(m[0]))] + [(gen, -k) for gen, k in reversed(word)]
+    back = word_matrix(undo, n) * Mat2(n, 0, -1, CycloReal.phi(n), 0)
     ends = [
         _boundary_image(back, None if math.isinf(e) else CycloReal.from_rational(n, int(e)))
         for e in (a[0], b[0])

@@ -344,6 +344,17 @@ class TestOrbitSearch:
             s, *_ = _nearest(images.real, images.imag, n)
             assert float(np.arcsinh(s).min()) >= math.asinh(s0[0]) - 1e-12
 
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_horizontal_translates_agree(self, n):
+        # TH is in the group, so z + k phi is as far from the orbit as z
+        pts = _interior_points(n, 10, seed=50 + n)
+        s0, *_ = _nearest(np.array([z.real for z in pts]), np.array([z.imag for z in pts]), n)
+        for k in (-3, -2, -1, 1, 2, 3):
+            xs = np.array([z.real + k * _phi(n) for z in pts])
+            s, m, *_ = _nearest(xs, np.array([z.imag for z in pts]), n)
+            assert np.all(m == k)
+            assert np.allclose(s, s0, rtol=0, atol=1e-12)
+
     def test_exact_witness_through_reduction(self):
         # a point far from the domain: the witness comes back through the
         # inverse reduction word and still realizes the distance
