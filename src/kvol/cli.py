@@ -23,6 +23,7 @@ from .plane import Mat2
 from .ratios import (
     UnrealizedDirectionError,
     UnsupportedCaseError,
+    bound_4m2,
     check_parallel_criterion,
     is_side_pair_witness,
     k0_constant,
@@ -231,6 +232,20 @@ def cmd_kvol_grid(args) -> int:
 
 
 # ---------------------------------------------------------------------------
+# kvol-bound
+# ---------------------------------------------------------------------------
+
+
+def cmd_kvol_bound(args) -> int:
+    """Certify the n ≡ 2 (mod 4) bound 1/(Phi l_m^2) on the staircase."""
+    _check_n(args.n)
+    L = _resolve_length(args, build_staircase(args.n), Fraction(5))
+    rep = bound_4m2(args.n, L)
+    _emit_json(args, rep.to_dict())
+    return EXIT_OK if rep.ok else EXIT_VERIFY
+
+
+# ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
 
@@ -418,6 +433,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_formula_flags(p)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_kvol_grid)
+
+    p = sub.add_parser(
+        "kvol-bound", help="certify the n ≡ 2 mod 4 ratio bound on the staircase"
+    )
+    p.add_argument("--n", type=int, required=True)
+    _add_length_flags(p)
+    p.add_argument("--out", default=None)
+    p.set_defaults(func=cmd_kvol_bound)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=("thm12", "parallel", "formula"), required=True)

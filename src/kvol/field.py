@@ -1,11 +1,19 @@
 """Exact arithmetic in the real cyclotomic field Q(Phi), Phi = 2*cos(pi/n).
 
 Every length, coordinate and ratio in this package lives in the totally real
-field Q(2*cos(pi/n)).  Elements are represented as polynomials in Phi with
-rational coefficients, reduced modulo the minimal polynomial of Phi.  Sign
-determination is exact: a floating-point filter with a rigorous forward error
-bound handles the bulk of queries, and the remainder fall through to interval
-arithmetic over Q at increasing precision (53 -> 113 -> 237 -> ... bits).
+field Q(2*cos(pi/n)) of degree d.  An element is a polynomial in Phi of degree
+below d, stored as d integer numerators over one positive common denominator,
+normalised so that gcd(den, *num) = 1: the ``nf_elem`` layout of FLINT and
+e-antic.  The form is unique, so equality is a tuple compare.  A product is an
+integer convolution folded by the minimal polynomial of Phi; sums of elements
+with equal denominators add numerators directly; every operation ends with
+one gcd pass.  Inverses come from fraction-free (Bareiss) elimination on the
+integer matrix of multiplication.
+
+Sign determination is exact: a floating-point filter with a rigorous forward
+error bound handles the bulk of queries, and the remainder fall through to
+interval arithmetic on the integer numerators at increasing precision
+(53 -> 113 -> 237 -> ... bits).
 
 The starting precision of the interval ladder can be overridden with the
 environment variable KVOL_PRECISION_BITS (read at call time).
@@ -25,6 +33,9 @@ Rational = Union[int, Fraction]
 
 _LADDER_MAX_BITS = 1 << 16
 _FLOAT_EPS = 2.0 ** -52
+
+_new = object.__new__
+_set = object.__setattr__
 
 
 class ComputationLimitError(RuntimeError):
@@ -103,48 +114,103 @@ def field_degree(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _reduction_rows(n: int) -> tuple[tuple[int, ...], ...]:
-    """x^(D+k) mod minpoly for k = 0..D-2, as integer coefficient rows."""
-    mp = minimal_polynomial(n)
-    d = len(mp) - 1
-    rows = []
-    cur = [-c for c in mp[:d]]  # x^D
-    rows.append(tuple(cur))
-    for _ in range(d - 2):
-        cur = [0] + cur
-        top = cur.pop()
-        if top:
-            for i in range(d):
-                cur[i] -= top * mp[i]
-        rows.append(tuple(cur))
-    return tuple(rows)
+def _fold_terms(n: int) -> tuple[tuple[int, int], ...]:
+    """``(i, -m_i)`` for the nonzero m_i below the top of the minimal
+    polynomial, so that Phi^d = sum of -m_i * Phi^i."""
+    return tuple((i, -c) for i, c in enumerate(minimal_polynomial(n)[:-1]) if c)
 
 
-def _mpf_to_fraction(x) -> Fraction:
-    sign, man, exp, _ = x._mpf_
-    if man == 0:
-        return Fraction(0)
-    v = Fraction(man)
-    if exp >= 0:
-        v *= 1 << exp
-    else:
-        v /= 1 << (-exp)
-    return -v if sign else v
+def _fold(n: int, p: list[int], d: int) -> list[int]:
+    """Reduce the integer polynomial ``p`` modulo the minimal polynomial, in
+    place, from its top degree down; any length is accepted."""
+    terms = _fold_terms(n)
+    for k in range(len(p) - 1, d - 1, -1):
+        c = p[k]
+        if c:
+            base = k - d
+            for i, m in terms:
+                p[base + i] += c * m
+    del p[d:]
+    return p
 
 
 @lru_cache(maxsize=None)
-def _phi_enclosure(n: int, bits: int) -> tuple[Fraction, Fraction]:
-    """Rigorous rational enclosure of Phi = 2*cos(pi/n) at the given precision."""
+def _zero_tail(n: int) -> tuple[int, ...]:
+    return (0,) * (field_degree(n) - 1)
+
+
+def _element(n: int, num, den: int) -> "CycloReal":
+    """The element ``num / den`` (den > 0), normalised to gcd(den, *num) = 1."""
+    if den != 1:
+        g = math.gcd(den, *num)
+        if g != 1:
+            num = [a // g for a in num]
+            den //= g
+    x = _new(CycloReal)
+    _set(x, "n", n)
+    _set(x, "_num", tuple(num))
+    _set(x, "_den", den)
+    return x
+
+
+def _mul_matrix(n: int, num: Sequence[int]) -> list[list[int]]:
+    """Rows of the integer matrix of multiplication by ``num`` on the basis
+    1, Phi, ..., Phi^(d-1): column j holds ``num * Phi^j``."""
+    d = len(num)
+    col = list(num)
+    cols = [col]
+    for _ in range(d - 1):
+        col = _fold(n, [0] + col, d)
+        cols.append(col)
+    return [list(row) for row in zip(*cols)]
+
+
+def _bareiss(rows: list[list[int]]) -> int:
+    """Fraction-free Gaussian elimination (Bareiss) of an integer matrix.
+
+    ``rows`` holds d rows of at least d integers; columns past d are carried
+    along.  The rows are made upper triangular in place, every division being
+    exact, and the last pivot ``rows[-1][d-1]`` is the determinant of the
+    row-permuted square part.  Returns the determinant of the square part, 0
+    when it is singular (the elimination then stops early).
+    """
+    d = len(rows)
+    sign, prev = 1, 1
+    for k in range(d):
+        if not rows[k][k]:
+            for r in range(k + 1, d):
+                if rows[r][k]:
+                    rows[k], rows[r] = rows[r], rows[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = rows[k]
+        p = pivot[k]
+        for row in rows[k + 1:]:
+            f = row[k]
+            for j in range(k + 1, len(row)):
+                row[j] = (row[j] * p - f * pivot[j]) // prev
+            row[k] = 0
+        prev = p
+    return sign * prev
+
+
+@lru_cache(maxsize=None)
+def _phi_enclosure(n: int, bits: int) -> tuple[int, int, int]:
+    """Rigorous enclosure ``lo / 2**shift <= Phi <= hi / 2**shift`` in
+    integers, at the given precision."""
     old = iv.prec
     try:
         iv.prec = bits
-        x = 2 * iv.cos(iv.pi / n)
-        lo, hi = _mpf_to_fraction(x.a), _mpf_to_fraction(x.b)
+        ends = (2 * iv.cos(iv.pi / n))._mpi_
     finally:
         iv.prec = old
+    shift = max(0, *(-exp for _, _, exp, _ in ends))
+    lo, hi = ((-man if sgn else man) << (exp + shift) for sgn, man, exp, _ in ends)
     if not lo <= hi:
         raise ArithmeticError("bad enclosure")
-    return lo, hi
+    return lo, hi, shift
 
 
 def _starting_bits() -> int:
@@ -157,53 +223,68 @@ def _starting_bits() -> int:
     return bits
 
 
-def _interval_eval(coeffs: Sequence[Fraction], lo: Fraction, hi: Fraction):
-    """Exact interval Horner evaluation of the polynomial over [lo, hi]."""
-    acc_lo = acc_hi = Fraction(0)
-    for c in reversed(coeffs):
+def _interval_eval(num: Sequence[int], lo: int, hi: int, shift: int) -> tuple[int, int]:
+    """Exact interval Horner evaluation of the integer polynomial ``num`` at
+    Phi in [lo, hi] / 2**shift.  The bounds come back multiplied by a power of
+    two, which leaves their signs unchanged."""
+    acc_lo = acc_hi = 0
+    k = 0
+    for c in reversed(num):
         cands = (acc_lo * lo, acc_lo * hi, acc_hi * lo, acc_hi * hi)
-        acc_lo = min(cands) + c
-        acc_hi = max(cands) + c
+        k += shift
+        acc_lo = min(cands) + (c << k)
+        acc_hi = max(cands) + (c << k)
     return acc_lo, acc_hi
 
 
 class CycloReal:
     """An element of Q(Phi), Phi = 2*cos(pi/n), with exact arithmetic.
 
-    Immutable.  Coefficients are fractions.Fraction, low degree first, always
-    of length field_degree(n).  Supports +, -, *, /, integer powers, exact
-    comparisons, hashing, float embedding and JSON round-trip.
+    Immutable.  Stored as ``_num``, a tuple of field_degree(n) integer
+    numerators of 1, Phi, ..., Phi^(d-1), over ``_den``, a positive integer
+    with gcd(_den, *_num) = 1; ``coeffs`` gives the same coefficients as
+    Fractions.  The constructor takes rational coefficients of any length and
+    reduces them modulo the minimal polynomial.  Supports +, -, *, /, integer
+    powers, exact comparisons, hashing, float embedding and JSON round-trip.
     """
 
-    __slots__ = ("n", "coeffs", "_float", "_hash")
+    __slots__ = ("n", "_num", "_den", "_float", "_hash")
 
     def __init__(self, n: int, coeffs: Iterable[Rational]):
         d = field_degree(n)
-        cs = [Fraction(c) for c in coeffs]
-        if len(cs) > d:
-            cs = _reduce_mod(n, cs)
-        cs += [Fraction(0)] * (d - len(cs))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "_float", None)
-        object.__setattr__(self, "_hash", None)
+        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in cs))
+        num = _fold(n, [c.numerator * (den // c.denominator) for c in cs], d)
+        num += [0] * (d - len(num))
+        x = _element(n, num, den)
+        _set(self, "n", n)
+        _set(self, "_num", x._num)
+        _set(self, "_den", x._den)
 
     def __setattr__(self, *_):
         raise AttributeError("CycloReal is immutable")
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients of 1, Phi, ..., Phi^(d-1) as Fractions."""
+        den = self._den
+        return tuple(Fraction(a, den) for a in self._num)
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def from_rational(cls, n: int, value: Rational) -> "CycloReal":
-        return cls(n, [Fraction(value)])
+        if not isinstance(value, (int, Fraction)):
+            value = Fraction(value)
+        return _element(n, (value.numerator,) + _zero_tail(n), value.denominator)
 
     @classmethod
     def phi(cls, n: int) -> "CycloReal":
         """The generator Phi = 2*cos(pi/n)."""
         if field_degree(n) == 1:
             # n = 3: Phi = 1
-            return cls(n, [Fraction(1)])
-        return cls(n, [Fraction(0), Fraction(1)])
+            return cls(n, [1])
+        return cls(n, [0, 1])
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -220,7 +301,10 @@ class CycloReal:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycloReal(self.n, [a + b for a, b in zip(self.coeffs, o.coeffs)])
+        da, db = self._den, o._den
+        if da == db:
+            return _element(self.n, [x + y for x, y in zip(self._num, o._num)], da)
+        return _element(self.n, [x * db + y * da for x, y in zip(self._num, o._num)], da * db)
 
     __radd__ = __add__
 
@@ -228,29 +312,36 @@ class CycloReal:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycloReal(self.n, [a - b for a, b in zip(self.coeffs, o.coeffs)])
+        da, db = self._den, o._den
+        if da == db:
+            return _element(self.n, [x - y for x, y in zip(self._num, o._num)], da)
+        return _element(self.n, [x * db - y * da for x, y in zip(self._num, o._num)], da * db)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycloReal(self.n, [b - a for a, b in zip(self.coeffs, o.coeffs)])
+        return o - self
 
     def __neg__(self):
-        return CycloReal(self.n, [-a for a in self.coeffs])
+        x = _new(CycloReal)
+        _set(x, "n", self.n)
+        _set(x, "_num", tuple(-a for a in self._num))
+        _set(x, "_den", self._den)
+        return x
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        prod = [Fraction(0)] * (2 * len(a) - 1)
+        a, b = self._num, o._num
+        d = len(a)
+        prod = [0] * (2 * d - 1)
         for i, x in enumerate(a):
             if x:
-                for j, y in enumerate(b):
-                    if y:
-                        prod[i + j] += x * y
-        return CycloReal(self.n, _reduce_mod(self.n, prod))
+                for k, y in enumerate(b, i):
+                    prod[k] += x * y
+        return _element(self.n, _fold(self.n, prod, d), self._den * o._den)
 
     __rmul__ = __mul__
 
@@ -281,49 +372,65 @@ class CycloReal:
         return out
 
     def inverse(self) -> "CycloReal":
-        """Multiplicative inverse via the extended Euclidean algorithm."""
+        """Multiplicative inverse, in integers only.
+
+        With self = N / den, solve M y = e_0 for the integer matrix M of
+        multiplication by N by Bareiss elimination; back substitution yields
+        the integers D*y with D the final pivot (Cramer), so the inverse is
+        den * (D*y) / D.
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        mp = [Fraction(c) for c in minimal_polynomial(self.n)]
-        a = list(self.coeffs)
-        # extended gcd of a and mp in Q[x]; mp irreducible so gcd is a unit
-        r0, r1 = mp, _trim(a)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while len(r1) > 1:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        if not r1 or r1[0] == 0:
+        num, den = self._num, self._den
+        d = len(num)
+        if self.is_rational():
+            a = num[0]
+            return _element(self.n, (den if a > 0 else -den,) + num[1:], abs(a))
+        rows = _mul_matrix(self.n, num)
+        for i, row in enumerate(rows):
+            row.append(1 if i == 0 else 0)
+        if not _bareiss(rows):
             raise ArithmeticError("element not invertible (reducible modulus?)")
-        inv = [c / r1[0] for c in s1]
-        return CycloReal(self.n, inv)
+        D = rows[-1][d - 1]
+        x = [0] * d
+        for i in range(d - 1, -1, -1):
+            row = rows[i]
+            x[i] = (D * row[d] - sum(row[j] * x[j] for j in range(i + 1, d))) // row[i]
+        if D < 0:
+            D, x = -D, [-v for v in x]
+        return _element(self.n, [den * v for v in x], D)
 
     # -- predicates and comparisons -----------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self._num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self._num[1:])
 
     def sign(self) -> int:
         """Exact sign: -1, 0 or +1."""
-        if self.is_zero():
-            return 0
-        # float filter with rigorous forward error bound
-        phi = _phi_float(self.n)
-        val = 0.0
-        mag = 0.0
-        for c in reversed(self.coeffs):
-            fc = float(c)
-            val = val * phi + fc
-            mag = mag * phi + abs(fc)
-        err = mag * (4 * len(self.coeffs) + 4) * _FLOAT_EPS
-        if abs(val) > err:
+        # den > 0, so the numerator polynomial has the sign of self.  Float
+        # filter with rigorous forward error bound: float(a) is the correctly
+        # rounded coefficient (a numerator past the float range skips it).
+        phi, rel_err = _filter_constants(self.n)
+        try:
+            top = reversed(self._num)
+            val = float(next(top))
+            mag = abs(val)
+            for a in top:
+                fc = float(a)
+                val = val * phi + fc
+                mag = mag * phi + abs(fc)
+        except OverflowError:
+            val = mag = math.inf
+        if abs(val) > mag * rel_err:
             return 1 if val > 0 else -1
+        if not mag:  # every numerator is 0
+            return 0
         bits = _starting_bits()
         while bits <= _LADDER_MAX_BITS:
-            lo, hi = _interval_eval(self.coeffs, *_phi_enclosure(self.n, bits))
+            lo, hi = _interval_eval(self._num, *_phi_enclosure(self.n, bits))
             if lo > 0:
                 return 1
             if hi < 0:
@@ -332,13 +439,11 @@ class CycloReal:
         raise ArithmeticError("sign ladder exhausted (element suspiciously near zero)")
 
     def __eq__(self, other):
-        try:
-            o = self._coerce(other)
-        except ValueError:
-            return False
-        if o is None:
-            return NotImplemented
-        return self.coeffs == o.coeffs
+        if isinstance(other, CycloReal):
+            return self.n == other.n and self._num == other._num and self._den == other._den
+        if isinstance(other, (int, Fraction)):
+            return self == CycloReal.from_rational(self.n, other)
+        return NotImplemented
 
     def __ne__(self, other):
         eq = self.__eq__(other)
@@ -372,22 +477,28 @@ class CycloReal:
         return -self if self.sign() < 0 else self
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.n, self.coeffs))
-            object.__setattr__(self, "_hash", h)
+        try:
+            return self._hash
+        except AttributeError:
+            pass
+        # hash((n, coeffs)); an integral Fraction hashes like its int
+        h = hash((self.n, self._num if self._den == 1 else self.coeffs))
+        _set(self, "_hash", h)
         return h
 
     # -- embeddings ----------------------------------------------------------
 
     def __float__(self) -> float:
-        f = self._float
-        if f is None:
-            phi = _phi_float(self.n)
-            f = 0.0
-            for c in reversed(self.coeffs):
-                f = f * phi + float(c)
-            object.__setattr__(self, "_float", f)
+        try:
+            return self._float
+        except AttributeError:
+            pass
+        phi = _phi_float(self.n)
+        den = self._den
+        f = 0.0
+        for a in reversed(self._num):
+            f = f * phi + a / den
+        _set(self, "_float", f)
         return f
 
     # -- serialization -------------------------------------------------------
@@ -418,59 +529,16 @@ class CycloReal:
         return f"CycloReal(n={self.n}: {body} ~= {float(self):.6g})"
 
 
-def _trim(p: list[Fraction]) -> list[Fraction]:
-    while len(p) > 1 and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = list(a) + [Fraction(0)] * (len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] -= c
-    return _trim(out)
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _trim(out)
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]):
-    a = list(a)
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    for k in range(len(a) - len(b), -1, -1):
-        c = a[k + len(b) - 1] / b[-1]
-        q[k] = c
-        if c:
-            for j, y in enumerate(b):
-                a[k + j] -= c * y
-    return _trim(q), _trim(a[: len(b) - 1] or [Fraction(0)])
-
-
-def _reduce_mod(n: int, coeffs: list[Fraction]) -> list[Fraction]:
-    d = field_degree(n)
-    if len(coeffs) <= d:
-        return coeffs
-    rows = _reduction_rows(n)
-    out = list(coeffs[:d])
-    for k in range(d, len(coeffs)):
-        c = coeffs[k]
-        if c:
-            row = rows[k - d]
-            for i in range(d):
-                if row[i]:
-                    out[i] += c * row[i]
-    return out
-
-
 @lru_cache(maxsize=None)
 def _phi_float(n: int) -> float:
     return 2.0 * math.cos(math.pi / n)
+
+
+@lru_cache(maxsize=None)
+def _filter_constants(n: int) -> tuple[float, float]:
+    """Phi as a float, and the sign filter's relative error bound
+    (4d + 4) * eps for d coefficients."""
+    return _phi_float(n), (4 * field_degree(n) + 4) * _FLOAT_EPS
 
 
 @lru_cache(maxsize=None)
@@ -521,62 +589,95 @@ def mpf_eval(x: CycloReal, root):
     return acc
 
 
-def _conjugate_indices(n: int) -> list[int]:
-    """The k with gcd(k, 2n) = 1, 0 < k < n: Phi's conjugates are 2cos(k*pi/n)."""
-    return [k for k in range(1, n) if math.gcd(k, 2 * n) == 1]
+@lru_cache(maxsize=None)
+def _conjugates(n: int, prec: int):
+    """Phi's conjugates 2cos(k*pi/n), 0 < k < n with gcd(k, 2n) = 1 (k = 1,
+    Phi itself, first), and the inverse of their Vandermonde matrix
+    V[i][j] = phi_i^j, at ``prec`` bits."""
+    import mpmath
+
+    ks = [k for k in range(1, n) if math.gcd(k, 2 * n) == 1]
+    with mpmath.workprec(prec):
+        phis = [2 * mpmath.cos(mpmath.pi * k / n) for k in ks]
+        return phis, mpmath.inverse(mpmath.matrix([[p ** j for j in range(len(ks))] for p in phis]))
+
+
+@lru_cache(maxsize=None)
+def _vinv_bits(n: int) -> int:
+    """An integer b with ||V^-1||_inf <= 2^b, for the Vandermonde V above."""
+    import mpmath
+
+    with mpmath.workprec(64):
+        norm = mpmath.mnorm(_conjugates(n, 64)[1], "inf")
+        return int(mpmath.ceil(mpmath.log(norm, 2))) + 1
 
 
 def sqrt_in_field(x: CycloReal) -> Union[CycloReal, None]:
-    """The exact square root of ``x`` inside Q(Phi), or None.
+    """The exact square root of ``x`` inside Q(Phi), or None.  The returned
+    root is the nonnegative one; the answer is exact both ways.
 
-    A square root exists in the field only when every Galois conjugate of
-    ``x`` is nonnegative and some choice of conjugate sign pattern solves to
-    rational coordinates.  Candidate coordinates are reconstructed from the
-    conjugate embeddings at high precision and then verified exactly, so a
-    non-None answer is always correct.  The returned root is the nonnegative
-    one.
+    Z[Phi] is the ring of integers of Q(zeta_2n)^+ (Washington, Prop. 2.16).
+    Write x = N / D with N in Z[Phi] and D a positive integer, and m = N*D.
+    If x = r^2 in the field, then D*r squares to m, so it is an algebraic
+    integer of the field: s = D*r lies in Z[Phi] and has integer
+    coefficients.  Hence:
+
+    - Norm(m) = det(multiplication by m) = Norm(s)^2 must be the square of
+      an integer (checked exactly), and no conjugate of m may be negative.
+    - The conjugates of s are +-sqrt(sigma_k(m)), with + at Phi itself, and
+      s = V^-1 (+-sqrt(sigma_k(m))) for the Vandermonde matrix V of Phi's
+      conjugates.  Each sign pattern is tried; a candidate whose
+      coefficients all lie within 1/4 of integers is rounded and accepted
+      only if it squares to x exactly.
+
+    Precision: with |m_i| < 2^h, |sigma_k(m)| < 2^(h+d).  At p bits the
+    conjugates are off by at most E = 2^(h+d+8-p) (d <= 64 Horner steps),
+    so the square roots by at most sqrt(E) plus their own rounding, and the
+    coefficients by at most ||V^-1|| * 2 sqrt(E) <= 2^(b+1+(h+d+8-p)/2).
+    p >= h + d + 2b + 2 log2(d) + 64 makes that below 2^-27, and the 64-bit
+    margin absorbs the rounding of V^-1 and of the sums; so the true pattern
+    always rounds to s, and a square root, when it exists, is never missed.
     """
     import mpmath
 
-    if x.sign() == 0:
+    s = x.sign()
+    if s == 0:
         return CycloReal.from_rational(x.n, 0)
-    if x.sign() < 0:
+    if s < 0:
         return None
-    ks = _conjugate_indices(x.n)
-    d = field_degree(x.n)
-    if len(ks) != d:  # pragma: no cover - guards degenerate small n
+    n, den = x.n, x._den
+    d = len(x._num)
+    m = [a * den for a in x._num]
+    norm = _bareiss(_mul_matrix(n, m))
+    if norm < 0 or math.isqrt(norm) ** 2 != norm:
         return None
-    with mpmath.workprec(260):
-        phis = [2 * mpmath.cos(mpmath.pi * k / x.n) for k in ks]
-        vals = [mpf_eval(x, p) for p in phis]
-        if any(v < 0 for v in vals):
-            return None
-        roots = [mpmath.sqrt(v) for v in vals]
-        V = mpmath.matrix(d, d)
-        for i, p in enumerate(phis):
-            acc = mpmath.mpf(1)
-            for j in range(d):
-                V[i, j] = acc
-                acc *= p
+    h = max(abs(a) for a in m).bit_length()
+    prec = h + d + 2 * _vinv_bits(n) + 2 * d.bit_length() + 64
+    prec = -(-prec // 64) * 64  # few distinct precisions to cache
+    phis, vinv = _conjugates(n, prec)
+    with mpmath.workprec(prec):
+        err = mpmath.ldexp(1, h + d + 8 - prec)
+        roots = []
+        for p in phis:
+            acc = mpmath.mpf(0)
+            for a in reversed(m):
+                acc = acc * p + a
+            if acc < -err:  # a negative conjugate: not a square
+                return None
+            roots.append(mpmath.sqrt(max(acc, 0)))
+        cols = [[vinv[j, k] * r for j in range(d)] for k, r in enumerate(roots)]
         for pattern in range(1 << (d - 1)):
-            rhs = mpmath.matrix(
-                [roots[0]] + [(-r if (pattern >> (i - 1)) & 1 else r) for i, r in enumerate(roots) if i]
-            )
-            try:
-                sol = mpmath.lu_solve(V, rhs)
-            except ZeroDivisionError:  # pragma: no cover
-                continue
-            coeffs = []
-            ok = True
-            for v in sol:
-                f = Fraction(str(v)).limit_denominator(10**12)
-                if abs(f - Fraction(str(v))) > Fraction(1, 10**18):
-                    ok = False
+            num = []
+            for j in range(d):
+                c = cols[0][j]
+                for k in range(1, d):
+                    c = c - cols[k][j] if pattern >> (k - 1) & 1 else c + cols[k][j]
+                r = int(mpmath.nint(c))
+                if abs(c - r) > 0.25:
                     break
-                coeffs.append(f)
-            if not ok:
-                continue
-            cand = CycloReal(x.n, coeffs)
-            if cand * cand == x:
-                return cand if cand.sign() >= 0 else -cand
+                num.append(r)
+            else:
+                cand = _element(n, num, den)
+                if cand * cand == x:
+                    return cand if cand.sign() > 0 else -cand
     return None

@@ -210,6 +210,22 @@ class TestVerifyCommand:
         assert "cap" in err
 
 
+class TestKvolBoundCommand:
+    def test_bound_report_and_exit_codes(self, capsys):
+        code, out, _ = run(capsys, "kvol-bound", "--n", "10", "--L", "3")
+        assert code == EXIT_OK
+        d = json.loads(out)
+        phi, lm = 2 * math.cos(math.pi / 10), math.sin(math.pi / 10)
+        assert d["n"] == 10 and d["ok"] is True and d["violations"] == []
+        assert abs(d["bound"] - 1 / (phi * lm * lm)) < 1e-12
+        assert d["pairs_checked"] > 0 and d["max_ratio"] <= d["bound"]
+        code, _, err = run(capsys, "kvol-bound", "--n", "8")
+        assert code == EXIT_UNSUPPORTED and "n ≡ 2 mod 4" in err
+        # the closed-formula hint names this subcommand
+        _, _, err = run(capsys, "kvol-point", "--n", "10", "--x", "0", "--y", "1")
+        assert "use kvol-bound" in err
+
+
 class TestComputationLimits:
     def test_limit_maps_to_exit_code(self, capsys, monkeypatch):
         import kvol.cli

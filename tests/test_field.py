@@ -12,7 +12,7 @@ import os
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from kvol.field import (
     CycloReal,
@@ -222,3 +222,158 @@ class TestSqrtInField:
 def test_fmt_float_round_trip():
     for x in (math.pi, 1 / 3, 2 ** 0.5, 4.82842712474619):
         assert float(fmt_float(x)) == x
+
+
+# -- the integer-numerator layout against a Fraction reference ---------------
+
+LAYOUT_NS = (8, 10, 12, 16, 20, 24)
+
+
+class Ref:
+    """Q(Phi) with one Fraction per coefficient: the representation the
+    integer layout replaced, kept small as an independent oracle."""
+
+    def __init__(self, n, coeffs):
+        d = field_degree(n)
+        mp = minimal_polynomial(n)
+        cs = [Fraction(c) for c in coeffs]
+        while len(cs) > d:  # Phi^d = -(m_0 + ... + m_{d-1} Phi^{d-1})
+            top = cs.pop()
+            for i in range(d):
+                cs[len(cs) - d + i] -= top * mp[i]
+        self.n, self.cs = n, tuple(cs + [Fraction(0)] * (d - len(cs)))
+
+    def __add__(self, o):
+        return Ref(self.n, [a + b for a, b in zip(self.cs, o.cs)])
+
+    def __sub__(self, o):
+        return Ref(self.n, [a - b for a, b in zip(self.cs, o.cs)])
+
+    def __mul__(self, o):
+        prod = [Fraction(0)] * (2 * len(self.cs) - 1)
+        for i, a in enumerate(self.cs):
+            for j, b in enumerate(o.cs):
+                prod[i + j] += a * b
+        return Ref(self.n, prod)
+
+    def inverse(self):
+        """Gauss-Jordan over Q on the matrix of multiplication by self."""
+        d = len(self.cs)
+        cols, col = [], self
+        for _ in range(d):
+            cols.append(col.cs)
+            col = col * Ref(self.n, [0, 1])
+        rows = [[cols[j][i] for j in range(d)] + [Fraction(int(i == 0))] for i in range(d)]
+        for k in range(d):
+            p = next(r for r in range(k, d) if rows[r][k])
+            rows[k], rows[p] = rows[p], rows[k]
+            rows[k] = [v / rows[k][k] for v in rows[k]]
+            for r in range(d):
+                if r != k and rows[r][k]:
+                    rows[r] = [a - rows[r][k] * b for a, b in zip(rows[r], rows[k])]
+        return Ref(self.n, [row[d] for row in rows])
+
+    def float(self):
+        phi, f = 2 * math.cos(math.pi / self.n), 0.0
+        for c in reversed(self.cs):
+            f = f * phi + float(c)
+        return f
+
+    def sign(self):
+        import mpmath
+
+        if not any(self.cs):
+            return 0
+        with mpmath.workprec(4000):
+            phi, acc = 2 * mpmath.cos(mpmath.pi / self.n), mpmath.mpf(0)
+            for c in reversed(self.cs):
+                acc = acc * phi + mpmath.mpf(c.numerator) / c.denominator
+            return 1 if acc > 0 else -1
+
+
+def _same(x: CycloReal, r: Ref) -> None:
+    assert x.coeffs == r.cs
+    assert x._den > 0 and math.gcd(x._den, *x._num) == 1
+    assert hash(x) == hash((r.n, r.cs))
+    assert float(x) == r.float()
+    assert x.sign() == r.sign()
+    assert CycloReal.from_dict(x.to_dict()) == x
+
+
+_big = st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**40))
+_coeff = st.one_of(st.just(Fraction(0)), st.integers(-9, 9).map(Fraction), _big)
+
+
+@st.composite
+def _element_pair(draw):
+    n = draw(st.sampled_from(LAYOUT_NS))
+    d = field_degree(n)
+    return n, draw(st.lists(_coeff, min_size=d, max_size=d)), draw(st.lists(_coeff, min_size=d, max_size=d))
+
+
+class TestIntegerLayout:
+    @settings(max_examples=150, deadline=None)
+    @given(_element_pair())
+    def test_arithmetic_matches_reference(self, case):
+        n, a, b = case
+        x, y, rx, ry = CycloReal(n, a), CycloReal(n, b), Ref(n, a), Ref(n, b)
+        _same(x, rx)
+        _same(x + y, rx + ry)
+        _same(x - y, rx - ry)
+        _same(x * y, rx * ry)
+        _same(-x, Ref(n, [-c for c in a]))
+        assert (x == y) == (rx.cs == ry.cs)
+        assert x == CycloReal(n, rx.cs) and x != x + 1
+        if any(b):
+            _same(x / y, rx * ry.inverse())
+            _same(y.inverse(), ry.inverse())
+
+    def test_near_zero_signs_reach_the_ladder(self, monkeypatch):
+        import random
+
+        from kvol import field
+
+        ladder = []
+        evaluate = field._interval_eval
+        monkeypatch.setattr(field, "_interval_eval", lambda *a: ladder.append(1) or evaluate(*a))
+        rng = random.Random(5)
+        for n in LAYOUT_NS:
+            d = field_degree(n)
+            for _ in range(20):
+                cs = [Fraction(rng.randint(-(10**40), 10**40), rng.randint(1, 10**20)) for _ in range(d)]
+                x = CycloReal(n, cs)
+                # x minus its own double: nonzero, far below the filter's margin
+                tiny = x - Fraction(float(x))
+                ref = Ref(n, cs) - Ref(n, [Fraction(float(x))])
+                assert tiny.coeffs == ref.cs
+                assert tiny.sign() == ref.sign() != 0
+                assert (tiny - tiny).sign() == 0
+        assert len(ladder) >= 60
+
+    @pytest.mark.parametrize("n", LAYOUT_NS)
+    def test_constructor_reduces_any_length(self, n):
+        d = field_degree(n)
+        phi = CycloReal.phi(n)
+        for k in range(3 * d + 1):
+            assert CycloReal(n, [0] * k + [1]) == phi**k
+        assert CycloReal(n, [Fraction(1, 3)] * (3 * d)) == sum(
+            (phi**k for k in range(3 * d)), CycloReal.from_rational(n, 0)
+        ) / 3
+
+
+class TestExactSqrt:
+    def test_heights_beyond_any_fixed_denominator(self):
+        phi = CycloReal.phi(8)
+        x = Fraction(1, 10**13 + 37) + Fraction(3, 10**13 + 39) * phi
+        assert sqrt_in_field(x * x) == x
+        assert sqrt_in_field(x * x * 7) is None
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from((8, 10, 12, 16)), st.data())
+    def test_square_of_large_height_element(self, n, data):
+        d = field_degree(n)
+        x = CycloReal(n, data.draw(st.lists(_big, min_size=d, max_size=d)))
+        assume(not x.is_zero())
+        assert sqrt_in_field(x * x) == abs(x)
+        # 7 is not a square in these fields, so 7 x^2 has no root
+        assert sqrt_in_field(x * x * 7) is None

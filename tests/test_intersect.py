@@ -15,7 +15,6 @@ import pytest
 from kvol.field import CycloReal
 from kvol.intersect import (
     ClosedCurve,
-    IntersectionForm,
     homology_class,
     intersect,
     intersection_form,

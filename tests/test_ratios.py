@@ -23,9 +23,7 @@ from kvol.field import CycloReal, trig_value
 from kvol.hyperbolic import apply_word
 from kvol.intersect import intersection_form
 from kvol.ratios import (
-    DirectionPairReport,
     K_of_directions,
-    KvolReport,
     UnrealizedDirectionError,
     UnsupportedCaseError,
     _curve_length_sq_expr,

@@ -7,7 +7,7 @@ import math
 import pytest
 
 from kvol.field import CycloReal, trig_value
-from kvol.plane import Mat2, norm2, vsub
+from kvol.plane import Mat2, norm2
 from kvol.surface import (
     NonPeriodicDirectionError,
     SurfaceError,
