@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 import mpmath
@@ -255,10 +256,7 @@ def reduce_to_fundamental_domain(
     zz = mpmath.mpc(z)
     if zz.imag <= 0:
         raise ValueError("point is not in the upper half plane")
-    phi_x = CycloReal.phi(n)
-    one = CycloReal.from_rational(n, 1)
-    zero = CycloReal.from_rational(n, 0)
-    acc = Mat2(n, one, zero, zero, one)
+    acc = Mat2.identity(n)
     phi = _phi_float(n)
     r = 1.0 / phi
     word: list[tuple[str, int]] = []
@@ -269,16 +267,14 @@ def reduce_to_fundamental_domain(
         x = float(zc.real)
         k = round(x / phi)
         if k:
-            acc = Mat2(n, one, phi_x * (-k), zero, one) * acc
             word.append(("TH", -k))
         elif abs(complex(zc) + r) < r - tol:
-            acc = Mat2(n, one, zero, phi_x, one) * acc
             word.append(("TV", 1))
         elif abs(complex(zc) - r) < r - tol:
-            acc = Mat2(n, one, zero, -phi_x, one) * acc
             word.append(("TV", -1))
         else:
             return (zc if exact_in else complex(zc)), word
+        acc = _generator_matrix(*word[-1], n) * acc
     raise ComputationLimitError("fundamental-domain reduction did not terminate")
 
 
@@ -306,20 +302,21 @@ def apply_word(word: Iterable[tuple[str, int]], z, n: int):
     return +zz if exact_in else complex(zz)
 
 
+@lru_cache  # reductions repeat a handful of tokens; Mat2 is immutable
+def _generator_matrix(gen: str, k: int, n: int) -> Mat2:
+    """The exact disk-action matrix of one token ``(gen, k)``."""
+    if gen == "TH":
+        return Mat2(n, 1, CycloReal.phi(n) * k, 0, 1)
+    if gen == "TV":
+        return Mat2(n, 1, 0, CycloReal.phi(n) * k, 1)
+    raise ValueError(f"unknown generator {gen!r}")
+
+
 def word_matrix(word: Iterable[tuple[str, int]], n: int) -> Mat2:
     """The exact disk-action matrix of a token word."""
-    phi = CycloReal.phi(n)
-    one = CycloReal.from_rational(n, 1)
-    zero = CycloReal.from_rational(n, 0)
-    m = Mat2(n, one, zero, zero, one)
+    m = Mat2.identity(n)
     for gen, k in word:
-        if gen == "TH":
-            step = Mat2(n, one, phi * k, zero, one)
-        elif gen == "TV":
-            step = Mat2(n, one, zero, phi * k, one)
-        else:
-            raise ValueError(f"unknown generator {gen!r}")
-        m = step * m
+        m = _generator_matrix(gen, k, n) * m
     return m
 
 

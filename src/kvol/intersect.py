@@ -597,13 +597,17 @@ class IntersectionForm:
         cy = y if isinstance(y, np.ndarray) else self.class_vector(y)
         return int(self.coords(cx) @ self.matrix @ self.coords(cy))
 
-    def gram(self, objs: Sequence[Union[CurveLike, np.ndarray]]) -> np.ndarray:
-        """All pairwise intersection numbers of a family, as an integer matrix."""
+    def coord_rows(self, objs: Sequence[Union[CurveLike, np.ndarray]]) -> np.ndarray:
+        """Basis coordinates of a family, one integer row per member."""
         rows = [
             self.coords(o if isinstance(o, np.ndarray) else self.class_vector(o))
             for o in objs
         ]
-        C = np.array(rows, dtype=np.int64)
+        return np.array(rows, dtype=np.int64).reshape(len(rows), len(self.basis_pairs))
+
+    def gram(self, objs: Sequence[Union[CurveLike, np.ndarray]]) -> np.ndarray:
+        """All pairwise intersection numbers of a family, as an integer matrix."""
+        C = self.coord_rows(objs)
         return C @ self.matrix @ C.T
 
     def to_dict(self) -> dict:

@@ -21,13 +21,27 @@ Three layers of exactness:
   multi-quadratic extension with a fully decidable sign routine
   (``u + v*sqrt(D)`` is signed by recursively signing ``u``, ``v`` and
   ``u^2 - v^2 D``);
-* floating point appears only as a sound prefilter: a pair is dismissed
-  without exact work when its float ratio sits below the target by a margin
-  (1e-6) that dwarfs the float error (~1e-13 relative).
+* floating point appears only as a filter in front of exact work.
 
-The directional constant ``K(d, d')`` needs no square roots at all - the
-wedge of two holonomies is a field element - so it is computed and compared
-entirely in the field.
+One engine scans the pairs.  A single float pass (``_scan_pairs``) computes
+every pair's intersection number exactly (an integer matrix product) and its
+ratio in floating point, block by block, with a relative error of ~1e-13.
+Each use of the float ratio keeps a margin far above that error:
+
+* near-maximum slack 1e-9 (``_NEAR_MAX``): every pair within this fraction of
+  the float maximum goes on to one exact tournament in the radical field
+  (``_exact_max``), which returns the exact maximum and all pairs tied with
+  it; a true maximizer cannot sit further below the float maximum than the
+  float error;
+* bound margin 1e-6 (``_BOUND_MARGIN``): bound certification accepts a pair on
+  the float ratio alone when it is at most ``bound (1 - 1e-6)`` and decides
+  every other pair exactly.
+
+Brute force, bound certification and the parallel check (whose crossing
+pairs are the pairs above a floor of 0) all run this pass.  The directional
+constant ``K(d, d')`` needs no square roots at all - the wedge of two
+holonomies is a field element - so it is compared entirely in the field, with
+the same tournament loop (``_argmax_ties``).
 
 The closed-formula evaluator composes the exact constant ``K_0`` with the
 hyperbolic distance from the marked point to the orbit of maximal-ratio
@@ -43,7 +57,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -81,7 +95,15 @@ class _RadicalContext:
         self.n = n
         self.radicands: list[CycloReal] = []
         self._sqrt_cache: dict[CycloReal, _Expr] = {}
+        self._length_sq: dict[ClosedCurve, _Expr] = {}
         self._one = CycloReal.from_rational(n, 1)
+
+    def length_sq(self, curve: ClosedCurve) -> _Expr:
+        """The squared length of a closed curve, built once per curve."""
+        e = self._length_sq.get(curve)
+        if e is None:
+            e = self._length_sq[curve] = _curve_length_sq_expr(self, curve)
+        return e
 
     def const(self, c) -> _Expr:
         v = c if isinstance(c, CycloReal) else CycloReal.from_rational(self.n, c)
@@ -452,33 +474,39 @@ class ConjectureReport:
 
 
 # ---------------------------------------------------------------------------
-# pair scans
+# the pair-scan engine
 # ---------------------------------------------------------------------------
 
-
-def _coord_rows(form: IntersectionForm, curves: Sequence[ClosedCurve]) -> np.ndarray:
-    rows = [form.coords(form.class_vector(c)) for c in curves]
-    return np.array(rows, dtype=np.int64)
-
-
-def _float_lengths(curves: Sequence[ClosedCurve]) -> np.ndarray:
-    return np.array(
-        [sum(math.sqrt(float(sc.length_sq)) for sc in c.components) for c in curves]
-    )
+_NEAR_MAX = 1e-9  # relative slack below the float maximum kept for exact ranking
+_BOUND_MARGIN = 1e-6  # relative margin below a bound left to the exact check
+_BLOCK_ENTRIES = 1 << 22  # float ratios held at once by the pair scan
 
 
-def _ratio_blocks(form: IntersectionForm, curves, lf):
+class _Scan(NamedTuple):
+    """Result of the float pass; pairs are ``(i, j, Int)`` in scan order."""
+
+    best: float  # float maximum of |Int| / (l_i l_j)
+    crossing: int  # pairs with nonzero intersection number
+    near_max: list  # pairs with ratio >= best (1 - _NEAR_MAX)
+    above: list  # pairs with ratio > floor (empty without a floor)
+
+
+def _ratio_blocks(form: IntersectionForm, curves: Sequence[ClosedCurve]):
     """Yield (i0, I_block, R_block) over strictly-upper-triangular pairs.
 
-    ``I_block[r, j]`` is the intersection number of curves ``i0+r`` and ``j``;
-    entries with ``j <= i0+r`` are masked to ratio 0.
+    ``I_block[r, j]`` is the intersection number of curves ``i0+r`` and ``j``
+    and ``R_block[r, j]`` its float ratio; entries with ``j <= i0+r`` are
+    masked to ratio 0.
     """
-    if len(curves) < 2:
-        return
-    C = _coord_rows(form, curves)
-    W = C @ form.matrix
     N = len(curves)
-    block = max(64, min(N, (1 << 22) // max(N, 1)))
+    if N < 2:
+        return
+    C = form.coord_rows(curves)
+    W = C @ form.matrix
+    lf = np.array(
+        [sum(math.sqrt(float(sc.length_sq)) for sc in c.components) for c in curves]
+    )
+    block = max(64, min(N, _BLOCK_ENTRIES // N))
     for i0 in range(0, N, block):
         i1 = min(N, i0 + block)
         I = W[i0:i1] @ C.T
@@ -489,73 +517,70 @@ def _ratio_blocks(form: IntersectionForm, curves, lf):
         yield i0, I, R
 
 
-def _max_over_pairs(surface, curves, form, *, rel_slack=1e-9):
-    """Exact maximum of |Int|/(length*length) over unordered atom pairs.
+def _scan_pairs(
+    form: IntersectionForm, curves: Sequence[ClosedCurve], floor: Optional[float] = None
+) -> _Scan:
+    """One float pass over all unordered pairs of ``curves``.
 
-    Returns ``(ratio_float, exact_ratio_or_None, witnesses, den_expr, I)``
-    where the witnesses are all pairs attaining the exact maximum.  A float
-    scan locates the near-maximal pairs; an exact tournament in the radical
-    field then orders them.
+    Near-maximum candidates are collected against the running maximum and
+    filtered again against the final one, so they are exactly the pairs
+    with ratio >= best (1 - _NEAR_MAX).
     """
-    lf = _float_lengths(curves)
-    best_f = 0.0
-    for _, _, R in _ratio_blocks(form, curves, lf):
-        m = float(R.max()) if R.size else 0.0
-        if m > best_f:
-            best_f = m
-    if best_f == 0.0:
-        zero = CycloReal.from_rational(surface.n, 0)
-        return 0.0, zero, [], None, 0
-    thr = best_f * (1.0 - rel_slack)
-    cand = []
-    for i0, I, R in _ratio_blocks(form, curves, lf):
-        for r, j in zip(*np.nonzero(R >= thr)):
-            cand.append((i0 + int(r), int(j), int(I[r, j])))
-    ctx = _RadicalContext(surface.n)
-    lsq_cache: dict[int, _Expr] = {}
+    best, crossing, near, above = 0.0, 0, [], []
+    for i0, I, R in _ratio_blocks(form, curves):
+        crossing += int(np.count_nonzero(R))
+        best = max(best, float(R.max()))
+        if best > 0.0:  # at 0 the threshold would take every pair
+            for r, j in zip(*np.nonzero(R >= best * (1.0 - _NEAR_MAX))):
+                near.append((float(R[r, j]), (i0 + int(r), int(j), int(I[r, j]))))
+        if floor is not None:
+            for r, j in zip(*np.nonzero(R > floor)):
+                above.append((i0 + int(r), int(j), int(I[r, j])))
+    thr = best * (1.0 - _NEAR_MAX)
+    return _Scan(best, crossing, [p for ratio, p in near if ratio >= thr], above)
 
-    def lsq(i: int) -> _Expr:
-        e = lsq_cache.get(i)
-        if e is None:
-            e = _curve_length_sq_expr(ctx, curves[i])
-            lsq_cache[i] = e
-        return e
 
-    def den_of(p) -> _Expr:
-        return ctx.mul(lsq(p[0]), lsq(p[1]))
+def _argmax_ties(items, cmp):
+    """The first maximal item and the list of all items tied with it.
 
-    best = cand[0]
-    best_den = den_of(best)
-    ties = [best]
-    for p in cand[1:]:
-        den = den_of(p)
-        # compare I_p^2 / den  vs  I_best^2 / best_den
-        s = ctx.sign(
-            ctx.add(
-                ctx.scale(best_den, p[2] * p[2]),
-                ctx.scale(den, -best[2] * best[2]),
-            )
-        )
+    ``cmp(x, y)`` is the sign of ``x - y`` in the order being maximized; with
+    no items the result is ``(None, [])``.
+    """
+    best, ties = None, []
+    for x in items:
+        s = 1 if best is None else cmp(x, best)
         if s > 0:
-            best, best_den, ties = p, den, [p]
+            best, ties = x, [x]
         elif s == 0:
-            ties.append(p)
-    witnesses = sorted(
-        ((curves[i], curves[j], I) for i, j, I in ties),
+            ties.append(x)
+    return best, ties
+
+
+def _exact_max(ctx: _RadicalContext, curves: Sequence[ClosedCurve], pairs):
+    """Exact tournament of |Int| / (l_i l_j) over pairs ``(i, j, Int)``.
+
+    The items are ``(pair, den)`` with ``den`` the radical expression
+    ``(l_i l_j)^2``; returns ``_argmax_ties`` of them.
+    """
+    items = (
+        (p, ctx.mul(ctx.length_sq(curves[p[0]]), ctx.length_sq(curves[p[1]])))
+        for p in pairs
+    )
+
+    def cmp(x, y):
+        #  I_x^2 / den_x  vs  I_y^2 / den_y
+        (p, dp), (q, dq) = x, y
+        return ctx.sign(ctx.add(ctx.scale(dq, p[2] * p[2]), ctx.scale(dp, -q[2] * q[2])))
+
+    return _argmax_ties(items, cmp)
+
+
+def _witnesses(curves: Sequence[ClosedCurve], pairs) -> list:
+    """``(curve, curve, Int)`` triples of index pairs, in canonical order."""
+    return sorted(
+        ((curves[i], curves[j], I) for i, j, I in pairs),
         key=lambda w: _pair_key(w[0], w[1]),
     )
-    I = abs(best[2])
-    exact_ratio = None
-    plain = _plain_value(best_den)
-    if plain is not None:
-        root = sqrt_in_field(plain)
-        if root is not None:
-            exact_ratio = CycloReal.from_rational(surface.n, I) / root
-    if exact_ratio is not None:
-        ratio_f = float(exact_ratio)
-    else:
-        ratio_f = I / math.sqrt(ctx.to_float(best_den))
-    return ratio_f, exact_ratio, witnesses, best_den, I
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +592,6 @@ def kvol_bruteforce(
     surface: TranslationSurface,
     L,
     *,
-    max_components: Optional[int] = None,
     form: Optional[IntersectionForm] = None,
 ) -> KvolReport:
     """Vol(X) times the exact maximum intersection ratio up to length L.
@@ -578,23 +602,33 @@ def kvol_bruteforce(
     exact once ``L`` reaches the maximizing configuration.
     """
     scs = enumerate_saddle_connections(surface, L)
-    curves = closed_atoms(surface, scs, max_components=max_components)
+    curves = closed_atoms(surface, scs)
     if len(curves) < 2:
         raise UnrealizedDirectionError(
             f"fewer than two closed curves of length <= {float(L):g}"
         )
     if form is None:
         form = intersection_form(surface)
-    ratio_f, exact_ratio, witnesses, _, _ = _max_over_pairs(surface, curves, form)
+    ctx = _RadicalContext(surface.n)
+    best, ties = _exact_max(ctx, curves, _scan_pairs(form, curves).near_max)
     area = surface.area()
-    exact_value = area * exact_ratio if exact_ratio is not None else None
-    value = float(exact_value) if exact_value is not None else float(area) * ratio_f
+    exact_ratio = CycloReal.from_rational(surface.n, 0)  # no crossing pair
+    if best is not None:
+        (_, _, I), den = best
+        plain = _plain_value(den)
+        root = None if plain is None else sqrt_in_field(plain)
+        exact_ratio = None if root is None else CycloReal.from_rational(surface.n, abs(I)) / root
+    if exact_ratio is None:
+        exact_value, value = None, float(area) * (abs(I) / math.sqrt(ctx.to_float(den)))
+    else:
+        exact_value = area * exact_ratio
+        value = float(exact_value)
     return KvolReport(
         mode="bruteforce",
         value=value,
         exact_ratio=exact_ratio,
         exact_value=exact_value,
-        witnesses=witnesses,
+        witnesses=_witnesses(curves, (p for p, _ in ties)),
         params={
             "L": float(L),
             "count_connections": len(scs),
@@ -660,32 +694,24 @@ def K_of_directions(
                 f"within length {float(L):g}"
             )
         families.append(curves)
-    best = None  # (|I|, |wedge|)
-    ties = []
-    for a, ha in families[0]:
-        for b, hb in families[1]:
-            w = cross(ha, hb)
-            if w.is_zero():
-                continue
-            if w.sign() < 0:
-                w = -w
-            I = abs(form.pair(a, b))
-            if I == 0:
-                continue
-            if best is None:
-                best, ties = (I, w), [(a, b, I)]
-                continue
-            #  I/w  vs  I_best/w_best  <=>  sign(I * w_best - I_best * w)
-            s = (best[1] * I - w * best[0]).sign()
-            if s > 0:
-                best, ties = (I, w), [(a, b, I)]
-            elif s == 0:
-                ties.append((a, b, I))
+    fa, fb = families
+    Ca, Cb = (form.coord_rows([c for c, _ in fam]) for fam in families)
+    G = Ca @ form.matrix @ Cb.T
+    items = []  # (a, b, |I|, |wedge|)
+    for r, s in zip(*np.nonzero(G)):
+        (a, ha), (b, hb) = fa[r], fb[s]
+        w = cross(ha, hb)
+        if not w.is_zero():
+            items.append((a, b, abs(int(G[r, s])), abs(w)))
+    #  I_x/w_x  vs  I_y/w_y  <=>  sign(I_x w_y - I_y w_x)
+    best, ties = _argmax_ties(items, lambda x, y: (y[3] * x[2] - x[3] * y[2]).sign())
     if best is None:
         zero = CycloReal.from_rational(surface.n, 0)
         return DirectionPairReport(d_lo, d_hi, zero, 0.0, [], {"L": float(L)})
-    exact = CycloReal.from_rational(surface.n, best[0]) / best[1]
-    witnesses = sorted(ties, key=lambda w: _pair_key(w[0], w[1]))
+    exact = CycloReal.from_rational(surface.n, best[2]) / best[3]
+    witnesses = sorted(
+        ((a, b, I) for a, b, I, _ in ties), key=lambda w: _pair_key(w[0], w[1])
+    )
     return DirectionPairReport(
         d=d_lo,
         d_prime=d_hi,
@@ -744,97 +770,65 @@ def kvol_closed_formula(
 # ---------------------------------------------------------------------------
 
 
-def _certify_bound(surface, curves, form, bound: CycloReal, *, margin=1e-6):
-    """Certify |Int|/(l l') <= bound over all unordered atom pairs.
+def _certify_bound(
+    surface: TranslationSurface,
+    L,
+    bound: CycloReal,
+    model: str,
+    form: Optional[IntersectionForm],
+) -> BoundReport:
+    """Certify |Int|/(l l') <= bound over all unordered atom pairs up to L.
 
-    Pairs whose float ratio is below ``bound (1 - margin)`` are certified by
-    the float computation (whose relative error is ~1e-13); the rest are
-    decided exactly in the radical field.  Returns violation and equality
-    witness lists, the float maximum with its witnesses, and certification
-    counts.
+    Pairs whose float ratio is at most ``bound (1 - _BOUND_MARGIN)`` are
+    certified by the float pass; the rest are decided exactly in the radical
+    field.  The report carries the violations, the equalities, the float
+    maximum with the pairs exactly tied at the maximum, and the counts.
     """
-    lf = _float_lengths(curves)
-    boundf = float(bound)
-    near = []
-    best_f = 0.0
-    best_pairs = []
-    total = 0
-    for i0, I, R in _ratio_blocks(form, curves, lf):
-        total += int(np.count_nonzero(R)) if R.size else 0
-        m = float(R.max()) if R.size else 0.0
-        if m > best_f * (1.0 + 1e-12):
-            best_f = m
-            best_pairs = []
-        if m >= best_f * (1.0 - 1e-12) and m > 0:
-            for r, j in zip(*np.nonzero(R >= best_f * (1.0 - 1e-12))):
-                best_pairs.append((i0 + int(r), int(j), int(I[r, j])))
-        for r, j in zip(*np.nonzero(R > boundf * (1.0 - margin))):
-            near.append((i0 + int(r), int(j), int(I[r, j])))
-    npairs = len(curves) * (len(curves) - 1) // 2
+    curves = closed_atoms(surface, enumerate_saddle_connections(surface, L))
+    if form is None:
+        form = intersection_form(surface)
+    scan = _scan_pairs(form, curves, floor=float(bound) * (1.0 - _BOUND_MARGIN))
     ctx = _RadicalContext(surface.n)
-    lsq_cache: dict[int, _Expr] = {}
-
-    def lsq(i):
-        e = lsq_cache.get(i)
-        if e is None:
-            e = _curve_length_sq_expr(ctx, curves[i])
-            lsq_cache[i] = e
-        return e
-
     b2 = bound * bound
     violations, equalities = [], []
-    for i, j, I in near:
-        den = ctx.mul(lsq(i), lsq(j))
+    for p in scan.above:
+        i, j, I = p
+        den = ctx.mul(ctx.length_sq(curves[i]), ctx.length_sq(curves[j]))
         s = ctx.sign(ctx.add(ctx.scale(den, b2), ctx.const(-I * I)))
-        w = (curves[i], curves[j], I)
         if s < 0:
-            violations.append(w)
+            violations.append(p)
         elif s == 0:
-            equalities.append(w)
-    best_pairs = sorted(set(best_pairs))
-    max_witnesses = sorted(
-        ((curves[i], curves[j], I) for i, j, I in best_pairs),
-        key=lambda w: _pair_key(w[0], w[1]),
+            equalities.append(p)
+    _, ties = _exact_max(ctx, curves, scan.near_max)
+    npairs = len(curves) * (len(curves) - 1) // 2
+    return BoundReport(
+        n=surface.n,
+        model=model,
+        L=float(L),
+        bound=bound,
+        pairs_checked=npairs,
+        violations=_witnesses(curves, violations),
+        equalities=_witnesses(curves, equalities),
+        max_ratio=scan.best,
+        max_witnesses=_witnesses(curves, (p for p, _ in ties)),
+        counts={
+            "curves": len(curves),
+            "pairs": npairs,
+            "crossing_pairs": scan.crossing,
+            "exact_checked": len(scan.above),
+        },
     )
-    violations.sort(key=lambda w: _pair_key(w[0], w[1]))
-    equalities.sort(key=lambda w: _pair_key(w[0], w[1]))
-    counts = {
-        "curves": len(curves),
-        "pairs": npairs,
-        "crossing_pairs": total,
-        "exact_checked": len(near),
-    }
-    return violations, equalities, best_f, max_witnesses, counts, npairs
 
 
-def verify_ngon_bound(n: int, L=3, *, form: Optional[IntersectionForm] = None) -> BoundReport:
+def verify_ngon_bound(n: int, L=3) -> BoundReport:
     """Certify the n-gon ratio bound 1/l_0^2 over all atom pairs up to L.
 
     For n = 0 mod 4 the equality cases are expected to be exactly the pairs
     of distinct sides; for n = 2 mod 4 the bound is strict (no equalities).
     The report lists whatever the exact check finds; callers assert.
     """
-    X = build_ngon(n)
-    scs = enumerate_saddle_connections(X, L)
-    curves = closed_atoms(X, scs)
-    if form is None:
-        form = intersection_form(X)
     bound = CycloReal.from_rational(n, 1)  # sides have unit length
-    violations, equalities, best_f, max_w, counts, npairs = _certify_bound(
-        X, curves, form, bound
-    )
-    return BoundReport(
-        n=n,
-        model="ngon",
-        L=float(L),
-        bound=bound,
-        pairs_checked=npairs,
-        violations=violations,
-        equalities=equalities,
-        max_ratio=best_f,
-        max_witnesses=max_w,
-        counts=counts,
-    )
+    return _certify_bound(build_ngon(n), L, bound, "ngon", None)
 
 
 def side_pairs(n: int) -> int:
@@ -876,21 +870,13 @@ def check_parallel_criterion(
     curves = closed_atoms(surface, scs)
     if form is None:
         form = intersection_form(surface)
-    nonzero = []
-    pairs = 0
-    if curves:
-        G = form.gram(curves)
-        for i in range(len(curves)):
-            for j in range(i + 1, len(curves)):
-                pairs += 1
-                if G[i, j] != 0:
-                    nonzero.append((curves[i], curves[j], int(G[i, j])))
+    scan = _scan_pairs(form, curves, floor=0.0)  # ratio > 0 exactly when Int != 0
     return ParallelReport(
         direction=d,
         count_connections=len(scs),
         count_curves=len(curves),
-        pairs_checked=pairs,
-        nonzero=nonzero,
+        pairs_checked=len(curves) * (len(curves) - 1) // 2,
+        nonzero=[(curves[i], curves[j], I) for i, j, I in scan.above],
     )
 
 
@@ -916,28 +902,11 @@ def bound_4m2(
             raise ValueError("shear matrix must be unimodular")
         S = S.transform(M)
         form = None  # the form of the base surface does not transfer
-    scs = enumerate_saddle_connections(S, L)
-    curves = closed_atoms(S, scs)
-    if form is None:
-        form = intersection_form(S)
     phi = CycloReal.phi(n)
     lm = trig_value(n, "sin", 1)
     bound = CycloReal.from_rational(n, 1) / (phi * lm * lm)
-    violations, equalities, best_f, max_w, counts, npairs = _certify_bound(
-        S, curves, form, bound
-    )
-    return BoundReport(
-        n=n,
-        model="staircase" if M is None else "staircase (sheared)",
-        L=float(L),
-        bound=bound,
-        pairs_checked=npairs,
-        violations=violations,
-        equalities=equalities,
-        max_ratio=best_f,
-        max_witnesses=max_w,
-        counts=counts,
-    )
+    model = "staircase" if M is None else "staircase (sheared)"
+    return _certify_bound(S, L, bound, model, form)
 
 
 def explore_conjecture(n: int, L=3) -> ConjectureReport:

@@ -1,8 +1,10 @@
-"""No module of the package or the test suite imports a name it never uses."""
+"""No module of the package or the test suite imports a name it never uses,
+and no private helper of the package is left without a caller."""
 
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -42,3 +44,51 @@ def test_scanner_flags_unused_and_keeps_reexports():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _referenced_names(tree: ast.AST) -> Counter:
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    )
+
+
+def dead_helpers(modules: dict[str, str], others: list[str]) -> list[str]:
+    """``module:name`` of every module-level ``_private`` function or class of
+    ``modules`` that no source in ``modules`` or ``others`` refers to outside
+    its own definition.
+
+    A reference is a name or an attribute with the helper's name; uses inside
+    the helper's own body (recursion) do not count."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    refs = Counter()
+    for tree in [*trees.values(), *map(ast.parse, others)]:
+        refs += _referenced_names(tree)
+    dead = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if (
+                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and node.name.startswith("_")
+                and not node.name.startswith("__")
+                and refs[node.name] == _referenced_names(node)[node.name]
+            ):
+                dead.append(f"{name}:{node.name}")
+    return dead
+
+
+def test_scanner_flags_dead_helpers():
+    module = (
+        "def _a():\n    return _a()\n"
+        "def _b(): pass\n"
+        "class _C: pass\n"
+        "def f():\n    return _b\n"
+    )
+    assert dead_helpers({"m": module}, ["import m\nm._C()\n"]) == ["m:_a"]
+
+
+def test_no_dead_private_helpers():
+    package = {p.stem: p.read_text() for p in FILES if p.parent.name == "kvol"}
+    tests = [p.read_text() for p in FILES if p.parent.name == "tests"]
+    assert dead_helpers(package, tests) == []
