@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 import mpmath
@@ -302,7 +301,6 @@ def apply_word(word: Iterable[tuple[str, int]], z, n: int):
     return +zz if exact_in else complex(zz)
 
 
-@lru_cache  # reductions repeat a handful of tokens; Mat2 is immutable
 def _generator_matrix(gen: str, k: int, n: int) -> Mat2:
     """The exact disk-action matrix of one token ``(gen, k)``."""
     if gen == "TH":

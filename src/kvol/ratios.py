@@ -775,7 +775,6 @@ def _certify_bound(
     L,
     bound: CycloReal,
     model: str,
-    form: Optional[IntersectionForm],
 ) -> BoundReport:
     """Certify |Int|/(l l') <= bound over all unordered atom pairs up to L.
 
@@ -785,9 +784,8 @@ def _certify_bound(
     maximum with the pairs exactly tied at the maximum, and the counts.
     """
     curves = closed_atoms(surface, enumerate_saddle_connections(surface, L))
-    if form is None:
-        form = intersection_form(surface)
-    scan = _scan_pairs(form, curves, floor=float(bound) * (1.0 - _BOUND_MARGIN))
+    floor = float(bound) * (1.0 - _BOUND_MARGIN)
+    scan = _scan_pairs(intersection_form(surface), curves, floor=floor)
     ctx = _RadicalContext(surface.n)
     b2 = bound * bound
     violations, equalities = [], []
@@ -828,7 +826,7 @@ def verify_ngon_bound(n: int, L=3) -> BoundReport:
     The report lists whatever the exact check finds; callers assert.
     """
     bound = CycloReal.from_rational(n, 1)  # sides have unit length
-    return _certify_bound(build_ngon(n), L, bound, "ngon", None)
+    return _certify_bound(build_ngon(n), L, bound, "ngon")
 
 
 def side_pairs(n: int) -> int:
@@ -880,13 +878,7 @@ def check_parallel_criterion(
     )
 
 
-def bound_4m2(
-    n: int,
-    L,
-    *,
-    M: Optional[Mat2] = None,
-    form: Optional[IntersectionForm] = None,
-) -> BoundReport:
+def bound_4m2(n: int, L, *, M: Optional[Mat2] = None) -> BoundReport:
     """Certify the ratio bound 1/(Phi l_m^2) on a sheared staircase, n = 2 mod 4.
 
     ``M`` (unimodular) moves the surface inside its Teichmueller disk; the
@@ -901,12 +893,11 @@ def bound_4m2(
         if not (det * det - 1).is_zero():
             raise ValueError("shear matrix must be unimodular")
         S = S.transform(M)
-        form = None  # the form of the base surface does not transfer
     phi = CycloReal.phi(n)
     lm = trig_value(n, "sin", 1)
     bound = CycloReal.from_rational(n, 1) / (phi * lm * lm)
     model = "staircase" if M is None else "staircase (sheared)"
-    return _certify_bound(S, L, bound, model, form)
+    return _certify_bound(S, L, bound, model)
 
 
 def explore_conjecture(n: int, L=3) -> ConjectureReport:
