@@ -273,7 +273,7 @@ def reduce_to_fundamental_domain(
             word.append(("TV", -1))
         else:
             return (zc if exact_in else complex(zc)), word
-        acc = _generator_matrix(*word[-1], n) * acc
+        acc = _apply_token(*word[-1], acc)
     raise ComputationLimitError("fundamental-domain reduction did not terminate")
 
 
@@ -301,12 +301,18 @@ def apply_word(word: Iterable[tuple[str, int]], z, n: int):
     return +zz if exact_in else complex(zz)
 
 
-def _generator_matrix(gen: str, k: int, n: int) -> Mat2:
-    """The exact disk-action matrix of one token ``(gen, k)``."""
+def _apply_token(gen: str, k: int, m: Mat2) -> Mat2:
+    """The disk-action matrix of the token ``(gen, k)`` times ``m``, exactly.
+
+    ``("TH", k)`` is [[1, k Phi], [0, 1]]: it adds k Phi times the bottom row
+    of ``m`` to the top row.  ``("TV", k)`` is [[1, 0], [k Phi, 1]]: it adds
+    k Phi times the top row to the bottom row.
+    """
+    step = CycloReal.phi(m.n) * k
     if gen == "TH":
-        return Mat2(n, 1, CycloReal.phi(n) * k, 0, 1)
+        return Mat2(m.n, m.a + step * m.c, m.b + step * m.d, m.c, m.d)
     if gen == "TV":
-        return Mat2(n, 1, 0, CycloReal.phi(n) * k, 1)
+        return Mat2(m.n, m.a, m.b, m.c + step * m.a, m.d + step * m.b)
     raise ValueError(f"unknown generator {gen!r}")
 
 
@@ -314,7 +320,7 @@ def word_matrix(word: Iterable[tuple[str, int]], n: int) -> Mat2:
     """The exact disk-action matrix of a token word."""
     m = Mat2.identity(n)
     for gen, k in word:
-        m = _generator_matrix(gen, k, n) * m
+        m = _apply_token(gen, k, m)
     return m
 
 
