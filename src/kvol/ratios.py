@@ -99,10 +99,18 @@ class _RadicalContext:
         self._one = CycloReal.from_rational(n, 1)
 
     def length_sq(self, curve: ClosedCurve) -> _Expr:
-        """The squared length of a closed curve, built once per curve."""
+        """(sum of component lengths)^2 of a closed curve as an exact radical
+        expression, built once per curve."""
         e = self._length_sq.get(curve)
         if e is None:
-            e = self._length_sq[curve] = _curve_length_sq_expr(self, curve)
+            parts = [sc.length_sq for sc in curve.components]
+            e = self.const(0)
+            for p in parts:
+                e = self.add(e, self.const(p))
+            for i in range(len(parts)):
+                for j in range(i + 1, len(parts)):
+                    e = self.add(e, self.scale(self.sqrt(parts[i] * parts[j]), 2))
+            self._length_sq[curve] = e
         return e
 
     def const(self, c) -> _Expr:
@@ -201,18 +209,6 @@ class _RadicalContext:
                 v *= math.sqrt(float(self.radicands[i]))
             total += v
         return total
-
-
-def _curve_length_sq_expr(ctx: _RadicalContext, curve: ClosedCurve) -> _Expr:
-    """(sum of component lengths)^2 as an exact radical expression."""
-    parts = [sc.length_sq for sc in curve.components]
-    out = ctx.const(0)
-    for p in parts:
-        out = ctx.add(out, ctx.const(p))
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            out = ctx.add(out, ctx.scale(ctx.sqrt(parts[i] * parts[j]), 2))
-    return out
 
 
 def _plain_value(e: _Expr) -> Optional[CycloReal]:

@@ -8,9 +8,51 @@ direction cones: a cone entering a convex face either ends at vertices
 the boundary edges, splitting at every interior vertex direction.  Each
 connection records its exact holonomy, endpoint germs and combinatorial
 path (start corner, crossed half-edges, end vertex); exact pieces and
-crossing points are traced from the path only when asked for.  Floating
-point is used only as a filter, with every uncertain sign resolved in the
-field.
+crossing points are traced from the path only when asked for.
+
+The search runs in floats and builds exact field vectors only when a float
+test cannot decide.  A node keeps its float translation and its parent; its
+exact translation is summed along the parent chain on request.  Glued edges
+are opposite translates, so crossing edge (f, e) into (f2, e2) takes vertex
+e to vertex e2 + 1 and vertex e + 1 to vertex e2 at the same developed
+position: the ends of a face's entry edge are the ends of the edge the
+parent cone left through, on or outside every subcone that crossed it.
+They, and the apex with its two neighbours in its own face, are skipped
+with no arithmetic, so only other vertices on a boundary line reach the
+field.  Beside a vertex that splits a cone, the exit edge is the edge at
+that vertex.
+
+Float margins.  Let u = 2^-53.  A face-vertex or glue-shift coordinate
+sum(c_i Phi^i) converts to a float with error eps_c <= (3d + 1) u
+sum(|c_i| Phi^i) (Horner in degree d, with a rounded Phi): at most 9e-15 on
+S_8 to S_12, sheared or not, and 5e-13 on S_16.  The float position of a
+vertex developed across D glued edges is a float sum of D + 2 such
+coordinates, so each of its coordinates is off by at most
+
+    delta <= (D + 2) (eps_c + u R),
+
+R bounding |x| + |y| along the way: the error grows linearly with depth.
+At S_8 and 90 l_m the search reaches D = 69 with R < 54, so delta <= 9.4e-13
+(the largest error measured there is 3.6e-14).
+
+* ``_SIGN_MARGIN`` = 1e-9, relative.  The float sign of c = cross(a, b) is
+  used when |c| > 1e-9 (|a|_1 |b|_1 + 1).  For developed vertices, and for
+  their sums dm = d1 + d2, the error of c is at most 4 R delta + 2 u |a|_1
+  |b|_1, so the margin covers it while 4 R delta <= 1e-9.  That bound is
+  2e-10 at S_8 and 90 l_m, 3e-11 at sheared S_8 and 30 l_m, 9e-11 at the
+  16-gon and L = 3 and 7e-10 at S_16 and 30 l_m; on S_8 it stays below 1e-9
+  up to about 170 l_m.  The same margin, on the same kind of scale, decides
+  the exit-edge signs, the length cut (|W|^2 against L^2), the orientation
+  (y against |x| + |y| + 1) and the final order, whose float keys are
+  converted straight from the exact holonomies.
+* ``_PRUNE_SLACK`` = 1e-6, relative and absolute.  A beam is dropped when
+  the float squared distance from the apex to its whole exit edge exceeds
+  L^2 (1 + 1e-6) + 1e-6.  That distance is off by at most 2 R delta + 4 u
+  R^2, far below the slack, so no beam that reaches within the bound is
+  dropped.
+
+``_MAX_NODES`` bounds the search; past it the enumeration raises
+``ComputationLimitError``.
 """
 
 from __future__ import annotations
@@ -34,7 +76,9 @@ from .plane import (
 )
 from .surface import TranslationSurface, trace_from_corner
 
-_EPS = 1e-9
+_MAX_NODES = 5_000_000
+_SIGN_MARGIN = 1e-9
+_PRUNE_SLACK = 1e-6
 
 
 @dataclass(frozen=True)
@@ -191,12 +235,7 @@ class SaddleConnection:
 
 
 def _as_length_sq(n: int, length) -> CycloReal:
-    if isinstance(length, CycloReal):
-        L = length
-    elif isinstance(length, float):
-        L = CycloReal.from_rational(n, Fraction(length))
-    else:
-        L = CycloReal.from_rational(n, Fraction(length))
+    L = length if isinstance(length, CycloReal) else CycloReal.from_rational(n, Fraction(length))
     if L.sign() <= 0:
         raise ValueError("length bound must be positive")
     return L * L
@@ -228,30 +267,60 @@ def edge_connection(S: TranslationSurface, pid: int) -> SaddleConnection:
 
 
 class _Node:
-    __slots__ = ("face", "tau_ex", "tau_fl", "entry", "parent")
+    """A face reached by a cone.  Vertex j of ``face`` develops to
+    ``faces[face][j] + tau``, with the cone's apex at the origin.
 
-    def __init__(self, face, tau_ex, tau_fl, entry, parent):
+    The float translation ``tau_fl`` is always kept.  The exact ``tau`` and
+    the exact developed vertices (``verts``) are built along the parent chain
+    only when a decision needs them (``_vertex``).  ``entry`` is the half-edge
+    of ``face`` through which the cone entered (None at the root)."""
+
+    __slots__ = ("face", "tau_fl", "entry", "parent", "tau", "verts")
+
+    def __init__(self, face, tau_fl, entry, parent, tau=None):
         self.face = face
-        self.tau_ex = tau_ex
         self.tau_fl = tau_fl
-        self.entry = entry  # half-edge of `face` through which the cone entered
+        self.entry = entry
         self.parent = parent
+        self.tau = tau
+        self.verts = None
 
 
-def _cs(a_fl, b_fl, a_ex, b_ex) -> int:
-    """Sign of cross(a, b): float filter with exact fallback.
+def _vertex(S: TranslationSurface, node: _Node, j: int) -> Vec2:
+    """The exact developed position of vertex j of ``node``'s face."""
+    cache = node.verts
+    if cache is None:
+        cache = node.verts = [None] * len(S.faces[node.face])
+    w = cache[j]
+    if w is None:
+        chain = []
+        cur = node
+        while cur.tau is None:
+            chain.append(cur)
+            cur = cur.parent
+        tau = cur.tau
+        for nd in reversed(chain):
+            tau = nd.tau = vsub(tau, S.glue_shift[S.glue[nd.entry]])
+        w = cache[j] = vadd(S.faces[node.face][j], node.tau)
+    return w
 
-    a_ex/b_ex may be exact vectors or zero-argument callables producing them.
-    """
-    c = a_fl[0] * b_fl[1] - a_fl[1] * b_fl[0]
-    scale = (abs(a_fl[0]) + abs(a_fl[1])) * (abs(b_fl[0]) + abs(b_fl[1])) + 1.0
-    if abs(c) > _EPS * scale:
+
+# A direction is a tuple (float vector, node, j): the developed vertex j of
+# node's face, built exactly on demand.  The direction filter's lines are
+# (float vector, None, exact vector).
+
+
+def _exact(S: TranslationSurface, d) -> Vec2:
+    return d[2] if d[1] is None else _vertex(S, d[1], d[2])
+
+
+def _cs(S: TranslationSurface, a, b) -> int:
+    """Sign of cross(a, b) for two directions: float filter, exact fallback."""
+    (ax, ay), (bx, by) = a[0], b[0]
+    c = ax * by - ay * bx
+    if abs(c) > _SIGN_MARGIN * ((abs(ax) + abs(ay)) * (abs(bx) + abs(by)) + 1.0):
         return 1 if c > 0.0 else -1
-    if callable(a_ex):
-        a_ex = a_ex()
-    if callable(b_ex):
-        b_ex = b_ex()
-    return cross(a_ex, b_ex).sign()
+    return cross(_exact(S, a), _exact(S, b)).sign()
 
 
 def enumerate_saddle_connections(
@@ -259,7 +328,6 @@ def enumerate_saddle_connections(
     length,
     *,
     direction=None,
-    max_nodes: int = 5_000_000,
 ) -> list[SaddleConnection]:
     """All saddle connections of length <= the bound, canonically oriented.
 
@@ -271,10 +339,15 @@ def enumerate_saddle_connections(
     L2 = _as_length_sq(S.n, length)
     L2f = float(L2)
     dfilt = _direction_filter(S, direction)
-    dfilt_fl = vfloat(dfilt) if dfilt is not None else None
+    lines = None
+    if dfilt is not None:
+        dx, dy = vfloat(dfilt)
+        lines = (((dx, dy), None, dfilt), ((-dx, -dy), None, vneg(dfilt)))
 
-    fverts = [[vfloat(p) for p in verts] for verts in S.faces]
+    faces, glue = S.faces, S.glue
+    fverts = [[vfloat(p) for p in verts] for verts in faces]
     fshift = {h: vfloat(t) for h, t in S.glue_shift.items()}
+    m = _SIGN_MARGIN
 
     found: list[SaddleConnection] = []
 
@@ -287,194 +360,182 @@ def enumerate_saddle_connections(
             continue
         found.append(sc)
 
-    # 2. cone DFS from every corner
+    # 2. cone DFS from every corner.  The ends of the entry edge lie on or
+    # outside the cone, and so do the apex and its two neighbours in the
+    # root face, so the inside test skips them.
     nodes_seen = 0
-    for f0, verts0 in enumerate(S.faces):
-        for v0 in range(len(verts0)):
-            ra, rb = S.wedge_rays(f0, v0)
-            tau0 = vneg(verts0[v0])
-            root = _Node(f0, tau0, vfloat(tau0), None, None)
-            stack = [(root, ra, vfloat(ra), rb, vfloat(rb))]
+    for f0, verts0 in enumerate(faces):
+        k0 = len(verts0)
+        for v0 in range(k0):
+            ox, oy = fverts[f0][v0]
+            root = _Node(f0, (-ox, -oy), None, None, vneg(verts0[v0]))
+            a, b = (v0 + 1) % k0, (v0 - 1) % k0
+            (ax, ay), (bx, by) = fverts[f0][a], fverts[f0][b]
+            stack = [(root, ((ax - ox, ay - oy), root, a), ((bx - ox, by - oy), root, b))]
             while stack:
-                node, lo_ex, lo_fl, hi_ex, hi_fl = stack.pop()
+                node, lo, hi = stack.pop()
                 nodes_seen += 1
-                if nodes_seen > max_nodes:
+                if nodes_seen > _MAX_NODES:
                     raise ComputationLimitError("saddle enumeration exceeded the node budget")
                 f = node.face
-                verts = S.faces[f]
-                k = len(verts)
-                vfl = fverts[f]
-                tfl = node.tau_fl
-                Wfl = [(vfl[j][0] + tfl[0], vfl[j][1] + tfl[1]) for j in range(k)]
-                Wex_cache: list[Optional[Vec2]] = [None] * k
-
-                def Wex(j, _c=Wex_cache, _v=verts, _t=node.tau_ex):
-                    if _c[j] is None:
-                        _c[j] = vadd(_v[j], _t)
-                    return _c[j]
+                tx, ty = node.tau_fl
+                Wfl = [(x + tx, y + ty) for x, y in fverts[f]]
+                k = len(Wfl)
+                (lx, ly), (hx, hy) = lo[0], hi[0]
+                lo_n, hi_n = abs(lx) + abs(ly), abs(hx) + abs(hy)
+                if node is root:
+                    apex, b0, a0 = v0, a, b
+                else:
+                    apex, a0 = -1, node.entry[1]
+                    b0 = (a0 + 1) % k
 
                 inside = []
-                for j in range(k):
-                    if _cs(lo_fl, Wfl[j], lo_ex, lambda j=j: Wex(j)) <= 0:
+                for j, (wx, wy) in enumerate(Wfl):
+                    if j == a0 or j == b0 or j == apex:
                         continue
-                    if _cs(Wfl[j], hi_fl, lambda j=j: Wex(j), hi_ex) <= 0:
+                    w_n = abs(wx) + abs(wy)
+                    c = lx * wy - ly * wx
+                    if abs(c) > m * (lo_n * w_n + 1.0):
+                        if c < 0.0:
+                            continue
+                    elif cross(_exact(S, lo), _vertex(S, node, j)).sign() <= 0:
                         continue
-                    inside.append(j)
-                inside.sort(
-                    key=cmp_to_key(
-                        lambda a, b: -_cs(
-                            Wfl[a], Wfl[b], lambda a=a: Wex(a), lambda b=b: Wex(b)
-                        )
-                    )
-                )
-                # group vertices sharing a direction; only the nearest can be
-                # a saddle-connection endpoint, but each direction splits the cone
-                groups: list[list[int]] = []
-                for j in inside:
-                    if groups and _cs(
-                        Wfl[groups[-1][0]], Wfl[j],
-                        lambda a=groups[-1][0]: Wex(a), lambda b=j: Wex(b),
-                    ) == 0:
-                        groups[-1].append(j)
-                    else:
-                        groups.append([j])
+                    c = wx * hy - wy * hx
+                    if abs(c) > m * (w_n * hi_n + 1.0):
+                        if c < 0.0:
+                            continue
+                    elif cross(_vertex(S, node, j), _exact(S, hi)).sign() <= 0:
+                        continue
+                    inside.append(((wx, wy), node, j))
+                if len(inside) > 1:
+                    inside.sort(key=cmp_to_key(lambda a, b: _cs(S, b, a)))
+                # a ray strictly inside the cone meets the convex face in a
+                # segment from the open entry edge (or the apex) to one exit
+                # point, so no two inside vertices share a direction: each one
+                # splits the cone, and the subcones beside it leave the face at it
+                for w in inside:
+                    W = _endpoint(S, w, L2, L2f, lines)
+                    if W is not None:
+                        found.append(_cone_connection(S, node, w[2], W, (f0, v0)))
+                bounds = [lo] + inside + [hi]
 
-                split_dirs = []
-                for grp in groups:
-                    nearest = grp[0]
-                    if len(grp) > 1:
-                        nearest = min(grp, key=lambda j: norm2(Wex(j)))
-                    split_dirs.append((Wex(nearest), Wfl[nearest]))
-                    nf = Wfl[nearest][0] ** 2 + Wfl[nearest][1] ** 2
-                    if nf > L2f * (1 + _EPS) + _EPS:
-                        continue
-                    Wx = Wex(nearest)
-                    if norm2(Wx) > L2:
-                        continue
-                    if dfilt is not None and not cross(Wx, dfilt).is_zero():
-                        continue
-                    if not canonical_orientation(Wx):
-                        continue
-                    found.append(_cone_connection(S, node, nearest, Wx, (f0, v0)))
-
-                boundaries = [(lo_ex, lo_fl)] + split_dirs + [(hi_ex, hi_fl)]
-                for (d1_ex, d1_fl), (d2_ex, d2_fl) in zip(boundaries, boundaries[1:]):
-                    if _cs(d1_fl, d2_fl, d1_ex, d2_ex) <= 0:
-                        continue  # empty subcone
-                    if dfilt is not None and not _cone_meets_line(
-                        d1_ex, d1_fl, d2_ex, d2_fl, dfilt, dfilt_fl
+                # consecutive bounds are distinct rays in counterclockwise
+                # order, so every subcone between them is open and nonempty
+                last = len(bounds) - 2
+                for i in range(last + 1):
+                    d1, d2 = bounds[i], bounds[i + 1]
+                    if lines is not None and not any(
+                        _cs(S, d1, ln) >= 0 and _cs(S, ln, d2) >= 0 for ln in lines
                     ):
-                        continue
-                    dm_ex = vadd(d1_ex, d2_ex)
-                    dm_fl = (d1_fl[0] + d2_fl[0], d1_fl[1] + d2_fl[1])
-                    entry_e = node.entry[1] if node.entry is not None else None
-                    e = _exit_edge(S, f, Wfl, Wex, dm_ex, dm_fl, entry_e)
-                    if _prune_far(Wfl, e, k, d1_fl, d2_fl, L2f):
+                        continue  # the closed subcone misses the filter line
+                    # beside a split vertex: the edge starting there on its
+                    # counterclockwise side, the edge ending there on its clockwise side
+                    if i > 0:
+                        e = d1[2]
+                    elif i < last:
+                        e = (d2[2] - 1) % k
+                    else:
+                        e = _exit_edge(S, node, Wfl, d1, d2, b0, a0)
+                    if _prune_far(Wfl[e], Wfl[(e + 1) % k], L2f):
                         continue
                     half = (f, e)
-                    f2 = S.glue[half][0]
-                    tau2 = vsub(node.tau_ex, S.glue_shift[half])
-                    sh = fshift[half]
-                    tau2_fl = (tfl[0] - sh[0], tfl[1] - sh[1])
-                    child = _Node(f2, tau2, tau2_fl, S.glue[half], node)
-                    stack.append((child, d1_ex, d1_fl, d2_ex, d2_fl))
+                    sx, sy = fshift[half]
+                    child = _Node(glue[half][0], (tx - sx, ty - sy), glue[half], node)
+                    stack.append((child, d1, d2))
 
-    def cmp(a: SaddleConnection, b: SaddleConnection) -> int:
-        s = (a.length_sq - b.length_sq).sign()
+    keyed = []
+    for sc in found:
+        x, y = vfloat(sc.holonomy)
+        keyed.append(((x * x + y * y, x, y), sc))
+    keyed.sort(key=cmp_to_key(_order))
+    return [sc for _key, sc in keyed]
+
+
+def _order(a, b) -> int:
+    """Order of (float key, connection) entries: by length, then holonomy x
+    and y, each decided in floats when the margin allows and exactly
+    otherwise; then by the connections' keys."""
+    (fa, sa), (fb, sb) = a, b
+    for i in range(3):
+        d = fa[i] - fb[i]
+        if abs(d) > _SIGN_MARGIN * (abs(fa[i]) + abs(fb[i]) + 1.0):
+            return 1 if d > 0.0 else -1
+        if i == 0:
+            s = (sa.length_sq - sb.length_sq).sign()
+        else:
+            s = (sa.holonomy[i - 1] - sb.holonomy[i - 1]).sign()
         if s:
             return s
-        s = (a.holonomy[0] - b.holonomy[0]).sign()
-        if s:
-            return s
-        s = (a.holonomy[1] - b.holonomy[1]).sign()
-        if s:
-            return s
-        return -1 if a._key() < b._key() else (1 if a._key() > b._key() else 0)
-
-    found.sort(key=cmp_to_key(cmp))
-    return found
+    ka, kb = sa._key(), sb._key()
+    return -1 if ka < kb else (1 if ka > kb else 0)
 
 
-def _cone_meets_line(d1_ex, d1_fl, d2_ex, d2_fl, d_ex, d_fl) -> bool:
-    """True if the closed cone [d1, d2] contains d or -d."""
-    for sgn in (1, -1):
-        s_fl = (sgn * d_fl[0], sgn * d_fl[1])
-        s_ex = (d_ex[0] if sgn == 1 else -d_ex[0], d_ex[1] if sgn == 1 else -d_ex[1])
-        if _cs(d1_fl, s_fl, d1_ex, s_ex) >= 0 and _cs(s_fl, d2_fl, s_ex, d2_ex) >= 0:
-            return True
-    return False
+def _endpoint(S: TranslationSurface, w, L2: CycloReal, L2f: float, lines) -> Optional[Vec2]:
+    """The exact holonomy to vertex direction ``w`` when it is canonically
+    oriented, no longer than the bound and on the filter line (if any);
+    otherwise None.  Each test is decided in floats when the margin allows,
+    and the exact vector is built only for a recorded connection or an
+    undecided test."""
+    m = _SIGN_MARGIN
+    x, y = w[0]
+    if abs(y) > m * (abs(x) + abs(y) + 1.0):
+        if y < 0.0:
+            return None
+    elif not canonical_orientation(_exact(S, w)):
+        return None
+    if lines is not None and _cs(S, w, lines[0]) != 0:
+        return None
+    nf = x * x + y * y
+    if nf > L2f * (1.0 + m) + m:
+        return None
+    W = _exact(S, w)
+    if nf >= L2f * (1.0 - m) - m and norm2(W) > L2:
+        return None
+    return W
 
 
-def _exit_edge(S, f, Wfl, Wex, dm_ex, dm_fl, entry_e: Optional[int]) -> int:
-    """The unique edge of face f through which the ray from the cone apex in
-    direction dm exits (dm strictly inside a vertex-free open cone).
+def _exit_edge(S: TranslationSurface, node: _Node, Wfl, d1, d2, b0: int, a0: int) -> int:
+    """The edge of ``node``'s face through which the vertex-free open cone
+    (d1, d2) leaves it.
 
-    The entry edge is excluded: a transversal ray meets a convex face in one
-    segment, entering through it and leaving through a different edge.
+    Let dm = d1 + d2.  The face lies in an open half-plane beyond its entry
+    edge (a0, b0), or in the apex's wedge at the root, where a0 and b0 are
+    the apex's neighbours.  Vertex b0 is clockwise of dm and a0
+    counterclockwise, and the far chain b0, b0 + 1, ..., a0 turns from
+    clockwise to counterclockwise of dm exactly once: at the exit edge.
     """
-    k = len(S.faces[f])
-    for e in range(k):
-        if e == entry_e:
-            continue
-        a_fl, b_fl = Wfl[e], Wfl[(e + 1) % k]
-        e_fl = (b_fl[0] - a_fl[0], b_fl[1] - a_fl[1])
-        den = dm_fl[0] * e_fl[1] - dm_fl[1] * e_fl[0]
-        num_t = a_fl[0] * e_fl[1] - a_fl[1] * e_fl[0]
-        num_s = a_fl[0] * dm_fl[1] - a_fl[1] * dm_fl[0]
-        scale = (abs(a_fl[0]) + abs(a_fl[1]) + 1.0) * (abs(e_fl[0]) + abs(e_fl[1]) + 1.0)
-        if abs(den) > _EPS * scale:
-            t = num_t / den
-            s = num_s / den
-            margin = _EPS * (abs(t) + abs(s) + 1.0)
-            if t > margin and margin < s < 1 - margin:
-                return e
-            if t < -margin or s < -margin or s > 1 + margin:
-                continue
-        # uncertain: exact decision from the signs of t = cross(a, e)/den,
-        # s = cross(a, dm)/den and s - 1 = cross(b, dm)/den
-        a_ex, b_ex = Wex(e), Wex((e + 1) % k)
-        e_ex = vsub(b_ex, a_ex)
-        den = cross(dm_ex, e_ex).sign()
-        if den == 0:
-            continue
-        if (
-            cross(a_ex, e_ex).sign() == den
-            and cross(a_ex, dm_ex).sign() == den
-            and cross(b_ex, dm_ex).sign() == -den
-        ):
-            return e
-    raise ComputationLimitError("no exit edge found for an open cone")
+    (px, py), (qx, qy) = d1[0], d2[0]
+    mx, my = px + qx, py + qy
+    m_n = abs(mx) + abs(my)
+    dm = None
+    k = len(Wfl)
+    j = (b0 + 1) % k
+    while j != a0:
+        wx, wy = Wfl[j]
+        c = wx * my - wy * mx
+        if abs(c) > _SIGN_MARGIN * ((abs(wx) + abs(wy)) * m_n + 1.0):
+            ccw = c < 0.0
+        else:
+            if dm is None:
+                dm = vadd(_exact(S, d1), _exact(S, d2))
+            ccw = cross(_vertex(S, node, j), dm).sign() < 0
+        if ccw:
+            break
+        j = (j + 1) % k
+    return (j - 1) % k
 
 
-def _prune_far(Wfl, e, k, d1_fl, d2_fl, L2f) -> bool:
-    """Conservative float test: is every point of the beam's exit segment
-    farther than the length bound?  (Pruning is only a performance matter;
-    returning False is always safe.)"""
-    a = Wfl[e]
-    b = Wfl[(e + 1) % k]
-    ex, ey = b[0] - a[0], b[1] - a[1]
-    ee = ex * ex + ey * ey
-    lo_s, hi_s = 0.0, 1.0
-    params = []
-    for d in (d1_fl, d2_fl):
-        den = d[0] * ey - d[1] * ex
-        if abs(den) > 1e-12:
-            params.append((a[0] * d[1] - a[1] * d[0]) / den)
-    if len(params) == 2:
-        lo_s = max(0.0, min(params) - 1e-9)
-        hi_s = min(1.0, max(params) + 1e-9)
-        if lo_s > hi_s:
-            lo_s, hi_s = 0.0, 1.0
-    best = math.inf
-    cands = [lo_s, hi_s]
-    if ee > 0:
-        foot = -(a[0] * ex + a[1] * ey) / ee
-        if lo_s < foot < hi_s:
-            cands.append(foot)
-    for s in cands:
-        px, py = a[0] + s * ex, a[1] + s * ey
-        best = min(best, px * px + py * py)
-    return best > L2f * (1 + 1e-6) + 1e-9
+def _prune_far(a, b, L2f: float) -> bool:
+    """Float test: is every point of the exit edge (a, b) farther from the
+    apex than the length bound?  The beam leaves through part of that edge,
+    so a pruned beam holds nothing within the bound; returning False is
+    always safe."""
+    ax, ay = a
+    ex, ey = b[0] - ax, b[1] - ay
+    s = -(ax * ex + ay * ey) / (ex * ex + ey * ey)
+    s = 0.0 if s < 0.0 else (1.0 if s > 1.0 else s)
+    px, py = ax + s * ex, ay + s * ey
+    return px * px + py * py > L2f * (1.0 + _PRUNE_SLACK) + _PRUNE_SLACK
 
 
 def _cone_connection(

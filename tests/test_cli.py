@@ -240,6 +240,21 @@ class TestComputationLimits:
         assert out == ""
         assert err == "limit: fundamental-domain reduction did not terminate\n"
 
+    def test_enumeration_node_budget(self, capsys, monkeypatch):
+        import kvol.saddle
+        from kvol.field import ComputationLimitError
+        from kvol.surface import build_staircase
+
+        monkeypatch.setattr(kvol.saddle, "_MAX_NODES", 10)
+        with pytest.raises(ComputationLimitError, match="node budget"):
+            kvol.saddle.enumerate_saddle_connections(build_staircase(8), 3)
+        code, out, err = run(
+            capsys, "kvol-point", "--n", "8", "--x", "1/5", "--y", "7/10", "--bruteforce", "--L", "8"
+        )
+        assert code == EXIT_LIMIT == 5
+        assert out == ""
+        assert err == "limit: saddle enumeration exceeded the node budget\n"
+
     def test_reduction_budget_raises_limit(self):
         from kvol.field import ComputationLimitError
         from kvol.hyperbolic import reduce_to_fundamental_domain

@@ -26,7 +26,6 @@ from kvol.ratios import (
     K_of_directions,
     UnrealizedDirectionError,
     UnsupportedCaseError,
-    _curve_length_sq_expr,
     _RadicalContext,
     bound_4m2,
     check_parallel_criterion,
@@ -115,7 +114,7 @@ class TestRadicalContext:
         curves = closed_atoms(S, scs)
         two = next(c for c in curves if len(c.components) == 2)
         ctx = _RadicalContext(10)
-        expr = _curve_length_sq_expr(ctx, two)
+        expr = ctx.length_sq(two)
         expect = sum(math.sqrt(float(sc.length_sq)) for sc in two.components) ** 2
         assert abs(ctx.to_float(expr) - expect) < 1e-9
 

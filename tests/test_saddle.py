@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from kvol.field import CycloReal
+from kvol import saddle
+from kvol.field import CycloReal, field_degree, trig_value
 from kvol.intersect import intersection_form
-from kvol.plane import Mat2, norm2, vadd, vfloat, vsub
+from kvol.plane import Mat2, norm2, vadd, vfloat, vneg, vsub
 from kvol.saddle import SaddleConnection, edge_connection, enumerate_saddle_connections
 from kvol.surface import (
     build_ngon,
@@ -312,3 +315,121 @@ def _sector_sandwiched(sc):
     if i is None:
         return -1
     return sector_diagram(sc.surface.n, i).sandwiched
+
+
+def _lm(n):
+    return trig_value(n, "sin", 1)
+
+
+def _rows(scs):
+    return [(sc.holonomy, sc.path, sc.start.corner, sc.end.corner, sc.edge_pair) for sc in scs]
+
+
+_CASES = {
+    "ngon8-L3": lambda: (build_ngon(8), 3),
+    "ngon10-L3": lambda: (build_ngon(10), 3),
+    "stair10-8lm": lambda: (build_staircase(10), _lm(10) * 8),
+    "sheared8-12lm": lambda: (_sheared_staircase(8), _lm(8) * 12),
+}
+
+
+class TestFloatFilter:
+    @pytest.mark.parametrize("case", ["ngon8-L3", "stair10-8lm", "sheared8-12lm"])
+    def test_exact_decisions_give_the_same_list(self, case, monkeypatch):
+        S, L = _CASES[case]()
+        default = _rows(enumerate_saddle_connections(S, L))
+        # an infinite margin sends every sign, exit-edge, length, orientation
+        # and order decision to the field; a looser prune keeps more beams
+        monkeypatch.setattr(saddle, "_SIGN_MARGIN", math.inf)
+        monkeypatch.setattr(saddle, "_PRUNE_SLACK", 0.25)
+        assert _rows(enumerate_saddle_connections(S, L)) == default
+
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_entry_edge_ends_keep_their_position(self, n):
+        """Across a glued edge (f, e) -> (f2, e2) the child's vertices e2 + 1
+        and e2 develop exactly onto the parent's e and e + 1: the vertices
+        that bounded the parent cone are the ones the search skips."""
+        for S in (build_ngon(n), build_staircase(n), _sheared_staircase(n)):
+            for f, verts in enumerate(S.faces):
+                k = len(verts)
+                root = saddle._Node(f, None, None, None, vneg(verts[0]))
+                for e in range(k):
+                    f2, e2 = S.glue[(f, e)]
+                    child = saddle._Node(f2, None, (f2, e2), root)
+                    k2 = len(S.faces[f2])
+                    assert saddle._vertex(S, child, (e2 + 1) % k2) == saddle._vertex(S, root, e)
+                    assert saddle._vertex(S, child, e2) == saddle._vertex(S, root, (e + 1) % k)
+
+    def test_developed_float_error_within_stated_bound(self, monkeypatch):
+        """Every node's float translation is within (D + 2)(eps_c + u R) of
+        the exact one, and 4 R times that bound is inside the sign margin."""
+        S, L = _sheared_staircase(8), _lm(8) * 30
+        nodes = []
+        init = saddle._Node.__init__
+
+        def record(node, *args):
+            init(node, *args)
+            nodes.append(node)
+
+        monkeypatch.setattr(saddle._Node, "__init__", record)
+        enumerate_saddle_connections(S, L)
+        u = 2.0**-53
+        phi = float(CycloReal.phi(8))
+        d = field_degree(8)
+
+        def conversion_error(c):
+            return (3 * d + 1) * u * sum(abs(float(q)) * phi**i for i, q in enumerate(c.coeffs))
+
+        coords = [c for verts in S.faces for p in verts for c in p]
+        coords += [c for shift in S.glue_shift.values() for c in shift]
+        eps_c = max(conversion_error(c) for c in coords)
+        R = max(abs(node.tau_fl[0]) + abs(node.tau_fl[1]) for node in nodes)
+        R += max(abs(float(c)) for c in coords) * 2
+        depth = {}
+        worst = 0.0
+        for node in nodes:  # parents are recorded before their children
+            D = depth[id(node)] = 0 if node.parent is None else depth[id(node.parent)] + 1
+            saddle._vertex(S, node, 0)  # builds node.tau
+            bound = (D + 2) * (eps_c + u * R)
+            worst = max(worst, bound)
+            for c, c_fl in zip(node.tau, node.tau_fl):
+                assert abs(c_fl - float(c)) <= bound + conversion_error(c)
+        assert max(depth.values()) > 20
+        assert 4 * R * worst < saddle._SIGN_MARGIN
+
+
+class TestPinnedEnumeration:
+    """The count and a SHA-256 of (holonomy coefficients, path, start and end
+    corners), in order: a change to the search may not reorder or drop a
+    connection unnoticed."""
+
+    @pytest.mark.parametrize(
+        "case, count, digest",
+        [
+            (
+                "sheared8-12lm",
+                152,
+                "ecbd34a263831668980cb5baa9278206de14d239104cbce46272d5f447adeaaf",
+            ),
+            (
+                "ngon10-L3",
+                35,
+                "2ca2648fddaee2824e141d72fc98603148d57b1363f9aa9c8150e199c6def1bb",
+            ),
+        ],
+    )
+    def test_pinned(self, case, count, digest):
+        S, L = _CASES[case]()
+        scs = enumerate_saddle_connections(S, L)
+        rows = [
+            [
+                [str(c) for c in sc.holonomy[0].coeffs],
+                [str(c) for c in sc.holonomy[1].coeffs],
+                sc.path,
+                sc.start.corner,
+                sc.end.corner,
+            ]
+            for sc in scs
+        ]
+        assert len(scs) == count
+        assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest
