@@ -17,6 +17,8 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
+
 from .field import ComputationLimitError, CycloReal, fmt_float, trig_value
 from .hyperbolic import dist_to_Gmax_batch, in_fundamental_domain
 from .plane import Mat2
@@ -146,7 +148,19 @@ def _point_args(args) -> tuple[Fraction, Fraction]:
     y = _parse_exact(args.y, "--y")
     if y <= 0:
         raise ConfigError("--y must be positive")
+    _check_double(x, "--x")
+    if _check_double(y, "--y") == 0.0:
+        raise ConfigError("--y rounds to 0 as a double")
     return x, y
+
+
+def _check_double(value: Fraction, flag: str) -> float:
+    """The double nearest ``value``; the evaluation runs in doubles, so a
+    value past their range is a configuration error."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{flag} is beyond the double range") from None
 
 
 def cmd_kvol_point(args) -> int:
@@ -199,34 +213,24 @@ def cmd_kvol_grid(args) -> int:
     xmax = args.xmax if args.xmax is not None else phi / 2
     ymin = args.ymin if args.ymin is not None else 0.0
     ymax = args.ymax if args.ymax is not None else 1.25
-    if not (xmin < xmax and ymin < ymax):
-        raise ConfigError("empty grid window")
     dx = (xmax - xmin) / res
     dy = (ymax - ymin) / res
+    if not all(map(math.isfinite, (xmin, xmax, ymin, ymax, dx, dy))):
+        raise ConfigError("grid window bounds and cell sizes must be finite")
+    if not (xmin < xmax and ymin < ymax):
+        raise ConfigError("empty grid window")
     k0 = float(k0_constant(n))
-
-    def row(j: int) -> list[str]:
-        yj = ymin + (j + 0.5) * dy
-        pts = [
-            complex(xmin + (i + 0.5) * dx, yj)
-            for i in range(res)
-        ]
-        keep = [z for z in pts if in_fundamental_domain(z, n)]
-        if not keep:
-            return []
-        dists, flags = dist_to_Gmax_batch(keep, n)
-        lines = []
-        for z, d, ok in zip(keep, dists, flags):
-            kv = k0 / math.cosh(d)
-            lines.append(
-                f"{fmt_float(z.real)},{fmt_float(z.imag)},{fmt_float(kv)},"
-                f"{fmt_float(float(d))},{'true' if ok else 'false'}"
-            )
-        return lines
-
+    steps = np.arange(res) + 0.5
+    cells = np.tile(xmin + steps * dx, res) + 1j * np.repeat(ymin + steps * dy, res)
+    zs = cells[in_fundamental_domain(cells, n)]
+    dists, flags = dist_to_Gmax_batch(zs, n)
     out = ["x,y,kvol,dist,converged"]
-    for j in range(res):
-        out.extend(row(j))
+    for z, d, ok in zip(zs, dists, flags):
+        d = float(d)
+        out.append(
+            f"{fmt_float(float(z.real))},{fmt_float(float(z.imag))},{fmt_float(k0 / math.cosh(d))},"
+            f"{fmt_float(d)},{'true' if ok else 'false'}"
+        )
     _emit(args, "\n".join(out) + "\n")
     return EXIT_OK
 

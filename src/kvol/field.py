@@ -575,18 +575,24 @@ def fmt_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def mpf_eval(x: CycloReal, root):
-    """``x`` as a polynomial evaluated at ``root`` in mpmath.
+def accurate_float(x: CycloReal) -> float:
+    """``x`` as a double with relative error below about 2^-60, however far
+    its numerators cancel.  (``float(x)`` runs Horner's rule in doubles,
+    whose error is relative to the numerators, not to ``x``.)
 
-    ``root`` is Phi, or one of its conjugates ``2 cos(k pi/n)`` for the other
-    real embeddings, as an mpf at the caller's working precision.
+    ``den * x = sum a_i Phi^i`` is an algebraic integer, so when it is
+    nonzero the product of its d conjugates is a nonzero integer.  Each
+    conjugate is at most ``A = sum |a_i| 2^i``, hence ``|den * x| >=
+    A^(1 - d)``.  Interval Horner over an enclosure of Phi of width
+    ``2^-p`` encloses ``den * x`` in width about ``d 2^-p A``, so
+    ``p = 64 + d (log2 A + 1)`` bits make the enclosure's midpoint good to
+    2^-60 relative; it is rounded to a double by one integer division.
     """
-    import mpmath
-
-    acc = mpmath.mpf(0)
-    for c in reversed(x.coeffs):
-        acc = acc * root + mpmath.mpf(c.numerator) / c.denominator
-    return acc
+    d = len(x._num)
+    bits = 64 + d * (sum(abs(a) << i for i, a in enumerate(x._num)).bit_length() + 1)
+    lo, hi, shift = _phi_enclosure(x.n, -(-bits // 64) * 64)  # few distinct precisions to cache
+    acc_lo, acc_hi = _interval_eval(x._num, lo, hi, shift)
+    return (acc_lo + acc_hi) / (x._den << (d * shift + 1))
 
 
 @lru_cache(maxsize=None)

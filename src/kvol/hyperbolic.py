@@ -17,7 +17,11 @@ ideal boundary point ``x = d``.  With these pairings the angle identity
 
 holds exactly for every surface point and every pair of labels.
 
-Everything here is double precision; exactness lives in the flat modules.
+Points, distances and the orbit search of ``dist_to_Gmax`` are double
+precision.  Reduction to the fundamental domain and ``apply_word`` step the
+point in mpmath at a working precision chosen per call, and the witness of
+``nearest_gmax_geodesic`` has exact endpoints in Q(Phi), rounded to doubles
+only at the end.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from typing import Iterable, Optional, Sequence
 import mpmath
 import numpy as np
 
-from .field import ComputationLimitError, CycloReal, _phi_float, mpf_eval
+from .field import ComputationLimitError, CycloReal, _phi_float, accurate_float
 from .plane import Mat2, is_horizontal_label
 
 __all__ = [
@@ -209,29 +213,36 @@ def _phi_mpf(n: int) -> mpmath.mpf:
     return 2 * mpmath.cos(mpmath.pi / n)
 
 
-def _moebius_exact(m: Mat2, z, prec: int):
-    """Evaluate the Moebius action of an exact matrix at ``prec`` bits."""
-    with mpmath.workprec(prec):
-        zz = mpmath.mpc(z)
-        phi = _phi_mpf(m.n)
-        a, b, c, d = (mpf_eval(e, phi) for e in (m.a, m.b, m.c, m.d))
-        return (a * zz + b) / (c * zz + d)
-
-
-def in_fundamental_domain(z: complex, n: int, *, tol: float = 1e-9) -> bool:
+def in_fundamental_domain(z, n: int, *, tol: float = 1e-9):
     """Membership in the strip-minus-two-circles fundamental domain.
 
     The domain is ``|Re z| <= phi/2`` minus the open disks of radius
     ``1/phi`` centered at ``+-1/phi``; the tolerance is applied outward, so
-    boundary points count as inside.
+    boundary points count as inside.  ``z`` is a complex number or an array
+    of them; the answer is a bool or a bool array in kind.
     """
     phi = _phi_float(n)
-    if z.imag <= 0:
-        return False
-    if abs(z.real) > phi / 2 + tol:
-        return False
     r = 1.0 / phi
-    return abs(z - r) >= r - tol and abs(z + r) >= r - tol
+    z = np.asarray(z)
+    x, y = z.real, z.imag
+    inside = (
+        (y > 0)
+        & (np.abs(x) <= phi / 2 + tol)
+        & (np.hypot(x - r, y) >= r - tol)
+        & (np.hypot(x + r, y) >= r - tol)
+    )
+    return inside if inside.ndim else bool(inside)
+
+
+def _step(gen: str, k: int, z, phi):
+    """The token ``(gen, k)`` applied to the point ``z``, in the working
+    precision of ``phi``: ``TH`` is ``z + k phi``, ``TV`` is
+    ``z/(k phi z + 1)``."""
+    if gen == "TH":
+        return z + k * phi
+    if gen == "TV":
+        return z / (k * phi * z + 1)
+    raise ValueError(f"unknown generator {gen!r}")
 
 
 def reduce_to_fundamental_domain(
@@ -241,39 +252,61 @@ def reduce_to_fundamental_domain(
 
     Returns the reduced point and the word that was applied, as a list of
     tokens ``("TH", k)`` (``z -> z + k phi``) and ``("TV", k)``
-    (``z -> z/(k phi z + 1)``); ``apply_word`` replays it.
+    (``z -> z/(k phi z + 1)``); ``apply_word`` replays it.  The input may be
+    a ``complex`` or an ``mpmath.mpc``; the reduced point is returned in kind.
 
-    The word is accumulated as an exact matrix and the current position is
-    re-evaluated from the original input at every step in high-precision
-    arithmetic, so the result does not accumulate rounding drift even when
-    the input sits deep in a cusp (where ``Im z`` can be far below 1e-12
-    and stepwise double-precision updates would lose most digits).  The
-    input may be a ``complex`` or an ``mpmath.mpc``; the reduced point is
-    returned in kind.
+    Each token is chosen from the double nearest the current point:
+    ``TH^-k`` with ``k = round(x/phi)`` while that is nonzero, else ``TV^+-1``
+    while the point lies inside the disk ``|z -+ 1/phi| < 1/phi - tol``.  The
+    point itself is carried as one ``mpc`` at a working precision ``p`` fixed
+    at entry, and each token is applied to it in place by ``_step``.
+
+    Error.  Every step is an isometry, so a rounding error made at one step
+    is carried to the end unchanged in hyperbolic distance, and the errors of
+    the steps add.  ``TH`` keeps ``Im z``, and a ``TV`` step is only taken
+    inside a disk where ``|k phi z + 1| < 1`` (``tol`` keeps the test on the
+    double from admitting a point just outside), so it raises ``Im z``:
+    ``Im z`` never falls below ``y0``, its value at entry.  One rounding at
+    ``z`` (of the step or of ``phi``) moves the point by about ``2^-p |z|``,
+    that is ``2^-p |z|/Im z`` in hyperbolic distance; in the ``TV`` step the
+    cancellation in ``k phi z + 1`` is offset by the same factor in
+    ``Im z/|k phi z + 1|^2``.  Along the path ``|z|/Im z`` stays below about
+    ``(|x0| + 2)/y0``: before a ``TH`` step ``|x|`` is ``|x0|`` or comes from
+    a ``TV`` image ``w`` with ``|w|/Im w <= |z|/Im z``, and a ``TV`` step
+    starts inside a disk of radius ``1/phi`` on ``+-1/phi``, where
+    ``|z| < 2``.  So ``p = base + log2((|x0| + 2)/y0) + log2(max_steps)``
+    keeps the summed error below about ``2^-base`` in hyperbolic distance.
+    ``base`` is 300 bits for a ``complex`` input, whose reduced point then
+    differs from the exact image by under ``2^-290 Im z`` in each
+    coordinate, far below one rounding of the returned double; for an
+    ``mpc`` input it is ``max(mp.prec + 60, 300)``, 60 bits past the
+    caller's precision.  The caller's precision is restored on return.
     """
     exact_in = isinstance(z, (mpmath.mpc, mpmath.mpf))
     zz = mpmath.mpc(z)
-    if zz.imag <= 0:
-        raise ValueError("point is not in the upper half plane")
-    acc = Mat2.identity(n)
+    if not (zz.imag > 0 and mpmath.isfinite(zz)):
+        raise ValueError("point is not a finite point of the upper half plane")
+    base = max(mpmath.mp.prec + 60, 300) if exact_in else 300
+    spread = max(mpmath.mag(abs(zz.real) + 2) - mpmath.mag(zz.imag), 0)
     phi = _phi_float(n)
     r = 1.0 / phi
     word: list[tuple[str, int]] = []
-    base_prec = max(mpmath.mp.prec + 60, 300) if exact_in else 300
-    for _ in range(max_steps):
-        prec = base_prec + 6 * len(word)
-        zc = _moebius_exact(acc, zz, prec)
-        x = float(zc.real)
-        k = round(x / phi)
-        if k:
-            word.append(("TH", -k))
-        elif abs(complex(zc) + r) < r - tol:
-            word.append(("TV", 1))
-        elif abs(complex(zc) - r) < r - tol:
-            word.append(("TV", -1))
-        else:
-            return (zc if exact_in else complex(zc)), word
-        acc = _apply_token(*word[-1], acc)
+    with mpmath.workprec(base + spread + max_steps.bit_length()):
+        phi_mp = _phi_mpf(n)
+        zz = mpmath.mpc(z)
+        for _ in range(max_steps):
+            zc = complex(zz)
+            k = round(zc.real / phi)
+            if k:
+                token = ("TH", -k)
+            elif abs(zc + r) < r - tol:
+                token = ("TV", 1)
+            elif abs(zc - r) < r - tol:
+                token = ("TV", -1)
+            else:
+                return (zz if exact_in else zc), word
+            word.append(token)
+            zz = _step(*token, zz, phi_mp)
     raise ComputationLimitError("fundamental-domain reduction did not terminate")
 
 
@@ -292,12 +325,7 @@ def apply_word(word: Iterable[tuple[str, int]], z, n: int):
         phi = _phi_mpf(n)
         zz = mpmath.mpc(z)
         for gen, k in word:
-            if gen == "TH":
-                zz = zz + k * phi
-            elif gen == "TV":
-                zz = zz / (k * phi * zz + 1)
-            else:
-                raise ValueError(f"unknown generator {gen!r}")
+            zz = _step(gen, k, zz, phi)
     return +zz if exact_in else complex(zz)
 
 
@@ -475,12 +503,10 @@ def _converged(xs, ys, sinh, bounded, n: int, tol: float):
     return bounded & img_bounded.reshape(6, -1).all(axis=0) & (img_dist >= np.arcsinh(sinh) - tol)
 
 
-def _reduced(z: complex, n: int) -> tuple[complex, list]:
-    """A fundamental-domain representative of ``z`` and the word reaching it;
-    points already in the domain are kept as they are."""
-    if in_fundamental_domain(z, n):
-        return z, []
-    return reduce_to_fundamental_domain(z, n)
+# points per chunk of dist_to_Gmax_batch: the index search's temporaries grow
+# with the chunk (about 8 MB at 512 points, with the six images each), so a
+# whole grid is never one batch
+_CELLS = 512
 
 
 def dist_to_Gmax_batch(
@@ -492,13 +518,22 @@ def dist_to_Gmax_batch(
     """Vectorized ``dist_to_Gmax`` over many points.
 
     Returns a float array of distances and a bool array of convergence
-    flags.  Points outside the fundamental domain are reduced first.
+    flags.  Points outside the fundamental domain are reduced first; the
+    search runs over chunks of ``_CELLS`` points.
     """
-    reduced = [_reduced(complex(z), n)[0] for z in zs]
-    xs = np.array([w.real for w in reduced], dtype=float)
-    ys = np.array([w.imag for w in reduced], dtype=float)
-    sinh, _, _, _, bounded = _nearest(xs, ys, n)
-    return np.arcsinh(sinh), _converged(xs, ys, sinh, bounded, n, tol)
+    zs = np.asarray(zs, dtype=complex)
+    xs, ys = zs.real.copy(), zs.imag.copy()
+    for i in np.flatnonzero(~in_fundamental_domain(zs, n)):
+        w, _ = reduce_to_fundamental_domain(complex(zs[i]), n)
+        xs[i], ys[i] = w.real, w.imag
+    dists = np.empty(zs.size)
+    flags = np.empty(zs.size, dtype=bool)
+    for start in range(0, zs.size, _CELLS):
+        part = slice(start, start + _CELLS)
+        sinh, _, _, _, bounded = _nearest(xs[part], ys[part], n)
+        dists[part] = np.arcsinh(sinh)
+        flags[part] = _converged(xs[part], ys[part], sinh, bounded, n, tol)
+    return dists, flags
 
 
 def dist_to_Gmax(
@@ -540,7 +575,8 @@ def nearest_gmax_geodesic(
     the search indices and mapped back through the inverse reduction word)
     and ``word`` the fundamental-domain reduction word that was used.
     """
-    w, word = _reduced(complex(z), n)
+    z = complex(z)
+    w, word = (z, []) if in_fundamental_domain(z, n) else reduce_to_fundamental_domain(z, n)
     xs, ys = np.array([w.real]), np.array([w.imag])
     sinh, m, a, b, bounded = _nearest(xs, ys, n)
     converged = bool(_converged(xs, ys, sinh, bounded, n, tol)[0])
@@ -552,5 +588,11 @@ def nearest_gmax_geodesic(
         _boundary_image(back, None if math.isinf(e) else CycloReal.from_rational(n, int(e)))
         for e in (a[0], b[0])
     ]
-    geod = Geodesic.from_endpoints(*(math.inf if e is None else float(e) for e in ends))
+    p, q = ends
+    if p is None or q is None:
+        geod = Geodesic.vertical(accurate_float(q if p is None else p))
+    else:
+        # from the exact center and half-width: rounding the ends first can
+        # merge them into one double far from the strip
+        geod = Geodesic.circle(accurate_float((p + q) / 2), accurate_float(abs(q - p) / 2))
     return math.asinh(float(sinh[0])), converged, geod, list(word)

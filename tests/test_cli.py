@@ -3,6 +3,7 @@ and byte determinism."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 
@@ -107,6 +108,27 @@ class TestKvolPointCommand:
         code, _, _ = run(capsys, "kvol-point", "--n", "8", "--x", "0", "--y", "-1")
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "x, y, message",
+        [
+            ("1e400", "1", "--x is beyond the double range"),
+            ("1", "1e400", "--y is beyond the double range"),
+            ("1", "1e-400", "--y rounds to 0 as a double"),
+        ],
+    )
+    def test_coordinates_outside_doubles(self, capsys, x, y, message):
+        code, out, err = run(capsys, "kvol-point", "--n", "8", "--x", x, "--y", y)
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    def test_point_far_from_strip(self, capsys):
+        # the witness ends round to one double here; the circle is built
+        # from the exact center and half-width
+        code, out, _ = run(capsys, "kvol-point", "--n", "8", "--x", "10000000000", "--y", "1e-10")
+        assert code == EXIT_OK
+        assert json.loads(out)["converged"] is True
+
     def test_bruteforce_cross_check(self, capsys):
         code, out, _ = run(
             capsys,
@@ -163,6 +185,50 @@ class TestKvolGridCommand:
         assert code == EXIT_OK
         rows = out.strip().split("\n")[1:]
         assert len(rows) == 25  # window fully inside the domain
+
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ("--n", "8", "--resolution", "200"),
+                "73fe3b4fa78e56489d42aac0743dcc7439127903d7c462ea28e67ac66eb795a2",
+            ),
+            (
+                ("--n", "12", "--resolution", "150", "--xmin", "-2", "--xmax", "2",
+                 "--ymin", "0.01", "--ymax", "3"),
+                "61a83b66b35eba0c2b51a9a12b47c35283c59ba6f6225f119177cb8a16f3890e",
+            ),
+        ],
+    )
+    def test_pinned_grids(self, capsys, argv, digest):
+        # digests of the output of the row-by-row grid with scalar domain tests
+        code, out, _ = run(capsys, "kvol-grid", *argv)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_window_outside_domain(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "kvol-grid", "--n", "8", "--resolution", "20",
+            "--xmin", "1.5", "--xmax", "3", "--ymin", "0.1", "--ymax", "1",
+        )
+        assert code == EXIT_OK
+        assert out == "x,y,kvol,dist,converged\n"
+
+    @pytest.mark.parametrize("bound", ["--ymax=inf", "--xmin=-inf", "--ymin=nan", "--xmax=1e400"])
+    def test_non_finite_window(self, capsys, bound):
+        code, out, err = run(capsys, "kvol-grid", "--n", "8", "--resolution", "5", bound)
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
+    def test_overflowing_cell_size(self, capsys):
+        code, _, err = run(
+            capsys, "kvol-grid", "--n", "8", "--resolution", "5", "--xmin=-1e308", "--xmax=1e308"
+        )
+        assert code == EXIT_CONFIG
+        assert "finite" in err
 
 
 class TestVerifyCommand:

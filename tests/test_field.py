@@ -16,6 +16,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from kvol.field import (
     CycloReal,
+    accurate_float,
     cyclotomic_polynomial,
     field_degree,
     fmt_float,
@@ -165,6 +166,27 @@ class TestTrig:
     def test_half_angle_is_generator(self):
         for n in (8, 10, 12, 14):
             assert trig_value(n, "cos", 1) * 2 == CycloReal.phi(n)
+
+
+class TestAccurateFloat:
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    def test_cancelling_numerators(self, n):
+        # q Phi - p for p the integer nearest q Phi, and its powers: values
+        # below 1 written with numerators up to 1e45
+        import mpmath
+
+        phi = CycloReal.phi(n)
+        with mpmath.workprec(3000):
+            phi_mp = 2 * mpmath.cos(mpmath.pi / n)
+            for q in (10**6, 10**15):
+                base = phi * q - int(mpmath.nint(q * phi_mp))
+                for x in (base, -base, base ** 3):
+                    exact = mpmath.polyval(list(reversed(x.coeffs)), phi_mp)
+                    assert abs(accurate_float(x) / exact - 1) <= 2.0 ** -52
+                    if x is not base and q == 10**15:
+                        assert abs(float(x) / exact - 1) > 1e-3
+        assert accurate_float(C(n, 0)) == 0.0
+        assert accurate_float(C(n, Fraction(-3, 7))) == -3 / 7
 
 
 class TestSerialization:

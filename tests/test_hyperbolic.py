@@ -1,5 +1,6 @@
 """Upper half-plane geometry: disk points, reduction, distances."""
 
+import hashlib
 import math
 import random
 
@@ -218,6 +219,83 @@ class TestReduction:
         assert not in_fundamental_domain(complex(phi / 2 + 0.01, 0.4), 8)
         assert not in_fundamental_domain(complex(1 / phi, 0.1), 8)
 
+    def test_domain_test_matches_reference_near_edges(self):
+        # points within 2e-9 of the strip edges and of both circles, where the
+        # outward tolerance 1e-9 decides; checked against the test written
+        # out with Python complex arithmetic
+        rng = random.Random(41)
+        for n in (8, 12):
+            phi = _phi(n)
+            r = 1 / phi
+
+            def reference(z):
+                if z.imag <= 0 or abs(z.real) > phi / 2 + 1e-9:
+                    return False
+                return abs(z - r) >= r - 1e-9 and abs(z + r) >= r - 1e-9
+
+            pts = []
+            for _ in range(400):
+                off = rng.uniform(-2e-9, 2e-9)
+                y = rng.uniform(0.05, 1.5)
+                pts += [complex(sign * (phi / 2 + off), y) for sign in (1, -1)]
+                t = rng.uniform(0.05, math.pi - 0.05)
+                rad = r + off
+                pts += [complex(sign * r + rad * math.cos(t), rad * math.sin(t)) for sign in (1, -1)]
+            want = [reference(z) for z in pts]
+            assert 0 < sum(want) < len(want)
+            assert [in_fundamental_domain(z, n) for z in pts] == want
+            assert in_fundamental_domain(np.array(pts), n).tolist() == want
+
+    def test_pinned_double_reductions(self):
+        # words and reduced doubles, hashed; the digest comes from a reduction
+        # that re-evaluated the exact word matrix from the input at every step
+        rng = random.Random(2000)
+        h = hashlib.sha256()
+        for _ in range(2000):
+            z = complex(rng.uniform(-50.0, 50.0), math.exp(rng.uniform(math.log(1e-9), math.log(10.0))))
+            zr, word = reduce_to_fundamental_domain(z, 8)
+            h.update(repr((word, repr(zr))).encode())
+        assert h.hexdigest() == "810d479d97a394929bba15bf9e3c8f99bb44d1ae1e552771e15b9c10fe4e7e70"
+
+    def test_pinned_deep_mpc_reductions(self):
+        # 300 images under 30-token words with |k| <= 3, kept at 400 bits;
+        # same provenance as above
+        rng = random.Random(300)
+        h = hashlib.sha256()
+        with mpmath.workprec(400):
+            for z in _interior_points(8, 10, seed=3):
+                z0 = mpmath.mpc(z)
+                for _ in range(30):
+                    word = [(rng.choice(["TH", "TV"]), rng.choice([-3, -2, -1, 1, 2, 3])) for _ in range(30)]
+                    zr, red = reduce_to_fundamental_domain(apply_word(word, z0, 8), 8)
+                    h.update(repr((red, repr(complex(zr)))).encode())
+        assert h.hexdigest() == "82464c4fb1a8594118b193e779f67c44b7ba5d70e6727e4b46726c4e20a04291"
+
+    def test_working_precision_does_not_leak(self):
+        from kvol.field import ComputationLimitError
+
+        before = mpmath.mp.prec
+        reduce_to_fundamental_domain(complex(3.3, 1e-6), 8)
+        apply_word([("TV", 1), ("TH", -2)], complex(0.1, 0.9), 8)
+        with mpmath.workprec(200):
+            w = apply_word([("TV", 3)] * 5, mpmath.mpc(0.2, 0.7), 8)
+            reduce_to_fundamental_domain(w, 8)
+            assert mpmath.mp.prec == 200
+        with pytest.raises(ComputationLimitError):
+            reduce_to_fundamental_domain(complex(5.0, 0.01), 8, max_steps=1)
+        assert mpmath.mp.prec == before
+
+    @pytest.mark.parametrize("z", [complex(1e10, 1e-10), complex(-1e50, 1e-50)])
+    def test_far_point_keeps_its_digits(self, z):
+        # |x|/y = 1e100 costs about 330 bits of the working precision; the
+        # inverse word must bring the reduced double back to within 1e-9 of
+        # z in hyperbolic distance
+        zr, word = reduce_to_fundamental_domain(z, 8)
+        assert in_fundamental_domain(zr, 8)
+        with mpmath.workprec(1000):
+            back = apply_word([(gen, -k) for gen, k in reversed(word)], mpmath.mpc(zr), 8)
+            assert abs(back - z) / z.imag < 1e-9
+
 
 class TestDistToGmax:
     def test_octagon_corner_anchor(self):
@@ -256,6 +334,24 @@ class TestDistToGmax:
             ds, fs = dist_to_Gmax(z, 8)
             assert abs(ds - float(d)) < 1e-15
             assert fs == bool(f)
+
+    def test_batch_reduces_outside_points(self):
+        # a mix of domain points and points far outside, over more than one
+        # chunk of the batch
+        rng = random.Random(37)
+        pts = _interior_points(8, 700, seed=33)
+        pts += [complex(rng.uniform(-5, 5), math.exp(rng.uniform(-7, 1))) for _ in range(700)]
+        rng.shuffle(pts)
+        assert 0 < sum(in_fundamental_domain(np.array(pts), 8)) < len(pts)
+        dists, flags = dist_to_Gmax_batch(pts, 8)
+        single = [dist_to_Gmax(z, 8) for z in pts]
+        assert dists.tolist() == [d for d, _ in single]
+        assert flags.tolist() == [f for _, f in single]
+
+    def test_batch_of_nothing(self):
+        dists, flags = dist_to_Gmax_batch([], 8)
+        assert dists.shape == flags.shape == (0,)
+        assert dists.dtype == float and flags.dtype == bool
 
     def test_corner_is_extremal(self):
         # the distance never exceeds its value at the corner point
@@ -362,6 +458,24 @@ class TestOrbitSearch:
         d, converged, geod, word = nearest_gmax_geodesic(z, 8)
         assert word and converged
         assert abs(geod.dist_to(z) - d) < 1e-9
+
+    def test_witness_realizes_distance(self):
+        # over the benchmark's point range; below sinh = 1e-3 the absolute
+        # rounding of the circle's center, about 1e-16 |x|/y, dominates
+        rng = random.Random(61)
+        for _ in range(300):
+            z = complex(rng.uniform(-5, 5), math.exp(rng.uniform(math.log(1e-3), math.log(4.0))))
+            d, _, geod, _ = nearest_gmax_geodesic(z, 8)
+            s = math.sinh(d)
+            assert abs(geod.sinh_dist(z) - s) <= 1e-9 * max(s, 1e-3)
+
+    @pytest.mark.parametrize("x, y", [(1e10, 1e-10), (-7e9, 3e-10), (1e9, 1e-9), (-1e200, 1e-100)])
+    def test_witness_far_from_strip(self, x, y):
+        # the exact ends are distinct but can round to one double; the circle
+        # comes from the exact center and half-width instead
+        d, converged, geod, _ = nearest_gmax_geodesic(complex(x, y), 8)
+        assert converged and math.isfinite(d)
+        assert geod.is_vertical or geod.radius > 0
 
     def test_unbounded_search_is_not_certified(self):
         # deep in the domain's cusp at 0, where Im w is about 5e6 in frame 0
