@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
@@ -33,6 +34,7 @@ Rational = Union[int, Fraction]
 
 _LADDER_MAX_BITS = 1 << 16
 _FLOAT_EPS = 2.0 ** -52
+_HASH_MODULUS = sys.hash_info.modulus
 
 _new = object.__new__
 _set = object.__setattr__
@@ -137,6 +139,13 @@ def _fold(n: int, p: list[int], d: int) -> list[int]:
 @lru_cache(maxsize=None)
 def _zero_tail(n: int) -> tuple[int, ...]:
     return (0,) * (field_degree(n) - 1)
+
+
+def common_denominator(xs: Sequence["CycloReal"]) -> tuple[int, list[tuple[int, ...]]]:
+    """One common denominator D of the elements ``xs`` (the lcm of theirs)
+    and each element's integer numerators over it."""
+    D = math.lcm(*(x._den for x in xs))
+    return D, [tuple(a * (D // x._den) for a in x._num) for x in xs]
 
 
 def _element(n: int, num, den: int) -> "CycloReal":
@@ -481,8 +490,19 @@ class CycloReal:
             return self._hash
         except AttributeError:
             pass
-        # hash((n, coeffs)); an integral Fraction hashes like its int
-        h = hash((self.n, self._num if self._den == 1 else self.coeffs))
+        # hash((n, coeffs)) without building Fractions: when the hash modulus
+        # P does not divide den, the Fraction a/den (reduced or not) hashes
+        # like the integer +-(|a| den^-1 mod P), and a tuple hashes its
+        # entries' hashes
+        n, num, den = self.n, self._num, self._den
+        P = _HASH_MODULUS
+        if den == 1:
+            h = hash((n, num))
+        elif den % P:
+            inv = pow(den, -1, P)
+            h = hash((n, tuple([a * inv % P if a >= 0 else -(-a * inv % P) for a in num])))
+        else:
+            h = hash((n, self.coeffs))
         _set(self, "_hash", h)
         return h
 

@@ -10,17 +10,42 @@ connection records its exact holonomy, endpoint germs and combinatorial
 path (start corner, crossed half-edges, end vertex); exact pieces and
 crossing points are traced from the path only when asked for.
 
-The search runs in floats and builds exact field vectors only when a float
-test cannot decide.  A node keeps its float translation and its parent; its
-exact translation is summed along the parent chain on request.  Glued edges
-are opposite translates, so crossing edge (f, e) into (f2, e2) takes vertex
-e to vertex e2 + 1 and vertex e + 1 to vertex e2 at the same developed
-position: the ends of a face's entry edge are the ends of the edge the
-parent cone left through, on or outside every subcone that crossed it.
-They, and the apex with its two neighbours in its own face, are skipped
-with no arithmetic, so only other vertices on a boundary line reach the
-field.  Beside a vertex that splits a cone, the exit edge is the edge at
-that vertex.
+The search runs in floats and does exact work only when a float test cannot
+decide or a connection is recorded.  A node keeps its float translation and
+its parent; its exact translation is summed along the parent chain on
+request.  Glued edges are opposite translates, so crossing edge (f, e) into
+(f2, e2) takes vertex e to vertex e2 + 1 and vertex e + 1 to vertex e2 at
+the same developed position: the ends of a face's entry edge are the ends of
+the edge the parent cone left through, on or outside every subcone that
+crossed it.  They, and the apex with its two neighbours in its own face, are
+skipped with no arithmetic, so only other vertices on a boundary line reach
+exact arithmetic.  Beside a vertex that splits a cone, the exit edge is the
+edge at that vertex.
+
+Half-plane search.  Only canonically oriented connections are kept, so a
+cone is dropped, and a corner's wedge skipped, when both of its bounding
+directions point strictly below the horizontal axis by the orientation test
+of the recorded endpoints: y < -``_SIGN_MARGIN`` (|x| + |y| + 1).  Every cone
+lies inside the wedge of a convex corner, so it is at most pi wide, and a
+cone that narrow with both bounds strictly below the axis lies below it: it
+holds no direction with y > 0, or y = 0 and x > 0, and neither do its
+subcones and vertices.  The test is a pure float filter with no exact
+fallback, because keeping a cone is always safe; with an infinite margin it
+never fires.
+
+Lattice coordinates.  Exact positions are integer numerators over one
+common denominator D, the lcm of the denominators of every face-vertex
+coordinate and glue shift (the ``nf_elem`` layout of ``field``, shared by a
+whole developed position).  Node translations and developed vertices are
+pairs of integer tuples over D, built by adding integer tuples with no gcd.
+An exact cross sign is two integer convolutions folded by the minimal
+polynomial; a zero is decided on the integers, and only a nonzero result
+goes to the field's sign (the positive factor D^2 does not change it).  The
+exit edge's direction sum d1 + d2 is an integer sum, and a direction
+filter's line is scaled into the lattice by a positive integer, since only
+its direction matters.  A field element is built from the numerators only
+for a recorded holonomy, or for an orientation or length test at the
+boundary.
 
 Float margins.  Let u = 2^-53.  A face-vertex or glue-shift coordinate
 sum(c_i Phi^i) converts to a float with error eps_c <= (3d + 1) u
@@ -43,8 +68,8 @@ At S_8 and 90 l_m the search reaches D = 69 with R < 54, so delta <= 9.4e-13
   16-gon and L = 3 and 7e-10 at S_16 and 30 l_m; on S_8 it stays below 1e-9
   up to about 170 l_m.  The same margin, on the same kind of scale, decides
   the exit-edge signs, the length cut (|W|^2 against L^2), the orientation
-  (y against |x| + |y| + 1) and the final order, whose float keys are
-  converted straight from the exact holonomies.
+  and the half-plane filter (y against |x| + |y| + 1) and the final order,
+  whose float keys are converted straight from the exact holonomies.
 * ``_PRUNE_SLACK`` = 1e-6, relative and absolute.  A beam is dropped when
   the float squared distance from the apex to its whole exit edge exceeds
   L^2 (1 + 1e-6) + 1e-6.  That distance is off by at most 2 R delta + 4 u
@@ -63,18 +88,9 @@ from fractions import Fraction
 from functools import cmp_to_key
 from typing import Optional
 
-from .field import ComputationLimitError, CycloReal
-from .plane import (
-    Vec2,
-    canonical_orientation,
-    cross,
-    norm2,
-    vadd,
-    vfloat,
-    vneg,
-    vsub,
-)
-from .surface import TranslationSurface, trace_from_corner
+from .field import ComputationLimitError, CycloReal, _element, _fold, common_denominator
+from .plane import Vec2, canonical_orientation, cross, norm2, vfloat, vneg
+from .surface import TranslationSurface, direction_vector, trace_from_corner
 
 _MAX_NODES = 5_000_000
 _SIGN_MARGIN = 1e-9
@@ -241,14 +257,6 @@ def _as_length_sq(n: int, length) -> CycloReal:
     return L * L
 
 
-def _direction_filter(S: TranslationSurface, direction) -> Optional[Vec2]:
-    if direction is None:
-        return None
-    from .surface import direction_vector
-
-    return direction_vector(S.n, direction)
-
-
 def edge_connection(S: TranslationSurface, pid: int) -> SaddleConnection:
     """The edge of pair ``pid`` as a canonically oriented saddle connection."""
     h1, h2 = S.edge_pairs[pid]
@@ -266,14 +274,66 @@ def edge_connection(S: TranslationSurface, pid: int) -> SaddleConnection:
     )
 
 
+class _Lattice:
+    """The surface's coordinates as integer numerators over one common
+    denominator ``den``, the lcm of the denominators of every face-vertex
+    coordinate and glue shift.  A lattice vector is a pair of integer tuples
+    (numerators of x and y); ``faces[f][j]`` is vertex j of face f, and
+    ``enter[h]`` is the translation a cone's node picks up when it enters a
+    face through half-edge h (minus the glue shift of the half-edge it
+    leaves through)."""
+
+    __slots__ = ("n", "den", "faces", "enter")
+
+    def __init__(self, S: TranslationSurface):
+        coords = [c for verts in S.faces for p in verts for c in p]
+        coords += [c for shift in S.glue_shift.values() for c in shift]
+        self.n = S.n
+        self.den, nums = common_denominator(coords)
+        it = iter(nums)
+        self.faces = [[(next(it), next(it)) for _p in verts] for verts in S.faces]
+        self.enter = {S.glue[h]: _lneg((next(it), next(it))) for h in S.glue_shift}
+
+
+def _ladd(u, v):
+    return (
+        tuple([a + b for a, b in zip(u[0], v[0])]),
+        tuple([a + b for a, b in zip(u[1], v[1])]),
+    )
+
+
+def _lneg(u):
+    return (tuple([-a for a in u[0]]), tuple([-a for a in u[1]]))
+
+
+def _cross_sign(n: int, u, v) -> int:
+    """Exact sign of cross(u, v) for two lattice vectors: the integer
+    polynomial u_x v_y - u_y v_x folded by the minimal polynomial.  Both
+    vectors carry a positive scale (den, or an integer for a filter line),
+    which leaves the sign unchanged."""
+    (ux, uy), (vx, vy) = u, v
+    d = len(ux)
+    p = [0] * (2 * d - 1)
+    for i in range(d):
+        a, b = ux[i], uy[i]
+        if a or b:
+            for k in range(d):
+                p[i + k] += a * vy[k] - b * vx[k]
+    p = _fold(n, p, d)
+    if not any(p):
+        return 0
+    return _element(n, p, 1).sign()
+
+
 class _Node:
     """A face reached by a cone.  Vertex j of ``face`` develops to
     ``faces[face][j] + tau``, with the cone's apex at the origin.
 
-    The float translation ``tau_fl`` is always kept.  The exact ``tau`` and
-    the exact developed vertices (``verts``) are built along the parent chain
-    only when a decision needs them (``_vertex``).  ``entry`` is the half-edge
-    of ``face`` through which the cone entered (None at the root)."""
+    The float translation ``tau_fl`` is always kept.  The lattice ``tau`` and
+    the lattice developed vertices (``verts``) are built along the parent
+    chain only when a decision or a recorded connection needs them
+    (``_vertex``).  ``entry`` is the half-edge of ``face`` through which the
+    cone entered (None at the root)."""
 
     __slots__ = ("face", "tau_fl", "entry", "parent", "tau", "verts")
 
@@ -286,11 +346,11 @@ class _Node:
         self.verts = None
 
 
-def _vertex(S: TranslationSurface, node: _Node, j: int) -> Vec2:
-    """The exact developed position of vertex j of ``node``'s face."""
+def _vertex(lat: _Lattice, node: _Node, j: int):
+    """The lattice developed position of vertex j of ``node``'s face."""
     cache = node.verts
     if cache is None:
-        cache = node.verts = [None] * len(S.faces[node.face])
+        cache = node.verts = [None] * len(lat.faces[node.face])
     w = cache[j]
     if w is None:
         chain = []
@@ -300,27 +360,33 @@ def _vertex(S: TranslationSurface, node: _Node, j: int) -> Vec2:
             cur = cur.parent
         tau = cur.tau
         for nd in reversed(chain):
-            tau = nd.tau = vsub(tau, S.glue_shift[S.glue[nd.entry]])
-        w = cache[j] = vadd(S.faces[node.face][j], node.tau)
+            tau = nd.tau = _ladd(tau, lat.enter[nd.entry])
+        w = cache[j] = _ladd(lat.faces[node.face][j], tau)
     return w
 
 
 # A direction is a tuple (float vector, node, j): the developed vertex j of
-# node's face, built exactly on demand.  The direction filter's lines are
-# (float vector, None, exact vector).
+# node's face, its lattice vector built on demand.  The direction filter's
+# lines are (float vector, None, lattice vector).
 
 
-def _exact(S: TranslationSurface, d) -> Vec2:
-    return d[2] if d[1] is None else _vertex(S, d[1], d[2])
+def _exact(lat: _Lattice, d):
+    return d[2] if d[1] is None else _vertex(lat, d[1], d[2])
 
 
-def _cs(S: TranslationSurface, a, b) -> int:
+def _holonomy(lat: _Lattice, d) -> Vec2:
+    """The exact field vector of vertex direction ``d``."""
+    x, y = _exact(lat, d)
+    return (_element(lat.n, x, lat.den), _element(lat.n, y, lat.den))
+
+
+def _cs(lat: _Lattice, a, b) -> int:
     """Sign of cross(a, b) for two directions: float filter, exact fallback."""
     (ax, ay), (bx, by) = a[0], b[0]
     c = ax * by - ay * bx
     if abs(c) > _SIGN_MARGIN * ((abs(ax) + abs(ay)) * (abs(bx) + abs(by)) + 1.0):
         return 1 if c > 0.0 else -1
-    return cross(_exact(S, a), _exact(S, b)).sign()
+    return _cross_sign(lat.n, _exact(lat, a), _exact(lat, b))
 
 
 def enumerate_saddle_connections(
@@ -338,13 +404,15 @@ def enumerate_saddle_connections(
     """
     L2 = _as_length_sq(S.n, length)
     L2f = float(L2)
-    dfilt = _direction_filter(S, direction)
+    dfilt = None if direction is None else direction_vector(S.n, direction)
     lines = None
     if dfilt is not None:
         dx, dy = vfloat(dfilt)
-        lines = (((dx, dy), None, dfilt), ((-dx, -dy), None, vneg(dfilt)))
+        line = tuple(common_denominator(dfilt)[1])  # a positive multiple of dfilt
+        lines = (((dx, dy), None, line), ((-dx, -dy), None, _lneg(line)))
 
     faces, glue = S.faces, S.glue
+    lat = _Lattice(S)
     fverts = [[vfloat(p) for p in verts] for verts in faces]
     fshift = {h: vfloat(t) for h, t in S.glue_shift.items()}
     m = _SIGN_MARGIN
@@ -360,18 +428,21 @@ def enumerate_saddle_connections(
             continue
         found.append(sc)
 
-    # 2. cone DFS from every corner.  The ends of the entry edge lie on or
-    # outside the cone, and so do the apex and its two neighbours in the
-    # root face, so the inside test skips them.
+    # 2. cone DFS from every corner, over the canonical half-plane only.  The
+    # ends of the entry edge lie on or outside the cone, and so do the apex
+    # and its two neighbours in the root face, so the inside test skips them.
     nodes_seen = 0
     for f0, verts0 in enumerate(faces):
         k0 = len(verts0)
         for v0 in range(k0):
             ox, oy = fverts[f0][v0]
-            root = _Node(f0, (-ox, -oy), None, None, vneg(verts0[v0]))
             a, b = (v0 + 1) % k0, (v0 - 1) % k0
             (ax, ay), (bx, by) = fverts[f0][a], fverts[f0][b]
-            stack = [(root, ((ax - ox, ay - oy), root, a), ((bx - ox, by - oy), root, b))]
+            lo, hi = (ax - ox, ay - oy), (bx - ox, by - oy)
+            if _below(lo) and _below(hi):
+                continue  # the corner's wedge lies below the horizontal axis
+            root = _Node(f0, (-ox, -oy), None, None, _lneg(lat.faces[f0][v0]))
+            stack = [(root, (lo, root, a), (hi, root, b))]
             while stack:
                 node, lo, hi = stack.pop()
                 nodes_seen += 1
@@ -398,23 +469,23 @@ def enumerate_saddle_connections(
                     if abs(c) > m * (lo_n * w_n + 1.0):
                         if c < 0.0:
                             continue
-                    elif cross(_exact(S, lo), _vertex(S, node, j)).sign() <= 0:
+                    elif _cross_sign(lat.n, _exact(lat, lo), _vertex(lat, node, j)) <= 0:
                         continue
                     c = wx * hy - wy * hx
                     if abs(c) > m * (w_n * hi_n + 1.0):
                         if c < 0.0:
                             continue
-                    elif cross(_vertex(S, node, j), _exact(S, hi)).sign() <= 0:
+                    elif _cross_sign(lat.n, _vertex(lat, node, j), _exact(lat, hi)) <= 0:
                         continue
                     inside.append(((wx, wy), node, j))
                 if len(inside) > 1:
-                    inside.sort(key=cmp_to_key(lambda a, b: _cs(S, b, a)))
+                    inside.sort(key=cmp_to_key(lambda a, b: _cs(lat, b, a)))
                 # a ray strictly inside the cone meets the convex face in a
                 # segment from the open entry edge (or the apex) to one exit
                 # point, so no two inside vertices share a direction: each one
                 # splits the cone, and the subcones beside it leave the face at it
                 for w in inside:
-                    W = _endpoint(S, w, L2, L2f, lines)
+                    W = _endpoint(lat, w, L2, L2f, lines)
                     if W is not None:
                         found.append(_cone_connection(S, node, w[2], W, (f0, v0)))
                 bounds = [lo] + inside + [hi]
@@ -424,8 +495,10 @@ def enumerate_saddle_connections(
                 last = len(bounds) - 2
                 for i in range(last + 1):
                     d1, d2 = bounds[i], bounds[i + 1]
+                    if _below(d2[0]) and _below(d1[0]):
+                        continue  # the subcone lies below the horizontal axis
                     if lines is not None and not any(
-                        _cs(S, d1, ln) >= 0 and _cs(S, ln, d2) >= 0 for ln in lines
+                        _cs(lat, d1, ln) >= 0 and _cs(lat, ln, d2) >= 0 for ln in lines
                     ):
                         continue  # the closed subcone misses the filter line
                     # beside a split vertex: the edge starting there on its
@@ -435,7 +508,7 @@ def enumerate_saddle_connections(
                     elif i < last:
                         e = (d2[2] - 1) % k
                     else:
-                        e = _exit_edge(S, node, Wfl, d1, d2, b0, a0)
+                        e = _exit_edge(lat, node, Wfl, d1, d2, b0, a0)
                     if _prune_far(Wfl[e], Wfl[(e + 1) % k], L2f):
                         continue
                     half = (f, e)
@@ -451,50 +524,64 @@ def enumerate_saddle_connections(
     return [sc for _key, sc in keyed]
 
 
+def _below(v) -> bool:
+    """Float test: does the vector v = (x, y) point strictly below the
+    horizontal axis?  The same margin as the orientation test of
+    ``_endpoint``; returning False is always safe."""
+    x, y = v
+    return y < -_SIGN_MARGIN * (abs(x) + abs(y) + 1.0)
+
+
 def _order(a, b) -> int:
     """Order of (float key, connection) entries: by length, then holonomy x
     and y, each decided in floats when the margin allows and exactly
-    otherwise; then by the connections' keys."""
+    otherwise; then, for equal holonomies, by the start and end corners."""
     (fa, sa), (fb, sb) = a, b
     for i in range(3):
         d = fa[i] - fb[i]
         if abs(d) > _SIGN_MARGIN * (abs(fa[i]) + abs(fb[i]) + 1.0):
             return 1 if d > 0.0 else -1
         if i == 0:
+            if sa.holonomy == sb.holonomy:
+                break
             s = (sa.length_sq - sb.length_sq).sign()
         else:
             s = (sa.holonomy[i - 1] - sb.holonomy[i - 1]).sign()
         if s:
             return s
-    ka, kb = sa._key(), sb._key()
+    ka, kb = (sa.start.corner, sa.end.corner), (sb.start.corner, sb.end.corner)
     return -1 if ka < kb else (1 if ka > kb else 0)
 
 
-def _endpoint(S: TranslationSurface, w, L2: CycloReal, L2f: float, lines) -> Optional[Vec2]:
+def _endpoint(lat: _Lattice, w, L2: CycloReal, L2f: float, lines) -> Optional[Vec2]:
     """The exact holonomy to vertex direction ``w`` when it is canonically
     oriented, no longer than the bound and on the filter line (if any);
     otherwise None.  Each test is decided in floats when the margin allows,
-    and the exact vector is built only for a recorded connection or an
+    and the field vector is built only for a recorded connection or an
     undecided test."""
     m = _SIGN_MARGIN
     x, y = w[0]
+    W = None
     if abs(y) > m * (abs(x) + abs(y) + 1.0):
         if y < 0.0:
             return None
-    elif not canonical_orientation(_exact(S, w)):
-        return None
-    if lines is not None and _cs(S, w, lines[0]) != 0:
+    else:
+        W = _holonomy(lat, w)
+        if not canonical_orientation(W):
+            return None
+    if lines is not None and _cs(lat, w, lines[0]) != 0:
         return None
     nf = x * x + y * y
     if nf > L2f * (1.0 + m) + m:
         return None
-    W = _exact(S, w)
+    if W is None:
+        W = _holonomy(lat, w)
     if nf >= L2f * (1.0 - m) - m and norm2(W) > L2:
         return None
     return W
 
 
-def _exit_edge(S: TranslationSurface, node: _Node, Wfl, d1, d2, b0: int, a0: int) -> int:
+def _exit_edge(lat: _Lattice, node: _Node, Wfl, d1, d2, b0: int, a0: int) -> int:
     """The edge of ``node``'s face through which the vertex-free open cone
     (d1, d2) leaves it.
 
@@ -517,8 +604,8 @@ def _exit_edge(S: TranslationSurface, node: _Node, Wfl, d1, d2, b0: int, a0: int
             ccw = c < 0.0
         else:
             if dm is None:
-                dm = vadd(_exact(S, d1), _exact(S, d2))
-            ccw = cross(_vertex(S, node, j), dm).sign() < 0
+                dm = _ladd(_exact(lat, d1), _exact(lat, d2))
+            ccw = _cross_sign(lat.n, _vertex(lat, node, j), dm) < 0
         if ccw:
             break
         j = (j + 1) % k

@@ -9,6 +9,7 @@ Frozen expected values were derived before implementation:
 
 import math
 import os
+import sys
 from fractions import Fraction
 
 import pytest
@@ -381,6 +382,25 @@ class TestIntegerLayout:
         assert CycloReal(n, [Fraction(1, 3)] * (3 * d)) == sum(
             (phi**k for k in range(3 * d)), CycloReal.from_rational(n, 0)
         ) / 3
+
+    def test_hash_equals_the_coefficient_tuple_hash(self):
+        """The numerator hash matches hash((n, coeffs)) at the corner cases:
+        coefficients hashing to -1 (read as -2), negative and zero
+        numerators, a denominator of 1, and denominators that the hash
+        modulus P divides, where a coefficient's own Fraction can reduce to
+        an invertible denominator."""
+        P = sys.hash_info.modulus
+        cases = [
+            [Fraction(-1), Fraction(P - 1, 7), Fraction(-1, 3), 0],
+            [Fraction(1, P), Fraction(1, 2), Fraction(-3, 2 * P), 5],
+            [Fraction(P, 3 * P + 3), Fraction(-2, 3), 0, Fraction(10**30, 7)],
+            [Fraction(-(P + 1), 2), P, -P, Fraction(1, P * P)],
+            [Fraction(-P * 3 - 1, 3), Fraction(7, 11), Fraction(-5, 13), Fraction(1, 17)],
+        ]
+        for cs in cases:
+            x = CycloReal(8, cs)
+            assert hash(x) == hash((8, x.coeffs))
+            assert hash(x) == hash(CycloReal.from_dict(x.to_dict()))
 
 
 class TestExactSqrt:

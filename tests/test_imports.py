@@ -1,5 +1,6 @@
 """No module of the package or the test suite imports a name it never uses,
-and no private helper of the package is left without a caller."""
+no module of the package imports from the package inside a function, and no
+private helper of the package is left without a caller."""
 
 from __future__ import annotations
 
@@ -44,6 +45,29 @@ def test_scanner_flags_unused_and_keeps_reexports():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def local_package_imports(source: str) -> list[int]:
+    """Lines of every relative import that is not a module-level statement."""
+    tree = ast.parse(source)
+    top = {id(node) for node in tree.body}
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level and id(node) not in top
+    )
+
+
+def test_scanner_flags_local_package_imports():
+    source = "from .a import b\nimport os\ndef f():\n    from .c import d\n    import json\n"
+    assert local_package_imports(source) == [4]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in FILES if p.parent.name == "kvol"], ids=lambda p: p.name
+)
+def test_no_local_package_imports(path):
+    assert local_package_imports(path.read_text()) == []
 
 
 def _referenced_names(tree: ast.AST) -> Counter:

@@ -5,15 +5,17 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import random
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from kvol import saddle
+from kvol import plane, saddle
 from kvol.field import CycloReal, field_degree, trig_value
 from kvol.intersect import intersection_form
-from kvol.plane import Mat2, norm2, vadd, vfloat, vneg, vsub
+from kvol.plane import Mat2, cross, norm2, vadd, vfloat, vsub
 from kvol.saddle import SaddleConnection, edge_connection, enumerate_saddle_connections
 from kvol.surface import (
     build_ngon,
@@ -191,6 +193,12 @@ def _sheared_staircase(n):
     return build_staircase(n).transform(Mat2(n, 1, Fraction(13, 37), 0, Fraction(31, 40)))
 
 
+def _tilted_staircase(n):
+    """A staircase whose horizontal edges are tilted, so that corner wedges
+    and cones straddle the horizontal axis."""
+    return build_staircase(n).transform(Mat2(n, 1, 0, Fraction(2, 7), 1))
+
+
 def _assert_follows_path(sc):
     """The lazily traced pieces and crossings run along the recorded path."""
     S = sc.surface
@@ -330,11 +338,45 @@ _CASES = {
     "ngon10-L3": lambda: (build_ngon(10), 3),
     "stair10-8lm": lambda: (build_staircase(10), _lm(10) * 8),
     "sheared8-12lm": lambda: (_sheared_staircase(8), _lm(8) * 12),
+    "sheared8-30lm": lambda: (_sheared_staircase(8), _lm(8) * 30),
+    "tilted8-12lm": lambda: (_tilted_staircase(8), _lm(8) * 12),
 }
 
 
+def _count_nodes(monkeypatch):
+    """Patch ``_Node`` to count the nodes built; returns the counter list."""
+    built = [0]
+    init = saddle._Node.__init__
+
+    def record(node, *args):
+        built[0] += 1
+        init(node, *args)
+
+    monkeypatch.setattr(saddle._Node, "__init__", record)
+    return built
+
+
+def _developed(S, lat, rng, depth):
+    """(lattice, field) pairs of developed vertices along a random walk of
+    ``depth`` glued edges from a random corner, the field vector summed by
+    plane arithmetic as an independent oracle."""
+    f = rng.randrange(len(S.faces))
+    v = rng.randrange(len(S.faces[f]))
+    tau = (-S.faces[f][v][0], -S.faces[f][v][1])
+    node = saddle._Node(f, None, None, None, saddle._lneg(lat.faces[f][v]))
+    out = []
+    for _ in range(depth + 1):
+        k = len(S.faces[node.face])
+        for j in range(k):
+            out.append((saddle._vertex(lat, node, j), vadd(S.faces[node.face][j], tau)))
+        h = (node.face, rng.randrange(k))
+        tau = vsub(tau, S.glue_shift[h])
+        node = saddle._Node(S.glue[h][0], None, S.glue[h], node)
+    return out
+
+
 class TestFloatFilter:
-    @pytest.mark.parametrize("case", ["ngon8-L3", "stair10-8lm", "sheared8-12lm"])
+    @pytest.mark.parametrize("case", ["ngon8-L3", "stair10-8lm", "sheared8-12lm", "tilted8-12lm"])
     def test_exact_decisions_give_the_same_list(self, case, monkeypatch):
         S, L = _CASES[case]()
         default = _rows(enumerate_saddle_connections(S, L))
@@ -350,15 +392,16 @@ class TestFloatFilter:
         and e2 develop exactly onto the parent's e and e + 1: the vertices
         that bounded the parent cone are the ones the search skips."""
         for S in (build_ngon(n), build_staircase(n), _sheared_staircase(n)):
+            lat = saddle._Lattice(S)
             for f, verts in enumerate(S.faces):
                 k = len(verts)
-                root = saddle._Node(f, None, None, None, vneg(verts[0]))
+                root = saddle._Node(f, None, None, None, saddle._lneg(lat.faces[f][0]))
                 for e in range(k):
                     f2, e2 = S.glue[(f, e)]
                     child = saddle._Node(f2, None, (f2, e2), root)
                     k2 = len(S.faces[f2])
-                    assert saddle._vertex(S, child, (e2 + 1) % k2) == saddle._vertex(S, root, e)
-                    assert saddle._vertex(S, child, e2) == saddle._vertex(S, root, (e + 1) % k)
+                    assert saddle._vertex(lat, child, (e2 + 1) % k2) == saddle._vertex(lat, root, e)
+                    assert saddle._vertex(lat, child, e2) == saddle._vertex(lat, root, (e + 1) % k)
 
     def test_developed_float_error_within_stated_bound(self, monkeypatch):
         """Every node's float translation is within (D + 2)(eps_c + u R) of
@@ -373,6 +416,7 @@ class TestFloatFilter:
 
         monkeypatch.setattr(saddle._Node, "__init__", record)
         enumerate_saddle_connections(S, L)
+        lat = saddle._Lattice(S)
         u = 2.0**-53
         phi = float(CycloReal.phi(8))
         d = field_degree(8)
@@ -389,13 +433,73 @@ class TestFloatFilter:
         worst = 0.0
         for node in nodes:  # parents are recorded before their children
             D = depth[id(node)] = 0 if node.parent is None else depth[id(node.parent)] + 1
-            saddle._vertex(S, node, 0)  # builds node.tau
+            saddle._vertex(lat, node, 0)  # builds node.tau
             bound = (D + 2) * (eps_c + u * R)
             worst = max(worst, bound)
-            for c, c_fl in zip(node.tau, node.tau_fl):
+            tau = [CycloReal(S.n, [Fraction(a, lat.den) for a in c]) for c in node.tau]
+            for c, c_fl in zip(tau, node.tau_fl):
                 assert abs(c_fl - float(c)) <= bound + conversion_error(c)
         assert max(depth.values()) > 20
         assert 4 * R * worst < saddle._SIGN_MARGIN
+
+
+class TestLatticeSearch:
+    def test_half_plane_prune_drops_lower_cones(self, monkeypatch):
+        """Subcones below the horizontal axis are dropped: the default search
+        builds at most 0.6 of the nodes of one whose float tests never decide
+        (and so never prune), and finds the same list."""
+        S, L = _CASES["sheared8-30lm"]()
+        built = _count_nodes(monkeypatch)
+        default = _rows(enumerate_saddle_connections(S, L))
+        pruned = built[0]
+        monkeypatch.setattr(saddle, "_SIGN_MARGIN", math.inf)
+        built[0] = 0
+        assert _rows(enumerate_saddle_connections(S, L)) == default
+        assert pruned <= 0.6 * built[0]
+
+    @pytest.mark.parametrize("n", [8, 10, 16])
+    def test_lattice_cross_sign_matches_the_field(self, n):
+        rng = random.Random(n)
+        for S in (build_staircase(n), _sheared_staircase(n)):
+            lat = saddle._Lattice(S)
+            verts = {}
+            for _ in range(6):
+                verts.update(_developed(S, lat, rng, 4))
+            zero = (tuple([0] * field_degree(n)),) * 2
+            verts.pop(zero, None)  # the apex
+            collinear = 0
+            items = list(verts.items())
+            for i, (u, U) in enumerate(items):
+                assert [CycloReal(n, [Fraction(a, lat.den) for a in c]) for c in u] == list(U)
+                assert saddle._cross_sign(n, u, saddle._ladd(u, u)) == 0
+                for w, W in items[i + 1:]:
+                    expected = cross(U, W).sign()
+                    collinear += expected == 0
+                    assert saddle._cross_sign(n, u, w) == expected
+                    assert saddle._cross_sign(n, saddle._lneg(u), w) == -expected
+            assert collinear > 0
+
+    def test_search_builds_no_field_vectors(self, monkeypatch):
+        """Once the cone search has started, no plane vector arithmetic runs:
+        developed positions stay integer tuples until a holonomy is recorded."""
+        S, L = _CASES["sheared8-30lm"]()
+        built = _count_nodes(monkeypatch)
+        calls = []
+        for name in ("vsub", "vadd", "cross"):
+            fn = getattr(plane, name)
+
+            def counted(*args, _fn=fn, _name=name):
+                if built[0]:
+                    calls.append(_name)
+                return _fn(*args)
+
+            for mod in list(sys.modules.values()):
+                if getattr(mod, "__name__", "").startswith("kvol") and getattr(mod, name, None) is fn:
+                    monkeypatch.setattr(mod, name, counted)
+        scs = enumerate_saddle_connections(S, L)
+        assert len(scs) == 950 and built[0] > 0 and calls == []
+        next(sc for sc in scs if sc.path[1]).pieces  # the tracer's calls are counted
+        assert "vadd" in calls
 
 
 class TestPinnedEnumeration:
@@ -416,11 +520,31 @@ class TestPinnedEnumeration:
                 35,
                 "2ca2648fddaee2824e141d72fc98603148d57b1363f9aa9c8150e199c6def1bb",
             ),
+            (
+                "sheared8-30lm",
+                950,
+                "5e6dd401060da134138b85cb380ba1a4adc43b56fdade35923db8090ca408f52",
+            ),
         ],
     )
     def test_pinned(self, case, count, digest):
         S, L = _CASES[case]()
-        scs = enumerate_saddle_connections(S, L)
+        self._check(enumerate_saddle_connections(S, L), count, digest)
+
+    @pytest.mark.parametrize(
+        "direction, count, digest",
+        [
+            ("inf", 3, "0e5615f2f9a21e548bb708ca01265ee98efd1767aaf412cc9e5125d267736f7b"),
+            (0, 3, "585278a3d5d6a6135e2f1d83c7fd926651c15ce8574b4ec90243263b0496fd71"),
+            (1, 0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+        ],
+    )
+    def test_pinned_directions(self, direction, count, digest):
+        scs = enumerate_saddle_connections(build_staircase(8), _lm(8) * 20, direction=direction)
+        self._check(scs, count, digest)
+
+    @staticmethod
+    def _check(scs, count, digest):
         rows = [
             [
                 [str(c) for c in sc.holonomy[0].coeffs],
