@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .field import ComputationLimitError, CycloReal, fmt_float, trig_value
+from .field import FLOAT_SPEC, ComputationLimitError, CycloReal, fmt_float, trig_value
 from .hyperbolic import dist_to_Gmax_batch, in_fundamental_domain
 from .plane import Mat2
 from .ratios import (
@@ -224,13 +224,15 @@ def cmd_kvol_grid(args) -> int:
     cells = np.tile(xmin + steps * dx, res) + 1j * np.repeat(ymin + steps * dy, res)
     zs = cells[in_fundamental_domain(cells, n)]
     dists, flags = dist_to_Gmax_batch(zs, n)
+    # k0/cosh per element, as np.cosh can differ in the last bit; 1,024 rows at
+    # a time, as floats of whole columns would hold their memory among the rows
+    row = ",".join(["%" + FLOAT_SPEC] * 4 + ["%s"])
     out = ["x,y,kvol,dist,converged"]
-    for z, d, ok in zip(zs, dists, flags):
-        d = float(d)
-        out.append(
-            f"{fmt_float(float(z.real))},{fmt_float(float(z.imag))},{fmt_float(k0 / math.cosh(d))},"
-            f"{fmt_float(d)},{'true' if ok else 'false'}"
-        )
+    for i in range(0, zs.size, 1024):
+        cols = (c[i : i + 1024].tolist() for c in (zs.real, zs.imag, dists, flags))
+        out += [
+            row % (x, y, k0 / math.cosh(d), d, ("false", "true")[ok]) for x, y, d, ok in zip(*cols)
+        ]
     _emit(args, "\n".join(out) + "\n")
     return EXIT_OK
 

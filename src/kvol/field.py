@@ -35,6 +35,7 @@ Rational = Union[int, Fraction]
 _LADDER_MAX_BITS = 1 << 16
 _FLOAT_EPS = 2.0 ** -52
 _HASH_MODULUS = sys.hash_info.modulus
+FLOAT_SPEC = ".17g"  # 17 significant digits: round-trip safe
 
 _new = object.__new__
 _set = object.__setattr__
@@ -591,8 +592,8 @@ def trig_value(n: int, kind: str, k: int) -> CycloReal:
 
 
 def fmt_float(x: float) -> str:
-    """Render a float with 17 significant digits (round-trip safe)."""
-    return f"{x:.17g}"
+    """Render a float with ``FLOAT_SPEC`` (round-trip safe)."""
+    return format(x, FLOAT_SPEC)
 
 
 def accurate_float(x: CycloReal) -> float:

@@ -18,10 +18,11 @@ ideal boundary point ``x = d``.  With these pairings the angle identity
 holds exactly for every surface point and every pair of labels.
 
 Points, distances and the orbit search of ``dist_to_Gmax`` are double
-precision.  Reduction to the fundamental domain and ``apply_word`` step the
-point in mpmath at a working precision chosen per call, and the witness of
-``nearest_gmax_geodesic`` has exact endpoints in Q(Phi), rounded to doubles
-only at the end.
+precision, with one search per query.  Reduction to the fundamental domain
+and ``apply_word`` step the point in mpmath at a working precision chosen per
+call.  The witness of ``nearest_gmax_geodesic`` has exact endpoints in
+Q(Phi), carried back by integer token steps on pairs over Z[Phi] and rounded
+to doubles only at the end.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Iterable, Optional, Sequence
 import mpmath
 import numpy as np
 
-from .field import ComputationLimitError, CycloReal, _phi_float, accurate_float
+from .field import ComputationLimitError, _element, _fold, _phi_float, accurate_float, field_degree
 from .plane import Mat2, is_horizontal_label
 
 __all__ = [
@@ -49,6 +50,8 @@ __all__ = [
     "apply_word",
     "word_matrix",
     "dist_to_Gmax",
+    "dist_to_Gmax_batch",
+    "nearest_gmax_geodesic",
 ]
 
 def _as_float_matrix(M) -> tuple[float, float, float, float]:
@@ -329,27 +332,29 @@ def apply_word(word: Iterable[tuple[str, int]], z, n: int):
     return +zz if exact_in else complex(zz)
 
 
-def _apply_token(gen: str, k: int, m: Mat2) -> Mat2:
-    """The disk-action matrix of the token ``(gen, k)`` times ``m``, exactly.
-
-    ``("TH", k)`` is [[1, k Phi], [0, 1]]: it adds k Phi times the bottom row
-    of ``m`` to the top row.  ``("TV", k)`` is [[1, 0], [k Phi, 1]]: it adds
-    k Phi times the top row to the bottom row.
-    """
-    step = CycloReal.phi(m.n) * k
-    if gen == "TH":
-        return Mat2(m.n, m.a + step * m.c, m.b + step * m.d, m.c, m.d)
-    if gen == "TV":
-        return Mat2(m.n, m.a, m.b, m.c + step * m.a, m.d + step * m.b)
-    raise ValueError(f"unknown generator {gen!r}")
+def _step_pairs(pairs, word: Iterable[tuple[str, int]], n: int) -> list:
+    """Projective pairs ``(P : Q)`` over Z[Phi], as integer numerator lists,
+    each stepped exactly through a token word: ``("TH", k)`` adds
+    ``k Phi Q`` to ``P`` and ``("TV", k)`` adds ``k Phi P`` to ``Q``."""
+    d = field_degree(n)
+    times_phi = lambda p: _fold(n, [0, *p], d)
+    for gen, k in word:
+        if gen == "TH":
+            pairs = [([x + k * y for x, y in zip(P, times_phi(Q))], Q) for P, Q in pairs]
+        elif gen == "TV":
+            pairs = [(P, [x + k * y for x, y in zip(Q, times_phi(P))]) for P, Q in pairs]
+        else:
+            raise ValueError(f"unknown generator {gen!r}")
+    return pairs
 
 
 def word_matrix(word: Iterable[tuple[str, int]], n: int) -> Mat2:
-    """The exact disk-action matrix of a token word."""
-    m = Mat2.identity(n)
-    for gen, k in word:
-        m = _apply_token(gen, k, m)
-    return m
+    """The exact disk-action matrix of a token word: its columns are the
+    images of ``(1 : 0)`` and ``(0 : 1)``."""
+    zero = [0] * field_degree(n)
+    one = [1] + zero[1:]
+    (a, c), (b, d) = _step_pairs([(one, zero), (zero, one)], word, n)
+    return Mat2(n, *(_element(n, v, 1) for v in (a, b, c, d)))
 
 
 # ---------------------------------------------------------------------------
@@ -453,14 +458,14 @@ def _lattice_search(u, v):
     return best, a, b, v <= _MAX_HEIGHT
 
 
-def _nearest(xs, ys, n: int):
+def _nearest(xs, ys, n: int, tol: float = 1e-12):
     """Nearest member of ``TH^m S_0`` to each point ``xs + i ys``, where
     ``m = round(x/phi)`` moves the point into the strip ``|x| <= phi/2``.
 
     Returns ``sinh`` of the distance, the shift ``m`` and the endpoints
     ``a``, ``b`` of the witness in the frame ``w = -1/(phi (z - m phi))``,
-    and whether the search reached its bound.  ``TH`` is in the group, so
-    the shift changes no distance to the orbit.
+    and the convergence flag.  ``TH`` is in the group, so the shift changes
+    no distance to the orbit.
 
     At a point of the strip no translate ``TH^m S_0`` with ``m != 0``, in
     particular none with ``|m| >= 2``, is nearer than ``S_0``.  The finite
@@ -473,21 +478,13 @@ def _nearest(xs, ys, n: int):
     ``phi^2 >= 2``.  The case ``m <= -1`` is the mirror image.  So the
     result is the distance to ``S = TH^-1 S_0 u S_0 u TH S_0`` for points of
     the strip, and to the matching translate of ``S`` elsewhere.
-    """
-    phi = _phi_float(n)
-    m = np.round(xs / phi)
-    dx = xs - m * phi
-    den = phi * (dx * dx + ys * ys)
-    sinh, a, b, bounded = _lattice_search(-dx / den, ys / den)
-    return sinh, m, a, b, bounded
 
-
-def _converged(xs, ys, sinh, bounded, n: int, tol: float):
-    """The convergence flag: the search reached its bound, and none of the six
-    images ``TV^+-1(z)``, ``TV^+-1(z +- phi)`` is nearer the members that
-    ``_nearest`` searches for it than ``z`` is to ``S``, by more than
-    ``tol``.  The distance to the orbit is the same at every image, so a
-    nearer image would expose an orbit member outside ``S``.
+    The flag: the search reached its bound, and none of the six images
+    ``TV^+-1(z)``, ``TV^+-1(z +- phi)`` is nearer the members searched for
+    it than ``z`` is to ``S``, by more than ``tol``.  The distance to the
+    orbit is the same at every image, so a nearer image would expose an
+    orbit member outside ``S``.  One ``_lattice_search`` call takes the
+    points and their images together, as seven rows.
 
     This is a local test, not a proof: it does not rule out an orbit member
     outside ``S`` that is nearer ``z`` and is only seen from images reached
@@ -495,18 +492,20 @@ def _converged(xs, ys, sinh, bounded, n: int, tol: float):
     at most 6, ``tests/test_hyperbolic.py``)."""
     phi = _phi_float(n)
     z = xs + 1j * ys
-    images = np.concatenate(
-        [(z + shift) / (s * phi * (z + shift) + 1.0) for shift in (0.0, phi, -phi) for s in (1, -1)]
-    )
-    img_sinh, _, _, _, img_bounded = _nearest(images.real, images.imag, n)
-    img_dist = np.arcsinh(img_sinh).reshape(6, -1).min(axis=0)
-    return bounded & img_bounded.reshape(6, -1).all(axis=0) & (img_dist >= np.arcsinh(sinh) - tol)
+    images = [(z + t) / (s * phi * (z + t) + 1.0) for t in (0.0, phi, -phi) for s in (1, -1)]
+    pts = np.concatenate([z] + images)
+    m = np.round(pts.real / phi)
+    dx = pts.real - m * phi
+    den = phi * (dx * dx + pts.imag * pts.imag)
+    sinh, a, b, bounded = (v.reshape(7, -1) for v in _lattice_search(-dx / den, pts.imag / den))
+    dist = np.arcsinh(sinh)
+    converged = bounded.all(axis=0) & (dist[1:].min(axis=0) >= dist[0] - tol)
+    return sinh[0], m[: xs.size], a[0], b[0], converged
 
 
-# points per chunk of dist_to_Gmax_batch: the index search's temporaries grow
-# with the chunk (about 8 MB at 512 points, with the six images each), so a
-# whole grid is never one batch
-_CELLS = 512
+# points per chunk of dist_to_Gmax_batch: with six images each, 3,066 rows per
+# search, whose temporaries take about 8 MB, so a grid is never one batch
+_CELLS = 438
 
 
 def dist_to_Gmax_batch(
@@ -530,9 +529,8 @@ def dist_to_Gmax_batch(
     flags = np.empty(zs.size, dtype=bool)
     for start in range(0, zs.size, _CELLS):
         part = slice(start, start + _CELLS)
-        sinh, _, _, _, bounded = _nearest(xs[part], ys[part], n)
+        sinh, _, _, _, flags[part] = _nearest(xs[part], ys[part], n, tol)
         dists[part] = np.arcsinh(sinh)
-        flags[part] = _converged(xs[part], ys[part], sinh, bounded, n, tol)
     return dists, flags
 
 
@@ -548,18 +546,30 @@ def dist_to_Gmax(
     and the nearest member of ``S``, which lies in the orbit, is found by the
     exhaustive index search of ``_nearest``.  ``S`` is part of the orbit, so
     the distance is never below the true one; the flag is the local check
-    of ``_converged``.
+    of ``_nearest``.
     """
     dists, flags = dist_to_Gmax_batch([z], n, tol=tol)
     return float(dists[0]), bool(flags[0])
 
 
-def _boundary_image(M: Mat2, x: Optional[CycloReal]) -> Optional[CycloReal]:
-    """Exact image of a boundary point (None for infinity) under ``M``."""
-    if x is None:
-        return None if M.c.is_zero() else M.a / M.c
-    den = M.c * x + M.d
-    return None if den.is_zero() else (M.a * x + M.b) / den
+def _witness_geodesic(ends, undo, n: int) -> Geodesic:
+    """The geodesic with frame endpoints ``ends`` (integers, or inf), mapped
+    exactly through ``w -> -1/(Phi w)`` and then the token word ``undo``.
+    Field elements, and one inverse, are built only from the final pairs."""
+    zero = [0] * field_degree(n)
+    phi = _fold(n, [0, 1] + zero[2:], len(zero))
+    # -1/(Phi w) sends (e : 1) to (-1 : Phi e) and (1 : 0) to (0 : Phi)
+    starts = [
+        (zero, phi) if math.isinf(e) else ([-1, *zero[1:]], [int(e) * c for c in phi]) for e in ends
+    ]
+    (P1, Q1), (P2, Q2) = [[_element(n, v, 1) for v in pq] for pq in _step_pairs(starts, undo, n)]
+    if Q1.is_zero() or Q2.is_zero():
+        P, Q = (P2, Q2) if Q1.is_zero() else (P1, Q1)
+        return Geodesic.vertical(accurate_float(P * Q.inverse()))
+    # from the exact center and half-width: rounding the ends first can merge
+    # them into one double far from the strip
+    p, q, inv = P1 * Q2, P2 * Q1, (2 * Q1 * Q2).inverse()
+    return Geodesic.circle(accurate_float((p + q) * inv), accurate_float(abs((q - p) * inv)))
 
 
 def nearest_gmax_geodesic(
@@ -577,22 +587,9 @@ def nearest_gmax_geodesic(
     """
     z = complex(z)
     w, word = (z, []) if in_fundamental_domain(z, n) else reduce_to_fundamental_domain(z, n)
-    xs, ys = np.array([w.real]), np.array([w.imag])
-    sinh, m, a, b, bounded = _nearest(xs, ys, n)
-    converged = bool(_converged(xs, ys, sinh, bounded, n, tol)[0])
+    sinh, m, a, b, converged = _nearest(np.array([w.real]), np.array([w.imag]), n, tol)
     # w -> -1/(phi w) into the strip, TH^m back to the reduced point, then
     # undo the reduction word
     undo = [("TH", int(m[0]))] + [(gen, -k) for gen, k in reversed(word)]
-    back = word_matrix(undo, n) * Mat2(n, 0, -1, CycloReal.phi(n), 0)
-    ends = [
-        _boundary_image(back, None if math.isinf(e) else CycloReal.from_rational(n, int(e)))
-        for e in (a[0], b[0])
-    ]
-    p, q = ends
-    if p is None or q is None:
-        geod = Geodesic.vertical(accurate_float(q if p is None else p))
-    else:
-        # from the exact center and half-width: rounding the ends first can
-        # merge them into one double far from the strip
-        geod = Geodesic.circle(accurate_float((p + q) / 2), accurate_float(abs(q - p) / 2))
-    return math.asinh(float(sinh[0])), converged, geod, list(word)
+    geod = _witness_geodesic((a[0], b[0]), undo, n)
+    return math.asinh(float(sinh[0])), bool(converged[0]), geod, list(word)

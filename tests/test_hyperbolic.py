@@ -8,6 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from kvol import hyperbolic
 from kvol.field import CycloReal
 from kvol.hyperbolic import (
     Geodesic,
@@ -398,6 +399,10 @@ def _witness(z, n):
     return Geodesic.from_endpoints(*ends), reach
 
 
+# points far from the strip, whose exact witness ends can round to one double
+_FAR_POINTS = [(1e10, 1e-10), (-7e9, 3e-10), (1e9, 1e-9), (-1e200, 1e-100)]
+
+
 class TestOrbitSearch:
     @pytest.mark.parametrize("k", [20, 30, 50])
     def test_deep_distinguished_verticals(self, k):
@@ -469,7 +474,7 @@ class TestOrbitSearch:
             s = math.sinh(d)
             assert abs(geod.sinh_dist(z) - s) <= 1e-9 * max(s, 1e-3)
 
-    @pytest.mark.parametrize("x, y", [(1e10, 1e-10), (-7e9, 3e-10), (1e9, 1e-9), (-1e200, 1e-100)])
+    @pytest.mark.parametrize("x, y", _FAR_POINTS)
     def test_witness_far_from_strip(self, x, y):
         # the exact ends are distinct but can round to one double; the circle
         # comes from the exact center and half-width instead
@@ -484,3 +489,48 @@ class TestOrbitSearch:
         d, converged = dist_to_Gmax(z, 8)
         assert not converged
         assert math.isfinite(d)
+
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_pinned_witnesses(self, n):
+        # distance, flag, witness circle and word, hashed; the digests come
+        # from a witness map that multiplied the exact word matrix and divided
+        # in the field at both ends
+        digest = {
+            8: "788c2fe555fd1b7bbc91c3dba1a2d04656e0db9f1b16ebd89c098f3d656a88c8",
+            12: "465dfe33c85ffe270b4d68742f6804607a7a0537a0a1d162dd1a5c1527ed2e6c",
+        }[n]
+        rng = random.Random(2227)
+        pts = [
+            complex(rng.uniform(-50.0, 50.0), math.exp(rng.uniform(math.log(1e-6), math.log(10.0))))
+            for _ in range(2000)
+        ] + [complex(x, y) for x, y in _FAR_POINTS]
+        h = hashlib.sha256()
+        single = []
+        for z in pts:
+            d, converged, g, word = nearest_gmax_geodesic(z, n)
+            h.update(repr((repr(d), converged, repr(g.foot), repr(g.center), repr(g.radius), word)).encode())
+            single.append((d, converged))
+        assert h.hexdigest() == digest
+        # the batch takes asinh in numpy, which can differ in the last bit
+        dists, flags = dist_to_Gmax_batch(pts, n)
+        assert flags.tolist() == [f for _, f in single]
+        assert np.all(np.abs(dists - [d for d, _ in single]) <= 4e-16 * dists)
+
+    @pytest.mark.parametrize("z, inside", [(complex(3.3, 0.01), False), (complex(0.1, 0.9), True)])
+    def test_one_search_and_one_inverse_per_query(self, z, inside, monkeypatch):
+        # a point that needs reduction and a point already in the domain
+        assert in_fundamental_domain(z, 8) == inside
+        calls = {"search": 0, "inverse": 0}
+
+        def counting(key, fn):
+            def wrapped(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(hyperbolic, "_lattice_search", counting("search", hyperbolic._lattice_search))
+        monkeypatch.setattr(CycloReal, "inverse", counting("inverse", CycloReal.inverse))
+        nearest_gmax_geodesic(z, 8)
+        assert calls["search"] == 1
+        assert calls["inverse"] <= 1
