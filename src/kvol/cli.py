@@ -104,31 +104,13 @@ def _emit_json(args, payload: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _surface_json(S: TranslationSurface) -> dict:
-    return {
-        "n": S.n,
-        "model": S.model,
-        "faces": [
-            {"vertices": [[x.to_dict(), y.to_dict()] for x, y in verts]}
-            for verts in S.faces
-        ],
-        "gluings": [
-            [h1[0], h1[1], h2[0], h2[1]] for h1, h2 in S.edge_pairs
-        ],
-        "singularities": [
-            [[f, v] for f, v in cyc] for cyc in S.vertex_classes
-        ],
-        "labels": list(S.pair_labels),
-    }
-
-
 def cmd_surface(args) -> int:
     _check_n(args.n, allow_torus=args.model == "ngon")
     if args.model == "ngon":
         S = build_ngon(args.n)
     else:
         S = build_staircase(args.n)
-    _emit_json(args, _surface_json(S))
+    _emit_json(args, S.to_dict())
     return EXIT_OK
 
 
@@ -290,7 +272,7 @@ def _verify_parallel(args) -> dict:
         rep = check_parallel_criterion(S, d, L)
         directions.append(
             {
-                "direction": "inf" if d == "inf" else d,
+                "direction": d,
                 "curves": rep.count_curves,
                 "pairs_checked": rep.pairs_checked,
                 "nonzero": len(rep.nonzero),

@@ -14,15 +14,11 @@ Sign determination is exact: a floating-point filter with a rigorous forward
 error bound handles the bulk of queries, and the remainder fall through to
 interval arithmetic on the integer numerators at increasing precision
 (53 -> 113 -> 237 -> ... bits).
-
-The starting precision of the interval ladder can be overridden with the
-environment variable KVOL_PRECISION_BITS (read at call time).
 """
 
 from __future__ import annotations
 
 import math
-import os
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -221,16 +217,6 @@ def _phi_enclosure(n: int, bits: int) -> tuple[int, int, int]:
     if not lo <= hi:
         raise ArithmeticError("bad enclosure")
     return lo, hi, shift
-
-
-def _starting_bits() -> int:
-    raw = os.environ.get("KVOL_PRECISION_BITS")
-    if raw is None:
-        return 53
-    bits = int(raw)
-    if bits < 8 or bits > _LADDER_MAX_BITS:
-        raise ValueError(f"KVOL_PRECISION_BITS out of range: {bits}")
-    return bits
 
 
 def _interval_eval(num: Sequence[int], lo: int, hi: int, shift: int) -> tuple[int, int]:
@@ -438,7 +424,7 @@ class CycloReal:
             return 1 if val > 0 else -1
         if not mag:  # every numerator is 0
             return 0
-        bits = _starting_bits()
+        bits = 53
         while bits <= _LADDER_MAX_BITS:
             lo, hi = _interval_eval(self._num, *_phi_enclosure(self.n, bits))
             if lo > 0:

@@ -9,9 +9,12 @@ of ``conj(g^-1)`` where ``conj`` flips the signs of the off-diagonal
 entries; for the shear generators this gives ``z -> z + phi`` and
 ``z -> z/(phi z + 1)``, and the reflection acts by ``z -> -conj(z)``.
 
-Directions are labelled by their co-slope; the label ``d`` corresponds to
-the tangent vector ``(-d, 1)`` (horizontal = "inf" -> ``(1, 0)``) and to the
-ideal boundary point ``x = d``.  With these pairings the angle identity
+Direction labels are read by ``plane.direction_pair``, as on the surface,
+but the disk mirrors them: a disk label ``d`` is the surface direction of
+co-slope ``-d``, the tangent vector ``(-d, 1)``, and it names the ideal
+boundary point ``x = d`` (horizontal, "inf", is the point at infinity).  So
+``angle_sine(0.5+1j, "inf", 1.0)`` measures the angle between the surface
+directions ``"inf"`` and ``-1``.  With this pairing the angle identity
 
     sin(theta(z, d, d')) * cosh(dist(z, geodesic(d, d'))) = 1
 
@@ -35,7 +38,7 @@ import mpmath
 import numpy as np
 
 from .field import ComputationLimitError, _element, _fold, _phi_float, accurate_float, field_degree
-from .plane import Mat2, is_horizontal_label
+from .plane import Mat2, direction_pair
 
 __all__ = [
     "point_of_surface",
@@ -98,16 +101,11 @@ def induced_action(g: Mat2) -> Mat2:
     return Mat2(g.n, inv.a, -inv.b, -inv.c, inv.d)
 
 
-def _direction_vector(label) -> tuple[float, float]:
-    if is_horizontal_label(label):
-        return (1.0, 0.0)
-    return (-float(label), 1.0)
-
-
-def _boundary_point(label) -> float:
-    if is_horizontal_label(label):
-        return math.inf
-    return float(label)
+def _read_label(label) -> tuple[tuple[float, float], float]:
+    """The float tangent vector and boundary point of a disk label: the
+    label's pair ``(x, y)`` mirrored to ``(-x, y)``, and ``x/y``."""
+    x, y = (float(c) for c in direction_pair(label))
+    return (-x, y), (x / y if y else math.inf)
 
 
 def angle_sine(at, d1, d2) -> float:
@@ -121,8 +119,8 @@ def angle_sine(at, d1, d2) -> float:
         a, b, c, d = 1.0, at.real, 0.0, at.imag
     else:
         a, b, c, d = _as_float_matrix(at)
-    u1, v1 = _direction_vector(d1)
-    u2, v2 = _direction_vector(d2)
+    (u1, v1), _ = _read_label(d1)
+    (u2, v2), _ = _read_label(d2)
     w1 = (a * u1 + b * v1, c * u1 + d * v1)
     w2 = (a * u2 + b * v2, c * u2 + d * v2)
     crossed = w1[0] * w2[1] - w1[1] * w2[0]
@@ -196,7 +194,7 @@ class Geodesic:
 
 def geodesic_of_directions(d1, d2) -> Geodesic:
     """The geodesic joining the boundary points of two direction labels."""
-    return Geodesic.from_endpoints(_boundary_point(d1), _boundary_point(d2))
+    return Geodesic.from_endpoints(_read_label(d1)[1], _read_label(d2)[1])
 
 
 def dist_points(z: complex, w: complex) -> float:
@@ -248,9 +246,12 @@ def _step(gen: str, k: int, z, phi):
     raise ValueError(f"unknown generator {gen!r}")
 
 
-def reduce_to_fundamental_domain(
-    z, n: int, *, tol: float = 1e-12, max_steps: int = 10000
-):
+# a TV step is taken only this far inside its disk, so rounding in the test
+# on the double never admits a point just outside
+_DISK_MARGIN = 1e-12
+
+
+def reduce_to_fundamental_domain(z, n: int, *, max_steps: int = 10000):
     """Move a point into the fundamental domain of ``<z+phi, z/(phi z+1)>``.
 
     Returns the reduced point and the word that was applied, as a list of
@@ -260,15 +261,16 @@ def reduce_to_fundamental_domain(
 
     Each token is chosen from the double nearest the current point:
     ``TH^-k`` with ``k = round(x/phi)`` while that is nonzero, else ``TV^+-1``
-    while the point lies inside the disk ``|z -+ 1/phi| < 1/phi - tol``.  The
-    point itself is carried as one ``mpc`` at a working precision ``p`` fixed
-    at entry, and each token is applied to it in place by ``_step``.
+    while the point lies inside the disk
+    ``|z -+ 1/phi| < 1/phi - _DISK_MARGIN``.  The point itself is carried as
+    one ``mpc`` at a working precision ``p`` fixed at entry, and each token
+    is applied to it in place by ``_step``.
 
     Error.  Every step is an isometry, so a rounding error made at one step
     is carried to the end unchanged in hyperbolic distance, and the errors of
     the steps add.  ``TH`` keeps ``Im z``, and a ``TV`` step is only taken
-    inside a disk where ``|k phi z + 1| < 1`` (``tol`` keeps the test on the
-    double from admitting a point just outside), so it raises ``Im z``:
+    inside a disk where ``|k phi z + 1| < 1`` (``_DISK_MARGIN`` keeps the test
+    on the double from admitting a point just outside), so it raises ``Im z``:
     ``Im z`` never falls below ``y0``, its value at entry.  One rounding at
     ``z`` (of the step or of ``phi``) moves the point by about ``2^-p |z|``,
     that is ``2^-p |z|/Im z`` in hyperbolic distance; in the ``TV`` step the
@@ -302,9 +304,9 @@ def reduce_to_fundamental_domain(
             k = round(zc.real / phi)
             if k:
                 token = ("TH", -k)
-            elif abs(zc + r) < r - tol:
+            elif abs(zc + r) < r - _DISK_MARGIN:
                 token = ("TV", 1)
-            elif abs(zc - r) < r - tol:
+            elif abs(zc - r) < r - _DISK_MARGIN:
                 token = ("TV", -1)
             else:
                 return (zz if exact_in else zc), word
@@ -458,7 +460,11 @@ def _lattice_search(u, v):
     return best, a, b, v <= _MAX_HEIGHT
 
 
-def _nearest(xs, ys, n: int, tol: float = 1e-12):
+# an image must be nearer than the point by more than this to clear its flag
+_IMAGE_SLACK = 1e-12
+
+
+def _nearest(xs, ys, n: int):
     """Nearest member of ``TH^m S_0`` to each point ``xs + i ys``, where
     ``m = round(x/phi)`` moves the point into the strip ``|x| <= phi/2``.
 
@@ -481,8 +487,8 @@ def _nearest(xs, ys, n: int, tol: float = 1e-12):
 
     The flag: the search reached its bound, and none of the six images
     ``TV^+-1(z)``, ``TV^+-1(z +- phi)`` is nearer the members searched for
-    it than ``z`` is to ``S``, by more than ``tol``.  The distance to the
-    orbit is the same at every image, so a nearer image would expose an
+    it than ``z`` is to ``S``, by more than ``_IMAGE_SLACK``.  The distance to
+    the orbit is the same at every image, so a nearer image would expose an
     orbit member outside ``S``.  One ``_lattice_search`` call takes the
     points and their images together, as seven rows.
 
@@ -499,7 +505,7 @@ def _nearest(xs, ys, n: int, tol: float = 1e-12):
     den = phi * (dx * dx + pts.imag * pts.imag)
     sinh, a, b, bounded = (v.reshape(7, -1) for v in _lattice_search(-dx / den, pts.imag / den))
     dist = np.arcsinh(sinh)
-    converged = bounded.all(axis=0) & (dist[1:].min(axis=0) >= dist[0] - tol)
+    converged = bounded.all(axis=0) & (dist[1:].min(axis=0) >= dist[0] - _IMAGE_SLACK)
     return sinh[0], m[: xs.size], a[0], b[0], converged
 
 
@@ -508,12 +514,7 @@ def _nearest(xs, ys, n: int, tol: float = 1e-12):
 _CELLS = 438
 
 
-def dist_to_Gmax_batch(
-    zs: Sequence[complex],
-    n: int,
-    *,
-    tol: float = 1e-12,
-):
+def dist_to_Gmax_batch(zs: Sequence[complex], n: int):
     """Vectorized ``dist_to_Gmax`` over many points.
 
     Returns a float array of distances and a bool array of convergence
@@ -529,17 +530,12 @@ def dist_to_Gmax_batch(
     flags = np.empty(zs.size, dtype=bool)
     for start in range(0, zs.size, _CELLS):
         part = slice(start, start + _CELLS)
-        sinh, _, _, _, flags[part] = _nearest(xs[part], ys[part], n, tol)
+        sinh, _, _, _, flags[part] = _nearest(xs[part], ys[part], n)
         dists[part] = np.arcsinh(sinh)
     return dists, flags
 
 
-def dist_to_Gmax(
-    z: complex,
-    n: int,
-    *,
-    tol: float = 1e-12,
-) -> tuple[float, bool]:
+def dist_to_Gmax(z: complex, n: int) -> tuple[float, bool]:
     """Distance from a disk point to the orbit of the maximal-ratio verticals.
 
     The point is reduced to the fundamental domain (the orbit is invariant)
@@ -548,7 +544,7 @@ def dist_to_Gmax(
     the distance is never below the true one; the flag is the local check
     of ``_nearest``.
     """
-    dists, flags = dist_to_Gmax_batch([z], n, tol=tol)
+    dists, flags = dist_to_Gmax_batch([z], n)
     return float(dists[0]), bool(flags[0])
 
 
@@ -572,12 +568,7 @@ def _witness_geodesic(ends, undo, n: int) -> Geodesic:
     return Geodesic.circle(accurate_float((p + q) * inv), accurate_float(abs((q - p) * inv)))
 
 
-def nearest_gmax_geodesic(
-    z: complex,
-    n: int,
-    *,
-    tol: float = 1e-12,
-) -> tuple[float, bool, Geodesic, list]:
+def nearest_gmax_geodesic(z: complex, n: int) -> tuple[float, bool, Geodesic, list]:
     """Like ``dist_to_Gmax`` but also reports a minimizing geodesic.
 
     Returns ``(dist, converged, geodesic, word)`` with the geodesic expressed
@@ -587,7 +578,7 @@ def nearest_gmax_geodesic(
     """
     z = complex(z)
     w, word = (z, []) if in_fundamental_domain(z, n) else reduce_to_fundamental_domain(z, n)
-    sinh, m, a, b, converged = _nearest(np.array([w.real]), np.array([w.imag]), n, tol)
+    sinh, m, a, b, converged = _nearest(np.array([w.real]), np.array([w.imag]), n)
     # w -> -1/(phi w) into the strip, TH^m back to the reduced point, then
     # undo the reduction word
     undo = [("TH", int(m[0]))] + [(gen, -k) for gen, k in reversed(word)]

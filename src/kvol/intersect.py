@@ -466,7 +466,7 @@ class IntersectionForm:
     of the underlying curves.
     """
 
-    def __init__(self, surface: TranslationSurface, *, positive_side: bool = True):
+    def __init__(self, surface: TranslationSurface):
         S = surface
         self.surface = S
         self._signs = _half_signs(S)
@@ -534,7 +534,7 @@ class IntersectionForm:
         mat = np.zeros((m, m), dtype=np.int64)
         for i in range(m):
             for j in range(i + 1, m):
-                val = intersect(cycles[i], cycles[j], positive_side=positive_side).total
+                val = intersect(cycles[i], cycles[j]).total
                 mat[i, j] = val
                 mat[j, i] = -val
         self.matrix = mat
@@ -618,6 +618,6 @@ class IntersectionForm:
         }
 
 
-def intersection_form(surface: TranslationSurface, *, positive_side: bool = True) -> IntersectionForm:
+def intersection_form(surface: TranslationSurface) -> IntersectionForm:
     """The intersection form of the surface on its fundamental-cycle basis."""
-    return IntersectionForm(surface, positive_side=positive_side)
+    return IntersectionForm(surface)

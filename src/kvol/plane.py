@@ -68,14 +68,23 @@ def same_ray(u: Vec2, v: Vec2) -> bool:
     return parallel(u, v) and dot(u, v).sign() > 0
 
 
-def is_horizontal_label(d) -> bool:
-    """True for the labels of the horizontal direction: None, "inf",
-    "horizontal", "h" and float infinity."""
-    if d is None:
-        return True
-    if isinstance(d, str):
-        return d in ("inf", "horizontal", "h")
-    return isinstance(d, float) and math.isinf(d)
+def direction_pair(label) -> tuple:
+    """The one reading of a direction label, as a raw pair ``(x, y)``.
+
+    ``None``, ``"inf"`` and float infinity label the horizontal ``(1, 0)``; a
+    tuple ``(x, y)`` is the vector itself; any other value is a co-slope
+    ``d = x/y``, the vector ``(d, 1)`` (vertical = 0).  The entries come back
+    as given, for the caller to convert: to the field (``surface``), to
+    floats (``hyperbolic``) or to JSON (``ratios``).
+    """
+    if label is None or label == "inf" or (isinstance(label, float) and math.isinf(label)):
+        return (1, 0)
+    if isinstance(label, tuple):
+        x, y = label
+        if x == 0 and y == 0:
+            raise ValueError("zero direction vector")
+        return (x, y)
+    return (label, 1)
 
 
 def canonical_orientation(u: Vec2) -> bool:

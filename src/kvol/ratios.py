@@ -64,9 +64,9 @@ import numpy as np
 from .field import CycloReal, fmt_float, sqrt_in_field, trig_value
 from .hyperbolic import Geodesic, nearest_gmax_geodesic
 from .intersect import ClosedCurve, IntersectionForm, intersection_form
-from .plane import Mat2, cross, is_horizontal_label, norm2
+from .plane import Mat2, canonical_orientation, cross, direction_pair, norm2, vneg
 from .saddle import SaddleConnection, enumerate_saddle_connections
-from .surface import TranslationSurface, build_ngon, build_staircase
+from .surface import TranslationSurface, build_ngon, build_staircase, direction_vector
 
 
 class UnrealizedDirectionError(RuntimeError):
@@ -302,6 +302,13 @@ def length_unit(surface: TranslationSurface) -> CycloReal:
 # ---------------------------------------------------------------------------
 
 
+def _label_json(label):
+    """A direction label in JSON: "inf" for the horizontal, else its
+    co-slope x/y as a float."""
+    x, y = direction_pair(label)
+    return "inf" if y == 0 else float(x / y)
+
+
 def _serialize_witness(w) -> dict:
     if isinstance(w, tuple) and len(w) and isinstance(w[0], Geodesic):
         g, word = w
@@ -372,12 +379,9 @@ class DirectionPairReport:
         return iter((self.exact, self.witnesses))
 
     def to_dict(self) -> dict:
-        def lab(x):
-            return "inf" if is_horizontal_label(x) else float(x)
-
         return {
-            "d": lab(self.d),
-            "d_prime": lab(self.d_prime),
+            "d": _label_json(self.d),
+            "d_prime": _label_json(self.d_prime),
             "value": float(fmt_float(self.value)),
             "exact": self.exact.to_dict(),
             "witnesses": [_serialize_witness(w) for w in self.witnesses[:64]],
@@ -438,7 +442,7 @@ class ParallelReport:
 
     def to_dict(self) -> dict:
         return {
-            "direction": "inf" if is_horizontal_label(self.direction) else float(self.direction),
+            "direction": _label_json(self.direction),
             "count_connections": self.count_connections,
             "count_curves": self.count_curves,
             "pairs_checked": self.pairs_checked,
@@ -634,21 +638,23 @@ def kvol_bruteforce(
 
 
 def _canonical_pair(n: int, d1, d2):
-    """Order two direction labels with the horizontal (infinite slope ratio)
-    greatest; reject equal directions."""
-    h1, h2 = is_horizontal_label(d1), is_horizontal_label(d2)
-    if h1 and h2:
-        raise ValueError("directions coincide")
-    if h1:
-        return d2, "inf"
-    if h2:
-        return d1, "inf"
-    c1 = d1 if isinstance(d1, CycloReal) else CycloReal.from_rational(n, Fraction(d1))
-    c2 = d2 if isinstance(d2, CycloReal) else CycloReal.from_rational(n, Fraction(d2))
-    s = (c2 - c1).sign()
+    """Two direction labels as exact co-slopes ordered by value, the
+    horizontal ("inf") greatest; reject parallel directions.
+
+    With both vectors turned into the upper half-plane, the co-slope of
+    ``u`` is below that of ``v`` exactly when ``cross(u, v) < 0``."""
+    u, v = (direction_vector(n, d) for d in (d1, d2))
+    u, v = (w if canonical_orientation(w) else vneg(w) for w in (u, v))
+    s = cross(u, v).sign()
     if s == 0:
         raise ValueError("directions coincide")
-    return (c1, c2) if s > 0 else (c2, c1)
+    return (_coslope(u), _coslope(v)) if s < 0 else (_coslope(v), _coslope(u))
+
+
+def _coslope(v):
+    """The label a report keeps for an exact direction vector: "inf" for the
+    horizontal, else the co-slope x/y in the field."""
+    return "inf" if v[1].is_zero() else v[0] / v[1]
 
 
 def K_of_directions(
@@ -840,33 +846,28 @@ def is_side_pair_witness(w) -> bool:
     return pa is not None and pb is not None and pa != pb
 
 
-def check_parallel_criterion(
-    surface: TranslationSurface,
-    d,
-    L,
-    *,
-    form: Optional[IntersectionForm] = None,
-) -> ParallelReport:
+def check_parallel_criterion(surface: TranslationSurface, d, L) -> ParallelReport:
     """Pairwise intersection numbers of all closed curves in one direction.
 
     Closed curves built from parallel saddle connections never cross each
     other transversally and their algebraic intersection numbers vanish; this
     checks that exactly, over every atom (including the two-component unions
     in both relative orientations) assembled from connections of length at
-    most ``L`` in direction ``d``.
+    most ``L`` in direction ``d`` (``None`` is the horizontal, as for every
+    direction label).
     """
-    scs = enumerate_saddle_connections(surface, L, direction=d)
+    v = direction_vector(surface.n, d)
+    scs = enumerate_saddle_connections(surface, L, direction=v)
     if not scs:
         raise UnrealizedDirectionError(
             f"no saddle connection in direction {d!r} within length {float(L):g} "
             "(direction not periodic?)"
         )
     curves = closed_atoms(surface, scs)
-    if form is None:
-        form = intersection_form(surface)
-    scan = _scan_pairs(form, curves, floor=0.0)  # ratio > 0 exactly when Int != 0
+    # ratio > 0 exactly when Int != 0
+    scan = _scan_pairs(intersection_form(surface), curves, floor=0.0)
     return ParallelReport(
-        direction=d,
+        direction=_coslope(v),
         count_connections=len(scs),
         count_curves=len(curves),
         pairs_checked=len(curves) * (len(curves) - 1) // 2,

@@ -397,10 +397,11 @@ def enumerate_saddle_connections(
 ) -> list[SaddleConnection]:
     """All saddle connections of length <= the bound, canonically oriented.
 
-    ``direction`` (optional) restricts to one direction class: it accepts the
-    same forms as ``surface.direction_vector`` (a co-slope x/y, a vector, or
-    "inf" for horizontal).  Results are sorted by (length, holonomy) with
-    exact comparisons.
+    ``direction`` restricts to one direction class: it accepts the labels of
+    ``surface.direction_vector`` (a co-slope x/y, a vector, or "inf" for
+    horizontal).  Here ``direction=None`` means no filter, not the
+    horizontal: callers holding a label parse it first.  Results are sorted
+    by (length, holonomy) with exact comparisons.
     """
     L2 = _as_length_sq(S.n, length)
     L2f = float(L2)

@@ -28,8 +28,8 @@ from .plane import (
     Vec2,
     canonical_orientation,
     cross,
+    direction_pair,
     dot,
-    is_horizontal_label,
     is_zero_vec,
     line_intersection,
     norm2,
@@ -64,20 +64,11 @@ def _as_field(n: int, value) -> CycloReal:
 
 
 def direction_vector(n: int, direction) -> Vec2:
-    """Normalize a direction argument to an exact vector.
-
-    Accepted forms: a pair (x, y) of field elements; the co-slope x/y as an
-    exact scalar (vertical = 0); or one of None/"inf"/"horizontal"/math.inf
-    for the horizontal direction.
-    """
-    if is_horizontal_label(direction):
-        return (_as_field(n, 1), _as_field(n, 0))
-    if isinstance(direction, tuple):
-        v = (_as_field(n, direction[0]), _as_field(n, direction[1]))
-        if is_zero_vec(v):
-            raise ValueError("zero direction vector")
-        return v
-    return (_as_field(n, direction), _as_field(n, 1))
+    """The exact vector of a direction label, read by ``plane.direction_pair``:
+    a pair (x, y), an exact co-slope x/y (vertical = 0), or one of
+    None/"inf"/math.inf for the horizontal direction."""
+    x, y = direction_pair(direction)
+    return (_as_field(n, x), _as_field(n, y))
 
 
 class TranslationSurface:
@@ -303,24 +294,32 @@ class TranslationSurface:
         return TranslationSurface(self.n, self.model, faces, glue, labels)
 
     def to_dict(self) -> dict:
+        """The JSON description that ``kvol surface`` prints: exact vertices
+        per face, each edge pair as ``[f1, e1, f2, e2]``, the vertex classes
+        as ``[face, vertex]`` corners and the pair labels."""
         return {
             "n": self.n,
             "model": self.model,
-            "faces": [[[p[0].to_dict(), p[1].to_dict()] for p in verts] for verts in self.faces],
-            "glue": [[list(h1), list(h2)] for h1, h2 in self.edge_pairs],
+            "faces": [
+                {"vertices": [[x.to_dict(), y.to_dict()] for x, y in verts]}
+                for verts in self.faces
+            ],
+            "gluings": [[*h1, *h2] for h1, h2 in self.edge_pairs],
+            "singularities": [[list(corner) for corner in cyc] for cyc in self.vertex_classes],
             "labels": list(self.pair_labels),
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "TranslationSurface":
+        """Read ``to_dict`` output back; the singularities are derived again."""
         faces = [
-            [(CycloReal.from_dict(x), CycloReal.from_dict(y)) for x, y in verts]
-            for verts in data["faces"]
+            [(CycloReal.from_dict(x), CycloReal.from_dict(y)) for x, y in face["vertices"]]
+            for face in data["faces"]
         ]
         glue: dict[Half, Half] = {}
         labels: dict[Half, str] = {}
-        for (h1, h2), lab in zip(data["glue"], data["labels"]):
-            h1, h2 = tuple(h1), tuple(h2)
+        for (f1, e1, f2, e2), lab in zip(data["gluings"], data["labels"]):
+            h1, h2 = (f1, e1), (f2, e2)
             glue[h1] = h2
             glue[h2] = h1
             labels[h1] = labels[h2] = lab
@@ -539,6 +538,10 @@ class Trace:
     end: tuple  # ("vertex", (face, vi))
 
 
+# face crossings a separatrix may make before trace_from_corner gives up
+_MAX_TRACE_STEPS = 100000
+
+
 def trace_from_corner(
     S: TranslationSurface,
     f: int,
@@ -546,7 +549,6 @@ def trace_from_corner(
     v: Vec2,
     *,
     max_length: float,
-    max_steps: int = 100000,
 ) -> Trace:
     """Trace the separatrix leaving corner (f, vi) in direction v until it
     hits a vertex; raises NonPeriodicDirectionError past the length budget."""
@@ -555,7 +557,7 @@ def trace_from_corner(
     pieces: list[tuple[int, Vec2, Vec2]] = []
     crossings: list[tuple[int, Half, Vec2]] = []
     travelled = 0.0
-    for _ in range(max_steps):
+    for _ in range(_MAX_TRACE_STEPS):
         q, exit_info = exit_through_face(S, f, p, v)
         pieces.append((f, p, q))
         dq = vfloat(vsub(q, p))

@@ -17,6 +17,7 @@ from kvol.cli import (
     EXIT_VERIFY,
     main,
 )
+from kvol.surface import TranslationSurface, build_staircase
 
 
 def run(capsys, *argv):
@@ -36,6 +37,15 @@ class TestSurfaceCommand:
         assert all(len(f["vertices"]) >= 4 for f in d["faces"])
         assert all(len(g) == 4 for g in d["gluings"])
         assert len(d["labels"]) == len(d["gluings"])
+
+    def test_output_reads_back(self, capsys):
+        code, out, _ = run(capsys, "surface", "--n", "8", "--model", "staircase")
+        assert code == EXIT_OK
+        S, T = build_staircase(8), TranslationSurface.from_dict(json.loads(out))
+        assert (T.n, T.model, T.faces) == (S.n, S.model, S.faces)
+        assert T.edge_pairs == S.edge_pairs and T.pair_labels == S.pair_labels
+        assert T.vertex_classes == S.vertex_classes
+        assert json.dumps(T.to_dict(), indent=2) + "\n" == out
 
     def test_ngon_single_singularity(self, capsys):
         code, out, _ = run(capsys, "surface", "--n", "12", "--model", "ngon")
@@ -139,12 +149,6 @@ class TestKvolPointCommand:
         d = json.loads(out)
         assert d["bruteforce"]["mode"] == "bruteforce"
         assert d["bruteforce"]["value"] <= d["value"] + 1e-9
-
-    def test_precision_env_accepted(self, capsys, monkeypatch):
-        monkeypatch.setenv("KVOL_PRECISION_BITS", "192")
-        code, out, _ = run(capsys, "kvol-point", "--n", "8", "--x", "0", "--y", "1")
-        assert code == EXIT_OK
-        assert abs(json.loads(out)["value"] - 6.8284271) < 1e-6
 
 
 class TestKvolGridCommand:

@@ -8,7 +8,6 @@ Frozen expected values were derived before implementation:
 """
 
 import math
-import os
 import sys
 from fractions import Fraction
 
@@ -126,13 +125,6 @@ class TestSign:
         as_floats = sorted(float(v) for v in vals)
         assert [float(v) for v in sorted(vals)] == as_floats
 
-    def test_precision_env_override(self):
-        phi = CycloReal.phi(8)
-        os.environ["KVOL_PRECISION_BITS"] = "128"
-        try:
-            assert (phi * phi - 2 - Fraction(665857, 470832)).sign() == -1
-        finally:
-            del os.environ["KVOL_PRECISION_BITS"]
 
 
 class TestTrig:

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -27,9 +28,9 @@ from kvol.hyperbolic import (
     nearest_gmax_geodesic,
     word_matrix,
 )
-from kvol.plane import Mat2
+from kvol.plane import Mat2, vfloat
 from kvol.ratios import kvol_closed_formula
-from kvol.surface import conversion_matrix, veech_generators
+from kvol.surface import conversion_matrix, direction_vector, veech_generators
 
 
 def _identity(n):
@@ -146,6 +147,30 @@ class TestAnglesAndGeodesics:
             s = angle_sine(z, d1, d2)
             c = math.cosh(geodesic_of_directions(d1, d2).dist_to(z))
             assert abs(s * c - 1.0) < 1e-9
+
+    def test_disk_label_is_mirrored_surface_label(self):
+        # a disk label d is the surface direction of co-slope -d
+        def surface_sine(z, e1, e2):
+            M = Mat2(8, 1, Fraction(z.real), 0, Fraction(z.imag))
+            w1, w2 = (vfloat(M.apply(direction_vector(8, e))) for e in (e1, e2))
+            return abs(w1[0] * w2[1] - w1[1] * w2[0]) / (math.hypot(*w1) * math.hypot(*w2))
+
+        z = 0.5 + 1j
+        assert angle_sine(z, "inf", 1.0) == pytest.approx(surface_sine(z, "inf", -1), rel=1e-15)
+        assert angle_sine(z, "inf", 1.0) != pytest.approx(surface_sine(z, "inf", 1), rel=1e-3)
+        rng = random.Random(11)
+        for _ in range(60):
+            z = complex(rng.randint(-30, 30) / 8, rng.randint(1, 30) / 8)
+            d1 = rng.choice(["inf", Fraction(rng.randint(-30, 30), 10)])
+            d2 = Fraction(rng.randint(-30, 30), 10)
+            if d1 == d2:
+                continue
+            mirror = lambda d: d if d == "inf" else -d
+            want = surface_sine(z, mirror(d1), mirror(d2))
+            assert angle_sine(z, d1, d2) == pytest.approx(want, rel=1e-12)
+        # a vector label reads as its co-slope
+        assert angle_sine(z, (2, -4), "inf") == angle_sine(z, -0.5, "inf")
+        assert geodesic_of_directions((1, 2), (-3, 0)) == Geodesic.vertical(0.5)
 
     def test_circle_distance_formula(self):
         geo = Geodesic.circle(0.0, 1.0)

@@ -1,6 +1,7 @@
 """No module of the package or the test suite imports a name it never uses,
-no module of the package imports from the package inside a function, and no
-private helper of the package is left without a caller."""
+no module of the package imports from the package inside a function, no
+private helper of the package is left without a caller, and no keyword-only
+option of the package is left that no caller sets."""
 
 from __future__ import annotations
 
@@ -116,3 +117,59 @@ def test_no_dead_private_helpers():
     package = {p.stem: p.read_text() for p in FILES if p.parent.name == "kvol"}
     tests = [p.read_text() for p in FILES if p.parent.name == "tests"]
     assert dead_helpers(package, tests) == []
+
+
+def _callee(call: ast.Call):
+    f = call.func
+    return f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+
+
+def unused_options(modules: dict[str, str], others: list[str]) -> list[str]:
+    """``module:callable(option=)`` for every keyword-only parameter of a
+    function, method or class (``__init__``) of ``modules`` that no call in
+    ``modules`` or ``others`` passes.
+
+    A call matches by the callee's name.  Forwarding, ``option=option``,
+    does not count as setting the option, and neither does ``**kwargs``."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    options = []
+    for name, tree in trees.items():
+        methods = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        methods[id(item)] = node.name if item.name == "__init__" else item.name
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                callee = methods.get(id(node), node.name)
+                options += [(name, callee, a.arg) for a in node.args.kwonlyargs]
+    passed = set()
+    for tree in [*trees.values(), *map(ast.parse, others)]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                passed |= {
+                    (_callee(node), kw.arg)
+                    for kw in node.keywords
+                    if kw.arg and not (isinstance(kw.value, ast.Name) and kw.value.id == kw.arg)
+                }
+    return [f"{m}:{c}({o}=)" for m, c, o in options if (c, o) not in passed]
+
+
+def test_scanner_flags_unused_options():
+    module = (
+        "def f(x, *, a=1, b=2, c=3):\n    return g(c=c)\n"
+        "def g(*, c=0): pass\n"
+        "class K:\n    def __init__(self, *, d=0): pass\n    def m(self, *, e=0): pass\n"
+        "f(1, a=2, **{})\n"
+    )
+    assert unused_options({"m": module}, ["import m\nm.K(d=1)\n"]) == [
+        "m:f(b=)", "m:f(c=)", "m:g(c=)", "m:m(e=)",
+    ]
+
+
+def test_no_unused_options():
+    package = {p.stem: p.read_text() for p in FILES if p.parent.name == "kvol"}
+    callers = [p.read_text() for p in FILES if p.parent.name == "tests"]
+    callers += [p.read_text() for p in sorted((ROOT / "perfbench").rglob("*.py"))]
+    assert unused_options(package, callers) == []

@@ -23,7 +23,9 @@ from kvol.field import CycloReal, trig_value
 from kvol.hyperbolic import apply_word
 from kvol.intersect import intersection_form
 from kvol.ratios import (
+    DirectionPairReport,
     K_of_directions,
+    ParallelReport,
     UnrealizedDirectionError,
     UnsupportedCaseError,
     _RadicalContext,
@@ -335,6 +337,34 @@ class TestParallelAndStaircaseBound:
     def test_unrealized_direction_raises(self):
         with pytest.raises(UnrealizedDirectionError):
             check_parallel_criterion(build_staircase(8), Fraction(355, 113), lm(8) * 2)
+
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_horizontal_labels_agree(self, n):
+        # None once meant "no filter" here: every direction, 32 connections
+        # on S_8 against 3 horizontal ones, reported as "inf"
+        S = build_staircase(n)
+        labels = (None, "inf", math.inf, (1, 0))
+        reps = [check_parallel_criterion(S, d, lm(n) * 6) for d in labels]
+        assert all(r == reps[1] for r in reps)
+        assert all(r.to_dict() == reps[1].to_dict() for r in reps)
+        assert reps[1].to_dict()["direction"] == "inf" and reps[1].ok
+        Ks = [K_of_directions(S, d, 0, lm(n) * 8) for d in labels]
+        assert all(k.exact == Ks[1].exact and k.to_dict() == Ks[1].to_dict() for k in Ks)
+
+    def test_reports_render_labels(self, stc8):
+        rep = check_parallel_criterion(stc8, (0, 1), lm(8) * 6)
+        assert rep.to_dict()["direction"] == 0.0
+        phi = CycloReal.phi(8)
+        K = K_of_directions(stc8, (2, 2 * phi), (-1, 0), lm(8) * 6)
+        assert (K.d, K.d_prime) == (F(8, 1) / phi, "inf")
+        assert K.to_dict()["d"] == float(F(8, 1) / phi)
+        raw = DirectionPairReport((1, 2), (3, 0), F(8, 1), 1.0, [], {})
+        assert (raw.to_dict()["d"], raw.to_dict()["d_prime"]) == (0.5, "inf")
+        raw = ParallelReport((F(8, 1), phi), 0, 0, 0, [])
+        assert raw.to_dict()["direction"] == float(F(8, 1) / phi)
+        # a co-slope renders as float(d), as it always has
+        for d in (0, 3, Fraction(1, 3), 0.25, phi, F(8, -2) / phi):
+            assert ParallelReport(d, 0, 0, 0, []).to_dict()["direction"] == float(d)
 
     def test_staircase_bound_base_and_sheared(self):
         rep = bound_4m2(10, lm(10) * 3)

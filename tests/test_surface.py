@@ -297,3 +297,7 @@ class TestTransforms:
         phi = CycloReal.phi(n)
         assert direction_vector(n, phi) == (phi, F(n, 1))
         assert direction_vector(n, 0) == (F(n, 0), F(n, 1))
+        assert direction_vector(n, (phi, -1)) == (phi, F(n, -1))
+        for bad in ((0, 0), "horizontal"):
+            with pytest.raises(ValueError):
+                direction_vector(n, bad)
