@@ -14,10 +14,17 @@ so every geometric predicate (orientation, incidence, comparisons of lengths)
 is exact.  The module also provides straight-line flow tracing, cylinder
 decompositions in a periodic direction, the side-transition diagram of a
 direction sector, and the subdivision of a segment into unit-length pieces.
+
+One loop, ``_flow``, steps a straight line across glued edges; separatrices
+and cylinder core leaves both follow it.  A cylinder's fields are exact and
+read from one closed leaf: separatrix chords cut each convex face into slabs
+of their cylinder's width, a mid-level leaf misses every vertex, and its
+holonomy is minus the sum of the glue shifts it crosses.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -33,8 +40,6 @@ from .plane import (
     is_zero_vec,
     line_intersection,
     norm2,
-    parallel,
-    same_ray,
     smul,
     vadd,
     vfloat,
@@ -209,11 +214,6 @@ class TranslationSurface:
         verts = self.faces[f]
         return vsub(verts[(e + 1) % len(verts)], verts[e])
 
-    def edge_endpoints(self, h: Half) -> tuple[Vec2, Vec2]:
-        f, e = h
-        verts = self.faces[f]
-        return verts[e], verts[(e + 1) % len(verts)]
-
     def wedge_rays(self, f: int, v: int) -> tuple[Vec2, Vec2]:
         """Boundary rays of the corner wedge at (f, v), counterclockwise order.
 
@@ -232,15 +232,14 @@ class TranslationSurface:
         return ang if ang > 0 else ang + TWO_PI
 
     def direction_in_wedge(self, f: int, v: int, d: Vec2) -> bool:
-        """True if d points strictly inside the corner wedge at (f, v)."""
+        """True if d points strictly inside the corner wedge at (f, v).
+
+        Faces are convex, so a wedge spans at most pi (exactly pi at a flat
+        corner) and d is inside iff it lies strictly left of the first ray
+        and strictly right of the second; d on either ray is outside.
+        """
         ra, rb = self.wedge_rays(f, v)
-        ang = self.corner_angle(f, v)
-        if ang <= math.pi + 1e-12:
-            return cross(ra, d).sign() > 0 and cross(d, rb).sign() > 0
-        # reflex wedge (> pi): inside iff not in the complementary convex wedge
-        if cross(ra, d).sign() > 0 and cross(d, rb).sign() > 0:
-            return True
-        return not (cross(rb, d).sign() >= 0 and cross(d, ra).sign() >= 0)
+        return cross(ra, d).sign() > 0 and cross(d, rb).sign() > 0
 
     def area(self) -> CycloReal:
         total = CycloReal.from_rational(self.n, 0)
@@ -538,8 +537,33 @@ class Trace:
     end: tuple  # ("vertex", (face, vi))
 
 
-# face crossings a separatrix may make before trace_from_corner gives up
+# face crossings a trace may make before it gives up
 _MAX_TRACE_STEPS = 100000
+
+
+def _flow(S: TranslationSurface, f: int, p: Vec2, v: Vec2, max_length: float):
+    """Follow the ray from p in face f in direction v across glued edges.
+
+    Yields (face, p_in, p_out, exit_info) for each face crossed, with
+    ``exit_info`` as from ``exit_through_face``, and stops after a piece that
+    ends at a vertex.  Raises NonPeriodicDirectionError once the ray has run
+    past ``max_length`` or the step budget without reaching a vertex.
+    """
+    travelled = 0.0
+    for _ in range(_MAX_TRACE_STEPS):
+        q, exit_info = exit_through_face(S, f, p, v)
+        travelled += math.hypot(*vfloat(vsub(q, p)))
+        if exit_info[0] == "edge" and travelled > max_length:
+            raise NonPeriodicDirectionError(
+                f"separatrix exceeded length {max_length:.3g} without closing"
+            )
+        yield f, p, q, exit_info
+        if exit_info[0] == "vertex":
+            return
+        half = exit_info[1]
+        f = S.glue[half][0]
+        p = vadd(q, S.glue_shift[half])
+    raise NonPeriodicDirectionError("separatrix exceeded the step budget")
 
 
 def trace_from_corner(
@@ -552,30 +576,16 @@ def trace_from_corner(
 ) -> Trace:
     """Trace the separatrix leaving corner (f, vi) in direction v until it
     hits a vertex; raises NonPeriodicDirectionError past the length budget."""
-    p = S.faces[f][vi]
-    tau = vneg(p)  # developed point = face point + tau
+    tau = vneg(S.faces[f][vi])  # developed point = face point + tau
     pieces: list[tuple[int, Vec2, Vec2]] = []
     crossings: list[tuple[int, Half, Vec2]] = []
-    travelled = 0.0
-    for _ in range(_MAX_TRACE_STEPS):
-        q, exit_info = exit_through_face(S, f, p, v)
-        pieces.append((f, p, q))
-        dq = vfloat(vsub(q, p))
-        travelled += math.hypot(*dq)
+    for face, p, q, exit_info in _flow(S, f, S.faces[f][vi], v, max_length):
+        pieces.append((face, p, q))
         if exit_info[0] == "vertex":
-            return Trace(pieces, crossings, ("vertex", (f, exit_info[1])))
-        if travelled > max_length:
-            raise NonPeriodicDirectionError(
-                f"separatrix exceeded length {max_length:.3g} without closing"
-            )
-        _, half, _s = exit_info
+            return Trace(pieces, crossings, ("vertex", (face, exit_info[1])))
+        half = exit_info[1]
         crossings.append((S.pair_of[half], half, vadd(q, tau)))
-        f2, _e2 = S.glue[half]
-        shift = S.glue_shift[half]
-        p = vadd(q, shift)
-        tau = vsub(tau, shift)
-        f = f2
-    raise NonPeriodicDirectionError("separatrix exceeded the step budget")
+        tau = vsub(tau, S.glue_shift[half])
 
 
 # -- cylinder decomposition ---------------------------------------------------
@@ -606,35 +616,18 @@ class Cylinder:
         return math.sqrt(float(self.height_sq))
 
 
-def _clip_halfplane(n: int, poly: list[Vec2], values: list[CycloReal]) -> list[Vec2]:
-    """Keep the part of a convex polygon where the affine value is >= 0."""
-    out: list[Vec2] = []
-    k = len(poly)
+def _chord_midpoint(verts: Sequence[Vec2], v: Vec2, c: CycloReal) -> Vec2:
+    """The midpoint of a convex face's chord on the level line cross(v, p) = c,
+    a level strictly between the face's vertex levels and equal to none."""
+    ends = []
+    k = len(verts)
     for i in range(k):
-        a, b = poly[i], poly[(i + 1) % k]
-        va, vb = values[i], values[(i + 1) % k]
-        sa, sb = va.sign(), vb.sign()
-        if sa >= 0:
-            out.append(a)
-        if (sa > 0 > sb) or (sb > 0 > sa):
-            t = va / (va - vb)
-            out.append(vadd(a, smul(t, vsub(b, a))))
-    # drop repeated vertices created by clipping exactly through a vertex
-    dedup: list[Vec2] = []
-    for p in out:
-        if not dedup or not (p[0] == dedup[-1][0] and p[1] == dedup[-1][1]):
-            dedup.append(p)
-    if len(dedup) > 1 and dedup[0][0] == dedup[-1][0] and dedup[0][1] == dedup[-1][1]:
-        dedup.pop()
-    return dedup
-
-
-def _poly_area2(poly: Sequence[Vec2], n: int) -> CycloReal:
-    total = CycloReal.from_rational(n, 0)
-    k = len(poly)
-    for i in range(k):
-        total = total + cross(poly[i], poly[(i + 1) % k])
-    return total
+        a, b = verts[i], verts[(i + 1) % k]
+        la, lb = cross(v, a), cross(v, b)
+        if (la < c) != (lb < c):
+            ends.append(vadd(a, smul((c - la) / (lb - la), vsub(b, a))))
+    x, y = vadd(*ends)
+    return (x / 2, y / 2)
 
 
 def cylinder_decomposition(
@@ -646,160 +639,66 @@ def cylinder_decomposition(
     horizontal.  Raises NonPeriodicDirectionError when some separatrix fails
     to close within the budget (the direction is then not periodic, or the
     budget is too small).
+
+    Every field is exact.  The level of a point p is cross(v, p).  Faces are
+    convex, so a separatrix chord spans the whole level segment of its face,
+    and the singular levels of a face (its vertices' and its chords') cut it
+    into slabs that each run across one cylinder from boundary to boundary:
+    every slab of a cylinder has the cylinder's level width hi - lo.  The
+    leaf at a slab's mid-level avoids every vertex, since vertices lie on
+    singular levels only, and closes after crossing each slab of its
+    cylinder once.  Its holonomy hol is minus the sum of the glue shifts it
+    crosses, and hol = lambda * v with lambda > 0, so the circumference
+    squared is |hol|^2 and the area is lambda * (hi - lo).
     """
     v = direction_vector(S.n, direction)
     if max_length is None:
-        per = 0.0
-        for f, verts in enumerate(S.faces):
-            for e in range(len(verts)):
-                per += math.hypot(*vfloat(S.edge_vector((f, e))))
-        max_length = 64.0 * per
+        max_length = 64.0 * sum(math.hypot(*vfloat(S.edge_vector(h))) for h in S.glue)
 
-    # 1. trace every separatrix leaving a vertex in direction +v
-    chords: dict[int, list[tuple[Vec2, Vec2]]] = {f: [] for f in range(len(S.faces))}
-    for cyc in S.vertex_classes:
-        for f, vi in cyc:
-            ra, _rb = S.wedge_rays(f, vi)
-            if same_ray(v, ra):
-                continue  # boundary separatrix along an existing edge
-            if not S.direction_in_wedge(f, vi, v):
-                continue
-            tr = trace_from_corner(S, f, vi, v, max_length=max_length)
-            for face, p_in, p_out in tr.pieces:
-                chords[face].append((p_in, p_out))
+    def level(p: Vec2) -> CycloReal:
+        return cross(v, p)
 
-    # 2. slice each face into slabs between consecutive singular levels
-    level = lambda p: cross(v, p)
-    slab_polys: list[tuple[int, list[Vec2]]] = []  # (face, polygon)
-    slabs_of_face: dict[int, list[tuple[CycloReal, CycloReal, int]]] = {}
+    # 1. the singular levels of each face: its vertices and the chords of
+    # every separatrix leaving a vertex in direction +v
+    level_sets = [{level(p) for p in verts} for verts in S.faces]
     for f, verts in enumerate(S.faces):
-        vertex_levels = [level(p) for p in verts]
-        lo_all = min(vertex_levels)
-        hi_all = max(vertex_levels)
-        cut_levels: list[CycloReal] = []
-        for p_in, _p_out in chords[f]:
-            lv = level(p_in)
-            if lv != lo_all and lv != hi_all and all(lv != c for c in cut_levels):
-                cut_levels.append(lv)
-        cut_levels.sort()
-        bounds = [lo_all] + cut_levels + [hi_all]
-        slabs = []
-        for lo, hi in zip(bounds, bounds[1:]):
-            poly = _clip_halfplane(S.n, list(verts), [level(p) - lo for p in verts])
-            poly = _clip_halfplane(S.n, poly, [hi - level(p) for p in poly])
-            if len(poly) >= 3 and _poly_area2(poly, S.n).sign() > 0:
-                sid = len(slab_polys)
-                slab_polys.append((f, poly))
-                slabs.append((lo, hi, sid))
-        slabs_of_face[f] = slabs
+        for vi in range(len(verts)):
+            if S.direction_in_wedge(f, vi, v):
+                for face, p, _q, _exit in _flow(S, f, verts[vi], v, max_length):
+                    level_sets[face].add(level(p))
+    levels = [sorted(ls) for ls in level_sets]
 
-    # 3. merge slabs across every glued edge pair not parallel to v
-    parent = list(range(len(slab_polys)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i: int, j: int):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-
-    for h1, h2 in S.edge_pairs:
-        evec = S.edge_vector(h1)
-        if parallel(evec, v):
-            continue
-
-        def side_intervals(h: Half, flip: bool) -> list[tuple[CycloReal, CycloReal, int]]:
-            a, b = S.edge_endpoints(h)
-            la, d = level(a), cross(v, vsub(b, a))
-            out = []
-            for lo, hi, sid in slabs_of_face[h[0]]:
-                t0, t1 = (lo - la) / d, (hi - la) / d
-                if t0 > t1:
-                    t0, t1 = t1, t0
-                if flip:
-                    t0, t1 = 1 - t1, 1 - t0
-                t0 = max(t0, CycloReal.from_rational(S.n, 0))
-                t1 = min(t1, CycloReal.from_rational(S.n, 1))
-                if t0 < t1:
-                    out.append((t0, t1, sid))
-            return out
-
-        iv1 = side_intervals(h1, False)
-        iv2 = side_intervals(h2, True)
-        for t0, t1, sid in iv1:
-            for u0, u1, sid2 in iv2:
-                if max(t0, u0) < min(t1, u1):
-                    union(sid, sid2)
-
-    groups: dict[int, list[int]] = {}
-    for sid in range(len(slab_polys)):
-        groups.setdefault(find(sid), []).append(sid)
-
-    # 4. assemble cylinder data
-    nv2 = norm2(v)
+    # 2. one closed leaf per cylinder; slab (f, j) lies between levels[f][j-1]
+    # and levels[f][j]
+    zero = CycloReal.from_rational(S.n, 0)
+    seen: set[tuple[int, int]] = set()
     cylinders = []
-    for sids in groups.values():
-        area2 = CycloReal.from_rational(S.n, 0)
-        wall = CycloReal.from_rational(S.n, 0)  # sum |v . edge| over v-parallel edges
-        for sid in sids:
-            _f, poly = slab_polys[sid]
-            area2 = area2 + _poly_area2(poly, S.n)
-            k = len(poly)
-            for i in range(k):
-                e = vsub(poly[(i + 1) % k], poly[i])
-                if parallel(e, v):
-                    wall = wall + abs(dot(v, e))
-        area = area2 / 2
-        circ_sq = (wall * wall) / (nv2 * 4)
-        modulus = circ_sq / area
-        height_sq = area / modulus
-        word = _core_word(S, v, slab_polys, sids)
-        cylinders.append(
-            Cylinder(v, area, circ_sq, height_sq, modulus, word, len(sids))
-        )
+    for f, ls in enumerate(levels):
+        for j in range(1, len(ls)):
+            if (f, j) in seen:
+                continue
+            lo, hi = ls[j - 1], ls[j]
+            start = _chord_midpoint(S.faces[f], v, (lo + hi) / 2)
+            hol = (zero, zero)
+            word: list[str] = []
+            # no length budget: the slab check below ends every walk
+            for g, p, _q, exit_info in _flow(S, f, start, v, math.inf):
+                slab = (g, bisect.bisect(levels[g], level(p)))
+                if slab == (f, j) and word:
+                    break
+                if slab in seen or exit_info[0] == "vertex":
+                    raise SurfaceError("cylinder leaf does not close")
+                seen.add(slab)
+                half = exit_info[1]
+                word.append(S.pair_labels[S.pair_of[half]])
+                hol = vsub(hol, S.glue_shift[half])
+            area = dot(hol, v) / norm2(v) * (hi - lo)
+            circ_sq = norm2(hol)
+            modulus = circ_sq / area
+            core = min(tuple(word[i:] + word[:i]) for i in range(len(word)))
+            cylinders.append(Cylinder(v, area, circ_sq, area / modulus, modulus, core, len(word)))
     cylinders.sort(key=lambda c: (float(c.modulus), float(c.area), c.core_word))
     return cylinders
-
-
-def _core_word(
-    S: TranslationSurface,
-    v: Vec2,
-    slab_polys: list[tuple[int, list[Vec2]]],
-    sids: list[int],
-) -> tuple[str, ...]:
-    """Edge labels crossed by the core leaf of a cylinder, canonically rotated."""
-    best = None
-    for sid in sids:
-        f, poly = slab_polys[sid]
-        cx = sum((p[0] for p in poly), CycloReal.from_rational(S.n, 0)) / len(poly)
-        cy = sum((p[1] for p in poly), CycloReal.from_rational(S.n, 0)) / len(poly)
-        key = (f, cx, cy)
-        if best is None or key < best:
-            best = key
-    f0, px, py = best
-    p0 = (px, py)
-    f, p = f0, p0
-    word: list[str] = []
-    for _ in range(10000):
-        q, exit_info = exit_through_face(S, f, p, v)
-        if f == f0 and word:
-            w = vsub(p0, p)
-            if parallel(w, v) and dot(w, v).sign() >= 0 and norm2(w) <= norm2(vsub(q, p)):
-                break
-        if exit_info[0] != "edge":
-            raise SurfaceError("core leaf hit a vertex; decomposition is inconsistent")
-        _, half, _s = exit_info
-        word.append(S.pair_labels[S.pair_of[half]])
-        f = S.glue[half][0]
-        p = vadd(q, S.glue_shift[half])
-    else:
-        raise SurfaceError("core leaf did not close")
-    rotations = [tuple(word[i:] + word[:i]) for i in range(len(word))]
-    return min(rotations)
 
 
 # -- direction sectors and the side-transition diagram ------------------------

@@ -1,7 +1,8 @@
 """No module of the package or the test suite imports a name it never uses,
 no module of the package imports from the package inside a function, no
 private helper of the package is left without a caller, and no keyword-only
-option of the package is left that no caller sets."""
+option of the package is left that no caller sets.  Exactly one function of
+the package steps a trace across glued edges."""
 
 from __future__ import annotations
 
@@ -173,3 +174,51 @@ def test_no_unused_options():
     callers = [p.read_text() for p in FILES if p.parent.name == "tests"]
     callers += [p.read_text() for p in sorted((ROOT / "perfbench").rglob("*.py"))]
     assert unused_options(package, callers) == []
+
+
+def _own_nodes(func: ast.AST):
+    """The nodes of a function's body, without those of functions nested in it."""
+    stack = list(ast.iter_child_nodes(func))
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield node
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def glue_stepping_functions(modules: dict[str, str]) -> list[str]:
+    """``module:function`` of every function with a loop that both calls
+    ``exit_through_face`` and reads ``glue`` or ``glue_shift``: a loop that
+    walks a straight line from face to face across glued edges."""
+    found = []
+    for name, source in modules.items():
+        for func in ast.walk(ast.parse(source)):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for loop in _own_nodes(func):
+                if not isinstance(loop, (ast.For, ast.While)):
+                    continue
+                calls = {_callee(n) for n in ast.walk(loop) if isinstance(n, ast.Call)}
+                names = _referenced_names(loop)
+                if "exit_through_face" in calls and (names["glue"] or names["glue_shift"]):
+                    found.append(f"{name}:{func.name}")
+                    break
+    return found
+
+
+def test_scanner_flags_glue_stepping_loops():
+    module = (
+        "def a(S, f, p):\n    for _ in range(9):\n        q, h = exit_through_face(S, f, p)\n"
+        "        f, p = S.glue[h][0], q\n"
+        "def b(S, f, p):\n    for _ in range(9):\n        exit_through_face(S, f, p)\n"
+        "def c(S, h):\n    t = S.glue_shift[h]\n    while t:\n        t = exit_through_face(S, t)\n"
+        "def d(S):\n    def e(p):\n        while p:\n"
+        "            p = exit_through_face(S, p) + S.glue_shift[p]\n    return e\n"
+        "def g(S):\n    return [S.glue_shift[h] for h in walk(S)]\n"
+    )
+    assert glue_stepping_functions({"m": module}) == ["m:a", "m:e"]
+
+
+def test_one_glue_stepping_loop():
+    package = {p.stem: p.read_text() for p in FILES if p.parent.name == "kvol"}
+    assert len(glue_stepping_functions(package)) == 1, glue_stepping_functions(package)

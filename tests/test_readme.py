@@ -24,3 +24,5 @@ def test_quick_taste_runs():
     lines = out.getvalue().splitlines()
     assert "4.82842712474619" in lines
     assert "6.82842712474619" in lines
+    rows = lines.index("('b1',) Phi/2")
+    assert lines[rows + 1] == "('b2', 'c1') Phi"

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
+from fractions import Fraction
 
 import pytest
 
 from kvol.field import CycloReal, trig_value
-from kvol.plane import Mat2, norm2
+from kvol.plane import Mat2, cross, dot, norm2, parallel, vadd, vneg
+from kvol.saddle import enumerate_saddle_connections
 from kvol.surface import (
     NonPeriodicDirectionError,
     SurfaceError,
@@ -138,7 +142,71 @@ class TestStaircaseModel:
         assert T.genus == S.genus
 
 
+class TestWedges:
+    @pytest.mark.parametrize(
+        "model,n",
+        [("ngon", 8), ("ngon", 10), ("ngon", 12)] + [("staircase", n) for n in (8, 10, 12, 14)],
+    )
+    def test_direction_in_wedge(self, model, n):
+        S = build_ngon(n) if model == "ngon" else build_staircase(n)
+        flat = 0
+        for f, verts in enumerate(S.faces):
+            for v in range(len(verts)):
+                ra, rb = S.wedge_rays(f, v)
+                # the inward normal of the outgoing edge is inside an obtuse or
+                # flat corner and runs along rb at a right angle
+                normal = (-ra[1], ra[0])
+                assert S.direction_in_wedge(f, v, normal) == (dot(ra, rb).sign() < 0)
+                for ray in (ra, rb, vneg(ra), vneg(rb)):
+                    assert not S.direction_in_wedge(f, v, ray)
+                if cross(ra, rb).is_zero():
+                    flat += 1
+                else:
+                    assert S.direction_in_wedge(f, v, vadd(ra, rb))
+        assert (flat > 0) == (model == "staircase")
+
+
+def _cylinder_fields(c) -> list:
+    d = CycloReal.to_dict
+    return [
+        [d(c.direction[0]), d(c.direction[1])],
+        d(c.area),
+        d(c.circumference_sq),
+        d(c.height_sq),
+        d(c.modulus),
+        list(c.core_word),
+        c.n_polygons,
+    ]
+
+
+# SHA-256 of every Cylinder field over the cases of test_pinned_decompositions,
+# as computed by the earlier decomposition that clipped faces into slab
+# polygons and merged them by union-find
+PINNED_DECOMPOSITIONS = "d293dd85bbe6832b5503656a97eae66ec081d0e9efff8ca9c308f71f1c1d385b"
+
+
 class TestCylinders:
+    def test_pinned_decompositions(self):
+        shear = Mat2(8, 1, Fraction(13, 37), 0, Fraction(31, 40))
+        surfaces = [(f"S{n}", build_staircase(n)) for n in (8, 10, 12)]
+        surfaces += [(f"X{n}", build_ngon(n)) for n in (8, 10, 12)]
+        surfaces += [("sheared S8", build_staircase(8).transform(shear))]
+        records = []
+        for name, S in surfaces:
+            # the shortest saddle connection of length <= 2 in each direction
+            directions = []
+            for sc in enumerate_saddle_connections(S, 2):
+                if not any(parallel(sc.holonomy, d) for d in directions):
+                    directions.append(sc.holonomy)
+            for d in directions:
+                cyls = cylinder_decomposition(S, d)
+                assert sum((c.area for c in cyls), F(S.n, 0)) == S.area()
+                assert all(c.n_polygons == len(c.core_word) for c in cyls)
+                records.append(json.dumps([name, [_cylinder_fields(c) for c in cyls]]))
+        assert len(records) == 112
+        digest = hashlib.sha256("\n".join(sorted(records)).encode()).hexdigest()
+        assert digest == PINNED_DECOMPOSITIONS
+
     def test_torus(self):
         S = build_ngon(4)
         for direction in (None, 0):
