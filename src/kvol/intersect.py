@@ -9,9 +9,12 @@ intersection number of two such curves splits into
   first curve slightly off the singularity and counting which rays of the
   second curve the perturbed arc sweeps across.
 
-Both are computed exactly.  The corner rule is perturbation-side independent
-on totals: pushing the first curve to its left (``positive_side=True``) or to
-its right gives the same intersection number, which the tests exercise.
+Both are computed exactly.  Interior crossings are decided by orientation
+signs (``cross``) of the pieces that share a face, with no float filter; a
+division builds only the witness point of a counted crossing.  The corner
+rule is perturbation-side independent on totals: pushing the first curve to
+its left (``positive_side=True``) or to its right gives the same
+intersection number, which the tests exercise.
 
 Curves may share whole components (a shared component contributes zero), but
 two distinct saddle connections never overlap along a sub-segment, so the
@@ -34,12 +37,9 @@ import numpy as np
 from .plane import (
     canonical_orientation,
     cross,
-    line_intersection,
     same_ray,
     smul,
     vadd,
-    vfloat,
-    vsub,
 )
 from .saddle import Germ, SaddleConnection, edge_connection
 from .surface import TranslationSurface
@@ -194,30 +194,20 @@ def _corner_contribution(
 # interior crossings of a pair of saddle connections
 # ---------------------------------------------------------------------------
 
-_BOX_EPS = 1e-9
-
-
-def _piece_boxes(sc: SaddleConnection):
-    """Per-face float bounding boxes of the pieces, for cheap rejection."""
-    by_face: dict[int, list] = {}
-    for j, (f, p, q) in enumerate(sc.pieces):
-        px, py = vfloat(p)
-        qx, qy = vfloat(q)
-        box = (
-            min(px, qx) - _BOX_EPS,
-            max(px, qx) + _BOX_EPS,
-            min(py, qy) - _BOX_EPS,
-            max(py, qy) + _BOX_EPS,
-        )
-        by_face.setdefault(f, []).append((j, p, q, box))
-    return by_face
-
-
 def _interior_pair(alpha: SaddleConnection, beta: SaddleConnection):
     """Signed interior crossings of two saddle connections with witnesses.
 
     Returns ``(count, witnesses)`` where each witness is a tuple
     ``(face, point, sign)`` with an exact face-local point.
+
+    Two pieces p0 -> p1 and q0 -> q1 in one face meet where
+    p0 + s u = q0 + t w, with u = p1 - p0 and w = q1 - q0.  The pieces are
+    positive multiples of the holonomies a and b, so cross(u, w) has the
+    sign ``sgn`` of cross(a, b), and ``sgn`` times the signs of
+    cross(q0 - p0, b), cross(q0 - p1, b), cross(q0 - p0, a) and
+    cross(q1 - p0, a) are exactly the signs of s, s - 1, t and t - 1.  Each
+    is a difference of levels cross(x, b) and cross(x, a) taken once per
+    piece end.  Only a counted crossing divides, to build its witness point.
     """
     if alpha.edge_pair is not None and beta.edge_pair is not None:
         # two edges of the cell decomposition: disjoint interiors, or the
@@ -240,37 +230,38 @@ def _interior_pair(alpha: SaddleConnection, beta: SaddleConnection):
                 wit.append((f, q, sgn))
         return sgn * len(wit), wit
 
-    sgn_el = cross(alpha.holonomy, beta.holonomy)
-    if sgn_el.is_zero():
+    a, b = alpha.holonomy, beta.holonomy
+    det = cross(a, b)
+    if det.is_zero():
         # parallel saddle connections never cross transversally
         return 0, []
-    sgn = sgn_el.sign()
+    sgn = det.sign()
 
-    beta_by_face = _piece_boxes(beta)
+    # cross(x, b) is constant along a beta piece, cross(x, a) along an alpha one
+    beta_levels = [
+        (j, g, cross(q0, b), cross(q0, a), cross(q1, a))
+        for j, (g, q0, q1) in enumerate(beta.pieces)
+    ]
     ia_last = len(alpha.pieces) - 1
     jb_last = len(beta.pieces) - 1
     count = 0
     witnesses = []
     for i, (f, p0, p1) in enumerate(alpha.pieces):
-        lst = beta_by_face.get(f)
-        if not lst:
-            continue
-        p0x, p0y = vfloat(p0)
-        p1x, p1y = vfloat(p1)
-        axlo, axhi = min(p0x, p1x) - _BOX_EPS, max(p0x, p1x) + _BOX_EPS
-        aylo, ayhi = min(p0y, p1y) - _BOX_EPS, max(p0y, p1y) + _BOX_EPS
-        u = vsub(p1, p0)
-        for j, q0, q1, (bxlo, bxhi, bylo, byhi) in lst:
-            if axhi < bxlo or bxhi < axlo or ayhi < bylo or byhi < aylo:
+        b0, b1, a0 = cross(p0, b), cross(p1, b), cross(p0, a)
+        for j, g, qb, qa0, qa1 in beta_levels:
+            if g != f:
                 continue
-            res = line_intersection(p0, u, q0, vsub(q1, q0))
-            assert res is not None  # piece directions equal the holonomies
-            s, t = res
-            ss = s.sign()
-            s1 = (s - 1).sign()
-            ts = t.sign()
-            t1 = (t - 1).sign()
-            if ss < 0 or s1 > 0 or ts < 0 or t1 > 0:
+            ss = sgn * (qb - b0).sign()
+            if ss < 0:
+                continue
+            s1 = sgn * (qb - b1).sign()
+            if s1 > 0:
+                continue
+            ts = sgn * (qa0 - a0).sign()
+            if ts < 0:
+                continue
+            t1 = sgn * (qa1 - a0).sign()
+            if t1 > 0:
                 continue
             # meetings at a curve endpoint happen at a cone point and belong
             # to the corner rule, not here
@@ -290,7 +281,7 @@ def _interior_pair(alpha: SaddleConnection, beta: SaddleConnection):
             elif ts == 0 or t1 == 0:
                 raise ArithmeticError("piece interior meets an edge")
             count += 1
-            witnesses.append((f, vadd(p0, smul(s, u)), sgn))
+            witnesses.append((f, vadd(p0, smul((qb - b0) / det, a)), sgn))
     return sgn * count, witnesses
 
 

@@ -1,15 +1,20 @@
-"""Exact planar primitives: 2-vectors over Q(Phi), 2x2 matrices, segment tests.
+"""Exact planar primitives: 2-vectors over Q(Phi), 2x2 matrices, orientation signs.
 
 Vectors are plain (x, y) tuples of CycloReal so they stay cheap in the hot
 enumeration loops; Mat2 is a small immutable matrix class used for the Veech
 group, the staircase/n-gon conversion and SL(2,R) transforms.
+
+The one geometric predicate is the orientation sign ``cross(u, v).sign()``:
+which side of a line a point lies on.  Callers decide where a line leaves a
+face or meets a segment from such signs and divide only to build the one
+point they report, so the module has no parametric line solver.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
 from .field import CycloReal
 
@@ -91,17 +96,6 @@ def canonical_orientation(u: Vec2) -> bool:
     """Upper half-plane convention: y > 0, or y == 0 and x > 0."""
     sy = u[1].sign()
     return sy > 0 or (sy == 0 and u[0].sign() > 0)
-
-
-def line_intersection(p: Vec2, u: Vec2, q: Vec2, v: Vec2) -> Optional[tuple[CycloReal, CycloReal]]:
-    """Parameters (s, t) with p + s*u == q + t*v, or None if u, v are parallel."""
-    den = cross(u, v)
-    if den.is_zero():
-        return None
-    w = vsub(q, p)
-    s = cross(w, v) / den
-    t = cross(w, u) / den
-    return s, t
 
 
 class Mat2:

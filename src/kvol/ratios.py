@@ -228,8 +228,6 @@ def _plain_value(e: _Expr) -> Optional[CycloReal]:
 def closed_atoms(
     surface: TranslationSurface,
     scs: Sequence[SaddleConnection],
-    *,
-    max_components: Optional[int] = None,
 ) -> list[ClosedCurve]:
     """Irreducible closed curves assembled from the given saddle connections.
 
@@ -247,25 +245,16 @@ def closed_atoms(
             "curve atoms are only exhaustive for surfaces with at most two "
             f"singularity classes (got {nclasses})"
         )
-    if max_components is None:
-        max_components = 1 if nclasses == 1 else 2
     curves = [
         ClosedCurve([sc]) for sc in scs if sc.start.class_id == sc.end.class_id
     ]
-    if max_components >= 2:
-        open_scs = [sc for sc in scs if sc.start.class_id != sc.end.class_id]
-        for i, a in enumerate(open_scs):
-            for b in open_scs[i + 1 :]:
-                if (
-                    b.start.class_id == a.end.class_id
-                    and b.end.class_id == a.start.class_id
-                ):
-                    curves.append(ClosedCurve([a, b]))
-                elif (
-                    b.start.class_id == a.start.class_id
-                    and b.end.class_id == a.end.class_id
-                ):
-                    curves.append(ClosedCurve([a, b.reversed()]))
+    open_scs = [sc for sc in scs if sc.start.class_id != sc.end.class_id]
+    for i, a in enumerate(open_scs):
+        for b in open_scs[i + 1 :]:
+            if b.start.class_id == a.end.class_id and b.end.class_id == a.start.class_id:
+                curves.append(ClosedCurve([a, b]))
+            elif b.start.class_id == a.start.class_id and b.end.class_id == a.end.class_id:
+                curves.append(ClosedCurve([a, b.reversed()]))
     return curves
 
 

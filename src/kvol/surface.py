@@ -38,8 +38,8 @@ from .plane import (
     direction_pair,
     dot,
     is_zero_vec,
-    line_intersection,
     norm2,
+    same_ray,
     smul,
     vadd,
     vfloat,
@@ -48,8 +48,6 @@ from .plane import (
 )
 
 Half = tuple[int, int]  # (face index, edge index): edge e runs vertex e -> e+1
-
-TWO_PI = 2.0 * math.pi
 
 
 class SurfaceError(ValueError):
@@ -187,13 +185,17 @@ class TranslationSurface:
             self.vertex_classes.append(cyc)
             for pos, c in enumerate(cyc):
                 self.corner_class[c] = (cid, pos)
-        self.cone_multiples: list[int] = []
-        for cyc in self.vertex_classes:
-            total = sum(self.corner_angle(f, v) for f, v in cyc)
-            k = round(total / TWO_PI)
-            if k < 1 or abs(total - TWO_PI * k) > 1e-9:
-                raise SurfaceError(f"cone angle {total} is not a multiple of 2*pi")
-            self.cone_multiples.append(k)
+        # consecutive corners of a class share a ray, so their half-open
+        # wedges [ra, rb) wind k times around the cone point and hold any
+        # one direction, here (1, 0), exactly k times
+        east = direction_vector(self.n, None)
+        self.cone_multiples = [
+            sum(
+                same_ray(self.wedge_rays(f, v)[0], east) or self.direction_in_wedge(f, v, east)
+                for f, v in cyc
+            )
+            for cyc in self.vertex_classes
+        ]
         chi = len(self.vertex_classes) - len(self.edge_pairs) + len(self.faces)
         if chi % 2 != 0:
             raise SurfaceError("odd Euler characteristic")
@@ -225,11 +227,6 @@ class TranslationSurface:
         ra = vsub(verts[(v + 1) % k], verts[v])
         rb = vsub(verts[(v - 1) % k], verts[v])
         return ra, rb
-
-    def corner_angle(self, f: int, v: int) -> float:
-        ra, rb = self.wedge_rays(f, v)
-        ang = math.atan2(float(cross(ra, rb)), float(dot(ra, rb)))
-        return ang if ang > 0 else ang + TWO_PI
 
     def direction_in_wedge(self, f: int, v: int, d: Vec2) -> bool:
         """True if d points strictly inside the corner wedge at (f, v).
@@ -492,40 +489,36 @@ def exit_through_face(
     """Follow the ray p + t v (t > 0) inside convex face f to the boundary.
 
     Returns (q, ("vertex", vi)) when the ray leaves at a corner, else
-    (q, ("edge", (f, e), s)) with s the exact open-edge parameter.  A ray
-    from a corner along the boundary stops at the next corner it reaches,
-    also at a straight-angle corner between two collinear edges.
+    (q, ("edge", (f, e))).  A ray from a corner along the boundary stops at
+    the next corner it reaches, also at a straight-angle corner between two
+    collinear edges.
+
+    Every decision is a sign of ``cross(v, w - p)``, the side of the line
+    that a vertex w lies on.  The face is convex, so the line meets it in
+    one segment and every vertex on the line lies on that segment: the
+    nearest one ahead of p, if any, is the exit.  Otherwise the line leaves
+    through the one edge (a, b) that runs from its right side to its left,
+    and the exit point costs the only division.
     """
     verts = S.faces[f]
+    signs = [cross(v, vsub(w, p)).sign() for w in verts]
+    best = None  # (dot(w - p, v), vi) of the nearest vertex ahead on the line
+    for vi, w in enumerate(verts):
+        if signs[vi] == 0:
+            t = dot(vsub(w, p), v)
+            if t.sign() > 0 and (best is None or t < best[0]):
+                best = (t, vi)
+    if best is not None:
+        return verts[best[1]], ("vertex", best[1])
     k = len(verts)
-    best = None  # (t, exit)
     for e in range(k):
-        a, b = verts[e], verts[(e + 1) % k]
-        res = line_intersection(p, v, a, vsub(b, a))
-        if res is None:
-            if cross(vsub(a, p), v).is_zero():
-                for vi, q in ((e, a), ((e + 1) % k, b)):
-                    t = dot(vsub(q, p), v) / norm2(v)
-                    if t.sign() > 0 and (best is None or t < best[0]):
-                        best = (t, ("vertex", vi))
-            continue
-        t, s = res
-        if t.sign() <= 0:
-            continue
-        ss, s1 = s.sign(), (s - 1).sign()
-        if ss < 0 or s1 > 0:
-            continue
-        if best is None or t < best[0]:
-            if ss == 0:
-                best = (t, ("vertex", e))
-            elif s1 == 0:
-                best = (t, ("vertex", (e + 1) % k))
-            else:
-                best = (t, ("edge", (f, e), s))
-    if best is None:
-        raise SurfaceError("ray does not enter the face interior")
-    t, exit_info = best
-    return vadd(p, smul(t, v)), exit_info
+        if signs[e] < 0 < signs[(e + 1) % k]:
+            a, edge = verts[e], vsub(verts[(e + 1) % k], verts[e])
+            num = cross(edge, vsub(p, a))
+            if num.sign() <= 0:
+                break  # p is on or beyond the exit edge
+            return vadd(p, smul(num / cross(v, edge), v)), ("edge", (f, e))
+    raise SurfaceError("ray does not enter the face interior")
 
 
 @dataclass
@@ -616,6 +609,13 @@ class Cylinder:
         return math.sqrt(float(self.height_sq))
 
 
+def _point_at_level(a: Vec2, b: Vec2, v: Vec2, c: CycloReal) -> Vec2:
+    """The point of segment ab on the level line cross(v, p) = c, for a and b
+    on different levels."""
+    la = cross(v, a)
+    return vadd(a, smul((c - la) / (cross(v, b) - la), vsub(b, a)))
+
+
 def _chord_midpoint(verts: Sequence[Vec2], v: Vec2, c: CycloReal) -> Vec2:
     """The midpoint of a convex face's chord on the level line cross(v, p) = c,
     a level strictly between the face's vertex levels and equal to none."""
@@ -623,9 +623,8 @@ def _chord_midpoint(verts: Sequence[Vec2], v: Vec2, c: CycloReal) -> Vec2:
     k = len(verts)
     for i in range(k):
         a, b = verts[i], verts[(i + 1) % k]
-        la, lb = cross(v, a), cross(v, b)
-        if (la < c) != (lb < c):
-            ends.append(vadd(a, smul((c - la) / (lb - la), vsub(b, a))))
+        if (cross(v, a) < c) != (cross(v, b) < c):
+            ends.append(_point_at_level(a, b, v, c))
     x, y = vadd(*ends)
     return (x / 2, y / 2)
 
@@ -749,6 +748,13 @@ def sector_diagram(n: int, sector) -> SectorDiagram:
 
     ``sector`` is either the index i of the sector (i pi/n, (i+1) pi/n) or a
     direction strictly inside one.
+
+    The level of a point p is cross(d, p).  Rays in direction d that enter
+    through one side change their exit side only where they pass a vertex,
+    so the breakpoints on the entry side are the vertex levels strictly
+    between the side's two end levels.  The n-gon is strictly convex, so
+    every such vertex lies ahead of the entry side, and one ray at the
+    mid-level of each gap between breakpoints finds that gap's exit side.
     """
     if isinstance(sector, int) and not isinstance(sector, bool):
         i = sector % n
@@ -769,27 +775,15 @@ def sector_diagram(n: int, sector) -> SectorDiagram:
 
     adj: dict[int, set[int]] = {label(s): set() for s in range(half)}
     for exit_side in range(n):
-        a, b = verts[exit_side], verts[(exit_side + 1) % n]
-        out_normal = (vsub(b, a)[1], -vsub(b, a)[0])  # rotate edge by -90
-        if dot(d, out_normal).sign() <= 0:
+        if cross(d, S.edge_vector((0, exit_side))).sign() <= 0:
             continue  # rays in direction d never exit through this side
         entry = (exit_side + half) % n
         ea, eb = verts[entry], verts[(entry + 1) % n]
-        evec = vsub(eb, ea)
-        # breakpoints: entry parameters whose ray passes through a vertex
-        params = [CycloReal.from_rational(n, 0), CycloReal.from_rational(n, 1)]
-        for w in verts:
-            res = line_intersection(ea, evec, w, vneg(d))
-            if res is None:
-                continue
-            t, u = res
-            if u.sign() > 0 and t.sign() > 0 and (t - 1).sign() < 0:
-                if all(t != q for q in params):
-                    params.append(t)
-        params.sort()
-        for t0, t1 in zip(params, params[1:]):
-            tm = (t0 + t1) / 2
-            p = vadd(ea, smul(tm, evec))
+        # breakpoints: the vertex levels strictly between the entry side's ends
+        lo, hi = sorted((cross(d, ea), cross(d, eb)))
+        cuts = sorted({lo, hi} | {c for c in (cross(d, w) for w in verts) if lo < c < hi})
+        for c0, c1 in zip(cuts, cuts[1:]):
+            p = _point_at_level(ea, eb, d, (c0 + c1) / 2)
             _q, exit_info = exit_through_face(S, 0, p, d)
             if exit_info[0] != "edge":
                 raise SurfaceError("sector diagram ray hit a vertex")

@@ -77,6 +77,16 @@ class TestSurfaceCommand:
         assert code == EXIT_OK and out == ""
         assert json.loads(target.read_text())["model"] == "ngon"
 
+    @pytest.mark.parametrize(
+        "argv", [("surface", "--n", "8"), ("kvol-grid", "--n", "8", "--resolution", "4")]
+    )
+    @pytest.mark.parametrize("where", ["missing/x.json", "."])
+    def test_unwritable_output_is_config_error(self, capsys, tmp_path, argv, where):
+        target = tmp_path / where  # a missing directory, or a directory
+        code, out, err = run(capsys, *argv, "--out", str(target))
+        assert code == EXIT_CONFIG and out == ""
+        assert err.startswith(f"error: cannot write --out {target}")
+
 
 class TestKvolPointCommand:
     def test_peak_point(self, capsys):

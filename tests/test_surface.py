@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from kvol.field import CycloReal, trig_value
+from kvol.intersect import intersect
 from kvol.plane import Mat2, cross, dot, norm2, parallel, vadd, vneg
 from kvol.saddle import enumerate_saddle_connections
 from kvol.surface import (
@@ -166,6 +167,41 @@ class TestWedges:
         assert (flat > 0) == (model == "staircase")
 
 
+def _float_cone_multiples(S) -> list:
+    # each class's angle sum from float atan2 corner angles, an independent
+    # reading of the exact count of wedges that hold (1, 0)
+    out = []
+    for cyc in S.vertex_classes:
+        total = 0.0
+        for f, v in cyc:
+            ra, rb = S.wedge_rays(f, v)
+            angle = math.atan2(float(cross(ra, rb)), float(dot(ra, rb)))
+            total += angle if angle > 0 else angle + 2 * math.pi
+        k = round(total / (2 * math.pi))
+        assert abs(total - 2 * math.pi * k) < 1e-9
+        out.append(k)
+    return out
+
+
+class TestConeAngles:
+    @pytest.mark.parametrize(
+        "model, n",
+        [("ngon", n) for n in range(4, 21, 2)] + [("staircase", n) for n in range(8, 21, 2)],
+    )
+    def test_cone_multiples_under_maps(self, model, n):
+        S = build_ngon(n) if model == "ngon" else build_staircase(n)
+        maps = [
+            Mat2(n, 1, Fraction(13, 37), 0, Fraction(31, 40)),  # shear
+            Mat2(n, 0, -1, 1, 0),  # rotation by 90 degrees
+            Mat2(n, Fraction(3, 2), 1, Fraction(1, 3), -1),  # det < 0
+        ]
+        assert S.cone_multiples == _float_cone_multiples(S)
+        for M in maps:
+            T = S.transform(M)
+            assert T.cone_multiples == _float_cone_multiples(T)
+            assert sorted(T.cone_multiples) == sorted(S.cone_multiples)
+
+
 def _cylinder_fields(c) -> list:
     d = CycloReal.to_dict
     return [
@@ -279,7 +315,71 @@ class TestCylinders:
             cylinder_decomposition(S, 1, max_length=200.0)
 
 
+def _point(p) -> list:
+    return [p[0].to_dict(), p[1].to_dict()]
+
+
+# SHA-256 of the traces, intersection reports and sector orders over the cases
+# of test_pinned_traces, as computed by the earlier tracer that solved a
+# parametric line intersection against every face edge and filtered piece
+# pairs by float bounding boxes
+PINNED_TRACES = "f0596b6e36b14b1da93b22c26bca881dda6066a425a10ef1aa65f5d9bcc71c83"
+
+
 class TestTracing:
+    def test_pinned_traces(self):
+        shear = Mat2(8, 1, Fraction(13, 37), 0, Fraction(31, 40))
+        surfaces = [(f"S{n}", build_staircase(n)) for n in (8, 10)]
+        surfaces += [("sheared S8", build_staircase(8).transform(shear))]
+        records = []
+        for name, S in surfaces:
+            scs = enumerate_saddle_connections(S, 1.6)
+            for sc in scs:
+                pieces = [[f, _point(p), _point(q)] for f, p, q in sc.pieces]
+                crossings = [[pid, list(h), _point(dev)] for pid, h, dev in sc.crossings]
+                records.append(json.dumps([name, pieces, crossings]))
+            closed = [sc for sc in scs if sc.start.class_id == sc.end.class_id][:20]
+            for i, a in enumerate(closed):
+                for b in closed[i + 1 :]:
+                    records.append(json.dumps([name, intersect(a, b).to_dict()]))
+        for n in (8, 10, 12):
+            records.append(json.dumps([n, [sector_diagram(n, i).order for i in range(n)]]))
+        assert len(records) == 437
+        digest = hashlib.sha256("\n".join(sorted(records)).encode()).hexdigest()
+        assert digest == PINNED_TRACES
+
+    def test_inverse_budget(self, monkeypatch):
+        # an exit decided by signs divides once at an edge and never at a vertex
+        S = build_staircase(8)
+        scs = enumerate_saddle_connections(S, 2.5)
+        calls = []
+        inverse = CycloReal.inverse
+
+        def counted(x):
+            calls.append(x)
+            return inverse(x)
+
+        monkeypatch.setattr(CycloReal, "inverse", counted)
+        for f, verts in enumerate(S.faces):
+            k = len(verts)
+            for vi in range(k):
+                # along the boundary to the next corner, flat ones included
+                q, info = exit_through_face(S, f, verts[vi], S.edge_vector((f, vi)))
+                assert (q, info) == (verts[(vi + 1) % k], ("vertex", (vi + 1) % k))
+        assert not calls
+        square = build_ngon(4)
+        origin = (F(4, 0), F(4, 0))
+        calls.clear()
+        assert exit_through_face(square, 0, origin, (F(4, 1), F(4, 1)))[1][0] == "vertex"
+        assert not calls
+        assert exit_through_face(square, 0, origin, (F(4, 1), F(4, 2)))[1][0] == "edge"
+        assert len(calls) == 1
+        assert any(sc.crossings for sc in scs)
+        for sc in scs:
+            calls.clear()
+            sc.pieces
+            assert len(calls) <= len(sc.crossings)
+
     def test_exit_through_square(self):
         S = build_ngon(4)
         p = (F(4, 0), F(4, 0))
