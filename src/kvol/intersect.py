@@ -24,7 +24,9 @@ transversality assumptions hold automatically for inputs built from
 The module also carries the homological side: integer chain vectors over the
 edge pairs (``homology_class``) and the skew intersection form on a basis of
 fundamental cycles (:class:`IntersectionForm`), which doubles as a fast exact
-pairing for large curve collections.
+pairing for large curve collections.  Both sum rows of one integer table
+(:class:`_ChainTable`) named by each connection's path, so the coordinate
+rows of a whole family are one gather and one segmented sum.
 """
 
 from __future__ import annotations
@@ -392,37 +394,61 @@ def _half_signs(S: TranslationSurface) -> dict:
     return signs
 
 
-def _sc_chain(sc: SaddleConnection, signs: dict) -> np.ndarray:
-    """Integer chain of one saddle connection over the edge pairs.
+class _ChainTable:
+    """Integer rows over the edge pairs whose sums are connection chains.
 
-    Each straight piece is homotoped rel endpoints onto the counterclockwise
-    boundary arc of its face.  The fractional edge parts at the two sides of
-    every crossing cancel exactly (a glued edge is traversed in opposite
-    directions), so only whole edges remain: the start vertex's outgoing
-    edge, and in each face every edge strictly counterclockwise between the
-    entry edge and the exit edge.  The first face is entered at the start
-    vertex's outgoing edge and the last left at the end vertex's.
+    Each straight piece of a saddle connection is homotoped rel endpoints
+    onto the counterclockwise boundary arc of its face.  The fractional edge
+    parts at the two sides of every crossing cancel exactly (a glued edge is
+    traversed in opposite directions), so only whole edges remain: the start
+    vertex's outgoing edge, and in each face every edge strictly
+    counterclockwise between the entry edge and the exit edge.  The first
+    face is entered at the start vertex's outgoing edge and the last left at
+    the end vertex's.
+
+    So the chain is a sum of rows of one table, built once per surface: row
+    ``start[h]`` is the signed unit vector of half-edge h, and row
+    ``arc[h] + e_out`` is the boundary arc of h's face from entry edge h to
+    exit edge (or end vertex) ``e_out``.  ``indices`` reads the row indices
+    off a connection's path.
     """
-    S = sc.surface
-    acc = [0] * len(S.edge_pairs)
 
-    def add(h) -> None:
-        acc[S.pair_of[h]] += signs[h]
+    __slots__ = ("rows", "start", "arc", "glue")
 
-    def arc(f: int, e_in: int, e_out: int) -> None:
-        k = len(S.faces[f])
-        e = (e_in + 1) % k
-        while e != e_out:
-            add((f, e))
-            e = (e + 1) % k
+    def __init__(self, S: TranslationSurface):
+        signs = _half_signs(S)
+        self.glue = S.glue
+        E = len(S.edge_pairs)
+        halves = [(f, e) for f, verts in enumerate(S.faces) for e in range(len(verts))]
+        self.start = {h: i for i, h in enumerate(halves)}
+        nrows = len(halves) + sum(len(verts) ** 2 for verts in S.faces)
+        rows = np.zeros((nrows, E), dtype=np.int64)
+        for h, i in self.start.items():
+            rows[i, S.pair_of[h]] = signs[h]
+        self.arc = {}
+        base = len(halves)
+        for f, verts in enumerate(S.faces):
+            k = len(verts)
+            for e_in in range(k):
+                row0 = self.arc[(f, e_in)] = base + e_in * k
+                acc = np.zeros(E, dtype=np.int64)
+                for step in range(1, k + 1):
+                    e = (e_in + step) % k
+                    rows[row0 + e] = acc
+                    acc = acc + rows[self.start[(f, e)]]
+            base += k * k
+        self.rows = rows
 
-    (f, e_in), exits, last = sc.path
-    add((f, e_in))
-    for h in exits:
-        arc(f, e_in, h[1])
-        f, e_in = S.glue[h]
-    arc(f, e_in, last)
-    return np.array(acc, dtype=np.int64)
+    def indices(self, sc: SaddleConnection) -> list[int]:
+        """Row indices of the chain of one saddle connection."""
+        h, exits, last = sc.path
+        arc, glue = self.arc, self.glue
+        out = [self.start[h]]
+        for x in exits:
+            out.append(arc[h] + x[1])
+            h = glue[x]
+        out.append(arc[h] + last)
+        return out
 
 
 def homology_class(curve: CurveLike) -> np.ndarray:
@@ -432,11 +458,9 @@ def homology_class(curve: CurveLike) -> np.ndarray:
     ``i``, canonically oriented, maps to the ``i``-th standard basis vector.
     """
     c = _as_curve(curve)
-    signs = _half_signs(c.surface)
-    vec = np.zeros(len(c.surface.edge_pairs), dtype=np.int64)
-    for sc in c.components:
-        vec += _sc_chain(sc, signs)
-    return vec
+    table = _ChainTable(c.surface)
+    idx = [i for sc in c.components for i in table.indices(sc)]
+    return table.rows[idx].sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -454,13 +478,15 @@ class IntersectionForm:
     Any closed curve, or any single saddle connection closed up through the
     tree, gets an integer coordinate vector; the pairing of coordinate
     vectors through the matrix reproduces the geometric intersection number
-    of the underlying curves.
+    of the underlying curves.  Every vector is a sum of rows of one integer
+    table: the chain rows of :class:`_ChainTable`, then a row +path(c) and a
+    row -path(c) per vertex class c, the chain of the tree path from c to
+    the root class.
     """
 
     def __init__(self, surface: TranslationSurface):
         S = surface
         self.surface = S
-        self._signs = _half_signs(S)
         E = len(S.edge_pairs)
         V = len(S.vertex_classes)
         edge_scs = [edge_connection(S, pid) for pid in range(E)]
@@ -496,8 +522,9 @@ class IntersectionForm:
         self.basis_labels = [S.pair_labels[pid] for pid in self.basis_pairs]
 
         # paths to the root class, as oriented component lists and vectors
+        table = _ChainTable(S)
         path_scs: dict[int, list[SaddleConnection]] = {0: []}
-        path_vec: dict[int, np.ndarray] = {0: np.zeros(E, dtype=np.int64)}
+        path_vec = np.zeros((V, E), dtype=np.int64)
 
         def resolve(cls: int) -> None:
             if cls in path_scs:
@@ -505,12 +532,16 @@ class IntersectionForm:
             parent, sc = steps[cls]
             resolve(parent)
             path_scs[cls] = [sc] + path_scs[parent]
-            path_vec[cls] = _sc_chain(sc, self._signs) + path_vec[parent]
+            path_vec[cls] = table.rows[table.indices(sc)].sum(axis=0) + path_vec[parent]
 
         for cls in range(V):
             resolve(cls)
         self._path_scs = path_scs
-        self._path_vec = path_vec
+        self._table = table
+        self._plus = len(table.rows)
+        self._minus = self._plus + V
+        self._rows = np.concatenate([table.rows, path_vec, -path_vec])
+        self._basis_rows = self._rows[:, self.basis_pairs]
 
         # fundamental cycles
         cycles = []
@@ -529,14 +560,13 @@ class IntersectionForm:
                 mat[i, j] = val
                 mat[j, i] = -val
         self.matrix = mat
-        self._chain_cache: dict[SaddleConnection, np.ndarray] = {}
 
         # the boundary of every face must pair to zero with everything
-        for f in range(len(S.faces)):
-            c = self.coords(self._face_boundary(f))
+        for f, verts in enumerate(S.faces):
+            c = self._basis_rows[[table.start[(f, e)] for e in range(len(verts))]].sum(axis=0)
             if np.any(c @ mat != 0):
                 raise ArithmeticError("face boundary is not in the radical")
-        # the chain engine must reproduce the geometric matrix: basis-cycle
+        # the chain table must reproduce the geometric matrix: basis-cycle
         # coordinates may drift from the standard basis by face boundaries,
         # which the radical absorbs
         for i, cyc in enumerate(cycles):
@@ -544,11 +574,16 @@ class IntersectionForm:
             if np.any(c @ mat != mat[i]):
                 raise ArithmeticError("chain pairing disagrees with geometry")
 
-    def _face_boundary(self, f: int) -> np.ndarray:
-        vec = np.zeros(len(self.surface.edge_pairs), dtype=np.int64)
-        for e in range(len(self.surface.faces[f])):
-            vec[self.surface.pair_of[(f, e)]] += self._signs[(f, e)]
-        return vec
+    def _indices(self, obj: CurveLike) -> list[int]:
+        """Table rows of a curve, each component closed up through the tree."""
+        comps = obj.components if isinstance(obj, ClosedCurve) else (obj,)
+        if comps[0].surface is not self.surface:
+            raise ValueError("saddle connection lives on another surface")
+        out = []
+        for sc in comps:
+            out += self._table.indices(sc)
+            out += (self._plus + sc.end.class_id, self._minus + sc.start.class_id)
+        return out
 
     def class_vector(self, obj: CurveLike) -> np.ndarray:
         """Integer cycle vector over the edge pairs.
@@ -560,23 +595,7 @@ class IntersectionForm:
         Representatives are canonical only up to face-boundary vectors, which
         lie in the radical of the form, so every pairing is well defined.
         """
-        if isinstance(obj, ClosedCurve):
-            vec = np.zeros(len(self.surface.edge_pairs), dtype=np.int64)
-            for sc in obj.components:
-                vec += self.class_vector(sc)
-            return vec
-        sc = obj
-        if sc.surface is not self.surface:
-            raise ValueError("saddle connection lives on another surface")
-        cached = self._chain_cache.get(sc)
-        if cached is None:
-            cached = (
-                _sc_chain(sc, self._signs)
-                + self._path_vec[sc.end.class_id]
-                - self._path_vec[sc.start.class_id]
-            )
-            self._chain_cache[sc] = cached
-        return cached
+        return self._rows[self._indices(obj)].sum(axis=0)
 
     def coords(self, vec: np.ndarray) -> np.ndarray:
         """Coordinates of a cycle vector in the fundamental-cycle basis."""
@@ -588,15 +607,19 @@ class IntersectionForm:
         cy = y if isinstance(y, np.ndarray) else self.class_vector(y)
         return int(self.coords(cx) @ self.matrix @ self.coords(cy))
 
-    def coord_rows(self, objs: Sequence[Union[CurveLike, np.ndarray]]) -> np.ndarray:
-        """Basis coordinates of a family, one integer row per member."""
-        rows = [
-            self.coords(o if isinstance(o, np.ndarray) else self.class_vector(o))
-            for o in objs
-        ]
-        return np.array(rows, dtype=np.int64).reshape(len(rows), len(self.basis_pairs))
+    def coord_rows(self, objs: Sequence[CurveLike]) -> np.ndarray:
+        """Basis coordinates of a family, one integer row per member: one
+        gather of table rows and one segmented sum."""
+        idx: list[int] = []
+        starts = []
+        for obj in objs:
+            starts.append(len(idx))
+            idx += self._indices(obj)
+        if not starts:
+            return np.zeros((0, len(self.basis_pairs)), dtype=np.int64)
+        return np.add.reduceat(self._basis_rows[idx], starts, axis=0)
 
-    def gram(self, objs: Sequence[Union[CurveLike, np.ndarray]]) -> np.ndarray:
+    def gram(self, objs: Sequence[CurveLike]) -> np.ndarray:
         """All pairwise intersection numbers of a family, as an integer matrix."""
         C = self.coord_rows(objs)
         return C @ self.matrix @ C.T

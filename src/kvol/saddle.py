@@ -517,12 +517,43 @@ def enumerate_saddle_connections(
                     child = _Node(glue[half][0], (tx - sx, ty - sy), glue[half], node)
                     stack.append((child, d1, d2))
 
+    return _sorted(found)
+
+
+def _sorted(found: list[SaddleConnection]) -> list[SaddleConnection]:
+    """The connections in ``_order``, sorted by float keys first.
+
+    ``_order`` rests on each float key entry f being within
+    (``_SIGN_MARGIN`` / 2) (|f| + 1) of its exact value, so that a float
+    difference beyond its margin has the exact sign.  After a stable sort by
+    the float key tuple, cut the list wherever two neighbours' float lengths
+    differ by more than that margin, and re-sort each run with ``_order``.
+    Take a before b in different runs, with a cut between neighbours k and
+    k + 1: f_a <= f_k < f_(k+1) <= f_b and f_(k+1) - f_k > m (f_k + f_(k+1)
+    + 1), so f_b - f_a exceeds the error bound (m / 2) (f_a + f_b + 2) of the
+    two keys and a is exactly shorter than b.  Runs thus follow the exact
+    order, each run is sorted by ``_order`` itself, and entries equal under
+    ``_order`` share their float key and keep their input order in both
+    sorts, so the result is a full ``cmp_to_key(_order)`` sort.
+    """
     keyed = []
     for sc in found:
         x, y = vfloat(sc.holonomy)
         keyed.append(((x * x + y * y, x, y), sc))
-    keyed.sort(key=cmp_to_key(_order))
-    return [sc for _key, sc in keyed]
+    keyed.sort(key=lambda entry: entry[0])
+    out = []
+    start = 0
+    for i in range(1, len(keyed) + 1):
+        if i < len(keyed):
+            fa, fb = keyed[i - 1][0][0], keyed[i][0][0]
+            if fb - fa <= _SIGN_MARGIN * (fa + fb + 1.0):
+                continue
+        run = keyed[start:i]
+        if len(run) > 1:
+            run.sort(key=cmp_to_key(_order))
+        out += [sc for _key, sc in run]
+        start = i
+    return out
 
 
 def _below(v) -> bool:

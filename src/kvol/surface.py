@@ -484,7 +484,7 @@ def veech_generators(n: int) -> dict[str, Mat2]:
 
 
 def exit_through_face(
-    S: TranslationSurface, f: int, p: Vec2, v: Vec2
+    S: TranslationSurface, f: int, p: Vec2, v: Vec2, levels: Optional[list] = None
 ) -> tuple[Vec2, tuple]:
     """Follow the ray p + t v (t > 0) inside convex face f to the boundary.
 
@@ -494,14 +494,20 @@ def exit_through_face(
     collinear edges.
 
     Every decision is a sign of ``cross(v, w - p)``, the side of the line
-    that a vertex w lies on.  The face is convex, so the line meets it in
-    one segment and every vertex on the line lies on that segment: the
-    nearest one ahead of p, if any, is the exit.  Otherwise the line leaves
-    through the one edge (a, b) that runs from its right side to its left,
-    and the exit point costs the only division.
+    that a vertex w lies on: the difference of the vertex level cross(v, w)
+    and the level cross(v, p).  ``levels`` holds the face's vertex levels,
+    which a caller stepping one direction through many faces computes once
+    per face; without it they are computed here.  The face is convex, so
+    the line meets it in one segment and every vertex on the line lies on
+    that segment: the nearest one ahead of p, if any, is the exit.
+    Otherwise the line leaves through the one edge (a, b) that runs from
+    its right side to its left, and the exit point costs the only division.
     """
     verts = S.faces[f]
-    signs = [cross(v, vsub(w, p)).sign() for w in verts]
+    if levels is None:
+        levels = [cross(v, w) for w in verts]
+    lp = cross(v, p)
+    signs = [(lw - lp).sign() for lw in levels]
     best = None  # (dot(w - p, v), vi) of the nearest vertex ahead on the line
     for vi, w in enumerate(verts):
         if signs[vi] == 0:
@@ -512,12 +518,14 @@ def exit_through_face(
         return verts[best[1]], ("vertex", best[1])
     k = len(verts)
     for e in range(k):
-        if signs[e] < 0 < signs[(e + 1) % k]:
-            a, edge = verts[e], vsub(verts[(e + 1) % k], verts[e])
+        b = (e + 1) % k
+        if signs[e] < 0 < signs[b]:
+            a, edge = verts[e], vsub(verts[b], verts[e])
             num = cross(edge, vsub(p, a))
             if num.sign() <= 0:
                 break  # p is on or beyond the exit edge
-            return vadd(p, smul(num / cross(v, edge), v)), ("edge", (f, e))
+            # cross(v, edge) is the level difference of the edge's ends
+            return vadd(p, smul(num / (levels[b] - levels[e]), v)), ("edge", (f, e))
     raise SurfaceError("ray does not enter the face interior")
 
 
@@ -534,17 +542,33 @@ class Trace:
 _MAX_TRACE_STEPS = 100000
 
 
-def _flow(S: TranslationSurface, f: int, p: Vec2, v: Vec2, max_length: float):
+def _flow(
+    S: TranslationSurface,
+    f: int,
+    p: Vec2,
+    v: Vec2,
+    max_length: float,
+    levels: Optional[dict] = None,
+):
     """Follow the ray from p in face f in direction v across glued edges.
 
     Yields (face, p_in, p_out, exit_info) for each face crossed, with
     ``exit_info`` as from ``exit_through_face``, and stops after a piece that
     ends at a vertex.  Raises NonPeriodicDirectionError once the ray has run
     past ``max_length`` or the step budget without reaching a vertex.
+
+    ``levels`` maps a face to its vertex levels cross(v, w); it is filled on
+    first entry to a face, and a caller flowing several rays in direction v
+    passes one dict to all of them.  A step then costs one level cross(v, p).
     """
+    if levels is None:
+        levels = {}
     travelled = 0.0
     for _ in range(_MAX_TRACE_STEPS):
-        q, exit_info = exit_through_face(S, f, p, v)
+        lv = levels.get(f)
+        if lv is None:
+            lv = levels[f] = [cross(v, w) for w in S.faces[f]]
+        q, exit_info = exit_through_face(S, f, p, v, lv)
         travelled += math.hypot(*vfloat(vsub(q, p)))
         if exit_info[0] == "edge" and travelled > max_length:
             raise NonPeriodicDirectionError(
@@ -609,22 +633,21 @@ class Cylinder:
         return math.sqrt(float(self.height_sq))
 
 
-def _point_at_level(a: Vec2, b: Vec2, v: Vec2, c: CycloReal) -> Vec2:
-    """The point of segment ab on the level line cross(v, p) = c, for a and b
-    on different levels."""
-    la = cross(v, a)
-    return vadd(a, smul((c - la) / (cross(v, b) - la), vsub(b, a)))
+def _point_at_level(a: Vec2, b: Vec2, la: CycloReal, lb: CycloReal, c: CycloReal) -> Vec2:
+    """The point of segment ab at level c, for ends a and b at the different
+    levels la and lb: levels are linear along a segment."""
+    return vadd(a, smul((c - la) / (lb - la), vsub(b, a)))
 
 
-def _chord_midpoint(verts: Sequence[Vec2], v: Vec2, c: CycloReal) -> Vec2:
-    """The midpoint of a convex face's chord on the level line cross(v, p) = c,
-    a level strictly between the face's vertex levels and equal to none."""
+def _chord_midpoint(verts: Sequence[Vec2], levels: list, c: CycloReal) -> Vec2:
+    """The midpoint of a convex face's chord at level c, a level strictly
+    between the face's vertex levels and equal to none."""
     ends = []
     k = len(verts)
     for i in range(k):
-        a, b = verts[i], verts[(i + 1) % k]
-        if (cross(v, a) < c) != (cross(v, b) < c):
-            ends.append(_point_at_level(a, b, v, c))
+        j = (i + 1) % k
+        if (levels[i] < c) != (levels[j] < c):
+            ends.append(_point_at_level(verts[i], verts[j], levels[i], levels[j], c))
     x, y = vadd(*ends)
     return (x / 2, y / 2)
 
@@ -659,11 +682,12 @@ def cylinder_decomposition(
 
     # 1. the singular levels of each face: its vertices and the chords of
     # every separatrix leaving a vertex in direction +v
-    level_sets = [{level(p) for p in verts} for verts in S.faces]
+    vertex_levels = {f: [level(p) for p in verts] for f, verts in enumerate(S.faces)}
+    level_sets = [set(vertex_levels[f]) for f in range(len(S.faces))]
     for f, verts in enumerate(S.faces):
         for vi in range(len(verts)):
             if S.direction_in_wedge(f, vi, v):
-                for face, p, _q, _exit in _flow(S, f, verts[vi], v, max_length):
+                for face, p, _q, _exit in _flow(S, f, verts[vi], v, max_length, vertex_levels):
                     level_sets[face].add(level(p))
     levels = [sorted(ls) for ls in level_sets]
 
@@ -677,11 +701,11 @@ def cylinder_decomposition(
             if (f, j) in seen:
                 continue
             lo, hi = ls[j - 1], ls[j]
-            start = _chord_midpoint(S.faces[f], v, (lo + hi) / 2)
+            start = _chord_midpoint(S.faces[f], vertex_levels[f], (lo + hi) / 2)
             hol = (zero, zero)
             word: list[str] = []
             # no length budget: the slab check below ends every walk
-            for g, p, _q, exit_info in _flow(S, f, start, v, math.inf):
+            for g, p, _q, exit_info in _flow(S, f, start, v, math.inf, vertex_levels):
                 slab = (g, bisect.bisect(levels[g], level(p)))
                 if slab == (f, j) and word:
                     break
@@ -773,18 +797,21 @@ def sector_diagram(n: int, sector) -> SectorDiagram:
     def label(side: int) -> int:
         return (side + 1) % half
 
+    levels = [cross(d, w) for w in verts]
     adj: dict[int, set[int]] = {label(s): set() for s in range(half)}
     for exit_side in range(n):
-        if cross(d, S.edge_vector((0, exit_side))).sign() <= 0:
+        # cross(d, side vector) is the level difference of the side's ends
+        if (levels[(exit_side + 1) % n] - levels[exit_side]).sign() <= 0:
             continue  # rays in direction d never exit through this side
         entry = (exit_side + half) % n
-        ea, eb = verts[entry], verts[(entry + 1) % n]
+        b = (entry + 1) % n
+        ea, eb, la, lb = verts[entry], verts[b], levels[entry], levels[b]
         # breakpoints: the vertex levels strictly between the entry side's ends
-        lo, hi = sorted((cross(d, ea), cross(d, eb)))
-        cuts = sorted({lo, hi} | {c for c in (cross(d, w) for w in verts) if lo < c < hi})
+        lo, hi = sorted((la, lb))
+        cuts = sorted({lo, hi} | {c for c in levels if lo < c < hi})
         for c0, c1 in zip(cuts, cuts[1:]):
-            p = _point_at_level(ea, eb, d, (c0 + c1) / 2)
-            _q, exit_info = exit_through_face(S, 0, p, d)
+            p = _point_at_level(ea, eb, la, lb, (c0 + c1) / 2)
+            _q, exit_info = exit_through_face(S, 0, p, d, levels)
             if exit_info[0] != "edge":
                 raise SurfaceError("sector diagram ray hit a vertex")
             adj[label(entry)].add(label(exit_info[1][1]))

@@ -8,17 +8,21 @@ intersection form, and their mutual consistency on full enumerations.
 from __future__ import annotations
 
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from kvol.field import CycloReal
+from kvol.field import CycloReal, trig_value
 from kvol.intersect import (
     ClosedCurve,
     homology_class,
     intersect,
     intersection_form,
 )
+from kvol.plane import Mat2, canonical_orientation
+from kvol.ratios import closed_atoms
 from kvol.saddle import edge_connection, enumerate_saddle_connections
 from kvol.surface import build_ngon, build_staircase, staircase_lengths
 
@@ -317,3 +321,93 @@ class TestValidation:
             for b in octagon_scs[8:16]:
                 r = intersect(a, b)
                 assert r.total == r.interior + r.singular
+
+
+def _reference_chain(sc) -> np.ndarray:
+    """The chain of a saddle connection by walking its path edge by edge:
+    the start vertex's outgoing edge, then in each face the edges strictly
+    counterclockwise between the entry edge and the exit edge (or the end
+    vertex), each signed against its pair's canonical orientation."""
+    S = sc.surface
+    acc = np.zeros(len(S.edge_pairs), dtype=np.int64)
+
+    def add(h):
+        pid = S.pair_of[h]
+        acc[pid] += 1 if canonical_orientation(S.edge_vector(h)) else -1
+
+    def arc(f, e_in, e_out):
+        k = len(S.faces[f])
+        e = (e_in + 1) % k
+        while e != e_out:
+            add((f, e))
+            e = (e + 1) % k
+
+    (f, e_in), exits, last = sc.path
+    add((f, e_in))
+    for h in exits:
+        arc(f, e_in, h[1])
+        f, e_in = S.glue[h]
+    arc(f, e_in, last)
+    return acc
+
+
+def _reference_closure(form):
+    """The chain of a connection closed up through the form's spanning
+    tree, as a function of the connection."""
+    E = len(form.surface.edge_pairs)
+    path = {
+        cls: sum((_reference_chain(t) for t in scs), np.zeros(E, dtype=np.int64))
+        for cls, scs in form._path_scs.items()
+    }
+    return lambda sc: _reference_chain(sc) + path[sc.end.class_id] - path[sc.start.class_id]
+
+
+def _table_cases():
+    lm = {n: trig_value(n, "sin", 1) for n in (8, 10, 12, 14, 16)}
+    shear = Mat2(8, 1, Fraction(13, 37), 0, Fraction(31, 40))
+    cases = [(f"S{n}", build_staircase(n), lm[n] * 12) for n in (8, 10, 12, 14, 16)]
+    cases += [(f"X{n}", build_ngon(n), 4.5) for n in (8, 10, 12)]
+    cases.append(("sheared-S8", build_staircase(8).transform(shear), lm[8] * 12))
+    return [pytest.param(S, L, id=name) for name, S, L in cases]
+
+
+class TestChainTable:
+    """The form's table rows against a path walk kept here."""
+
+    @pytest.mark.parametrize("S, L", _table_cases())
+    def test_rows_match_path_walk(self, S, L):
+        form = intersection_form(S)
+        closure = _reference_closure(form)
+        scs = enumerate_saddle_connections(S, L)
+        atoms = closed_atoms(S, scs)
+        if len(S.vertex_classes) == 2:
+            assert any(len(c.components) == 2 for c in atoms)
+            assert any(
+                sc not in scs for c in atoms for sc in c.components
+            ), "no atom with a reversed component"
+        for sc in scs:
+            assert np.array_equal(form.class_vector(sc), closure(sc))
+            if sc.start.class_id == sc.end.class_id:
+                assert np.array_equal(homology_class(sc), _reference_chain(sc))
+        want = np.array(
+            [
+                sum(closure(sc) for sc in c.components)[form.basis_pairs]
+                for c in atoms
+            ]
+        )
+        assert np.array_equal(form.coord_rows(atoms), want)
+        for c in atoms[:10]:
+            whole = sum(_reference_chain(sc) for sc in c.components)
+            assert np.array_equal(form.class_vector(c), whole)
+            assert np.array_equal(homology_class(c), whole)
+
+    @pytest.mark.parametrize("S, L", _table_cases())
+    def test_pairing_matches_geometry(self, S, L):
+        form = intersection_form(S)
+        atoms = closed_atoms(S, enumerate_saddle_connections(S, L))
+        rng = random.Random(len(atoms))
+        sample = [tuple(rng.sample(range(len(atoms)), 2)) for _ in range(25)]
+        G = form.gram(atoms)
+        for i, j in sample:
+            total = intersect(atoms[i], atoms[j]).total
+            assert form.pair(atoms[i], atoms[j]) == total == G[i, j]

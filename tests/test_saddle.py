@@ -8,6 +8,7 @@ import math
 import random
 import sys
 from fractions import Fraction
+from functools import cmp_to_key
 
 import numpy as np
 import pytest
@@ -500,6 +501,34 @@ class TestLatticeSearch:
         assert len(scs) == 950 and built[0] > 0 and calls == []
         next(sc for sc in scs if sc.path[1]).pieces  # the tracer's calls are counted
         assert "vadd" in calls
+
+
+class TestOrder:
+    """The float-keyed sort with exact runs gives the full comparison sort."""
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            lambda: (build_staircase(12), _lm(12) * 20),
+            lambda: (build_ngon(12), 6),
+            lambda: (_sheared_staircase(8), _lm(8) * 20),
+        ],
+        ids=["S12-20lm", "X12-L6", "sheared8-20lm"],
+    )
+    def test_matches_comparison_sort(self, case):
+        S, L = case()
+        scs = enumerate_saddle_connections(S, L)
+        ties = sum(a.length_sq == b.length_sq for a, b in zip(scs, scs[1:]))
+        assert ties > len(scs) // 5
+        shuffled = list(scs)
+        random.Random(len(scs)).shuffle(shuffled)
+        keyed = []
+        for sc in shuffled:
+            x, y = vfloat(sc.holonomy)
+            keyed.append(((x * x + y * y, x, y), sc))
+        keyed.sort(key=cmp_to_key(saddle._order))
+        assert all(a is b for (_key, a), b in zip(keyed, scs))
+        assert len({sc._key() for sc in scs}) == len(scs)  # no entry ties another
 
 
 class TestPinnedEnumeration:

@@ -380,6 +380,35 @@ class TestTracing:
             sc.pieces
             assert len(calls) <= len(sc.crossings)
 
+    def test_step_multiplications(self, monkeypatch):
+        # vertex levels cross(v, w) are taken once per face a trace enters;
+        # an edge step then costs the level cross(v, p) (2 products), the
+        # exit numerator (2), the division (1) and p + t v (2)
+        cases = [(build_ngon(16), 5), (build_staircase(8), 4)]
+        calls = []
+        mul = CycloReal.__mul__
+
+        def counted(x, y):
+            calls.append(x)
+            return mul(x, y)
+
+        steps = 0
+        for S, L in cases:
+            for sc in enumerate_saddle_connections(S, L):
+                (f, vi), _exits, _last = sc.path
+                calls.clear()
+                monkeypatch.setattr(CycloReal, "__mul__", counted)
+                monkeypatch.setattr(CycloReal, "__rmul__", counted)
+                tr = trace_from_corner(S, f, vi, sc.holonomy, max_length=math.inf)
+                monkeypatch.undo()
+                faces = {g for g, _p, _q in tr.pieces}
+                levels = 2 * sum(len(S.faces[g]) for g in faces)
+                # plus the last step's level, and dot(w - p, v) for each
+                # vertex on the line: at most three in these faces
+                assert len(calls) <= levels + 7 * len(tr.crossings) + 2 + 2 * 3
+                steps += len(tr.crossings)
+        assert steps > 100
+
     def test_exit_through_square(self):
         S = build_ngon(4)
         p = (F(4, 0), F(4, 0))
