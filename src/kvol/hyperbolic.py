@@ -460,8 +460,8 @@ def _lattice_search(u, v):
     return best, a, b, v <= _MAX_HEIGHT
 
 
-# an image must be nearer than the point by more than this to clear its flag
-_IMAGE_SLACK = 1e-12
+# the largest rounding bound of a certified search value
+_ROUNDING_TOL = 1e-12
 
 
 def _nearest(xs, ys, n: int):
@@ -471,7 +471,7 @@ def _nearest(xs, ys, n: int):
     Returns ``sinh`` of the distance, the shift ``m`` and the endpoints
     ``a``, ``b`` of the witness in the frame ``w = -1/(phi (z - m phi))``,
     and the convergence flag.  ``TH`` is in the group, so the shift changes
-    no distance to the orbit.
+    no distance to the orbit.  One ``_lattice_search`` row per point.
 
     At a point of the strip no translate ``TH^m S_0`` with ``m != 0``, in
     particular none with ``|m| >= 2``, is nearer than ``S_0``.  The finite
@@ -485,33 +485,70 @@ def _nearest(xs, ys, n: int):
     result is the distance to ``S = TH^-1 S_0 u S_0 u TH S_0`` for points of
     the strip, and to the matching translate of ``S`` elsewhere.
 
-    The flag: the search reached its bound, and none of the six images
-    ``TV^+-1(z)``, ``TV^+-1(z +- phi)`` is nearer the members searched for
-    it than ``z`` is to ``S``, by more than ``_IMAGE_SLACK``.  The distance to
-    the orbit is the same at every image, so a nearer image would expose an
-    orbit member outside ``S``.  One ``_lattice_search`` call takes the
-    points and their images together, as seven rows.
+    The six images ``z' = TV^s(z + t phi)`` (``s = +-1``, ``t`` in
+    ``0, +-1``) of a point ``z`` of the closed domain ``D`` are no nearer
+    ``S`` than ``z`` is, so searching them cannot expose a nearer orbit
+    member.  Each ``z'`` lies in the closed strip, reaching
+    ``|x| = phi/2`` only from the corners of ``D``, so its shift is
+    ``m' = 0`` except for rounding ties at a corner.  For ``t = 0``,
+    ``TV^s`` moves the frame of ``z`` by the integer ``-s``, and the search
+    over ``Z u {inf}`` gives the same value.  For ``t = +-1``, ``S_0`` is
+    ``TV``-invariant, so ``dist(z', S_0) = dist(z, TH^-t S_0)``, which the
+    strip argument above puts at or beyond ``dist(z, S_0)``; applied at
+    ``z'``, the same argument covers the corner ties.  An image's search is
+    bounded whenever the point's is: for ``t = 0`` the frame height is the
+    same, otherwise it is at most ``1/phi^2``.
 
-    This is a local test, not a proof: it does not rule out an orbit member
-    outside ``S`` that is nearer ``z`` and is only seen from images reached
-    by longer words.  No such member has been found (random words of length
-    at most 6, ``tests/test_hyperbolic.py``)."""
+    The flag certifies the search.  It is set when the search reached its
+    bound and the rounding bound below, taken at the winning value, is at
+    most ``_ROUNDING_TOL``; the value is then within that much of ``sinh``
+    of the exact distance from the double point to ``S``.  Orbit members
+    outside ``S`` are not ruled out: none has been found (random words of
+    length at most 6, ``tests/test_hyperbolic.py``), and the six images
+    above could never rule them out either.
+
+    Rounding bound.  With ``e = 2^-53``, ``s`` a candidate's value and
+    ``p``, ``q`` its offsets, to first order:
+
+    * frame: ``dx = x - m phi`` is exact in the rounded ``phi`` (``m = 0``,
+      or ``|m| = 1`` at a corner tie, where Sterbenz applies) and within
+      ``2e`` of its value with the exact ``phi``, so ``u`` and ``v`` are
+      within ``9e`` relatively.  The value's derivative in ``u`` is at most
+      ``1/v``, and its derivative in ``v`` times ``v`` is at most ``1 + s``,
+      since ``(v^2 + p q)/((p + q) v) <= 2 sqrt(p q)/(p + q) + s``: that is
+      ``9e (|u|/v + 1 + s)``;
+    * ``f = u - floor(u)`` is exact (Sterbenz) except for
+      ``-1/2 < u < 0``, where ``1 + u`` is rounded by at most ``e/2``, the
+      search at a point moved by ``e/2``: ``e/(2v)``.  Where ``1 + u``
+      rounds to 1, the value and the exact least value both lie in
+      ``[0, |u|/v]``, and ``|u| <= e/2``.  High in the cusp at infinity,
+      where ``v`` is about ``1/(phi y)`` and ``u`` is tiny, this term leads;
+    * the offsets are within ``2e`` relatively:
+      ``2e (p q + v^2)/((p + q) v) <= 2e (1 + s)``;
+    * the value itself: ``e (v^2 + p q)/((p + q) v) + 4e s <= 5e (1 + s)``.
+
+    The sum is ``e ((1/2 + 9|u|)/v + 16 (1 + s))``; the stated bound
+    ``2^-51 ((1 + 3|u|)/v + 4 (1 + s))`` leaves ``3.5e/v`` for the
+    second-order terms.  It grows with the value, so it also bounds the
+    distance from the winning value to the exact least one.  The index of
+    the lattice ``t`` just below ``v^2/p`` is off by one only where a
+    lattice ``t`` lies within rounding of ``v^2/p``, and that ``t`` is then
+    one of the two searched.  The bound reaches ``_ROUNDING_TOL`` near
+    ``y = 2^51 * 1e-12/phi`` in the cusp at infinity, about 1,200 for
+    ``n = 8``; every higher point reads ``False``."""
     phi = _phi_float(n)
-    z = xs + 1j * ys
-    images = [(z + t) / (s * phi * (z + t) + 1.0) for t in (0.0, phi, -phi) for s in (1, -1)]
-    pts = np.concatenate([z] + images)
-    m = np.round(pts.real / phi)
-    dx = pts.real - m * phi
-    den = phi * (dx * dx + pts.imag * pts.imag)
-    sinh, a, b, bounded = (v.reshape(7, -1) for v in _lattice_search(-dx / den, pts.imag / den))
-    dist = np.arcsinh(sinh)
-    converged = bounded.all(axis=0) & (dist[1:].min(axis=0) >= dist[0] - _IMAGE_SLACK)
-    return sinh[0], m[: xs.size], a[0], b[0], converged
+    m = np.round(xs / phi)
+    dx = xs - m * phi
+    den = phi * (dx * dx + ys * ys)
+    u, v = -dx / den, ys / den
+    sinh, a, b, bounded = _lattice_search(u, v)
+    rounding = 2.0**-51 * ((1.0 + 3.0 * np.abs(u)) / v + 4.0 * (1.0 + sinh))
+    return sinh, m, a, b, bounded & (rounding <= _ROUNDING_TOL)
 
 
-# points per chunk of dist_to_Gmax_batch: with six images each, 3,066 rows per
-# search, whose temporaries take about 8 MB, so a grid is never one batch
-_CELLS = 438
+# points per chunk of dist_to_Gmax_batch: one search row each, whose
+# temporaries take about 8 MB, so a grid is never one batch
+_CELLS = 3066
 
 
 def dist_to_Gmax_batch(zs: Sequence[complex], n: int):
@@ -541,8 +578,10 @@ def dist_to_Gmax(z: complex, n: int) -> tuple[float, bool]:
     The point is reduced to the fundamental domain (the orbit is invariant)
     and the nearest member of ``S``, which lies in the orbit, is found by the
     exhaustive index search of ``_nearest``.  ``S`` is part of the orbit, so
-    the distance is never below the true one; the flag is the local check
-    of ``_nearest``.
+    the distance is never below the true one.  The flag is the certificate
+    of ``_nearest``: the search reached its bound and its stated rounding
+    bound is at most ``_ROUNDING_TOL``.  It does not rule out orbit members
+    outside ``S``.
     """
     dists, flags = dist_to_Gmax_batch([z], n)
     return float(dists[0]), bool(flags[0])
@@ -575,6 +614,8 @@ def nearest_gmax_geodesic(z: complex, n: int) -> tuple[float, bool, Geodesic, li
     in the frame of the input point (its endpoints are computed exactly from
     the search indices and mapped back through the inverse reduction word)
     and ``word`` the fundamental-domain reduction word that was used.
+    ``converged`` is the flag of ``dist_to_Gmax``, from the one search row
+    of the reduced point.
     """
     z = complex(z)
     w, word = (z, []) if in_fundamental_domain(z, n) else reduce_to_fundamental_domain(z, n)

@@ -339,6 +339,9 @@ class KvolReport:
     ``exact_value`` the corresponding exact Vol * ratio.  ``witnesses`` lists
     the maximizing curve pairs as ``(curve, curve, int)`` triples, or the
     minimizing geodesic plus reduction word in closed-formula mode.
+    ``converged`` is set in closed-formula mode only: the flag of
+    ``nearest_gmax_geodesic``, which certifies the orbit-distance search
+    (its bound reached, its rounding bound at most 1e-12).
     """
 
     mode: str

@@ -484,7 +484,12 @@ def veech_generators(n: int) -> dict[str, Mat2]:
 
 
 def exit_through_face(
-    S: TranslationSurface, f: int, p: Vec2, v: Vec2, levels: Optional[list] = None
+    S: TranslationSurface,
+    f: int,
+    p: Vec2,
+    v: Vec2,
+    levels: Optional[list] = None,
+    lp: Optional[CycloReal] = None,
 ) -> tuple[Vec2, tuple]:
     """Follow the ray p + t v (t > 0) inside convex face f to the boundary.
 
@@ -497,7 +502,8 @@ def exit_through_face(
     that a vertex w lies on: the difference of the vertex level cross(v, w)
     and the level cross(v, p).  ``levels`` holds the face's vertex levels,
     which a caller stepping one direction through many faces computes once
-    per face; without it they are computed here.  The face is convex, so
+    per face; without it they are computed here, as is the level ``lp`` of
+    p when it is not given.  The face is convex, so
     the line meets it in one segment and every vertex on the line lies on
     that segment: the nearest one ahead of p, if any, is the exit.
     Otherwise the line leaves through the one edge (a, b) that runs from
@@ -506,7 +512,8 @@ def exit_through_face(
     verts = S.faces[f]
     if levels is None:
         levels = [cross(v, w) for w in verts]
-    lp = cross(v, p)
+    if lp is None:
+        lp = cross(v, p)
     signs = [(lw - lp).sign() for lw in levels]
     best = None  # (dot(w - p, v), vi) of the nearest vertex ahead on the line
     for vi, w in enumerate(verts):
@@ -552,33 +559,44 @@ def _flow(
 ):
     """Follow the ray from p in face f in direction v across glued edges.
 
-    Yields (face, p_in, p_out, exit_info) for each face crossed, with
-    ``exit_info`` as from ``exit_through_face``, and stops after a piece that
-    ends at a vertex.  Raises NonPeriodicDirectionError once the ray has run
-    past ``max_length`` or the step budget without reaching a vertex.
+    Yields (face, p_in, p_out, exit_info, level) for each face crossed, with
+    ``exit_info`` as from ``exit_through_face`` and ``level`` the level
+    cross(v, p_in), and stops after a piece that ends at a vertex.  Raises
+    NonPeriodicDirectionError once the ray has run past ``max_length`` or
+    the step budget without reaching a vertex.
 
     ``levels`` maps a face to its vertex levels cross(v, w); it is filled on
     first entry to a face, and a caller flowing several rays in direction v
-    passes one dict to all of them.  A step then costs one level cross(v, p).
+    passes one dict to all of them.  Only the first level is a product: the
+    exit point q has the level of p, and the glue shift carries the exit
+    edge's first corner onto corner e + 1 of the next face, whose edge e is
+    glued to it, so crossing adds the difference of those two vertex levels.
     """
     if levels is None:
         levels = {}
+
+    def face_levels(g: int) -> list:
+        if g not in levels:
+            levels[g] = [cross(v, w) for w in S.faces[g]]
+        return levels[g]
+
+    lv, lp = face_levels(f), cross(v, p)
     travelled = 0.0
     for _ in range(_MAX_TRACE_STEPS):
-        lv = levels.get(f)
-        if lv is None:
-            lv = levels[f] = [cross(v, w) for w in S.faces[f]]
-        q, exit_info = exit_through_face(S, f, p, v, lv)
+        q, exit_info = exit_through_face(S, f, p, v, lv, lp)
         travelled += math.hypot(*vfloat(vsub(q, p)))
         if exit_info[0] == "edge" and travelled > max_length:
             raise NonPeriodicDirectionError(
                 f"separatrix exceeded length {max_length:.3g} without closing"
             )
-        yield f, p, q, exit_info
+        yield f, p, q, exit_info, lp
         if exit_info[0] == "vertex":
             return
         half = exit_info[1]
-        f = S.glue[half][0]
+        f, e = S.glue[half]
+        nxt = face_levels(f)
+        lp = lp + nxt[(e + 1) % len(nxt)] - lv[half[1]]
+        lv = nxt
         p = vadd(q, S.glue_shift[half])
     raise NonPeriodicDirectionError("separatrix exceeded the step budget")
 
@@ -596,7 +614,7 @@ def trace_from_corner(
     tau = vneg(S.faces[f][vi])  # developed point = face point + tau
     pieces: list[tuple[int, Vec2, Vec2]] = []
     crossings: list[tuple[int, Half, Vec2]] = []
-    for face, p, q, exit_info in _flow(S, f, S.faces[f][vi], v, max_length):
+    for face, p, q, exit_info, _level in _flow(S, f, S.faces[f][vi], v, max_length):
         pieces.append((face, p, q))
         if exit_info[0] == "vertex":
             return Trace(pieces, crossings, ("vertex", (face, exit_info[1])))
@@ -677,18 +695,15 @@ def cylinder_decomposition(
     if max_length is None:
         max_length = 64.0 * sum(math.hypot(*vfloat(S.edge_vector(h))) for h in S.glue)
 
-    def level(p: Vec2) -> CycloReal:
-        return cross(v, p)
-
     # 1. the singular levels of each face: its vertices and the chords of
     # every separatrix leaving a vertex in direction +v
-    vertex_levels = {f: [level(p) for p in verts] for f, verts in enumerate(S.faces)}
+    vertex_levels = {f: [cross(v, p) for p in verts] for f, verts in enumerate(S.faces)}
     level_sets = [set(vertex_levels[f]) for f in range(len(S.faces))]
     for f, verts in enumerate(S.faces):
         for vi in range(len(verts)):
             if S.direction_in_wedge(f, vi, v):
-                for face, p, _q, _exit in _flow(S, f, verts[vi], v, max_length, vertex_levels):
-                    level_sets[face].add(level(p))
+                for face, _p, _q, _exit, lp in _flow(S, f, verts[vi], v, max_length, vertex_levels):
+                    level_sets[face].add(lp)
     levels = [sorted(ls) for ls in level_sets]
 
     # 2. one closed leaf per cylinder; slab (f, j) lies between levels[f][j-1]
@@ -705,8 +720,8 @@ def cylinder_decomposition(
             hol = (zero, zero)
             word: list[str] = []
             # no length budget: the slab check below ends every walk
-            for g, p, _q, exit_info in _flow(S, f, start, v, math.inf, vertex_levels):
-                slab = (g, bisect.bisect(levels[g], level(p)))
+            for g, _p, _q, exit_info, lp in _flow(S, f, start, v, math.inf, vertex_levels):
+                slab = (g, bisect.bisect(levels[g], lp))
                 if slab == (f, j) and word:
                     break
                 if slab in seen or exit_info[0] == "vertex":

@@ -149,6 +149,13 @@ class TestKvolPointCommand:
         assert code == EXIT_OK
         assert json.loads(out)["converged"] is True
 
+    def test_point_high_in_cusp_is_not_certified(self, capsys):
+        # rounding in the search frame grows with y: here the search value
+        # reads 5.67e-10 against an exact 8.2e-10
+        code, out, _ = run(capsys, "kvol-point", "--n", "8", "--x", "0.1", "--y", "1e7")
+        assert code == EXIT_OK
+        assert '"converged": false' in out
+
     def test_bruteforce_cross_check(self, capsys):
         code, out, _ = run(
             capsys,

@@ -559,3 +559,170 @@ class TestOrbitSearch:
         nearest_gmax_geodesic(z, 8)
         assert calls["search"] == 1
         assert calls["inverse"] <= 1
+
+
+def _boundary_points(n, count=2000):
+    """Dense sweeps of the domain's boundary: both arcs from the corners to
+    the cusp at 0, both strip edges from the corners up, and the corners."""
+    phi = _phi(n)
+    r = 1 / phi
+    # the right arc is r + r e^(i theta), from its corner at theta = 2 pi/n
+    theta = np.concatenate([
+        np.linspace(2 * math.pi / n, math.pi, count, endpoint=False),
+        math.pi - np.geomspace(1e-8, 1e-2, count // 10),
+    ])
+    arc = r + r * np.exp(1j * theta)
+    edge = phi / 2 + 1j * np.geomspace(math.sin(2 * math.pi / n) / phi, 1e6, count)
+    corner = np.array([complex(phi / 2, math.sin(2 * math.pi / n) / phi)])
+    right = np.concatenate([arc, edge, corner])
+    return np.concatenate([right, -right.conj()])
+
+
+def _seven_row_flag(xs, ys, n):
+    """The earlier convergence flag: the search reached its bound at the
+    point and its six images TV^+-1(z), TV^+-1(z +- phi), searched together
+    as seven rows, and no image is nearer than the point by more than 1e-12."""
+    phi = _phi(n)
+    z = xs + 1j * ys
+    images = [(z + t) / (s * phi * (z + t) + 1.0) for t in (0.0, phi, -phi) for s in (1, -1)]
+    pts = np.concatenate([z] + images)
+    m = np.round(pts.real / phi)
+    dx = pts.real - m * phi
+    den = phi * (dx * dx + pts.imag * pts.imag)
+    sinh, _, _, bounded = (
+        v.reshape(7, -1) for v in hyperbolic._lattice_search(-dx / den, pts.imag / den)
+    )
+    dist = np.arcsinh(sinh)
+    return bounded.all(axis=0) & (dist[1:].min(axis=0) >= dist[0] - 1e-12)
+
+
+def _reduced_points(n, count, seed):
+    """Seeded points with x in [-50, 50] and log-uniform y in [1e-9, 1e2],
+    moved into the domain in doubles by the token rule of
+    ``reduce_to_fundamental_domain``; the few that do not settle within the
+    step budget are dropped."""
+    rng = np.random.default_rng(seed)
+    phi = _phi(n)
+    r = 1 / phi
+    z = rng.uniform(-50, 50, count) + 1j * np.exp(rng.uniform(math.log(1e-9), math.log(1e2), count))
+    for _ in range(2000):
+        z = z - np.round(z.real / phi) * phi
+        s = np.where(np.abs(z + r) < r - 1e-12, 1.0, np.where(np.abs(z - r) < r - 1e-12, -1.0, 0.0))
+        if not s.any():
+            break
+        z = np.where(s != 0, z / (s * phi * z + 1.0), z)
+    z = z[in_fundamental_domain(z, n, tol=0.0)]
+    assert z.size >= 0.99 * count
+    return z
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("n", [8, 12, 16, 20, 24])
+    def test_images_stay_in_strip(self, n):
+        # the premise that makes the six image rows redundant: every image
+        # TV^s(z + t phi) of a point of the domain lies in the closed strip,
+        # and its frame height Im(-1/(phi w)) is the point's for t = 0 and at
+        # most 1/phi^2 otherwise
+        phi = _phi(n)
+        z = np.concatenate([np.array(_interior_points(n, 500, seed=900 + n)), _boundary_points(n)])
+        assert in_fundamental_domain(z, n).all()
+        height = lambda w: w.imag / (phi * np.abs(w) ** 2)
+        for t in (0.0, phi, -phi):
+            for s in (1, -1):
+                w = (z + t) / (s * phi * (z + t) + 1.0)
+                assert float(np.abs(w.real).max()) <= phi / 2 + 1e-12
+                if t:
+                    assert float(height(w).max()) <= (1 + 1e-12) / phi**2
+                else:
+                    assert np.allclose(height(w), height(z), rtol=1e-14, atol=0)
+
+    @staticmethod
+    def _assert_never_looser(zs, n):
+        zs = np.asarray(zs)
+        reference = _seven_row_flag(zs.real, zs.imag, n)
+        _, flags = dist_to_Gmax_batch(zs, n)
+        assert not np.any(flags & ~reference)
+        for z in zs[~reference]:
+            assert not nearest_gmax_geodesic(complex(z), n)[1]
+        return reference, flags
+
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    def test_never_looser_high_in_the_cusp(self, n):
+        # 301 x values across the strip at y = 10, 10^1.5, ..., 10^9
+        phi = _phi(n)
+        xs = np.linspace(-phi / 2, phi / 2, 301)
+        zs = np.concatenate([xs + 1j * 10 ** (1 + j / 2) for j in range(17)])
+        reference, flags = self._assert_never_looser(zs, n)
+        # the seven-row rule clears some flags from y = 10^3.5 up; the new
+        # one clears every flag at the top and none at the bottom
+        assert not reference.all()
+        assert not flags[-301:].any() and flags[:301].all()
+
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    def test_never_looser_on_reduced_points(self, n):
+        self._assert_never_looser(_reduced_points(n, 20000, seed=n), n)
+
+    def test_never_looser_far_from_strip(self):
+        zs = [reduce_to_fundamental_domain(complex(x, y), 8)[0] for x, y in _FAR_POINTS]
+        reference, flags = self._assert_never_looser(zs, 8)
+        assert reference.all() and flags.all()
+
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    def test_rounding_bound(self, n):
+        # the winning value against the chosen candidate re-evaluated at 200
+        # bits from the same double point, with the exact phi; a certified
+        # value is within the tolerance
+        rng = random.Random(500 + n)
+        phi = _phi(n)
+        xs, ys = [], []
+        while len(xs) < 1200:
+            y = math.exp(rng.uniform(math.log(1e-3), math.log(1e8)))
+            # below the corners the domain is only its cusp at 0
+            half = phi / 2 if y > 0.5 else y * y * phi / 2
+            x = rng.uniform(-half, half)
+            if in_fundamental_domain(complex(x, y), n, tol=0.0):
+                xs.append(x)
+                ys.append(y)
+        xs, ys = np.array(xs), np.array(ys)
+        sinh, m, a, b, converged = _nearest(xs, ys, n)
+        dx = xs - m * phi
+        den = phi * (dx * dx + ys * ys)
+        u, v = -dx / den, ys / den
+        bound = 2.0**-51 * ((1.0 + 3.0 * np.abs(u)) / v + 4.0 * (1.0 + sinh))
+        worst = 0.0
+        with mpmath.workprec(200):
+            phi_mp = 2 * mpmath.cos(mpmath.pi / n)
+            for i in range(xs.size):
+                dxm = mpmath.mpf(xs[i]) - int(m[i]) * phi_mp
+                denm = phi_mp * (dxm * dxm + mpmath.mpf(ys[i]) ** 2)
+                um, vm = -dxm / denm, mpmath.mpf(ys[i]) / denm
+                if math.isinf(b[i]):
+                    exact = abs(um - int(a[i])) / vm
+                else:
+                    exact = abs((um - int(a[i])) * (um - int(b[i])) + vm * vm) / ((int(b[i]) - int(a[i])) * vm)
+                err = float(abs(mpmath.mpf(sinh[i]) - exact))
+                assert err <= bound[i]
+                worst = max(worst, err / bound[i])
+                if converged[i]:
+                    assert err <= 1e-12
+        assert worst > 0
+        # the cusp at infinity is cut off near y = 1e-12 * 2^51 / phi
+        assert converged[ys < 1000].all() and not converged[ys > 1300].any()
+
+    def test_one_search_row_per_point(self, monkeypatch):
+        rows = []
+        search = hyperbolic._lattice_search
+
+        def counting(u, v):
+            rows.append(u.size)
+            return search(u, v)
+
+        monkeypatch.setattr(hyperbolic, "_lattice_search", counting)
+        # a point that needs reduction and a point already in the domain
+        for z in (complex(3.3, 0.01), complex(0.1, 0.9)):
+            nearest_gmax_geodesic(z, 8)
+        assert rows == [1, 1]
+        rows.clear()
+        pts = _interior_points(8, 2 * hyperbolic._CELLS + 5, seed=71)
+        dist_to_Gmax_batch(pts, 8)
+        assert rows == [hyperbolic._CELLS, hyperbolic._CELLS, 5]

@@ -243,6 +243,29 @@ class TestCylinders:
         digest = hashlib.sha256("\n".join(sorted(records)).encode()).hexdigest()
         assert digest == PINNED_DECOMPOSITIONS
 
+    def test_multiplication_count(self, monkeypatch):
+        # a traced line takes its level from the flow, one cross product per
+        # line: 21 decompositions of X_14 cost 7,014 multiplications when
+        # every step took cross(v, p) again
+        S = build_ngon(14)
+        directions = []
+        for sc in enumerate_saddle_connections(S, 3):
+            if not any(parallel(sc.holonomy, d) for d in directions):
+                directions.append(sc.holonomy)
+        assert len(directions) >= 21
+        calls = [0]
+        mul = CycloReal.__mul__
+
+        def counting(self, other):
+            calls[0] += 1
+            return mul(self, other)
+
+        monkeypatch.setattr(CycloReal, "__mul__", counting)
+        monkeypatch.setattr(CycloReal, "__rmul__", counting)
+        for d in directions[:21]:
+            cylinder_decomposition(S, d)
+        assert calls[0] <= 5500
+
     def test_torus(self):
         S = build_ngon(4)
         for direction in (None, 0):
