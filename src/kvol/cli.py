@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .field import FLOAT_SPEC, ComputationLimitError, CycloReal, fmt_float, trig_value
+from .field import FLOAT_SPEC, ComputationLimitError, CycloReal, trig_value
 from .hyperbolic import dist_to_Gmax_batch, in_fundamental_domain
 from .plane import Mat2
 from .ratios import (
@@ -70,13 +70,10 @@ def _parse_exact(text: str, what: str) -> Fraction:
 def _resolve_length(args, surface: TranslationSurface, default_units: Fraction):
     """The exact length bound: --L in units of the surface's shortest side,
     --L-abs absolute."""
-    if getattr(args, "L_abs", None) is not None:
+    if args.L_abs is not None:
         L = _parse_exact(args.L_abs, "--L-abs") * CycloReal.from_rational(surface.n, 1)
     else:
-        units = (
-            _parse_exact(args.L, "--L") if getattr(args, "L", None) is not None
-            else default_units
-        )
+        units = _parse_exact(args.L, "--L") if args.L is not None else default_units
         L = length_unit(surface) * units
     if float(L) <= 0 or float(L) > MAX_ABS_LENGTH:
         raise ConfigError(
@@ -87,13 +84,12 @@ def _resolve_length(args, surface: TranslationSurface, default_units: Fraction):
 
 
 def _emit(args, text: str) -> None:
-    out = getattr(args, "out", None)
-    if out:
+    if args.out:
         try:
-            with open(out, "w") as fh:
+            with open(args.out, "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise ConfigError(f"cannot write --out {out}: {exc.strerror}") from None
+            raise ConfigError(f"cannot write --out {args.out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -173,7 +169,7 @@ def cmd_kvol_point(args) -> int:
         )
         brute = kvol_bruteforce(S, _resolve_length(args, S, Fraction(30)))
         payload["bruteforce"] = brute.to_dict()
-        payload["rel_gap"] = float(fmt_float((rep.value - brute.value) / rep.value))
+        payload["rel_gap"] = float((rep.value - brute.value) / rep.value)
     _emit_json(args, payload)
     return EXIT_OK
 
@@ -262,7 +258,7 @@ def _verify_thm12(args) -> dict:
         "pairs_checked": rep.pairs_checked,
         "equality_count": len(rep.equalities),
         "violation_count": len(rep.violations),
-        "max_ratio": float(fmt_float(rep.max_ratio)),
+        "max_ratio": float(rep.max_ratio),
     }
 
 
@@ -320,9 +316,9 @@ def _verify_formula(args) -> dict:
         record = {
             "x": float(x),
             "y": float(y),
-            "formula": float(fmt_float(formula.value)),
-            "bruteforce": float(fmt_float(brute.value)),
-            "rel_gap": float(fmt_float(rel)),
+            "formula": float(formula.value),
+            "bruteforce": float(brute.value),
+            "rel_gap": float(rel),
             "converged": formula.converged,
         }
         if formula.converged:
@@ -339,7 +335,7 @@ def _verify_formula(args) -> dict:
         "samples": args.samples,
         "seed": args.seed,
         "pass": bool(ok and any_converged),
-        "max_rel_gap": float(fmt_float(max_gap)),
+        "max_rel_gap": float(max_gap),
         "points": points,
     }
 
@@ -454,10 +450,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except UnsupportedCaseError as exc:
-        print(f"unsupported: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except UnrealizedDirectionError as exc:
+    except (UnsupportedCaseError, UnrealizedDirectionError) as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     except ComputationLimitError as exc:

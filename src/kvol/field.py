@@ -277,9 +277,6 @@ class CycloReal:
     @classmethod
     def phi(cls, n: int) -> "CycloReal":
         """The generator Phi = 2*cos(pi/n)."""
-        if field_degree(n) == 1:
-            # n = 3: Phi = 1
-            return cls(n, [1])
         return cls(n, [0, 1])
 
     # -- arithmetic ----------------------------------------------------------
@@ -440,10 +437,6 @@ class CycloReal:
         if isinstance(other, (int, Fraction)):
             return self == CycloReal.from_rational(self.n, other)
         return NotImplemented
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
 
     def __lt__(self, other):
         o = self._coerce(other)

@@ -490,7 +490,6 @@ class IntersectionForm:
         E = len(S.edge_pairs)
         V = len(S.vertex_classes)
         edge_scs = [edge_connection(S, pid) for pid in range(E)]
-        self.edge_curves = edge_scs
         ends = [(sc.start.class_id, sc.end.class_id) for sc in edge_scs]
 
         # spanning tree over vertex classes
@@ -519,7 +518,6 @@ class IntersectionForm:
             raise ValueError("surface cell graph is not connected")
         self.tree_pairs = sorted(tree)
         self.basis_pairs = [pid for pid in range(E) if pid not in tree]
-        self.basis_labels = [S.pair_labels[pid] for pid in self.basis_pairs]
 
         # paths to the root class, as oriented component lists and vectors
         table = _ChainTable(S)
@@ -550,7 +548,6 @@ class IntersectionForm:
             a, b = ends[pid]
             comps = [sc] + path_scs[b] + [s.reversed() for s in reversed(path_scs[a])]
             cycles.append(ClosedCurve(comps))
-        self.cycles = cycles
 
         m = len(cycles)
         mat = np.zeros((m, m), dtype=np.int64)
@@ -623,13 +620,6 @@ class IntersectionForm:
         """All pairwise intersection numbers of a family, as an integer matrix."""
         C = self.coord_rows(objs)
         return C @ self.matrix @ C.T
-
-    def to_dict(self) -> dict:
-        return {
-            "basis": list(self.basis_labels),
-            "tree": [self.surface.pair_labels[p] for p in self.tree_pairs],
-            "matrix": [[int(x) for x in row] for row in self.matrix],
-        }
 
 
 def intersection_form(surface: TranslationSurface) -> IntersectionForm:

@@ -114,10 +114,6 @@ class Mat2:
     def __setattr__(self, *_):
         raise AttributeError("Mat2 is immutable")
 
-    @classmethod
-    def identity(cls, n: int) -> "Mat2":
-        return cls(n, 1, 0, 0, 1)
-
     def det(self) -> CycloReal:
         return self.a * self.d - self.b * self.c
 

@@ -75,7 +75,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .field import CycloReal, fmt_float, sqrt_in_field, trig_value
+from .field import CycloReal, sqrt_in_field, trig_value
 from .hyperbolic import Geodesic, nearest_gmax_geodesic
 from .intersect import ClosedCurve, IntersectionForm, intersection_form
 from .plane import Mat2, canonical_orientation, cross, direction_pair, norm2, vfloat, vneg
@@ -355,12 +355,9 @@ class KvolReport:
     def to_dict(self) -> dict:
         params = {"L": None, "K_max": None, "W": None}
         params.update(self.params)
-        for k, v in list(params.items()):
-            if isinstance(v, CycloReal):
-                params[k] = float(v)
         return {
             "mode": self.mode,
-            "value": float(fmt_float(self.value)),
+            "value": float(self.value),
             "exact": self.exact_value.to_dict() if self.exact_value is not None else None,
             "exact_ratio": self.exact_ratio.to_dict() if self.exact_ratio is not None else None,
             "witnesses": [_serialize_witness(w) for w in self.witnesses[:64]],
@@ -388,7 +385,7 @@ class DirectionPairReport:
         return {
             "d": _label_json(self.d),
             "d_prime": _label_json(self.d_prime),
-            "value": float(fmt_float(self.value)),
+            "value": float(self.value),
             "exact": self.exact.to_dict(),
             "witnesses": [_serialize_witness(w) for w in self.witnesses[:64]],
             "witness_count": len(self.witnesses),
@@ -426,7 +423,7 @@ class BoundReport:
             "violations": [_serialize_witness(w) for w in self.violations[:64]],
             "equalities": [_serialize_witness(w) for w in self.equalities[:64]],
             "equality_count": len(self.equalities),
-            "max_ratio": float(fmt_float(self.max_ratio)),
+            "max_ratio": float(self.max_ratio),
             "max_witnesses": [_serialize_witness(w) for w in self.max_witnesses[:8]],
             "counts": self.counts,
         }
@@ -501,12 +498,6 @@ def _float_length(curve: ClosedCurve) -> float:
     """The scan's length of a curve: the sum of ``hypot`` of each component's
     holonomy floats, which enumeration has already converted."""
     return sum(math.hypot(*vfloat(sc.holonomy)) for sc in curve.components)
-
-
-def _norm_length(curve: ClosedCurve) -> float:
-    """A curve's length from the float of each exact squared length, the
-    length of the reported bound maximum."""
-    return sum(math.sqrt(float(sc.length_sq)) for sc in curve.components)
 
 
 def _ratio_blocks(form: IntersectionForm, curves: Sequence[ClosedCurve]):
@@ -827,7 +818,7 @@ def _certify_bound(
     _, ties = _exact_max(ctx, curves, scan.near_max)
     max_ratio = max(
         (
-            abs(I) / (_norm_length(curves[i]) * _norm_length(curves[j]))
+            abs(I) / (curves[i].length * curves[j].length)
             for i, j, I in scan.near_max
         ),
         default=0.0,

@@ -154,7 +154,6 @@ class TranslationSurface:
                 self.pair_labels.append(labels[h])
         if len(set(self.pair_labels)) != len(self.pair_labels):
             raise SurfaceError("edge-pair labels must be distinct")
-        self.pair_by_label = {lab: pid for pid, lab in enumerate(self.pair_labels)}
         # crossing out through h, a point p in the source face lands at p + shift
         self.glue_shift: dict[Half, Vec2] = {}
         for h, h2 in self.glue.items():
@@ -245,19 +244,6 @@ class TranslationSurface:
             for i in range(k):
                 total = total + cross(verts[i], verts[(i + 1) % k])
         return total / 2
-
-    def singularities(self) -> list[dict]:
-        out = []
-        for cid, cyc in enumerate(self.vertex_classes):
-            out.append(
-                {
-                    "class": cid,
-                    "corners": len(cyc),
-                    "angle_multiple": self.cone_multiples[cid],
-                    "marked": self.cone_multiples[cid] == 1,
-                }
-            )
-        return out
 
     # -- transforms and serialization ----------------------------------------
 
@@ -630,8 +616,8 @@ def trace_from_corner(
 class Cylinder:
     """A maximal flat cylinder in a periodic direction.
 
-    Circumference and height are reported as floats alongside their exact
-    squares; the modulus circumference/height is exact in the field.
+    Circumference and height are kept as exact squares; the modulus
+    circumference/height is exact in the field.
     """
 
     direction: Vec2
@@ -641,14 +627,6 @@ class Cylinder:
     modulus: CycloReal
     core_word: tuple[str, ...]
     n_polygons: int
-
-    @property
-    def circumference(self) -> float:
-        return math.sqrt(float(self.circumference_sq))
-
-    @property
-    def height(self) -> float:
-        return math.sqrt(float(self.height_sq))
 
 
 def _point_at_level(a: Vec2, b: Vec2, la: CycloReal, lb: CycloReal, c: CycloReal) -> Vec2:

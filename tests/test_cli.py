@@ -348,3 +348,39 @@ class TestComputationLimits:
 
         with pytest.raises(ComputationLimitError):
             reduce_to_fundamental_domain(complex(5.0, 0.01), 8, max_steps=1)
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ("kvol-point", "--n", "8", "--x", "1/5", "--y", "7/10", "--bruteforce", "--L", "8"),
+            "d4dc311781a0acfc122093c048de44bb47f1cf24eb4a9e6c838a17510c85ae6d",
+        ),
+        (
+            ("verify", "--suite", "thm12", "--n", "8"),
+            "64665e929a1c697d170bf284aaab789115d7e23913816dafbb10ecebb8a8fc89",
+        ),
+        (
+            ("verify", "--suite", "thm12", "--n", "10"),
+            "5a082e6eee69358aba6886ce6f102f1f79de4250af107f38b7bda4d7b2031f60",
+        ),
+        (
+            ("verify", "--suite", "parallel", "--n", "8"),
+            "095e9d4648c28339ea27020002cba5bfd85e985f400f92629d6c2914067445da",
+        ),
+        (
+            ("kvol-bound", "--n", "10"),
+            "5ccc5f2bbe989f14155a3daf819c721630c803272eb21c2503ce2987e6d2f1c5",
+        ),
+        (
+            ("surface", "--n", "12", "--model", "staircase"),
+            "d0b2be81ff97b97c56c31c35cdc1e32b965bfc7da9f62e18f5cf4032905a5340",
+        ),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else v[:8],
+)
+def test_pinned_json(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

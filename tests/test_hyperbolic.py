@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from kvol import hyperbolic
+from kvol.cli import main
 from kvol.field import CycloReal
 from kvol.hyperbolic import (
     Geodesic,
@@ -388,6 +389,18 @@ class TestDistToGmax:
         ]
         dists, _ = dist_to_Gmax_batch(pts, 8)
         assert float(dists.max()) <= math.asinh(1.0) + 1e-12
+
+    def test_grid_agrees_with_closed_formula(self, capsys):
+        # kvol-grid's batch distance and kvol-point's closed formula at the
+        # same cells: the same flag, and distances within 2 ulp
+        assert main(["kvol-grid", "--n", "8", "--resolution", "40"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        cells = random.Random(53).sample(rows, 300)
+        for x, y, _, dist, converged in cells:
+            rep = kvol_closed_formula(8, complex(float(x), float(y)))
+            d = rep.params["dist"]
+            assert rep.converged == (converged == "true")
+            assert abs(d - float(dist)) <= 2 * math.ulp(d)
 
 
 def _window_sinh(z, n, width=60):

@@ -1,8 +1,9 @@
 """No module of the package or the test suite imports a name it never uses,
 no module of the package imports from the package inside a function, no
-private helper of the package is left without a caller, and no keyword-only
-option of the package is left that no caller sets.  Exactly one function of
-the package steps a trace across glued edges."""
+private helper of the package is left without a caller, no keyword-only
+option of the package is left that no caller sets, and no public member of a
+package class is left that nothing reads.  Exactly one function of the
+package steps a trace across glued edges."""
 
 from __future__ import annotations
 
@@ -73,10 +74,12 @@ def test_no_local_package_imports(path):
 
 
 def _referenced_names(tree: ast.AST) -> Counter:
+    """How often each name is read, as a name or an attribute; assignments
+    to a name are not reads."""
     return Counter(
         node.id if isinstance(node, ast.Name) else node.attr
         for node in ast.walk(tree)
-        if isinstance(node, (ast.Name, ast.Attribute))
+        if isinstance(node, (ast.Name, ast.Attribute)) and not isinstance(node.ctx, ast.Store)
     )
 
 
@@ -174,6 +177,64 @@ def test_no_unused_options():
     callers = [p.read_text() for p in FILES if p.parent.name == "tests"]
     callers += [p.read_text() for p in sorted((ROOT / "perfbench").rglob("*.py"))]
     assert unused_options(package, callers) == []
+
+
+def unread_members(modules: dict[str, str], others: list[str]) -> list[str]:
+    """``module:Class.member`` for every public method, property or ``self.``
+    attribute of a class of ``modules`` that no source in ``modules`` or
+    ``others`` reads.
+
+    A read is a loaded name or attribute with the member's name; a method's
+    reads inside its own body do not count, and neither do assignments."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    reads = Counter()
+    for tree in [*trees.values(), *map(ast.parse, others)]:
+        reads += _referenced_names(tree)
+    unread = []
+    for name, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            members = {}
+            for item in cls.body:
+                if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                members.setdefault(item.name, _referenced_names(item)[item.name])
+                for node in ast.walk(item):
+                    if (
+                        isinstance(node, ast.Attribute)
+                        and isinstance(node.ctx, ast.Store)
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id == "self"
+                    ):
+                        members.setdefault(node.attr, 0)
+            unread += [
+                f"{name}:{cls.name}.{m}"
+                for m, own in members.items()
+                if not m.startswith("_") and reads[m] == own
+            ]
+    return unread
+
+
+def test_scanner_flags_unread_members():
+    module = (
+        "class A:\n"
+        "    def __init__(self):\n        self.x = 1\n        self.y = 2\n        self._z = 3\n"
+        "    @property\n    def p(self):\n        return self.y\n"
+        "    def m(self, k):\n        return self.m(k - 1) if k else 0\n"
+        "    def used(self):\n        pass\n"
+        "A().used()\n"
+    )
+    assert unread_members({"m": module}, ["y = 0\nprint(y)\n"]) == [
+        "m:A.x", "m:A.p", "m:A.m",
+    ]
+
+
+def test_no_unread_members():
+    package = {p.stem: p.read_text() for p in FILES if p.parent.name == "kvol"}
+    readers = [p.read_text() for p in FILES if p.parent.name == "tests"]
+    readers += [p.read_text() for p in sorted((ROOT / "perfbench").rglob("*.py"))]
+    assert unread_members(package, readers) == []
 
 
 def _own_nodes(func: ast.AST):
