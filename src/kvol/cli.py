@@ -44,7 +44,7 @@ EXIT_VERIFY = 4
 EXIT_LIMIT = 5
 
 # enumeration cap: absolute length bounds beyond this are refused up front
-MAX_ABS_LENGTH = 64.0
+MAX_ABS_LENGTH = 64
 MAX_RESOLUTION = 2000
 
 
@@ -75,10 +75,13 @@ def _resolve_length(args, surface: TranslationSurface, default_units: Fraction):
     else:
         units = _parse_exact(args.L, "--L") if args.L is not None else default_units
         L = length_unit(surface) * units
-    if float(L) <= 0 or float(L) > MAX_ABS_LENGTH:
+    if L.sign() <= 0 or L > MAX_ABS_LENGTH:
+        try:
+            shown = f"{float(L):g}"
+        except OverflowError:  # beyond the double range
+            shown = "inf" if L.sign() > 0 else "-inf"
         raise ConfigError(
-            f"length bound {float(L):g} outside the enumeration cap "
-            f"(0, {MAX_ABS_LENGTH:g}]"
+            f"length bound {shown} outside the enumeration cap (0, {MAX_ABS_LENGTH:g}]"
         )
     return L
 
@@ -289,6 +292,8 @@ def _verify_parallel(args) -> dict:
 
 def _verify_formula(args) -> dict:
     n = args.n
+    if args.samples < 1:
+        raise ConfigError("--samples must be at least 1")
     if n % 4 != 0:
         raise UnsupportedCaseError(
             "closed formula requires n ≡ 0 mod 4; use kvol-bound"

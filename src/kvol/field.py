@@ -570,11 +570,6 @@ def trig_value(n: int, kind: str, k: int) -> CycloReal:
     return _cos_table(n)[k]
 
 
-def fmt_float(x: float) -> str:
-    """Render a float with ``FLOAT_SPEC`` (round-trip safe)."""
-    return format(x, FLOAT_SPEC)
-
-
 def accurate_float(x: CycloReal) -> float:
     """``x`` as a double with relative error below about 2^-60, however far
     its numerators cancel.  (``float(x)`` runs Horner's rule in doubles,

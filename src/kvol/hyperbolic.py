@@ -40,22 +40,6 @@ import numpy as np
 from .field import ComputationLimitError, _element, _fold, _phi_float, accurate_float, field_degree
 from .plane import Mat2, direction_pair
 
-__all__ = [
-    "point_of_surface",
-    "moebius",
-    "induced_action",
-    "angle_sine",
-    "Geodesic",
-    "geodesic_of_directions",
-    "dist_points",
-    "in_fundamental_domain",
-    "reduce_to_fundamental_domain",
-    "apply_word",
-    "word_matrix",
-    "dist_to_Gmax",
-    "dist_to_Gmax_batch",
-    "nearest_gmax_geodesic",
-]
 
 def _as_float_matrix(M) -> tuple[float, float, float, float]:
     if isinstance(M, Mat2):

@@ -46,15 +46,6 @@ from .plane import (
 from .saddle import Germ, SaddleConnection, edge_connection
 from .surface import TranslationSurface
 
-__all__ = [
-    "ClosedCurve",
-    "IntersectionReport",
-    "intersect",
-    "homology_class",
-    "IntersectionForm",
-    "intersection_form",
-]
-
 
 class ClosedCurve:
     """A closed curve given as a cyclic list of oriented saddle connections.

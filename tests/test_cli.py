@@ -6,6 +6,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +22,8 @@ from kvol.cli import (
     main,
 )
 from kvol.surface import TranslationSurface, build_staircase
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -296,6 +302,23 @@ class TestVerifyCommand:
         assert code == EXIT_CONFIG
         assert "cap" in err
 
+    @pytest.mark.parametrize(
+        "flag, shown",
+        [("--L=1e400", "inf"), ("--L-abs=1e400", "inf"), ("--L-abs=-1e400", "-inf"),
+         ("--L=-1", "-0.309017")],
+    )
+    def test_length_cap_message(self, capsys, flag, shown):
+        code, out, err = run(capsys, "kvol-bound", "--n", "10", flag)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == f"error: length bound {shown} outside the enumeration cap (0, 64]\n"
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_formula_needs_samples(self, capsys, samples):
+        code, out, err = run(capsys, "verify", "--suite", "formula", "--n", "8",
+                             f"--samples={samples}")
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == "error: --samples must be at least 1\n"
+
 
 class TestKvolBoundCommand:
     def test_bound_report_and_exit_codes(self, capsys):
@@ -384,3 +407,20 @@ def test_pinned_json(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _fresh(*argv: str) -> subprocess.CompletedProcess:
+    """Run ``python argv`` in a new interpreter that imports kvol from ``src``."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
+
+
+def test_fresh_process_matches_in_process(capsys):
+    argv = ("kvol-point", "--n", "8", "--x", "0", "--y", "1")
+    done = _fresh("-m", "kvol.cli", *argv)
+    assert (done.returncode, done.stdout, done.stderr) == run(capsys, *argv)
+
+
+def test_saddle_imports_without_numpy():
+    done = _fresh("-c", "import sys, kvol.saddle; print('numpy' in sys.modules)")
+    assert (done.returncode, done.stdout) == (0, "False\n")

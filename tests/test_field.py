@@ -15,11 +15,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from kvol.field import (
+    FLOAT_SPEC,
     CycloReal,
     accurate_float,
     cyclotomic_polynomial,
     field_degree,
-    fmt_float,
     minimal_polynomial,
     sqrt_in_field,
     trig_value,
@@ -236,7 +236,7 @@ class TestSqrtInField:
 
 def test_fmt_float_round_trip():
     for x in (math.pi, 1 / 3, 2 ** 0.5, 4.82842712474619):
-        assert float(fmt_float(x)) == x
+        assert float(format(x, FLOAT_SPEC)) == x
 
 
 # -- the integer-numerator layout against a Fraction reference ---------------

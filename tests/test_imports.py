@@ -1,9 +1,10 @@
 """No module of the package or the test suite imports a name it never uses,
 no module of the package imports from the package inside a function, no
 private helper of the package is left without a caller, no keyword-only
-option of the package is left that no caller sets, and no public member of a
-package class is left that nothing reads.  Exactly one function of the
-package steps a trace across glued edges."""
+option of the package is left that no caller sets, no public module-level
+function, class or constant of the package is left that nothing reads, and
+no public member of a package class is left that nothing reads.  Exactly one
+function of the package steps a trace across glued edges."""
 
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ def unused_imports(source: str) -> list[tuple[int, str]]:
     """(line, name) of every imported name that the module never loads.
 
     A name counts as used when it appears as an identifier anywhere in the
-    module or is listed in ``__all__`` (a re-export)."""
+    module; listing it in ``__all__`` (a re-export) does not count."""
     tree = ast.parse(source)
     imported = {}
     for node in ast.walk(tree):
@@ -32,17 +33,12 @@ def unused_imports(source: str) -> list[tuple[int, str]]:
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            used |= {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
-def test_scanner_flags_unused_and_keeps_reexports():
+def test_scanner_flags_unused_imports():
     source = "import os\nimport a.b\nfrom x import y, z as w\n__all__ = ['y']\nprint(a)\n"
-    assert unused_imports(source) == [(1, "os"), (3, "w")]
+    assert unused_imports(source) == [(1, "os"), (3, "w"), (3, "y")]
 
 
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
@@ -83,6 +79,14 @@ def _referenced_names(tree: ast.AST) -> Counter:
     )
 
 
+def _reads(trees, others: list[str]) -> Counter:
+    """``_referenced_names`` summed over parsed ``trees`` and ``others`` sources."""
+    reads = Counter()
+    for tree in [*trees, *map(ast.parse, others)]:
+        reads += _referenced_names(tree)
+    return reads
+
+
 def dead_helpers(modules: dict[str, str], others: list[str]) -> list[str]:
     """``module:name`` of every module-level ``_private`` function or class of
     ``modules`` that no source in ``modules`` or ``others`` refers to outside
@@ -91,9 +95,7 @@ def dead_helpers(modules: dict[str, str], others: list[str]) -> list[str]:
     A reference is a name or an attribute with the helper's name; uses inside
     the helper's own body (recursion) do not count."""
     trees = {name: ast.parse(source) for name, source in modules.items()}
-    refs = Counter()
-    for tree in [*trees.values(), *map(ast.parse, others)]:
-        refs += _referenced_names(tree)
+    refs = _reads(trees.values(), others)
     dead = []
     for name, tree in trees.items():
         for node in tree.body:
@@ -179,6 +181,58 @@ def test_no_unused_options():
     assert unused_options(package, callers) == []
 
 
+def _defined_names(node: ast.stmt) -> list[str]:
+    """The names a module-level statement defines: a function, a class, or
+    the plain-name targets of an assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
+def unread_names(modules: dict[str, str], others: list[str]) -> list[str]:
+    """``module:name`` of every public module-level function, class or
+    constant of ``modules`` that no source in ``modules`` or ``others`` reads.
+
+    The read rule is that of ``unread_members``: a loaded name or attribute
+    with the definition's name; reads inside the definition itself do not
+    count, and neither do assignments or imports."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    reads = _reads(trees.values(), others)
+    return [
+        f"{name}:{defined}"
+        for name, tree in trees.items()
+        for node in tree.body
+        for defined in _defined_names(node)
+        if not defined.startswith("_") and reads[defined] == _referenced_names(node)[defined]
+    ]
+
+
+def test_scanner_flags_unread_names():
+    module = (
+        "import os\n"
+        "A = 1\nB: int = 2\nC = B + 1\n_D = 0\n"
+        "def f(k):\n    return f(k - 1) if k else 0\n"
+        "def g():\n    return C\n"
+        "class K:\n    pass\n"
+        "class L:\n    pass\n"
+        "__all__ = ['A', 'K']\n"
+    )
+    assert unread_names({"m": module}, ["from m import A, L\nimport m\nm.g(L)\n"]) == [
+        "m:A", "m:f", "m:K",
+    ]
+
+
+def test_no_unread_names():
+    package = {p.stem: p.read_text() for p in FILES if p.parent.name == "kvol"}
+    readers = [p.read_text() for p in FILES if p.parent.name == "tests"]
+    readers += [p.read_text() for p in sorted((ROOT / "perfbench").rglob("*.py"))]
+    assert unread_names(package, readers) == []
+
+
 def unread_members(modules: dict[str, str], others: list[str]) -> list[str]:
     """``module:Class.member`` for every public method, property or ``self.``
     attribute of a class of ``modules`` that no source in ``modules`` or
@@ -187,9 +241,7 @@ def unread_members(modules: dict[str, str], others: list[str]) -> list[str]:
     A read is a loaded name or attribute with the member's name; a method's
     reads inside its own body do not count, and neither do assignments."""
     trees = {name: ast.parse(source) for name, source in modules.items()}
-    reads = Counter()
-    for tree in [*trees.values(), *map(ast.parse, others)]:
-        reads += _referenced_names(tree)
+    reads = _reads(trees.values(), others)
     unread = []
     for name, tree in trees.items():
         for cls in ast.walk(tree):
