@@ -23,6 +23,7 @@ from .field import FLOAT_SPEC, ComputationLimitError, CycloReal, trig_value
 from .hyperbolic import dist_to_Gmax_batch, in_fundamental_domain
 from .plane import Mat2
 from .ratios import (
+    ParallelReport,
     UnrealizedDirectionError,
     UnsupportedCaseError,
     bound_4m2,
@@ -68,7 +69,7 @@ def _parse_exact(text: str, what: str) -> Fraction:
 
 
 def _resolve_length(args, surface: TranslationSurface, default_units: Fraction):
-    """The exact length bound: --L in units of the surface's shortest side,
+    """The exact length bound: --L in the length unit of the surface's model,
     --L-abs absolute."""
     if args.L_abs is not None:
         L = _parse_exact(args.L_abs, "--L-abs") * CycloReal.from_rational(surface.n, 1)
@@ -271,7 +272,10 @@ def _verify_parallel(args) -> dict:
     L = _resolve_length(args, S, Fraction(6))
     directions = []
     for d in (0, "inf"):
-        rep = check_parallel_criterion(S, d, L)
+        try:
+            rep = check_parallel_criterion(S, d, L)
+        except UnrealizedDirectionError:  # both are periodic: the cap is too short
+            rep = ParallelReport(d, 0, 0, 0, [])  # checks nothing, so fails
         directions.append(
             {
                 "direction": d,

@@ -529,6 +529,17 @@ class CycloReal:
         return f"CycloReal(n={self.n}: {body} ~= {float(self):.6g})"
 
 
+def as_field(n: int, value) -> CycloReal:
+    """``value`` as an element of Q(2*cos(pi/n)): a CycloReal of that field
+    as it is, a rational (or a float, read exactly) through ``from_rational``.
+    A CycloReal of another field is a ValueError."""
+    if isinstance(value, CycloReal):
+        if value.n != n:
+            raise ValueError(f"field mismatch: n={value.n} vs n={n}")
+        return value
+    return CycloReal.from_rational(n, value)
+
+
 @lru_cache(maxsize=None)
 def _phi_float(n: int) -> float:
     return 2.0 * math.cos(math.pi / n)

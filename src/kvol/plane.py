@@ -16,16 +16,10 @@ import math
 from fractions import Fraction
 from typing import Union
 
-from .field import CycloReal
+from .field import CycloReal, as_field
 
 Vec2 = tuple[CycloReal, CycloReal]
 Scalar = Union[CycloReal, int, Fraction]
-
-
-def vec(n: int, x, y) -> Vec2:
-    cx = x if isinstance(x, CycloReal) else CycloReal.from_rational(n, x)
-    cy = y if isinstance(y, CycloReal) else CycloReal.from_rational(n, y)
-    return (cx, cy)
 
 
 def vadd(u: Vec2, v: Vec2) -> Vec2:
@@ -104,12 +98,11 @@ class Mat2:
     __slots__ = ("n", "a", "b", "c", "d")
 
     def __init__(self, n: int, a, b, c, d):
-        conv = lambda v: v if isinstance(v, CycloReal) else CycloReal.from_rational(n, v)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "a", conv(a))
-        object.__setattr__(self, "b", conv(b))
-        object.__setattr__(self, "c", conv(c))
-        object.__setattr__(self, "d", conv(d))
+        object.__setattr__(self, "a", as_field(n, a))
+        object.__setattr__(self, "b", as_field(n, b))
+        object.__setattr__(self, "c", as_field(n, c))
+        object.__setattr__(self, "d", as_field(n, d))
 
     def __setattr__(self, *_):
         raise AttributeError("Mat2 is immutable")

@@ -75,10 +75,10 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .field import CycloReal, sqrt_in_field, trig_value
+from .field import CycloReal, as_field, sqrt_in_field, trig_value
 from .hyperbolic import Geodesic, nearest_gmax_geodesic
 from .intersect import ClosedCurve, IntersectionForm, intersection_form
-from .plane import Mat2, canonical_orientation, cross, direction_pair, norm2, vfloat, vneg
+from .plane import Mat2, canonical_orientation, cross, direction_pair, vfloat, vneg
 from .saddle import SaddleConnection, enumerate_saddle_connections
 from .surface import TranslationSurface, build_ngon, build_staircase, direction_vector
 
@@ -97,9 +97,14 @@ class UnsupportedCaseError(RuntimeError):
 #
 # An expression is a dict mapping frozensets of radicand indices to field
 # coefficients: {S: c} stands for sum of c * prod_{i in S} sqrt(D_i).  The
-# context keeps the list of radicands D_i (each positive, none a perfect
-# square, pairwise with non-square products, so the radicals are independent
-# where it matters and redundant ones are folded away eagerly).
+# radicands D_i are positive with no square root in the field, and two may
+# differ by a square factor.  Nothing needs them independent.  ``sign``
+# decides u + w sqrt(R) from the signs of u, w and u^2 - w^2 R, for any R > 0.
+# A length product l(a)^2 l(b)^2 with a radical term is never a field element:
+# each l^2 is a field element or A + 2 sqrt(Q), so every radical coefficient
+# is positive; if sqrt(R) = c sqrt(Q) with c > 0 in the field the sqrt(Q)
+# terms add up, and otherwise 1, sqrt(Q), sqrt(R), sqrt(QR) are independent.
+# So witness sets, ``exact_ratio`` and bound verdicts are the same either way.
 
 _Expr = dict
 
@@ -128,7 +133,7 @@ class _RadicalContext:
         return e
 
     def const(self, c) -> _Expr:
-        v = c if isinstance(c, CycloReal) else CycloReal.from_rational(self.n, c)
+        v = as_field(self.n, c)
         return {} if v.is_zero() else {frozenset(): v}
 
     def sqrt(self, D: CycloReal) -> _Expr:
@@ -146,15 +151,8 @@ class _RadicalContext:
             if r is not None:
                 out = {frozenset(): r}
             else:
-                out = None
-                for i, R in enumerate(self.radicands):
-                    t = sqrt_in_field(D * R)
-                    if t is not None:  # sqrt(D) = (t/R) sqrt(R)
-                        out = {frozenset((i,)): t / R}
-                        break
-                if out is None:
-                    self.radicands.append(D)
-                    out = {frozenset((len(self.radicands) - 1,)): self._one}
+                self.radicands.append(D)
+                out = {frozenset((len(self.radicands) - 1,)): self._one}
         self._sqrt_cache[D] = out
         return dict(out)
 
@@ -170,7 +168,7 @@ class _RadicalContext:
         return out
 
     def scale(self, e: _Expr, c) -> _Expr:
-        v = c if isinstance(c, CycloReal) else CycloReal.from_rational(self.n, c)
+        v = as_field(self.n, c)
         if v.is_zero():
             return {}
         return {S: x * v for S, x in e.items()}
@@ -282,22 +280,14 @@ def _pair_key(a: ClosedCurve, b: ClosedCurve):
 
 
 def length_unit(surface: TranslationSurface) -> CycloReal:
-    """The shortest edge length of the surface, as an exact field element.
-
-    This is the natural length unit of each model (the short side ``l_m`` of
-    the staircase, the side ``l_0 = 1`` of the n-gon).  Raises if the minimum
-    squared edge length has no square root in the field (possible after an
-    irrational shear)."""
-    best = None
-    for pid in range(len(surface.edge_pairs)):
-        h = surface.edge_pairs[pid][0]
-        q = norm2(surface.edge_vector(h))
-        if best is None or (q - best).sign() < 0:
-            best = q
-    root = sqrt_in_field(best)
-    if root is None:
-        raise UnsupportedCaseError("shortest edge length is not a field element")
-    return root
+    """The length unit of the surface's model, as an exact field element: the
+    short side ``l_m = sin(pi/n)`` of the staircase, kept by every transform
+    of it, or the side ``l_0 = 1`` of the n-gon."""
+    if surface.model == "staircase":
+        return trig_value(surface.n, "sin", 1)
+    if surface.model == "ngon":
+        return CycloReal.from_rational(surface.n, 1)
+    raise UnsupportedCaseError(f"no length unit for the model {surface.model!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +400,8 @@ class BoundReport:
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        """No violation among a nonempty set of checked pairs."""
+        return self.pairs_checked > 0 and not self.violations
 
     def to_dict(self) -> dict:
         return {
@@ -441,7 +432,8 @@ class ParallelReport:
 
     @property
     def ok(self) -> bool:
-        return not self.nonzero
+        """No crossing pair among a nonempty set of checked pairs."""
+        return self.pairs_checked > 0 and not self.nonzero
 
     def to_dict(self) -> dict:
         return {
@@ -739,9 +731,8 @@ def k0_constant(n: int) -> CycloReal:
     directional constant, attained on the distinguished vertical geodesics.
     """
     S = build_staircase(n)
-    phi = CycloReal.phi(n)
-    lm = trig_value(n, "sin", 1)
-    return S.area() / (phi * lm * lm)
+    lm = length_unit(S)
+    return S.area() / (CycloReal.phi(n) * lm * lm)
 
 
 def kvol_closed_formula(
@@ -913,9 +904,8 @@ def bound_4m2(n: int, L, *, M: Optional[Mat2] = None) -> BoundReport:
         if not (det * det - 1).is_zero():
             raise ValueError("shear matrix must be unimodular")
         S = S.transform(M)
-    phi = CycloReal.phi(n)
-    lm = trig_value(n, "sin", 1)
-    bound = CycloReal.from_rational(n, 1) / (phi * lm * lm)
+    lm = length_unit(S)
+    bound = CycloReal.from_rational(n, 1) / (CycloReal.phi(n) * lm * lm)
     model = "staircase" if M is None else "staircase (sheared)"
     return _certify_bound(S, L, bound, model)
 

@@ -84,11 +84,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cmp_to_key
 from typing import Optional
 
-from .field import ComputationLimitError, CycloReal, _element, _fold, common_denominator
+from .field import ComputationLimitError, CycloReal, _element, _fold, as_field, common_denominator
 from .plane import Vec2, canonical_orientation, cross, norm2, vfloat, vneg
 from .surface import TranslationSurface, direction_vector, trace_from_corner
 
@@ -251,7 +250,7 @@ class SaddleConnection:
 
 
 def _as_length_sq(n: int, length) -> CycloReal:
-    L = length if isinstance(length, CycloReal) else CycloReal.from_rational(n, Fraction(length))
+    L = as_field(n, length)
     if L.sign() <= 0:
         raise ValueError("length bound must be positive")
     return L * L

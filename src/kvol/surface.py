@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .field import CycloReal, trig_value
+from .field import CycloReal, as_field, trig_value
 from .plane import (
     Mat2,
     Vec2,
@@ -58,20 +58,12 @@ class NonPeriodicDirectionError(RuntimeError):
     """Raised when a separatrix fails to close up within the length budget."""
 
 
-def _as_field(n: int, value) -> CycloReal:
-    if isinstance(value, CycloReal):
-        if value.n != n:
-            raise ValueError(f"field mismatch: n={value.n} vs n={n}")
-        return value
-    return CycloReal.from_rational(n, value)
-
-
 def direction_vector(n: int, direction) -> Vec2:
     """The exact vector of a direction label, read by ``plane.direction_pair``:
     a pair (x, y), an exact co-slope x/y (vertical = 0), or one of
     None/"inf"/math.inf for the horizontal direction."""
     x, y = direction_pair(direction)
-    return (_as_field(n, x), _as_field(n, y))
+    return (as_field(n, x), as_field(n, y))
 
 
 class TranslationSurface:

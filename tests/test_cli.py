@@ -173,6 +173,15 @@ class TestKvolPointCommand:
         assert d["bruteforce"]["mode"] == "bruteforce"
         assert d["bruteforce"]["value"] <= d["value"] + 1e-9
 
+    def test_bruteforce_cap_in_model_unit(self, capsys):
+        # the sheared vertical side sin(pi/4)/2 is shorter than l_m here, and
+        # the default cap is still 30 l_m
+        code, out, _ = run(capsys, "kvol-point", "--n", "8", "--x", "0", "--y", "1/2",
+                           "--bruteforce")
+        assert code == EXIT_OK
+        L = json.loads(out)["bruteforce"]["params"]["L"]
+        assert L == pytest.approx(30 * math.sin(math.pi / 8), rel=1e-15)
+
 
 class TestKvolGridCommand:
     def test_csv_shape_and_filter(self, capsys):
@@ -274,6 +283,23 @@ class TestVerifyCommand:
         assert code == EXIT_VERIFY
         assert json.loads(out)["pass"] is False
 
+    def test_thm12_checking_no_pair_fails(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "thm12", "--n", "10",
+                           "--L-abs", "1e-300")
+        d = json.loads(out)
+        assert (code, d["pass"], d["pairs_checked"]) == (EXIT_VERIFY, False, 0)
+
+    def test_parallel_cap_below_every_connection_fails(self, capsys):
+        code, out, err = run(capsys, "verify", "--suite", "parallel", "--n", "8",
+                             "--L-abs", "1e-300")
+        assert (code, err) == (EXIT_VERIFY, "")
+        d = json.loads(out)
+        assert d["pass"] is False
+        assert d["directions"] == [
+            {"direction": label, "curves": 0, "pairs_checked": 0, "nonzero": 0, "pass": False}
+            for label in (0, "inf")
+        ]
+
     def test_parallel_pass(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "parallel", "--n", "10")
         assert code == EXIT_OK
@@ -331,6 +357,10 @@ class TestKvolBoundCommand:
         assert d["pairs_checked"] > 0 and d["max_ratio"] <= d["bound"]
         code, _, err = run(capsys, "kvol-bound", "--n", "8")
         assert code == EXIT_UNSUPPORTED and "n ≡ 2 mod 4" in err
+        # a cap below every closed curve certifies nothing, and that fails
+        code, out, _ = run(capsys, "kvol-bound", "--n", "10", "--L-abs", "1e-300")
+        d = json.loads(out)
+        assert (code, d["ok"], d["pairs_checked"]) == (EXIT_VERIFY, False, 0)
         # the closed-formula hint names this subcommand
         _, _, err = run(capsys, "kvol-point", "--n", "10", "--x", "0", "--y", "1")
         assert "use kvol-bound" in err
@@ -379,6 +409,10 @@ class TestComputationLimits:
         (
             ("kvol-point", "--n", "8", "--x", "1/5", "--y", "7/10", "--bruteforce", "--L", "8"),
             "d4dc311781a0acfc122093c048de44bb47f1cf24eb4a9e6c838a17510c85ae6d",
+        ),
+        (
+            ("kvol-point", "--n", "8", "--x", "1/7", "--y", "2/5", "--bruteforce", "--L", "6"),
+            "5983c57c59b73743add2885b4df85ada7c4f7fdce6e3d062deef7b70d7f1a598",
         ),
         (
             ("verify", "--suite", "thm12", "--n", "8"),

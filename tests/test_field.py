@@ -24,6 +24,7 @@ from kvol.field import (
     sqrt_in_field,
     trig_value,
 )
+from kvol.plane import Mat2
 
 
 def C(n, v):
@@ -89,6 +90,8 @@ class TestArithmetic:
     def test_field_mismatch_raises(self):
         with pytest.raises(ValueError):
             CycloReal.phi(8) + CycloReal.phi(12)
+        with pytest.raises(ValueError, match="field mismatch"):
+            Mat2(8, CycloReal.phi(12), 0, 0, 1)
 
     @settings(max_examples=200, deadline=None)
     @given(

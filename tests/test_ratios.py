@@ -44,6 +44,7 @@ from kvol.ratios import (
 from kvol.saddle import enumerate_saddle_connections
 from kvol.surface import (
     Mat2,
+    TranslationSurface,
     build_ngon,
     build_staircase,
     conversion_matrix,
@@ -102,6 +103,16 @@ class TestRadicalContext:
         ctx = _RadicalContext(8)
         diff = ctx.add(ctx.sqrt(F(8, 8)), ctx.scale(ctx.sqrt(F(8, 2)), F(8, -2)))
         assert ctx.sign(diff) == 0
+
+    def test_dependent_radicands(self):
+        # sqrt(12) = 2 sqrt(3) over n=8; the two radicands stay apart and every
+        # sign is still exact
+        ctx = _RadicalContext(8)
+        r12, r3 = ctx.sqrt(F(8, 12)), ctx.sqrt(F(8, 3))
+        assert len(ctx.radicands) == 2
+        assert ctx.sign(ctx.add(r12, ctx.scale(r3, -2))) == 0
+        assert ctx.sign(ctx.add(r12, ctx.scale(r3, -1))) == 1
+        assert ctx.sign(ctx.add(ctx.mul(r12, r3), ctx.const(-6))) == 0
 
     def test_ordering(self):
         ctx = _RadicalContext(8)
@@ -165,6 +176,16 @@ class TestLengthUnit:
     def test_ngon_unit_is_one(self, octagon):
         assert length_unit(octagon) == F(8, 1)
         assert length_unit(build_ngon(4)) == F(4, 1)
+
+    def test_sheared_staircase_keeps_its_unit(self):
+        # the sheared vertical side sin(pi/4) |z| = 0.300 is shorter than l_m
+        S = build_staircase(8).transform(Mat2(8, 1, Fraction(1, 7), 0, Fraction(2, 5)))
+        assert length_unit(S) == lm(8)
+
+    def test_other_model_raises(self, octagon):
+        S = TranslationSurface.from_dict({**octagon.to_dict(), "model": "octagon"})
+        with pytest.raises(UnsupportedCaseError, match="no length unit"):
+            length_unit(S)
 
 
 class TestBruteForce:
