@@ -206,17 +206,23 @@ def cmd_kvol_grid(args) -> int:
         raise ConfigError("empty grid window")
     k0 = float(k0_constant(n))
     steps = np.arange(res) + 0.5
-    cells = np.tile(xmin + steps * dx, res) + 1j * np.repeat(ymin + steps * dy, res)
-    zs = cells[in_fundamental_domain(cells, n)]
-    dists, flags = dist_to_Gmax_batch(zs, n)
+    xs, ys = xmin + steps * dx, ymin + steps * dy
+    cells = np.tile(xs, res) + 1j * np.repeat(ys, res)
+    kept = np.flatnonzero(in_fundamental_domain(cells, n))
+    dists, flags = dist_to_Gmax_batch(cells[kept], n)
+    # each column's x and each row's y is formatted once and picked by index;
     # k0/cosh per element, as np.cosh can differ in the last bit; 1,024 rows at
     # a time, as floats of whole columns would hold their memory among the rows
-    row = ",".join(["%" + FLOAT_SPEC] * 4 + ["%s"])
+    spec = "%" + FLOAT_SPEC
+    x_txt, y_txt = ([spec % v for v in a.tolist()] for a in (xs, ys))
+    row = ",".join(["%s", "%s", spec, spec, "%s"])
     out = ["x,y,kvol,dist,converged"]
-    for i in range(0, zs.size, 1024):
-        cols = (c[i : i + 1024].tolist() for c in (zs.real, zs.imag, dists, flags))
+    for i in range(0, kept.size, 1024):
+        y_at, x_at = np.divmod(kept[i : i + 1024], res)
+        cols = (c.tolist() for c in (x_at, y_at, dists[i : i + 1024], flags[i : i + 1024]))
         out += [
-            row % (x, y, k0 / math.cosh(d), d, ("false", "true")[ok]) for x, y, d, ok in zip(*cols)
+            row % (x_txt[c], y_txt[r], k0 / math.cosh(d), d, ("false", "true")[ok])
+            for c, r, d, ok in zip(*cols)
         ]
     _emit(args, "\n".join(out) + "\n")
     return EXIT_OK

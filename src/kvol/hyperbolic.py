@@ -22,8 +22,10 @@ holds exactly for every surface point and every pair of labels.
 
 Points, distances and the orbit search of ``dist_to_Gmax`` are double
 precision, with one search per query.  Reduction to the fundamental domain
-and ``apply_word`` step the point in mpmath at a working precision chosen per
-call.  The witness of ``nearest_gmax_geodesic`` has exact endpoints in
+steps the point in integer fixed point, at a precision chosen per call from
+``|x|/y``; ``apply_word`` steps it in mpmath, since a word can carry a point
+toward the real axis, where an absolute error is unbounded relative to
+``Im z``.  The witness of ``nearest_gmax_geodesic`` has exact endpoints in
 Q(Phi), carried back by integer token steps on pairs over Z[Phi] and rounded
 to doubles only at the end.
 """
@@ -37,7 +39,15 @@ from typing import Iterable, Optional, Sequence
 import mpmath
 import numpy as np
 
-from .field import ComputationLimitError, _element, _fold, _phi_float, accurate_float, field_degree
+from .field import (
+    ComputationLimitError,
+    _element,
+    _fold,
+    _phi_enclosure,
+    _phi_float,
+    accurate_float,
+    field_degree,
+)
 from .plane import Mat2, direction_pair
 
 
@@ -193,11 +203,6 @@ def dist_points(z: complex, w: complex) -> float:
 # the shear group and its fundamental domain
 # ---------------------------------------------------------------------------
 
-def _phi_mpf(n: int) -> mpmath.mpf:
-    # 2 cos(pi/n) at the current working precision
-    return 2 * mpmath.cos(mpmath.pi / n)
-
-
 def in_fundamental_domain(z, n: int, *, tol: float = 1e-9):
     """Membership in the strip-minus-two-circles fundamental domain.
 
@@ -219,102 +224,161 @@ def in_fundamental_domain(z, n: int, *, tol: float = 1e-9):
     return inside if inside.ndim else bool(inside)
 
 
-def _step(gen: str, k: int, z, phi):
-    """The token ``(gen, k)`` applied to the point ``z``, in the working
-    precision of ``phi``: ``TH`` is ``z + k phi``, ``TV`` is
-    ``z/(k phi z + 1)``."""
-    if gen == "TH":
-        return z + k * phi
-    if gen == "TV":
-        return z / (k * phi * z + 1)
-    raise ValueError(f"unknown generator {gen!r}")
+def _phi_fixed(n: int, p: int) -> int:
+    """``Phi 2^p`` rounded to an integer, within one unit, from the cached
+    rigorous enclosure at the next multiple of 64 bits past ``p + 64``."""
+    lo, hi, shift = _phi_enclosure(n, (p // 64 + 2) * 64)
+    return (((lo + hi) << p) + (1 << shift)) >> (shift + 1)
+
+
+def _man_exp(v) -> tuple[int, int]:
+    """A finite double or ``mpf`` as integers ``(man, exp)``, its value
+    ``man 2^exp``."""
+    if isinstance(v, mpmath.mpf):
+        sign, man, exp, _ = v._mpf_
+        return (-man if sign else man), exp
+    num, den = v.as_integer_ratio()
+    return num, 1 - den.bit_length()
+
+
+def _fixed(man: int, exp: int, p: int) -> int:
+    """``man 2^(exp + p)`` rounded to an integer."""
+    s = exp + p
+    return man << s if s >= 0 else (man + (1 << (-s - 1))) >> -s
 
 
 # a TV step is taken only this far inside its disk, so rounding in the test
 # on the double never admits a point just outside
 _DISK_MARGIN = 1e-12
+# bits of the reduction's fixed point past its stated error bound
+_GUARD_BITS = 8
 
 
 def reduce_to_fundamental_domain(z, n: int, *, max_steps: int = 10000):
     """Move a point into the fundamental domain of ``<z+phi, z/(phi z+1)>``.
 
-    Returns the reduced point and the word that was applied, as a list of
-    tokens ``("TH", k)`` (``z -> z + k phi``) and ``("TV", k)``
-    (``z -> z/(k phi z + 1)``); ``apply_word`` replays it.  The input may be
-    a ``complex`` or an ``mpmath.mpc``; the reduced point is returned in kind.
+    Returns the reduced point and the word that was applied, as a list of at
+    most ``max_steps`` tokens ``("TH", k)`` (``z -> z + k phi``) and
+    ``("TV", k)`` (``z -> z/(k phi z + 1)``); ``apply_word`` replays it.  A
+    point that needs more tokens raises ``ComputationLimitError``.  The input
+    may be a ``complex`` or an ``mpmath.mpc``; the reduced point is returned
+    in kind.
 
     Each token is chosen from the double nearest the current point:
     ``TH^-k`` with ``k = round(x/phi)`` while that is nonzero, else ``TV^+-1``
     while the point lies inside the disk
-    ``|z -+ 1/phi| < 1/phi - _DISK_MARGIN``.  The point itself is carried as
-    one ``mpc`` at a working precision ``p`` fixed at entry, and each token
-    is applied to it in place by ``_step``.
+    ``|z -+ 1/phi| < 1/phi - _DISK_MARGIN``.  The point itself is carried in
+    fixed point, as two integers ``X``, ``Y`` over ``2^p`` with ``p`` fixed
+    at entry, and the double is ``X/2^p + i Y/2^p``, correctly rounded by
+    integer division.  ``phi`` is the integer ``F``, ``Phi 2^p`` rounded
+    (``_phi_fixed``).  ``TH^k`` adds ``k F`` to ``X``; ``TV^k`` forms
+    ``D = k phi z + 1`` rounded to ``2^-p`` and rounds each coordinate of
+    ``w = z conj(D)/|D|^2`` to ``2^-p``.
 
-    Error.  Every step is an isometry, so a rounding error made at one step
-    is carried to the end unchanged in hyperbolic distance, and the errors of
+    Error.  Every step is an isometry, so an error made at one step is
+    carried to the end unchanged in hyperbolic distance, and the errors of
     the steps add.  ``TH`` keeps ``Im z``, and a ``TV`` step is only taken
     inside a disk where ``|k phi z + 1| < 1`` (``_DISK_MARGIN`` keeps the test
     on the double from admitting a point just outside), so it raises ``Im z``:
-    ``Im z`` never falls below ``y0``, its value at entry.  One rounding at
-    ``z`` (of the step or of ``phi``) moves the point by about ``2^-p |z|``,
-    that is ``2^-p |z|/Im z`` in hyperbolic distance; in the ``TV`` step the
-    cancellation in ``k phi z + 1`` is offset by the same factor in
-    ``Im z/|k phi z + 1|^2``.  Along the path ``|z|/Im z`` stays below about
-    ``(|x0| + 2)/y0``: before a ``TH`` step ``|x|`` is ``|x0|`` or comes from
-    a ``TV`` image ``w`` with ``|w|/Im w <= |z|/Im z``, and a ``TV`` step
-    starts inside a disk of radius ``1/phi`` on ``+-1/phi``, where
-    ``|z| < 2``.  So ``p = base + log2((|x0| + 2)/y0) + log2(max_steps)``
-    keeps the summed error below about ``2^-base`` in hyperbolic distance.
-    ``base`` is 300 bits for a ``complex`` input, whose reduced point then
-    differs from the exact image by under ``2^-290 Im z`` in each
+    ``Im z`` never falls below ``y0``, its value at entry, and a Euclidean
+    error ``e`` at any point of the path is at most ``e/y0`` in hyperbolic
+    distance.  Rounding the input to ``2^-p`` costs ``2^-p/y0``, and per
+    step, with ``F/2^p`` within ``2^-p`` of ``phi``:
+
+    * ``TH^k`` is exact but for ``F``, which moves the point by
+      ``|k| 2^-p``.  ``k`` is nonzero only for ``|x| >= phi/2``, so
+      ``|k| <= |x|/phi + 1/2 <= 2|z|``, and ``|z|/Im z`` stays below about
+      ``(|x0| + 2)/y0`` along the path: before a ``TH`` step ``|x|`` is
+      ``|x0|`` or comes from a ``TV`` image ``w`` with
+      ``|w|/Im w <= |z|/Im z``, and a ``TV`` step starts inside a disk of
+      radius ``1/phi`` on ``+-1/phi``, where ``|z| < 2``.  So the step is
+      off by at most ``2^(1-p) (|x0| + 2)/y0``.
+    * ``TV^k``: ``Im w = Im z/|D|^2``, so an error ``dD`` in ``D`` moves
+      ``w`` by ``|z| |dD|/|D|^2``, that is ``|z| |dD|/Im z`` in hyperbolic
+      distance.  ``F`` and the rounding of ``D`` give
+      ``|dD| <= (|z| + 1) 2^-p``, and ``|z| < 2``: at most ``6 2^-p/y0``.
+      Rounding ``w`` adds ``2^-p/y0``.
+
+    Each step is thus off by at most ``4 2^-p (|x0| + 2)/y0``, and
+    ``p = base + ceil(log2((|x0| + 2)/y0)) + bitlen(max_steps)`` plus
+    ``_GUARD_BITS`` keeps the summed error below ``2^-base`` in hyperbolic
+    distance.  ``base`` is 300 bits for a ``complex`` input, whose reduced
+    point then differs from the exact image by under ``2^-290 Im z`` in each
     coordinate, far below one rounding of the returned double; for an
     ``mpc`` input it is ``max(mp.prec + 60, 300)``, 60 bits past the
-    caller's precision.  The caller's precision is restored on return.
+    caller's precision, and the caller's precision is left as it was.
     """
     exact_in = isinstance(z, (mpmath.mpc, mpmath.mpf))
-    zz = mpmath.mpc(z)
-    if not (zz.imag > 0 and mpmath.isfinite(zz)):
+    if not exact_in:
+        z = complex(z)
+    x0, y0 = z.real, z.imag
+    finite = mpmath.isfinite if exact_in else math.isfinite
+    if not (finite(x0) and finite(y0) and y0 > 0):
         raise ValueError("point is not a finite point of the upper half plane")
+    (mx, ex), (my, ey) = _man_exp(x0), _man_exp(y0)
+    # |x0| + 2 < 2^top and y0 >= 2^(bitlen(my) + ey - 1)
+    top = max(mx.bit_length() + ex, 1) + 1
+    spread = max(top - (my.bit_length() + ey - 1), 0)
     base = max(mpmath.mp.prec + 60, 300) if exact_in else 300
-    spread = max(mpmath.mag(abs(zz.real) + 2) - mpmath.mag(zz.imag), 0)
+    p = base + spread + max_steps.bit_length() + _GUARD_BITS
+    F, one, half = _phi_fixed(n, p), 1 << p, 1 << (p - 1)
+    X, Y = _fixed(mx, ex, p), _fixed(my, ey, p)
     phi = _phi_float(n)
     r = 1.0 / phi
     word: list[tuple[str, int]] = []
-    with mpmath.workprec(base + spread + max_steps.bit_length()):
-        phi_mp = _phi_mpf(n)
-        zz = mpmath.mpc(z)
-        for _ in range(max_steps):
-            zc = complex(zz)
-            k = round(zc.real / phi)
-            if k:
-                token = ("TH", -k)
-            elif abs(zc + r) < r - _DISK_MARGIN:
-                token = ("TV", 1)
-            elif abs(zc - r) < r - _DISK_MARGIN:
-                token = ("TV", -1)
-            else:
-                return (zz if exact_in else zc), word
-            word.append(token)
-            zz = _step(*token, zz, phi_mp)
-    raise ComputationLimitError("fundamental-domain reduction did not terminate")
+    while True:
+        zc = complex(X / one, Y / one)
+        k = round(zc.real / phi)
+        if k:
+            token = ("TH", -k)
+        elif abs(zc + r) < r - _DISK_MARGIN:
+            token = ("TV", 1)
+        elif abs(zc - r) < r - _DISK_MARGIN:
+            token = ("TV", -1)
+        else:
+            break
+        if len(word) == max_steps:
+            raise ComputationLimitError("fundamental-domain reduction did not terminate")
+        word.append(token)
+        gen, k = token
+        if gen == "TH":
+            X += k * F
+        else:
+            Dx = ((k * F * X + half) >> p) + one
+            Dy = (k * F * Y + half) >> p
+            den = Dx * Dx + Dy * Dy
+            X, Y = (
+                (((X * Dx + Y * Dy) << (p + 1)) + den) // (den << 1),
+                (((Y * Dx - X * Dy) << (p + 1)) + den) // (den << 1),
+            )
+    if not exact_in:
+        return zc, word
+    with mpmath.workprec(max(X.bit_length(), Y.bit_length())):
+        return mpmath.mpc(mpmath.mpf((X, -p)), mpmath.mpf((Y, -p))), word
 
 
 def apply_word(word: Iterable[tuple[str, int]], z, n: int):
     """Apply a token word (as produced by the reduction) to a point.
 
     Accepts a ``complex`` or an ``mpmath.mpc`` and returns the same kind.
-    Evaluation runs at high working precision internally: long words can
-    contract a point so close to the real axis that naive double-precision
-    updates destroy it.
+    Evaluation runs in mpmath at high working precision: a word can contract
+    a point so close to the real axis that naive double-precision updates,
+    or fixed point with an error absolute rather than relative to ``Im z``,
+    destroy it.
     """
     word = list(word)
     exact_in = isinstance(z, (mpmath.mpc, mpmath.mpf))
-    base = mpmath.mp.prec + 60 if exact_in else 300
-    with mpmath.workprec(base + 6 * len(word)):
-        phi = _phi_mpf(n)
+    prec = (mpmath.mp.prec + 60 if exact_in else 300) + 6 * len(word)
+    with mpmath.workprec(prec):
+        phi = mpmath.mpf((_phi_fixed(n, prec), -prec))
         zz = mpmath.mpc(z)
         for gen, k in word:
-            zz = _step(gen, k, zz, phi)
+            if gen == "TH":
+                zz += k * phi
+            elif gen == "TV":
+                zz /= k * phi * zz + 1
+            else:
+                raise ValueError(f"unknown generator {gen!r}")
     return +zz if exact_in else complex(zz)
 
 

@@ -11,7 +11,7 @@ import pytest
 
 from kvol import hyperbolic
 from kvol.cli import main
-from kvol.field import CycloReal
+from kvol.field import ComputationLimitError, CycloReal, _phi_float
 from kvol.hyperbolic import (
     Geodesic,
     _nearest,
@@ -57,6 +57,42 @@ def _interior_points(n, count, seed):
 
 def _random_word(rng, length):
     return [(rng.choice(["TH", "TV"]), rng.choice([-1, 1])) for _ in range(length)]
+
+
+def _reduction_digest(n, rng):
+    """Words and reduced doubles of 2,000 seeded points, x in [-50, 50] and
+    y log-uniform in [1e-9, 10], hashed."""
+    h = hashlib.sha256()
+    for _ in range(2000):
+        z = complex(rng.uniform(-50.0, 50.0), math.exp(rng.uniform(math.log(1e-9), math.log(10.0))))
+        zr, word = reduce_to_fundamental_domain(z, n)
+        h.update(repr((word, repr(zr))).encode())
+    return h.hexdigest()
+
+
+def _reduce_oracle(z, n):
+    """The reduction's token rule, with the point stepped in mpmath at 1,000
+    bits: the reduction's word and reduced double, computed independently
+    of its fixed point."""
+    phi = _phi_float(n)
+    r = 1.0 / phi
+    word = []
+    with mpmath.workprec(1000):
+        phi_mp = 2 * mpmath.cos(mpmath.pi / n)
+        zz = mpmath.mpc(z)
+        while True:
+            zc = complex(zz)
+            k = round(zc.real / phi)
+            if k:
+                gen, k = "TH", -k
+            elif abs(zc + r) < r - hyperbolic._DISK_MARGIN:
+                gen, k = "TV", 1
+            elif abs(zc - r) < r - hyperbolic._DISK_MARGIN:
+                gen, k = "TV", -1
+            else:
+                return zc, word
+            word.append((gen, k))
+            zz = zz + k * phi_mp if gen == "TH" else zz / (k * phi_mp * zz + 1)
 
 
 class TestPointOfSurface:
@@ -274,15 +310,10 @@ class TestReduction:
             assert in_fundamental_domain(np.array(pts), n).tolist() == want
 
     def test_pinned_double_reductions(self):
-        # words and reduced doubles, hashed; the digest comes from a reduction
-        # that re-evaluated the exact word matrix from the input at every step
-        rng = random.Random(2000)
-        h = hashlib.sha256()
-        for _ in range(2000):
-            z = complex(rng.uniform(-50.0, 50.0), math.exp(rng.uniform(math.log(1e-9), math.log(10.0))))
-            zr, word = reduce_to_fundamental_domain(z, 8)
-            h.update(repr((word, repr(zr))).encode())
-        assert h.hexdigest() == "810d479d97a394929bba15bf9e3c8f99bb44d1ae1e552771e15b9c10fe4e7e70"
+        # the digest comes from a reduction that re-evaluated the exact word
+        # matrix from the input at every step
+        digest = _reduction_digest(8, random.Random(2000))
+        assert digest == "810d479d97a394929bba15bf9e3c8f99bb44d1ae1e552771e15b9c10fe4e7e70"
 
     def test_pinned_deep_mpc_reductions(self):
         # 300 images under 30-token words with |k| <= 3, kept at 400 bits;
@@ -299,8 +330,6 @@ class TestReduction:
         assert h.hexdigest() == "82464c4fb1a8594118b193e779f67c44b7ba5d70e6727e4b46726c4e20a04291"
 
     def test_working_precision_does_not_leak(self):
-        from kvol.field import ComputationLimitError
-
         before = mpmath.mp.prec
         reduce_to_fundamental_domain(complex(3.3, 1e-6), 8)
         apply_word([("TV", 1), ("TH", -2)], complex(0.1, 0.9), 8)
@@ -322,6 +351,53 @@ class TestReduction:
         with mpmath.workprec(1000):
             back = apply_word([(gen, -k) for gen, k in reversed(word)], mpmath.mpc(zr), 8)
             assert abs(back - z) / z.imag < 1e-9
+
+    @pytest.mark.parametrize(
+        "n, digest",
+        [
+            (12, "1b2f703ab052a2de4ecb7706cb381e09f89669fa3cd32f51fd8d724a9beadfd6"),
+            (16, "5f7d24e43d965366b6e736b5988682272b878feba62f829372194cde8361a253"),
+        ],
+    )
+    def test_pinned_double_reductions_other_degrees(self, n, digest):
+        # the digests come from the reduction that stepped the point as one
+        # mpc at 300+ bits
+        assert _reduction_digest(n, random.Random(2000 + n)) == digest
+
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    def test_first_decision_boundaries_match_oracle(self, n):
+        # points within 1e-13 of the first token's decision boundaries: x/phi
+        # at a half-integer, and the circles |z -+ 1/phi| = 1/phi - margin
+        rng = random.Random(n)
+        phi = _phi_float(n)
+        r = 1.0 / phi
+        rho = r - hyperbolic._DISK_MARGIN
+        pts = []
+        for _ in range(150):
+            y = math.exp(rng.uniform(math.log(1e-3), math.log(10.0)))
+            pts.append(complex((rng.randint(-30, 29) + 0.5) * phi + rng.uniform(-1e-13, 1e-13), y))
+            for center in (r, -r):
+                t = rng.uniform(0.01, math.pi - 0.01)
+                rad = rho + rng.uniform(-1e-13, 1e-13)
+                pts.append(complex(center + rad * math.cos(t), rad * math.sin(t)))
+        for z in pts:
+            assert reduce_to_fundamental_domain(z, n) == _reduce_oracle(z, n), z
+
+    @pytest.mark.parametrize(
+        "z, max_steps, word",
+        [
+            (complex(1.5, 0.9), 1, [("TH", -1)]),
+            (complex(5.0, 0.01), 3, [("TH", -3), ("TV", 1), ("TH", -3)]),
+            (1j, 0, []),
+        ],
+    )
+    def test_word_of_exactly_max_steps(self, z, max_steps, word):
+        zr, got = reduce_to_fundamental_domain(z, 8, max_steps=max_steps)
+        assert got == word
+        assert in_fundamental_domain(zr, 8)
+        if max_steps:
+            with pytest.raises(ComputationLimitError):
+                reduce_to_fundamental_domain(z, 8, max_steps=max_steps - 1)
 
 
 class TestDistToGmax:
