@@ -21,13 +21,17 @@ directions ``"inf"`` and ``-1``.  With this pairing the angle identity
 holds exactly for every surface point and every pair of labels.
 
 Points, distances and the orbit search of ``dist_to_Gmax`` are double
-precision, with one search per query.  Reduction to the fundamental domain
-steps the point in integer fixed point, at a precision chosen per call from
-``|x|/y``; ``apply_word`` steps it in mpmath, since a word can carry a point
-toward the real axis, where an absolute error is unbounded relative to
-``Im z``.  The witness of ``nearest_gmax_geodesic`` has exact endpoints in
-Q(Phi), carried back by integer token steps on pairs over Z[Phi] and rounded
-to doubles only at the end.
+precision, with one search per query.  A search of few offsets in all, as
+for one point, runs as a loop over rows and offsets in Python floats; larger
+ones, as grid chunks and deep-cusp points, run in numpy blocks.  Both do the
+same double operations in the same order, so their results are identical to
+the bit.  Reduction to the fundamental domain steps the point in integer
+fixed point, at a precision chosen per call from ``|x|/y``; ``apply_word``
+steps it in mpmath, since a word can carry a point toward the real axis,
+where an absolute error is unbounded relative to ``Im z``.  The witness of
+``nearest_gmax_geodesic`` has exact endpoints in Q(Phi), carried back by
+integer token steps on pairs over Z[Phi] and rounded to doubles only at the
+end.
 """
 
 from __future__ import annotations
@@ -425,6 +429,12 @@ def word_matrix(word: Iterable[tuple[str, int]], n: int) -> Mat2:
 _MAX_HEIGHT = 1e6
 # entries per vectorized block of the index search
 _BLOCK = 1 << 15
+# searches of at most this many offsets, summed over rows, run as a Python
+# row loop.  Measured crossover on a 2-CPU x86-64 host (Python 3.11.7, numpy
+# 2.4): one row costs the same both ways at about 48 offsets (the loop takes
+# about 28 us plus 3 us per offset, one numpy block about 160 us), rows of 2
+# offsets each at about 24-32 in all
+_ROW_OFFSETS = 32
 
 
 def _offset_blocks(count):
@@ -448,9 +458,20 @@ def _offset_blocks(count):
 def _lattice_search(u, v):
     """The geodesic joining two points of ``Z u {inf}`` nearest ``u + iv``.
 
-    Vectorized over arrays ``u``, ``v``.  Returns ``sinh`` of the distance,
-    the endpoints ``a`` and ``b`` (``b = inf`` for the vertical ``Re w = a``)
+    Takes arrays ``u``, ``v``.  Returns ``sinh`` of the distance, the
+    endpoints ``a`` and ``b`` (``b = inf`` for the vertical ``Re w = a``)
     and whether the search reached its bound, ``v <= _MAX_HEIGHT``.
+
+    Row ``i`` tries ``floor(min(v_i, _MAX_HEIGHT)) + 2`` offsets.  When the
+    call has at most ``_ROW_OFFSETS`` of them in all, ``_search_row`` tries
+    them one row at a time in Python floats, where numpy would spend more on
+    call overhead than on arithmetic; otherwise ``_offset_blocks`` batches
+    them into numpy blocks.  The rule reads only the input's size.  Both
+    paths do the same double operations in the same order, with the same
+    masks and tie order (candidate-major, then by offset, the first minimum
+    winning, and it replaces the vertical only when strictly smaller), so
+    on every input the row loop takes, which the block code searches as one
+    block, the two give the same result to the bit.
 
     The search is exhaustive.  The vertical at ``a`` has
     ``sinh dist = |u - a|/v``, least at the nearest integer.  With offsets
@@ -480,6 +501,13 @@ def _lattice_search(u, v):
     fl = np.floor(u)
     f = u - fl
     count = np.floor(np.minimum(v, _MAX_HEIGHT)).astype(np.int64) + 2
+    if count.sum() <= _ROW_OFFSETS:
+        rows = zip(fl.tolist(), f.tolist(), v.tolist(), count.tolist(), best.tolist())
+        for i, row in enumerate(rows):
+            hit = _search_row(*row)
+            if hit:
+                best[i], a[i], b[i] = hit
+        return best, a, b, v <= _MAX_HEIGHT
     for rows, k in _offset_blocks(count):
         uf, ff, vv = fl[rows, None], f[rows, None], v[rows, None]
         v2 = vv * vv
@@ -506,6 +534,47 @@ def _lattice_search(u, v):
         a[hit] = flat(ends_a)[better, j[better]]
         b[hit] = flat(ends_b)[better, j[better]]
     return best, a, b, v <= _MAX_HEIGHT
+
+
+def _search_row(uf, ff, vv, count, best):
+    """One row of ``_lattice_search``'s offset loop in Python floats, with
+    the block code's operations, masks and tie order: the candidate
+    strictly below ``best`` as ``(value, a, b)``, or None.  A zero
+    denominator, skipped here, gives the block code a value that is not
+    finite, which it masks."""
+    v2 = vv * vv
+    ks = range(count)
+    s_left = [ff + k for k in ks]
+    s_right = [1.0 - ff + k for k in ks]
+    # index of the lattice t just below v^2/s, as np.maximum(np.floor(x), 0.0)
+    # in floats, inf and nan passing through
+    l_left, l_right = (
+        [float(max(math.floor(x), 0)) if x < math.inf else x for x in xs]
+        for xs in (
+            [v2 / s - (1.0 - ff) if s > 0 else math.nan for s in s_left],
+            [v2 / s - ff if s > 0 else math.nan for s in s_right],
+        )
+    )
+    s = s_left + s_left + s_right + s_right
+    t = (
+        [1.0 - ff + l for l in l_left]
+        + [2.0 - ff + l for l in l_left]
+        + [ff + l for l in l_right]
+        + [1.0 + ff + l for l in l_right]
+    )
+    j = -1
+    for i, (si, ti) in enumerate(zip(s, t)):
+        den = (si + ti) * vv
+        if si > 0 and den:
+            val = abs(v2 - si * ti) / den
+            if val < best:
+                best, j = val, i
+    if j < 0:
+        return None
+    c, k = divmod(j, count)
+    if c < 2:
+        return best, uf - k, (uf + 1.0 if c == 0 else uf + 2.0) + l_left[k]
+    return best, uf - l_right[k] if c == 2 else uf - l_right[k] - 1.0, uf + 1.0 + k
 
 
 # the largest rounding bound of a certified search value

@@ -1,5 +1,6 @@
 """Upper half-plane geometry: disk points, reduction, distances."""
 
+import functools
 import hashlib
 import math
 import random
@@ -685,6 +686,7 @@ def _seven_row_flag(xs, ys, n):
     return bounded.all(axis=0) & (dist[1:].min(axis=0) >= dist[0] - 1e-12)
 
 
+@functools.lru_cache(maxsize=None)
 def _reduced_points(n, count, seed):
     """Seeded points with x in [-50, 50] and log-uniform y in [1e-9, 1e2],
     moved into the domain in doubles by the token rule of
@@ -702,6 +704,8 @@ def _reduced_points(n, count, seed):
         z = np.where(s != 0, z / (s * phi * z + 1.0), z)
     z = z[in_fundamental_domain(z, n, tol=0.0)]
     assert z.size >= 0.99 * count
+    # cached and shared between tests, so read-only
+    z.setflags(write=False)
     return z
 
 
@@ -815,3 +819,67 @@ class TestCertificate:
         pts = _interior_points(8, 2 * hyperbolic._CELLS + 5, seed=71)
         dist_to_Gmax_batch(pts, 8)
         assert rows == [hyperbolic._CELLS, hyperbolic._CELLS, 5]
+
+
+def _same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+class TestSearchPaths:
+    """``_lattice_search`` runs small searches as a Python row loop and the
+    rest in numpy blocks; the input size picks the path, so one row alone
+    takes the loop and the same row in a large batch takes the blocks."""
+
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    def test_row_loop_matches_block_code_on_points(self, n, monkeypatch):
+        zs = np.concatenate([_reduced_points(n, 20000, seed=n), _boundary_points(n)])
+        # the frame height is at most 1/(phi y), so each point alone takes the
+        # row loop; the deep-cusp rest would only compare blocks with blocks
+        zs = zs[zs.imag >= 1 / (30 * _phi(n))]
+        batch = _nearest(zs.real, zs.imag, n)
+        rows = []
+        search_row = hyperbolic._search_row
+        monkeypatch.setattr(hyperbolic, "_search_row", lambda *row: rows.append(row) or search_row(*row))
+        single = [_nearest(zs.real[i : i + 1], zs.imag[i : i + 1], n) for i in range(zs.size)]
+        assert len(rows) == zs.size > 20000
+        for got, want in zip(zip(*single), batch):
+            assert _same_bits(np.concatenate(got), want)
+
+    def test_row_loop_matches_block_code_on_hand_built_rows(self):
+        rows = [
+            # u an integer, so s = 0 on one side
+            (0.0, 0.7), (2.0, 3.0), (-1.0, 5.5), (0.0, 0.0078125),
+            # exact zeros v^2 = s t with integer s and t, tying the vertical
+            (1.0, 2.0), (2.0, 4.0), (-3.0, 6.0),
+            # exact zeros off the lattice, which tie: (-4, 1), (-1, 2) and
+            # (0, 5) at (0.5, 1.5); the left and right candidates at (0.5, 0.5)
+            (0.5, 1.5), (0.5, 0.5), (-2.5, 1.5), (0.5, 2.5), (-1.5, 7.5),
+            # u within 1e-17 of an integer
+            (1e-17, 0.9), (-1e-17, 0.9), (3.0 - 4e-16, 2.2), (5e-324, 1.3), (-5e-324, 1.3),
+            # -1/2 < u < 0, where 1.0 - f is rounded
+            (-0.1, 0.3), (-0.3, 1.7), (-1e-10, 4.4), (-0.49, 12.9), (-0.3, 25.0),
+            # small and large frame heights below the loop's size
+            (0.3, 1e-9), (-0.7, 29.9),
+        ]
+        u, v = (np.array(c) for c in zip(*rows))
+        count = np.floor(v) + 2
+        assert count.max() <= hyperbolic._ROW_OFFSETS < count.sum()
+        batch = hyperbolic._lattice_search(u, v)
+        single = [hyperbolic._lattice_search(u[i : i + 1], v[i : i + 1]) for i in range(u.size)]
+        for got, want in zip(zip(*single), batch):
+            assert _same_bits(np.concatenate(got), want)
+        empty = hyperbolic._lattice_search(np.array([]), np.array([]))
+        assert [x.size for x in empty] == [0, 0, 0, 0]
+
+    def test_row_loop_runs_only_for_small_searches(self, monkeypatch):
+        rows = []
+        search_row = hyperbolic._search_row
+        monkeypatch.setattr(hyperbolic, "_search_row", lambda *row: rows.append(row) or search_row(*row))
+        nearest_gmax_geodesic(complex(0.1, 0.9), 8)
+        assert len(rows) == 1
+        rows.clear()
+        # deep in the cusp at 0, at frame height about 5e6
+        dist_to_Gmax(complex(5e-15, 1e-7), 8)
+        dist_to_Gmax_batch(_interior_points(8, hyperbolic._CELLS, seed=71), 8)
+        assert not rows
