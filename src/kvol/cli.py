@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .field import FLOAT_SPEC, ComputationLimitError, CycloReal, trig_value
+from .field import FLOAT_SPEC, ComputationLimitError, CycloReal, as_field, trig_value
 from .hyperbolic import dist_to_Gmax_batch, in_fundamental_domain
 from .plane import Mat2
 from .ratios import (
@@ -33,6 +33,7 @@ from .ratios import (
     kvol_bruteforce,
     kvol_closed_formula,
     length_unit,
+    require_closed_formula,
     side_pairs,
     verify_ngon_bound,
 )
@@ -153,24 +154,14 @@ def cmd_kvol_point(args) -> int:
     n = args.n
     x, y = _point_args(args)
     if args.at_ngon:
-        phi = CycloReal.phi(n)
-        x_exact = phi * Fraction(1, 2)
-        y_exact = trig_value(n, "sin", 1)
+        x_exact, y_exact = CycloReal.phi(n) / 2, trig_value(n, "sin", 1)
     else:
-        one = CycloReal.from_rational(n, 1)
-        x_exact = one * x
-        y_exact = one * y
+        x_exact, y_exact = as_field(n, x), as_field(n, y)
     z = complex(float(x_exact), float(y_exact))
     rep = kvol_closed_formula(n, z, k_max=args.k_max, word_len=args.word_len)
-    payload = {"n": n, "x": float(z.real), "y": float(z.imag)}
-    payload.update(rep.to_dict())
-    payload["witnesses"] = [
-        {"word": [[gen, k] for gen, k in word]} for _, word in rep.witnesses
-    ]
+    payload = {"n": n, "x": float(z.real), "y": float(z.imag), **rep.to_dict()}
     if args.bruteforce:
-        S = build_staircase(n).transform(
-            Mat2(n, 1, x_exact, 0, y_exact)
-        )
+        S = build_staircase(n).transform(Mat2(n, 1, x_exact, 0, y_exact))
         brute = kvol_bruteforce(S, _resolve_length(args, S, Fraction(30)))
         payload["bruteforce"] = brute.to_dict()
         payload["rel_gap"] = float((rep.value - brute.value) / rep.value)
@@ -186,10 +177,7 @@ def cmd_kvol_point(args) -> int:
 def cmd_kvol_grid(args) -> int:
     _check_n(args.n)
     n = args.n
-    if n % 4 != 0:
-        raise UnsupportedCaseError(
-            "closed formula requires n ≡ 0 mod 4; use kvol-bound"
-        )
+    require_closed_formula(n)
     res = args.resolution
     if res < 1 or res > MAX_RESOLUTION:
         raise ConfigError(f"resolution must be between 1 and {MAX_RESOLUTION}")
@@ -304,15 +292,11 @@ def _verify_formula(args) -> dict:
     n = args.n
     if args.samples < 1:
         raise ConfigError("--samples must be at least 1")
-    if n % 4 != 0:
-        raise UnsupportedCaseError(
-            "closed formula requires n ≡ 0 mod 4; use kvol-bound"
-        )
+    require_closed_formula(n)
     S = build_staircase(n)
     L = _resolve_length(args, S, Fraction(30))
     phi = float(CycloReal.phi(n))
     rng = random.Random(args.seed)
-    one = CycloReal.from_rational(n, 1)
     samples = []
     while len(samples) < args.samples:
         x = Fraction(rng.uniform(0.0, phi / 2)).limit_denominator(400)
@@ -326,7 +310,7 @@ def _verify_formula(args) -> dict:
     for x, y in samples:
         z = complex(x, y)
         formula = kvol_closed_formula(n, z, k_max=args.k_max, word_len=args.word_len)
-        brute = kvol_bruteforce(S.transform(Mat2(n, 1, one * x, 0, one * y)), L)
+        brute = kvol_bruteforce(S.transform(Mat2(n, 1, x, 0, y)), L)
         rel = (formula.value - brute.value) / formula.value
         record = {
             "x": float(x),

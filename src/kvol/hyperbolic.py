@@ -26,12 +26,11 @@ for one point, runs as a loop over rows and offsets in Python floats; larger
 ones, as grid chunks and deep-cusp points, run in numpy blocks.  Both do the
 same double operations in the same order, so their results are identical to
 the bit.  Reduction to the fundamental domain steps the point in integer
-fixed point, at a precision chosen per call from ``|x|/y``; ``apply_word``
-steps it in mpmath, since a word can carry a point toward the real axis,
-where an absolute error is unbounded relative to ``Im z``.  The witness of
-``nearest_gmax_geodesic`` has exact endpoints in Q(Phi), carried back by
-integer token steps on pairs over Z[Phi] and rounded to doubles only at the
-end.
+fixed point, at a precision chosen per call from ``|x|/y``.  A given word is
+applied only by ``_step_pairs``, exactly on pairs over Z[Phi]: ``apply_word``
+evaluates its matrix once, at a precision proven from the sizes of the
+entries and the point, and the exact witness of ``nearest_gmax_geodesic`` is
+rounded to doubles only at the end.
 """
 
 from __future__ import annotations
@@ -47,6 +46,7 @@ from .field import (
     ComputationLimitError,
     _element,
     _fold,
+    _interval_eval,
     _phi_enclosure,
     _phi_float,
     accurate_float,
@@ -251,6 +251,17 @@ def _fixed(man: int, exp: int, p: int) -> int:
     return man << s if s >= 0 else (man + (1 << (-s - 1))) >> -s
 
 
+def _upper_point(z):
+    """``z`` (a complex unless an mpc or mpf), whether exact, and ``_man_exp`` of its parts."""
+    exact_in = isinstance(z, (mpmath.mpc, mpmath.mpf))
+    if not exact_in:
+        z = complex(z)
+    finite = mpmath.isfinite if exact_in else math.isfinite
+    if not (finite(z.real) and finite(z.imag) and z.imag > 0):
+        raise ValueError("point is not a finite point of the upper half plane")
+    return z, exact_in, _man_exp(z.real), _man_exp(z.imag)
+
+
 # a TV step is taken only this far inside its disk, so rounding in the test
 # on the double never admits a point just outside
 _DISK_MARGIN = 1e-12
@@ -312,14 +323,7 @@ def reduce_to_fundamental_domain(z, n: int, *, max_steps: int = 10000):
     ``mpc`` input it is ``max(mp.prec + 60, 300)``, 60 bits past the
     caller's precision, and the caller's precision is left as it was.
     """
-    exact_in = isinstance(z, (mpmath.mpc, mpmath.mpf))
-    if not exact_in:
-        z = complex(z)
-    x0, y0 = z.real, z.imag
-    finite = mpmath.isfinite if exact_in else math.isfinite
-    if not (finite(x0) and finite(y0) and y0 > 0):
-        raise ValueError("point is not a finite point of the upper half plane")
-    (mx, ex), (my, ey) = _man_exp(x0), _man_exp(y0)
+    z, exact_in, (mx, ex), (my, ey) = _upper_point(z)
     # |x0| + 2 < 2^top and y0 >= 2^(bitlen(my) + ey - 1)
     top = max(mx.bit_length() + ex, 1) + 1
     spread = max(top - (my.bit_length() + ey - 1), 0)
@@ -332,24 +336,20 @@ def reduce_to_fundamental_domain(z, n: int, *, max_steps: int = 10000):
     word: list[tuple[str, int]] = []
     while True:
         zc = complex(X / one, Y / one)
-        k = round(zc.real / phi)
-        if k:
-            token = ("TH", -k)
-        elif abs(zc + r) < r - _DISK_MARGIN:
-            token = ("TV", 1)
-        elif abs(zc - r) < r - _DISK_MARGIN:
-            token = ("TV", -1)
-        else:
+        k = -round(zc.real / phi)
+        # the disks are disjoint: s is +-1 inside the one on -+1/phi, else 0
+        s = 0 if k else (abs(zc + r) < r - _DISK_MARGIN) - (abs(zc - r) < r - _DISK_MARGIN)
+        if not (k or s):
             break
         if len(word) == max_steps:
             raise ComputationLimitError("fundamental-domain reduction did not terminate")
-        word.append(token)
-        gen, k = token
-        if gen == "TH":
+        if k:
+            word.append(("TH", k))
             X += k * F
         else:
-            Dx = ((k * F * X + half) >> p) + one
-            Dy = (k * F * Y + half) >> p
+            word.append(("TV", s))
+            Dx = ((s * F * X + half) >> p) + one
+            Dy = (s * F * Y + half) >> p
             den = Dx * Dx + Dy * Dy
             X, Y = (
                 (((X * Dx + Y * Dy) << (p + 1)) + den) // (den << 1),
@@ -364,26 +364,45 @@ def reduce_to_fundamental_domain(z, n: int, *, max_steps: int = 10000):
 def apply_word(word: Iterable[tuple[str, int]], z, n: int):
     """Apply a token word (as produced by the reduction) to a point.
 
-    Accepts a ``complex`` or an ``mpmath.mpc`` and returns the same kind.
-    Evaluation runs in mpmath at high working precision: a word can contract
-    a point so close to the real axis that naive double-precision updates,
-    or fixed point with an error absolute rather than relative to ``Im z``,
-    destroy it.
+    Accepts a ``complex`` or an ``mpmath.mpc`` and returns the same kind; a
+    point off the half plane raises the reduction's ``ValueError``, an
+    unknown token that of ``_step_pairs``.  The word's exact matrix
+    ``[[a, b], [c, d]]`` (``word_matrix``) is evaluated once, as
+    ``w = (a z + b)/(c z + d)`` in mpmath at ``p`` bits.
+
+    Precision.  An entry ``e = sum e_i Phi^i`` is at most ``A(e) =
+    sum |e_i| 2^i``, as ``0 < Phi < 2``.  Evaluated exactly at
+    ``_phi_fixed(n, q)/2^q``, ``q = p + bitlen(degree)``, and rounded to
+    ``p`` bits, it is off by under ``2^(1-p) A(e)``.  With ``r = |x| + |y|
+    + 1``, ``N = a z + b`` and ``D = c z + d`` are then off by under
+    ``5 2^-p`` times ``A(a) r + A(b)`` and ``A(c) r + A(d)``, whose product
+    over ``y`` is ``B``.  The determinant is 1, so ``Im w = y/|D|^2``: to
+    first order ``w`` moves by ``(|dN| |D| + |N| |dD|)/y`` in hyperbolic
+    distance, and rounding the quotient adds ``2^(1-p) |N| |D|/y``: under
+    ``16 2^-p B`` in all, as is the relative error of ``D``, since
+    ``|N| |D| >= y``, so the first order holds.  ``p = base + _GUARD_BITS +
+    ceil(log2(2 B))``, from integer bounds on ``r`` and ``y``, keeps ``w``
+    within ``2^-base`` in hyperbolic distance, each coordinate within
+    ``2^-base Im w``: ``base`` is 300 for a ``complex``, ``mp.prec + 60``
+    for an ``mpc``, rounded to the caller's precision, left as it was.
     """
-    word = list(word)
-    exact_in = isinstance(z, (mpmath.mpc, mpmath.mpf))
-    prec = (mpmath.mp.prec + 60 if exact_in else 300) + 6 * len(word)
-    with mpmath.workprec(prec):
-        phi = mpmath.mpf((_phi_fixed(n, prec), -prec))
+    M = word_matrix(word, n)
+    z, exact_in, (mx, ex), (my, ey) = _upper_point(z)
+    # r < 2^rho and y >= 2^(ty - 1)
+    ty = my.bit_length() + ey
+    rho = max(mx.bit_length() + ex, ty, 0) + 2
+    A = lambda e: sum(abs(v) << i for i, v in enumerate(e._num))
+    top = ((A(M.a) << rho) + A(M.b)).bit_length() + ((A(M.c) << rho) + A(M.d)).bit_length()
+    p = (mpmath.mp.prec + 60 if exact_in else 300) + _GUARD_BITS + 2 + top - ty
+    q = p + field_degree(n).bit_length()
+    F = _phi_fixed(n, q)
+    # an entry at F/2^q, an integer over 2^(q degree), rounded to p bits
+    at = lambda e: mpmath.mpf((_interval_eval(e._num, F, F, q)[0], -q * len(e._num)))
+    with mpmath.workprec(p):
+        a, b, c, d = map(at, (M.a, M.b, M.c, M.d))
         zz = mpmath.mpc(z)
-        for gen, k in word:
-            if gen == "TH":
-                zz += k * phi
-            elif gen == "TV":
-                zz /= k * phi * zz + 1
-            else:
-                raise ValueError(f"unknown generator {gen!r}")
-    return +zz if exact_in else complex(zz)
+        w = (a * zz + b) / (c * zz + d)
+    return +w if exact_in else complex(w)
 
 
 def _step_pairs(pairs, word: Iterable[tuple[str, int]], n: int) -> list:

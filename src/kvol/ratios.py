@@ -51,8 +51,7 @@ float ratio keeps a margin far above that error:
   the float ratio alone when it is at most ``bound (1 - 1e-6)`` and decides
   every other pair exactly.
 
-Brute force, bound certification and the parallel check (whose crossing
-pairs are the pairs above a floor of 0) all run this pass.  The directional
+Brute force and bound certification both run this pass.  The directional
 constant ``K(d, d')`` needs no square roots at all - the wedge of two
 holonomies is a field element - so it is compared entirely in the field, with
 the same tournament loop (``_argmax_ties``).
@@ -303,14 +302,8 @@ def _label_json(label):
 
 
 def _serialize_witness(w) -> dict:
-    if isinstance(w, tuple) and len(w) and isinstance(w[0], Geodesic):
-        g, word = w
-        geo = (
-            {"type": "vertical", "foot": g.foot}
-            if g.is_vertical
-            else {"type": "circle", "center": g.center, "radius": g.radius}
-        )
-        return {"geodesic": geo, "word": [[t, k] for t, k in word]}
+    if isinstance(w[0], Geodesic):
+        return {"word": [[gen, k] for gen, k in w[1]]}
     a, b, count = w
     return {
         "int": int(count),
@@ -328,7 +321,7 @@ class KvolReport:
     best ratio as a field element when it is one (brute force only), with
     ``exact_value`` the corresponding exact Vol * ratio.  ``witnesses`` lists
     the maximizing curve pairs as ``(curve, curve, int)`` triples, or the
-    minimizing geodesic plus reduction word in closed-formula mode.
+    minimizing geodesic plus reduction word (in JSON the word alone).
     ``converged`` is set in closed-formula mode only: the flag of
     ``nearest_gmax_geodesic``, which certifies the orbit-distance search
     (its bound reached, its rounding bound at most 1e-12).
@@ -735,6 +728,12 @@ def k0_constant(n: int) -> CycloReal:
     return S.area() / (CycloReal.phi(n) * lm * lm)
 
 
+def require_closed_formula(n: int) -> None:
+    """The closed formula's gate: n = 0 mod 4 and n >= 8, else unsupported."""
+    if n % 4 != 0 or n < 8:
+        raise UnsupportedCaseError("closed formula requires n ≡ 0 mod 4; use kvol-bound")
+
+
 def kvol_closed_formula(
     n: int,
     z: complex,
@@ -750,8 +749,7 @@ def kvol_closed_formula(
     (``nearest_gmax_geodesic``); ``k_max`` and ``word_len`` no longer bound
     it and are only reported in ``params``.
     """
-    if n % 4 != 0 or n < 8:
-        raise UnsupportedCaseError("closed formula requires n ≡ 0 mod 4; use kvol-bound")
+    require_closed_formula(n)
     dist, converged, geod, word = nearest_gmax_geodesic(complex(z), n)
     k0 = k0_constant(n)
     return KvolReport(
@@ -878,14 +876,13 @@ def check_parallel_criterion(surface: TranslationSurface, d, L) -> ParallelRepor
             "(direction not periodic?)"
         )
     curves = closed_atoms(surface, scs)
-    # ratio > 0 exactly when Int != 0
-    scan = _scan_pairs(intersection_form(surface), curves, floor=0.0)
+    G = intersection_form(surface).gram(curves)
     return ParallelReport(
         direction=_coslope(v),
         count_connections=len(scs),
         count_curves=len(curves),
         pairs_checked=len(curves) * (len(curves) - 1) // 2,
-        nonzero=[(curves[i], curves[j], I) for i, j, I in scan.above],
+        nonzero=[(curves[i], curves[j], int(G[i, j])) for i, j in zip(*np.nonzero(np.triu(G, 1)))],
     )
 
 

@@ -443,6 +443,21 @@ def test_pinned_json(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("kvol-point", "--n", "10", "--x", "0", "--y", "1"),
+        ("kvol-grid", "--n", "10"),
+        ("verify", "--suite", "formula", "--n", "10"),
+    ],
+    ids=" ".join,
+)
+def test_one_closed_formula_gate(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_UNSUPPORTED, "")
+    assert err == "unsupported: closed formula requires n ≡ 0 mod 4; use kvol-bound\n"
+
+
 def _fresh(*argv: str) -> subprocess.CompletedProcess:
     """Run ``python argv`` in a new interpreter that imports kvol from ``src``."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}

@@ -96,6 +96,28 @@ def _reduce_oracle(z, n):
             zz = zz + k * phi_mp if gen == "TH" else zz / (k * phi_mp * zz + 1)
 
 
+def _apply_oracle(word, z, n):
+    """A token word applied one token at a time in mpmath at 2,000 bits,
+    independently of the word's matrix: the exact image, for comparison."""
+    with mpmath.workprec(2000):
+        phi = 2 * mpmath.cos(mpmath.pi / n)
+        zz = mpmath.mpc(z)
+        for gen, k in word:
+            zz = zz + k * phi if gen == "TH" else zz / (k * phi * zz + 1)
+        return zz
+
+
+def _oracle_cases(n, count, seed):
+    """Seeded (word, point) pairs: 1-40 tokens with |k| <= 3, x in [-2, 2]
+    and y log-uniform in [1e-6, 2]."""
+    rng = random.Random(seed)
+    ks = [-3, -2, -1, 1, 2, 3]
+    for _ in range(count):
+        word = [(rng.choice(["TH", "TV"]), rng.choice(ks)) for _ in range(rng.randint(1, 40))]
+        z = complex(rng.uniform(-2.0, 2.0), math.exp(rng.uniform(math.log(1e-6), math.log(2.0))))
+        yield word, z
+
+
 class TestPointOfSurface:
     def test_identity_maps_to_i(self):
         assert point_of_surface(_identity(8)) == 1j
@@ -276,6 +298,43 @@ class TestReduction:
         with pytest.raises(ValueError):
             reduce_to_fundamental_domain(complex(0.2, -1.0), 8)
 
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    def test_apply_word_matches_token_oracle(self, n):
+        # 700 pairs per degree: doubles equal to the rounded exact image, and
+        # 400-bit results within 2^-390 Im w of it past the rounding of each
+        # coordinate to 400 bits, 2^-400 |coordinate|
+        for word, z in _oracle_cases(n, 700, seed=n):
+            exact = _apply_oracle(word, z, n)
+            assert apply_word(word, z, n) == complex(exact), (word, z)
+            with mpmath.workprec(400):
+                w = apply_word(word, mpmath.mpc(z), n)
+                tol = mpmath.ldexp(exact.imag, -390)
+                for got, want in ((w.real, exact.real), (w.imag, exact.imag)):
+                    assert abs(got - want) <= tol + mpmath.ldexp(abs(want), -400), (word, z)
+
+    @pytest.mark.parametrize(
+        "z",
+        [
+            complex(0.2, -1.0),
+            complex(0.2, 0.0),
+            complex(math.nan, 1.0),
+            complex(0.2, math.inf),
+            mpmath.mpc(0.2, -1),
+            mpmath.mpc(mpmath.inf, 1),
+            mpmath.mpc(0.2, mpmath.nan),
+        ],
+    )
+    def test_apply_word_rejects_what_the_reduction_rejects(self, z):
+        with pytest.raises(ValueError) as reduced:
+            reduce_to_fundamental_domain(z, 8)
+        with pytest.raises(ValueError) as applied:
+            apply_word([("TH", 1), ("TV", -1)], z, 8)
+        assert str(applied.value) == str(reduced.value)
+
+    def test_apply_word_rejects_unknown_token(self):
+        with pytest.raises(ValueError, match="unknown generator"):
+            apply_word([("TH", 1), ("TX", 1)], complex(0.1, 0.9), 8)
+
     def test_domain_membership(self):
         phi = _phi(8)
         assert in_fundamental_domain(1j, 8)
@@ -447,6 +506,23 @@ class TestDistToGmax:
         pts += [complex(rng.uniform(-5, 5), math.exp(rng.uniform(-7, 1))) for _ in range(700)]
         rng.shuffle(pts)
         assert 0 < sum(in_fundamental_domain(np.array(pts), 8)) < len(pts)
+        dists, flags = dist_to_Gmax_batch(pts, 8)
+        single = [dist_to_Gmax(z, 8) for z in pts]
+        assert dists.tolist() == [d for d, _ in single]
+        assert flags.tolist() == [f for _, f in single]
+
+    def test_batch_spans_chunks_bit_for_bit(self):
+        # 17 points past one chunk, some 40% of them outside the domain, in
+        # a seeded mix
+        rng = random.Random(43)
+        size = hyperbolic._CELLS + 17
+        pts = _interior_points(8, size * 3 // 5, seed=45)
+        pts += [
+            complex(rng.uniform(-5, 5), math.exp(rng.uniform(-7, 1))) for _ in range(size - len(pts))
+        ]
+        rng.shuffle(pts)
+        assert len(pts) == size
+        assert 0 < sum(in_fundamental_domain(np.array(pts), 8)) < size
         dists, flags = dist_to_Gmax_batch(pts, 8)
         single = [dist_to_Gmax(z, 8) for z in pts]
         assert dists.tolist() == [d for d, _ in single]

@@ -17,10 +17,11 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from kvol.field import CycloReal, trig_value
-from kvol.hyperbolic import apply_word
+from kvol.hyperbolic import Geodesic, apply_word
 from kvol.intersect import intersection_form
 from kvol.ratios import (
     DirectionPairReport,
@@ -29,6 +30,7 @@ from kvol.ratios import (
     UnrealizedDirectionError,
     UnsupportedCaseError,
     _RadicalContext,
+    _scan_pairs,
     bound_4m2,
     check_parallel_criterion,
     closed_atoms,
@@ -318,6 +320,13 @@ class TestClosedFormula:
             moved = kvol_closed_formula(8, apply_word(word, z, 8))
             assert abs(moved.value - base.value) < 1e-9
 
+    def test_witness_serializes_as_its_word(self):
+        z = complex(5.0, 0.01)
+        rep = kvol_closed_formula(8, z)
+        geod, word = rep.witnesses[0]
+        assert isinstance(geod, Geodesic) and word
+        assert rep.to_dict()["witnesses"] == [{"word": [[gen, k] for gen, k in word]}]
+
     def test_unsupported_for_twisted_models(self):
         with pytest.raises(UnsupportedCaseError):
             kvol_closed_formula(10, 1j)
@@ -352,6 +361,18 @@ class TestParallelAndStaircaseBound:
         rep8 = check_parallel_criterion(build_staircase(8), "inf", lm(8) * 6)
         assert rep8.ok and rep8.pairs_checked > 0
         json.dumps(rep8.to_dict())
+
+    def test_crossing_pairs_match_the_float_scan(self):
+        # the parallel check reads nonzero entries of the integer Gram matrix;
+        # on a family of many directions they are the float pass's pairs above
+        # a floor of 0, in its order and with its Int
+        S = build_staircase(8)
+        form = intersection_form(S)
+        curves = closed_atoms(S, enumerate_saddle_connections(S, lm(8) * 6))
+        G = form.gram(curves)
+        pairs = [(int(i), int(j), int(G[i, j])) for i, j in zip(*np.nonzero(np.triu(G, 1)))]
+        assert len(pairs) > 100
+        assert pairs == _scan_pairs(form, curves, floor=0.0).above
 
     def test_unrealized_direction_raises(self):
         with pytest.raises(UnrealizedDirectionError):
