@@ -13,7 +13,8 @@ integer matrix of multiplication.
 Sign determination is exact: a floating-point filter with a rigorous forward
 error bound handles the bulk of queries, and the remainder fall through to
 interval arithmetic on the integer numerators at increasing precision
-(53 -> 113 -> 237 -> ... bits).
+(53 -> 113 -> 233 -> ... bits), up to the precision that the root-separation
+bound proves decides the sign.  mpmath's global precision is never touched.
 """
 
 from __future__ import annotations
@@ -24,11 +25,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
-from mpmath import iv
-
 Rational = Union[int, Fraction]
 
-_LADDER_MAX_BITS = 1 << 16
 _FLOAT_EPS = 2.0 ** -52
 _HASH_MODULUS = sys.hash_info.modulus
 FLOAT_SPEC = ".17g"  # 17 significant digits: round-trip safe
@@ -205,13 +203,11 @@ def _bareiss(rows: list[list[int]]) -> int:
 @lru_cache(maxsize=None)
 def _phi_enclosure(n: int, bits: int) -> tuple[int, int, int]:
     """Rigorous enclosure ``lo / 2**shift <= Phi <= hi / 2**shift`` in
-    integers, at the given precision."""
-    old = iv.prec
-    try:
-        iv.prec = bits
-        ends = (2 * iv.cos(iv.pi / n))._mpi_
-    finally:
-        iv.prec = old
+    integers: 2cos(pi/n) in mpmath's interval arithmetic at ``bits`` bits."""
+    from mpmath.libmp import from_int, libmpi
+
+    arg = libmpi.mpi_div(libmpi.mpi_pi(bits), (from_int(n), from_int(n)), bits)
+    ends = libmpi.mpi_shift(libmpi.mpi_cos(arg, bits), 1)
     shift = max(0, *(-exp for _, _, exp, _ in ends))
     lo, hi = ((-man if sgn else man) << (exp + shift) for sgn, man, exp, _ in ends)
     if not lo <= hi:
@@ -402,7 +398,12 @@ class CycloReal:
         return not any(self._num[1:])
 
     def sign(self) -> int:
-        """Exact sign: -1, 0 or +1."""
+        """Exact sign: -1, 0 or +1.
+
+        The interval ladder ends at ``_separation_bits``, where a nonzero
+        element's enclosure is narrower than the root-separation lower
+        bound on its size, so it excludes 0 and the last rung decides.
+        """
         # den > 0, so the numerator polynomial has the sign of self.  Float
         # filter with rigorous forward error bound: float(a) is the correctly
         # rounded coefficient (a numerator past the float range skips it).
@@ -421,15 +422,16 @@ class CycloReal:
             return 1 if val > 0 else -1
         if not mag:  # every numerator is 0
             return 0
-        bits = 53
-        while bits <= _LADDER_MAX_BITS:
+        bits, top = 53, _separation_bits(self._num)
+        while True:
             lo, hi = _interval_eval(self._num, *_phi_enclosure(self.n, bits))
             if lo > 0:
                 return 1
             if hi < 0:
                 return -1
-            bits = 2 * bits + 7
-        raise ArithmeticError("sign ladder exhausted (element suspiciously near zero)")
+            if bits == top:
+                raise ArithmeticError("sign undecided at the proven precision")
+            bits = min(2 * bits + 7, top)
 
     def __eq__(self, other):
         if isinstance(other, CycloReal):
@@ -581,47 +583,55 @@ def trig_value(n: int, kind: str, k: int) -> CycloReal:
     return _cos_table(n)[k]
 
 
+def _separation_bits(num: Sequence[int]) -> int:
+    """Precision of an enclosure of Phi at which interval Horner evaluation
+    of ``N = sum a_i Phi^i`` (``num`` = a_0 .. a_(d-1), not all 0) is good to
+    2^-60 relative, so certainly excludes 0.
+
+    N is a nonzero algebraic integer, so the product of its d conjugates is
+    a nonzero integer.  Each conjugate is at most ``A = sum |a_i| 2^i``,
+    hence ``|N| >= A^(1 - d)``.  Interval Horner over an enclosure of Phi of
+    width ``2^-p`` encloses N in width about ``d 2^-p A``, so
+    ``p = 64 + d (log2 A + 1)`` bits suffice; p is rounded up to a multiple
+    of 64 to keep few distinct precisions in the enclosure cache.
+    """
+    d = len(num)
+    bits = 64 + d * (sum(abs(a) << i for i, a in enumerate(num)).bit_length() + 1)
+    return -(-bits // 64) * 64
+
+
 def accurate_float(x: CycloReal) -> float:
     """``x`` as a double with relative error below about 2^-60, however far
     its numerators cancel.  (``float(x)`` runs Horner's rule in doubles,
-    whose error is relative to the numerators, not to ``x``.)
-
-    ``den * x = sum a_i Phi^i`` is an algebraic integer, so when it is
-    nonzero the product of its d conjugates is a nonzero integer.  Each
-    conjugate is at most ``A = sum |a_i| 2^i``, hence ``|den * x| >=
-    A^(1 - d)``.  Interval Horner over an enclosure of Phi of width
-    ``2^-p`` encloses ``den * x`` in width about ``d 2^-p A``, so
-    ``p = 64 + d (log2 A + 1)`` bits make the enclosure's midpoint good to
-    2^-60 relative; it is rounded to a double by one integer division.
+    whose error is relative to the numerators, not to ``x``.)  The
+    enclosure of ``den * x`` at ``_separation_bits`` has its midpoint good
+    to 2^-60 relative; it is rounded to a double by one integer division.
     """
     d = len(x._num)
-    bits = 64 + d * (sum(abs(a) << i for i, a in enumerate(x._num)).bit_length() + 1)
-    lo, hi, shift = _phi_enclosure(x.n, -(-bits // 64) * 64)  # few distinct precisions to cache
+    lo, hi, shift = _phi_enclosure(x.n, _separation_bits(x._num))
     acc_lo, acc_hi = _interval_eval(x._num, lo, hi, shift)
     return (acc_lo + acc_hi) / (x._den << (d * shift + 1))
 
 
 @lru_cache(maxsize=None)
 def _conjugates(n: int, prec: int):
-    """Phi's conjugates 2cos(k*pi/n), 0 < k < n with gcd(k, 2n) = 1 (k = 1,
-    Phi itself, first), and the inverse of their Vandermonde matrix
-    V[i][j] = phi_i^j, at ``prec`` bits."""
+    """A private mpmath context at ``prec`` bits, Phi's conjugates
+    2cos(k*pi/n), 0 < k < n with gcd(k, 2n) = 1 (k = 1, Phi itself, first),
+    in it, and the inverse of their Vandermonde matrix V[i][j] = phi_i^j."""
     import mpmath
 
+    ctx = mpmath.MPContext()
+    ctx.prec = prec
     ks = [k for k in range(1, n) if math.gcd(k, 2 * n) == 1]
-    with mpmath.workprec(prec):
-        phis = [2 * mpmath.cos(mpmath.pi * k / n) for k in ks]
-        return phis, mpmath.inverse(mpmath.matrix([[p ** j for j in range(len(ks))] for p in phis]))
+    phis = [2 * ctx.cos(ctx.pi * k / n) for k in ks]
+    return ctx, phis, ctx.inverse(ctx.matrix([[p ** j for j in range(len(ks))] for p in phis]))
 
 
 @lru_cache(maxsize=None)
 def _vinv_bits(n: int) -> int:
     """An integer b with ||V^-1||_inf <= 2^b, for the Vandermonde V above."""
-    import mpmath
-
-    with mpmath.workprec(64):
-        norm = mpmath.mnorm(_conjugates(n, 64)[1], "inf")
-        return int(mpmath.ceil(mpmath.log(norm, 2))) + 1
+    ctx, _, vinv = _conjugates(n, 64)
+    return int(ctx.ceil(ctx.log(ctx.mnorm(vinv, "inf"), 2))) + 1
 
 
 def sqrt_in_field(x: CycloReal) -> Union[CycloReal, None]:
@@ -650,8 +660,6 @@ def sqrt_in_field(x: CycloReal) -> Union[CycloReal, None]:
     margin absorbs the rounding of V^-1 and of the sums; so the true pattern
     always rounds to s, and a square root, when it exists, is never missed.
     """
-    import mpmath
-
     s = x.sign()
     if s == 0:
         return CycloReal.from_rational(x.n, 0)
@@ -666,30 +674,29 @@ def sqrt_in_field(x: CycloReal) -> Union[CycloReal, None]:
     h = max(abs(a) for a in m).bit_length()
     prec = h + d + 2 * _vinv_bits(n) + 2 * d.bit_length() + 64
     prec = -(-prec // 64) * 64  # few distinct precisions to cache
-    phis, vinv = _conjugates(n, prec)
-    with mpmath.workprec(prec):
-        err = mpmath.ldexp(1, h + d + 8 - prec)
-        roots = []
-        for p in phis:
-            acc = mpmath.mpf(0)
-            for a in reversed(m):
-                acc = acc * p + a
-            if acc < -err:  # a negative conjugate: not a square
-                return None
-            roots.append(mpmath.sqrt(max(acc, 0)))
-        cols = [[vinv[j, k] * r for j in range(d)] for k, r in enumerate(roots)]
-        for pattern in range(1 << (d - 1)):
-            num = []
-            for j in range(d):
-                c = cols[0][j]
-                for k in range(1, d):
-                    c = c - cols[k][j] if pattern >> (k - 1) & 1 else c + cols[k][j]
-                r = int(mpmath.nint(c))
-                if abs(c - r) > 0.25:
-                    break
-                num.append(r)
-            else:
-                cand = _element(n, num, den)
-                if cand * cand == x:
-                    return cand if cand.sign() > 0 else -cand
+    ctx, phis, vinv = _conjugates(n, prec)
+    err = ctx.ldexp(1, h + d + 8 - prec)
+    roots = []
+    for p in phis:
+        acc = ctx.mpf(0)
+        for a in reversed(m):
+            acc = acc * p + a
+        if acc < -err:  # a negative conjugate: not a square
+            return None
+        roots.append(ctx.sqrt(max(acc, 0)))
+    cols = [[vinv[j, k] * r for j in range(d)] for k, r in enumerate(roots)]
+    for pattern in range(1 << (d - 1)):
+        num = []
+        for j in range(d):
+            c = cols[0][j]
+            for k in range(1, d):
+                c = c - cols[k][j] if pattern >> (k - 1) & 1 else c + cols[k][j]
+            r = int(ctx.nint(c))
+            if abs(c - r) > 0.25:
+                break
+            num.append(r)
+        else:
+            cand = _element(n, num, den)
+            if cand * cand == x:
+                return cand if cand.sign() > 0 else -cand
     return None

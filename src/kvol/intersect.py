@@ -21,12 +21,13 @@ two distinct saddle connections never overlap along a sub-segment, so the
 transversality assumptions hold automatically for inputs built from
 :func:`kvol.saddle.enumerate_saddle_connections`.
 
-The module also carries the homological side: integer chain vectors over the
-edge pairs (``homology_class``) and the skew intersection form on a basis of
-fundamental cycles (:class:`IntersectionForm`), which doubles as a fast exact
-pairing for large curve collections.  Both sum rows of one integer table
-(:class:`_ChainTable`) named by each connection's path, so the coordinate
-rows of a whole family are one gather and one segmented sum.
+The module also carries the homological side of closed curves: integer chain
+vectors over the edge pairs (``homology_class``) and the skew intersection
+form on a basis of fundamental cycles (:class:`IntersectionForm`), which
+doubles as a fast exact pairing for large curve collections.  Both sum rows
+of one integer table (:class:`_ChainTable`) named by the paths of a curve's
+components, so the coordinate rows of a whole family are one gather and one
+segmented sum.  A saddle connection counts as a curve only when it closes.
 """
 
 from __future__ import annotations
@@ -401,7 +402,7 @@ class _ChainTable:
     ``start[h]`` is the signed unit vector of half-edge h, and row
     ``arc[h] + e_out`` is the boundary arc of h's face from entry edge h to
     exit edge (or end vertex) ``e_out``.  ``indices`` reads the row indices
-    off a connection's path.
+    off the paths of a closed curve's components.
     """
 
     __slots__ = ("rows", "start", "arc", "glue")
@@ -430,16 +431,22 @@ class _ChainTable:
             base += k * k
         self.rows = rows
 
-    def indices(self, sc: SaddleConnection) -> list[int]:
-        """Row indices of the chain of one saddle connection."""
-        h, exits, last = sc.path
-        arc, glue = self.arc, self.glue
-        out = [self.start[h]]
-        for x in exits:
-            out.append(arc[h] + x[1])
-            h = glue[x]
-        out.append(arc[h] + last)
+    def indices(self, curve: ClosedCurve) -> list[int]:
+        """Row indices of the chain of a closed curve, component by component."""
+        arc, glue, start = self.arc, self.glue, self.start
+        out = []
+        for sc in curve.components:
+            h, exits, last = sc.path
+            out.append(start[h])
+            for x in exits:
+                out.append(arc[h] + x[1])
+                h = glue[x]
+            out.append(arc[h] + last)
         return out
+
+    def chain(self, curve: ClosedCurve) -> np.ndarray:
+        """The chain of a closed curve over the edge pairs: its rows summed."""
+        return self.rows[self.indices(curve)].sum(axis=0)
 
 
 def homology_class(curve: CurveLike) -> np.ndarray:
@@ -449,9 +456,7 @@ def homology_class(curve: CurveLike) -> np.ndarray:
     ``i``, canonically oriented, maps to the ``i``-th standard basis vector.
     """
     c = _as_curve(curve)
-    table = _ChainTable(c.surface)
-    idx = [i for sc in c.components for i in table.indices(sc)]
-    return table.rows[idx].sum(axis=0)
+    return _ChainTable(c.surface).chain(c)
 
 
 # ---------------------------------------------------------------------------
@@ -466,13 +471,12 @@ class IntersectionForm:
     matrix pairs those cycles geometrically.  On a one-vertex surface the
     tree is empty, so the basis is exactly the edge curves in pair order.
 
-    Any closed curve, or any single saddle connection closed up through the
-    tree, gets an integer coordinate vector; the pairing of coordinate
-    vectors through the matrix reproduces the geometric intersection number
-    of the underlying curves.  Every vector is a sum of rows of one integer
-    table: the chain rows of :class:`_ChainTable`, then a row +path(c) and a
-    row -path(c) per vertex class c, the chain of the tree path from c to
-    the root class.
+    Every closed curve gets an integer coordinate vector, the chain of
+    :class:`_ChainTable` read at the non-tree pairs; the pairing of
+    coordinate vectors through the matrix reproduces the geometric
+    intersection number of the underlying curves.  A saddle connection
+    whose ends lie in different classes is not a closed curve and is
+    rejected with a ValueError.
     """
 
     def __init__(self, surface: TranslationSurface):
@@ -483,54 +487,30 @@ class IntersectionForm:
         edge_scs = [edge_connection(S, pid) for pid in range(E)]
         ends = [(sc.start.class_id, sc.end.class_id) for sc in edge_scs]
 
-        # spanning tree over vertex classes
+        # spanning tree over vertex classes, by breadth-first search from
+        # class 0; path_scs[c] runs through the tree from class c to class 0
         tree: set[int] = set()
-        steps: dict[int, tuple[int, SaddleConnection]] = {}
-        visited = {0}
+        path_scs: dict[int, list[SaddleConnection]] = {0: []}
         frontier = [0]
         while frontier:
             nxt = []
             for cls in frontier:
                 for pid, (a, b) in enumerate(ends):
-                    if pid in tree:
-                        continue
-                    if a == cls and b not in visited:
+                    if a == cls and b not in path_scs:
                         tree.add(pid)
-                        steps[b] = (cls, edge_scs[pid].reversed())
-                        visited.add(b)
+                        path_scs[b] = [edge_scs[pid].reversed()] + path_scs[cls]
                         nxt.append(b)
-                    elif b == cls and a not in visited:
+                    elif b == cls and a not in path_scs:
                         tree.add(pid)
-                        steps[a] = (cls, edge_scs[pid])
-                        visited.add(a)
+                        path_scs[a] = [edge_scs[pid]] + path_scs[cls]
                         nxt.append(a)
             frontier = nxt
-        if len(visited) != V:
+        if len(path_scs) != V:
             raise ValueError("surface cell graph is not connected")
         self.tree_pairs = sorted(tree)
         self.basis_pairs = [pid for pid in range(E) if pid not in tree]
-
-        # paths to the root class, as oriented component lists and vectors
-        table = _ChainTable(S)
-        path_scs: dict[int, list[SaddleConnection]] = {0: []}
-        path_vec = np.zeros((V, E), dtype=np.int64)
-
-        def resolve(cls: int) -> None:
-            if cls in path_scs:
-                return
-            parent, sc = steps[cls]
-            resolve(parent)
-            path_scs[cls] = [sc] + path_scs[parent]
-            path_vec[cls] = table.rows[table.indices(sc)].sum(axis=0) + path_vec[parent]
-
-        for cls in range(V):
-            resolve(cls)
-        self._path_scs = path_scs
-        self._table = table
-        self._plus = len(table.rows)
-        self._minus = self._plus + V
-        self._rows = np.concatenate([table.rows, path_vec, -path_vec])
-        self._basis_rows = self._rows[:, self.basis_pairs]
+        self._table = table = _ChainTable(S)
+        self._basis_rows = table.rows[:, self.basis_pairs]
 
         # fundamental cycles
         cycles = []
@@ -562,28 +542,21 @@ class IntersectionForm:
             if np.any(c @ mat != mat[i]):
                 raise ArithmeticError("chain pairing disagrees with geometry")
 
-    def _indices(self, obj: CurveLike) -> list[int]:
-        """Table rows of a curve, each component closed up through the tree."""
-        comps = obj.components if isinstance(obj, ClosedCurve) else (obj,)
-        if comps[0].surface is not self.surface:
-            raise ValueError("saddle connection lives on another surface")
-        out = []
-        for sc in comps:
-            out += self._table.indices(sc)
-            out += (self._plus + sc.end.class_id, self._minus + sc.start.class_id)
-        return out
+    def _curve(self, obj: CurveLike) -> ClosedCurve:
+        """``obj`` as a closed curve on this surface."""
+        c = _as_curve(obj)
+        if c.surface is not self.surface:
+            raise ValueError("curve lives on another surface")
+        return c
 
     def class_vector(self, obj: CurveLike) -> np.ndarray:
-        """Integer cycle vector over the edge pairs.
+        """Integer cycle vector over the edge pairs of a closed curve.
 
-        A closed curve maps to a representative of its homology class.  A
-        single (possibly open) saddle connection is closed up through the
-        spanning tree from its end class back to its start class; for curves
-        assembled from several connections the tree detours telescope away.
-        Representatives are canonical only up to face-boundary vectors, which
-        lie in the radical of the form, so every pairing is well defined.
+        The vector represents the curve's homology class.  Representatives
+        are canonical only up to face-boundary vectors, which lie in the
+        radical of the form, so every pairing is well defined.
         """
-        return self._rows[self._indices(obj)].sum(axis=0)
+        return self._table.chain(self._curve(obj))
 
     def coords(self, vec: np.ndarray) -> np.ndarray:
         """Coordinates of a cycle vector in the fundamental-cycle basis."""
@@ -602,7 +575,7 @@ class IntersectionForm:
         starts = []
         for obj in objs:
             starts.append(len(idx))
-            idx += self._indices(obj)
+            idx += self._table.indices(self._curve(obj))
         if not starts:
             return np.zeros((0, len(self.basis_pairs)), dtype=np.int64)
         return np.add.reduceat(self._basis_rows[idx], starts, axis=0)

@@ -361,9 +361,6 @@ class DirectionPairReport:
     witnesses: list
     params: dict
 
-    def __iter__(self):
-        return iter((self.exact, self.witnesses))
-
     def to_dict(self) -> dict:
         return {
             "d": _label_json(self.d),

@@ -471,5 +471,6 @@ def test_fresh_process_matches_in_process(capsys):
 
 
 def test_saddle_imports_without_numpy():
-    done = _fresh("-c", "import sys, kvol.saddle; print('numpy' in sys.modules)")
-    assert (done.returncode, done.stdout) == (0, "False\n")
+    code = "import sys, kvol.saddle; print('numpy' in sys.modules, 'mpmath' in sys.modules)"
+    done = _fresh("-c", code)
+    assert (done.returncode, done.stdout) == (0, "False False\n")

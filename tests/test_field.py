@@ -122,6 +122,32 @@ class TestSign:
         assert (sqrt2 - (close - Fraction(1, 10**13))).sign() == -1
         assert (sqrt2 - Fraction(1, 10**40) - sqrt2).sign() == -1
 
+    def test_sign_decided_past_the_old_ladder_cap(self):
+        # the first Pell convergent p/q of sqrt(2) with a 34,000-bit q: the
+        # sign of sqrt(2) - p/q needs about 68,000 bits of Phi
+        p, q = 1, 1
+        while q.bit_length() < 34000:
+            p, q = p + 2 * q, p + q
+        assert p * p - 2 * q * q == 1  # p/q > sqrt(2)
+        assert (CycloReal.phi(4) - Fraction(p, q)).sign() == -1
+
+    @pytest.mark.parametrize("n, bits", [(4, 53), (8, 113), (10, 233), (16, 953), (30, 1024)])
+    def test_phi_enclosure_matches_the_interval_context(self, n, bits):
+        from mpmath import iv
+        from mpmath.libmp import to_rational
+
+        from kvol.field import _phi_enclosure
+
+        old = iv.prec
+        try:
+            iv.prec = bits
+            ends = (2 * iv.cos(iv.pi / n))._mpi_
+        finally:
+            iv.prec = old
+        lo, hi, shift = _phi_enclosure(n, bits)
+        want = [Fraction(*to_rational(e)) for e in ends]
+        assert [Fraction(lo, 2**shift), Fraction(hi, 2**shift)] == want
+
     def test_comparisons_total_order(self):
         phi = CycloReal.phi(12)
         vals = [phi, phi * phi - 3, C(12, 1), phi / 2, -phi]

@@ -4,7 +4,8 @@ private helper of the package is left without a caller, no keyword-only
 option of the package is left that no caller sets, no public module-level
 function, class or constant of the package is left that nothing reads, and
 no public member of a package class is left that nothing reads.  Exactly one
-function of the package steps a trace across glued edges."""
+function of the package steps a trace across glued edges, and no module but
+``hyperbolic`` writes mpmath's process-global precision."""
 
 from __future__ import annotations
 
@@ -335,3 +336,57 @@ def test_scanner_flags_glue_stepping_loops():
 def test_one_glue_stepping_loop():
     package = {p.stem: p.read_text() for p in FILES if p.parent.name == "kvol"}
     assert len(glue_stepping_functions(package)) == 1, glue_stepping_functions(package)
+
+
+_PRECISION_CALLS = ("workprec", "workdps", "extraprec", "extradps")
+_PRECISION_OWNERS = ("mpmath", "mpmath.mp", "mp", "iv")
+
+
+def _dotted(node: ast.AST) -> str | None:
+    """``a.b.c`` for a chain of attributes on a name, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        base = _dotted(node.value)
+        return base and f"{base}.{node.attr}"
+    return None
+
+
+def global_precision_writes(source: str) -> list[int]:
+    """Lines that write mpmath's process-global precision: a call of
+    ``workprec``, ``workdps``, ``extraprec`` or ``extradps``, or an
+    assignment to ``prec`` or ``dps``, on ``mpmath``, ``mpmath.mp``, ``mp``
+    or ``iv``.  A private ``mpmath.MPContext`` may set its own."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            target, names = node.func, _PRECISION_CALLS
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            target, names = node, ("prec", "dps")
+        else:
+            continue
+        if target.attr in names and _dotted(target.value) in _PRECISION_OWNERS:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_scanner_flags_global_precision_writes():
+    source = (
+        "import mpmath\nfrom mpmath import iv, mp\n"
+        "with mpmath.workprec(80):\n    pass\n"
+        "mpmath.mp.dps = 30\n"
+        "iv.prec = 53\n"
+        "mp.prec += 10\n"
+        "f = mpmath.extradps(5)(g)\n"
+        "ctx = mpmath.MPContext()\nctx.prec = 80\n"
+        "with ctx.workprec(90):\n    p = mp.prec\n"
+        "x = mpmath.mpf(1)\n"
+    )
+    assert global_precision_writes(source) == [3, 5, 6, 7, 8]
+
+
+def test_global_precision_written_in_hyperbolic_only():
+    writers = [
+        p.name for p in FILES if p.parent.name == "kvol" and global_precision_writes(p.read_text())
+    ]
+    assert set(writers) <= {"hyperbolic.py"}, writers

@@ -310,6 +310,23 @@ class TestValidation:
         with pytest.raises(ValueError):
             ClosedCurve([open_sc])
 
+    @pytest.mark.parametrize("build", [build_staircase, build_ngon], ids=["S10", "X10"])
+    def test_form_rejects_open_connection(self, build):
+        S = build(10)
+        scs = enumerate_saddle_connections(S, 2)
+        open_sc = next(sc for sc in scs if sc.start.class_id != sc.end.class_id)
+        closed = next(sc for sc in scs if sc.start.class_id == sc.end.class_id)
+        form = intersection_form(S)
+        for call in (
+            lambda: form.class_vector(open_sc),
+            lambda: form.pair(open_sc, closed),
+            lambda: form.pair(closed, open_sc),
+            lambda: form.coord_rows([closed, open_sc]),
+            lambda: form.gram([open_sc]),
+        ):
+            with pytest.raises(ValueError, match="do not close up"):
+                call()
+
     def test_mismatched_surfaces_rejected(self, octagon, octagon_scs):
         other = build_ngon(8)
         sc = enumerate_saddle_connections(other, 1.1)[0]
@@ -351,17 +368,6 @@ def _reference_chain(sc) -> np.ndarray:
     return acc
 
 
-def _reference_closure(form):
-    """The chain of a connection closed up through the form's spanning
-    tree, as a function of the connection."""
-    E = len(form.surface.edge_pairs)
-    path = {
-        cls: sum((_reference_chain(t) for t in scs), np.zeros(E, dtype=np.int64))
-        for cls, scs in form._path_scs.items()
-    }
-    return lambda sc: _reference_chain(sc) + path[sc.end.class_id] - path[sc.start.class_id]
-
-
 def _table_cases():
     lm = {n: trig_value(n, "sin", 1) for n in (8, 10, 12, 14, 16)}
     shear = Mat2(8, 1, Fraction(13, 37), 0, Fraction(31, 40))
@@ -377,7 +383,6 @@ class TestChainTable:
     @pytest.mark.parametrize("S, L", _table_cases())
     def test_rows_match_path_walk(self, S, L):
         form = intersection_form(S)
-        closure = _reference_closure(form)
         scs = enumerate_saddle_connections(S, L)
         atoms = closed_atoms(S, scs)
         if len(S.vertex_classes) == 2:
@@ -385,21 +390,18 @@ class TestChainTable:
             assert any(
                 sc not in scs for c in atoms for sc in c.components
             ), "no atom with a reversed component"
-        for sc in scs:
-            assert np.array_equal(form.class_vector(sc), closure(sc))
-            if sc.start.class_id == sc.end.class_id:
-                assert np.array_equal(homology_class(sc), _reference_chain(sc))
-        want = np.array(
-            [
-                sum(closure(sc) for sc in c.components)[form.basis_pairs]
-                for c in atoms
-            ]
-        )
-        assert np.array_equal(form.coord_rows(atoms), want)
-        for c in atoms[:10]:
-            whole = sum(_reference_chain(sc) for sc in c.components)
+        chains = {sc: _reference_chain(sc) for c in atoms for sc in c.components}
+        closed = [sc for sc in scs if sc.start.class_id == sc.end.class_id]
+        for sc in closed:
+            assert np.array_equal(form.class_vector(sc), chains[sc])
+            assert np.array_equal(homology_class(sc), chains[sc])
+        wholes = [sum(chains[sc] for sc in c.components) for c in atoms]
+        for c, whole in zip(atoms, wholes):
             assert np.array_equal(form.class_vector(c), whole)
+        for c, whole in zip(atoms[:10], wholes):
             assert np.array_equal(homology_class(c), whole)
+        want = np.array([whole[form.basis_pairs] for whole in wholes])
+        assert np.array_equal(form.coord_rows(atoms), want)
 
     @pytest.mark.parametrize("S, L", _table_cases())
     def test_pairing_matches_geometry(self, S, L):

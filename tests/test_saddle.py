@@ -15,8 +15,9 @@ import pytest
 
 from kvol import plane, saddle
 from kvol.field import CycloReal, field_degree, trig_value
-from kvol.intersect import intersection_form
+from kvol.intersect import ClosedCurve, intersection_form
 from kvol.plane import Mat2, cross, norm2, vadd, vfloat, vsub
+from kvol.ratios import closed_atoms
 from kvol.saddle import SaddleConnection, edge_connection, enumerate_saddle_connections
 from kvol.surface import (
     build_ngon,
@@ -254,12 +255,16 @@ class TestPath:
         M = Mat2(n, 1, Fraction(2, 7), 0, Fraction(5, 3))
         T = S.transform(M)
         form_S, form_T = intersection_form(S), intersection_form(T)
-        for sc in enumerate_saddle_connections(S, Fraction(5, 2)):
+
+        def image(sc):
+            im = sc.transformed(M, target=T)
+            # non-canonical images come back reversed
+            return im if im.path == sc.path else im.reversed()
+
+        scs = enumerate_saddle_connections(S, Fraction(5, 2))
+        for sc in scs:
             for base in (sc, sc.reversed()):
-                im = base.transformed(M, target=T)
-                if im.path != base.path:
-                    # non-canonical images come back reversed
-                    im = im.reversed()
+                im = image(base)
                 assert im.path == base.path
                 _assert_follows_path(im)
                 assert im.pieces == tuple(
@@ -268,8 +273,11 @@ class TestPath:
                 assert im.crossings == tuple(
                     (pid, half, M.apply(dev)) for pid, half, dev in base.crossings
                 )
-            im = sc.transformed(M, target=T)
-            assert np.array_equal(form_T.class_vector(im), form_S.class_vector(sc))
+        atoms = closed_atoms(S, scs)
+        assert any(len(c.components) == 1 for c in atoms)
+        for c in atoms:
+            im = ClosedCurve([image(sc) for sc in c.components])
+            assert np.array_equal(form_T.class_vector(im), form_S.class_vector(c))
 
     def test_trace_rejects_a_wrong_path(self):
         S = _sheared_staircase(8)
