@@ -29,18 +29,31 @@ the bit.  Reduction to the fundamental domain steps the point in integer
 fixed point, at a precision chosen per call from ``|x|/y``.  A given word is
 applied only by ``_step_pairs``, exactly on pairs over Z[Phi]: ``apply_word``
 evaluates its matrix once, at a precision proven from the sizes of the
-entries and the point, and the exact witness of ``nearest_gmax_geodesic`` is
-rounded to doubles only at the end.
+entries and the point, and mpmath's process-global precision is never
+written.  A query's witness (``nearest_witness``) is kept as exact data, the
+search's frame ends, the shift and the reduction word; its float
+``Geodesic``, mapped back exactly and rounded to doubles at the end, is built
+on first read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import mpmath
 import numpy as np
+from mpmath.libmp import (
+    from_man_exp,
+    mpc_add_mpf,
+    mpc_div,
+    mpc_mul_mpf,
+    mpc_pos,
+    mpc_to_complex,
+    round_nearest,
+)
 
 from .field import (
     ComputationLimitError,
@@ -321,7 +334,7 @@ def reduce_to_fundamental_domain(z, n: int, *, max_steps: int = 10000):
     point then differs from the exact image by under ``2^-290 Im z`` in each
     coordinate, far below one rounding of the returned double; for an
     ``mpc`` input it is ``max(mp.prec + 60, 300)``, 60 bits past the
-    caller's precision, and the caller's precision is left as it was.
+    caller's precision, and the caller's precision is only read.
     """
     z, exact_in, (mx, ex), (my, ey) = _upper_point(z)
     # |x0| + 2 < 2^top and y0 >= 2^(bitlen(my) + ey - 1)
@@ -357,8 +370,8 @@ def reduce_to_fundamental_domain(z, n: int, *, max_steps: int = 10000):
             )
     if not exact_in:
         return zc, word
-    with mpmath.workprec(max(X.bit_length(), Y.bit_length())):
-        return mpmath.mpc(mpmath.mpf((X, -p)), mpmath.mpf((Y, -p))), word
+    # X/2^p + i Y/2^p exactly, whatever the caller's precision
+    return mpmath.mp.make_mpc((from_man_exp(X, -p), from_man_exp(Y, -p))), word
 
 
 def apply_word(word: Iterable[tuple[str, int]], z, n: int):
@@ -368,7 +381,9 @@ def apply_word(word: Iterable[tuple[str, int]], z, n: int):
     point off the half plane raises the reduction's ``ValueError``, an
     unknown token that of ``_step_pairs``.  The word's exact matrix
     ``[[a, b], [c, d]]`` (``word_matrix``) is evaluated once, as
-    ``w = (a z + b)/(c z + d)`` in mpmath at ``p`` bits.
+    ``w = (a z + b)/(c z + d)`` at ``p`` bits, by ``mpmath.libmp`` calls
+    that take the precision as an argument, and rounded once to the
+    caller's precision.
 
     Precision.  An entry ``e = sum e_i Phi^i`` is at most ``A(e) =
     sum |e_i| 2^i``, as ``0 < Phi < 2``.  Evaluated exactly at
@@ -384,7 +399,7 @@ def apply_word(word: Iterable[tuple[str, int]], z, n: int):
     ceil(log2(2 B))``, from integer bounds on ``r`` and ``y``, keeps ``w``
     within ``2^-base`` in hyperbolic distance, each coordinate within
     ``2^-base Im w``: ``base`` is 300 for a ``complex``, ``mp.prec + 60``
-    for an ``mpc``, rounded to the caller's precision, left as it was.
+    for an ``mpc``, and the caller's precision is only read.
     """
     M = word_matrix(word, n)
     z, exact_in, (mx, ex), (my, ey) = _upper_point(z)
@@ -396,13 +411,18 @@ def apply_word(word: Iterable[tuple[str, int]], z, n: int):
     p = (mpmath.mp.prec + 60 if exact_in else 300) + _GUARD_BITS + 2 + top - ty
     q = p + field_degree(n).bit_length()
     F = _phi_fixed(n, q)
+    rnd = round_nearest
     # an entry at F/2^q, an integer over 2^(q degree), rounded to p bits
-    at = lambda e: mpmath.mpf((_interval_eval(e._num, F, F, q)[0], -q * len(e._num)))
-    with mpmath.workprec(p):
-        a, b, c, d = map(at, (M.a, M.b, M.c, M.d))
-        zz = mpmath.mpc(z)
-        w = (a * zz + b) / (c * zz + d)
-    return +w if exact_in else complex(w)
+    a, b, c, d = (
+        from_man_exp(_interval_eval(e._num, F, F, q)[0], -q * len(e._num), p, rnd)
+        for e in (M.a, M.b, M.c, M.d)
+    )
+    zz = (from_man_exp(mx, ex, p, rnd), from_man_exp(my, ey, p, rnd))
+    num = mpc_add_mpf(mpc_mul_mpf(zz, a, p, rnd), b, p, rnd)
+    w = mpc_div(num, mpc_add_mpf(mpc_mul_mpf(zz, c, p, rnd), d, p, rnd), p, rnd)
+    if exact_in:
+        return mpmath.mp.make_mpc(mpc_pos(w, mpmath.mp.prec, rnd))
+    return mpc_to_complex(w, rnd=rnd)
 
 
 def _step_pairs(pairs, word: Iterable[tuple[str, int]], n: int) -> list:
@@ -671,14 +691,26 @@ def _nearest(xs, ys, n: int):
     lattice ``t`` lies within rounding of ``v^2/p``, and that ``t`` is then
     one of the two searched.  The bound reaches ``_ROUNDING_TOL`` near
     ``y = 2^51 * 1e-12/phi`` in the cusp at infinity, about 1,200 for
-    ``n = 8``; every higher point reads ``False``."""
+    ``n = 8``; every higher point reads ``False``.
+
+    Past ``Im z`` of about ``1.3e154`` the squares in the frame's
+    denominator overflow.  Those points alone take the frame from the point
+    scaled to unit size, where ``v`` is tiny but positive; their rounding
+    bound is far above ``_ROUNDING_TOL``, so the flag reads ``False``."""
     phi = _phi_float(n)
     m = np.round(xs / phi)
     dx = xs - m * phi
-    den = phi * (dx * dx + ys * ys)
-    u, v = -dx / den, ys / den
-    sinh, a, b, bounded = _lattice_search(u, v)
-    rounding = 2.0**-51 * ((1.0 + 3.0 * np.abs(u)) / v + 4.0 * (1.0 + sinh))
+    with np.errstate(over="ignore"):
+        den = phi * (dx * dx + ys * ys)
+        u, v = -dx / den, ys / den
+        huge = ~np.isfinite(den)
+        if huge.any():
+            s = np.maximum(np.abs(dx[huge]), ys[huge])
+            dxs, ysc = dx[huge] / s, ys[huge] / s
+            dens = phi * (dxs * dxs + ysc * ysc)
+            u[huge], v[huge] = -dxs / dens / s, ysc / dens / s
+        sinh, a, b, bounded = _lattice_search(u, v)
+        rounding = 2.0**-51 * ((1.0 + 3.0 * np.abs(u)) / v + 4.0 * (1.0 + sinh))
     return sinh, m, a, b, bounded & (rounding <= _ROUNDING_TOL)
 
 
@@ -743,21 +775,67 @@ def _witness_geodesic(ends, undo, n: int) -> Geodesic:
     return Geodesic.circle(accurate_float((p + q) * inv), accurate_float(abs((q - p) * inv)))
 
 
-def nearest_gmax_geodesic(z: complex, n: int) -> tuple[float, bool, Geodesic, list]:
-    """Like ``dist_to_Gmax`` but also reports a minimizing geodesic.
+@dataclass(frozen=True)
+class OrbitWitness:
+    """The nearest orbit member that a closed-formula query found, as exact
+    data.
 
-    Returns ``(dist, converged, geodesic, word)`` with the geodesic expressed
-    in the frame of the input point (its endpoints are computed exactly from
-    the search indices and mapped back through the inverse reduction word)
-    and ``word`` the fundamental-domain reduction word that was used.
-    ``converged`` is the flag of ``dist_to_Gmax``, from the one search row
-    of the reduced point.
+    ``ends`` are the endpoints ``a``, ``b`` of ``_nearest``'s witness in the
+    frame ``w = -1/(phi (z - m phi))`` of the reduced point: integers, held
+    exactly as doubles, or inf.  ``shift`` is ``m``, ``word`` the
+    fundamental-domain reduction word of the query point and ``n`` the
+    staircase.  ``geodesic`` is the witness in the frame of the query point
+    as a float ``Geodesic``: built on first read by ``_witness_geodesic``,
+    which maps the ends back exactly over Z[Phi] with one field inverse, and
+    kept from then on.
+
+    It unpacks as ``(geodesic, word)``, reading the geodesic: callers of a
+    closed-formula report take its witness as ``geod, word =
+    rep.witnesses[0]``, the pair the report held when it stored the
+    geodesic itself.
+    """
+
+    ends: tuple[float, float]
+    shift: int
+    word: list
+    n: int
+
+    @cached_property
+    def geodesic(self) -> Geodesic:
+        # w -> -1/(phi w) into the strip, TH^m back to the reduced point,
+        # then undo the reduction word
+        undo = [("TH", self.shift)] + [(gen, -k) for gen, k in reversed(self.word)]
+        return _witness_geodesic(self.ends, undo, self.n)
+
+    def __iter__(self):
+        return iter((self.geodesic, self.word))
+
+
+def nearest_witness(z: complex, n: int) -> tuple[float, bool, OrbitWitness]:
+    """``dist_to_Gmax`` of one point, with the nearest member of ``S`` that
+    the search found: ``(dist, converged, witness)``.
+
+    The point is reduced to the fundamental domain unless it lies in it,
+    and ``_nearest`` searches one row for it.  ``converged`` is the flag of
+    ``dist_to_Gmax``.  The witness keeps the search's frame ends, its shift
+    and the reduction word; no field element is built until its
+    ``geodesic`` is read.
     """
     z = complex(z)
     w, word = (z, []) if in_fundamental_domain(z, n) else reduce_to_fundamental_domain(z, n)
     sinh, m, a, b, converged = _nearest(np.array([w.real]), np.array([w.imag]), n)
-    # w -> -1/(phi w) into the strip, TH^m back to the reduced point, then
-    # undo the reduction word
-    undo = [("TH", int(m[0]))] + [(gen, -k) for gen, k in reversed(word)]
-    geod = _witness_geodesic((a[0], b[0]), undo, n)
-    return math.asinh(float(sinh[0])), bool(converged[0]), geod, list(word)
+    witness = OrbitWitness((float(a[0]), float(b[0])), int(m[0]), word, n)
+    return math.asinh(float(sinh[0])), bool(converged[0]), witness
+
+
+def nearest_gmax_geodesic(z: complex, n: int) -> tuple[float, bool, Geodesic, list]:
+    """Like ``dist_to_Gmax`` but also reports a minimizing geodesic.
+
+    Returns ``(dist, converged, geodesic, word)``: the geodesic of
+    ``nearest_witness``'s witness, in the frame of the input point (its
+    endpoints are computed exactly from the search indices and mapped back
+    through the inverse reduction word), built at once, and ``word`` the
+    fundamental-domain reduction word that was used.
+    """
+    dist, converged, witness = nearest_witness(z, n)
+    return dist, converged, witness.geodesic, list(witness.word)

@@ -75,7 +75,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .field import CycloReal, as_field, sqrt_in_field, trig_value
-from .hyperbolic import Geodesic, nearest_gmax_geodesic
+from .hyperbolic import OrbitWitness, nearest_witness
 from .intersect import ClosedCurve, IntersectionForm, intersection_form
 from .plane import Mat2, canonical_orientation, cross, direction_pair, vfloat, vneg
 from .saddle import SaddleConnection, enumerate_saddle_connections
@@ -302,8 +302,8 @@ def _label_json(label):
 
 
 def _serialize_witness(w) -> dict:
-    if isinstance(w[0], Geodesic):
-        return {"word": [[gen, k] for gen, k in w[1]]}
+    if isinstance(w, OrbitWitness):
+        return {"word": [[gen, k] for gen, k in w.word]}
     a, b, count = w
     return {
         "int": int(count),
@@ -320,11 +320,14 @@ class KvolReport:
     ``value`` is Vol(X) times the best ratio found; ``exact_ratio`` is the
     best ratio as a field element when it is one (brute force only), with
     ``exact_value`` the corresponding exact Vol * ratio.  ``witnesses`` lists
-    the maximizing curve pairs as ``(curve, curve, int)`` triples, or the
-    minimizing geodesic plus reduction word (in JSON the word alone).
-    ``converged`` is set in closed-formula mode only: the flag of
-    ``nearest_gmax_geodesic``, which certifies the orbit-distance search
-    (its bound reached, its rounding bound at most 1e-12).
+    the maximizing curve pairs as ``(curve, curve, int)`` triples, or, in
+    closed-formula mode, one ``OrbitWitness``: the exact frame ends, shift
+    and reduction word of the nearest orbit member, whose float
+    ``Geodesic`` is built on first read.  It unpacks as
+    ``(geodesic, word)``; in JSON it is the word alone.  ``converged`` is
+    set in closed-formula mode only: the flag of ``nearest_witness``, which
+    certifies the orbit-distance search (its bound reached, its rounding
+    bound at most 1e-12).
     """
 
     mode: str
@@ -743,18 +746,18 @@ def kvol_closed_formula(
 
     Valid for n = 0 mod 4 (single singularity class); for n = 2 mod 4 only
     bounds are available - see ``bound_4m2``.  The distance search is exact
-    (``nearest_gmax_geodesic``); ``k_max`` and ``word_len`` no longer bound
+    (``nearest_witness``); ``k_max`` and ``word_len`` no longer bound
     it and are only reported in ``params``.
     """
     require_closed_formula(n)
-    dist, converged, geod, word = nearest_gmax_geodesic(complex(z), n)
+    dist, converged, witness = nearest_witness(complex(z), n)
     k0 = k0_constant(n)
     return KvolReport(
         mode="closed_formula",
         value=float(k0) / math.cosh(dist),
         exact_ratio=None,
         exact_value=None,
-        witnesses=[(geod, word)],
+        witnesses=[witness],
         params={"L": None, "K_max": k_max, "W": word_len, "dist": dist, "K0": float(k0)},
         converged=converged,
     )

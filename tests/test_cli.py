@@ -21,9 +21,14 @@ from kvol.cli import (
     EXIT_VERIFY,
     main,
 )
+from kvol.ratios import k0_constant
 from kvol.surface import TranslationSurface, build_staircase
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 def run(capsys, *argv):
@@ -162,6 +167,17 @@ class TestKvolPointCommand:
         assert code == EXIT_OK
         assert '"converged": false' in out
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x, y", [("0", "1e300"), ("0.5", "1e160"), ("1e5", "1e160"), ("0", "1e150")])
+    def test_point_past_the_squares_range(self, capsys, x, y):
+        # past y of about 1.3e154 the search frame's squares overflow; the
+        # value is still K0 to the double, and it is not certified
+        code, out, err = run(capsys, "kvol-point", "--n", "8", "--x", x, "--y", y)
+        assert (code, err) == (EXIT_OK, "")
+        d = json.loads(out, parse_constant=_reject_constant)
+        assert d["value"] == d["params"]["K0"]
+        assert math.isfinite(d["params"]["dist"]) and d["converged"] is False
+
     def test_bruteforce_cross_check(self, capsys):
         code, out, _ = run(
             capsys,
@@ -258,6 +274,18 @@ class TestKvolGridCommand:
         assert code == EXIT_CONFIG
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error: ")
+
+    @pytest.mark.filterwarnings("error")
+    def test_window_past_the_squares_range(self, capsys):
+        code, out, err = run(
+            capsys, "kvol-grid", "--n", "8", "--resolution", "3", "--ymin", "1e300", "--ymax", "2e300"
+        )
+        assert (code, err) == (EXIT_OK, "")
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert len(rows) == 9
+        for _, _, value, dist, converged in rows:
+            assert float(value) == float(k0_constant(8))
+            assert math.isfinite(float(dist)) and converged == "false"
 
     def test_overflowing_cell_size(self, capsys):
         code, _, err = run(

@@ -28,6 +28,7 @@ from kvol.hyperbolic import (
     point_of_surface,
     reduce_to_fundamental_domain,
     nearest_gmax_geodesic,
+    nearest_witness,
     word_matrix,
 )
 from kvol.plane import Mat2, vfloat
@@ -712,19 +713,52 @@ class TestOrbitSearch:
         # a point that needs reduction and a point already in the domain
         assert in_fundamental_domain(z, 8) == inside
         calls = {"search": 0, "inverse": 0}
-
-        def counting(key, fn):
-            def wrapped(*args, **kwargs):
-                calls[key] += 1
-                return fn(*args, **kwargs)
-
-            return wrapped
-
-        monkeypatch.setattr(hyperbolic, "_lattice_search", counting("search", hyperbolic._lattice_search))
-        monkeypatch.setattr(CycloReal, "inverse", counting("inverse", CycloReal.inverse))
+        search = _counting(calls, "search", hyperbolic._lattice_search)
+        monkeypatch.setattr(hyperbolic, "_lattice_search", search)
+        monkeypatch.setattr(CycloReal, "inverse", _counting(calls, "inverse", CycloReal.inverse))
         nearest_gmax_geodesic(z, 8)
         assert calls["search"] == 1
         assert calls["inverse"] <= 1
+
+    @pytest.mark.parametrize("z, inside", [(complex(3.3, 0.01), False), (complex(0.1, 0.9), True)])
+    def test_formula_report_maps_no_witness(self, z, inside, monkeypatch):
+        # the report and its JSON read the word only; the witness geodesic is
+        # mapped back on first read, to the bits of nearest_gmax_geodesic's
+        assert in_fundamental_domain(z, 8) == inside
+        calls = {"step": 0, "inverse": 0}
+        monkeypatch.setattr(hyperbolic, "_step_pairs", _counting(calls, "step", hyperbolic._step_pairs))
+        monkeypatch.setattr(CycloReal, "inverse", _counting(calls, "inverse", CycloReal.inverse))
+        rep = kvol_closed_formula(8, z)
+        rep.to_dict()
+        assert calls == {"step": 0, "inverse": 0}
+        geod, word = rep.witnesses[0]
+        assert calls["inverse"] <= 1
+        assert rep.witnesses[0].geodesic is geod
+        assert _geodesic_bits(geod) == _geodesic_bits(nearest_gmax_geodesic(z, 8)[2])
+
+    def test_witness_read_late_matches_eager_geodesic(self):
+        # the points of test_witness_realizes_distance
+        rng = random.Random(61)
+        for _ in range(300):
+            z = complex(rng.uniform(-5, 5), math.exp(rng.uniform(math.log(1e-3), math.log(4.0))))
+            dist, converged, witness = nearest_witness(z, 8)
+            eager = nearest_gmax_geodesic(z, 8)
+            assert (dist, converged, witness.word) == (eager[0], eager[1], eager[3])
+            assert _geodesic_bits(witness.geodesic) == _geodesic_bits(eager[2])
+
+
+def _counting(calls: dict, key: str, fn):
+    """``fn``, adding one to ``calls[key]`` on each call."""
+
+    def wrapped(*args, **kwargs):
+        calls[key] += 1
+        return fn(*args, **kwargs)
+
+    return wrapped
+
+
+def _geodesic_bits(g: Geodesic) -> tuple:
+    return tuple(None if v is None else v.hex() for v in (g.foot, g.center, g.radius))
 
 
 def _boundary_points(n, count=2000):

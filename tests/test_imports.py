@@ -4,8 +4,8 @@ private helper of the package is left without a caller, no keyword-only
 option of the package is left that no caller sets, no public module-level
 function, class or constant of the package is left that nothing reads, and
 no public member of a package class is left that nothing reads.  Exactly one
-function of the package steps a trace across glued edges, and no module but
-``hyperbolic`` writes mpmath's process-global precision."""
+function of the package steps a trace across glued edges, and no module of
+the package writes mpmath's process-global precision."""
 
 from __future__ import annotations
 
@@ -390,3 +390,10 @@ def test_global_precision_written_in_hyperbolic_only():
         p.name for p in FILES if p.parent.name == "kvol" and global_precision_writes(p.read_text())
     ]
     assert set(writers) <= {"hyperbolic.py"}, writers
+
+
+def test_global_precision_never_written():
+    writers = [
+        p.name for p in FILES if p.parent.name == "kvol" and global_precision_writes(p.read_text())
+    ]
+    assert writers == []
