@@ -580,6 +580,47 @@ class TestPinnedEnumeration:
         scs = enumerate_saddle_connections(build_staircase(8), _lm(8) * 20, direction=direction)
         self._check(scs, count, digest)
 
+    @pytest.mark.parametrize(
+        "case, count, digest",
+        [
+            ("ngon8-L3", 32, "97d805b45d5b0368af932cdd46eda72221cbd4a655276dc8ce9018ad21612fa3"),
+            ("ngon10-L3", 35, "12aab762c5b7c6775017393f2895bdcf5eadd25fc3ebde6d280d78a10190a0f2"),
+            ("stair10-8lm", 56, "a07e0a4cf0ed011d83106561b019383696afaf75d6f904ad64df0c497f47e842"),
+            ("sheared8-12lm", 152, "5341d157adf6607c677292c18522d68998dd5d9a9a302adcf8edcc6e83f1e986"),
+            ("sheared8-30lm", 950, "e5006c1a65dbc3fdf4d5fcee3dd0bae9bf3971e6b307f61069d0f864dc4c8be3"),
+            ("tilted8-12lm", 117, "f9887d7609b678b2157a2a14bf937c60c0778474f6ff088a1112415ca264f462"),
+        ],
+    )
+    def test_pinned_rows(self, case, count, digest):
+        """Every ``_CASES`` entry, with the edge pair in each row."""
+        S, L = _CASES[case]()
+        self._check_rows(enumerate_saddle_connections(S, L), count, digest)
+
+    @pytest.mark.parametrize(
+        "k, cap, count, digest",
+        [
+            (3, 14, 3, "f1a937bde8e66ee7a7263ba86cf28c71c65ea44b288881eb26251ee86f7b9a4f"),
+            # the cusp direction, its 233 l_m witness just inside the cap
+            (126, 233, 1, "73e4ec1c2c53591ebc7167f8800d7924d9f95cfa58cf282b842f64a8edbd1f6c"),
+        ],
+    )
+    def test_pinned_rows_on_a_line(self, k, cap, count, digest):
+        """Direction-filtered enumerations on S_8 at co-slope 1/(k Phi)."""
+        one, phi = CycloReal.from_rational(8, 1), CycloReal.phi(8)
+        scs = enumerate_saddle_connections(
+            build_staircase(8), _lm(8) * cap, direction=one / (phi * k)
+        )
+        self._check_rows(scs, count, digest)
+
+    @staticmethod
+    def _check_rows(scs, count, digest):
+        rows = [
+            [[str(c) for c in x.coeffs] for x in hol] + list(rest)
+            for hol, *rest in _rows(scs)
+        ]
+        assert len(scs) == count
+        assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest
+
     @staticmethod
     def _check(scs, count, digest):
         rows = [
