@@ -11,16 +11,32 @@ path (start corner, crossed half-edges, end vertex); exact pieces and
 crossing points are traced from the path only when asked for.
 
 The search runs in floats and does exact work only when a float test cannot
-decide or a connection is recorded.  A node keeps its float translation and
-its parent; its exact translation is summed along the parent chain on
-request.  Glued edges are opposite translates, so crossing edge (f, e) into
-(f2, e2) takes vertex e to vertex e2 + 1 and vertex e + 1 to vertex e2 at
-the same developed position: the ends of a face's entry edge are the ends of
-the edge the parent cone left through, on or outside every subcone that
-crossed it.  They, and the apex with its two neighbours in its own face, are
-skipped with no arithmetic, so only other vertices on a boundary line reach
-exact arithmetic.  Beside a vertex that splits a cone, the exit edge is the
-edge at that vertex.
+decide or a connection is recorded.  A node keeps its float and its exact
+translation, each its parent's minus the glue shift of the edge crossed.
+Glued edges are opposite translates, so crossing edge (f, e) into (f2, e2)
+takes vertex e to vertex e2 + 1 and vertex e + 1 to vertex e2 at the same
+developed position: the ends of a face's entry edge are the ends of the edge
+the parent cone left through, on or outside every subcone that crossed it.
+They, and the apex with its two neighbours in its own face, are skipped with
+no arithmetic, so only other vertices on a boundary line reach exact
+arithmetic.
+
+Away from the root, a node's face lies beyond its entry edge (a, a + 1),
+within less than pi seen from the apex, and its cone lies between the
+directions of a + 1 (clockwise) and a.  Walking the rest of the face,
+a + 2, ..., a - 1, the near side moves clockwise away from the cone, the far
+side sweeps counterclockwise across it, and the near side returns to a from
+its counterclockwise side.  At the root, with a the vertex before the apex,
+the cone is the apex's wedge from a + 2 to a, and the walk a + 3, ..., a - 1
+turns counterclockwise around the apex.  Either way the walk meets the
+vertices at or clockwise of the cone's first bound, then the ones strictly
+inside it in counterclockwise order, then the ones at or counterclockwise
+of its second bound, and it stops at the first of those.  A ray strictly
+inside the cone meets the convex face in a segment from the open entry edge
+(or the apex) to one exit point, so no two inside vertices share a
+direction: each splits the cone, and the subcones beside it leave the face
+through the edges at it.  A cone with no vertex inside leaves through the
+edge ending where the walk stopped, or at a.
 
 Half-plane search.  Only canonically oriented connections are kept, so a
 cone is dropped, and a corner's wedge skipped, when both of its bounding
@@ -36,16 +52,34 @@ never fires.
 Lattice coordinates.  Exact positions are integer numerators over one
 common denominator D, the lcm of the denominators of every face-vertex
 coordinate and glue shift (the ``nf_elem`` layout of ``field``, shared by a
-whole developed position).  Node translations and developed vertices are
-pairs of integer tuples over D, built by adding integer tuples with no gcd.
-An exact cross sign is two integer convolutions folded by the minimal
-polynomial; a zero is decided on the integers, and only a nonzero result
-goes to the field's sign (the positive factor D^2 does not change it).  The
-exit edge's direction sum d1 + d2 is an integer sum, and a direction
-filter's line is scaled into the lattice by a positive integer, since only
-its direction matters.  A field element is built from the numerators only
-for a recorded holonomy, or for an orientation or length test at the
-boundary.
+whole developed position).  The d numerators c_i of a coordinate are packed
+into one Python int X = sum(c_i 2^(B i)) with balanced digits, |c_i| <
+2^(B - 1) (Kronecker substitution): while no digit leaves that range, the
+sum of two packed ints packs the digit sums and their product packs the
+product polynomial.  A node's exact translation is carried eagerly, like
+its float one, and a developed vertex is a face vertex plus it: two int
+additions each.  An exact cross sign is P = u_x v_y - u_y v_x, two big-int
+products; P = 0 is a zero at once, and otherwise the 2d - 1 digits of P are
+unpacked, folded by the minimal polynomial and passed to the field's sign
+(the positive factor D^2 does not change it).  A direction filter's line is
+packed from its own common denominator, a positive scale, since only its
+direction matters.
+A field element is built from unpacked digits only for a recorded holonomy,
+or for an orientation or length test at the boundary.
+
+The digit width B is set per surface from c, the largest |numerator| of a
+face vertex, a glue shift or the filter line, and N = ``_MAX_NODES``, read
+when the lattice is built.  The search pops at most N nodes, and each node's
+ancestors are popped before it, so a popped node lies at depth at most
+N - 1 and a node built as its child at depth at most N.  A node's
+translation is minus a root face vertex plus one glue shift per level, and
+a developed vertex of a popped node adds one face vertex to its
+translation: every vector the search forms is a sum of at most N + 1 such
+terms, so its digits, and the line's, are at most (N + 1) c.  A digit of
+the unfolded cross product of two such vectors is a sum of 2d products, so
+it is at most 2d ((N + 1) c)^2, and B is one more than the bit length of
+that bound.  B is 51 bits on S_8, 57 on S_16 (degree 8) and up to 75 on
+S_8 sheared to rational points, where P stays under 530 bits.
 
 Float margins.  Let u = 2^-53.  A face-vertex or glue-shift coordinate
 sum(c_i Phi^i) converts to a float with error eps_c <= (3d + 1) u
@@ -61,13 +95,13 @@ At S_8 and 90 l_m the search reaches D = 69 with R < 54, so delta <= 9.4e-13
 (the largest error measured there is 3.6e-14).
 
 * ``_SIGN_MARGIN`` = 1e-9, relative.  The float sign of c = cross(a, b) is
-  used when |c| > 1e-9 (|a|_1 |b|_1 + 1).  For developed vertices, and for
-  their sums dm = d1 + d2, the error of c is at most 4 R delta + 2 u |a|_1
-  |b|_1, so the margin covers it while 4 R delta <= 1e-9.  That bound is
+  used when |c| > 1e-9 (|a|_1 |b|_1 + 1).  For developed vertices the error
+  of c is at most 4 R delta + 2 u |a|_1 |b|_1, so the margin covers it
+  while 4 R delta <= 1e-9.  That bound is
   2e-10 at S_8 and 90 l_m, 3e-11 at sheared S_8 and 30 l_m, 9e-11 at the
   16-gon and L = 3 and 7e-10 at S_16 and 30 l_m; on S_8 it stays below 1e-9
   up to about 170 l_m.  The same margin, on the same kind of scale, decides
-  the exit-edge signs, the length cut (|W|^2 against L^2), the orientation
+  the length cut (|W|^2 against L^2), the orientation
   and the half-plane filter (y against |x| + |y| + 1) and the final order,
   whose float keys are converted straight from the exact holonomies.
 * ``_PRUNE_SLACK`` = 1e-6, relative and absolute.  A beam is dropped when
@@ -87,7 +121,15 @@ from dataclasses import dataclass
 from functools import cmp_to_key
 from typing import Optional
 
-from .field import ComputationLimitError, CycloReal, _element, _fold, as_field, common_denominator
+from .field import (
+    ComputationLimitError,
+    CycloReal,
+    _element,
+    _fold,
+    as_field,
+    common_denominator,
+    field_degree,
+)
 from .plane import Vec2, canonical_orientation, cross, norm2, vfloat, vneg
 from .surface import TranslationSurface, direction_vector, trace_from_corner
 
@@ -274,99 +316,90 @@ def edge_connection(S: TranslationSurface, pid: int) -> SaddleConnection:
 
 
 class _Lattice:
-    """The surface's coordinates as integer numerators over one common
+    """The surface's coordinates as packed integers over one common
     denominator ``den``, the lcm of the denominators of every face-vertex
-    coordinate and glue shift.  A lattice vector is a pair of integer tuples
-    (numerators of x and y); ``faces[f][j]`` is vertex j of face f, and
-    ``enter[h]`` is the translation a cone's node picks up when it enters a
-    face through half-edge h (minus the glue shift of the half-edge it
-    leaves through)."""
+    coordinate and glue shift, with digits of ``width`` bits (the module
+    docstring proves the width).  A lattice vector is a pair of packed ints
+    (x and y); ``faces[f][j]`` is vertex j of face f, ``shift[h]`` the glue
+    shift of half-edge h, which a cone's node subtracts from its translation
+    when the cone leaves through h, and ``line`` the filter direction packed
+    over its own common denominator (None without a filter)."""
 
-    __slots__ = ("n", "den", "faces", "enter")
+    __slots__ = ("n", "d", "den", "width", "_bias", "faces", "shift", "line")
 
-    def __init__(self, S: TranslationSurface):
+    def __init__(self, S: TranslationSurface, direction: Optional[Vec2] = None):
         coords = [c for verts in S.faces for p in verts for c in p]
         coords += [c for shift in S.glue_shift.values() for c in shift]
         self.n = S.n
+        self.d = d = field_degree(S.n)
         self.den, nums = common_denominator(coords)
+        line = [] if direction is None else common_denominator(direction)[1]
+        c = max(abs(a) for num in nums + line for a in num)
+        self.width = (2 * d * ((_MAX_NODES + 1) * c) ** 2).bit_length() + 1
+        # adding 2^(width - 1) to each digit makes every digit nonnegative
+        self._bias = self.pack([1 << (self.width - 1)] * (2 * d - 1))
         it = iter(nums)
-        self.faces = [[(next(it), next(it)) for _p in verts] for verts in S.faces]
-        self.enter = {S.glue[h]: _lneg((next(it), next(it))) for h in S.glue_shift}
+        pack = self.pack
+        self.faces = [[(pack(next(it)), pack(next(it))) for _p in verts] for verts in S.faces]
+        self.shift = {h: (pack(next(it)), pack(next(it))) for h in S.glue_shift}
+        self.line = (pack(line[0]), pack(line[1])) if line else None
+
+    def pack(self, digits) -> int:
+        """The packed int of balanced ``digits``, lowest first."""
+        B = self.width
+        return sum(a << (B * i) for i, a in enumerate(digits))
+
+    def digits(self, X: int, k: int) -> list[int]:
+        """The k lowest balanced digits of the packed int ``X``."""
+        B = self.width
+        half, mask = 1 << (B - 1), (1 << B) - 1
+        X += self._bias
+        return [((X >> (B * i)) & mask) - half for i in range(k)]
 
 
-def _ladd(u, v):
-    return (
-        tuple([a + b for a, b in zip(u[0], v[0])]),
-        tuple([a + b for a, b in zip(u[1], v[1])]),
-    )
-
-
-def _lneg(u):
-    return (tuple([-a for a in u[0]]), tuple([-a for a in u[1]]))
-
-
-def _cross_sign(n: int, u, v) -> int:
-    """Exact sign of cross(u, v) for two lattice vectors: the integer
-    polynomial u_x v_y - u_y v_x folded by the minimal polynomial.  Both
-    vectors carry a positive scale (den, or an integer for a filter line),
-    which leaves the sign unchanged."""
-    (ux, uy), (vx, vy) = u, v
-    d = len(ux)
-    p = [0] * (2 * d - 1)
-    for i in range(d):
-        a, b = ux[i], uy[i]
-        if a or b:
-            for k in range(d):
-                p[i + k] += a * vy[k] - b * vx[k]
-    p = _fold(n, p, d)
+def _cross_sign(lat: _Lattice, u, v) -> int:
+    """Exact sign of cross(u, v) for two lattice vectors: the packed product
+    P = u_x v_y - u_y v_x, unpacked and folded by the minimal polynomial
+    only when nonzero.  Both vectors carry a positive scale (den, or an
+    integer for a filter line), which leaves the sign unchanged."""
+    P = u[0] * v[1] - u[1] * v[0]
+    if not P:
+        return 0
+    d = lat.d
+    p = _fold(lat.n, lat.digits(P, 2 * d - 1), d)
     if not any(p):
         return 0
-    return _element(n, p, 1).sign()
+    return _element(lat.n, p, 1).sign()
 
 
 class _Node:
     """A face reached by a cone.  Vertex j of ``face`` develops to
-    ``faces[face][j] + tau``, with the cone's apex at the origin.
+    ``faces[face][j] + tau``, with the cone's apex at the origin: ``tau`` is
+    the packed translation and ``tau_fl`` its float.  ``entry`` is the
+    half-edge of ``face`` through which the cone entered (None at the
+    root)."""
 
-    The float translation ``tau_fl`` is always kept.  The lattice ``tau`` and
-    the lattice developed vertices (``verts``) are built along the parent
-    chain only when a decision or a recorded connection needs them
-    (``_vertex``).  ``entry`` is the half-edge of ``face`` through which the
-    cone entered (None at the root)."""
+    __slots__ = ("face", "tau_fl", "entry", "parent", "tau")
 
-    __slots__ = ("face", "tau_fl", "entry", "parent", "tau", "verts")
-
-    def __init__(self, face, tau_fl, entry, parent, tau=None):
+    def __init__(self, face, tau_fl, entry, parent, tau):
         self.face = face
         self.tau_fl = tau_fl
         self.entry = entry
         self.parent = parent
         self.tau = tau
-        self.verts = None
 
 
 def _vertex(lat: _Lattice, node: _Node, j: int):
     """The lattice developed position of vertex j of ``node``'s face."""
-    cache = node.verts
-    if cache is None:
-        cache = node.verts = [None] * len(lat.faces[node.face])
-    w = cache[j]
-    if w is None:
-        chain = []
-        cur = node
-        while cur.tau is None:
-            chain.append(cur)
-            cur = cur.parent
-        tau = cur.tau
-        for nd in reversed(chain):
-            tau = nd.tau = _ladd(tau, lat.enter[nd.entry])
-        w = cache[j] = _ladd(lat.faces[node.face][j], tau)
-    return w
+    x, y = lat.faces[node.face][j]
+    tx, ty = node.tau
+    return (x + tx, y + ty)
 
 
-# A direction is a tuple (float vector, node, j): the developed vertex j of
-# node's face, its lattice vector built on demand.  The direction filter's
-# lines are (float vector, None, lattice vector).
+# A direction is a tuple (float vector, node, j, below): the developed
+# vertex j of node's face, its lattice vector built on demand, and whether
+# the half-plane filter finds it strictly below the horizontal axis.  The
+# direction filter's lines are (float vector, None, lattice vector).
 
 
 def _exact(lat: _Lattice, d):
@@ -376,7 +409,8 @@ def _exact(lat: _Lattice, d):
 def _holonomy(lat: _Lattice, d) -> Vec2:
     """The exact field vector of vertex direction ``d``."""
     x, y = _exact(lat, d)
-    return (_element(lat.n, x, lat.den), _element(lat.n, y, lat.den))
+    n, k, den = lat.n, lat.d, lat.den
+    return (_element(n, lat.digits(x, k), den), _element(n, lat.digits(y, k), den))
 
 
 def _cs(lat: _Lattice, a, b) -> int:
@@ -385,7 +419,7 @@ def _cs(lat: _Lattice, a, b) -> int:
     c = ax * by - ay * bx
     if abs(c) > _SIGN_MARGIN * ((abs(ax) + abs(ay)) * (abs(bx) + abs(by)) + 1.0):
         return 1 if c > 0.0 else -1
-    return _cross_sign(lat.n, _exact(lat, a), _exact(lat, b))
+    return _cross_sign(lat, _exact(lat, a), _exact(lat, b))
 
 
 def enumerate_saddle_connections(
@@ -405,17 +439,19 @@ def enumerate_saddle_connections(
     L2 = _as_length_sq(S.n, length)
     L2f = float(L2)
     dfilt = None if direction is None else direction_vector(S.n, direction)
+    lat = _Lattice(S, dfilt)
     lines = None
     if dfilt is not None:
         dx, dy = vfloat(dfilt)
-        line = tuple(common_denominator(dfilt)[1])  # a positive multiple of dfilt
-        lines = (((dx, dy), None, line), ((-dx, -dy), None, _lneg(line)))
+        lx, ly = lat.line
+        lines = (((dx, dy), None, (lx, ly)), ((-dx, -dy), None, (-lx, -ly)))
 
     faces, glue = S.faces, S.glue
-    lat = _Lattice(S)
     fverts = [[vfloat(p) for p in verts] for verts in faces]
     fshift = {h: vfloat(t) for h, t in S.glue_shift.items()}
+    lshift = lat.shift
     m = _SIGN_MARGIN
+    far = L2f * (1.0 + _PRUNE_SLACK) + _PRUNE_SLACK
 
     found: list[SaddleConnection] = []
 
@@ -428,9 +464,12 @@ def enumerate_saddle_connections(
             continue
         found.append(sc)
 
-    # 2. cone DFS from every corner, over the canonical half-plane only.  The
-    # ends of the entry edge lie on or outside the cone, and so do the apex
-    # and its two neighbours in the root face, so the inside test skips them.
+    # 2. cone DFS from every corner, over the canonical half-plane only.
+    # chains[f][e]: the vertices of face f off edge e, counterclockwise from
+    # the one after e + 1.  The ends of the entry edge lie on or outside the
+    # cone, and so do the apex and its two neighbours in the root face, so
+    # the inside test walks only the rest of the face.
+    chains = [[tuple((e + 2 + i) % k for i in range(k - 2)) for e in range(k)] for k in map(len, faces)]
     nodes_seen = 0
     for f0, verts0 in enumerate(faces):
         k0 = len(verts0)
@@ -439,81 +478,95 @@ def enumerate_saddle_connections(
             a, b = (v0 + 1) % k0, (v0 - 1) % k0
             (ax, ay), (bx, by) = fverts[f0][a], fverts[f0][b]
             lo, hi = (ax - ox, ay - oy), (bx - ox, by - oy)
-            if _below(lo) and _below(hi):
+            lo_dn, hi_dn = (y < -m * (abs(x) + abs(y) + 1.0) for x, y in (lo, hi))
+            if lo_dn and hi_dn:
                 continue  # the corner's wedge lies below the horizontal axis
-            root = _Node(f0, (-ox, -oy), None, None, _lneg(lat.faces[f0][v0]))
-            stack = [(root, (lo, root, a), (hi, root, b))]
+            px, py = lat.faces[f0][v0]
+            root = _Node(f0, (-ox, -oy), None, None, (-px, -py))
+            stack = [(root, (lo, root, a, lo_dn), (hi, root, b, hi_dn))]
             while stack:
                 node, lo, hi = stack.pop()
                 nodes_seen += 1
                 if nodes_seen > _MAX_NODES:
                     raise ComputationLimitError("saddle enumeration exceeded the node budget")
                 f = node.face
+                fv = fverts[f]
+                k = len(fv)
                 tx, ty = node.tau_fl
-                Wfl = [(x + tx, y + ty) for x, y in fverts[f]]
-                k = len(Wfl)
                 (lx, ly), (hx, hy) = lo[0], hi[0]
                 lo_n, hi_n = abs(lx) + abs(ly), abs(hx) + abs(hy)
                 if node is root:
-                    apex, b0, a0 = v0, a, b
+                    a0, chain = b, chains[f][v0][:-1]
                 else:
-                    apex, a0 = -1, node.entry[1]
-                    b0 = (a0 + 1) % k
+                    a0 = node.entry[1]
+                    chain = chains[f][a0]
 
+                # the walk of the module docstring, from a0 + 2 (a0 + 3 at the
+                # root); it stops at j_exit, the first vertex at or
+                # counterclockwise of hi, or runs out before a0
                 inside = []
-                for j, (wx, wy) in enumerate(Wfl):
-                    if j == a0 or j == b0 or j == apex:
-                        continue
+                j_exit = a0
+                for j in chain:
+                    x, y = fv[j]
+                    wx, wy = x + tx, y + ty
                     w_n = abs(wx) + abs(wy)
                     c = lx * wy - ly * wx
                     if abs(c) > m * (lo_n * w_n + 1.0):
                         if c < 0.0:
                             continue
-                    elif _cross_sign(lat.n, _exact(lat, lo), _vertex(lat, node, j)) <= 0:
+                    elif _cross_sign(lat, _exact(lat, lo), _vertex(lat, node, j)) <= 0:
                         continue
                     c = wx * hy - wy * hx
                     if abs(c) > m * (w_n * hi_n + 1.0):
                         if c < 0.0:
-                            continue
-                    elif _cross_sign(lat.n, _vertex(lat, node, j), _exact(lat, hi)) <= 0:
-                        continue
-                    inside.append(((wx, wy), node, j))
-                if len(inside) > 1:
-                    inside.sort(key=cmp_to_key(lambda a, b: _cs(lat, b, a)))
-                # a ray strictly inside the cone meets the convex face in a
-                # segment from the open entry edge (or the apex) to one exit
-                # point, so no two inside vertices share a direction: each one
-                # splits the cone, and the subcones beside it leave the face at it
+                            j_exit = j
+                            break
+                    elif _cross_sign(lat, _vertex(lat, node, j), _exact(lat, hi)) <= 0:
+                        j_exit = j
+                        break
+                    inside.append(((wx, wy), node, j, wy < -m * (w_n + 1.0)))
                 for w in inside:
                     W = _endpoint(lat, w, L2, L2f, lines)
                     if W is not None:
                         found.append(_cone_connection(S, node, w[2], W, (f0, v0)))
-                bounds = [lo] + inside + [hi]
+                bounds = [lo, *inside, hi]
 
                 # consecutive bounds are distinct rays in counterclockwise
                 # order, so every subcone between them is open and nonempty
                 last = len(bounds) - 2
                 for i in range(last + 1):
                     d1, d2 = bounds[i], bounds[i + 1]
-                    if _below(d2[0]) and _below(d1[0]):
+                    if d1[3] and d2[3]:
                         continue  # the subcone lies below the horizontal axis
                     if lines is not None and not any(
                         _cs(lat, d1, ln) >= 0 and _cs(lat, ln, d2) >= 0 for ln in lines
                     ):
                         continue  # the closed subcone misses the filter line
                     # beside a split vertex: the edge starting there on its
-                    # counterclockwise side, the edge ending there on its clockwise side
+                    # counterclockwise side, the edge ending there on its
+                    # clockwise side; with no split, the edge ending at j_exit
                     if i > 0:
                         e = d1[2]
                     elif i < last:
                         e = (d2[2] - 1) % k
                     else:
-                        e = _exit_edge(lat, node, Wfl, d1, d2, b0, a0)
-                    if _prune_far(Wfl[e], Wfl[(e + 1) % k], L2f):
+                        e = (j_exit - 1) % k
+                    # the beam leaves through part of the exit edge (a, b):
+                    # drop it when every point of that edge is beyond the bound
+                    (ax, ay), (bx, by) = fv[e], fv[(e + 1) % k]
+                    ax, ay, bx, by = ax + tx, ay + ty, bx + tx, by + ty
+                    ex, ey = bx - ax, by - ay
+                    s = -(ax * ex + ay * ey) / (ex * ex + ey * ey)
+                    s = 0.0 if s < 0.0 else (1.0 if s > 1.0 else s)
+                    px, py = ax + s * ex, ay + s * ey
+                    if px * px + py * py > far:
                         continue
                     half = (f, e)
                     sx, sy = fshift[half]
-                    child = _Node(glue[half][0], (tx - sx, ty - sy), glue[half], node)
+                    px, py = lshift[half]
+                    Tx, Ty = node.tau
+                    entry = glue[half]
+                    child = _Node(entry[0], (tx - sx, ty - sy), entry, node, (Tx - px, Ty - py))
                     stack.append((child, d1, d2))
 
     return _sorted(found)
@@ -553,14 +606,6 @@ def _sorted(found: list[SaddleConnection]) -> list[SaddleConnection]:
         out += [sc for _key, sc in run]
         start = i
     return out
-
-
-def _below(v) -> bool:
-    """Float test: does the vector v = (x, y) point strictly below the
-    horizontal axis?  The same margin as the orientation test of
-    ``_endpoint``; returning False is always safe."""
-    x, y = v
-    return y < -_SIGN_MARGIN * (abs(x) + abs(y) + 1.0)
 
 
 def _order(a, b) -> int:
@@ -610,50 +655,6 @@ def _endpoint(lat: _Lattice, w, L2: CycloReal, L2f: float, lines) -> Optional[Ve
     if nf >= L2f * (1.0 - m) - m and norm2(W) > L2:
         return None
     return W
-
-
-def _exit_edge(lat: _Lattice, node: _Node, Wfl, d1, d2, b0: int, a0: int) -> int:
-    """The edge of ``node``'s face through which the vertex-free open cone
-    (d1, d2) leaves it.
-
-    Let dm = d1 + d2.  The face lies in an open half-plane beyond its entry
-    edge (a0, b0), or in the apex's wedge at the root, where a0 and b0 are
-    the apex's neighbours.  Vertex b0 is clockwise of dm and a0
-    counterclockwise, and the far chain b0, b0 + 1, ..., a0 turns from
-    clockwise to counterclockwise of dm exactly once: at the exit edge.
-    """
-    (px, py), (qx, qy) = d1[0], d2[0]
-    mx, my = px + qx, py + qy
-    m_n = abs(mx) + abs(my)
-    dm = None
-    k = len(Wfl)
-    j = (b0 + 1) % k
-    while j != a0:
-        wx, wy = Wfl[j]
-        c = wx * my - wy * mx
-        if abs(c) > _SIGN_MARGIN * ((abs(wx) + abs(wy)) * m_n + 1.0):
-            ccw = c < 0.0
-        else:
-            if dm is None:
-                dm = _ladd(_exact(lat, d1), _exact(lat, d2))
-            ccw = _cross_sign(lat.n, _vertex(lat, node, j), dm) < 0
-        if ccw:
-            break
-        j = (j + 1) % k
-    return (j - 1) % k
-
-
-def _prune_far(a, b, L2f: float) -> bool:
-    """Float test: is every point of the exit edge (a, b) farther from the
-    apex than the length bound?  The beam leaves through part of that edge,
-    so a pruned beam holds nothing within the bound; returning False is
-    always safe."""
-    ax, ay = a
-    ex, ey = b[0] - ax, b[1] - ay
-    s = -(ax * ex + ay * ey) / (ex * ex + ey * ey)
-    s = 0.0 if s < 0.0 else (1.0 if s > 1.0 else s)
-    px, py = ax + s * ex, ay + s * ey
-    return px * px + py * py > L2f * (1.0 + _PRUNE_SLACK) + _PRUNE_SLACK
 
 
 def _cone_connection(

@@ -14,15 +14,16 @@ import numpy as np
 import pytest
 
 from kvol import plane, saddle
-from kvol.field import CycloReal, field_degree, trig_value
+from kvol.field import CycloReal, common_denominator, field_degree, trig_value
 from kvol.intersect import ClosedCurve, intersection_form
-from kvol.plane import Mat2, cross, norm2, vadd, vfloat, vsub
+from kvol.plane import Mat2, cross, norm2, vadd, vfloat, vneg, vsub
 from kvol.ratios import closed_atoms
 from kvol.saddle import SaddleConnection, edge_connection, enumerate_saddle_connections
 from kvol.surface import (
     build_ngon,
     build_staircase,
     conversion_matrix,
+    direction_vector,
     staircase_lengths,
     subdivide,
     veech_generators,
@@ -365,6 +366,24 @@ def _count_nodes(monkeypatch):
     return built
 
 
+def _root(lat, f, v):
+    """The root node at corner (f, v), with its packed translation."""
+    x, y = lat.faces[f][v]
+    return saddle._Node(f, None, None, None, (-x, -y))
+
+
+def _child(S, lat, node, h):
+    """The node a cone reaches by leaving ``node``'s face through half-edge
+    h, its packed translation formed as the search forms it."""
+    (Tx, Ty), (x, y) = node.tau, lat.shift[h]
+    return saddle._Node(S.glue[h][0], None, S.glue[h], node, (Tx - x, Ty - y))
+
+
+def _unpacked(lat, u):
+    """The field vector of packed lattice vector u over ``lat.den``."""
+    return [CycloReal(lat.n, [Fraction(a, lat.den) for a in lat.digits(c, lat.d)]) for c in u]
+
+
 def _developed(S, lat, rng, depth):
     """(lattice, field) pairs of developed vertices along a random walk of
     ``depth`` glued edges from a random corner, the field vector summed by
@@ -372,7 +391,7 @@ def _developed(S, lat, rng, depth):
     f = rng.randrange(len(S.faces))
     v = rng.randrange(len(S.faces[f]))
     tau = (-S.faces[f][v][0], -S.faces[f][v][1])
-    node = saddle._Node(f, None, None, None, saddle._lneg(lat.faces[f][v]))
+    node = _root(lat, f, v)
     out = []
     for _ in range(depth + 1):
         k = len(S.faces[node.face])
@@ -380,7 +399,7 @@ def _developed(S, lat, rng, depth):
             out.append((saddle._vertex(lat, node, j), vadd(S.faces[node.face][j], tau)))
         h = (node.face, rng.randrange(k))
         tau = vsub(tau, S.glue_shift[h])
-        node = saddle._Node(S.glue[h][0], None, S.glue[h], node)
+        node = _child(S, lat, node, h)
     return out
 
 
@@ -404,17 +423,20 @@ class TestFloatFilter:
             lat = saddle._Lattice(S)
             for f, verts in enumerate(S.faces):
                 k = len(verts)
-                root = saddle._Node(f, None, None, None, saddle._lneg(lat.faces[f][0]))
+                root = _root(lat, f, 0)
                 for e in range(k):
                     f2, e2 = S.glue[(f, e)]
-                    child = saddle._Node(f2, None, (f2, e2), root)
+                    child = _child(S, lat, root, (f, e))
                     k2 = len(S.faces[f2])
                     assert saddle._vertex(lat, child, (e2 + 1) % k2) == saddle._vertex(lat, root, e)
                     assert saddle._vertex(lat, child, e2) == saddle._vertex(lat, root, (e + 1) % k)
 
     def test_developed_float_error_within_stated_bound(self, monkeypatch):
         """Every node's float translation is within (D + 2)(eps_c + u R) of
-        the exact one, and 4 R times that bound is inside the sign margin."""
+        the exact one, and 4 R times that bound is inside the sign margin.
+        The exact translations the search carries are checked in the field:
+        a root's is minus a vertex of its face, a child's its parent's minus
+        the glue shift of the edge crossed."""
         S, L = _sheared_staircase(8), _lm(8) * 30
         nodes = []
         init = saddle._Node.__init__
@@ -438,14 +460,19 @@ class TestFloatFilter:
         eps_c = max(conversion_error(c) for c in coords)
         R = max(abs(node.tau_fl[0]) + abs(node.tau_fl[1]) for node in nodes)
         R += max(abs(float(c)) for c in coords) * 2
-        depth = {}
+        depth, exact = {}, {}
         worst = 0.0
         for node in nodes:  # parents are recorded before their children
-            D = depth[id(node)] = 0 if node.parent is None else depth[id(node.parent)] + 1
-            saddle._vertex(lat, node, 0)  # builds node.tau
+            tau = exact[id(node)] = _unpacked(lat, node.tau)
+            if node.parent is None:
+                D = depth[id(node)] = 0
+                assert tuple(tau) in {vneg(p) for p in S.faces[node.face]}
+            else:
+                D = depth[id(node)] = depth[id(node.parent)] + 1
+                shift = S.glue_shift[S.glue[node.entry]]
+                assert tuple(tau) == vsub(exact[id(node.parent)], shift)
             bound = (D + 2) * (eps_c + u * R)
             worst = max(worst, bound)
-            tau = [CycloReal(S.n, [Fraction(a, lat.den) for a in c]) for c in node.tau]
             for c, c_fl in zip(tau, node.tau_fl):
                 assert abs(c_fl - float(c)) <= bound + conversion_error(c)
         assert max(depth.values()) > 20
@@ -474,19 +501,59 @@ class TestLatticeSearch:
             verts = {}
             for _ in range(6):
                 verts.update(_developed(S, lat, rng, 4))
-            zero = (tuple([0] * field_degree(n)),) * 2
-            verts.pop(zero, None)  # the apex
+            verts.pop((0, 0), None)  # the apex
             collinear = 0
             items = list(verts.items())
             for i, (u, U) in enumerate(items):
-                assert [CycloReal(n, [Fraction(a, lat.den) for a in c]) for c in u] == list(U)
-                assert saddle._cross_sign(n, u, saddle._ladd(u, u)) == 0
+                assert _unpacked(lat, u) == list(U)
+                assert saddle._cross_sign(lat, u, (u[0] + u[0], u[1] + u[1])) == 0
                 for w, W in items[i + 1:]:
                     expected = cross(U, W).sign()
                     collinear += expected == 0
-                    assert saddle._cross_sign(n, u, w) == expected
-                    assert saddle._cross_sign(n, saddle._lneg(u), w) == -expected
+                    assert saddle._cross_sign(lat, u, w) == expected
+                    assert saddle._cross_sign(lat, (-u[0], -u[1]), w) == -expected
             assert collinear > 0
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_cross_sign_at_the_width_bound(self, n):
+        """Packed vectors whose digits reach the proven bound (N + 1) c, c the
+        largest numerator of the surface and of a 1/(126 Phi) filter line:
+        digits and product digits round-trip, and the exact cross sign is the
+        field's, up to the product digit 2d ((N + 1) c)^2."""
+        S = _sheared_staircase(n)
+        one = CycloReal.from_rational(n, 1)
+        lat = saddle._Lattice(S, direction_vector(n, one / (CycloReal.phi(n) * 126)))
+        d = lat.d
+        packed = [p for verts in lat.faces for p in verts] + [*lat.shift.values(), lat.line]
+        c = max(abs(a) for p in packed for X in p for a in lat.digits(X, d))
+        top = (saddle._MAX_NODES + 1) * c
+        rng = random.Random(n)
+        vecs = [[[top] * d, [-top] * d], [[top] * d, [top] * d], [[-top] * d, [top] * d]]
+        for _ in range(12):
+            vecs.append(
+                [[rng.choice((-top, top, rng.randint(-top, top))) for _ in range(d)] for _ in range(2)]
+            )
+        packs = [(lat.pack(x), lat.pack(y)) for x, y in vecs]
+        assert [[lat.digits(X, d) for X in p] for p in packs] == vecs
+        widest = 0
+        for i, (u, U) in enumerate(zip(packs, vecs)):
+            for w, W in zip(packs[i:], vecs[i:]):
+                conv = [0] * (2 * d - 1)
+                for a in range(d):
+                    for b in range(d):
+                        conv[a + b] += U[0][a] * W[1][b] - U[1][a] * W[0][b]
+                assert lat.digits(u[0] * w[1] - u[1] * w[0], 2 * d - 1) == conv
+                widest = max(widest, *map(abs, conv))
+                field = cross(*[[CycloReal(n, x) for x in V] for V in (U, W)]).sign()
+                assert saddle._cross_sign(lat, u, w) == field
+        assert widest == 2 * d * top**2
+        # a field multiple of the line: P != 0, and the fold decides the zero
+        line = _unpacked(lat, lat.line)
+        nums = common_denominator([x * CycloReal.phi(n) for x in line])[1]
+        w = tuple(lat.pack(num) for num in nums)
+        u = lat.line
+        assert u[0] * w[1] - u[1] * w[0] != 0
+        assert saddle._cross_sign(lat, u, w) == 0
 
     def test_search_builds_no_field_vectors(self, monkeypatch):
         """Once the cone search has started, no plane vector arithmetic runs:
