@@ -315,7 +315,7 @@ class CycloReal:
     def __neg__(self):
         x = _new(CycloReal)
         _set(x, "n", self.n)
-        _set(x, "_num", tuple([-a for a in self._num]))
+        _set(x, "_num", tuple(-a for a in self._num))
         _set(x, "_den", self._den)
         return x
 

@@ -63,9 +63,8 @@ products; P = 0 is a zero at once, and otherwise the 2d - 1 digits of P are
 unpacked, folded by the minimal polynomial and passed to the field's sign
 (the positive factor D^2 does not change it).  A direction filter's line is
 packed from its own common denominator, a positive scale, since only its
-direction matters.
-A field element is built from unpacked digits only for a recorded holonomy,
-or for an orientation or length test at the boundary.
+direction matters.  A field element is built from unpacked digits only for
+a recorded holonomy, or for an orientation or length test at the boundary.
 
 The digit width B is set per surface from c, the largest |numerator| of a
 face vertex, a glue shift or the filter line, and N = ``_MAX_NODES``, read
@@ -97,13 +96,13 @@ At S_8 and 90 l_m the search reaches D = 69 with R < 54, so delta <= 9.4e-13
 * ``_SIGN_MARGIN`` = 1e-9, relative.  The float sign of c = cross(a, b) is
   used when |c| > 1e-9 (|a|_1 |b|_1 + 1).  For developed vertices the error
   of c is at most 4 R delta + 2 u |a|_1 |b|_1, so the margin covers it
-  while 4 R delta <= 1e-9.  That bound is
-  2e-10 at S_8 and 90 l_m, 3e-11 at sheared S_8 and 30 l_m, 9e-11 at the
-  16-gon and L = 3 and 7e-10 at S_16 and 30 l_m; on S_8 it stays below 1e-9
-  up to about 170 l_m.  The same margin, on the same kind of scale, decides
-  the length cut (|W|^2 against L^2), the orientation
-  and the half-plane filter (y against |x| + |y| + 1) and the final order,
-  whose float keys are converted straight from the exact holonomies.
+  while 4 R delta <= 1e-9.  That bound is 2e-10 at S_8 and 90 l_m, 3e-11 at
+  sheared S_8 and 30 l_m, 9e-11 at the 16-gon and L = 3 and 7e-10 at S_16
+  and 30 l_m; on S_8 it stays below 1e-9 up to about 170 l_m.  The same
+  margin, on the same kind of scale, decides the length cut (|W|^2 against
+  L^2), the orientation and the half-plane filter (y against |x| + |y| + 1)
+  and the final order, whose float keys are converted straight from the
+  exact holonomies.
 * ``_PRUNE_SLACK`` = 1e-6, relative and absolute.  A beam is dropped when
   the float squared distance from the apex to its whole exit edge exceeds
   L^2 (1 + 1e-6) + 1e-6.  That distance is off by at most 2 R delta + 4 u
@@ -121,15 +120,7 @@ from dataclasses import dataclass
 from functools import cmp_to_key
 from typing import Optional
 
-from .field import (
-    ComputationLimitError,
-    CycloReal,
-    _element,
-    _fold,
-    as_field,
-    common_denominator,
-    field_degree,
-)
+from .field import ComputationLimitError, CycloReal, _element, _fold, as_field, common_denominator
 from .plane import Vec2, canonical_orientation, cross, norm2, vfloat, vneg
 from .surface import TranslationSurface, direction_vector, trace_from_corner
 
@@ -331,8 +322,8 @@ class _Lattice:
         coords = [c for verts in S.faces for p in verts for c in p]
         coords += [c for shift in S.glue_shift.values() for c in shift]
         self.n = S.n
-        self.d = d = field_degree(S.n)
         self.den, nums = common_denominator(coords)
+        self.d = d = len(nums[0])  # the field degree
         line = [] if direction is None else common_denominator(direction)[1]
         c = max(abs(a) for num in nums + line for a in num)
         self.width = (2 * d * ((_MAX_NODES + 1) * c) ** 2).bit_length() + 1
@@ -469,7 +460,9 @@ def enumerate_saddle_connections(
     # the one after e + 1.  The ends of the entry edge lie on or outside the
     # cone, and so do the apex and its two neighbours in the root face, so
     # the inside test walks only the rest of the face.
-    chains = [[tuple((e + 2 + i) % k for i in range(k - 2)) for e in range(k)] for k in map(len, faces)]
+    chains = [
+        [tuple((e + 2 + i) % k for i in range(k - 2)) for e in range(k)] for k in map(len, faces)
+    ]
     nodes_seen = 0
     for f0, verts0 in enumerate(faces):
         k0 = len(verts0)
