@@ -557,7 +557,7 @@ class TestLatticeSearch:
 
     def test_search_builds_no_field_vectors(self, monkeypatch):
         """Once the cone search has started, no plane vector arithmetic runs:
-        developed positions stay integer tuples until a holonomy is recorded."""
+        developed positions stay packed integers until a holonomy is recorded."""
         S, L = _CASES["sheared8-30lm"]()
         built = _count_nodes(monkeypatch)
         calls = []
