@@ -435,7 +435,7 @@ def enumerate_saddle_connections(
     if dfilt is not None:
         dx, dy = vfloat(dfilt)
         lx, ly = lat.line
-        lines = (((dx, dy), None, (lx, ly)), ((-dx, -dy), None, (-lx, -ly)))
+        lines = (((dx, dy), None, lat.line), ((-dx, -dy), None, (-lx, -ly)))
 
     faces, glue = S.faces, S.glue
     fverts = [[vfloat(p) for p in verts] for verts in faces]
