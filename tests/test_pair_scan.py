@@ -151,6 +151,55 @@ def test_scan_does_no_field_arithmetic(monkeypatch):
     assert calls == {"mul": 0, "hash": 0}
 
 
+# SHA-256 of kvol_bruteforce(...).to_dict() as JSON with sorted keys, at the
+# _BRUTE_POINTS, as computed when enumeration built every field holonomy and
+# the pair scan formed full N x N blocks
+_PINNED_BRUTE = [
+    "0520ec799023ae862a15618cdaa5ef88198ab67cac7e425d0b9e6762c128af7c",
+    "4b03ffb8f43183ad635e73d592a1b2bfdd89fefda8bb2957dc4edd8dab45f500",
+    "e2426b6ab8cb52f17f7e0b4a43733d1294d3a68fc6971586a405e5c47b025e47",
+    "4e197b5643a594cb43e359c539afcbe20ca725ae6fb0e9c1aaa85a2280a01c67",
+]
+
+
+@pytest.mark.parametrize("point, digest", list(zip(_BRUTE_POINTS, _PINNED_BRUTE)))
+def test_pinned_brute_reports(point, digest):
+    report = kvol_bruteforce(*_brute_point(*point)).to_dict()
+    assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == digest
+
+
+def _sheared8():
+    return build_staircase(8).transform(Mat2(8, 1, Fraction(13, 37), 0, Fraction(31, 40)))
+
+
+# the float pass as (curves, best.hex(), crossing, near-maximum and above
+# counts, SHA-256 of the JSON of [best.hex(), crossing, near_max, above])
+_PINNED_SCANS = {
+    "ngon10-L3-floor0.3": (
+        lambda: (build_ngon(10), 3, 0.3),
+        (310, "0x1.0000000000002p-1", 35115, 5, 85),
+        "d50c884fa95618503cde4617b92d27695c1c301707041b1d8467469a0a7c24bb",
+    ),
+    "sheared8-20lm": (
+        lambda: (_sheared8(), trig_value(8, "sin", 1) * 20, None),
+        (419, "0x1.2f88f2a5a7c4ep+2", 83862, 1, 0),
+        "8b6b5d3b5a63970f2f553b54fd30588e0f12e7693e8cee21e64395ae76351abc",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED_SCANS))
+def test_pinned_scans(case):
+    make, counts, digest = _PINNED_SCANS[case]
+    X, L, floor = make()
+    curves = closed_atoms(X, enumerate_saddle_connections(X, L))
+    scan = ratios._scan_pairs(intersection_form(X), curves, floor=floor)
+    got = (len(curves), scan.best.hex(), scan.crossing, len(scan.near_max), len(scan.above))
+    assert got == counts
+    blob = json.dumps([scan.best.hex(), scan.crossing, scan.near_max, scan.above])
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
 def _conversion_error(c: CycloReal) -> float:
     """The bound on |float(c) - c| that the ratios docstring states."""
     phi, d = _phi_float(c.n), field_degree(c.n)
