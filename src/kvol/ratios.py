@@ -27,7 +27,8 @@ One engine scans the pairs.  A single float pass (``_scan_pairs``) computes
 every pair's intersection number exactly (an integer matrix product of the
 form's coordinate rows) and its ratio in floating point, block by block.  A
 connection's float length is ``hypot`` of its holonomy floats, which the
-enumeration has already converted, so the pass does no field arithmetic.
+enumeration read from the packed digits, so the pass does no field
+arithmetic.
 ``float(c)`` of c = sum c_i Phi^i runs Horner's rule in doubles, within
 eps(c) = (4d + 4) 2^-52 sum |c_i| Phi^i of c in degree d (the bound of the
 float filter of ``CycloReal.sign``).  A length is then off by at most the
@@ -77,7 +78,7 @@ import numpy as np
 from .field import CycloReal, as_field, sqrt_in_field, trig_value
 from .hyperbolic import OrbitWitness, nearest_witness
 from .intersect import ClosedCurve, IntersectionForm, intersection_form
-from .plane import Mat2, canonical_orientation, cross, direction_pair, vfloat, vneg
+from .plane import Mat2, canonical_orientation, cross, direction_pair, vneg
 from .saddle import SaddleConnection, enumerate_saddle_connections
 from .surface import TranslationSurface, build_ngon, build_staircase, direction_vector
 
@@ -467,7 +468,7 @@ class ConjectureReport:
 
 _NEAR_MAX = 1e-9  # relative slack below the float maximum kept for exact ranking
 _BOUND_MARGIN = 1e-6  # relative margin below a bound left to the exact check
-_BLOCK_ENTRIES = 1 << 22  # float ratios held at once by the pair scan
+_BLOCK_ENTRIES = 1 << 15  # pairs a block of the pair scan spans, at most
 
 
 class _Scan(NamedTuple):
@@ -481,16 +482,21 @@ class _Scan(NamedTuple):
 
 def _float_length(curve: ClosedCurve) -> float:
     """The scan's length of a curve: the sum of ``hypot`` of each component's
-    holonomy floats, which enumeration has already converted."""
-    return sum(math.hypot(*vfloat(sc.holonomy)) for sc in curve.components)
+    holonomy floats (``holonomy_float``), which a recorded connection keeps
+    from enumeration, so no field vector is built."""
+    return sum(math.hypot(*sc.holonomy_float) for sc in curve.components)
 
 
 def _ratio_blocks(form: IntersectionForm, curves: Sequence[ClosedCurve]):
     """Yield (i0, I_block, R_block) over strictly-upper-triangular pairs.
 
-    ``I_block[r, j]`` is the intersection number of curves ``i0+r`` and ``j``
-    and ``R_block[r, j]`` its float ratio; entries with ``j <= i0+r`` are
-    masked to ratio 0.
+    A block holds rows ``i0 <= i < i1`` and only the columns ``j >= i0``:
+    ``I_block[r, c]`` is the int64 intersection number of curves ``i0+r``
+    and ``i0+c`` and ``R_block[r, c]`` its float ratio, masked to 0 where
+    ``c <= r``.  Every block has the same number of rows, at most
+    ``_BLOCK_ENTRIES // N`` and at least one, so it spans at most
+    max(``_BLOCK_ENTRIES``, N) pairs, and its few int64 and float64
+    arrays of that size are its whole memory.
     """
     N = len(curves)
     if N < 2:
@@ -498,14 +504,12 @@ def _ratio_blocks(form: IntersectionForm, curves: Sequence[ClosedCurve]):
     C = form.coord_rows(curves)
     W = C @ form.matrix
     lf = np.array([_float_length(c) for c in curves])
-    block = max(64, min(N, _BLOCK_ENTRIES // N))
+    block = max(1, _BLOCK_ENTRIES // N)
     for i0 in range(0, N, block):
         i1 = min(N, i0 + block)
-        I = W[i0:i1] @ C.T
-        R = np.abs(I) / np.outer(lf[i0:i1], lf)
-        cols = np.arange(N)[None, :]
-        rows = np.arange(i0, i1)[:, None]
-        R[cols <= rows] = 0.0
+        I = W[i0:i1] @ C[i0:].T
+        R = np.abs(I) / np.outer(lf[i0:i1], lf[i0:])
+        R[np.tri(i1 - i0, N - i0, dtype=bool)] = 0.0
         yield i0, I, R
 
 
@@ -523,11 +527,11 @@ def _scan_pairs(
         crossing += int(np.count_nonzero(R))
         best = max(best, float(R.max()))
         if best > 0.0:  # at 0 the threshold would take every pair
-            for r, j in zip(*np.nonzero(R >= best * (1.0 - _NEAR_MAX))):
-                near.append((float(R[r, j]), (i0 + int(r), int(j), int(I[r, j]))))
+            for r, c in zip(*np.nonzero(R >= best * (1.0 - _NEAR_MAX))):
+                near.append((float(R[r, c]), (i0 + int(r), i0 + int(c), int(I[r, c]))))
         if floor is not None:
-            for r, j in zip(*np.nonzero(R > floor)):
-                above.append((i0 + int(r), int(j), int(I[r, j])))
+            for r, c in zip(*np.nonzero(R > floor)):
+                above.append((i0 + int(r), i0 + int(c), int(I[r, c])))
     thr = best * (1.0 - _NEAR_MAX)
     return _Scan(best, crossing, [p for ratio, p in near if ratio >= thr], above)
 

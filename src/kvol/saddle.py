@@ -63,8 +63,10 @@ products; P = 0 is a zero at once, and otherwise the 2d - 1 digits of P are
 unpacked, folded by the minimal polynomial and passed to the field's sign
 (the positive factor D^2 does not change it).  A direction filter's line is
 packed from its own common denominator, a positive scale, since only its
-direction matters.  A field element is built from unpacked digits only for
-a recorded holonomy, or for an orientation or length test at the boundary.
+direction matters.  A recorded connection keeps its packed holonomy and the
+floats of its digits; the field vector, and the germ directions with it, is
+built on first read.  Otherwise a field element is built from unpacked
+digits only for an orientation or length test at the boundary.
 
 The digit width B is set per surface from c, the largest |numerator| of a
 face vertex, a glue shift or the filter line, and N = ``_MAX_NODES``, read
@@ -101,8 +103,8 @@ At S_8 and 90 l_m the search reaches D = 69 with R < 54, so delta <= 9.4e-13
   and 30 l_m; on S_8 it stays below 1e-9 up to about 170 l_m.  The same
   margin, on the same kind of scale, decides the length cut (|W|^2 against
   L^2), the orientation and the half-plane filter (y against |x| + |y| + 1)
-  and the final order, whose float keys are converted straight from the
-  exact holonomies.
+  and the final order, whose float keys are the floats of the exact
+  holonomies, read from their packed digits.
 * ``_PRUNE_SLACK`` = 1e-6, relative and absolute.  A beam is dropped when
   the float squared distance from the apex to its whole exit edge exceeds
   L^2 (1 + 1e-6) + 1e-6.  That distance is off by at most 2 R delta + 4 u
@@ -116,12 +118,19 @@ At S_8 and 90 l_m the search reaches D = 69 with R < 54, so delta <= 9.4e-13
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cmp_to_key
 from typing import Optional
 
-from .field import ComputationLimitError, CycloReal, _element, _fold, as_field, common_denominator
-from .plane import Vec2, canonical_orientation, cross, norm2, vfloat, vneg
+from .field import (
+    ComputationLimitError,
+    CycloReal,
+    _element,
+    _fold,
+    _phi_float,
+    as_field,
+    common_denominator,
+)
+from .plane import Vec2, canonical_orientation, norm2, vfloat, vneg
 from .surface import TranslationSurface, direction_vector, trace_from_corner
 
 _MAX_NODES = 5_000_000
@@ -129,15 +138,44 @@ _SIGN_MARGIN = 1e-9
 _PRUNE_SLACK = 1e-6
 
 
-@dataclass(frozen=True)
 class Germ:
     """A direction germ at a singular vertex: a corner of the complex plus an
     exact direction pointing into (or along the first boundary ray of) its
-    wedge."""
+    wedge.
 
-    class_id: int
-    corner: tuple[int, int]
-    direction: Vec2
+    The germs of a connection the enumeration records take their direction
+    from it on first read: its holonomy at its start germ, minus that at its
+    end germ (which its reverse shares as its start germ)."""
+
+    __slots__ = ("class_id", "corner", "_direction", "_of")
+
+    def __init__(self, class_id: int, corner: tuple[int, int], direction: Optional[Vec2]):
+        self.class_id = class_id
+        self.corner = corner
+        self._direction = direction
+        self._of = None
+
+    @property
+    def direction(self) -> Vec2:
+        if self._direction is None:
+            sc = self._of
+            hol = sc.holonomy
+            self._direction = hol if self is sc.start else vneg(hol)
+        return self._direction
+
+    def _key(self):
+        return (self.class_id, self.corner, self.direction)
+
+    def __eq__(self, other):
+        if not isinstance(other, Germ):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"Germ(class_id={self.class_id}, corner={self.corner}, direction={self.direction})"
 
 
 class SaddleConnection:
@@ -154,28 +192,49 @@ class SaddleConnection:
     ``pieces`` (face, entry point, exit point in face coordinates) and
     ``crossings`` (pair id, half-edge crossed out of, developed crossing
     point) are traced exactly on first use and checked against the path.
+
+    A connection the enumeration records keeps its holonomy as a packed
+    lattice vector with its floats (``holonomy_float``); the exact
+    ``holonomy`` is unpacked on first read.
     """
 
     __slots__ = (
         "surface",
-        "holonomy",
         "start",
         "end",
         "path",
         "edge_pair",
+        "_hol",
+        "_lat",
+        "_packed",
+        "_fl",
         "_len2",
         "_trace",
     )
 
     def __init__(self, surface, holonomy, start, end, path, edge_pair=None):
         self.surface = surface
-        self.holonomy = holonomy
+        self._hol = holonomy
         self.start = start
         self.end = end
         self.path = path
         self.edge_pair = edge_pair
+        self._lat = self._packed = self._fl = None
         self._len2 = None
         self._trace = None
+
+    @property
+    def holonomy(self) -> Vec2:
+        if self._hol is None:
+            self._hol = self._lat.vector(self._packed)
+        return self._hol
+
+    @property
+    def holonomy_float(self) -> tuple[float, float]:
+        """The floats of the holonomy, bit for bit ``vfloat(self.holonomy)``."""
+        if self._fl is None:
+            self._fl = vfloat(self.holonomy)
+        return self._fl
 
     @property
     def length_sq(self) -> CycloReal:
@@ -227,9 +286,17 @@ class SaddleConnection:
         (_f, v), exits, _last = self.path
         glue = self.surface.glue
         path = (self._last_corner(), tuple(glue[h] for h in reversed(exits)), v)
-        return SaddleConnection(
-            self.surface, vneg(self.holonomy), self.end, self.start, path, self.edge_pair
-        )
+        if self._hol is not None:
+            return SaddleConnection(
+                self.surface, vneg(self._hol), self.end, self.start, path, self.edge_pair
+            )
+        # the shared germs keep their directions: minus this holonomy at the
+        # reverse's start, this holonomy at its end
+        X, Y = self._packed
+        sc = SaddleConnection(self.surface, None, self.end, self.start, path, self.edge_pair)
+        sc._lat, sc._packed = self._lat, (-X, -Y)
+        sc._fl = self._lat.floats(sc._packed)  # negating a float may sign a zero
+        return sc
 
     def transformed(self, M, target: Optional[TranslationSurface] = None) -> "SaddleConnection":
         """The image under an orientation-preserving linear map, on the
@@ -275,7 +342,7 @@ class SaddleConnection:
         return hash(self._key())
 
     def __repr__(self):
-        x, y = vfloat(self.holonomy)
+        x, y = self.holonomy_float
         return (
             f"SaddleConnection(({x:.6g}, {y:.6g}), len={self.length:.6g}, "
             f"{self.start.corner}->{self.end.corner}, crossings={len(self.path[1])})"
@@ -347,6 +414,28 @@ class _Lattice:
         X += self._bias
         return [((X >> (B * i)) & mask) - half for i in range(k)]
 
+    def vector(self, u) -> Vec2:
+        """The field vector of the lattice vector ``u``."""
+        n, d, den = self.n, self.d, self.den
+        return (_element(n, self.digits(u[0], d), den), _element(n, self.digits(u[1], d), den))
+
+    def floats(self, u) -> tuple[float, float]:
+        """``vfloat`` of the field vector of ``u``, to the bit: the Horner
+        steps of ``CycloReal.__float__``, with each digit over the unreduced
+        ``den``.  An int quotient is correctly rounded, so a / den is the
+        double of the reduced fraction."""
+        phi, den, B = _phi_float(self.n), self.den, self.width
+        half, mask = 1 << (B - 1), (1 << B) - 1
+        shifts = range(B * (self.d - 1), -1, -B)  # the digits of ``digits``, highest first
+        out = []
+        for X in u:
+            X += self._bias
+            f = 0.0
+            for s in shifts:
+                f = f * phi + (((X >> s) & mask) - half) / den
+            out.append(f)
+        return (out[0], out[1])
+
 
 def _cross_sign(lat: _Lattice, u, v) -> int:
     """Exact sign of cross(u, v) for two lattice vectors: the packed product
@@ -397,13 +486,6 @@ def _exact(lat: _Lattice, d):
     return d[2] if d[1] is None else _vertex(lat, d[1], d[2])
 
 
-def _holonomy(lat: _Lattice, d) -> Vec2:
-    """The exact field vector of vertex direction ``d``."""
-    x, y = _exact(lat, d)
-    n, k, den = lat.n, lat.d, lat.den
-    return (_element(n, lat.digits(x, k), den), _element(n, lat.digits(y, k), den))
-
-
 def _cs(lat: _Lattice, a, b) -> int:
     """Sign of cross(a, b) for two directions: float filter, exact fallback."""
     (ax, ay), (bx, by) = a[0], b[0]
@@ -446,14 +528,17 @@ def enumerate_saddle_connections(
 
     found: list[SaddleConnection] = []
 
-    # 1. edge saddle connections
-    for pid in range(len(S.edge_pairs)):
-        sc = edge_connection(S, pid)
-        if norm2(sc.holonomy) > L2:
-            continue
-        if dfilt is not None and not cross(sc.holonomy, dfilt).is_zero():
-            continue
-        found.append(sc)
+    # 1. edge saddle connections, each along its canonically oriented half
+    for pid, halves in enumerate(S.edge_pairs):
+        for f, e in halves:
+            b = (e + 1) % len(faces[f])
+            (ax, ay), (bx, by) = fverts[f][e], fverts[f][b]
+            (px, py), (qx, qy) = lat.faces[f][e], lat.faces[f][b]
+            w = ((bx - ax, by - ay), None, (qx - px, qy - py))
+            P = _endpoint(lat, w, L2, L2f, lines)
+            if P is not None:
+                found.append(_recorded(S, lat, P, (f, e), glue[(f, e)], ((f, e), (), b), pid))
+                break
 
     # 2. cone DFS from every corner, over the canonical half-plane only.
     # chains[f][e]: the vertices of face f off edge e, counterclockwise from
@@ -519,9 +604,9 @@ def enumerate_saddle_connections(
                         break
                     inside.append(((wx, wy), node, j, wy < -m * (w_n + 1.0)))
                 for w in inside:
-                    W = _endpoint(lat, w, L2, L2f, lines)
-                    if W is not None:
-                        found.append(_cone_connection(S, node, w[2], W, (f0, v0)))
+                    P = _endpoint(lat, w, L2, L2f, lines)
+                    if P is not None:
+                        found.append(_cone_connection(S, lat, node, w[2], P, (f0, v0)))
                 bounds = [lo, *inside, hi]
 
                 # consecutive bounds are distinct rays in counterclockwise
@@ -568,7 +653,8 @@ def enumerate_saddle_connections(
 def _sorted(found: list[SaddleConnection]) -> list[SaddleConnection]:
     """The connections in ``_order``, sorted by float keys first.
 
-    ``_order`` rests on each float key entry f being within
+    The keys are (x^2 + y^2, x, y) of ``holonomy_float``, read from the packed
+    digits.  ``_order`` rests on each float key entry f being within
     (``_SIGN_MARGIN`` / 2) (|f| + 1) of its exact value, so that a float
     difference beyond its margin has the exact sign.  After a stable sort by
     the float key tuple, cut the list wherever two neighbours' float lengths
@@ -583,7 +669,7 @@ def _sorted(found: list[SaddleConnection]) -> list[SaddleConnection]:
     """
     keyed = []
     for sc in found:
-        x, y = vfloat(sc.holonomy)
+        x, y = sc._fl
         keyed.append(((x * x + y * y, x, y), sc))
     keyed.sort(key=lambda entry: entry[0])
     out = []
@@ -604,14 +690,17 @@ def _sorted(found: list[SaddleConnection]) -> list[SaddleConnection]:
 def _order(a, b) -> int:
     """Order of (float key, connection) entries: by length, then holonomy x
     and y, each decided in floats when the margin allows and exactly
-    otherwise; then, for equal holonomies, by the start and end corners."""
+    otherwise; then, for equal holonomies, by the start and end corners.
+
+    The connections come from one enumeration, packed over one lattice, so
+    their holonomies are equal exactly when their packed vectors are."""
     (fa, sa), (fb, sb) = a, b
     for i in range(3):
         d = fa[i] - fb[i]
         if abs(d) > _SIGN_MARGIN * (abs(fa[i]) + abs(fb[i]) + 1.0):
             return 1 if d > 0.0 else -1
         if i == 0:
-            if sa.holonomy == sb.holonomy:
+            if sa._packed == sb._packed:
                 break
             s = (sa.length_sq - sb.length_sq).sign()
         else:
@@ -622,50 +711,59 @@ def _order(a, b) -> int:
     return -1 if ka < kb else (1 if ka > kb else 0)
 
 
-def _endpoint(lat: _Lattice, w, L2: CycloReal, L2f: float, lines) -> Optional[Vec2]:
-    """The exact holonomy to vertex direction ``w`` when it is canonically
+def _endpoint(lat: _Lattice, w, L2: CycloReal, L2f: float, lines):
+    """The packed holonomy to direction ``w`` when it is canonically
     oriented, no longer than the bound and on the filter line (if any);
-    otherwise None.  Each test is decided in floats when the margin allows,
-    and the field vector is built only for a recorded connection or an
-    undecided test."""
+    otherwise None.  Each test is decided in floats when the margin allows;
+    an undecided orientation or length test builds the field vector."""
     m = _SIGN_MARGIN
     x, y = w[0]
-    W = None
     if abs(y) > m * (abs(x) + abs(y) + 1.0):
         if y < 0.0:
             return None
-    else:
-        W = _holonomy(lat, w)
-        if not canonical_orientation(W):
-            return None
+    elif not canonical_orientation(lat.vector(_exact(lat, w))):
+        return None
     if lines is not None and _cs(lat, w, lines[0]) != 0:
         return None
     nf = x * x + y * y
     if nf > L2f * (1.0 + m) + m:
         return None
-    if W is None:
-        W = _holonomy(lat, w)
-    if nf >= L2f * (1.0 - m) - m and norm2(W) > L2:
+    P = _exact(lat, w)
+    if nf >= L2f * (1.0 - m) - m and norm2(lat.vector(P)) > L2:
         return None
-    return W
+    return P
+
+
+def _recorded(
+    S: TranslationSurface, lat: _Lattice, P, start_corner, end_corner, path, edge_pair=None
+) -> SaddleConnection:
+    """The connection with packed holonomy ``P`` along ``path``, its floats
+    read now, its field vector and germ directions on first read."""
+    cc = S.corner_class
+    start = Germ(cc[start_corner][0], start_corner, None)
+    end = Germ(cc[end_corner][0], end_corner, None)
+    sc = SaddleConnection(S, None, start, end, path, edge_pair)
+    start._of = end._of = sc
+    sc._lat, sc._packed, sc._fl = lat, P, lat.floats(P)
+    return sc
 
 
 def _cone_connection(
     S: TranslationSurface,
+    lat: _Lattice,
     node: _Node,
     vertex: int,
-    W: Vec2,
+    P,
     start_corner: tuple[int, int],
 ) -> SaddleConnection:
-    """The connection with holonomy ``W`` from ``start_corner`` to vertex
-    ``vertex`` of ``node``'s face, its path read off the cone's node chain."""
+    """The connection with packed holonomy ``P`` from ``start_corner`` to
+    vertex ``vertex`` of ``node``'s face, its path read off the cone's node
+    chain."""
     exits = []
     cur = node
     while cur.parent is not None:
         exits.append(S.glue[cur.entry])
         cur = cur.parent
     exits.reverse()
-    end_corner = (node.face, vertex)
-    start = Germ(S.corner_class[start_corner][0], start_corner, W)
-    end = Germ(S.corner_class[end_corner][0], end_corner, vneg(W))
-    return SaddleConnection(S, W, start, end, (start_corner, tuple(exits), vertex))
+    path = (start_corner, tuple(exits), vertex)
+    return _recorded(S, lat, P, start_corner, (node.face, vertex), path)

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kvol import ratios
+from kvol import ratios, saddle
 from kvol.field import CycloReal, _phi_float, accurate_float, field_degree, trig_value
 from kvol.intersect import intersection_form
 from kvol.plane import Mat2, norm2, vfloat
@@ -32,6 +32,10 @@ from kvol.ratios import (
 )
 from kvol.saddle import enumerate_saddle_connections
 from kvol.surface import build_ngon, build_staircase
+
+
+def _sheared8():
+    return build_staircase(8).transform(Mat2(8, 1, Fraction(13, 37), 0, Fraction(31, 40)))
 
 
 def witness_keys(report):
@@ -58,7 +62,7 @@ def scan_ngon10(monkeypatch, block_entries):
 
 
 def test_multi_block_scan_matches_single_block(monkeypatch):
-    brute1, bound1, nblocks = scan_ngon10(monkeypatch, ratios._BLOCK_ENTRIES)
+    brute1, bound1, nblocks = scan_ngon10(monkeypatch, 1 << 22)
     assert brute1.params["count_curves"] == 310
     assert nblocks == 1
     brute4, bound4, nblocks = scan_ngon10(monkeypatch, 1)
@@ -70,12 +74,13 @@ def test_multi_block_scan_matches_single_block(monkeypatch):
 
 def test_near_max_filtered_against_final_maximum(monkeypatch):
     # one row per block: 0.9 leads block 0, 1 - 5e-10 is within the slack of
-    # the final maximum 1.0, which only the last block reaches
+    # the final maximum 1.0, which only the last block reaches; block i0
+    # holds the columns j >= i0
     rows = [(1, 0.9, 9), (2, 1.0 - 5e-10, 7), (3, 1.0, 5)]
     blocks = []
     for i0, (j, ratio, count) in enumerate(rows):
-        R, I = np.zeros((1, 4)), np.zeros((1, 4), dtype=np.int64)
-        R[0, j], I[0, j] = ratio, count
+        R, I = np.zeros((1, 4 - i0)), np.zeros((1, 4 - i0), dtype=np.int64)
+        R[0, j - i0], I[0, j - i0] = ratio, count
         blocks.append((i0, I, R))
     monkeypatch.setattr(ratios, "_ratio_blocks", lambda form, curves: iter(blocks))
     scan = ratios._scan_pairs(None, None, floor=0.95)
@@ -84,6 +89,22 @@ def test_near_max_filtered_against_final_maximum(monkeypatch):
     assert scan.above == [(1, 2, 7), (2, 3, 5)]
     assert ratios._scan_pairs(None, None, floor=0.0).above == [(0, 1, 9), (1, 2, 7), (2, 3, 5)]
     assert ratios._scan_pairs(None, None).above == []
+
+
+def test_block_rows_need_not_divide_the_curve_count(monkeypatch):
+    # 419 curves in blocks of 10 rows: the last block holds 9, and every
+    # block only the columns from its first row on
+    X = _sheared8()
+    curves = closed_atoms(X, enumerate_saddle_connections(X, trig_value(8, "sin", 1) * 20))
+    form = intersection_form(X)
+    assert len(curves) == 419
+    monkeypatch.setattr(ratios, "_BLOCK_ENTRIES", 1 << 22)
+    whole = ratios._scan_pairs(form, curves, floor=1.0)
+    monkeypatch.setattr(ratios, "_BLOCK_ENTRIES", 10 * 419)
+    shapes = [R.shape for _i0, _I, R in ratios._ratio_blocks(form, curves)]
+    assert shapes[0] == (10, 419) and shapes[-1] == (9, 9) and len(shapes) == 42
+    assert len(whole.above) > 1000
+    assert ratios._scan_pairs(form, curves, floor=1.0) == whole
 
 
 @pytest.mark.parametrize(
@@ -168,10 +189,6 @@ def test_pinned_brute_reports(point, digest):
     assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == digest
 
 
-def _sheared8():
-    return build_staircase(8).transform(Mat2(8, 1, Fraction(13, 37), 0, Fraction(31, 40)))
-
-
 # the float pass as (curves, best.hex(), crossing, near-maximum and above
 # counts, SHA-256 of the JSON of [best.hex(), crossing, near_max, above])
 _PINNED_SCANS = {
@@ -198,6 +215,31 @@ def test_pinned_scans(case):
     assert got == counts
     blob = json.dumps([scan.best.hex(), scan.crossing, scan.near_max, scan.above])
     assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
+def test_field_holonomies_built_for_near_maximum_curves_only(monkeypatch):
+    # enumeration keeps every recorded holonomy packed; brute force unpacks
+    # only the components of near-maximum pairs, for the exact tournament and
+    # the witnesses, and its report reads nothing more
+    X, L = _sheared8(), trig_value(8, "sin", 1) * 20
+    curves = closed_atoms(X, enumerate_saddle_connections(X, L))
+    near_max = ratios._scan_pairs(intersection_form(X), curves).near_max
+    near = {id(sc) for i, j, _ in near_max for k in (i, j) for sc in curves[k].components}
+    calls = {"vector": 0}
+
+    def counted(lat, u):
+        calls["vector"] += 1
+        return vector(lat, u)
+
+    vector = saddle._Lattice.vector
+    monkeypatch.setattr(saddle._Lattice, "vector", counted)
+    scs = enumerate_saddle_connections(X, L)
+    search = calls["vector"]  # orientation and length tests at the boundary
+    assert search < len(scs) // 10
+    calls["vector"] = 0
+    kvol_bruteforce(X, L).to_dict()
+    assert len(near) == 2
+    assert calls["vector"] == search + len(near)
 
 
 def _conversion_error(c: CycloReal) -> float:

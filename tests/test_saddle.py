@@ -578,6 +578,27 @@ class TestLatticeSearch:
         assert "vadd" in calls
 
 
+class TestPackedRecord:
+    @pytest.mark.parametrize("case", sorted(_CASES))
+    def test_float_holonomy_matches_the_field(self, case):
+        """The floats a connection keeps from its packed digits are
+        ``vfloat`` of its field holonomy to the bit, zeros' signs included,
+        and so are its reverse's."""
+        S, L = _CASES[case]()
+        for sc in enumerate_saddle_connections(S, L):
+            for c in (sc, sc.reversed()):
+                stored = c.holonomy_float
+                assert [x.hex() for x in stored] == [x.hex() for x in vfloat(c.holonomy)]
+
+    def test_germ_directions_follow_the_reverse(self):
+        S, L = _CASES["ngon10-L3"]()
+        for sc in enumerate_saddle_connections(S, L):
+            rev = sc.reversed()
+            assert rev.start is sc.end and rev.end is sc.start
+            assert rev.start.direction == rev.holonomy == vneg(sc.holonomy)
+            assert rev.end.direction == sc.holonomy
+
+
 class TestOrder:
     """The float-keyed sort with exact runs gives the full comparison sort."""
 
