@@ -468,7 +468,7 @@ class ConjectureReport:
 
 _NEAR_MAX = 1e-9  # relative slack below the float maximum kept for exact ranking
 _BOUND_MARGIN = 1e-6  # relative margin below a bound left to the exact check
-_BLOCK_ENTRIES = 1 << 15  # pairs a block of the pair scan spans, at most
+_BLOCK_ENTRIES = 1 << 15  # entries of a pair-scan block (rows x columns), at most
 
 
 class _Scan(NamedTuple):
@@ -493,10 +493,10 @@ def _ratio_blocks(form: IntersectionForm, curves: Sequence[ClosedCurve]):
     A block holds rows ``i0 <= i < i1`` and only the columns ``j >= i0``:
     ``I_block[r, c]`` is the int64 intersection number of curves ``i0+r``
     and ``i0+c`` and ``R_block[r, c]`` its float ratio, masked to 0 where
-    ``c <= r``.  Every block has the same number of rows, at most
-    ``_BLOCK_ENTRIES // N`` and at least one, so it spans at most
-    max(``_BLOCK_ENTRIES``, N) pairs, and its few int64 and float64
-    arrays of that size are its whole memory.
+    ``c <= r``.  Every block has max(1, ``_BLOCK_ENTRIES // N``) rows (the
+    last one fewer), so it holds at most max(``_BLOCK_ENTRIES``, N)
+    entries: its int64 and float64 arrays, a handful of that size, are all
+    the memory the scan takes beyond the N-row inputs.
     """
     N = len(curves)
     if N < 2:

@@ -163,20 +163,6 @@ class Germ:
             self._direction = hol if self is sc.start else vneg(hol)
         return self._direction
 
-    def _key(self):
-        return (self.class_id, self.corner, self.direction)
-
-    def __eq__(self, other):
-        if not isinstance(other, Germ):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return f"Germ(class_id={self.class_id}, corner={self.corner}, direction={self.direction})"
-
 
 class SaddleConnection:
     """An oriented saddle connection with exact geometric data.
