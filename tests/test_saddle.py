@@ -202,6 +202,12 @@ def _tilted_staircase(n):
     return build_staircase(n).transform(Mat2(n, 1, 0, Fraction(2, 7), 1))
 
 
+def _vertical_staircase(n):
+    """The staircase at x = 0, y = 7/10: the vertical of the half-plane,
+    where the surface keeps its symmetries and lengths tie exactly."""
+    return build_staircase(n).transform(Mat2(n, 1, 0, 0, Fraction(7, 10)))
+
+
 def _assert_follows_path(sc):
     """The lazily traced pieces and crossings run along the recorded path."""
     S = sc.surface
@@ -350,6 +356,7 @@ _CASES = {
     "sheared8-12lm": lambda: (_sheared_staircase(8), _lm(8) * 12),
     "sheared8-30lm": lambda: (_sheared_staircase(8), _lm(8) * 30),
     "tilted8-12lm": lambda: (_tilted_staircase(8), _lm(8) * 12),
+    "vertical8-17lm": lambda: (_vertical_staircase(8), _lm(8) * 17),
 }
 
 
@@ -608,8 +615,9 @@ class TestOrder:
             lambda: (build_staircase(12), _lm(12) * 20),
             lambda: (build_ngon(12), 6),
             lambda: (_sheared_staircase(8), _lm(8) * 20),
+            _CASES["vertical8-17lm"],
         ],
-        ids=["S12-20lm", "X12-L6", "sheared8-20lm"],
+        ids=["S12-20lm", "X12-L6", "sheared8-20lm", "vertical8-17lm"],
     )
     def test_matches_comparison_sort(self, case):
         S, L = case()
@@ -677,6 +685,7 @@ class TestPinnedEnumeration:
             ("sheared8-12lm", 152, "5341d157adf6607c677292c18522d68998dd5d9a9a302adcf8edcc6e83f1e986"),
             ("sheared8-30lm", 950, "e5006c1a65dbc3fdf4d5fcee3dd0bae9bf3971e6b307f61069d0f864dc4c8be3"),
             ("tilted8-12lm", 117, "f9887d7609b678b2157a2a14bf937c60c0778474f6ff088a1112415ca264f462"),
+            ("vertical8-17lm", 338, "a55cfb2690dd16775e09460fa364ebce2a31d64b1b9d736fdf8a2454da3437d8"),
         ],
     )
     def test_pinned_rows(self, case, count, digest):
