@@ -371,9 +371,9 @@ def _add_length_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_formula_flags(p: argparse.ArgumentParser) -> None:
-    # the orbit search is exact: both are only reported back in params
-    p.add_argument("--k-max", type=int, default=12, help="reported only; no longer bounds dist")
-    p.add_argument("--word-len", type=int, default=10, help="reported only; no longer bounds dist")
+    # the orbit search is exact: neither flag bounds it, and only kvol-point echoes them
+    p.add_argument("--k-max", type=int, default=12, help="bounds nothing; kvol-point echoes it")
+    p.add_argument("--word-len", type=int, default=10, help="bounds nothing; kvol-point echoes it")
 
 
 def build_parser() -> argparse.ArgumentParser:

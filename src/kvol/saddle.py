@@ -63,10 +63,13 @@ products; P = 0 is a zero at once, and otherwise the 2d - 1 digits of P are
 unpacked, folded by the minimal polynomial and passed to the field's sign
 (the positive factor D^2 does not change it).  A direction filter's line is
 packed from its own common denominator, a positive scale, since only its
-direction matters.  A recorded connection keeps its packed holonomy and the
-floats of its digits; the field vector, and the germ directions with it, is
-built on first read.  Otherwise a field element is built from unpacked
-digits only for an orientation or length test at the boundary.
+direction matters.  Every other exact test signs unpacked digits the same
+way: an endpoint (X, Y) is canonical when Y, or else X, is positive, and
+within the cap L^2 = a / b when b (X^2 + Y^2) - D^2 a <= 0; the order signs
+the differences of squared norms, then of x and of y.  So the one field
+multiplication is the cap.  A recorded connection keeps its packed holonomy
+and the floats of its digits; its field vector, and the germ directions
+with it, is built on first read.
 
 The digit width B is set per surface from c, the largest |numerator| of a
 face vertex, a glue shift or the filter line, and N = ``_MAX_NODES``, read
@@ -79,8 +82,12 @@ translation: every vector the search forms is a sum of at most N + 1 such
 terms, so its digits, and the line's, are at most (N + 1) c.  A digit of
 the unfolded cross product of two such vectors is a sum of 2d products, so
 it is at most 2d ((N + 1) c)^2, and B is one more than the bit length of
-that bound.  B is 51 bits on S_8, 57 on S_16 (degree 8) and up to 75 on
-S_8 sheared to rational points, where P stays under 530 bits.
+that bound.  Only values within it are unpacked: coordinates, (N + 1) c;
+their differences, 2 (N + 1) c; cross products and squared norms X^2 + Y^2,
+2d ((N + 1) c)^2.  A packed difference of two squared norms could reach
+4d ((N + 1) c)^2, so squared norms are scaled and subtracted once unpacked.
+B is 51 bits on S_8, 57 on S_16 (degree 8) and up to 75 on S_8 sheared to
+rational points, where P stays under 530 bits.
 
 Float margins.  Let u = 2^-53.  A face-vertex or glue-shift coordinate
 sum(c_i Phi^i) converts to a float with error eps_c <= (3d + 1) u
@@ -102,9 +109,9 @@ At S_8 and 90 l_m the search reaches D = 69 with R < 54, so delta <= 9.4e-13
   sheared S_8 and 30 l_m, 9e-11 at the 16-gon and L = 3 and 7e-10 at S_16
   and 30 l_m; on S_8 it stays below 1e-9 up to about 170 l_m.  The same
   margin, on the same kind of scale, decides the length cut (|W|^2 against
-  L^2), the orientation and the half-plane filter (y against |x| + |y| + 1)
-  and the final order, whose float keys are the floats of the exact
-  holonomies, read from their packed digits.
+  L^2), the orientation and the half-plane filter (y against |x| + |y| + 1),
+  and cuts the final order into runs by float lengths, the floats of the
+  exact holonomies read from their packed digits.
 * ``_PRUNE_SLACK`` = 1e-6, relative and absolute.  A beam is dropped when
   the float squared distance from the apex to its whole exit edge exceeds
   L^2 (1 + 1e-6) + 1e-6.  That distance is off by at most 2 R delta + 4 u
@@ -400,6 +407,11 @@ class _Lattice:
         X += self._bias
         return [((X >> (B * i)) & mask) - half for i in range(k)]
 
+    def sign(self, p: list[int]) -> int:
+        """Exact sign of the integer polynomial ``p`` in Phi, lowest digit first."""
+        p = _fold(self.n, p, self.d)
+        return _element(self.n, p, 1).sign() if any(p) else 0
+
     def vector(self, u) -> Vec2:
         """The field vector of the lattice vector ``u``."""
         n, d, den = self.n, self.d, self.den
@@ -424,18 +436,11 @@ class _Lattice:
 
 
 def _cross_sign(lat: _Lattice, u, v) -> int:
-    """Exact sign of cross(u, v) for two lattice vectors: the packed product
-    P = u_x v_y - u_y v_x, unpacked and folded by the minimal polynomial
-    only when nonzero.  Both vectors carry a positive scale (den, or an
-    integer for a filter line), which leaves the sign unchanged."""
+    """Exact sign of cross(u, v) for two lattice vectors, unpacked only when
+    the packed P = u_x v_y - u_y v_x is nonzero.  Both carry a positive scale
+    (den, or an integer for a filter line), which leaves the sign unchanged."""
     P = u[0] * v[1] - u[1] * v[0]
-    if not P:
-        return 0
-    d = lat.d
-    p = _fold(lat.n, lat.digits(P, 2 * d - 1), d)
-    if not any(p):
-        return 0
-    return _element(lat.n, p, 1).sign()
+    return lat.sign(lat.digits(P, 2 * lat.d - 1)) if P else 0
 
 
 class _Node:
@@ -637,86 +642,80 @@ def enumerate_saddle_connections(
 
 
 def _sorted(found: list[SaddleConnection]) -> list[SaddleConnection]:
-    """The connections in ``_order``, sorted by float keys first.
+    """The connections in ``_order``, sorted by float lengths first.
 
-    The keys are (x^2 + y^2, x, y) of ``holonomy_float``, read from the packed
-    digits.  ``_order`` rests on each float key entry f being within
-    (``_SIGN_MARGIN`` / 2) (|f| + 1) of its exact value, so that a float
-    difference beyond its margin has the exact sign.  After a stable sort by
-    the float key tuple, cut the list wherever two neighbours' float lengths
-    differ by more than that margin, and re-sort each run with ``_order``.
-    Take a before b in different runs, with a cut between neighbours k and
-    k + 1: f_a <= f_k < f_(k+1) <= f_b and f_(k+1) - f_k > m (f_k + f_(k+1)
-    + 1), so f_b - f_a exceeds the error bound (m / 2) (f_a + f_b + 2) of the
-    two keys and a is exactly shorter than b.  Runs thus follow the exact
-    order, each run is sorted by ``_order`` itself, and entries equal under
-    ``_order`` share their float key and keep their input order in both
-    sorts, so the result is a full ``cmp_to_key(_order)`` sort.
+    A float length f, x^2 + y^2 of ``holonomy_float``, lies within
+    (``_SIGN_MARGIN`` / 2) (f + 1) of its exact value.  After a stable sort by
+    f, cut the list wherever two neighbours' float lengths differ by more
+    than that margin, and re-sort each run with the exact ``_order``: the
+    margin only cuts runs.  Take a before b in different runs, with a cut
+    between neighbours k and k + 1: f_a <= f_k < f_(k+1) <= f_b and
+    f_(k+1) - f_k > m (f_k + f_(k+1) + 1), so f_b - f_a exceeds the error
+    bound (m / 2) (f_a + f_b + 2) of the two lengths and a is exactly shorter
+    than b.  Runs thus follow the exact order, and entries equal under
+    ``_order`` share their packed holonomy, hence their run, and keep their
+    input order in both sorts: this is a full ``cmp_to_key(_order)`` sort.
     """
     keyed = []
     for sc in found:
         x, y = sc._fl
-        keyed.append(((x * x + y * y, x, y), sc))
+        keyed.append((x * x + y * y, sc))
     keyed.sort(key=lambda entry: entry[0])
     out = []
     start = 0
     for i in range(1, len(keyed) + 1):
         if i < len(keyed):
-            fa, fb = keyed[i - 1][0][0], keyed[i][0][0]
+            fa, fb = keyed[i - 1][0], keyed[i][0]
             if fb - fa <= _SIGN_MARGIN * (fa + fb + 1.0):
                 continue
-        run = keyed[start:i]
+        run = [sc for _f, sc in keyed[start:i]]
         if len(run) > 1:
             run.sort(key=cmp_to_key(_order))
-        out += [sc for _key, sc in run]
+        out += run
         start = i
     return out
 
 
-def _order(a, b) -> int:
-    """Order of (float key, connection) entries: by length, then holonomy x
-    and y, each decided in floats when the margin allows and exactly
-    otherwise; then, for equal holonomies, by the start and end corners.
-
-    The connections come from one enumeration, packed over one lattice, so
-    their holonomies are equal exactly when their packed vectors are."""
-    (fa, sa), (fb, sb) = a, b
-    for i in range(3):
-        d = fa[i] - fb[i]
-        if abs(d) > _SIGN_MARGIN * (abs(fa[i]) + abs(fb[i]) + 1.0):
-            return 1 if d > 0.0 else -1
-        if i == 0:
-            if sa._packed == sb._packed:
-                break
-            s = (sa.length_sq - sb.length_sq).sign()
-        else:
-            s = (sa.holonomy[i - 1] - sb.holonomy[i - 1]).sign()
-        if s:
-            return s
-    ka, kb = (sa.start.corner, sa.end.corner), (sb.start.corner, sb.end.corner)
+def _order(a: SaddleConnection, b: SaddleConnection) -> int:
+    """Exact order of two connections of one enumeration: by length, then
+    holonomy x and y, then, for equal holonomies (equal packed vectors, over
+    one lattice), by the start and end corners.  No float margin enters."""
+    (Xa, Ya), (Xb, Yb) = a._packed, b._packed
+    if Xa != Xb or Ya != Yb:
+        lat = a._lat
+        d, k = lat.d, 2 * lat.d - 1
+        na, nb = lat.digits(Xa * Xa + Ya * Ya, k), lat.digits(Xb * Xb + Yb * Yb, k)
+        s = lat.sign([p - q for p, q in zip(na, nb)]) or lat.sign(lat.digits(Xa - Xb, d))
+        return s or lat.sign(lat.digits(Ya - Yb, d))
+    ka, kb = (a.start.corner, a.end.corner), (b.start.corner, b.end.corner)
     return -1 if ka < kb else (1 if ka > kb else 0)
 
 
 def _endpoint(lat: _Lattice, w, L2: CycloReal, L2f: float, lines):
     """The packed holonomy to direction ``w`` when it is canonically
     oriented, no longer than the bound and on the filter line (if any);
-    otherwise None.  Each test is decided in floats when the margin allows;
-    an undecided orientation or length test builds the field vector."""
-    m = _SIGN_MARGIN
+    otherwise None.  Each test is decided in floats when the margin allows
+    and otherwise from unpacked digits, as the module docstring says."""
+    m, d = _SIGN_MARGIN, lat.d
     x, y = w[0]
     if abs(y) > m * (abs(x) + abs(y) + 1.0):
         if y < 0.0:
             return None
-    elif not canonical_orientation(lat.vector(_exact(lat, w))):
-        return None
+    else:
+        X, Y = _exact(lat, w)
+        if (lat.sign(lat.digits(Y, d)) or lat.sign(lat.digits(X, d))) <= 0:
+            return None
     if lines is not None and _cs(lat, w, lines[0]) != 0:
         return None
     nf = x * x + y * y
     if nf > L2f * (1.0 + m) + m:
         return None
-    P = _exact(lat, w)
-    if nf >= L2f * (1.0 - m) - m and norm2(lat.vector(P)) > L2:
-        return None
+    X, Y = P = _exact(lat, w)
+    if nf >= L2f * (1.0 - m) - m:
+        b, (a,) = common_denominator([L2])
+        D2, norm = lat.den * lat.den, lat.digits(X * X + Y * Y, 2 * d - 1)
+        if lat.sign([b * s - D2 * t for s, t in zip(norm, a + (0,) * (d - 1))]) > 0:
+            return None
     return P
 
 

@@ -522,11 +522,13 @@ class TestLatticeSearch:
             assert collinear > 0
 
     @pytest.mark.parametrize("n", [8, 16])
-    def test_cross_sign_at_the_width_bound(self, n):
+    def test_cross_sign_at_the_width_bound(self, n, monkeypatch):
         """Packed vectors whose digits reach the proven bound (N + 1) c, c the
         largest numerator of the surface and of a 1/(126 Phi) filter line:
         digits and product digits round-trip, and the exact cross sign is the
-        field's, up to the product digit 2d ((N + 1) c)^2."""
+        field's, up to the product digit 2d ((N + 1) c)^2.  So are the packed
+        orientation and length cut of ``_endpoint`` and the three signs of
+        ``_order``, squared norms and coordinate differences included."""
         S = _sheared_staircase(n)
         one = CycloReal.from_rational(n, 1)
         lat = saddle._Lattice(S, direction_vector(n, one / (CycloReal.phi(n) * 126)))
@@ -561,6 +563,22 @@ class TestLatticeSearch:
         u = lat.line
         assert u[0] * w[1] - u[1] * w[0] != 0
         assert saddle._cross_sign(lat, u, w) == 0
+        # every float test deferred to the digits; horizontal vectors and
+        # mirror images add orientation, length and x ties
+        monkeypatch.setattr(saddle, "_SIGN_MARGIN", math.inf)
+        vecs += [[[top] * d, [0] * d], [[-top] * d, [0] * d]]
+        vecs += [[[-a for a in x], y] for x, y in vecs]
+        packs = [(lat.pack(x), lat.pack(y)) for x, y in vecs]
+        fields = [[CycloReal(n, [Fraction(a, lat.den) for a in x]) for x in V] for V in vecs]
+        norms = [norm2(U) for U in fields]
+        scs = [saddle._recorded(S, lat, u, (0, 0), (0, 0), None) for u in packs]
+        for u, U, N, sa in zip(packs, fields, norms, scs):
+            for W, L2, sb in zip(fields, norms, scs):
+                kept = plane.canonical_orientation(U) and not N > L2
+                got = saddle._endpoint(lat, ((0.0, 0.0), None, u), L2, float(L2), None)
+                assert got == (u if kept else None)
+                signs = ((N - L2).sign(), (U[0] - W[0]).sign(), (U[1] - W[1]).sign())
+                assert saddle._order(sa, sb) == next((s for s in signs if s), 0)
 
     def test_search_builds_no_field_vectors(self, monkeypatch):
         """Once the cone search has started, no plane vector arithmetic runs:
@@ -583,6 +601,27 @@ class TestLatticeSearch:
         assert len(scs) == 950 and built[0] > 0 and calls == []
         next(sc for sc in scs if sc.path[1]).pieces  # the tracer's calls are counted
         assert "vadd" in calls
+
+    @pytest.mark.parametrize("case", ["ngon10-L3", "stair10-8lm", "vertical8-17lm"])
+    def test_enumeration_multiplies_only_the_cap(self, case, monkeypatch):
+        """Every exact test of the enumeration signs packed digits, exact
+        length and orientation ties included: its one field multiplication is
+        the cap L * L, and it adds, subtracts, inverts and unpacks nothing."""
+        S, L = _CASES[case]()
+        calls = []
+        patched = [(CycloReal, m) for m in ("__mul__", "__rmul__", "__add__", "__radd__")]
+        patched += [(CycloReal, "__sub__"), (CycloReal, "inverse"), (saddle._Lattice, "vector")]
+        for cls, name in patched:
+
+            def counted(*args, _fn=getattr(cls, name), _name=name):
+                calls.append(_name)
+                return _fn(*args)
+
+            monkeypatch.setattr(cls, name, counted)
+        scs = enumerate_saddle_connections(S, L)
+        monkeypatch.undo()
+        assert len(scs) > 0
+        assert calls in (["__mul__"], ["__rmul__"])
 
 
 class TestPackedRecord:
@@ -626,12 +665,8 @@ class TestOrder:
         assert ties > len(scs) // 5
         shuffled = list(scs)
         random.Random(len(scs)).shuffle(shuffled)
-        keyed = []
-        for sc in shuffled:
-            x, y = vfloat(sc.holonomy)
-            keyed.append(((x * x + y * y, x, y), sc))
-        keyed.sort(key=cmp_to_key(saddle._order))
-        assert all(a is b for (_key, a), b in zip(keyed, scs))
+        shuffled.sort(key=cmp_to_key(saddle._order))
+        assert all(a is b for a, b in zip(shuffled, scs))
         assert len({sc._key() for sc in scs}) == len(scs)  # no entry ties another
 
 
