@@ -564,9 +564,11 @@ class TestLatticeSearch:
         assert u[0] * w[1] - u[1] * w[0] != 0
         assert saddle._cross_sign(lat, u, w) == 0
         # every float test deferred to the digits; horizontal vectors and
-        # mirror images add orientation, length and x ties
+        # mirror images add orientation, length and x ties, and the middle
+        # digit of alt's squared norm is -2d top^2, that of (top, top)'s +2d top^2
         monkeypatch.setattr(saddle, "_SIGN_MARGIN", math.inf)
-        vecs += [[[top] * d, [0] * d], [[-top] * d, [0] * d]]
+        alt = [top] * (d // 2) + [-top] * (d - d // 2)
+        vecs += [[[top] * d, [0] * d], [[-top] * d, [0] * d], [alt, alt]]
         vecs += [[[-a for a in x], y] for x, y in vecs]
         packs = [(lat.pack(x), lat.pack(y)) for x, y in vecs]
         fields = [[CycloReal(n, [Fraction(a, lat.den) for a in x]) for x in V] for V in vecs]
