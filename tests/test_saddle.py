@@ -500,6 +500,26 @@ class TestLatticeSearch:
         assert _rows(enumerate_saddle_connections(S, L)) == default
         assert pruned <= 0.6 * built[0]
 
+    @pytest.mark.parametrize(
+        "case, count",
+        [
+            ("ngon8-L3", 64),
+            ("ngon10-L3", 78),
+            ("stair10-8lm", 188),
+            ("sheared8-12lm", 609),
+            ("sheared8-30lm", 6714),
+            ("tilted8-12lm", 427),
+            ("vertical8-17lm", 1564),
+        ],
+    )
+    def test_pinned_node_counts(self, case, count, monkeypatch):
+        """Every node the search builds is popped once, roots included: a
+        change to the loop may not grow or shrink the search tree unnoticed."""
+        S, L = _CASES[case]()
+        built = _count_nodes(monkeypatch)
+        enumerate_saddle_connections(S, L)
+        assert built[0] == count
+
     @pytest.mark.parametrize("n", [8, 10, 16])
     def test_lattice_cross_sign_matches_the_field(self, n):
         rng = random.Random(n)
