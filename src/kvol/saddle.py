@@ -11,8 +11,12 @@ path (start corner, crossed half-edges, end vertex); exact pieces and
 crossing points are traced from the path only when asked for.
 
 The search runs in floats and does exact work only when a float test cannot
-decide or a connection is recorded.  A node keeps its float and its exact
-translation, each its parent's minus the glue shift of the edge crossed.
+decide or a connection is recorded.  A node is a named tuple (face, tau_fl,
+entry, parent, tau): its float and its exact translation are each its
+parent's minus the glue shift of the edge crossed.  Each call first tables,
+per face and entry edge, the walk's vertices as (j, x, y) floats and, per
+half-edge, its floats and glue shifts and its partner: a child costs one
+table lookup and one node.
 Glued edges are opposite translates, so crossing edge (f, e) into (f2, e2)
 takes vertex e to vertex e2 + 1 and vertex e + 1 to vertex e2 at the same
 developed position: the ends of a face's entry edge are the ends of the edge
@@ -114,9 +118,10 @@ At S_8 and 90 l_m the search reaches D = 69 with R < 54, so delta <= 9.4e-13
   exact holonomies read from their packed digits.
 * ``_PRUNE_SLACK`` = 1e-6, relative and absolute.  A beam is dropped when
   the float squared distance from the apex to its whole exit edge exceeds
-  L^2 (1 + 1e-6) + 1e-6.  That distance is off by at most 2 R delta + 4 u
-  R^2, far below the slack, so no beam that reaches within the bound is
-  dropped.
+  L^2 (1 + 1e-6) + 1e-6.  That distance is off by at most 2 R delta + 6 u
+  R^2 (the nearest point's edge parameter is -(a . e) times a stored
+  1 / |e|^2, a rounding that moves the point by at most u R), far below the
+  slack, so no beam that reaches within the bound is dropped.
 
 ``_MAX_NODES`` bounds the search; past it the enumeration raises
 ``ComputationLimitError``.
@@ -126,7 +131,7 @@ from __future__ import annotations
 
 import math
 from functools import cmp_to_key
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .field import (
     ComputationLimitError,
@@ -424,15 +429,12 @@ class _Lattice:
         double of the reduced fraction."""
         phi, den, B = _phi_float(self.n), self.den, self.width
         half, mask = 1 << (B - 1), (1 << B) - 1
-        shifts = range(B * (self.d - 1), -1, -B)  # the digits of ``digits``, highest first
-        out = []
-        for X in u:
-            X += self._bias
-            f = 0.0
-            for s in shifts:
-                f = f * phi + (((X >> s) & mask) - half) / den
-            out.append(f)
-        return (out[0], out[1])
+        X, Y = u[0] + self._bias, u[1] + self._bias
+        x = y = 0.0
+        for s in range(B * (self.d - 1), -1, -B):  # the digits of ``digits``, highest first
+            x = x * phi + (((X >> s) & mask) - half) / den
+            y = y * phi + (((Y >> s) & mask) - half) / den
+        return (x, y)
 
 
 def _cross_sign(lat: _Lattice, u, v) -> int:
@@ -443,21 +445,18 @@ def _cross_sign(lat: _Lattice, u, v) -> int:
     return lat.sign(lat.digits(P, 2 * lat.d - 1)) if P else 0
 
 
-class _Node:
+class _Node(NamedTuple):
     """A face reached by a cone.  Vertex j of ``face`` develops to
     ``faces[face][j] + tau``, with the cone's apex at the origin: ``tau`` is
     the packed translation and ``tau_fl`` its float.  ``entry`` is the
     half-edge of ``face`` through which the cone entered (None at the
     root)."""
 
-    __slots__ = ("face", "tau_fl", "entry", "parent", "tau")
-
-    def __init__(self, face, tau_fl, entry, parent, tau):
-        self.face = face
-        self.tau_fl = tau_fl
-        self.entry = entry
-        self.parent = parent
-        self.tau = tau
+    face: int
+    tau_fl: tuple
+    entry: Optional[tuple]
+    parent: Optional["_Node"]
+    tau: tuple
 
 
 def _vertex(lat: _Lattice, node: _Node, j: int):
@@ -467,10 +466,11 @@ def _vertex(lat: _Lattice, node: _Node, j: int):
     return (x + tx, y + ty)
 
 
-# A direction is a tuple (float vector, node, j, below): the developed
-# vertex j of node's face, its lattice vector built on demand, and whether
-# the half-plane filter finds it strictly below the horizontal axis.  The
-# direction filter's lines are (float vector, None, lattice vector).
+# A direction is a tuple (float vector, node, j, below, norm): the developed
+# vertex j of node's face, its lattice vector built on demand, whether the
+# half-plane filter finds it strictly below the horizontal axis, and |x| + |y|
+# of its float vector.  The direction filter's lines are (float vector, None,
+# lattice vector).
 
 
 def _exact(lat: _Lattice, d):
@@ -512,8 +512,6 @@ def enumerate_saddle_connections(
 
     faces, glue = S.faces, S.glue
     fverts = [[vfloat(p) for p in verts] for verts in faces]
-    fshift = {h: vfloat(t) for h, t in S.glue_shift.items()}
-    lshift = lat.shift
     m = _SIGN_MARGIN
     far = L2f * (1.0 + _PRUNE_SLACK) + _PRUNE_SLACK
 
@@ -532,13 +530,21 @@ def enumerate_saddle_connections(
                 break
 
     # 2. cone DFS from every corner, over the canonical half-plane only.
-    # chains[f][e]: the vertices of face f off edge e, counterclockwise from
-    # the one after e + 1.  The ends of the entry edge lie on or outside the
-    # cone, and so do the apex and its two neighbours in the root face, so
-    # the inside test walks only the rest of the face.
-    chains = [
-        [tuple((e + 2 + i) % k for i in range(k - 2)) for e in range(k)] for k in map(len, faces)
-    ]
+    # walk[f][e]: the vertices of face f off edge e as (j, x, y) floats,
+    # counterclockwise from the one after e + 1.  The ends of the entry edge
+    # lie on or outside the cone, and so do the apex and its two neighbours
+    # in the root face, so the inside test walks only the rest of the face.
+    # half[f][e]: half-edge (f, e) as its start vertex, edge vector and
+    # 1 / |edge|^2 in floats, its float and packed glue shifts and its partner.
+    walk, half = [], []
+    for f, fv in enumerate(fverts):
+        k = len(fv)
+        walk.append([tuple((j % k, *fv[j % k]) for j in range(e + 2, e + k)) for e in range(k)])
+        half.append([])
+        for e, ((ax, ay), (bx, by)) in enumerate(zip(fv, fv[1:] + fv[:1])):
+            ex, ey, h = bx - ax, by - ay, (f, e)
+            tail = (*vfloat(S.glue_shift[h]), lat.shift[h], glue[h])
+            half[f].append((ax, ay, ex, ey, 1.0 / (ex * ex + ey * ey), *tail))
     nodes_seen = 0
     for f0, verts0 in enumerate(faces):
         k0 = len(verts0)
@@ -547,96 +553,96 @@ def enumerate_saddle_connections(
             a, b = (v0 + 1) % k0, (v0 - 1) % k0
             (ax, ay), (bx, by) = fverts[f0][a], fverts[f0][b]
             lo, hi = (ax - ox, ay - oy), (bx - ox, by - oy)
-            lo_dn, hi_dn = (y < -m * (abs(x) + abs(y) + 1.0) for x, y in (lo, hi))
+            lo_n, hi_n = (abs(x) + abs(y) for x, y in (lo, hi))
+            lo_dn, hi_dn = lo[1] < -m * (lo_n + 1.0), hi[1] < -m * (hi_n + 1.0)
             if lo_dn and hi_dn:
                 continue  # the corner's wedge lies below the horizontal axis
             px, py = lat.faces[f0][v0]
             root = _Node(f0, (-ox, -oy), None, None, (-px, -py))
-            stack = [(root, (lo, root, a, lo_dn), (hi, root, b, hi_dn))]
+            root_walk = walk[f0][v0][:-1]
+            stack = [(root, (lo, root, a, lo_dn, lo_n), (hi, root, b, hi_dn, hi_n))]
             while stack:
                 node, lo, hi = stack.pop()
                 nodes_seen += 1
                 if nodes_seen > _MAX_NODES:
                     raise ComputationLimitError("saddle enumeration exceeded the node budget")
-                f = node.face
-                fv = fverts[f]
-                k = len(fv)
-                tx, ty = node.tau_fl
-                (lx, ly), (hx, hy) = lo[0], hi[0]
-                lo_n, hi_n = abs(lx) + abs(ly), abs(hx) + abs(hy)
-                if node is root:
-                    a0, chain = b, chains[f][v0][:-1]
+                f, (tx, ty), entry, _parent, (Tx, Ty) = node
+                (lx, ly), _, _, _, lo_n = lo
+                (hx, hy), _, _, _, hi_n = hi
+                if entry is None:
+                    a0, chain = b, root_walk
                 else:
-                    a0 = node.entry[1]
-                    chain = chains[f][a0]
+                    a0 = entry[1]
+                    chain = walk[f][a0]
 
                 # the walk of the module docstring, from a0 + 2 (a0 + 3 at the
                 # root); it stops at j_exit, the first vertex at or
-                # counterclockwise of hi, or runs out before a0
+                # counterclockwise of hi, or runs out before a0.  A float
+                # cross product c decides when |c| > t, and else the lattice.
                 inside = []
                 j_exit = a0
-                for j in chain:
-                    x, y = fv[j]
+                for j, x, y in chain:
                     wx, wy = x + tx, y + ty
                     w_n = abs(wx) + abs(wy)
-                    c = lx * wy - ly * wx
-                    if abs(c) > m * (lo_n * w_n + 1.0):
-                        if c < 0.0:
-                            continue
-                    elif _cross_sign(lat, _exact(lat, lo), _vertex(lat, node, j)) <= 0:
+                    c, t = lx * wy - ly * wx, m * (lo_n * w_n + 1.0)
+                    if c < -t or (
+                        c <= t and _cross_sign(lat, _exact(lat, lo), _vertex(lat, node, j)) <= 0
+                    ):
                         continue
-                    c = wx * hy - wy * hx
-                    if abs(c) > m * (w_n * hi_n + 1.0):
-                        if c < 0.0:
-                            j_exit = j
-                            break
-                    elif _cross_sign(lat, _vertex(lat, node, j), _exact(lat, hi)) <= 0:
+                    c, t = wx * hy - wy * hx, m * (w_n * hi_n + 1.0)
+                    if c < -t or (
+                        c <= t and _cross_sign(lat, _vertex(lat, node, j), _exact(lat, hi)) <= 0
+                    ):
                         j_exit = j
                         break
-                    inside.append(((wx, wy), node, j, wy < -m * (w_n + 1.0)))
+                    inside.append(((wx, wy), node, j, wy < -m * (w_n + 1.0), w_n))
+
+                # a subcone's beam leaves through part of its exit edge and is
+                # dropped when all of that edge is beyond the bound (written
+                # twice, to keep the common path of one subcone flat)
+                hf = half[f]
+                if not inside:
+                    # the node's own cone, half-plane tested when it was
+                    # pushed, leaves through the edge ending at j_exit
+                    if lines is not None and not any(
+                        _cs(lat, lo, ln) >= 0 and _cs(lat, ln, hi) >= 0 for ln in lines
+                    ):
+                        continue
+                    ax, ay, ex, ey, inv, sx, sy, (px, py), entry = hf[j_exit - 1]
+                    ax, ay = ax + tx, ay + ty
+                    s = -(ax * ex + ay * ey) * inv
+                    s = 0.0 if s < 0.0 else (1.0 if s > 1.0 else s)
+                    ax, ay = ax + s * ex, ay + s * ey
+                    if ax * ax + ay * ay <= far:
+                        child = _Node(entry[0], (tx - sx, ty - sy), entry, node, (Tx - px, Ty - py))
+                        stack.append((child, lo, hi))
+                    continue
                 for w in inside:
                     P = _endpoint(lat, w, L2, L2f, lines)
                     if P is not None:
                         found.append(_cone_connection(S, lat, node, w[2], P, (f0, v0)))
-                bounds = [lo, *inside, hi]
-
-                # consecutive bounds are distinct rays in counterclockwise
-                # order, so every subcone between them is open and nonempty
-                last = len(bounds) - 2
-                for i in range(last + 1):
-                    d1, d2 = bounds[i], bounds[i + 1]
-                    if d1[3] and d2[3]:
-                        continue  # the subcone lies below the horizontal axis
-                    if lines is not None and not any(
-                        _cs(lat, d1, ln) >= 0 and _cs(lat, ln, d2) >= 0 for ln in lines
+                # consecutive bounds are distinct counterclockwise rays, so
+                # each subcone is open and nonempty; beside a split vertex it
+                # leaves through the edge ending there (clockwise side) or
+                # starting there (counterclockwise side)
+                d1, e = lo, inside[0][2] - 1
+                inside.append(hi)
+                for d2 in inside:
+                    if not (d1[3] and d2[3]) and (  # else below the horizontal axis
+                        lines is None  # else the closed subcone must meet the line
+                        or any(_cs(lat, d1, ln) >= 0 and _cs(lat, ln, d2) >= 0 for ln in lines)
                     ):
-                        continue  # the closed subcone misses the filter line
-                    # beside a split vertex: the edge starting there on its
-                    # counterclockwise side, the edge ending there on its
-                    # clockwise side; with no split, the edge ending at j_exit
-                    if i > 0:
-                        e = d1[2]
-                    elif i < last:
-                        e = (d2[2] - 1) % k
-                    else:
-                        e = (j_exit - 1) % k
-                    # the beam leaves through part of the exit edge (a, b):
-                    # drop it when every point of that edge is beyond the bound
-                    (ax, ay), (bx, by) = fv[e], fv[(e + 1) % k]
-                    ax, ay, bx, by = ax + tx, ay + ty, bx + tx, by + ty
-                    ex, ey = bx - ax, by - ay
-                    s = -(ax * ex + ay * ey) / (ex * ex + ey * ey)
-                    s = 0.0 if s < 0.0 else (1.0 if s > 1.0 else s)
-                    px, py = ax + s * ex, ay + s * ey
-                    if px * px + py * py > far:
-                        continue
-                    half = (f, e)
-                    sx, sy = fshift[half]
-                    px, py = lshift[half]
-                    Tx, Ty = node.tau
-                    entry = glue[half]
-                    child = _Node(entry[0], (tx - sx, ty - sy), entry, node, (Tx - px, Ty - py))
-                    stack.append((child, d1, d2))
+                        ax, ay, ex, ey, inv, sx, sy, (px, py), entry = hf[e]
+                        ax, ay = ax + tx, ay + ty
+                        s = -(ax * ex + ay * ey) * inv
+                        s = 0.0 if s < 0.0 else (1.0 if s > 1.0 else s)
+                        ax, ay = ax + s * ex, ay + s * ey
+                        if ax * ax + ay * ay <= far:
+                            child = _Node(
+                                entry[0], (tx - sx, ty - sy), entry, node, (Tx - px, Ty - py)
+                            )
+                            stack.append((child, d1, d2))
+                    d1, e = d2, d2[2]
 
     return _sorted(found)
 

@@ -363,13 +363,13 @@ _CASES = {
 def _count_nodes(monkeypatch):
     """Patch ``_Node`` to count the nodes built; returns the counter list."""
     built = [0]
-    init = saddle._Node.__init__
+    new = saddle._Node.__new__
 
-    def record(node, *args):
+    def record(cls, *args):
         built[0] += 1
-        init(node, *args)
+        return new(cls, *args)
 
-    monkeypatch.setattr(saddle._Node, "__init__", record)
+    monkeypatch.setattr(saddle._Node, "__new__", record)
     return built
 
 
@@ -446,13 +446,14 @@ class TestFloatFilter:
         the glue shift of the edge crossed."""
         S, L = _sheared_staircase(8), _lm(8) * 30
         nodes = []
-        init = saddle._Node.__init__
+        new = saddle._Node.__new__
 
-        def record(node, *args):
-            init(node, *args)
+        def record(cls, *args):
+            node = new(cls, *args)
             nodes.append(node)
+            return node
 
-        monkeypatch.setattr(saddle._Node, "__init__", record)
+        monkeypatch.setattr(saddle._Node, "__new__", record)
         enumerate_saddle_connections(S, L)
         lat = saddle._Lattice(S)
         u = 2.0**-53
