@@ -146,6 +146,9 @@ class TranslationSurface:
                 self.pair_labels.append(labels[h])
         if len(set(self.pair_labels)) != len(self.pair_labels):
             raise SurfaceError("edge-pair labels must be distinct")
+        self._build_glue_shift()
+
+    def _build_glue_shift(self):
         # crossing out through h, a point p in the source face lands at p + shift
         self.glue_shift: dict[Half, Vec2] = {}
         for h, h2 in self.glue.items():
@@ -242,29 +245,36 @@ class TranslationSurface:
     def transform(self, M: Mat2) -> "TranslationSurface":
         """Apply a nonsingular linear map to every polygon.
 
-        Orientation-reversing maps are supported by reversing each face's
-        vertex cycle so the result is again counterclockwise.
+        A map with det > 0 keeps convex counterclockwise faces and opposite
+        translates, so the image shares this surface's combinatorics and only
+        its faces and glue shifts are computed.  Orientation-reversing maps
+        reverse each face's vertex cycle so the result is again
+        counterclockwise, and build through the validating constructor.
         """
         sign = M.det().sign()
         if sign == 0:
             raise ValueError("transform matrix is singular")
         if sign > 0:
-            faces = [[M.apply(p) for p in verts] for verts in self.faces]
-            glue = dict(self.glue)
-            labels = {h: self.pair_labels[pid] for h, pid in self.pair_of.items()}
-        else:
-            faces = [[M.apply(p) for p in reversed(verts)] for verts in self.faces]
+            T = object.__new__(TranslationSurface)
+            T.n, T.model, T.glue, T.genus = self.n, self.model, self.glue, self.genus
+            T.edge_pairs, T.pair_of, T.pair_labels = self.edge_pairs, self.pair_of, self.pair_labels
+            T.vertex_classes, T.corner_class = self.vertex_classes, self.corner_class
+            T.cone_multiples = self.cone_multiples
+            T.faces = [[M.apply(p) for p in verts] for verts in self.faces]
+            T._build_glue_shift()
+            return T
+        faces = [[M.apply(p) for p in reversed(verts)] for verts in self.faces]
 
-            def remap(h: Half) -> Half:
-                f, e = h
-                k = len(self.faces[f])
-                return (f, (k - 2 - e) % k)
+        def remap(h: Half) -> Half:
+            f, e = h
+            k = len(self.faces[f])
+            return (f, (k - 2 - e) % k)
 
-            glue = {}
-            labels = {}
-            for h, h2 in self.glue.items():
-                glue[remap(h)] = remap(h2)
-                labels[remap(h)] = self.pair_labels[self.pair_of[h]]
+        glue = {}
+        labels = {}
+        for h, h2 in self.glue.items():
+            glue[remap(h)] = remap(h2)
+            labels[remap(h)] = self.pair_labels[self.pair_of[h]]
         return TranslationSurface(self.n, self.model, faces, glue, labels)
 
     def to_dict(self) -> dict:

@@ -504,6 +504,43 @@ class TestTransforms:
         assert T.area() == S.area()
         assert sorted(T.cone_multiples) == sorted(S.cone_multiples)
 
+    @pytest.mark.parametrize("name", ["S8", "S10", "X10"])
+    def test_det_positive_keeps_the_combinatorics(self, name):
+        """The image under a map with det > 0 equals, attribute for attribute
+        and in dict order, the surface the validating constructor builds from
+        the same mapped faces."""
+        S = {"S8": build_staircase(8), "S10": build_staircase(10), "X10": build_ngon(10)}[name]
+        n = S.n
+        maps = [
+            Mat2(n, 1, Fraction(1, 7), 0, Fraction(2, 5)),  # a brute-force point's shear
+            Mat2(n, 0, -1, 1, 0),  # rotation by 90 degrees
+            veech_generators(8)["TH"] if n == 8 else veech_generators(10)["TV"],
+        ]
+        labels = {h: S.pair_labels[pid] for h, pid in S.pair_of.items()}
+
+        def fields(X):
+            return {k: list(v.items()) if isinstance(v, dict) else v for k, v in vars(X).items()}
+
+        for M in maps:
+            faces = [[M.apply(p) for p in verts] for verts in S.faces]
+            built = TranslationSurface(n, S.model, faces, S.glue, labels)
+            assert fields(S.transform(M)) == fields(built)
+
+    def test_det_negative_builds_through_the_constructor(self, monkeypatch):
+        S = build_staircase(8)
+        calls = []
+        validate = TranslationSurface._validate_faces
+
+        def counted(self):
+            calls.append(self)
+            validate(self)
+
+        monkeypatch.setattr(TranslationSurface, "_validate_faces", counted)
+        S.transform(Mat2(8, 1, Fraction(1, 7), 0, Fraction(2, 5)))
+        assert calls == []
+        T = S.transform(Mat2(8, -1, 0, 0, 1))
+        assert calls == [T]
+
     def test_singular_matrix_rejected(self):
         S = build_ngon(8)
         with pytest.raises(ValueError):
