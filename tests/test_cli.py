@@ -198,6 +198,15 @@ class TestKvolPointCommand:
         L = json.loads(out)["bruteforce"]["params"]["L"]
         assert L == pytest.approx(30 * math.sin(math.pi / 8), rel=1e-15)
 
+    @pytest.mark.parametrize("flag", ["--L", "--L-abs"])
+    def test_bruteforce_cap_too_short(self, capsys, flag):
+        """A cap that holds fewer than two closed curves is a configuration
+        error, named as the command line gave it."""
+        code, out, err = run(capsys, "kvol-point", "--n", "8", "--x", "0", "--y", "1",
+                             "--bruteforce", flag, "1e-300")
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == f"error: {flag} 1e-300 is too short: fewer than two closed curves fit\n"
+
 
 class TestKvolGridCommand:
     def test_csv_shape_and_filter(self, capsys):
@@ -345,6 +354,15 @@ class TestVerifyCommand:
         assert d["max_rel_gap"] <= 0.02
         _, second, _ = run(capsys, *argv)
         assert first == second
+
+    def test_formula_cap_too_short_fails_the_point(self, capsys):
+        code, out, err = run(capsys, "verify", "--suite", "formula", "--n", "8",
+                             "--samples", "1", "--L", "1e-300")
+        assert (code, err) == (EXIT_VERIFY, "")
+        d = json.loads(out)
+        assert d["pass"] is False and len(d["points"]) == 1
+        point = d["points"][0]
+        assert (point["bruteforce"], point["rel_gap"], point["pass"]) == (None, None, False)
 
     def test_formula_twisted_model_unsupported(self, capsys):
         code, _, _ = run(capsys, "verify", "--suite", "formula", "--n", "14")
