@@ -208,14 +208,6 @@ def geodesic_of_directions(d1, d2) -> Geodesic:
     return Geodesic.from_endpoints(_read_label(d1)[1], _read_label(d2)[1])
 
 
-def dist_points(z: complex, w: complex) -> float:
-    """Hyperbolic distance between two points of the upper half plane."""
-    if z.imag <= 0 or w.imag <= 0:
-        raise ValueError("points must be in the upper half plane")
-    d2 = abs(z - w) ** 2
-    return math.acosh(1.0 + d2 / (2.0 * z.imag * w.imag))
-
-
 # ---------------------------------------------------------------------------
 # the shear group and its fundamental domain
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from kvol.hyperbolic import (
     _nearest,
     angle_sine,
     apply_word,
-    dist_points,
     dist_to_Gmax,
     dist_to_Gmax_batch,
     geodesic_of_directions,
@@ -34,6 +33,14 @@ from kvol.hyperbolic import (
 from kvol.plane import Mat2, vfloat
 from kvol.ratios import kvol_closed_formula
 from kvol.surface import conversion_matrix, direction_vector, veech_generators
+
+
+def dist_points(z: complex, w: complex) -> float:
+    """Hyperbolic distance between two points of the upper half plane."""
+    if z.imag <= 0 or w.imag <= 0:
+        raise ValueError("points must be in the upper half plane")
+    d2 = abs(z - w) ** 2
+    return math.acosh(1.0 + d2 / (2.0 * z.imag * w.imag))
 
 
 def _identity(n):
