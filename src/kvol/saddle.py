@@ -381,7 +381,7 @@ class _Lattice:
     when the cone leaves through h, and ``line`` the filter direction packed
     over its own common denominator (None without a filter)."""
 
-    __slots__ = ("n", "d", "den", "width", "_bias", "faces", "shift", "line")
+    __slots__ = ("n", "d", "den", "width", "_bias", "_digit", "faces", "shift", "line")
 
     def __init__(self, S: TranslationSurface, direction: Optional[Vec2] = None):
         coords = [c for verts in S.faces for p in verts for c in p]
@@ -392,8 +392,11 @@ class _Lattice:
         line = [] if direction is None else common_denominator(direction)[1]
         c = max(abs(a) for num in nums + line for a in num)
         self.width = (2 * d * ((_MAX_NODES + 1) * c) ** 2).bit_length() + 1
-        # adding 2^(width - 1) to each digit makes every digit nonnegative
-        self._bias = self.pack([1 << (self.width - 1)] * (2 * d - 1))
+        # adding 2^(width - 1) to each digit makes every digit nonnegative;
+        # _digit: that half, the digit mask, and the digit shifts, highest first
+        B = self.width
+        self._bias = self.pack([1 << (B - 1)] * (2 * d - 1))
+        self._digit = (1 << (B - 1), (1 << B) - 1, range(B * (d - 1), -1, -B))
         it = iter(nums)
         pack = self.pack
         self.faces = [[(pack(next(it)), pack(next(it))) for _p in verts] for verts in S.faces]
@@ -407,8 +410,7 @@ class _Lattice:
 
     def digits(self, X: int, k: int) -> list[int]:
         """The k lowest balanced digits of the packed int ``X``."""
-        B = self.width
-        half, mask = 1 << (B - 1), (1 << B) - 1
+        B, (half, mask, _) = self.width, self._digit
         X += self._bias
         return [((X >> (B * i)) & mask) - half for i in range(k)]
 
@@ -427,11 +429,10 @@ class _Lattice:
         steps of ``CycloReal.__float__``, with each digit over the unreduced
         ``den``.  An int quotient is correctly rounded, so a / den is the
         double of the reduced fraction."""
-        phi, den, B = _phi_float(self.n), self.den, self.width
-        half, mask = 1 << (B - 1), (1 << B) - 1
+        phi, den, (half, mask, shifts) = _phi_float(self.n), self.den, self._digit
         X, Y = u[0] + self._bias, u[1] + self._bias
         x = y = 0.0
-        for s in range(B * (self.d - 1), -1, -B):  # the digits of ``digits``, highest first
+        for s in shifts:
             x = x * phi + (((X >> s) & mask) - half) / den
             y = y * phi + (((Y >> s) & mask) - half) / den
         return (x, y)
@@ -535,7 +536,8 @@ def enumerate_saddle_connections(
     # lie on or outside the cone, and so do the apex and its two neighbours
     # in the root face, so the inside test walks only the rest of the face.
     # half[f][e]: half-edge (f, e) as its start vertex, edge vector and
-    # 1 / |edge|^2 in floats, its float and packed glue shifts and its partner.
+    # 1 / |edge|^2 in floats, its float and packed glue shifts and its partner
+    # (half[f][j - 1] is the edge ending at vertex j, j = 0 included).
     walk, half = [], []
     for f, fv in enumerate(fverts):
         k = len(fv)
