@@ -13,10 +13,10 @@ crossing points are traced from the path only when asked for.
 The search runs in floats and does exact work only when a float test cannot
 decide or a connection is recorded.  A node is a named tuple (face, tau_fl,
 entry, parent, tau): its float and its exact translation are each its
-parent's minus the glue shift of the edge crossed.  Each call first tables,
-per face and entry edge, the walk's vertices as (j, x, y) floats and, per
-half-edge, its floats and glue shifts and its partner: a child costs one
-table lookup and one node.
+parent's minus the glue shift of the edge crossed.  Per call, two tables
+hold the walk's vertices per face and entry edge as (j, x, y) floats, and
+per half-edge its floats, glue shifts and partner: a child costs one table
+lookup and one node.
 Glued edges are opposite translates, so crossing edge (f, e) into (f2, e2)
 takes vertex e to vertex e2 + 1 and vertex e + 1 to vertex e2 at the same
 developed position: the ends of a face's entry edge are the ends of the edge
