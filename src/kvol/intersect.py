@@ -22,12 +22,15 @@ transversality assumptions hold automatically for inputs built from
 :func:`kvol.saddle.enumerate_saddle_connections`.
 
 The module also carries the homological side of closed curves: integer chain
-vectors over the edge pairs (``homology_class``) and the skew intersection
-form on a basis of fundamental cycles (:class:`IntersectionForm`), which
-doubles as a fast exact pairing for large curve collections.  Both sum rows
-of one integer table (:class:`_ChainTable`) named by the paths of a curve's
-components, so the coordinate rows of a whole family are one gather and one
-segmented sum.  A saddle connection counts as a curve only when it closes.
+vectors over the edge pairs (``homology_class``) and the intersection form
+on them (:class:`IntersectionForm`), one integer matrix read off the
+counterclockwise corner order at each vertex class, which serves as the
+fast exact pairing for large curve collections.  The form never calls
+:func:`intersect`; the two are independent computations of the same
+number.  Chains sum rows of one integer table (:class:`_ChainTable`) named
+by the paths of a curve's components, so the chains of a whole family are
+one gather and one segmented sum.  A saddle connection counts as a curve
+only when it closes.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from .plane import (
     smul,
     vadd,
 )
-from .saddle import Germ, SaddleConnection, edge_connection
+from .saddle import Germ, SaddleConnection
 from .surface import TranslationSurface
 
 
@@ -405,10 +408,10 @@ class _ChainTable:
     off the paths of a closed curve's components.
     """
 
-    __slots__ = ("rows", "start", "arc", "glue")
+    __slots__ = ("rows", "start", "arc", "glue", "signs")
 
     def __init__(self, S: TranslationSurface):
-        signs = _half_signs(S)
+        self.signs = signs = _half_signs(S)
         self.glue = S.glue
         E = len(S.edge_pairs)
         halves = [(f, e) for f, verts in enumerate(S.faces) for e in range(len(verts))]
@@ -464,83 +467,45 @@ def homology_class(curve: CurveLike) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class IntersectionForm:
-    """Skew-symmetric intersection form on a basis of fundamental cycles.
+    """The intersection form on edge chains, read off the corner order.
 
-    A spanning tree of the graph (vertex classes, edge pairs) is fixed; each
-    non-tree pair closes up to a fundamental cycle through the tree, and the
-    matrix pairs those cycles geometrically.  On a one-vertex surface the
-    tree is empty, so the basis is exactly the edge curves in pair order.
+    Closed curves pair through their chains (:class:`_ChainTable`):
+    Int(a, b) = a . matrix . b.  The matrix starts at I and, at each vertex
+    class v, adds s_l s_j to entry [p_l, p_j] for every two rays l < j in
+    the class's counterclockwise corner order; ray l is the outgoing
+    half-edge of corner l, on pair p_l with sign s_l against the pair's
+    canonical orientation, so a chain a flows out of v along ray l with
+    weight a(l) = s_l a[p_l].
 
-    Every closed curve gets an integer coordinate vector, the chain of
-    :class:`_ChainTable` read at the non-tree pairs; the pairing of
-    coordinate vectors through the matrix reproduces the geometric
-    intersection number of the underlying curves.  A saddle connection
-    whose ends lie in different classes is not a closed curve and is
-    rejected with a ValueError.
+    Proof.  A chain is a cycle homologous to its curve.  Push a to the left
+    of its direction of travel along every edge and, near each vertex v,
+    route it along a small circle around v: the arc just after ray i
+    carries a(1) + ... + a(i) clockwise.  b stays on the edges, and its
+    ray j crosses that circle with weight b(j), positively against a
+    clockwise arc.  The left offset attaches a's strand on ray j just after
+    the ray when s_j = +1 and just before it when s_j = -1, so ray j
+    crosses the arc after ray j - 1 or after ray j: sum_v sum_{l<j} a(l)
+    b(j), plus a(j) b(j) = a[p] b[p] at each edge's head, the identity.
+    Another first corner adds a loop around v to a, which pairs to zero
+    with b because b's outflows at v sum to 0.
+
+    So matrix + matrix^T = B^T B for the signed vertex-edge incidence
+    matrix B, and the pairing is antisymmetric on cycles (B a = 0).  On a
+    one-vertex surface the matrix pairs the edge curves.  The form never
+    calls :func:`intersect`, so a test comparing the two checks one
+    against the other.  An open saddle connection is a ValueError.
     """
 
     def __init__(self, surface: TranslationSurface):
-        S = surface
-        self.surface = S
-        E = len(S.edge_pairs)
-        V = len(S.vertex_classes)
-        edge_scs = [edge_connection(S, pid) for pid in range(E)]
-        ends = [(sc.start.class_id, sc.end.class_id) for sc in edge_scs]
-
-        # spanning tree over vertex classes, by breadth-first search from
-        # class 0; path_scs[c] runs through the tree from class c to class 0
-        tree: set[int] = set()
-        path_scs: dict[int, list[SaddleConnection]] = {0: []}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for cls in frontier:
-                for pid, (a, b) in enumerate(ends):
-                    if a == cls and b not in path_scs:
-                        tree.add(pid)
-                        path_scs[b] = [edge_scs[pid].reversed()] + path_scs[cls]
-                        nxt.append(b)
-                    elif b == cls and a not in path_scs:
-                        tree.add(pid)
-                        path_scs[a] = [edge_scs[pid]] + path_scs[cls]
-                        nxt.append(a)
-            frontier = nxt
-        if len(path_scs) != V:
-            raise ValueError("surface cell graph is not connected")
-        self.tree_pairs = sorted(tree)
-        self.basis_pairs = [pid for pid in range(E) if pid not in tree]
+        self.surface = S = surface
         self._table = table = _ChainTable(S)
-        self._basis_rows = table.rows[:, self.basis_pairs]
-
-        # fundamental cycles
-        cycles = []
-        for pid in self.basis_pairs:
-            sc = edge_scs[pid]
-            a, b = ends[pid]
-            comps = [sc] + path_scs[b] + [s.reversed() for s in reversed(path_scs[a])]
-            cycles.append(ClosedCurve(comps))
-
-        m = len(cycles)
-        mat = np.zeros((m, m), dtype=np.int64)
-        for i in range(m):
-            for j in range(i + 1, m):
-                val = intersect(cycles[i], cycles[j]).total
-                mat[i, j] = val
-                mat[j, i] = -val
+        mat = np.eye(len(S.edge_pairs), dtype=np.int64)
+        for cyc in S.vertex_classes:
+            rays = [(S.pair_of[c], table.signs[c]) for c in cyc]
+            for j, (q, t) in enumerate(rays):
+                for p, s in rays[:j]:
+                    mat[p, q] += s * t
         self.matrix = mat
-
-        # the boundary of every face must pair to zero with everything
-        for f, verts in enumerate(S.faces):
-            c = self._basis_rows[[table.start[(f, e)] for e in range(len(verts))]].sum(axis=0)
-            if np.any(c @ mat != 0):
-                raise ArithmeticError("face boundary is not in the radical")
-        # the chain table must reproduce the geometric matrix: basis-cycle
-        # coordinates may drift from the standard basis by face boundaries,
-        # which the radical absorbs
-        for i, cyc in enumerate(cycles):
-            c = self.coords(self.class_vector(cyc))
-            if np.any(c @ mat != mat[i]):
-                raise ArithmeticError("chain pairing disagrees with geometry")
 
     def _curve(self, obj: CurveLike) -> ClosedCurve:
         """``obj`` as a closed curve on this surface."""
@@ -550,35 +515,30 @@ class IntersectionForm:
         return c
 
     def class_vector(self, obj: CurveLike) -> np.ndarray:
-        """Integer cycle vector over the edge pairs of a closed curve.
+        """Integer chain over the edge pairs of a closed curve.
 
-        The vector represents the curve's homology class.  Representatives
-        are canonical only up to face-boundary vectors, which lie in the
-        radical of the form, so every pairing is well defined.
+        The chain represents the curve's homology class.  Representatives
+        are canonical only up to face boundaries, which pair to zero with
+        every cycle, so every pairing is well defined.
         """
         return self._table.chain(self._curve(obj))
-
-    def coords(self, vec: np.ndarray) -> np.ndarray:
-        """Coordinates of a cycle vector in the fundamental-cycle basis."""
-        return vec[self.basis_pairs]
 
     def pair(self, x: Union[CurveLike, np.ndarray], y: Union[CurveLike, np.ndarray]) -> int:
         """Exact intersection number through the form."""
         cx = x if isinstance(x, np.ndarray) else self.class_vector(x)
         cy = y if isinstance(y, np.ndarray) else self.class_vector(y)
-        return int(self.coords(cx) @ self.matrix @ self.coords(cy))
+        return int(cx @ self.matrix @ cy)
 
     def coord_rows(self, objs: Sequence[CurveLike]) -> np.ndarray:
-        """Basis coordinates of a family, one integer row per member: one
-        gather of table rows and one segmented sum."""
+        """Chains of a family, one row each: a gather and a segmented sum."""
         idx: list[int] = []
         starts = []
         for obj in objs:
             starts.append(len(idx))
             idx += self._table.indices(self._curve(obj))
         if not starts:
-            return np.zeros((0, len(self.basis_pairs)), dtype=np.int64)
-        return np.add.reduceat(self._basis_rows[idx], starts, axis=0)
+            return np.zeros((0, len(self.surface.edge_pairs)), dtype=np.int64)
+        return np.add.reduceat(self._table.rows[idx], starts, axis=0)
 
     def gram(self, objs: Sequence[CurveLike]) -> np.ndarray:
         """All pairwise intersection numbers of a family, as an integer matrix."""
@@ -587,5 +547,5 @@ class IntersectionForm:
 
 
 def intersection_form(surface: TranslationSurface) -> IntersectionForm:
-    """The intersection form of the surface on its fundamental-cycle basis."""
+    """The intersection form of the surface on its edge chains."""
     return IntersectionForm(surface)

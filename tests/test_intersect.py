@@ -24,7 +24,7 @@ from kvol.intersect import (
 from kvol.plane import Mat2, canonical_orientation
 from kvol.ratios import closed_atoms
 from kvol.saddle import edge_connection, enumerate_saddle_connections
-from kvol.surface import build_ngon, build_staircase, staircase_lengths
+from kvol.surface import build_ngon, build_staircase, staircase_lengths, veech_generators
 
 
 def F(n, v):
@@ -151,10 +151,13 @@ class TestOctagonForm:
         assert det == 1
 
     def test_basis_is_edge_curves(self, octagon, octagon_form):
-        # one vertex class: the spanning tree is empty and every edge pair
-        # contributes its own curve, in pair order
-        assert octagon_form.tree_pairs == []
-        assert octagon_form.basis_pairs == list(range(len(octagon.edge_pairs)))
+        # one vertex class: every edge pair is a closed curve, and the
+        # matrix pairs those curves in pair order
+        E = len(octagon.edge_pairs)
+        edges = [edge_connection(octagon, pid) for pid in range(E)]
+        for i in range(E):
+            for j in range(E):
+                assert octagon_form.matrix[i, j] == intersect(edges[i], edges[j]).total
 
     def test_side_pairs_meet_once_at_the_cone_point(self, octagon):
         edges = [edge_connection(octagon, pid) for pid in range(4)]
@@ -273,7 +276,6 @@ class TestStaircase:
         S = build_staircase(10)
         assert len(S.vertex_classes) == 2
         form = intersection_form(S)
-        assert len(form.tree_pairs) == 1
         scs = enumerate_saddle_connections(S, 1.2)
         closed = [sc for sc in scs if sc.start.class_id == sc.end.class_id]
         open_scs = [sc for sc in scs if sc.start.class_id != sc.end.class_id]
@@ -293,11 +295,16 @@ class TestStaircase:
 
     def test_forms_build_on_all_models(self):
         for n in (8, 10, 12, 14):
-            stair = intersection_form(build_staircase(n))
-            assert np.array_equal(stair.matrix, -stair.matrix.T)
-            poly = intersection_form(build_ngon(n))
-            assert np.array_equal(poly.matrix, -poly.matrix.T)
-            assert 2 * build_ngon(n).genus == len(poly.basis_pairs)
+            for S in (build_staircase(n), build_ngon(n)):
+                m = intersection_form(S).matrix
+                if len(S.vertex_classes) == 1:
+                    assert np.array_equal(m, -m.T)
+                B = _incidence(S)
+                assert np.array_equal(m + m.T, B.T @ B)
+            X = build_ngon(n)
+            atoms = closed_atoms(X, enumerate_saddle_connections(X, 2.5))
+            gram = intersection_form(X).gram(atoms)
+            assert np.linalg.matrix_rank(gram.astype(float)) == 2 * X.genus
 
 
 class TestValidation:
@@ -338,6 +345,15 @@ class TestValidation:
             for b in octagon_scs[8:16]:
                 r = intersect(a, b)
                 assert r.total == r.interior + r.singular
+
+
+def _incidence(S) -> np.ndarray:
+    """Signed vertex-edge incidence matrix: each half-edge adds its sign
+    against its pair's canonical orientation at its start vertex."""
+    B = np.zeros((len(S.vertex_classes), len(S.edge_pairs)), dtype=np.int64)
+    for h, pid in S.pair_of.items():
+        B[S.corner_class[h][0], pid] += 1 if canonical_orientation(S.edge_vector(h)) else -1
+    return B
 
 
 def _reference_chain(sc) -> np.ndarray:
@@ -400,8 +416,7 @@ class TestChainTable:
             assert np.array_equal(form.class_vector(c), whole)
         for c, whole in zip(atoms[:10], wholes):
             assert np.array_equal(homology_class(c), whole)
-        want = np.array([whole[form.basis_pairs] for whole in wholes])
-        assert np.array_equal(form.coord_rows(atoms), want)
+        assert np.array_equal(form.coord_rows(atoms), np.array(wholes))
 
     @pytest.mark.parametrize("S, L", _table_cases())
     def test_pairing_matches_geometry(self, S, L):
@@ -413,3 +428,103 @@ class TestChainTable:
         for i, j in sample:
             total = intersect(atoms[i], atoms[j]).total
             assert form.pair(atoms[i], atoms[j]) == total == G[i, j]
+
+
+def _geometry_surfaces():
+    """The form's test surfaces by name, with a cap for their closed atoms:
+    the one-vertex models, two-class models, a sheared staircase and the
+    Veech generators' images of three staircases (R has det < 0)."""
+    lm = {n: trig_value(n, "sin", 1) for n in (8, 10, 12, 14, 16, 18, 20, 24)}
+    out = {"X4": (build_ngon(4), 3)}
+    for n in (8, 12, 16, 20, 24):
+        out[f"X{n}"] = (build_ngon(n), 2.5)
+        out[f"S{n}"] = (build_staircase(n), lm[n] * 8)
+    for n in (6, 10, 14, 18):
+        out[f"X{n}"] = (build_ngon(n), 2.5)
+    for n in (10, 14, 18):
+        out[f"S{n}"] = (build_staircase(n), lm[n] * 8)
+    shear = Mat2(10, 1, Fraction(1, 7), 0, Fraction(2, 5))
+    out["sheared-S10"] = (build_staircase(10).transform(shear), lm[10] * 6)
+    for n in (8, 10, 12):
+        for name, M in veech_generators(n).items():
+            out[f"{name}-S{n}"] = (build_staircase(n).transform(M), lm[n] * 8)
+    return out
+
+
+_ONE_VERTEX = ["X4", "X8", "X12", "X16", "X20", "X24", "S8", "S12", "S16", "S20", "S24"]
+_ATOMS = ["X6", "X10", "X14", "X18", "S10", "S14", "S18", "sheared-S10"] + [
+    f"{name}-S{n}" for n in (8, 10, 12) for name in ("TH", "TV", "R")
+]
+
+
+class TestFormAgainstGeometry:
+    """The form's matrix against the geometric ``intersect``, which it never
+    calls, and against the incidence identity its proof implies."""
+
+    @pytest.fixture(scope="class")
+    def surfaces(self):
+        return _geometry_surfaces()
+
+    @pytest.mark.parametrize(
+        "name, check",
+        [(name, "edges") for name in _ONE_VERTEX]
+        + [(name, "atoms") for name in _ATOMS]
+        + [("all", "incidence")],
+    )
+    def test_form_matches_geometry(self, surfaces, name, check):
+        if check == "incidence":
+            # matrix + matrix^T = B^T B, so the form is antisymmetric on cycles
+            for S, _ in surfaces.values():
+                m = intersection_form(S).matrix
+                B = _incidence(S)
+                assert np.array_equal(m + m.T, B.T @ B), S
+            return
+        S, L = surfaces[name]
+        form = intersection_form(S)
+        if check == "edges":
+            assert len(S.vertex_classes) == 1
+            E = len(S.edge_pairs)
+            edges = [edge_connection(S, pid) for pid in range(E)]
+            for i in range(E):
+                for j in range(E):
+                    assert form.matrix[i, j] == intersect(edges[i], edges[j]).total, (i, j)
+            return
+        atoms = closed_atoms(S, enumerate_saddle_connections(S, L))
+        multi = [i for i, c in enumerate(atoms) if len(c.components) > 1]
+        assert len(atoms) > 10
+        assert bool(multi) == (len(S.vertex_classes) > 1)
+        rng = random.Random(len(atoms))
+        sample = [tuple(rng.sample(range(len(atoms)), 2)) for _ in range(20)]
+        sample += [(rng.choice(multi), rng.randrange(len(atoms))) for _ in multi[:10]]
+        C = form.coord_rows(atoms)
+        for i, j in sample:
+            assert C[i] @ form.matrix @ C[j] == intersect(atoms[i], atoms[j]).total, (i, j)
+
+
+@pytest.mark.parametrize(
+    "S",
+    [build_ngon(4), build_ngon(10), build_staircase(8), build_staircase(10)],
+    ids=["X4", "X10", "S8", "S10"],
+)
+def test_form_calls_no_geometry(monkeypatch, S):
+    import kvol.intersect
+    import kvol.saddle
+
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module, name in ((kvol.intersect, "intersect"), (kvol.saddle, "edge_connection")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    intersection_form(S)
+    assert calls == []
+    # the counters are live
+    e = kvol.saddle.edge_connection(S, 0)
+    there_and_back = ClosedCurve([e, e.reversed()])
+    kvol.intersect.intersect(there_and_back, there_and_back)
+    assert calls == ["edge_connection", "intersect"]
