@@ -295,13 +295,13 @@ class TestStaircase:
 
     def test_forms_build_on_all_models(self):
         for n in (8, 10, 12, 14):
-            for S in (build_staircase(n), build_ngon(n)):
+            X = build_ngon(n)
+            for S in (build_staircase(n), X):
                 m = intersection_form(S).matrix
                 if len(S.vertex_classes) == 1:
                     assert np.array_equal(m, -m.T)
                 B = _incidence(S)
                 assert np.array_equal(m + m.T, B.T @ B)
-            X = build_ngon(n)
             atoms = closed_atoms(X, enumerate_saddle_connections(X, 2.5))
             gram = intersection_form(X).gram(atoms)
             assert np.linalg.matrix_rank(gram.astype(float)) == 2 * X.genus
