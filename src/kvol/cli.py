@@ -17,8 +17,6 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
 from .field import FLOAT_SPEC, ComputationLimitError, CycloReal, as_field, trig_value
 from .hyperbolic import dist_to_Gmax_batch, in_fundamental_domain
 from .plane import Mat2
@@ -196,6 +194,7 @@ def cmd_kvol_grid(args) -> int:
         raise ConfigError("grid window bounds and cell sizes must be finite")
     if not (xmin < xmax and ymin < ymax):
         raise ConfigError("empty grid window")
+    import numpy as np
     k0 = float(k0_constant(n))
     steps = np.arange(res) + 0.5
     xs, ys = xmin + steps * dx, ymin + steps * dy

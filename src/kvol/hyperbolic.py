@@ -21,39 +21,29 @@ directions ``"inf"`` and ``-1``.  With this pairing the angle identity
 holds exactly for every surface point and every pair of labels.
 
 Points, distances and the orbit search of ``dist_to_Gmax`` are double
-precision, with one search per query.  A search of few offsets in all, as
-for one point, runs as a loop over rows and offsets in Python floats; larger
-ones, as grid chunks and deep-cusp points, run in numpy blocks.  Both do the
-same double operations in the same order, so their results are identical to
-the bit.  Reduction to the fundamental domain steps the point in integer
-fixed point, at a precision chosen per call from ``|x|/y``.  A given word is
-applied only by ``_step_pairs``, exactly on pairs over Z[Phi]: ``apply_word``
-evaluates its matrix once, at a precision proven from the sizes of the
-entries and the point, and mpmath's process-global precision is never
-written.  A query's witness (``nearest_witness``) is kept as exact data, the
-search's frame ends, the shift and the reduction word; its float
-``Geodesic``, mapped back exactly and rounded to doubles at the end, is built
-on first read.
+precision, with one search per query.  One point (``nearest_witness``) is
+framed and searched in Python floats by ``_nearest_point``, with no array;
+a small batch loops over its rows the same way, and grid chunks and
+deep-cusp points run in numpy blocks.  All do the same double operations in
+the same order, so their results are identical to the bit.  numpy and
+mpmath are imported only where arrays or ``mpc`` values are built.
+Reduction to the fundamental domain steps the point in integer fixed point,
+at a precision chosen per call from ``|x|/y``.  A given word is applied only
+by ``_step_pairs``, exactly on pairs over Z[Phi]: ``apply_word`` evaluates
+its matrix once, at a precision proven from the sizes of the entries and the
+point, and mpmath's process-global precision is never written.  A query's
+witness (``nearest_witness``) is kept as exact data, the search's frame
+ends, the shift and the reduction word; its float ``Geodesic``, mapped back
+exactly and rounded to doubles at the end, is built on first read.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
-
-import mpmath
-import numpy as np
-from mpmath.libmp import (
-    from_man_exp,
-    mpc_add_mpf,
-    mpc_div,
-    mpc_mul_mpf,
-    mpc_pos,
-    mpc_to_complex,
-    round_nearest,
-)
 
 from .field import (
     ComputationLimitError,
@@ -219,9 +209,20 @@ def in_fundamental_domain(z, n: int, *, tol: float = 1e-9):
     ``1/phi`` centered at ``+-1/phi``; the tolerance is applied outward, so
     boundary points count as inside.  ``z`` is a complex number or an array
     of them; the answer is a bool or a bool array in kind.
+
+    A complex runs in Python floats with the array code's operations.
+    ``math.hypot`` and ``np.hypot`` may round one ulp apart, which flips the
+    test only within one ulp of ``r - tol``, so a complex whose
+    ``math.hypot`` lies within two ulps of it takes the array code.
     """
     phi = _phi_float(n)
     r = 1.0 / phi
+    if type(z) is complex:
+        x, y = z.real, z.imag
+        hs, edge = (math.hypot(x - r, y), math.hypot(x + r, y)), r - tol
+        if all(abs(h - edge) > 2.0 * math.ulp(edge) for h in hs):
+            return y > 0 and abs(x) <= phi / 2 + tol and min(hs) >= edge
+    import numpy as np
     z = np.asarray(z)
     x, y = z.real, z.imag
     inside = (
@@ -243,11 +244,11 @@ def _phi_fixed(n: int, p: int) -> int:
 def _man_exp(v) -> tuple[int, int]:
     """A finite double or ``mpf`` as integers ``(man, exp)``, its value
     ``man 2^exp``."""
-    if isinstance(v, mpmath.mpf):
-        sign, man, exp, _ = v._mpf_
-        return (-man if sign else man), exp
-    num, den = v.as_integer_ratio()
-    return num, 1 - den.bit_length()
+    if isinstance(v, float):
+        num, den = v.as_integer_ratio()
+        return num, 1 - den.bit_length()
+    sign, man, exp, _ = v._mpf_
+    return (-man if sign else man), exp
 
 
 def _fixed(man: int, exp: int, p: int) -> int:
@@ -257,14 +258,15 @@ def _fixed(man: int, exp: int, p: int) -> int:
 
 
 def _upper_point(z):
-    """``z`` (a complex unless an mpc or mpf), whether exact, and ``_man_exp`` of its parts."""
-    exact_in = isinstance(z, (mpmath.mpc, mpmath.mpf))
-    if not exact_in:
-        z = complex(z)
-    finite = mpmath.isfinite if exact_in else math.isfinite
+    """``z`` (a complex unless an mpc or mpf), mpmath for an mpc or mpf, else
+    None, and ``_man_exp`` of its parts; without mpmath loaded none can be."""
+    mp = sys.modules.get("mpmath")
+    if mp is None or not isinstance(z, (mp.mpc, mp.mpf)):
+        z, mp = complex(z), None
+    finite = mp.isfinite if mp else math.isfinite
     if not (finite(z.real) and finite(z.imag) and z.imag > 0):
         raise ValueError("point is not a finite point of the upper half plane")
-    return z, exact_in, _man_exp(z.real), _man_exp(z.imag)
+    return z, mp, _man_exp(z.real), _man_exp(z.imag)
 
 
 # a TV step is taken only this far inside its disk, so rounding in the test
@@ -328,11 +330,11 @@ def reduce_to_fundamental_domain(z, n: int, *, max_steps: int = 10000):
     ``mpc`` input it is ``max(mp.prec + 60, 300)``, 60 bits past the
     caller's precision, and the caller's precision is only read.
     """
-    z, exact_in, (mx, ex), (my, ey) = _upper_point(z)
+    z, mp, (mx, ex), (my, ey) = _upper_point(z)
     # |x0| + 2 < 2^top and y0 >= 2^(bitlen(my) + ey - 1)
     top = max(mx.bit_length() + ex, 1) + 1
     spread = max(top - (my.bit_length() + ey - 1), 0)
-    base = max(mpmath.mp.prec + 60, 300) if exact_in else 300
+    base = max(mp.mp.prec + 60, 300) if mp else 300
     p = base + spread + max_steps.bit_length() + _GUARD_BITS
     F, one, half = _phi_fixed(n, p), 1 << p, 1 << (p - 1)
     X, Y = _fixed(mx, ex, p), _fixed(my, ey, p)
@@ -360,10 +362,10 @@ def reduce_to_fundamental_domain(z, n: int, *, max_steps: int = 10000):
                 (((X * Dx + Y * Dy) << (p + 1)) + den) // (den << 1),
                 (((Y * Dx - X * Dy) << (p + 1)) + den) // (den << 1),
             )
-    if not exact_in:
+    if not mp:
         return zc, word
     # X/2^p + i Y/2^p exactly, whatever the caller's precision
-    return mpmath.mp.make_mpc((from_man_exp(X, -p), from_man_exp(Y, -p))), word
+    return mp.mp.make_mpc((mp.libmp.from_man_exp(X, -p), mp.libmp.from_man_exp(Y, -p))), word
 
 
 def apply_word(word: Iterable[tuple[str, int]], z, n: int):
@@ -393,14 +395,16 @@ def apply_word(word: Iterable[tuple[str, int]], z, n: int):
     ``2^-base Im w``: ``base`` is 300 for a ``complex``, ``mp.prec + 60``
     for an ``mpc``, and the caller's precision is only read.
     """
+    from mpmath.libmp import from_man_exp, mpc_add_mpf, mpc_div, mpc_mul_mpf
+    from mpmath.libmp import mpc_pos, mpc_to_complex, round_nearest
     M = word_matrix(word, n)
-    z, exact_in, (mx, ex), (my, ey) = _upper_point(z)
+    z, mp, (mx, ex), (my, ey) = _upper_point(z)
     # r < 2^rho and y >= 2^(ty - 1)
     ty = my.bit_length() + ey
     rho = max(mx.bit_length() + ex, ty, 0) + 2
     A = lambda e: sum(abs(v) << i for i, v in enumerate(e._num))
     top = ((A(M.a) << rho) + A(M.b)).bit_length() + ((A(M.c) << rho) + A(M.d)).bit_length()
-    p = (mpmath.mp.prec + 60 if exact_in else 300) + _GUARD_BITS + 2 + top - ty
+    p = (mp.mp.prec + 60 if mp else 300) + _GUARD_BITS + 2 + top - ty
     q = p + field_degree(n).bit_length()
     F = _phi_fixed(n, q)
     rnd = round_nearest
@@ -412,8 +416,8 @@ def apply_word(word: Iterable[tuple[str, int]], z, n: int):
     zz = (from_man_exp(mx, ex, p, rnd), from_man_exp(my, ey, p, rnd))
     num = mpc_add_mpf(mpc_mul_mpf(zz, a, p, rnd), b, p, rnd)
     w = mpc_div(num, mpc_add_mpf(mpc_mul_mpf(zz, c, p, rnd), d, p, rnd), p, rnd)
-    if exact_in:
-        return mpmath.mp.make_mpc(mpc_pos(w, mpmath.mp.prec, rnd))
+    if mp:
+        return mp.mp.make_mpc(mpc_pos(w, mp.mp.prec, rnd))
     return mpc_to_complex(w, rnd=rnd)
 
 
@@ -471,6 +475,7 @@ _ROW_OFFSETS = 32
 def _offset_blocks(count):
     """Blocks ``(rows, k)`` that together cover every offset index
     ``k < count[row]``, each about ``_BLOCK`` entries large."""
+    import numpy as np
     order = np.argsort(count, kind="stable")
     c = count[order]
     start = 0
@@ -494,11 +499,11 @@ def _lattice_search(u, v):
     and whether the search reached its bound, ``v <= _MAX_HEIGHT``.
 
     Row ``i`` tries ``floor(min(v_i, _MAX_HEIGHT)) + 2`` offsets.  When the
-    call has at most ``_ROW_OFFSETS`` of them in all, ``_search_row`` tries
-    them one row at a time in Python floats, where numpy would spend more on
-    call overhead than on arithmetic; otherwise ``_offset_blocks`` batches
-    them into numpy blocks.  The rule reads only the input's size.  Both
-    paths do the same double operations in the same order, with the same
+    call has at most ``_ROW_OFFSETS`` of them in all, ``_search_row``
+    searches one row at a time in Python floats, where numpy would spend
+    more on call overhead than on arithmetic; otherwise ``_offset_blocks``
+    batches them into numpy blocks.  The rule reads only the input's size.
+    Both paths do the same double operations in the same order, with the same
     masks and tie order (candidate-major, then by offset, the first minimum
     winning, and it replaces the vertical only when strictly smaller), so
     on every input the row loop takes, which the block code searches as one
@@ -526,6 +531,7 @@ def _lattice_search(u, v):
 
     Points with ``v > _MAX_HEIGHT`` only enumerate up to that height.
     """
+    import numpy as np
     a = np.floor(u + 0.5)
     best = np.abs(u - a) / v
     b = np.full(u.shape, np.inf)
@@ -533,11 +539,8 @@ def _lattice_search(u, v):
     f = u - fl
     count = np.floor(np.minimum(v, _MAX_HEIGHT)).astype(np.int64) + 2
     if count.sum() <= _ROW_OFFSETS:
-        rows = zip(fl.tolist(), f.tolist(), v.tolist(), count.tolist(), best.tolist())
-        for i, row in enumerate(rows):
-            hit = _search_row(*row)
-            if hit:
-                best[i], a[i], b[i] = hit
+        for i, row in enumerate(zip(u.tolist(), v.tolist())):
+            best[i], a[i], b[i] = _search_row(*row)
         return best, a, b, v <= _MAX_HEIGHT
     for rows, k in _offset_blocks(count):
         uf, ff, vv = fl[rows, None], f[rows, None], v[rows, None]
@@ -567,12 +570,17 @@ def _lattice_search(u, v):
     return best, a, b, v <= _MAX_HEIGHT
 
 
-def _search_row(uf, ff, vv, count, best):
-    """One row of ``_lattice_search``'s offset loop in Python floats, with
-    the block code's operations, masks and tie order: the candidate
-    strictly below ``best`` as ``(value, a, b)``, or None.  A zero
-    denominator, skipped here, gives the block code a value that is not
-    finite, which it masks."""
+def _search_row(u, vv):
+    """One row of ``_lattice_search`` in Python floats, with the block
+    code's operations, masks and tie order: ``sinh`` of the distance and the
+    ends ``a``, ``b``.  The row must have at most ``_ROW_OFFSETS`` offsets.
+    A zero denominator, skipped here, gives the block code a value that is
+    not finite, which it masks."""
+    a = float(math.floor(u + 0.5))
+    best = abs(u - a) / vv
+    uf = float(math.floor(u))
+    ff = u - uf
+    count = math.floor(min(vv, _MAX_HEIGHT)) + 2
     v2 = vv * vv
     ks = range(count)
     s_left = [ff + k for k in ks]
@@ -601,7 +609,7 @@ def _search_row(uf, ff, vv, count, best):
             if val < best:
                 best, j = val, i
     if j < 0:
-        return None
+        return best, a, math.inf
     c, k = divmod(j, count)
     if c < 2:
         return best, uf - k, (uf + 1.0 if c == 0 else uf + 2.0) + l_left[k]
@@ -689,6 +697,7 @@ def _nearest(xs, ys, n: int):
     denominator overflow.  Those points alone take the frame from the point
     scaled to unit size, where ``v`` is tiny but positive; their rounding
     bound is far above ``_ROUNDING_TOL``, so the flag reads ``False``."""
+    import numpy as np
     phi = _phi_float(n)
     m = np.round(xs / phi)
     dx = xs - m * phi
@@ -706,6 +715,36 @@ def _nearest(xs, ys, n: int):
     return sinh, m, a, b, bounded & (rounding <= _ROUNDING_TOL)
 
 
+def _nearest_point(x: float, y: float, n: int):
+    """``_nearest`` of one point in Python floats, with the same double
+    operations in the same order: ``(sinh, m, a, b, flag)``, ``m`` an int.
+    Only zeros may differ in sign, where numpy's round and floor keep it:
+    m at x = -0.0, then floor(u) at u = -0.0; but at u = +-0 the vertical at
+    0 is at distance 0, which no candidate beats, so no result changes.
+    A point whose frame asks for more than ``_ROW_OFFSETS`` offsets, deep
+    in the cusp at 0, or whose frame denominator underflows to 0, takes
+    ``_nearest`` on one row."""
+    phi = _phi_float(n)
+    m = round(x / phi)  # half to even, as np.round
+    dx = x - m * phi
+    den = phi * (dx * dx + y * y)
+    if den == math.inf:
+        s = max(abs(dx), y)
+        dxs, ysc = dx / s, y / s
+        dens = phi * (dxs * dxs + ysc * ysc)
+        u, v = -dxs / dens / s, ysc / dens / s
+    elif den:
+        u, v = -dx / den, y / den
+    if not den or math.floor(min(v, _MAX_HEIGHT)) + 2 > _ROW_OFFSETS:
+        import numpy as np
+        sinh, m, a, b, flag = _nearest(np.array([x]), np.array([y]), n)
+        return float(sinh[0]), int(m[0]), float(a[0]), float(b[0]), bool(flag[0])
+    sinh, a, b = _search_row(u, v)
+    # the row reached its bound: v < _ROW_OFFSETS <= _MAX_HEIGHT
+    rounding = 2.0**-51 * ((1.0 + 3.0 * abs(u)) / v + 4.0 * (1.0 + sinh))
+    return sinh, m, a, b, rounding <= _ROUNDING_TOL
+
+
 # points per chunk of dist_to_Gmax_batch: one search row each, whose
 # temporaries take about 8 MB, so a grid is never one batch
 _CELLS = 3066
@@ -718,6 +757,7 @@ def dist_to_Gmax_batch(zs: Sequence[complex], n: int):
     flags.  Points outside the fundamental domain are reduced first; the
     search runs over chunks of ``_CELLS`` points.
     """
+    import numpy as np
     zs = np.asarray(zs, dtype=complex)
     xs, ys = zs.real.copy(), zs.imag.copy()
     for i in np.flatnonzero(~in_fundamental_domain(zs, n)):
@@ -808,16 +848,15 @@ def nearest_witness(z: complex, n: int) -> tuple[float, bool, OrbitWitness]:
     the search found: ``(dist, converged, witness)``.
 
     The point is reduced to the fundamental domain unless it lies in it,
-    and ``_nearest`` searches one row for it.  ``converged`` is the flag of
-    ``dist_to_Gmax``.  The witness keeps the search's frame ends, its shift
-    and the reduction word; no field element is built until its
-    ``geodesic`` is read.
+    and ``_nearest_point`` searches it in Python floats, to the bits of
+    ``_nearest``.  ``converged`` is the flag of ``dist_to_Gmax``.  The
+    witness keeps the search's frame ends, its shift and the reduction word;
+    no field element is built until its ``geodesic`` is read.
     """
     z = complex(z)
     w, word = (z, []) if in_fundamental_domain(z, n) else reduce_to_fundamental_domain(z, n)
-    sinh, m, a, b, converged = _nearest(np.array([w.real]), np.array([w.imag]), n)
-    witness = OrbitWitness((float(a[0]), float(b[0])), int(m[0]), word, n)
-    return math.asinh(float(sinh[0])), bool(converged[0]), witness
+    sinh, m, a, b, converged = _nearest_point(w.real, w.imag, n)
+    return math.asinh(sinh), converged, OrbitWitness((a, b), m, word, n)
 
 
 def nearest_gmax_geodesic(z: complex, n: int) -> tuple[float, bool, Geodesic, list]:

@@ -36,9 +36,7 @@ only when it closes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 from .plane import (
     canonical_orientation,
@@ -49,6 +47,9 @@ from .plane import (
 )
 from .saddle import Germ, SaddleConnection
 from .surface import TranslationSurface
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class ClosedCurve:
@@ -411,6 +412,7 @@ class _ChainTable:
     __slots__ = ("rows", "start", "arc", "glue", "signs")
 
     def __init__(self, S: TranslationSurface):
+        import numpy as np
         self.signs = signs = _half_signs(S)
         self.glue = S.glue
         E = len(S.edge_pairs)
@@ -497,6 +499,7 @@ class IntersectionForm:
     """
 
     def __init__(self, surface: TranslationSurface):
+        import numpy as np
         self.surface = S = surface
         self._table = table = _ChainTable(S)
         mat = np.eye(len(S.edge_pairs), dtype=np.int64)
@@ -525,12 +528,14 @@ class IntersectionForm:
 
     def pair(self, x: Union[CurveLike, np.ndarray], y: Union[CurveLike, np.ndarray]) -> int:
         """Exact intersection number through the form."""
+        import numpy as np
         cx = x if isinstance(x, np.ndarray) else self.class_vector(x)
         cy = y if isinstance(y, np.ndarray) else self.class_vector(y)
         return int(cx @ self.matrix @ cy)
 
     def coord_rows(self, objs: Sequence[CurveLike]) -> np.ndarray:
         """Chains of a family, one row each: a gather and a segmented sum."""
+        import numpy as np
         idx: list[int] = []
         starts = []
         for obj in objs:

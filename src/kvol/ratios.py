@@ -73,8 +73,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
-import numpy as np
-
 from .field import CycloReal, as_field, sqrt_in_field, trig_value
 from .hyperbolic import OrbitWitness, nearest_witness
 from .intersect import ClosedCurve, IntersectionForm, intersection_form
@@ -498,6 +496,7 @@ def _ratio_blocks(form: IntersectionForm, curves: Sequence[ClosedCurve]):
     entries: its int64 and float64 arrays, a handful of that size, are all
     the memory the scan takes beyond the N-row inputs.
     """
+    import numpy as np
     N = len(curves)
     if N < 2:
         return
@@ -522,6 +521,7 @@ def _scan_pairs(
     filtered again against the final one, so they are exactly the pairs
     with ratio >= best (1 - _NEAR_MAX).
     """
+    import numpy as np
     best, crossing, near, above = 0.0, 0, [], []
     for i0, I, R in _ratio_blocks(form, curves):
         crossing += int(np.count_nonzero(R))
@@ -696,7 +696,7 @@ def K_of_directions(
     Ca, Cb = (form.coord_rows([c for c, _ in fam]) for fam in families)
     G = Ca @ form.matrix @ Cb.T
     items = []  # (a, b, |I|, |wedge|)
-    for r, s in zip(*np.nonzero(G)):
+    for r, s in zip(*G.nonzero()):
         (a, ha), (b, hb) = fa[r], fb[s]
         w = cross(ha, hb)
         if not w.is_zero():
@@ -886,7 +886,7 @@ def check_parallel_criterion(surface: TranslationSurface, d, L) -> ParallelRepor
         count_connections=len(scs),
         count_curves=len(curves),
         pairs_checked=len(curves) * (len(curves) - 1) // 2,
-        nonzero=[(curves[i], curves[j], int(G[i, j])) for i, j in zip(*np.nonzero(np.triu(G, 1)))],
+        nonzero=[(curves[i], curves[j], int(G[i, j])) for i, j in zip(*G.nonzero()) if i < j],
     )
 
 

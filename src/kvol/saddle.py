@@ -70,10 +70,11 @@ packed from its own common denominator, a positive scale, since only its
 direction matters.  Every other exact test signs unpacked digits the same
 way: an endpoint (X, Y) is canonical when Y, or else X, is positive, and
 within the cap L^2 = a / b when b (X^2 + Y^2) - D^2 a <= 0; the order signs
-the differences of squared norms, then of x and of y.  So the one field
-multiplication is the cap.  A recorded connection keeps its packed holonomy
-and the floats of its digits; its field vector, and the germ directions
-with it, is built on first read.
+the difference of squared norms unless they pack equal, then x and y where
+their floats are too close to decide.  So the one field multiplication is
+the cap.  A recorded connection keeps its packed holonomy and the floats of
+its digits; its field vector, and the germ directions with it, is built on
+first read.
 
 The digit width B is set per surface from c, the largest |numerator| of a
 face vertex, a glue shift or the filter line, and N = ``_MAX_NODES``, read
@@ -663,6 +664,11 @@ def _sorted(found: list[SaddleConnection]) -> list[SaddleConnection]:
     than b.  Runs thus follow the exact order, and entries equal under
     ``_order`` share their packed holonomy, hence their run, and keep their
     input order in both sorts: this is a full ``cmp_to_key(_order)`` sort.
+
+    ``_order`` takes x, then y, from the same floats when they differ by
+    more than m (|a| + |b| + 1): each is its exact digits summed by Horner's
+    rule, within the bound delta of a developed float (module docstring),
+    far below m / 2, so floats that far apart order the exact coordinates.
     """
     keyed = []
     for sc in found:
@@ -687,14 +693,24 @@ def _sorted(found: list[SaddleConnection]) -> list[SaddleConnection]:
 def _order(a: SaddleConnection, b: SaddleConnection) -> int:
     """Exact order of two connections of one enumeration: by length, then
     holonomy x and y, then, for equal holonomies (equal packed vectors, over
-    one lattice), by the start and end corners.  No float margin enters."""
+    one lattice), by the start and end corners.  Lengths are compared
+    exactly; x and y from their floats past the margin of ``_sorted``."""
     (Xa, Ya), (Xb, Yb) = a._packed, b._packed
     if Xa != Xb or Ya != Yb:
         lat = a._lat
-        d, k = lat.d, 2 * lat.d - 1
-        na, nb = lat.digits(Xa * Xa + Ya * Ya, k), lat.digits(Xb * Xb + Yb * Yb, k)
-        s = lat.sign([p - q for p, q in zip(na, nb)]) or lat.sign(lat.digits(Xa - Xb, d))
-        return s or lat.sign(lat.digits(Ya - Yb, d))
+        Na, Nb = Xa * Xa + Ya * Ya, Xb * Xb + Yb * Yb
+        if Na != Nb:  # equal packed norms are equal lengths
+            k = 2 * lat.d - 1
+            s = lat.sign([p - q for p, q in zip(lat.digits(Na, k), lat.digits(Nb, k))])
+            if s:
+                return s
+        for fa, fb, D in zip(a._fl, b._fl, (Xa - Xb, Ya - Yb)):
+            if abs(fa - fb) > _SIGN_MARGIN * (abs(fa) + abs(fb) + 1.0):
+                return 1 if fa > fb else -1
+            s = lat.sign(lat.digits(D, lat.d))
+            if s:
+                return s
+        return 0
     ka, kb = (a.start.corner, a.end.corner), (b.start.corner, b.end.corner)
     return -1 if ka < kb else (1 if ka > kb else 0)
 

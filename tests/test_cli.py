@@ -520,3 +520,54 @@ def test_saddle_imports_without_numpy():
     code = "import sys, kvol.saddle; print('numpy' in sys.modules, 'mpmath' in sys.modules)"
     done = _fresh("-c", code)
     assert (done.returncode, done.stdout) == (0, "False False\n")
+
+
+# In a fresh process: records, for numpy and mpmath, the innermost kvol frame
+# (module.function) that first imported each, then runs the statement given
+# as sys.argv[1] and prints the record as JSON on the last line of stdout.
+_LOADERS = """
+import json, sys, traceback
+from pathlib import Path
+loaders = {}
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name in ("numpy", "mpmath") and name not in loaders:
+            kvol = [f for f in traceback.extract_stack() if Path(f.filename).parent.name == "kvol"]
+            loaders[name] = f"{Path(kvol[-1].filename).stem}.{kvol[-1].name}" if kvol else "?"
+sys.meta_path.insert(0, Spy())
+exec(sys.argv[1])
+print(json.dumps(loaders))
+"""
+
+
+def _loaders(statement: str) -> dict:
+    done = _fresh("-c", _LOADERS, statement)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize(
+    "statement",
+    [
+        "import kvol.ratios",
+        "import kvol.cli",
+        "from kvol.cli import main; main(['kvol-point', '--n', '8', '--x', '0', '--y', '1'])",
+        "from kvol.cli import main; main(['kvol-point', '--n', '8', '--x', '1/5', '--y', '7/10'])",
+        "from kvol.cli import main; main(['surface', '--n', '8'])",
+    ],
+)
+def test_one_point_commands_load_neither_numpy_nor_mpmath(statement):
+    assert _loaders(statement) == {}
+
+
+def test_reduction_loads_mpmath_only_for_the_phi_enclosure():
+    # a point that needs reduction: numpy stays out, and mpmath comes in only
+    # through the rigorous enclosure of Phi that fixes the reduction's point
+    statement = "from kvol.cli import main; main(['kvol-point', '--n', '8', '--x', '7/3', '--y', '1/50'])"
+    assert _loaders(statement) in ({}, {"mpmath": "field._phi_enclosure"})
+
+
+def test_loader_record_names_the_importer():
+    # the record is live: the grid builds arrays in cli.cmd_kvol_grid
+    statement = "from kvol.cli import main; main(['kvol-grid', '--n', '8', '--resolution', '2'])"
+    assert _loaders(statement)["numpy"] == "cli.cmd_kvol_grid"

@@ -16,6 +16,7 @@ from kvol.field import ComputationLimitError, CycloReal, _phi_float
 from kvol.hyperbolic import (
     Geodesic,
     _nearest,
+    _nearest_point,
     angle_sine,
     apply_word,
     dist_to_Gmax,
@@ -720,8 +721,9 @@ class TestOrbitSearch:
         # a point that needs reduction and a point already in the domain
         assert in_fundamental_domain(z, 8) == inside
         calls = {"search": 0, "inverse": 0}
-        search = _counting(calls, "search", hyperbolic._lattice_search)
-        monkeypatch.setattr(hyperbolic, "_lattice_search", search)
+        # one point searches one float row, or the array code deep in the cusp
+        for name in ("_search_row", "_lattice_search"):
+            monkeypatch.setattr(hyperbolic, name, _counting(calls, "search", getattr(hyperbolic, name)))
         monkeypatch.setattr(CycloReal, "inverse", _counting(calls, "inverse", CycloReal.inverse))
         nearest_gmax_geodesic(z, 8)
         assert calls["search"] == 1
@@ -921,13 +923,10 @@ class TestCertificate:
 
     def test_one_search_row_per_point(self, monkeypatch):
         rows = []
-        search = hyperbolic._lattice_search
-
-        def counting(u, v):
-            rows.append(u.size)
-            return search(u, v)
-
-        monkeypatch.setattr(hyperbolic, "_lattice_search", counting)
+        search, search_row = hyperbolic._lattice_search, hyperbolic._search_row
+        monkeypatch.setattr(hyperbolic, "_lattice_search", lambda u, v: rows.append(u.size) or search(u, v))
+        # a float row counts as a search of one row
+        monkeypatch.setattr(hyperbolic, "_search_row", lambda u, v: rows.append(1) or search_row(u, v))
         # a point that needs reduction and a point already in the domain
         for z in (complex(3.3, 0.01), complex(0.1, 0.9)):
             nearest_gmax_geodesic(z, 8)
@@ -935,7 +934,8 @@ class TestCertificate:
         rows.clear()
         pts = _interior_points(8, 2 * hyperbolic._CELLS + 5, seed=71)
         dist_to_Gmax_batch(pts, 8)
-        assert rows == [hyperbolic._CELLS, hyperbolic._CELLS, 5]
+        # the last chunk is small enough for the row loop
+        assert rows == [hyperbolic._CELLS, hyperbolic._CELLS, 5] + [1] * 5
 
 
 def _same_bits(x, y):
@@ -1000,3 +1000,125 @@ class TestSearchPaths:
         dist_to_Gmax(complex(5e-15, 1e-7), 8)
         dist_to_Gmax_batch(_interior_points(8, hyperbolic._CELLS, seed=71), 8)
         assert not rows
+
+
+def _one_point_cases(n):
+    """Points of the domain for the one-point path: the seeded reduced points
+    and the boundary sweeps up to frame height 1,000, where the array code's
+    one row is cheap, and ``_edge_points``."""
+    phi = _phi(n)
+    zs = np.concatenate([_reduced_points(n, 20000, seed=n), _boundary_points(n)])
+    dx = zs.real - np.round(zs.real / phi) * phi
+    zs = zs[zs.imag / (phi * (dx * dx + zs.imag * zs.imag)) <= 1000]
+    return np.concatenate([zs, _edge_points(n)])
+
+
+def _edge_points(n):
+    """Points of the domain at x = +-0, deep in the cusp at 0 (the last two
+    with a frame denominator that underflows to 0, or with u = -x/(phi
+    |z|^2) near -6e11 and v below 1e-126), and with y from 1e155 up, where
+    the frame denominator overflows."""
+    phi = _phi(n)
+    deep = [0.7j, complex(-0.0, 0.7), complex(-0.0, 1e-3), 1e-3j, 3e-5j, complex(5e-15, 1e-7)]
+    deep += [1e-200j, complex(1e-12, 1e-150)]
+    xs = [phi / 2 * (k / 4 - 1) for k in range(9)]
+    return deep + [complex(x, y) for x in xs for y in (1e155, 1e200, 1e300, 1.7e308)]
+
+
+def _strip_points(n, count, seed):
+    """Seeded points of the domain, made in Python floats: x uniform across
+    the strip and y log-uniform in [1e-4, 1e3]."""
+    rng = random.Random(seed)
+    phi = _phi(n)
+    pts = []
+    while len(pts) < count:
+        z = complex(rng.uniform(-phi / 2, phi / 2), math.exp(rng.uniform(math.log(1e-4), math.log(1e3))))
+        if in_fundamental_domain(z, n):
+            pts.append(z)
+    return pts
+
+
+def _witness_digest(n):
+    """``nearest_witness`` at 20,000 ``_strip_points``, ``_edge_points``
+    and 2,000 seeded points with x in [-50, 50] and y log-uniform in
+    [1e-6, 1e3], nearly all reduced: the distance's and the ends' bits, the
+    flag, the shift and the word, hashed."""
+    rng = random.Random(7000 + n)
+    far = [complex(rng.uniform(-50, 50), math.exp(rng.uniform(math.log(1e-6), math.log(1e3)))) for _ in range(2000)]
+    h = hashlib.sha256()
+    for z in _strip_points(n, 20000, seed=6000 + n) + _edge_points(n) + far:
+        dist, converged, witness = nearest_witness(z, n)
+        ends = tuple(e.hex() for e in witness.ends)
+        h.update(repr((dist.hex(), converged, ends, witness.shift, witness.word)).encode())
+    return h.hexdigest()
+
+
+class TestOnePointPath:
+    """One point is framed and searched in Python floats (``_nearest_point``)
+    with the array code's double operations, to the bit."""
+
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    def test_matches_array_code_on_points(self, n):
+        zs = _one_point_cases(n)
+        assert zs.size > 20000 and in_fundamental_domain(zs, n).all()
+        phi = _phi(n)
+        dx = zs.real - np.round(zs.real / phi) * phi
+        with np.errstate(over="ignore", under="ignore", divide="ignore"):
+            offsets = np.floor(np.minimum(zs.imag / (phi * (dx * dx + zs.imag**2)), 1e6)) + 2
+            # points with a scaled frame
+            assert np.isinf(phi * zs.imag**2).sum() == 36
+        # against the block code; past _ROW_OFFSETS, where the float path
+        # hands the point to _nearest, against _nearest on its one row
+        rows = offsets <= hyperbolic._ROW_OFFSETS
+        assert rows.sum() > 20000 and (~rows).sum() > 100
+        batch = [c.tolist() for c in _nearest(zs.real[rows], zs.imag[rows], n)]
+        want = iter(zip(*batch))
+        # the underflowing frame warns in the array code
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for z, row in zip(zs.tolist(), rows):
+                got = _nearest_point(z.real, z.imag, n)
+                ref = next(want) if row else [c[0] for c in _nearest(np.array([z.real]), np.array([z.imag]), n)]
+                sinh, m, a, b, flag = ref
+                assert type(got[1]) is int and (got[1], got[4]) == (int(m), bool(flag))
+                assert _same_bits((got[0], got[2], got[3]), (sinh, a, b))
+                dist, converged, witness = nearest_witness(z, n)
+                assert (converged, witness.shift, witness.word) == (got[4], got[1], [])
+                assert _same_bits((dist, *witness.ends), (math.asinh(got[0]), got[2], got[3]))
+
+    @pytest.mark.parametrize(
+        "n, digest",
+        [
+            (8, "10dacf47aeae41791a0b547f840ec481f313cc1d2e570195f887e5e131b28611"),
+            (12, "58805eadfd099bd956eaee2eb20d7a60689743f3ea0701ecbd8cc360b8fedcfd"),
+            (16, "bbfe1cf434ef56aba511627532f8573e12b3b362719a96fe7577595f8048a35c"),
+        ],
+    )
+    def test_witnesses_pinned(self, n, digest):
+        # pinned from the array code, which searched one point as a one-row
+        # array; the point with an underflowing frame warns there
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert _witness_digest(n) == digest
+
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    def test_domain_test_matches_array_code(self, n):
+        # the one-point cases, seeded points around the domain, and points at
+        # distance (r - tol)(1 + j 2^-52), |j| <= 4, from the centers +-r of
+        # the disks, where math.hypot and np.hypot can round to either side
+        phi = _phi(n)
+        r = 1 / phi
+        rng = np.random.default_rng(800 + n)
+        around = rng.uniform(-phi, phi, 20000) + 1j * np.exp(rng.uniform(-12.0, 1.0, 20000))
+        for tol in (1e-9, 0.0, -1e-6):
+            radius = (r - tol) * (1 + np.arange(-4, 5) * 2.0**-52)
+            arc = (r + radius[:, None] * np.exp(1j * rng.uniform(0, math.pi, 2000))).ravel()
+            arc = np.concatenate([arc, -arc.conj()])
+            zs = np.concatenate([_one_point_cases(n), around, arc])
+            want = in_fundamental_domain(zs, n, tol=tol)
+            assert 0 < want.sum() < zs.size
+            assert [in_fundamental_domain(z, n, tol=tol) for z in zs.tolist()] == want.tolist()
+            # the two hypots fall on either side of r - tol at some arc points
+            apart = [
+                (math.hypot(z.real - r, z.imag) >= r - tol) != (np.hypot(z.real - r, z.imag) >= r - tol)
+                for z in arc[: arc.size // 2].tolist()
+            ]
+            assert any(apart)
