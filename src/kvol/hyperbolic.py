@@ -23,10 +23,9 @@ holds exactly for every surface point and every pair of labels.
 Points, distances and the orbit search of ``dist_to_Gmax`` are double
 precision, with one search per query.  One point (``nearest_witness``) is
 framed and searched in Python floats by ``_nearest_point``, with no array;
-a small batch loops over its rows the same way, and grid chunks and
-deep-cusp points run in numpy blocks.  All do the same double operations in
-the same order, so their results are identical to the bit.  numpy and
-mpmath are imported only where arrays or ``mpc`` values are built.
+batches and deep-cusp points run in numpy blocks.  Both do the same double
+operations in the same order, so their results are identical to the bit.
+numpy and mpmath are imported only where arrays or ``mpc`` values are built.
 Reduction to the fundamental domain steps the point in integer fixed point,
 at a precision chosen per call from ``|x|/y``.  A given word is applied only
 by ``_step_pairs``, exactly on pairs over Z[Phi]: ``apply_word`` evaluates
@@ -75,31 +74,6 @@ def point_of_surface(M) -> complex:
     if a * d - b * c <= 0:
         raise ValueError("point_of_surface needs a positive determinant")
     return complex(b, d) / complex(a, c)
-
-
-def moebius(M, z: complex) -> complex:
-    """Moebius action ``z -> (a z + b)/(c z + d)`` on the upper half plane.
-
-    Matrices of negative determinant act through the complex conjugate, so
-    they still map the upper half plane to itself.
-    """
-    a, b, c, d = _as_float_matrix(M)
-    det = a * d - b * c
-    if det == 0:
-        raise ValueError("singular matrix")
-    if det < 0:
-        z = z.conjugate()
-    return (a * z + b) / (c * z + d)
-
-
-def induced_action(g: Mat2) -> Mat2:
-    """The exact matrix whose Moebius action realizes ``M -> M g`` on points.
-
-    ``point_of_surface(M g) == moebius(induced_action(g), point_of_surface(M))``
-    for every ``M`` of positive determinant.
-    """
-    inv = g.inverse()
-    return Mat2(g.n, inv.a, -inv.b, -inv.c, inv.d)
 
 
 def _read_label(label) -> tuple[tuple[float, float], float]:
@@ -464,11 +438,10 @@ def word_matrix(word: Iterable[tuple[str, int]], n: int) -> Mat2:
 _MAX_HEIGHT = 1e6
 # entries per vectorized block of the index search
 _BLOCK = 1 << 15
-# searches of at most this many offsets, summed over rows, run as a Python
-# row loop.  Measured crossover on a 2-CPU x86-64 host (Python 3.11.7, numpy
-# 2.4): one row costs the same both ways at about 48 offsets (the loop takes
-# about 28 us plus 3 us per offset, one numpy block about 160 us), rows of 2
-# offsets each at about 24-32 in all
+# one point whose search row has at most this many offsets is searched in
+# Python floats.  Measured crossover on a 2-CPU x86-64 host (Python 3.11.7,
+# numpy 2.4): one row costs the same both ways at about 48 offsets (the loop
+# takes about 28 us plus 3 us per offset, one numpy block about 160 us)
 _ROW_OFFSETS = 32
 
 
@@ -498,16 +471,13 @@ def _lattice_search(u, v):
     endpoints ``a`` and ``b`` (``b = inf`` for the vertical ``Re w = a``)
     and whether the search reached its bound, ``v <= _MAX_HEIGHT``.
 
-    Row ``i`` tries ``floor(min(v_i, _MAX_HEIGHT)) + 2`` offsets.  When the
-    call has at most ``_ROW_OFFSETS`` of them in all, ``_search_row``
-    searches one row at a time in Python floats, where numpy would spend
-    more on call overhead than on arithmetic; otherwise ``_offset_blocks``
-    batches them into numpy blocks.  The rule reads only the input's size.
-    Both paths do the same double operations in the same order, with the same
-    masks and tie order (candidate-major, then by offset, the first minimum
-    winning, and it replaces the vertical only when strictly smaller), so
-    on every input the row loop takes, which the block code searches as one
-    block, the two give the same result to the bit.
+    Row ``i`` tries ``floor(min(v_i, _MAX_HEIGHT)) + 2`` offsets, which
+    ``_offset_blocks`` batches into numpy blocks.  ``_search_row`` searches
+    one row in Python floats with the same double operations in the same
+    order, the same masks and the same tie order (candidate-major, then by
+    offset, the first minimum winning, and it replaces the vertical only when
+    strictly smaller), so on a row of at most ``_ROW_OFFSETS`` offsets, which
+    the block code searches as one block, the two agree to the bit.
 
     The search is exhaustive.  The vertical at ``a`` has
     ``sinh dist = |u - a|/v``, least at the nearest integer.  With offsets
@@ -538,10 +508,6 @@ def _lattice_search(u, v):
     fl = np.floor(u)
     f = u - fl
     count = np.floor(np.minimum(v, _MAX_HEIGHT)).astype(np.int64) + 2
-    if count.sum() <= _ROW_OFFSETS:
-        for i, row in enumerate(zip(u.tolist(), v.tolist())):
-            best[i], a[i], b[i] = _search_row(*row)
-        return best, a, b, v <= _MAX_HEIGHT
     for rows, k in _offset_blocks(count):
         uf, ff, vv = fl[rows, None], f[rows, None], v[rows, None]
         v2 = vv * vv

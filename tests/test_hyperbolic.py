@@ -15,6 +15,7 @@ from kvol.cli import main
 from kvol.field import ComputationLimitError, CycloReal, _phi_float
 from kvol.hyperbolic import (
     Geodesic,
+    _as_float_matrix,
     _nearest,
     _nearest_point,
     angle_sine,
@@ -23,8 +24,6 @@ from kvol.hyperbolic import (
     dist_to_Gmax_batch,
     geodesic_of_directions,
     in_fundamental_domain,
-    induced_action,
-    moebius,
     point_of_surface,
     reduce_to_fundamental_domain,
     nearest_gmax_geodesic,
@@ -42,6 +41,31 @@ def dist_points(z: complex, w: complex) -> float:
         raise ValueError("points must be in the upper half plane")
     d2 = abs(z - w) ** 2
     return math.acosh(1.0 + d2 / (2.0 * z.imag * w.imag))
+
+
+def moebius(M, z: complex) -> complex:
+    """Moebius action ``z -> (a z + b)/(c z + d)`` on the upper half plane.
+
+    Matrices of negative determinant act through the complex conjugate, so
+    they still map the upper half plane to itself.
+    """
+    a, b, c, d = _as_float_matrix(M)
+    det = a * d - b * c
+    if det == 0:
+        raise ValueError("singular matrix")
+    if det < 0:
+        z = z.conjugate()
+    return (a * z + b) / (c * z + d)
+
+
+def induced_action(g: Mat2) -> Mat2:
+    """The exact matrix whose Moebius action realizes ``M -> M g`` on points.
+
+    ``point_of_surface(M g) == moebius(induced_action(g), point_of_surface(M))``
+    for every ``M`` of positive determinant.
+    """
+    inv = g.inverse()
+    return Mat2(g.n, inv.a, -inv.b, -inv.c, inv.d)
 
 
 def _identity(n):
@@ -934,8 +958,8 @@ class TestCertificate:
         rows.clear()
         pts = _interior_points(8, 2 * hyperbolic._CELLS + 5, seed=71)
         dist_to_Gmax_batch(pts, 8)
-        # the last chunk is small enough for the row loop
-        assert rows == [hyperbolic._CELLS, hyperbolic._CELLS, 5] + [1] * 5
+        # every chunk, the last one of 5 points too, is one block search
+        assert rows == [hyperbolic._CELLS, hyperbolic._CELLS, 5]
 
 
 def _same_bits(x, y):
@@ -943,25 +967,33 @@ def _same_bits(x, y):
     return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
+def _row_loop(u, v):
+    """``_search_row`` on each row of ``u``, ``v``: arrays of ``sinh``,
+    ``a`` and ``b`` in the layout of ``_lattice_search``."""
+    rows = [hyperbolic._search_row(*row) for row in zip(u.tolist(), v.tolist())]
+    return [np.array(c, dtype=float) for c in zip(*rows)]
+
+
 class TestSearchPaths:
-    """``_lattice_search`` runs small searches as a Python row loop and the
-    rest in numpy blocks; the input size picks the path, so one row alone
-    takes the loop and the same row in a large batch takes the blocks."""
+    """``_search_row`` searches one row in Python floats and
+    ``_lattice_search`` searches a batch in numpy blocks; on every row the
+    two agree to the bit."""
 
     @pytest.mark.parametrize("n", [8, 12, 16])
     def test_row_loop_matches_block_code_on_points(self, n, monkeypatch):
         zs = np.concatenate([_reduced_points(n, 20000, seed=n), _boundary_points(n)])
-        # the frame height is at most 1/(phi y), so each point alone takes the
-        # row loop; the deep-cusp rest would only compare blocks with blocks
+        # the frame height is at most 1/(phi y), so each row has at most
+        # _ROW_OFFSETS offsets, which _search_row takes
         zs = zs[zs.imag >= 1 / (30 * _phi(n))]
-        batch = _nearest(zs.real, zs.imag, n)
-        rows = []
-        search_row = hyperbolic._search_row
-        monkeypatch.setattr(hyperbolic, "_search_row", lambda *row: rows.append(row) or search_row(*row))
-        single = [_nearest(zs.real[i : i + 1], zs.imag[i : i + 1], n) for i in range(zs.size)]
-        assert len(rows) == zs.size > 20000
-        for got, want in zip(zip(*single), batch):
-            assert _same_bits(np.concatenate(got), want)
+        frames = []
+        search = hyperbolic._lattice_search
+        monkeypatch.setattr(hyperbolic, "_lattice_search", lambda u, v: frames.append((u, v)) or search(u, v))
+        _nearest(zs.real, zs.imag, n)
+        [(u, v)] = frames
+        assert u.size == zs.size > 20000
+        assert np.floor(v).max() + 2 <= hyperbolic._ROW_OFFSETS
+        for got, want in zip(_row_loop(u, v), search(u, v)):
+            assert _same_bits(got, want)
 
     def test_row_loop_matches_block_code_on_hand_built_rows(self):
         rows = [
@@ -982,10 +1014,8 @@ class TestSearchPaths:
         u, v = (np.array(c) for c in zip(*rows))
         count = np.floor(v) + 2
         assert count.max() <= hyperbolic._ROW_OFFSETS < count.sum()
-        batch = hyperbolic._lattice_search(u, v)
-        single = [hyperbolic._lattice_search(u[i : i + 1], v[i : i + 1]) for i in range(u.size)]
-        for got, want in zip(zip(*single), batch):
-            assert _same_bits(np.concatenate(got), want)
+        for got, want in zip(_row_loop(u, v), hyperbolic._lattice_search(u, v)):
+            assert _same_bits(got, want)
         empty = hyperbolic._lattice_search(np.array([]), np.array([]))
         assert [x.size for x in empty] == [0, 0, 0, 0]
 

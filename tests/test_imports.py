@@ -2,14 +2,16 @@
 no module of the package imports from the package inside a function, no
 private helper of the package is left without a caller, no keyword-only
 option of the package is left that no caller sets, no public module-level
-function, class or constant of the package is left that nothing reads, and
-no public member of a package class is left that nothing reads.  Exactly one
-function of the package steps a trace across glued edges, and no module of
-the package writes mpmath's process-global precision."""
+function, class or constant of the package is left that nothing reads, nor
+one that only the tests read without README.md naming it, and no public
+member of a package class is left that nothing reads.  Exactly one function
+of the package steps a trace across glued edges, and no module of the
+package writes mpmath's process-global precision."""
 
 from __future__ import annotations
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -232,6 +234,51 @@ def test_no_unread_names():
     readers = [p.read_text() for p in FILES if p.parent.name == "tests"]
     readers += [p.read_text() for p in sorted((ROOT / "perfbench").rglob("*.py"))]
     assert unread_names(package, readers) == []
+
+
+def readme_names(text: str) -> set[str]:
+    """Every identifier inside backticks in a Markdown text: in an inline
+    code span or a fenced code block."""
+    spans = re.findall(r"`+([^`]+)`+", text)
+    return {word for span in spans for word in re.findall(r"[A-Za-z_]\w*", span)}
+
+
+def unreached_names(modules: dict[str, str], readme: str) -> list[str]:
+    """``module:name`` of every public module-level function, class or
+    constant of ``modules`` that no source in ``modules`` reads and that
+    ``readme`` does not name in backticks.
+
+    The rule: a public name of the library is read by the library, or it is
+    library API.  Reads are those of ``unread_names``, from ``modules`` only;
+    the tests and the benchmark do not count as readers, so a check or an
+    oracle that only the tests read belongs under ``tests/``.  The allowlist
+    is the README: a name it shows in backticks (``readme_names``), in the
+    library overview or an example, is API, and its README line says what
+    it is for."""
+    named = readme_names(readme)
+    return [entry for entry in unread_names(modules, []) if entry.split(":")[1] not in named]
+
+
+def test_scanner_flags_unreached_names():
+    module = (
+        "def oracle(x):\n    return x\n"
+        "def api(x):\n    return helper(x)\n"
+        "def helper(x):\n    return x\n"
+        "LIMIT = 3\n"
+    )
+    test = "from m import oracle, LIMIT\nassert oracle(LIMIT) == LIMIT\n"
+    # a fenced block names api; plain prose names nothing
+    readme = "Call it so:\n\n```python\nfrom m import api\n```\n\noracle and LIMIT\n"
+    # tests count as readers for unread_names, not for unreached_names
+    assert unread_names({"m": module}, [test]) == ["m:api"]
+    assert unreached_names({"m": module}, readme) == ["m:oracle", "m:LIMIT"]
+    # an inline code span names LIMIT
+    assert unreached_names({"m": module}, readme + "See `m.LIMIT`.\n") == ["m:oracle"]
+
+
+def test_no_unreached_names():
+    package = {p.stem: p.read_text() for p in FILES if p.parent.name == "kvol"}
+    assert unreached_names(package, (ROOT / "README.md").read_text()) == []
 
 
 def unread_members(modules: dict[str, str], others: list[str]) -> list[str]:

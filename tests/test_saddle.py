@@ -25,9 +25,9 @@ from kvol.surface import (
     conversion_matrix,
     direction_vector,
     staircase_lengths,
-    subdivide,
     veech_generators,
 )
+from ngon_sectors import sector_diagram, sector_index, subdivide
 
 
 def F(n, v):
@@ -307,9 +307,10 @@ class TestSubdivide:
             assert segs[0].kind == "initial+terminal"
             assert segs[0].length_sq == F(8, 1)
 
-    def test_pieces_have_unit_lower_bound(self):
-        S = build_ngon(8)
-        one = F(8, 1)
+    @pytest.mark.parametrize("n", [8, 10, 12, 16])
+    def test_pieces_have_unit_lower_bound(self, n):
+        S = build_ngon(n)
+        one = F(n, 1)
         for sc in enumerate_saddle_connections(S, 3):
             segs = subdivide(sc)
             non_sandwiched = sum(
@@ -333,8 +334,6 @@ class TestSubdivide:
 
 
 def _sector_sandwiched(sc):
-    from kvol.surface import sector_diagram, sector_index
-
     i = sector_index(sc.surface.n, sc.holonomy)
     if i is None:
         return -1

@@ -23,12 +23,11 @@ from kvol.surface import (
     cylinder_decomposition,
     direction_vector,
     exit_through_face,
-    sector_diagram,
-    sector_index,
     staircase_lengths,
     trace_from_corner,
     veech_generators,
 )
+from ngon_sectors import sector_diagram, sector_index
 
 
 def F(n, v):
