@@ -14,7 +14,8 @@ Sign determination is exact: a floating-point filter with a rigorous forward
 error bound handles the bulk of queries, and the remainder fall through to
 interval arithmetic on the integer numerators at increasing precision
 (53 -> 113 -> 233 -> ... bits), up to the precision that the root-separation
-bound proves decides the sign.  mpmath's global precision is never touched.
+bound proves decides the sign.  Phi is enclosed by certified integer Newton
+steps, and mpmath is never imported.
 """
 
 from __future__ import annotations
@@ -200,19 +201,42 @@ def _bareiss(rows: list[list[int]]) -> int:
     return sign * prev
 
 
-@lru_cache(maxsize=None)
-def _phi_enclosure(n: int, bits: int) -> tuple[int, int, int]:
-    """Rigorous enclosure ``lo / 2**shift <= Phi <= hi / 2**shift`` in
-    integers: 2cos(pi/n) in mpmath's interval arithmetic at ``bits`` bits."""
-    from mpmath.libmp import from_int, libmpi
+def _horner(num: Sequence[int], X: int, shift: int) -> int:
+    """``2^(shift len(num))`` times the polynomial ``num`` at ``X/2^shift``."""
+    acc = 0
+    for k, c in enumerate(reversed(num), 1):
+        acc = acc * X + (c << shift * k)
+    return acc
 
-    arg = libmpi.mpi_div(libmpi.mpi_pi(bits), (from_int(n), from_int(n)), bits)
-    ends = libmpi.mpi_shift(libmpi.mpi_cos(arg, bits), 1)
-    shift = max(0, *(-exp for _, _, exp, _ in ends))
-    lo, hi = ((-man if sgn else man) << (exp + shift) for sgn, man, exp, _ in ends)
-    if not lo <= hi:
-        raise ArithmeticError("bad enclosure")
-    return lo, hi, shift
+
+@lru_cache(maxsize=None)
+def _root_enclosure(n: int, k: int, bits: int) -> tuple[int, int, int]:
+    """Rigorous enclosure ``lo / 2**shift <= 2cos(k pi/n) <= hi / 2**shift``
+    in integers, at most ``2^-bits`` wide, for k prime to 2n (k = 1: Phi).
+
+    Newton steps on the minimal polynomial P, evaluated exactly, start from
+    the double and double the precision up to ``shift = bits + 3``, then run
+    there until a correction is at most one unit (a doubling step gains
+    log2|P''/2P'| bits fewer than it adds); the bracket is +-4 units.  P(lo)
+    and P(hi), exact integers, differ in sign, so a root lies in [lo, hi].
+    Isolation: P's roots 2cos(j pi/n), j odd, are at least g = 2cos(pi/n) -
+    2cos(3pi/n) > 2^-30 apart (n < 2^18).  The bracket lies within g/2 of
+    the double, checked in doubles; the double is within 2^-48 of the root
+    and the check errs by under 2^-48, so no other root is in it."""
+    P = minimal_polynomial(n)
+    dP = [i * c for i, c in enumerate(P)][1:]
+    x0, shift = 2.0 * math.cos(k * math.pi / n), bits + 3
+    X, q = round(x0 * 2.0 ** min(shift, 50)), min(shift, 50)
+    for _ in range(shift.bit_length() + 64):
+        X, q = X << (min(2 * q, shift) - q), min(2 * q, shift)
+        corr = _horner(P, X, q) // _horner(dP, X, q)
+        X -= corr
+        if q == shift and abs(corr) <= 1:
+            break
+    g, one = _phi_float(n) - 2.0 * math.cos(3 * math.pi / n), 1 << q
+    if abs(X / one - x0) + 4 / one > g / 2 or _horner(P, X - 4, q) * _horner(P, X + 4, q) > 0:
+        raise ArithmeticError("root enclosure not certified")
+    return X - 4, X + 4, q
 
 
 def _interval_eval(num: Sequence[int], lo: int, hi: int, shift: int) -> tuple[int, int]:
@@ -424,7 +448,7 @@ class CycloReal:
             return 0
         bits, top = 53, _separation_bits(self._num)
         while True:
-            lo, hi = _interval_eval(self._num, *_phi_enclosure(self.n, bits))
+            lo, hi = _interval_eval(self._num, *_root_enclosure(self.n, 1, bits))
             if lo > 0:
                 return 1
             if hi < 0:
@@ -608,30 +632,26 @@ def accurate_float(x: CycloReal) -> float:
     to 2^-60 relative; it is rounded to a double by one integer division.
     """
     d = len(x._num)
-    lo, hi, shift = _phi_enclosure(x.n, _separation_bits(x._num))
+    lo, hi, shift = _root_enclosure(x.n, 1, _separation_bits(x._num))
     acc_lo, acc_hi = _interval_eval(x._num, lo, hi, shift)
     return (acc_lo + acc_hi) / (x._den << (d * shift + 1))
 
 
 @lru_cache(maxsize=None)
-def _conjugates(n: int, prec: int):
-    """A private mpmath context at ``prec`` bits, Phi's conjugates
-    2cos(k*pi/n), 0 < k < n with gcd(k, 2n) = 1 (k = 1, Phi itself, first),
-    in it, and the inverse of their Vandermonde matrix V[i][j] = phi_i^j."""
-    import mpmath
-
-    ctx = mpmath.MPContext()
-    ctx.prec = prec
-    ks = [k for k in range(1, n) if math.gcd(k, 2 * n) == 1]
-    phis = [2 * ctx.cos(ctx.pi * k / n) for k in ks]
-    return ctx, phis, ctx.inverse(ctx.matrix([[p ** j for j in range(len(ks))] for p in phis]))
-
-
-@lru_cache(maxsize=None)
-def _vinv_bits(n: int) -> int:
-    """An integer b with ||V^-1||_inf <= 2^b, for the Vandermonde V above."""
-    ctx, _, vinv = _conjugates(n, 64)
-    return int(ctx.ceil(ctx.log(ctx.mnorm(vinv, "inf"), 2))) + 1
+def _trace_inverse(n: int) -> tuple[int, list[list[int]]]:
+    """``scale`` and the integers ``scale T^-1`` for the trace matrix
+    ``T[i][j] = Tr(Phi^(i+j))``, V^T V for V[k][j] = phi_k^j (conjugates)."""
+    d = field_degree(n)
+    powers = (_fold(n, [0] * k + [1] + [0] * d, d) for k in range(2 * d - 1))
+    tr = [sum(r[i] for i, r in enumerate(_mul_matrix(n, x))) for x in powers]
+    rows = [tr[i:i + d] + [int(i == j) for j in range(d)] for i in range(d)]
+    for c, pivot in enumerate(rows):  # Gauss-Jordan; T is positive definite
+        pivot[:] = [Fraction(v, pivot[c]) for v in pivot]
+        for row in rows:
+            if row is not pivot:
+                row[:] = [v - row[c] * w for v, w in zip(row, pivot)]
+    scale = math.lcm(*(v.denominator for row in rows for v in row[d:]))
+    return scale, [[int(v * scale) for v in row[d:]] for row in rows]
 
 
 def sqrt_in_field(x: CycloReal) -> Union[CycloReal, None]:
@@ -646,19 +666,20 @@ def sqrt_in_field(x: CycloReal) -> Union[CycloReal, None]:
 
     - Norm(m) = det(multiplication by m) = Norm(s)^2 must be the square of
       an integer (checked exactly), and no conjugate of m may be negative.
-    - The conjugates of s are +-sqrt(sigma_k(m)), with + at Phi itself, and
-      s = V^-1 (+-sqrt(sigma_k(m))) for the Vandermonde matrix V of Phi's
-      conjugates.  Each sign pattern is tried; a candidate whose
-      coefficients all lie within 1/4 of integers is rounded and accepted
-      only if it squares to x exactly.
+    - The conjugates of s are rho_k = +-sqrt(sigma_k(m)), with + at Phi
+      itself, and s = V^-1 rho = T^-1 V^T rho (``_trace_inverse``), where
+      V^T rho holds the traces Tr(s Phi^i), integers.  Under each sign
+      pattern, traces all within 1/4 of integers are rounded, T^-1 (exact)
+      gives a candidate, and it is accepted only if it squares to x exactly.
 
-    Precision: with |m_i| < 2^h, |sigma_k(m)| < 2^(h+d).  At p bits the
-    conjugates are off by at most E = 2^(h+d+8-p) (d <= 64 Horner steps),
-    so the square roots by at most sqrt(E) plus their own rounding, and the
-    coefficients by at most ||V^-1|| * 2 sqrt(E) <= 2^(b+1+(h+d+8-p)/2).
-    p >= h + d + 2b + 2 log2(d) + 64 makes that below 2^-27, and the 64-bit
-    margin absorbs the rounding of V^-1 and of the sums; so the true pattern
-    always rounds to s, and a square root, when it exists, is never missed.
+    Precision: with |m_i| < 2^h, |sigma_k(m)| < 2^(h+d).  From the powers
+    phi_k^i rounded to 2^-p (off by under i 2^i 2^-p), it is off by at most
+    E = 2^(h+d+8-p) (d <= 64), its ``math.isqrt`` by sqrt(E) + 2^-p, and
+    V^T rho, as ||V^T||_inf <= d 2^(d-1), by 2^(log2(d)+d+(h+d+8-p)/2) plus
+    terms in 2^-p.  p >= h + 3d + 2 log2(d) + 64 makes that below 2^-27, so
+    the true pattern always rounds to the traces, and a square root, when it
+    exists, is never missed.  T^-1 acts exactly, after the rounding, so
+    ||T^-1 V^T||_inf, unlike ||V^T||_inf, sets no precision.
     """
     s = x.sign()
     if s == 0:
@@ -672,31 +693,33 @@ def sqrt_in_field(x: CycloReal) -> Union[CycloReal, None]:
     if norm < 0 or math.isqrt(norm) ** 2 != norm:
         return None
     h = max(abs(a) for a in m).bit_length()
-    prec = h + d + 2 * _vinv_bits(n) + 2 * d.bit_length() + 64
-    prec = -(-prec // 64) * 64  # few distinct precisions to cache
-    ctx, phis, vinv = _conjugates(n, prec)
-    err = ctx.ldexp(1, h + d + 8 - prec)
-    roots = []
-    for p in phis:
-        acc = ctx.mpf(0)
-        for a in reversed(m):
-            acc = acc * p + a
-        if acc < -err:  # a negative conjugate: not a square
-            return None
-        roots.append(ctx.sqrt(max(acc, 0)))
-    cols = [[vinv[j, k] * r for j in range(d)] for k, r in enumerate(roots)]
+    prec = -(-(h + 3 * d + 2 * d.bit_length() + 64) // 64) * 64  # few distinct enclosures
+    pows = []  # phi_k^i 2^p, i < d, rounded, for phi_k = 2cos(k pi/n), Phi first
+    for k in (k for k in range(1, n) if math.gcd(k, 2 * n) == 1):
+        lo, hi, t = _root_enclosure(n, k, prec + 2)
+        row = [1 << prec, (lo + hi + (1 << (t - prec))) >> (t - prec + 1)]
+        while len(row) < d:
+            row.append((row[-1] * row[1] + (1 << (prec - 1))) >> prec)
+        pows.append(row[:d])
+    conj = [sum(a * w for a, w in zip(m, row)) for row in pows]
+    if min(conj) < -(1 << (h + d + 8)):  # below -E: a negative conjugate
+        return None
+    # Tr(s Phi^i) = sum_k +-cols[k][i] over 2^(2p)
+    cols = [[w * math.isqrt(max(c, 0) << prec) for w in row] for row, c in zip(pows, conj)]
+    scale, inv = _trace_inverse(n)
+    unit = 1 << (2 * prec)
     for pattern in range(1 << (d - 1)):
-        num = []
-        for j in range(d):
-            c = cols[0][j]
+        traces = []
+        for i in range(d):
+            c = cols[0][i]
             for k in range(1, d):
-                c = c - cols[k][j] if pattern >> (k - 1) & 1 else c + cols[k][j]
-            r = int(ctx.nint(c))
-            if abs(c - r) > 0.25:
+                c = c - cols[k][i] if pattern >> (k - 1) & 1 else c + cols[k][i]
+            t = (c + (unit >> 1)) >> (2 * prec)
+            if abs(c - t * unit) > unit >> 2:
                 break
-            num.append(r)
+            traces.append(t)
         else:
-            cand = _element(n, num, den)
+            cand = _element(n, [sum(a * t for a, t in zip(r, traces)) for r in inv], den * scale)
             if cand * cand == x:
                 return cand if cand.sign() > 0 else -cand
     return None

@@ -25,12 +25,12 @@ precision, with one search per query.  One point (``nearest_witness``) is
 framed and searched in Python floats by ``_nearest_point``, with no array;
 batches and deep-cusp points run in numpy blocks.  Both do the same double
 operations in the same order, so their results are identical to the bit.
-numpy and mpmath are imported only where arrays or ``mpc`` values are built.
-Reduction to the fundamental domain steps the point in integer fixed point,
-at a precision chosen per call from ``|x|/y``.  A given word is applied only
-by ``_step_pairs``, exactly on pairs over Z[Phi]: ``apply_word`` evaluates
-its matrix once, at a precision proven from the sizes of the entries and the
-point, and mpmath's process-global precision is never written.  A query's
+numpy is imported only where arrays are built, and mpmath never (an ``mpc``
+argument is handled with its caller's mpmath).  Reduction to the fundamental
+domain steps the point in integer fixed point, at a precision chosen per
+call from ``|x|/y``.  A given word is applied only by ``_step_pairs``,
+exactly on pairs over Z[Phi]: ``apply_word`` evaluates its matrix once, in
+integer fixed point at a precision proven from the sizes.  A query's
 witness (``nearest_witness``) is kept as exact data, the search's frame
 ends, the shift and the reduction word; its float ``Geodesic``, mapped back
 exactly and rounded to doubles at the end, is built on first read.
@@ -48,9 +48,9 @@ from .field import (
     ComputationLimitError,
     _element,
     _fold,
-    _interval_eval,
-    _phi_enclosure,
+    _horner,
     _phi_float,
+    _root_enclosure,
     accurate_float,
     field_degree,
 )
@@ -211,7 +211,7 @@ def in_fundamental_domain(z, n: int, *, tol: float = 1e-9):
 def _phi_fixed(n: int, p: int) -> int:
     """``Phi 2^p`` rounded to an integer, within one unit, from the cached
     rigorous enclosure at the next multiple of 64 bits past ``p + 64``."""
-    lo, hi, shift = _phi_enclosure(n, (p // 64 + 2) * 64)
+    lo, hi, shift = _root_enclosure(n, 1, (p // 64 + 2) * 64)
     return (((lo + hi) << p) + (1 << shift)) >> (shift + 1)
 
 
@@ -349,28 +349,26 @@ def apply_word(word: Iterable[tuple[str, int]], z, n: int):
     point off the half plane raises the reduction's ``ValueError``, an
     unknown token that of ``_step_pairs``.  The word's exact matrix
     ``[[a, b], [c, d]]`` (``word_matrix``) is evaluated once, as
-    ``w = (a z + b)/(c z + d)`` at ``p`` bits, by ``mpmath.libmp`` calls
-    that take the precision as an argument, and rounded once to the
-    caller's precision.
+    ``w = (a z + b)/(c z + d)`` in integer fixed point at ``p`` bits, as the
+    reduction steps its point, and the exact quotient of those integers is
+    rounded once to the caller's precision.
 
     Precision.  An entry ``e = sum e_i Phi^i`` is at most ``A(e) =
     sum |e_i| 2^i``, as ``0 < Phi < 2``.  Evaluated exactly at
     ``_phi_fixed(n, q)/2^q``, ``q = p + bitlen(degree)``, and rounded to
-    ``p`` bits, it is off by under ``2^(1-p) A(e)``.  With ``r = |x| + |y|
-    + 1``, ``N = a z + b`` and ``D = c z + d`` are then off by under
+    ``2^-p``, it is off by under ``2^(1-p) A(e)``; ``z`` is rounded to
+    ``2^-p`` in each coordinate.  With ``r = |x| + |y| + 1``, ``N = a z + b``
+    and ``D = c z + d``, formed exactly from these, are then off by under
     ``5 2^-p`` times ``A(a) r + A(b)`` and ``A(c) r + A(d)``, whose product
     over ``y`` is ``B``.  The determinant is 1, so ``Im w = y/|D|^2``: to
     first order ``w`` moves by ``(|dN| |D| + |N| |dD|)/y`` in hyperbolic
-    distance, and rounding the quotient adds ``2^(1-p) |N| |D|/y``: under
-    ``16 2^-p B`` in all, as is the relative error of ``D``, since
-    ``|N| |D| >= y``, so the first order holds.  ``p = base + _GUARD_BITS +
-    ceil(log2(2 B))``, from integer bounds on ``r`` and ``y``, keeps ``w``
-    within ``2^-base`` in hyperbolic distance, each coordinate within
-    ``2^-base Im w``: ``base`` is 300 for a ``complex``, ``mp.prec + 60``
-    for an ``mpc``, and the caller's precision is only read.
+    distance, under ``16 2^-p B`` in all, as is the relative error of
+    ``D``, since ``|N| |D| >= y``, so the first order holds.  ``p = base +
+    _GUARD_BITS + ceil(log2(2 B))``, from integer bounds on ``r`` and ``y``,
+    keeps ``w`` within ``2^-base`` in hyperbolic distance, each coordinate
+    within ``2^-base Im w``: ``base`` is 300 for a ``complex``,
+    ``mp.prec + 60`` for an ``mpc``, and the caller's precision is only read.
     """
-    from mpmath.libmp import from_man_exp, mpc_add_mpf, mpc_div, mpc_mul_mpf
-    from mpmath.libmp import mpc_pos, mpc_to_complex, round_nearest
     M = word_matrix(word, n)
     z, mp, (mx, ex), (my, ey) = _upper_point(z)
     # r < 2^rho and y >= 2^(ty - 1)
@@ -381,18 +379,16 @@ def apply_word(word: Iterable[tuple[str, int]], z, n: int):
     p = (mp.mp.prec + 60 if mp else 300) + _GUARD_BITS + 2 + top - ty
     q = p + field_degree(n).bit_length()
     F = _phi_fixed(n, q)
-    rnd = round_nearest
-    # an entry at F/2^q, an integer over 2^(q degree), rounded to p bits
-    a, b, c, d = (
-        from_man_exp(_interval_eval(e._num, F, F, q)[0], -q * len(e._num), p, rnd)
-        for e in (M.a, M.b, M.c, M.d)
-    )
-    zz = (from_man_exp(mx, ex, p, rnd), from_man_exp(my, ey, p, rnd))
-    num = mpc_add_mpf(mpc_mul_mpf(zz, a, p, rnd), b, p, rnd)
-    w = mpc_div(num, mpc_add_mpf(mpc_mul_mpf(zz, c, p, rnd), d, p, rnd), p, rnd)
+    # an entry at F/2^q, an integer over 2^(q len), rounded to 2^-p
+    a, b, c, d = (_fixed(_horner(e._num, F, q), -q * len(e._num), p) for e in (M.a, M.b, M.c, M.d))
+    X, Y = _fixed(mx, ex, p), _fixed(my, ey, p)
+    # N and D over 2^(2p), and w = N conj(D)/|D|^2
+    Nx, Ny, Dx, Dy = a * X + (b << p), a * Y, c * X + (d << p), c * Y
+    re, im, den = Nx * Dx + Ny * Dy, Ny * Dx - Nx * Dy, Dx * Dx + Dy * Dy
     if mp:
-        return mp.mp.make_mpc(mpc_pos(w, mp.mp.prec, rnd))
-    return mpc_to_complex(w, rnd=rnd)
+        part = lambda v: mp.libmp.from_rational(v, den, mp.mp.prec, mp.libmp.round_nearest)
+        return mp.mp.make_mpc((part(re), part(im)))
+    return complex(re / den, im / den)
 
 
 def _step_pairs(pairs, word: Iterable[tuple[str, int]], n: int) -> list:
@@ -660,17 +656,18 @@ def _nearest(xs, ys, n: int):
     ``n = 8``; every higher point reads ``False``.
 
     Past ``Im z`` of about ``1.3e154`` the squares in the frame's
-    denominator overflow.  Those points alone take the frame from the point
-    scaled to unit size, where ``v`` is tiny but positive; their rounding
-    bound is far above ``_ROUNDING_TOL``, so the flag reads ``False``."""
+    denominator overflow, and below ``|z - m phi|`` of about ``1.5e-154``
+    their sum leaves the normal range.  Those points alone take the frame
+    from the point scaled to unit size; their flag reads ``False``."""
     import numpy as np
     phi = _phi_float(n)
     m = np.round(xs / phi)
     dx = xs - m * phi
-    with np.errstate(over="ignore"):
-        den = phi * (dx * dx + ys * ys)
+    with np.errstate(all="ignore"):
+        sq = dx * dx + ys * ys
+        den = phi * sq
         u, v = -dx / den, ys / den
-        huge = ~np.isfinite(den)
+        huge = ~np.isfinite(den) | (sq < sys.float_info.min)
         if huge.any():
             s = np.maximum(np.abs(dx[huge]), ys[huge])
             dxs, ysc = dx[huge] / s, ys[huge] / s
@@ -688,20 +685,20 @@ def _nearest_point(x: float, y: float, n: int):
     m at x = -0.0, then floor(u) at u = -0.0; but at u = +-0 the vertical at
     0 is at distance 0, which no candidate beats, so no result changes.
     A point whose frame asks for more than ``_ROW_OFFSETS`` offsets, deep
-    in the cusp at 0, or whose frame denominator underflows to 0, takes
-    ``_nearest`` on one row."""
+    in the cusp at 0, takes ``_nearest`` on one row."""
     phi = _phi_float(n)
     m = round(x / phi)  # half to even, as np.round
     dx = x - m * phi
-    den = phi * (dx * dx + y * y)
-    if den == math.inf:
+    sq = dx * dx + y * y
+    den = phi * sq
+    if den == math.inf or sq < sys.float_info.min:
         s = max(abs(dx), y)
         dxs, ysc = dx / s, y / s
         dens = phi * (dxs * dxs + ysc * ysc)
         u, v = -dxs / dens / s, ysc / dens / s
-    elif den:
+    else:
         u, v = -dx / den, y / den
-    if not den or math.floor(min(v, _MAX_HEIGHT)) + 2 > _ROW_OFFSETS:
+    if math.floor(min(v, _MAX_HEIGHT)) + 2 > _ROW_OFFSETS:
         import numpy as np
         sinh, m, a, b, flag = _nearest(np.array([x]), np.array([y]), n)
         return float(sinh[0]), int(m[0]), float(a[0]), float(b[0]), bool(flag[0])

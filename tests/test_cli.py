@@ -21,6 +21,7 @@ from kvol.cli import (
     EXIT_VERIFY,
     main,
 )
+from kvol.hyperbolic import dist_to_Gmax_batch
 from kvol.ratios import k0_constant
 from kvol.surface import TranslationSurface, build_staircase
 
@@ -177,6 +178,20 @@ class TestKvolPointCommand:
         d = json.loads(out, parse_constant=_reject_constant)
         assert d["value"] == d["params"]["K0"]
         assert math.isfinite(d["params"]["dist"]) and d["converged"] is False
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x, y", [("0", "1e-200"), ("0", "1e-160"), ("1e-170", "1e-165")])
+    def test_point_below_the_squares_range(self, capsys, x, y):
+        # below |z| of about 1.5e-154 the search frame's squares leave the
+        # normal range, and the frame is scaled as past the top: the dist is
+        # finite and not certified, and the batch path gives the same bits
+        code, out, err = run(capsys, "kvol-point", "--n", "8", "--x", x, "--y", y)
+        assert (code, err) == (EXIT_OK, "")
+        d = json.loads(out, parse_constant=_reject_constant)
+        dist = d["params"]["dist"]
+        assert math.isfinite(dist) and d["converged"] is False
+        dists, flags = dist_to_Gmax_batch([complex(float(x), float(y))], 8)
+        assert (float(dists[0]).hex(), bool(flags[0])) == (dist.hex(), False)
 
     def test_bruteforce_cross_check(self, capsys):
         code, out, _ = run(
@@ -560,11 +575,26 @@ def test_one_point_commands_load_neither_numpy_nor_mpmath(statement):
     assert _loaders(statement) == {}
 
 
-def test_reduction_loads_mpmath_only_for_the_phi_enclosure():
-    # a point that needs reduction: numpy stays out, and mpmath comes in only
-    # through the rigorous enclosure of Phi that fixes the reduction's point
+def test_reduction_loads_neither_numpy_nor_mpmath():
+    # a point that needs reduction: Phi's enclosure, which fixes the
+    # reduction's point, comes from integer Newton steps
     statement = "from kvol.cli import main; main(['kvol-point', '--n', '8', '--x', '7/3', '--y', '1/50'])"
-    assert _loaders(statement) in ({}, {"mpmath": "field._phi_enclosure"})
+    assert _loaders(statement) == {}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kvol-bound", "--n", "10"],
+        ["kvol-point", "--n", "8", "--x", "1/5", "--y", "7/10", "--bruteforce", "--L", "8"],
+        ["kvol-grid", "--n", "8", "--resolution", "20"],
+        ["verify", "--suite", "formula", "--n", "8", "--samples", "2", "--seed", "3", "--L", "10"],
+    ],
+)
+def test_commands_never_load_mpmath(argv):
+    # square roots in the field and every enclosure are integer arithmetic;
+    # numpy may load for arrays
+    assert "mpmath" not in _loaders(f"from kvol.cli import main; main({argv!r})")
 
 
 def test_loader_record_names_the_importer():

@@ -131,22 +131,36 @@ class TestSign:
         assert p * p - 2 * q * q == 1  # p/q > sqrt(2)
         assert (CycloReal.phi(4) - Fraction(p, q)).sign() == -1
 
-    @pytest.mark.parametrize("n, bits", [(4, 53), (8, 113), (10, 233), (16, 953), (30, 1024)])
-    def test_phi_enclosure_matches_the_interval_context(self, n, bits):
+    @staticmethod
+    def _assert_encloses_the_interval_context(n, k, bits):
+        # the enclosure is rigorous and narrow: mpmath's interval cosine,
+        # 64 bits finer, lies inside it, and it is at most 2^-bits wide
         from mpmath import iv
         from mpmath.libmp import to_rational
 
-        from kvol.field import _phi_enclosure
+        from kvol.field import _root_enclosure
 
         old = iv.prec
         try:
-            iv.prec = bits
-            ends = (2 * iv.cos(iv.pi / n))._mpi_
+            iv.prec = bits + 64
+            ends = (2 * iv.cos(iv.pi * k / n))._mpi_
         finally:
             iv.prec = old
-        lo, hi, shift = _phi_enclosure(n, bits)
-        want = [Fraction(*to_rational(e)) for e in ends]
-        assert [Fraction(lo, 2**shift), Fraction(hi, 2**shift)] == want
+        lo, hi, shift = _root_enclosure(n, k, bits)
+        judge_lo, judge_hi = (Fraction(*to_rational(e)) for e in ends)
+        assert Fraction(lo, 2**shift) <= judge_lo <= judge_hi <= Fraction(hi, 2**shift)
+        assert Fraction(hi - lo, 2**shift) <= Fraction(1, 2**bits)
+
+    @pytest.mark.parametrize("n, bits", [(4, 53), (8, 113), (10, 233), (16, 953), (30, 1024)])
+    def test_phi_enclosure_matches_the_interval_context(self, n, bits):
+        self._assert_encloses_the_interval_context(n, 1, bits)
+
+    @pytest.mark.parametrize("n", [8, 10, 12, 16, 24, 30])
+    def test_conjugate_enclosures_contain_the_interval_context(self, n):
+        for k in range(1, n):
+            if math.gcd(k, 2 * n) == 1:
+                for bits in (53, 64, 233, 832, 1024, 4096):
+                    self._assert_encloses_the_interval_context(n, k, bits)
 
     def test_comparisons_total_order(self):
         phi = CycloReal.phi(12)
@@ -424,6 +438,20 @@ class TestIntegerLayout:
             assert hash(x) == hash(CycloReal.from_dict(x.to_dict()))
 
 
+def _square_norm_with_a_negative_conjugate(n):
+    """A positive element u = |w sigma_k(w)|, w = Phi + r, whose norm
+    Norm(w)^2 is a square but which has a negative conjugate."""
+    phi = CycloReal.phi(n)
+    ks = [k for k in range(1, n) if math.gcd(k, 2 * n) == 1]
+    for r in range(-2, 3):
+        for k in ks[1:]:
+            u = abs((phi + r) * (trig_value(n, "cos", k) * 2 + r))
+            phis = [2 * math.cos(j * math.pi / n) for j in ks]
+            if min(sum(float(c) * p**i for i, c in enumerate(u.coeffs)) for p in phis) < -1e-9:
+                return u
+    raise AssertionError("no such element")
+
+
 class TestExactSqrt:
     def test_heights_beyond_any_fixed_denominator(self):
         phi = CycloReal.phi(8)
@@ -440,3 +468,30 @@ class TestExactSqrt:
         assert sqrt_in_field(x * x) == abs(x)
         # 7 is not a square in these fields, so 7 x^2 has no root
         assert sqrt_in_field(x * x * 7) is None
+
+    @pytest.mark.parametrize("n", [8, 10, 12, 16, 20, 24])
+    def test_agrees_with_the_mpmath_oracle(self, n):
+        import random
+
+        import sqrt_oracle
+
+        rng = random.Random(n)
+        d = field_degree(n)
+        u = _square_norm_with_a_negative_conjugate(n)
+        for _ in range(6):
+            height = 2 ** rng.choice((8, 64, 300, 600))
+            coeffs = [Fraction(rng.randint(-height, height), rng.randint(1, 2**64)) for _ in range(d)]
+            x = CycloReal(n, coeffs)
+            if x.is_zero():
+                continue
+            square = x * x
+            cases = {
+                square: abs(x),
+                square * 7: None,
+                square * u: None,
+                square + Fraction(1, square._den): None,
+            }
+            for y, want in cases.items():
+                got = sqrt_in_field(y)
+                assert got == want
+                assert got == sqrt_oracle.sqrt_in_field(y)
