@@ -215,10 +215,14 @@ def _root_enclosure(n: int, k: int, bits: int) -> tuple[int, int, int]:
     in integers, at most ``2^-bits`` wide, for k prime to 2n (k = 1: Phi).
 
     Newton steps on the minimal polynomial P, evaluated exactly, start from
-    the double and double the precision up to ``shift = bits + 3``, then run
-    there until a correction is at most one unit (a doubling step gains
-    log2|P''/2P'| bits fewer than it adds); the bracket is +-4 units.  P(lo)
-    and P(hi), exact integers, differ in sign, so a root lies in [lo, hi].
+    the double.  The precisions are chosen top-down from ``shift = bits + 3``:
+    each is half the next, rounded up, plus 8 guard bits, down to at most 50
+    bits, where the double starts.  A step from an X good to b bits is good
+    to about 2b - log2|P''/2P'| bits, so the guard bits keep each step's
+    shortfall from doubling, and one step at ``shift`` lands within a few
+    units; the bracket is +-4 units.  P(lo) and P(hi), exact integers,
+    differ in sign, so a root lies in [lo, hi]; should they not, another
+    step runs at ``shift``.
     Isolation: P's roots 2cos(j pi/n), j odd, are at least g = 2cos(pi/n) -
     2cos(3pi/n) > 2^-30 apart (n < 2^18).  The bracket lies within g/2 of
     the double, checked in doubles; the double is within 2^-48 of the root
@@ -226,15 +230,21 @@ def _root_enclosure(n: int, k: int, bits: int) -> tuple[int, int, int]:
     P = minimal_polynomial(n)
     dP = [i * c for i, c in enumerate(P)][1:]
     x0, shift = 2.0 * math.cos(k * math.pi / n), bits + 3
-    X, q = round(x0 * 2.0 ** min(shift, 50)), min(shift, 50)
-    for _ in range(shift.bit_length() + 64):
-        X, q = X << (min(2 * q, shift) - q), min(2 * q, shift)
-        corr = _horner(P, X, q) // _horner(dP, X, q)
-        X -= corr
-        if q == shift and abs(corr) <= 1:
+    qs = [shift]
+    while qs[-1] > 50:
+        qs.append((qs[-1] + 1) // 2 + 8)
+    q = qs.pop()
+    X = round(x0 * 2.0 ** q)
+    for _ in range(len(qs) + 64):
+        if qs:
+            X, q = X << (qs[-1] - q), qs.pop()
+        elif _horner(P, X - 4, q) * _horner(P, X + 4, q) <= 0:
             break
+        X -= _horner(P, X, q) // _horner(dP, X, q)
+    else:
+        raise ArithmeticError("root enclosure not certified")
     g, one = _phi_float(n) - 2.0 * math.cos(3 * math.pi / n), 1 << q
-    if abs(X / one - x0) + 4 / one > g / 2 or _horner(P, X - 4, q) * _horner(P, X + 4, q) > 0:
+    if abs(X / one - x0) + 4 / one > g / 2:
         raise ArithmeticError("root enclosure not certified")
     return X - 4, X + 4, q
 
@@ -669,8 +679,10 @@ def sqrt_in_field(x: CycloReal) -> Union[CycloReal, None]:
     - The conjugates of s are rho_k = +-sqrt(sigma_k(m)), with + at Phi
       itself, and s = V^-1 rho = T^-1 V^T rho (``_trace_inverse``), where
       V^T rho holds the traces Tr(s Phi^i), integers.  Under each sign
-      pattern, traces all within 1/4 of integers are rounded, T^-1 (exact)
-      gives a candidate, and it is accepted only if it squares to x exactly.
+      pattern, traces all within 1/4 of integers are rounded and T^-1
+      (exact) gives s; a pattern whose s has a non-integer coefficient is
+      skipped, and the candidate s/D is accepted only if it squares to x
+      exactly.
 
     Precision: with |m_i| < 2^h, |sigma_k(m)| < 2^(h+d).  From the powers
     phi_k^i rounded to 2^-p (off by under i 2^i 2^-p), it is off by at most
@@ -719,7 +731,10 @@ def sqrt_in_field(x: CycloReal) -> Union[CycloReal, None]:
                 break
             traces.append(t)
         else:
-            cand = _element(n, [sum(a * t for a, t in zip(r, traces)) for r in inv], den * scale)
+            num = [sum(a * t for a, t in zip(r, traces)) for r in inv]  # scale * s
+            if any(c % scale for c in num):
+                continue  # s is not in Z[Phi]
+            cand = _element(n, [c // scale for c in num], den)
             if cand * cand == x:
                 return cand if cand.sign() > 0 else -cand
     return None

@@ -7,8 +7,9 @@ direction cones: a cone entering a convex face either ends at vertices
 (strictly inside the cone, recorded when short enough) or continues through
 the boundary edges, splitting at every interior vertex direction.  Each
 connection records its exact holonomy, endpoint germs and combinatorial
-path (start corner, crossed half-edges, end vertex); exact pieces and
-crossing points are traced from the path only when asked for.
+path (start corner, crossed half-edges, end vertex).  The library reads
+nothing else of a connection's route; the tests trace its exact pieces and
+crossing points from the path, in ``tests/intersect_oracle.py``.
 
 The search runs in floats and does exact work only when a float test cannot
 decide or a connection is recorded.  A node is a named tuple (face, tau_fl,
@@ -73,8 +74,8 @@ within the cap L^2 = a / b when b (X^2 + Y^2) - D^2 a <= 0; the order signs
 the difference of squared norms unless they pack equal, then x and y where
 their floats are too close to decide.  So the one field multiplication is
 the cap.  A recorded connection keeps its packed holonomy and the floats of
-its digits; its field vector, and the germ directions with it, is built on
-first read.
+its digits, and each of its germs a packed direction of its own; their
+field vectors are built on first read.
 
 The digit width B is set per surface from c, the largest |numerator| of a
 face vertex, a glue shift or the filter line, and N = ``_MAX_NODES``, read
@@ -143,8 +144,8 @@ from .field import (
     as_field,
     common_denominator,
 )
-from .plane import Vec2, canonical_orientation, norm2, vfloat, vneg
-from .surface import TranslationSurface, direction_vector, trace_from_corner
+from .plane import Vec2, norm2, vfloat, vneg
+from .surface import TranslationSurface, direction_vector
 
 _MAX_NODES = 5_000_000
 _SIGN_MARGIN = 1e-9
@@ -156,24 +157,25 @@ class Germ:
     exact direction pointing into (or along the first boundary ray of) its
     wedge.
 
-    The germs of a connection the enumeration records take their direction
-    from it on first read: its holonomy at its start germ, minus that at its
-    end germ (which its reverse shares as its start germ)."""
+    The germs of a connection the enumeration records keep their direction
+    packed, as a lattice and a lattice vector: the connection's packed
+    holonomy at its start germ and its negative at its end germ (which its
+    reverse shares as its start germ).  The field vector is built on first
+    read.  A germ holds no reference to its connection."""
 
-    __slots__ = ("class_id", "corner", "_direction", "_of")
+    __slots__ = ("class_id", "corner", "_direction", "_packed")
 
     def __init__(self, class_id: int, corner: tuple[int, int], direction: Optional[Vec2]):
         self.class_id = class_id
         self.corner = corner
         self._direction = direction
-        self._of = None
+        self._packed = None
 
     @property
     def direction(self) -> Vec2:
         if self._direction is None:
-            sc = self._of
-            hol = sc.holonomy
-            self._direction = hol if self is sc.start else vneg(hol)
+            lat, u = self._packed
+            self._direction = lat.vector(u)
         return self._direction
 
 
@@ -187,10 +189,6 @@ class SaddleConnection:
     reaches in its last piece's face.  ``edge_pair`` is set when the
     connection is itself an edge of the complex; its path runs along that
     edge inside one face.
-
-    ``pieces`` (face, entry point, exit point in face coordinates) and
-    ``crossings`` (pair id, half-edge crossed out of, developed crossing
-    point) are traced exactly on first use and checked against the path.
 
     A connection the enumeration records keeps its holonomy as a packed
     lattice vector with its floats (``holonomy_float``); the exact
@@ -208,7 +206,6 @@ class SaddleConnection:
         "_packed",
         "_fl",
         "_len2",
-        "_trace",
     )
 
     def __init__(self, surface, holonomy, start, end, path, edge_pair=None):
@@ -220,7 +217,6 @@ class SaddleConnection:
         self.edge_pair = edge_pair
         self._lat = self._packed = self._fl = None
         self._len2 = None
-        self._trace = None
 
     @property
     def holonomy(self) -> Vec2:
@@ -259,28 +255,6 @@ class SaddleConnection:
             f = self.surface.glue[exits[-1]][0]
         return (f, last)
 
-    @property
-    def pieces(self) -> tuple:
-        return self._traced()[0]
-
-    @property
-    def crossings(self) -> tuple:
-        return self._traced()[1]
-
-    def _traced(self):
-        if self._trace is None:
-            (f, v), exits, _last = self.path
-            # a consistent path ends after self.length; the slack only
-            # bounds the trace of an inconsistent one
-            tr = trace_from_corner(
-                self.surface, f, v, self.holonomy, max_length=2 * self.length
-            )
-            traced_exits = tuple(h for _pid, h, _dev in tr.crossings)
-            if traced_exits != exits or tr.end != ("vertex", self._last_corner()):
-                raise RuntimeError("traced saddle connection leaves its recorded path")
-            self._trace = (tuple(tr.pieces), tuple(tr.crossings))
-        return self._trace
-
     def reversed(self) -> "SaddleConnection":
         (_f, v), exits, _last = self.path
         glue = self.surface.glue
@@ -295,25 +269,6 @@ class SaddleConnection:
         sc = SaddleConnection(self.surface, None, self.end, self.start, path, self.edge_pair)
         sc._lat, sc._packed = self._lat, (-X, -Y)
         sc._fl = self._lat.floats(sc._packed)  # negating a float may sign a zero
-        return sc
-
-    def transformed(self, M, target: Optional[TranslationSurface] = None) -> "SaddleConnection":
-        """The image under an orientation-preserving linear map, on the
-        transformed surface (pass ``target`` to reuse one).  Such maps keep
-        face and edge indices, so the path carries over unchanged."""
-        if M.det().sign() <= 0:
-            raise ValueError("transformed() requires det > 0")
-        T = target if target is not None else self.surface.transform(M)
-        sc = SaddleConnection(
-            T,
-            M.apply(self.holonomy),
-            Germ(self.start.class_id, self.start.corner, M.apply(self.start.direction)),
-            Germ(self.end.class_id, self.end.corner, M.apply(self.end.direction)),
-            self.path,
-            self.edge_pair,
-        )
-        if not canonical_orientation(sc.holonomy):
-            sc = sc.reversed()
         return sc
 
     def to_dict(self) -> dict:
@@ -353,23 +308,6 @@ def _as_length_sq(n: int, length) -> CycloReal:
     if L.sign() <= 0:
         raise ValueError("length bound must be positive")
     return L * L
-
-
-def edge_connection(S: TranslationSurface, pid: int) -> SaddleConnection:
-    """The edge of pair ``pid`` as a canonically oriented saddle connection."""
-    h1, h2 = S.edge_pairs[pid]
-    h = h1 if canonical_orientation(S.edge_vector(h1)) else h2
-    hol = S.edge_vector(h)
-    f, e = h
-    f2, e2 = S.glue[h]
-    return SaddleConnection(
-        S,
-        hol,
-        Germ(S.corner_class[(f, e)][0], (f, e), hol),
-        Germ(S.corner_class[(f2, e2)][0], (f2, e2), vneg(hol)),
-        ((f, e), (), (e + 1) % len(S.faces[f])),
-        edge_pair=pid,
-    )
 
 
 class _Lattice:
@@ -751,8 +689,9 @@ def _recorded(
     cc = S.corner_class
     start = Germ(cc[start_corner][0], start_corner, None)
     end = Germ(cc[end_corner][0], end_corner, None)
+    X, Y = P
+    start._packed, end._packed = (lat, P), (lat, (-X, -Y))
     sc = SaddleConnection(S, None, start, end, path, edge_pair)
-    start._of = end._of = sc
     sc._lat, sc._packed, sc._fl = lat, P, lat.floats(P)
     return sc
 

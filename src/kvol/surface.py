@@ -17,10 +17,12 @@ subdivision length lemma, which cuts n-gon connections at sector sides, is
 kept with the tests, in ``tests/ngon_sectors.py``.
 
 One loop, ``_flow``, steps a straight line across glued edges; separatrices
-and cylinder core leaves both follow it.  A cylinder's fields are exact and
-read from one closed leaf: separatrix chords cut each convex face into slabs
-of their cylinder's width, a mid-level leaf misses every vertex, and its
-holonomy is minus the sum of the glue shifts it crosses.
+and cylinder core leaves both follow it, and so does the tests' tracer of
+whole saddle connections (``tests/intersect_oracle.py``).  A cylinder's
+fields are exact and read from one closed leaf: separatrix chords cut each
+convex face into slabs of their cylinder's width, a mid-level leaf misses
+every vertex, and its holonomy is minus the sum of the glue shifts it
+crosses.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from .plane import (
     smul,
     vadd,
     vfloat,
-    vneg,
     vsub,
 )
 
@@ -524,15 +525,6 @@ def exit_through_face(
     raise SurfaceError("ray does not enter the face interior")
 
 
-@dataclass
-class Trace:
-    """A straight-line path across faces: pieces are (face, p_in, p_out)."""
-
-    pieces: list[tuple[int, Vec2, Vec2]]
-    crossings: list[tuple[int, Half, Vec2]]  # (pair id, exited half, developed point)
-    end: tuple  # ("vertex", (face, vi))
-
-
 # face crossings a trace may make before it gives up
 _MAX_TRACE_STEPS = 100000
 
@@ -587,28 +579,6 @@ def _flow(
         lv = nxt
         p = vadd(q, S.glue_shift[half])
     raise NonPeriodicDirectionError("separatrix exceeded the step budget")
-
-
-def trace_from_corner(
-    S: TranslationSurface,
-    f: int,
-    vi: int,
-    v: Vec2,
-    *,
-    max_length: float,
-) -> Trace:
-    """Trace the separatrix leaving corner (f, vi) in direction v until it
-    hits a vertex; raises NonPeriodicDirectionError past the length budget."""
-    tau = vneg(S.faces[f][vi])  # developed point = face point + tau
-    pieces: list[tuple[int, Vec2, Vec2]] = []
-    crossings: list[tuple[int, Half, Vec2]] = []
-    for face, p, q, exit_info, _level in _flow(S, f, S.faces[f][vi], v, max_length):
-        pieces.append((face, p, q))
-        if exit_info[0] == "vertex":
-            return Trace(pieces, crossings, ("vertex", (face, exit_info[1])))
-        half = exit_info[1]
-        crossings.append((S.pair_of[half], half, vadd(q, tau)))
-        tau = vsub(tau, S.glue_shift[half])
 
 
 # -- cylinder decomposition ---------------------------------------------------

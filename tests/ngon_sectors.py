@@ -7,7 +7,8 @@ sandwiched in its direction's sector, and every piece is at least as long as
 a side, with equality only for a side.  The library does not use it; the
 tests in ``test_saddle.py`` check the lemma with it and ``test_surface.py``
 pins the diagrams.  It reads the surface's exact tracer,
-``exit_through_face`` and ``_point_at_level``.
+``exit_through_face`` and ``_point_at_level``, and a connection's crossings
+from ``intersect_oracle``.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from kvol.surface import (
     direction_vector,
     exit_through_face,
 )
+
+import intersect_oracle as oracle
 
 
 # -- direction sectors and the side-transition diagram ------------------------
@@ -175,7 +178,7 @@ def subdivide(sc) -> list[SubSegment]:
     half = n // 2
     hol = sc.holonomy
     i = sector_index(n, hol)
-    crossings = list(sc.crossings)
+    crossings = list(oracle.crossings(sc))
     if i is None:
         if crossings:
             raise SurfaceError("side-parallel segment with transversal crossings")

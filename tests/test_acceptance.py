@@ -26,7 +26,7 @@ from kvol.hyperbolic import (
     point_of_surface,
     reduce_to_fundamental_domain,
 )
-from kvol.intersect import ClosedCurve, intersect, intersection_form
+from kvol.intersect import ClosedCurve, intersection_form
 from kvol.plane import Mat2
 from kvol.ratios import (
     K_of_directions,
@@ -48,6 +48,8 @@ from kvol.surface import (
     staircase_lengths,
     veech_generators,
 )
+
+from intersect_oracle import intersect
 
 
 def criterion(label):

@@ -162,6 +162,28 @@ class TestSign:
                 for bits in (53, 64, 233, 832, 1024, 4096):
                     self._assert_encloses_the_interval_context(n, k, bits)
 
+    def test_one_newton_step_at_the_final_precision(self, monkeypatch):
+        """The top-down precision schedule reaches the final precision good to
+        a few units: for Phi at n = 16 and 68,000 bits, one Newton step there
+        (P and P') and the two certificate signs of P are all the exact
+        evaluations at that precision."""
+        from kvol import field
+
+        calls = []
+        horner = field._horner
+
+        def counted(num, X, shift):
+            calls.append(shift)
+            return horner(num, X, shift)
+
+        monkeypatch.setattr(field, "_horner", counted)
+        lo, hi, shift = field._root_enclosure.__wrapped__(16, 1, 68000)
+        monkeypatch.undo()
+        assert shift == 68003 and calls.count(shift) <= 4
+        assert 0 < hi - lo <= 8
+        P = minimal_polynomial(16)
+        assert horner(P, lo, shift) * horner(P, hi, shift) < 0
+
     def test_comparisons_total_order(self):
         phi = CycloReal.phi(12)
         vals = [phi, phi * phi - 3, C(12, 1), phi / 2, -phi]
@@ -495,3 +517,38 @@ class TestExactSqrt:
                 got = sqrt_in_field(y)
                 assert got == want
                 assert got == sqrt_oracle.sqrt_in_field(y)
+
+    def test_exact_check_only_for_integral_candidates(self, monkeypatch):
+        """s = D r lies in Z[Phi], so a sign pattern whose T^-1 image is not
+        integral is skipped before the exact ``cand * cand == x`` check: each
+        call multiplies in the field at most once, and only when a root
+        exists.  The radicands are the six that ``kvol_bruteforce`` passes to
+        ``sqrt_in_field`` on S_8 sheared to the six points of the ``brute``
+        benchmark workload at seed 31."""
+        import sqrt_oracle
+
+        radicands = [
+            ((3844, 0, -961, 0), 5832),
+            ((288, 0, -72, 0), 1849),
+            ((82352548, -44384256, -22481513, 12681216), 60588032),
+            ((3989956, -1075200, -1037489, 307200), 1280000),
+            ((5892, -1792, -1537, 512), 2048),
+            ((991, -630, -268, 180), 648),
+        ]
+        calls = []
+        mul = CycloReal.__mul__
+
+        def counted(x, y):
+            calls.append(x)
+            return mul(x, y)
+
+        roots, muls = [], []
+        for num, den in radicands:
+            x = CycloReal(8, [Fraction(a, den) for a in num])
+            calls.clear()
+            monkeypatch.setattr(CycloReal, "__mul__", counted)
+            roots.append(sqrt_in_field(x))
+            monkeypatch.undo()
+            muls.append(len(calls))
+            assert roots[-1] == sqrt_oracle.sqrt_in_field(x)
+        assert muls == [int(r is not None) for r in roots] == [1, 1, 0, 0, 0, 0]

@@ -237,10 +237,21 @@ def test_no_unread_names():
 
 
 def readme_names(text: str) -> set[str]:
-    """Every identifier inside backticks in a Markdown text: in an inline
-    code span or a fenced code block."""
-    spans = re.findall(r"`+([^`]+)`+", text)
-    return {word for span in spans for word in re.findall(r"[A-Za-z_]\w*", span)}
+    """Every identifier that a Markdown text shows as library API: in a code
+    span of a library-table row (a table row whose first cell is a
+    ``kvol.<module>`` span) or in the code of a fenced block.  Code spans in
+    prose and comments in blocks name nothing, and a module path
+    ``kvol.<module>`` names no function of that module, so its parts are
+    dropped."""
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", text, flags=re.M | re.S)
+    blocks = [re.sub(r"#.*", "", block) for block in blocks]
+    rows = re.findall(r"^\| `kvol\.\w+` \|.*$", text, flags=re.M)
+    spans = blocks + [span for row in rows for span in re.findall(r"`+([^`]+)`+", row)]
+    return {
+        word
+        for span in spans
+        for word in re.findall(r"[A-Za-z_]\w*", re.sub(r"\bkvol\.\w+", " ", span))
+    }
 
 
 def unreached_names(modules: dict[str, str], readme: str) -> list[str]:
@@ -272,13 +283,28 @@ def test_scanner_flags_unreached_names():
     # tests count as readers for unread_names, not for unreached_names
     assert unread_names({"m": module}, [test]) == ["m:api"]
     assert unreached_names({"m": module}, readme) == ["m:oracle", "m:LIMIT"]
-    # an inline code span names LIMIT
-    assert unreached_names({"m": module}, readme + "See `m.LIMIT`.\n") == ["m:oracle"]
+    # an inline code span in prose names nothing
+    assert unreached_names({"m": module}, readme + "See `m.LIMIT`.\n") == ["m:oracle", "m:LIMIT"]
+    # a code span in a library-table row names LIMIT
+    row = "| Module | What it does |\n| --- | --- |\n| `kvol.m` | `LIMIT` caps it. |\n"
+    assert unreached_names({"m": module}, readme + row) == ["m:oracle"]
+    # a module path names no function of that module, nor does a comment
+    row = "| `kvol.oracle` | The oracle module. |\n```sh\nrun  # LIMIT\n```\n"
+    assert unreached_names({"m": module}, readme + row) == ["m:oracle", "m:LIMIT"]
 
 
 def test_no_unreached_names():
     package = {p.stem: p.read_text() for p in FILES if p.parent.name == "kvol"}
     assert unreached_names(package, (ROOT / "README.md").read_text()) == []
+
+
+def test_unreached_names_flags_a_function_named_like_its_module():
+    """The real sources and README, with an ``intersect`` that nothing in the
+    library reads appended to ``kvol.intersect``: the README's
+    ``kvol.intersect`` row names the module, not a function of it."""
+    package = {p.stem: p.read_text() for p in FILES if p.parent.name == "kvol"}
+    package["intersect"] += "\n\ndef intersect(gamma, delta):\n    return 0\n"
+    assert unreached_names(package, (ROOT / "README.md").read_text()) == ["intersect:intersect"]
 
 
 def unread_members(modules: dict[str, str], others: list[str]) -> list[str]:
