@@ -5,21 +5,18 @@ enumeration loops; Mat2 is a small immutable matrix class used for the Veech
 group, the staircase/n-gon conversion and SL(2,R) transforms.
 
 The one geometric predicate is the orientation sign ``cross(u, v).sign()``:
-which side of a line a point lies on.  Callers decide where a line leaves a
-face or meets a segment from such signs and divide only to build the one
-point they report, so the module has no parametric line solver.
+which side of a line a point lies on.  The surface tracer decides where a
+line leaves a face from such signs of levels and builds no point, so the
+module has no parametric line solver.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Union
 
 from .field import CycloReal, as_field
 
 Vec2 = tuple[CycloReal, CycloReal]
-Scalar = Union[CycloReal, int, Fraction]
 
 
 def vadd(u: Vec2, v: Vec2) -> Vec2:
@@ -32,10 +29,6 @@ def vsub(u: Vec2, v: Vec2) -> Vec2:
 
 def vneg(u: Vec2) -> Vec2:
     return (-u[0], -u[1])
-
-
-def smul(c: Scalar, u: Vec2) -> Vec2:
-    return (c * u[0], c * u[1])
 
 
 def cross(u: Vec2, v: Vec2) -> CycloReal:

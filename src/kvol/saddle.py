@@ -259,7 +259,7 @@ class SaddleConnection:
         (_f, v), exits, _last = self.path
         glue = self.surface.glue
         path = (self._last_corner(), tuple(glue[h] for h in reversed(exits)), v)
-        if self._hol is not None:
+        if self._packed is None:
             return SaddleConnection(
                 self.surface, vneg(self._hol), self.end, self.start, path, self.edge_pair
             )

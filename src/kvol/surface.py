@@ -16,13 +16,16 @@ decompositions in a periodic direction.  The oracle of the paper's
 subdivision length lemma, which cuts n-gon connections at sector sides, is
 kept with the tests, in ``tests/ngon_sectors.py``.
 
-One loop, ``_flow``, steps a straight line across glued edges; separatrices
-and cylinder core leaves both follow it, and so does the tests' tracer of
-whole saddle connections (``tests/intersect_oracle.py``).  A cylinder's
-fields are exact and read from one closed leaf: separatrix chords cut each
-convex face into slabs of their cylinder's width, a mid-level leaf misses
-every vertex, and its holonomy is minus the sum of the glue shifts it
-crosses.
+One loop, ``_flow``, steps a straight line across glued edges by its level
+cross(v, p) alone: a step compares the level with the face's vertex levels
+and adds one level difference at the glue, and builds no point.
+Separatrices and cylinder core leaves both follow it.  A cylinder's fields
+are exact and read from one closed leaf: separatrix chords cut each convex
+face into slabs of their cylinder's width, a mid-level leaf misses every
+vertex, and its holonomy is minus the sum of the glue shifts it crosses.
+The exact point tracer, which the tests use to trace whole saddle
+connections and to check this walk, is kept with them, in
+``tests/intersect_oracle.py``.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ from .plane import (
     is_zero_vec,
     norm2,
     same_ray,
-    smul,
     vadd,
     vfloat,
     vsub,
@@ -472,57 +474,30 @@ def veech_generators(n: int) -> dict[str, Mat2]:
 # -- straight-line tracing ----------------------------------------------------
 
 
-def exit_through_face(
-    S: TranslationSurface,
-    f: int,
-    p: Vec2,
-    v: Vec2,
-    levels: Optional[list] = None,
-    lp: Optional[CycloReal] = None,
-) -> tuple[Vec2, tuple]:
-    """Follow the ray p + t v (t > 0) inside convex face f to the boundary.
+def _exit_at_level(f: int, levels: list, level: CycloReal, start: Optional[int] = None) -> tuple:
+    """Where the line at ``level`` leaves convex face f in its direction v,
+    from the face's vertex levels cross(v, w) alone: ("vertex", j) for the
+    vertex j other than ``start`` at ``level``, else ("edge", (f, e)) for
+    the one edge whose levels go from below ``level`` to above it.
 
-    Returns (q, ("vertex", vi)) when the ray leaves at a corner, else
-    (q, ("edge", (f, e))).  A ray from a corner along the boundary stops at
-    the next corner it reaches, also at a straight-angle corner between two
-    collinear edges.
-
-    Every decision is a sign of ``cross(v, w - p)``, the side of the line
-    that a vertex w lies on: the difference of the vertex level cross(v, w)
-    and the level cross(v, p).  ``levels`` holds the face's vertex levels,
-    which a caller stepping one direction through many faces computes once
-    per face; without it they are computed here, as is the level ``lp`` of
-    p when it is not given.  The face is convex, so
-    the line meets it in one segment and every vertex on the line lies on
-    that segment: the nearest one ahead of p, if any, is the exit.
-    Otherwise the line leaves through the one edge (a, b) that runs from
-    its right side to its left, and the exit point costs the only division.
+    The line enters f through the interior of an edge, or leaves vertex
+    ``start`` with v strictly inside that corner's wedge, so it meets the
+    open face, and by convexity the face in one chord whose inner points
+    are inner to the face.  A vertex on the line other than ``start`` is the
+    chord's far end.  Otherwise the far end is inner to an edge, and the
+    vertices on the two sides of the line form two arcs of the boundary, so
+    one edge runs from the right side to the left: the exit, since v leaves
+    a counterclockwise face through an edge e with cross(v, e) > 0.
     """
-    verts = S.faces[f]
-    if levels is None:
-        levels = [cross(v, w) for w in verts]
-    if lp is None:
-        lp = cross(v, p)
-    signs = [(lw - lp).sign() for lw in levels]
-    best = None  # (dot(w - p, v), vi) of the nearest vertex ahead on the line
-    for vi, w in enumerate(verts):
-        if signs[vi] == 0:
-            t = dot(vsub(w, p), v)
-            if t.sign() > 0 and (best is None or t < best[0]):
-                best = (t, vi)
-    if best is not None:
-        return verts[best[1]], ("vertex", best[1])
-    k = len(verts)
+    signs = [(lw - level).sign() for lw in levels]
+    for j, s in enumerate(signs):
+        if s == 0 and j != start:
+            return ("vertex", j)
+    k = len(signs)
     for e in range(k):
-        b = (e + 1) % k
-        if signs[e] < 0 < signs[b]:
-            a, edge = verts[e], vsub(verts[b], verts[e])
-            num = cross(edge, vsub(p, a))
-            if num.sign() <= 0:
-                break  # p is on or beyond the exit edge
-            # cross(v, edge) is the level difference of the edge's ends
-            return vadd(p, smul(num / (levels[b] - levels[e]), v)), ("edge", (f, e))
-    raise SurfaceError("ray does not enter the face interior")
+        if signs[e] < 0 < signs[(e + 1) % k]:
+            return ("edge", (f, e))
+    raise SurfaceError("line does not cross the face")
 
 
 # face crossings a trace may make before it gives up
@@ -532,52 +507,52 @@ _MAX_TRACE_STEPS = 100000
 def _flow(
     S: TranslationSurface,
     f: int,
-    p: Vec2,
+    level: CycloReal,
     v: Vec2,
     max_length: float,
-    levels: Optional[dict] = None,
+    levels: dict,
+    start: Optional[int] = None,
 ):
-    """Follow the ray from p in face f in direction v across glued edges.
+    """Follow the line at ``level`` in direction v from face f across glued
+    edges: from vertex ``start`` of f, or from its chord of f when ``start``
+    is None.  ``levels`` maps every face to its vertex levels cross(v, w).
 
-    Yields (face, p_in, p_out, exit_info, level) for each face crossed, with
-    ``exit_info`` as from ``exit_through_face`` and ``level`` the level
-    cross(v, p_in), and stops after a piece that ends at a vertex.  Raises
-    NonPeriodicDirectionError once the ray has run past ``max_length`` or
-    the step budget without reaching a vertex.
-
-    ``levels`` maps a face to its vertex levels cross(v, w); it is filled on
-    first entry to a face, and a caller flowing several rays in direction v
-    passes one dict to all of them.  Only the first level is a product: the
-    exit point q has the level of p, and the glue shift carries the exit
-    edge's first corner onto corner e + 1 of the next face, whose edge e is
-    glued to it, so crossing adds the difference of those two vertex levels.
+    Yields (face, exit, level) for each face crossed, with ``exit`` as from
+    ``_exit_at_level`` and ``level`` the line's level in that face, and
+    stops after a vertex exit.  A step adds one level difference: the glue
+    shift carries the exit edge's first corner onto corner e + 1 of the next
+    face, whose edge e is glued to it.  Raises NonPeriodicDirectionError
+    once the line has run past ``max_length`` or the step budget without
+    reaching a vertex.  The length decides nothing exact and is kept in
+    floats, from each edge exit interpolated between the float levels of
+    the edge's ends; a line from a chord counts it from its first exit.
     """
-    if levels is None:
-        levels = {}
-
-    def face_levels(g: int) -> list:
-        if g not in levels:
-            levels[g] = [cross(v, w) for w in S.faces[g]]
-        return levels[g]
-
-    lv, lp = face_levels(f), cross(v, p)
+    lv = levels[f]
+    p = None if start is None else vfloat(S.faces[f][start])
     travelled = 0.0
     for _ in range(_MAX_TRACE_STEPS):
-        q, exit_info = exit_through_face(S, f, p, v, lv, lp)
-        travelled += math.hypot(*vfloat(vsub(q, p)))
-        if exit_info[0] == "edge" and travelled > max_length:
+        exit_info = _exit_at_level(f, lv, level, start)
+        if exit_info[0] == "vertex":
+            yield f, exit_info, level
+            return
+        half = exit_info[1]
+        a, b = half[1], (half[1] + 1) % len(lv)
+        t = (float(level) - float(lv[a])) / (float(lv[b]) - float(lv[a]))
+        (ax, ay), (bx, by) = vfloat(S.faces[f][a]), vfloat(S.faces[f][b])
+        q = (ax + t * (bx - ax), ay + t * (by - ay))
+        px, py = q if p is None else p
+        travelled += math.hypot(q[0] - px, q[1] - py)
+        if travelled > max_length:
             raise NonPeriodicDirectionError(
                 f"separatrix exceeded length {max_length:.3g} without closing"
             )
-        yield f, p, q, exit_info, lp
-        if exit_info[0] == "vertex":
-            return
-        half = exit_info[1]
+        yield f, exit_info, level
+        sx, sy = vfloat(S.glue_shift[half])
+        p = (q[0] + sx, q[1] + sy)
         f, e = S.glue[half]
-        nxt = face_levels(f)
-        lp = lp + nxt[(e + 1) % len(nxt)] - lv[half[1]]
-        lv = nxt
-        p = vadd(q, S.glue_shift[half])
+        nxt = levels[f]
+        level = level + nxt[(e + 1) % len(nxt)] - lv[a]
+        lv, start = nxt, None
     raise NonPeriodicDirectionError("separatrix exceeded the step budget")
 
 
@@ -599,25 +574,6 @@ class Cylinder:
     modulus: CycloReal
     core_word: tuple[str, ...]
     n_polygons: int
-
-
-def _point_at_level(a: Vec2, b: Vec2, la: CycloReal, lb: CycloReal, c: CycloReal) -> Vec2:
-    """The point of segment ab at level c, for ends a and b at the different
-    levels la and lb: levels are linear along a segment."""
-    return vadd(a, smul((c - la) / (lb - la), vsub(b, a)))
-
-
-def _chord_midpoint(verts: Sequence[Vec2], levels: list, c: CycloReal) -> Vec2:
-    """The midpoint of a convex face's chord at level c, a level strictly
-    between the face's vertex levels and equal to none."""
-    ends = []
-    k = len(verts)
-    for i in range(k):
-        j = (i + 1) % k
-        if (levels[i] < c) != (levels[j] < c):
-            ends.append(_point_at_level(verts[i], verts[j], levels[i], levels[j], c))
-    x, y = vadd(*ends)
-    return (x / 2, y / 2)
 
 
 def cylinder_decomposition(
@@ -652,7 +608,8 @@ def cylinder_decomposition(
     for f, verts in enumerate(S.faces):
         for vi in range(len(verts)):
             if S.direction_in_wedge(f, vi, v):
-                for face, _p, _q, _exit, lp in _flow(S, f, verts[vi], v, max_length, vertex_levels):
+                level = vertex_levels[f][vi]
+                for face, _exit, lp in _flow(S, f, level, v, max_length, vertex_levels, vi):
                     level_sets[face].add(lp)
     levels = [sorted(ls) for ls in level_sets]
 
@@ -666,11 +623,10 @@ def cylinder_decomposition(
             if (f, j) in seen:
                 continue
             lo, hi = ls[j - 1], ls[j]
-            start = _chord_midpoint(S.faces[f], vertex_levels[f], (lo + hi) / 2)
             hol = (zero, zero)
             word: list[str] = []
             # no length budget: the slab check below ends every walk
-            for g, _p, _q, exit_info, lp in _flow(S, f, start, v, math.inf, vertex_levels):
+            for g, exit_info, lp in _flow(S, f, (lo + hi) / 2, v, math.inf, vertex_levels):
                 slab = (g, bisect.bisect(levels[g], lp))
                 if slab == (f, j) and word:
                     break

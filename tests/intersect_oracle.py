@@ -24,22 +24,147 @@ transversality assumptions hold automatically for inputs built from
 ``kvol.saddle.enumerate_saddle_connections``.
 
 A connection's pieces and crossings are traced from its recorded path by
-``trace_from_corner``, which follows the surface's one straight-line loop
-(``kvol.surface._flow``), and checked against the path.  Traces are cached
-per surface, keyed by path and holonomy, and dropped with the surface.
-``edge_connection`` and ``transformed`` build the connections of an edge and
-of a linear image; ``passages`` lists a curve's cone-point passages.
+``trace_from_corner`` and checked against the path.  It follows the exact
+point tracer kept here, ``point_flow`` and ``exit_through_face``, which
+builds the entry and exit point of every piece; the library's
+``kvol.surface._flow`` steps a line by its level alone, and the tests check
+that walk against this one.  Traces are cached per surface, keyed by path
+and holonomy, and dropped with the surface.  ``edge_connection`` and
+``transformed`` build the connections of an edge and of a linear image;
+``passages`` lists a curve's cone-point passages.
 """
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass, field
+from typing import Optional
 
 from kvol.intersect import ClosedCurve, CurveLike, _as_curve
-from kvol.plane import Vec2, canonical_orientation, cross, same_ray, smul, vadd, vneg, vsub
+from kvol.field import CycloReal
+from kvol.plane import Vec2, canonical_orientation, cross, dot, same_ray, vadd, vfloat, vneg, vsub
 from kvol.saddle import Germ, SaddleConnection
-from kvol.surface import Half, TranslationSurface, _flow
+from kvol.surface import (
+    _MAX_TRACE_STEPS,
+    Half,
+    NonPeriodicDirectionError,
+    SurfaceError,
+    TranslationSurface,
+)
+
+
+# ---------------------------------------------------------------------------
+# the exact point tracer
+# ---------------------------------------------------------------------------
+
+def smul(c, u: Vec2) -> Vec2:
+    return (c * u[0], c * u[1])
+
+
+def exit_through_face(
+    S: TranslationSurface,
+    f: int,
+    p: Vec2,
+    v: Vec2,
+    levels: Optional[list] = None,
+    lp: Optional[CycloReal] = None,
+) -> tuple[Vec2, tuple]:
+    """Follow the ray p + t v (t > 0) inside convex face f to the boundary.
+
+    Returns (q, ("vertex", vi)) when the ray leaves at a corner, else
+    (q, ("edge", (f, e))).  A ray from a corner along the boundary stops at
+    the next corner it reaches, also at a straight-angle corner between two
+    collinear edges.
+
+    Every decision is a sign of ``cross(v, w - p)``, the side of the line
+    that a vertex w lies on: the difference of the vertex level cross(v, w)
+    and the level cross(v, p).  ``levels`` holds the face's vertex levels,
+    which a caller stepping one direction through many faces computes once
+    per face; without it they are computed here, as is the level ``lp`` of
+    p when it is not given.  The face is convex, so
+    the line meets it in one segment and every vertex on the line lies on
+    that segment: the nearest one ahead of p, if any, is the exit.
+    Otherwise the line leaves through the one edge (a, b) that runs from
+    its right side to its left, and the exit point costs the only division.
+    """
+    verts = S.faces[f]
+    if levels is None:
+        levels = [cross(v, w) for w in verts]
+    if lp is None:
+        lp = cross(v, p)
+    signs = [(lw - lp).sign() for lw in levels]
+    best = None  # (dot(w - p, v), vi) of the nearest vertex ahead on the line
+    for vi, w in enumerate(verts):
+        if signs[vi] == 0:
+            t = dot(vsub(w, p), v)
+            if t.sign() > 0 and (best is None or t < best[0]):
+                best = (t, vi)
+    if best is not None:
+        return verts[best[1]], ("vertex", best[1])
+    k = len(verts)
+    for e in range(k):
+        b = (e + 1) % k
+        if signs[e] < 0 < signs[b]:
+            a, edge = verts[e], vsub(verts[b], verts[e])
+            num = cross(edge, vsub(p, a))
+            if num.sign() <= 0:
+                break  # p is on or beyond the exit edge
+            # cross(v, edge) is the level difference of the edge's ends
+            return vadd(p, smul(num / (levels[b] - levels[e]), v)), ("edge", (f, e))
+    raise SurfaceError("ray does not enter the face interior")
+
+
+def point_flow(
+    S: TranslationSurface,
+    f: int,
+    p: Vec2,
+    v: Vec2,
+    max_length: float,
+    levels: Optional[dict] = None,
+):
+    """Follow the ray from p in face f in direction v across glued edges.
+
+    Yields (face, p_in, p_out, exit_info, level) for each face crossed, with
+    ``exit_info`` as from ``exit_through_face`` and ``level`` the level
+    cross(v, p_in), and stops after a piece that ends at a vertex.  Raises
+    NonPeriodicDirectionError once the ray has run past ``max_length`` or
+    the step budget without reaching a vertex.
+
+    ``levels`` maps a face to its vertex levels cross(v, w); it is filled on
+    first entry to a face, and a caller flowing several rays in direction v
+    passes one dict to all of them.  Only the first level is a product: the
+    exit point q has the level of p, and the glue shift carries the exit
+    edge's first corner onto corner e + 1 of the next face, whose edge e is
+    glued to it, so crossing adds the difference of those two vertex levels.
+    """
+    if levels is None:
+        levels = {}
+
+    def face_levels(g: int) -> list:
+        if g not in levels:
+            levels[g] = [cross(v, w) for w in S.faces[g]]
+        return levels[g]
+
+    lv, lp = face_levels(f), cross(v, p)
+    travelled = 0.0
+    for _ in range(_MAX_TRACE_STEPS):
+        q, exit_info = exit_through_face(S, f, p, v, lv, lp)
+        travelled += math.hypot(*vfloat(vsub(q, p)))
+        if exit_info[0] == "edge" and travelled > max_length:
+            raise NonPeriodicDirectionError(
+                f"separatrix exceeded length {max_length:.3g} without closing"
+            )
+        yield f, p, q, exit_info, lp
+        if exit_info[0] == "vertex":
+            return
+        half = exit_info[1]
+        f, e = S.glue[half]
+        nxt = face_levels(f)
+        lp = lp + nxt[(e + 1) % len(nxt)] - lv[half[1]]
+        lv = nxt
+        p = vadd(q, S.glue_shift[half])
+    raise NonPeriodicDirectionError("separatrix exceeded the step budget")
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +193,7 @@ def trace_from_corner(
     tau = vneg(S.faces[f][vi])  # developed point = face point + tau
     pieces: list[tuple[int, Vec2, Vec2]] = []
     crossings: list[tuple[int, Half, Vec2]] = []
-    for face, p, q, exit_info, _level in _flow(S, f, S.faces[f][vi], v, max_length):
+    for face, p, q, exit_info, _level in point_flow(S, f, S.faces[f][vi], v, max_length):
         pieces.append((face, p, q))
         if exit_info[0] == "vertex":
             return Trace(pieces, crossings, ("vertex", (face, exit_info[1])))

@@ -6,9 +6,9 @@ cut an n-gon saddle connection at its crossings with the sides that are not
 sandwiched in its direction's sector, and every piece is at least as long as
 a side, with equality only for a side.  The library does not use it; the
 tests in ``test_saddle.py`` check the lemma with it and ``test_surface.py``
-pins the diagrams.  It reads the surface's exact tracer,
-``exit_through_face`` and ``_point_at_level``, and a connection's crossings
-from ``intersect_oracle``.
+pins the diagrams.  It reads the exact point tracer ``exit_through_face``
+and a connection's crossings from ``intersect_oracle``, where the tests keep
+that tracer: the library's walk steps levels and builds no point.
 """
 
 from __future__ import annotations
@@ -18,19 +18,20 @@ from dataclasses import dataclass
 from typing import Optional
 
 from kvol.field import CycloReal, trig_value
-from kvol.plane import canonical_orientation, cross, norm2, vadd, vneg, vsub
-from kvol.surface import (
-    SurfaceError,
-    _point_at_level,
-    build_ngon,
-    direction_vector,
-    exit_through_face,
-)
+from kvol.plane import Vec2, canonical_orientation, cross, norm2, vadd, vneg, vsub
+from kvol.surface import SurfaceError, build_ngon, direction_vector
 
 import intersect_oracle as oracle
+from intersect_oracle import exit_through_face, smul
 
 
 # -- direction sectors and the side-transition diagram ------------------------
+
+
+def _point_at_level(a: Vec2, b: Vec2, la: CycloReal, lb: CycloReal, c: CycloReal) -> Vec2:
+    """The point of segment ab at level c, for ends a and b at the different
+    levels la and lb: levels are linear along a segment."""
+    return vadd(a, smul((c - la) / (lb - la), vsub(b, a)))
 
 
 def sector_index(n: int, direction) -> Optional[int]:

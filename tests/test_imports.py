@@ -1,12 +1,13 @@
 """No module of the package or the test suite imports a name it never uses,
-no module of the package imports from the package inside a function, no
-private helper of the package is left without a caller, no keyword-only
-option of the package is left that no caller sets, no public module-level
-function, class or constant of the package is left that nothing reads, nor
-one that only the tests read without README.md naming it, and no public
-member of a package class is left that nothing reads.  Exactly one function
-of the package steps a trace across glued edges, and no module of the
-package writes mpmath's process-global precision."""
+no module of the package imports from the package inside a function or
+imports a module of the test suite at any depth, no private helper of the
+package is left without a caller, no keyword-only option of the package is
+left that no caller sets, no public module-level function, class or
+constant of the package is left that nothing reads, nor one that only the
+tests read without README.md naming it, and no public member of a package
+class is left that nothing reads.  Exactly one function of the package
+steps a trace across glued edges, and no module of the package writes
+mpmath's process-global precision."""
 
 from __future__ import annotations
 
@@ -70,6 +71,47 @@ def test_scanner_flags_local_package_imports():
 )
 def test_no_local_package_imports(path):
     assert local_package_imports(path.read_text()) == []
+
+
+def imported_test_helpers(source: str, helpers: set[str]) -> list[tuple[int, str]]:
+    """(line, name) of every import, at any depth, that names one of
+    ``helpers`` (the stems of the test suite's files) as a module, a part of
+    a dotted module path, or a name imported from a module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        else:
+            continue
+        parts = [part for name in names for part in name.split(".")]
+        found += [(node.lineno, part) for part in parts if part in helpers]
+    return sorted(found)
+
+
+def test_scanner_flags_test_helper_imports():
+    source = (
+        "import os\nfrom .field import CycloReal\n"
+        "def f():\n    import intersect_oracle\n    return intersect_oracle.intersect\n"
+        "def g():\n    if os:\n        from ngon_sectors import sector_index as s\n"
+        "from tests import sqrt_oracle\nimport tests.conftest as c\n"
+    )
+    helpers = {"conftest", "intersect_oracle", "ngon_sectors", "sqrt_oracle"}
+    assert imported_test_helpers(source, helpers) == [
+        (4, "intersect_oracle"), (8, "ngon_sectors"), (9, "sqrt_oracle"), (10, "conftest"),
+    ]
+
+
+def test_no_test_helper_imports():
+    helpers = {p.stem for p in FILES if p.parent.name == "tests"}
+    assert "intersect_oracle" in helpers
+    found = {
+        p.name: imported_test_helpers(p.read_text(), helpers)
+        for p in FILES
+        if p.parent.name == "kvol"
+    }
+    assert {name: hits for name, hits in found.items() if hits} == {}
 
 
 def _referenced_names(tree: ast.AST) -> Counter:
@@ -375,7 +417,7 @@ def _own_nodes(func: ast.AST):
 
 def glue_stepping_functions(modules: dict[str, str]) -> list[str]:
     """``module:function`` of every function with a loop that both calls
-    ``exit_through_face`` and reads ``glue`` or ``glue_shift``: a loop that
+    ``_exit_at_level`` and reads ``glue`` or ``glue_shift``: a loop that
     walks a straight line from face to face across glued edges."""
     found = []
     for name, source in modules.items():
@@ -387,7 +429,7 @@ def glue_stepping_functions(modules: dict[str, str]) -> list[str]:
                     continue
                 calls = {_callee(n) for n in ast.walk(loop) if isinstance(n, ast.Call)}
                 names = _referenced_names(loop)
-                if "exit_through_face" in calls and (names["glue"] or names["glue_shift"]):
+                if "_exit_at_level" in calls and (names["glue"] or names["glue_shift"]):
                     found.append(f"{name}:{func.name}")
                     break
     return found
@@ -395,12 +437,12 @@ def glue_stepping_functions(modules: dict[str, str]) -> list[str]:
 
 def test_scanner_flags_glue_stepping_loops():
     module = (
-        "def a(S, f, p):\n    for _ in range(9):\n        q, h = exit_through_face(S, f, p)\n"
+        "def a(S, f, p):\n    for _ in range(9):\n        q, h = _exit_at_level(S, f, p)\n"
         "        f, p = S.glue[h][0], q\n"
-        "def b(S, f, p):\n    for _ in range(9):\n        exit_through_face(S, f, p)\n"
-        "def c(S, h):\n    t = S.glue_shift[h]\n    while t:\n        t = exit_through_face(S, t)\n"
+        "def b(S, f, p):\n    for _ in range(9):\n        _exit_at_level(S, f, p)\n"
+        "def c(S, h):\n    t = S.glue_shift[h]\n    while t:\n        t = _exit_at_level(S, t)\n"
         "def d(S):\n    def e(p):\n        while p:\n"
-        "            p = exit_through_face(S, p) + S.glue_shift[p]\n    return e\n"
+        "            p = _exit_at_level(S, p) + S.glue_shift[p]\n    return e\n"
         "def g(S):\n    return [S.glue_shift[h] for h in walk(S)]\n"
     )
     assert glue_stepping_functions({"m": module}) == ["m:a", "m:e"]

@@ -16,19 +16,19 @@ from kvol.surface import (
     NonPeriodicDirectionError,
     SurfaceError,
     TranslationSurface,
+    _flow,
     build_ngon,
     build_staircase,
     conversion_matrix,
     cylinder_decomposition,
     direction_vector,
-    exit_through_face,
     staircase_lengths,
     veech_generators,
 )
 
 import intersect_oracle as oracle
-from intersect_oracle import intersect, trace_from_corner
-from ngon_sectors import sector_diagram, sector_index
+from intersect_oracle import exit_through_face, intersect, trace_from_corner
+from ngon_sectors import _point_at_level, sector_diagram, sector_index
 
 
 def F(n, v):
@@ -221,27 +221,107 @@ def _cylinder_fields(c) -> list:
 PINNED_DECOMPOSITIONS = "d293dd85bbe6832b5503656a97eae66ec081d0e9efff8ca9c308f71f1c1d385b"
 
 
+def _pinned_directions():
+    """(name, surface, direction) over the cases of test_pinned_decompositions:
+    the shortest saddle connection of length <= 2 in each direction."""
+    shear = Mat2(8, 1, Fraction(13, 37), 0, Fraction(31, 40))
+    surfaces = [(f"S{n}", build_staircase(n)) for n in (8, 10, 12)]
+    surfaces += [(f"X{n}", build_ngon(n)) for n in (8, 10, 12)]
+    surfaces += [("sheared S8", build_staircase(8).transform(shear))]
+    for name, S in surfaces:
+        directions = []
+        for sc in enumerate_saddle_connections(S, 2):
+            if not any(parallel(sc.holonomy, d) for d in directions):
+                directions.append(sc.holonomy)
+        for d in directions:
+            yield name, S, d
+
+
+def _chord_midpoint(S, f, v, c):
+    """The midpoint of face f's chord at level c, a level strictly between
+    the face's vertex levels and equal to none."""
+    verts = S.faces[f]
+    k = len(verts)
+    lv = [cross(v, w) for w in verts]
+    ends = [
+        _point_at_level(verts[i], verts[(i + 1) % k], lv[i], lv[(i + 1) % k], c)
+        for i in range(k)
+        if (lv[i] < c) != (lv[(i + 1) % k] < c)
+    ]
+    x, y = vadd(*ends)
+    return (x / 2, y / 2)
+
+
 class TestCylinders:
     def test_pinned_decompositions(self):
-        shear = Mat2(8, 1, Fraction(13, 37), 0, Fraction(31, 40))
-        surfaces = [(f"S{n}", build_staircase(n)) for n in (8, 10, 12)]
-        surfaces += [(f"X{n}", build_ngon(n)) for n in (8, 10, 12)]
-        surfaces += [("sheared S8", build_staircase(8).transform(shear))]
         records = []
-        for name, S in surfaces:
-            # the shortest saddle connection of length <= 2 in each direction
-            directions = []
-            for sc in enumerate_saddle_connections(S, 2):
-                if not any(parallel(sc.holonomy, d) for d in directions):
-                    directions.append(sc.holonomy)
-            for d in directions:
-                cyls = cylinder_decomposition(S, d)
-                assert sum((c.area for c in cyls), F(S.n, 0)) == S.area()
-                assert all(c.n_polygons == len(c.core_word) for c in cyls)
-                records.append(json.dumps([name, [_cylinder_fields(c) for c in cyls]]))
+        for name, S, d in _pinned_directions():
+            cyls = cylinder_decomposition(S, d)
+            assert sum((c.area for c in cyls), F(S.n, 0)) == S.area()
+            assert all(c.n_polygons == len(c.core_word) for c in cyls)
+            records.append(json.dumps([name, [_cylinder_fields(c) for c in cyls]]))
         assert len(records) == 112
         digest = hashlib.sha256("\n".join(sorted(records)).encode()).hexdigest()
         assert digest == PINNED_DECOMPOSITIONS
+
+    def test_level_walk_matches_point_flow(self):
+        # the point tracer kept with the tests finds each exit from the
+        # points it builds, and each level here is cross(v, p_in) of its
+        # entry point, independent of the walk's running sum
+        walks = leaves = 0
+        for _name, S, d in _pinned_directions():
+            v = direction_vector(S.n, d)
+            levels = {f: [cross(v, w) for w in verts] for f, verts in enumerate(S.faces)}
+            singular = [set(ls) for ls in levels.values()]
+            for f, verts in enumerate(S.faces):
+                for vi in range(len(verts)):
+                    if not S.direction_in_wedge(f, vi, v):
+                        continue
+                    walk = list(_flow(S, f, cross(v, verts[vi]), v, math.inf, levels, vi))
+                    flow = oracle.point_flow(S, f, verts[vi], v, math.inf)
+                    assert walk == [(g, info, cross(v, p)) for g, p, _q, info, _l in flow]
+                    for g, _info, lp in walk:
+                        singular[g].add(lp)
+                    walks += 1
+            for f, ls in enumerate(singular):
+                ls = sorted(ls)
+                for lo, hi in zip(ls, ls[1:]):
+                    c = (lo + hi) / 2
+                    walk = _flow(S, f, c, v, math.inf, levels)
+                    flow = oracle.point_flow(S, f, _chord_midpoint(S, f, v, c), v, math.inf)
+                    for step, (got, (g, p, _q, info, _l)) in enumerate(zip(walk, flow)):
+                        assert got == (g, info, cross(v, p))
+                        if step and got[0] == f and got[2] == c:
+                            break  # the leaf closed
+                    else:
+                        raise AssertionError("leaf did not close")
+                    leaves += 1
+        assert walks > 300 and leaves > 300, (walks, leaves)
+
+    def test_inverses_only_for_reported_fields(self, monkeypatch):
+        # the walk divides nowhere; a decomposition inverts only for its
+        # leaves' mid-levels and its reported fields.  The exit-point tracer
+        # made one inverse per edge step: 776 in this direction
+        S = build_staircase(8)
+        d = -1 / (126 * CycloReal.phi(8))
+        calls = [0]
+        inverse = CycloReal.inverse
+
+        def counted(x):
+            calls[0] += 1
+            return inverse(x)
+
+        v = direction_vector(8, d)
+        levels = {f: [cross(v, w) for w in verts] for f, verts in enumerate(S.faces)}
+        monkeypatch.setattr(CycloReal, "inverse", counted)
+        steps = 0
+        for f, verts in enumerate(S.faces):
+            for vi in range(len(verts)):
+                if S.direction_in_wedge(f, vi, v):
+                    steps += len(list(_flow(S, f, levels[f][vi], v, math.inf, levels, vi)))
+        assert steps > 100 and calls[0] == 0
+        cyls = cylinder_decomposition(S, d)
+        assert 0 < calls[0] <= 4 * len(cyls)
 
     def test_multiplication_count(self, monkeypatch):
         # a traced line takes its level from the flow, one cross product per
@@ -330,6 +410,26 @@ class TestCylinders:
                 assert ca.modulus == cb.modulus
                 assert ca.area == cb.area
                 assert ca.circumference_sq == cb.circumference_sq
+
+    def test_length_budget_follows_the_exact_trace(self):
+        # the walk keeps its length in floats; it gives up at the budget that
+        # the exact points of the same separatrices reach at an edge exit
+        S = build_staircase(8)
+        d = -1 / (16 * CycloReal.phi(8))
+        v = direction_vector(8, d)
+        reached = 0.0
+        for f, verts in enumerate(S.faces):
+            for vi in range(len(verts)):
+                if S.direction_in_wedge(f, vi, v):
+                    travelled = 0.0
+                    for _g, p, q, info, _l in oracle.point_flow(S, f, verts[vi], v, math.inf):
+                        travelled += math.hypot(*map(float, (q[0] - p[0], q[1] - p[1])))
+                        if info[0] == "edge":
+                            reached = max(reached, travelled)
+        assert reached > 10
+        with pytest.raises(NonPeriodicDirectionError, match="exceeded length"):
+            cylinder_decomposition(S, d, max_length=reached * (1 - 1e-9))
+        assert len(cylinder_decomposition(S, d, max_length=reached * (1 + 1e-9))) == 2
 
     def test_nonperiodic_direction_raises(self):
         S = build_staircase(8)
