@@ -21,6 +21,7 @@ from kvol.ratios import closed_atoms
 from kvol.saddle import enumerate_saddle_connections
 from kvol.surface import build_ngon, build_staircase, staircase_lengths, veech_generators
 
+import intersect_oracle
 from intersect_oracle import edge_connection, intersect
 
 
@@ -496,3 +497,29 @@ class TestFormAgainstGeometry:
         C = form.coord_rows(atoms)
         for i, j in sample:
             assert C[i] @ form.matrix @ C[j] == intersect(atoms[i], atoms[j]).total, (i, j)
+
+
+@pytest.mark.parametrize(
+    "S",
+    [build_ngon(4), build_ngon(10), build_staircase(8), build_staircase(10)],
+    ids=["X4", "X10", "S8", "S10"],
+)
+def test_form_calls_no_geometry(monkeypatch, S):
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("intersect", "edge_connection"):
+        monkeypatch.setattr(intersect_oracle, name, counted(name, getattr(intersect_oracle, name)))
+    intersection_form(S)
+    assert calls == []
+    # the counters are live
+    e = intersect_oracle.edge_connection(S, 0)
+    there_and_back = ClosedCurve([e, e.reversed()])
+    intersect_oracle.intersect(there_and_back, there_and_back)
+    assert calls == ["edge_connection", "intersect"]
