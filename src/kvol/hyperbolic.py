@@ -144,23 +144,6 @@ class Geodesic:
     def is_vertical(self) -> bool:
         return self.foot is not None
 
-    def endpoints(self) -> tuple[float, float]:
-        if self.is_vertical:
-            return (self.foot, math.inf)
-        return (self.center - self.radius, self.center + self.radius)
-
-    def sinh_dist(self, z: complex) -> float:
-        x, y = z.real, z.imag
-        if y <= 0:
-            raise ValueError("point is not in the upper half plane")
-        if self.is_vertical:
-            return abs(x - self.foot) / y
-        c, r = self.center, self.radius
-        return abs((x - c) * (x - c) + y * y - r * r) / (2.0 * r * y)
-
-    def dist_to(self, z: complex) -> float:
-        return math.asinh(self.sinh_dist(z))
-
     def __repr__(self) -> str:  # pragma: no cover
         if self.is_vertical:
             return f"Geodesic(x = {self.foot:.9g})"

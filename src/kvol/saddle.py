@@ -74,8 +74,9 @@ within the cap L^2 = a / b when b (X^2 + Y^2) - D^2 a <= 0; the order signs
 the difference of squared norms unless they pack equal, then x and y where
 their floats are too close to decide.  So the one field multiplication is
 the cap.  A recorded connection keeps its packed holonomy and the floats of
-its digits, and each of its germs a packed direction of its own; their
-field vectors are built on first read.
+its digits, and its field vector is built on first read.  Its endpoints
+are the lattice's corner germs, one per corner and enumeration, which every
+connection and its reverse share.
 
 The digit width B is set per surface from c, the largest |numerator| of a
 face vertex, a glue shift or the filter line, and N = ``_MAX_NODES``, read
@@ -144,7 +145,7 @@ from .field import (
     as_field,
     common_denominator,
 )
-from .plane import Vec2, norm2, vfloat, vneg
+from .plane import Vec2, norm2, vfloat
 from .surface import TranslationSurface, direction_vector
 
 _MAX_NODES = 5_000_000
@@ -152,31 +153,14 @@ _SIGN_MARGIN = 1e-9
 _PRUNE_SLACK = 1e-6
 
 
-class Germ:
-    """A direction germ at a singular vertex: a corner of the complex plus an
-    exact direction pointing into (or along the first boundary ray of) its
-    wedge.
+class Germ(NamedTuple):
+    """An endpoint of a saddle connection: a corner of the complex and the
+    class of its singular vertex.  The direction a connection leaves or
+    enters the corner along is plus or minus its holonomy, so a germ does
+    not store it; ``_Lattice`` builds one germ per corner."""
 
-    The germs of a connection the enumeration records keep their direction
-    packed, as a lattice and a lattice vector: the connection's packed
-    holonomy at its start germ and its negative at its end germ (which its
-    reverse shares as its start germ).  The field vector is built on first
-    read.  A germ holds no reference to its connection."""
-
-    __slots__ = ("class_id", "corner", "_direction", "_packed")
-
-    def __init__(self, class_id: int, corner: tuple[int, int], direction: Optional[Vec2]):
-        self.class_id = class_id
-        self.corner = corner
-        self._direction = direction
-        self._packed = None
-
-    @property
-    def direction(self) -> Vec2:
-        if self._direction is None:
-            lat, u = self._packed
-            self._direction = lat.vector(u)
-        return self._direction
+    class_id: int
+    corner: tuple[int, int]
 
 
 class SaddleConnection:
@@ -190,9 +174,11 @@ class SaddleConnection:
     connection is itself an edge of the complex; its path runs along that
     edge inside one face.
 
-    A connection the enumeration records keeps its holonomy as a packed
-    lattice vector with its floats (``holonomy_float``); the exact
-    ``holonomy`` is unpacked on first read.
+    The holonomy is kept as a packed vector of the lattice ``lat``, and
+    ``holonomy_float`` holds its floats, bit for bit ``vfloat`` of the
+    exact ``holonomy``, which is unpacked on first read.  ``start`` and
+    ``end`` are the lattice's germs of the corners the connection leaves
+    and reaches.
     """
 
     __slots__ = (
@@ -201,35 +187,29 @@ class SaddleConnection:
         "end",
         "path",
         "edge_pair",
-        "_hol",
+        "holonomy_float",
         "_lat",
         "_packed",
-        "_fl",
+        "_hol",
         "_len2",
     )
 
-    def __init__(self, surface, holonomy, start, end, path, edge_pair=None):
+    def __init__(self, surface, lat, packed, start, end, path, edge_pair=None):
         self.surface = surface
-        self._hol = holonomy
+        self._lat = lat
+        self._packed = packed
         self.start = start
         self.end = end
         self.path = path
         self.edge_pair = edge_pair
-        self._lat = self._packed = self._fl = None
-        self._len2 = None
+        self.holonomy_float = lat.floats(packed)
+        self._hol = self._len2 = None
 
     @property
     def holonomy(self) -> Vec2:
         if self._hol is None:
             self._hol = self._lat.vector(self._packed)
         return self._hol
-
-    @property
-    def holonomy_float(self) -> tuple[float, float]:
-        """The floats of the holonomy, bit for bit ``vfloat(self.holonomy)``."""
-        if self._fl is None:
-            self._fl = vfloat(self.holonomy)
-        return self._fl
 
     @property
     def length_sq(self) -> CycloReal:
@@ -240,13 +220,6 @@ class SaddleConnection:
     @property
     def length(self) -> float:
         return math.sqrt(float(self.length_sq))
-
-    def coslope(self) -> Optional[CycloReal]:
-        """x/y of the holonomy; None for horizontal connections."""
-        x, y = self.holonomy
-        if y.is_zero():
-            return None
-        return x / y
 
     def _last_corner(self) -> tuple[int, int]:
         """(face, vertex) where the path ends, in its last piece's face."""
@@ -259,17 +232,11 @@ class SaddleConnection:
         (_f, v), exits, _last = self.path
         glue = self.surface.glue
         path = (self._last_corner(), tuple(glue[h] for h in reversed(exits)), v)
-        if self._packed is None:
-            return SaddleConnection(
-                self.surface, vneg(self._hol), self.end, self.start, path, self.edge_pair
-            )
-        # the shared germs keep their directions: minus this holonomy at the
-        # reverse's start, this holonomy at its end
         X, Y = self._packed
-        sc = SaddleConnection(self.surface, None, self.end, self.start, path, self.edge_pair)
-        sc._lat, sc._packed = self._lat, (-X, -Y)
-        sc._fl = self._lat.floats(sc._packed)  # negating a float may sign a zero
-        return sc
+        # its floats are read from the digits: negating a float may sign a zero
+        return SaddleConnection(
+            self.surface, self._lat, (-X, -Y), self.end, self.start, path, self.edge_pair
+        )
 
     def to_dict(self) -> dict:
         S = self.surface
@@ -317,10 +284,11 @@ class _Lattice:
     docstring proves the width).  A lattice vector is a pair of packed ints
     (x and y); ``faces[f][j]`` is vertex j of face f, ``shift[h]`` the glue
     shift of half-edge h, which a cone's node subtracts from its translation
-    when the cone leaves through h, and ``line`` the filter direction packed
-    over its own common denominator (None without a filter)."""
+    when the cone leaves through h, ``line`` the filter direction packed
+    over its own common denominator (None without a filter), and
+    ``germs[corner]`` the germ of each corner."""
 
-    __slots__ = ("n", "d", "den", "width", "_bias", "_digit", "faces", "shift", "line")
+    __slots__ = ("n", "d", "den", "width", "_bias", "_digit", "faces", "shift", "line", "germs")
 
     def __init__(self, S: TranslationSurface, direction: Optional[Vec2] = None):
         coords = [c for verts in S.faces for p in verts for c in p]
@@ -341,6 +309,7 @@ class _Lattice:
         self.faces = [[(pack(next(it)), pack(next(it))) for _p in verts] for verts in S.faces]
         self.shift = {h: (pack(next(it)), pack(next(it))) for h in S.glue_shift}
         self.line = (pack(line[0]), pack(line[1])) if line else None
+        self.germs = {c: Germ(cls, c) for c, (cls, _pos) in S.corner_class.items()}
 
     def pack(self, digits) -> int:
         """The packed int of balanced ``digits``, lowest first."""
@@ -610,7 +579,7 @@ def _sorted(found: list[SaddleConnection]) -> list[SaddleConnection]:
     """
     keyed = []
     for sc in found:
-        x, y = sc._fl
+        x, y = sc.holonomy_float
         keyed.append((x * x + y * y, sc))
     keyed.sort(key=lambda entry: entry[0])
     out = []
@@ -642,7 +611,7 @@ def _order(a: SaddleConnection, b: SaddleConnection) -> int:
             s = lat.sign([p - q for p, q in zip(lat.digits(Na, k), lat.digits(Nb, k))])
             if s:
                 return s
-        for fa, fb, D in zip(a._fl, b._fl, (Xa - Xb, Ya - Yb)):
+        for fa, fb, D in zip(a.holonomy_float, b.holonomy_float, (Xa - Xb, Ya - Yb)):
             if abs(fa - fb) > _SIGN_MARGIN * (abs(fa) + abs(fb) + 1.0):
                 return 1 if fa > fb else -1
             s = lat.sign(lat.digits(D, lat.d))
@@ -684,16 +653,10 @@ def _endpoint(lat: _Lattice, w, L2: CycloReal, L2f: float, lines):
 def _recorded(
     S: TranslationSurface, lat: _Lattice, P, start_corner, end_corner, path, edge_pair=None
 ) -> SaddleConnection:
-    """The connection with packed holonomy ``P`` along ``path``, its floats
-    read now, its field vector and germ directions on first read."""
-    cc = S.corner_class
-    start = Germ(cc[start_corner][0], start_corner, None)
-    end = Germ(cc[end_corner][0], end_corner, None)
-    X, Y = P
-    start._packed, end._packed = (lat, P), (lat, (-X, -Y))
-    sc = SaddleConnection(S, None, start, end, path, edge_pair)
-    sc._lat, sc._packed, sc._fl = lat, P, lat.floats(P)
-    return sc
+    """The connection with packed holonomy ``P`` along ``path``, between the
+    lattice's germs of its two corners."""
+    germs = lat.germs
+    return SaddleConnection(S, lat, P, germs[start_corner], germs[end_corner], path, edge_pair)
 
 
 def _cone_connection(

@@ -30,8 +30,13 @@ builds the entry and exit point of every piece; the library's
 ``kvol.surface._flow`` steps a line by its level alone, and the tests check
 that walk against this one.  Traces are cached per surface, keyed by path
 and holonomy, and dropped with the surface.  ``edge_connection`` and
-``transformed`` build the connections of an edge and of a linear image;
-``passages`` lists a curve's cone-point passages.
+``transformed`` build the connections of an edge and of a linear image
+through the library's one constructor: each packs its exact holonomy over
+the lattice of its surface (``kvol.saddle._Lattice``, cached per surface)
+and takes that lattice's corner germs.  A germ is a corner alone, so
+``passages`` derives the rays of a curve's cone-point passages itself: a
+connection leaves its start corner along its holonomy and enters its end
+corner along minus it.
 """
 
 from __future__ import annotations
@@ -39,12 +44,12 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from kvol.intersect import ClosedCurve, CurveLike, _as_curve
-from kvol.field import CycloReal
+from kvol.field import CycloReal, common_denominator
 from kvol.plane import Vec2, canonical_orientation, cross, dot, same_ray, vadd, vfloat, vneg, vsub
-from kvol.saddle import Germ, SaddleConnection
+from kvol.saddle import SaddleConnection, _Lattice
 from kvol.surface import (
     _MAX_TRACE_STEPS,
     Half,
@@ -231,6 +236,25 @@ def crossings(sc: SaddleConnection) -> tuple:
     return _traced(sc)[1]
 
 
+# surface -> its _Lattice, which holds no reference to the surface
+_lattices: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _connection(S: TranslationSurface, hol: Vec2, start, end, path, edge_pair) -> SaddleConnection:
+    """The connection with exact holonomy ``hol`` between corners ``start``
+    and ``end``, its vector packed over the lattice of S."""
+    lat = _lattices.get(S)
+    if lat is None:
+        lat = _lattices[S] = _Lattice(S)
+    den, nums = common_denominator(hol)
+    digits = [[lat.den // den * a for a in num] for num in nums]
+    if lat.den % den or max(abs(a) for num in digits for a in num) >> (lat.width - 1):
+        raise ValueError("holonomy is not a vector of the surface's lattice")
+    packed = tuple(map(lat.pack, digits))
+    germs = lat.germs
+    return SaddleConnection(S, lat, packed, germs[start], germs[end], path, edge_pair)
+
+
 def transformed(sc: SaddleConnection, M, target=None) -> SaddleConnection:
     """The image under an orientation-preserving linear map, on the
     transformed surface (pass ``target`` to reuse one).  Such maps keep
@@ -238,50 +262,41 @@ def transformed(sc: SaddleConnection, M, target=None) -> SaddleConnection:
     if M.det().sign() <= 0:
         raise ValueError("transformed() requires det > 0")
     T = target if target is not None else sc.surface.transform(M)
-    im = SaddleConnection(
-        T,
-        M.apply(sc.holonomy),
-        Germ(sc.start.class_id, sc.start.corner, M.apply(sc.start.direction)),
-        Germ(sc.end.class_id, sc.end.corner, M.apply(sc.end.direction)),
-        sc.path,
-        sc.edge_pair,
-    )
-    if not canonical_orientation(im.holonomy):
-        im = im.reversed()
-    return im
+    hol = M.apply(sc.holonomy)
+    im = _connection(T, hol, sc.start.corner, sc.end.corner, sc.path, sc.edge_pair)
+    return im if canonical_orientation(hol) else im.reversed()
 
 
 def edge_connection(S: TranslationSurface, pid: int) -> SaddleConnection:
     """The edge of pair ``pid`` as a canonically oriented saddle connection."""
     h1, h2 = S.edge_pairs[pid]
     h = h1 if canonical_orientation(S.edge_vector(h1)) else h2
-    hol = S.edge_vector(h)
     f, e = h
-    f2, e2 = S.glue[h]
-    return SaddleConnection(
-        S,
-        hol,
-        Germ(S.corner_class[(f, e)][0], (f, e), hol),
-        Germ(S.corner_class[(f2, e2)][0], (f2, e2), vneg(hol)),
-        ((f, e), (), (e + 1) % len(S.faces[f])),
-        edge_pair=pid,
-    )
+    path = ((f, e), (), (e + 1) % len(S.faces[f]))
+    return _connection(S, S.edge_vector(h), h, S.glue[h], path, pid)
 
 
-def passages(curve: ClosedCurve) -> list[tuple[int, Germ, Germ]]:
-    """Cone-point passages ``(class_id, in_germ, out_germ)``.
+class Ray(NamedTuple):
+    """A ray from a cone point: the corner it leaves into and its direction."""
 
-    The in-germ points from the cone point back along the incoming
-    component, the out-germ points along the outgoing one; both are rays
-    based at the same cone point.
+    corner: tuple[int, int]
+    direction: Vec2
+
+
+def passages(curve: ClosedCurve) -> list[tuple[int, Ray, Ray]]:
+    """Cone-point passages ``(class_id, in_ray, out_ray)``.
+
+    The in-ray points from the cone point back along the incoming
+    component, minus its holonomy; the out-ray points along the outgoing
+    one, its holonomy.  Both are rays based at the same cone point.
     """
     comps = curve.components
     m = len(comps)
     out = []
     for i in range(m):
-        a = comps[i].end
-        b = comps[(i + 1) % m].start
-        out.append((a.class_id, a, b))
+        a, b = comps[i], comps[(i + 1) % m]
+        rays = (Ray(a.end.corner, vneg(a.holonomy)), Ray(b.start.corner, b.holonomy))
+        out.append((a.end.class_id, *rays))
     return out
 
 
@@ -289,11 +304,11 @@ def passages(curve: ClosedCurve) -> list[tuple[int, Germ, Germ]]:
 # germ ordering around a cone point
 # ---------------------------------------------------------------------------
 
-def _germ_eq(g1: Germ, g2: Germ) -> bool:
+def _germ_eq(g1: Ray, g2: Ray) -> bool:
     return g1.corner == g2.corner and same_ray(g1.direction, g2.direction)
 
 
-def _germ_cmp(S: TranslationSurface, g1: Germ, g2: Germ) -> int:
+def _germ_cmp(S: TranslationSurface, g1: Ray, g2: Ray) -> int:
     """Compare two germs at the same cone point in counterclockwise order.
 
     The order starts at the first corner of the vertex-class cycle and runs
@@ -315,7 +330,7 @@ def _germ_cmp(S: TranslationSurface, g1: Germ, g2: Germ) -> int:
     return -1 if s > 0 else 1
 
 
-def _in_open_ccw(S: TranslationSurface, a: Germ, c: Germ, b: Germ) -> bool:
+def _in_open_ccw(S: TranslationSurface, a: Ray, c: Ray, b: Ray) -> bool:
     """True if germ ``c`` lies strictly inside the ccw-open arc from ``a`` to ``b``.
 
     When ``a`` and ``b`` are the same germ the arc is the full cone circle
@@ -336,10 +351,10 @@ def _in_open_ccw(S: TranslationSurface, a: Germ, c: Germ, b: Germ) -> bool:
 
 def _corner_contribution(
     S: TranslationSurface,
-    a: Germ,
-    b: Germ,
-    c: Germ,
-    d: Germ,
+    a: Ray,
+    b: Ray,
+    c: Ray,
+    d: Ray,
     positive_side: bool,
 ) -> int:
     """Signed crossings at one cone point of one passage pair.

@@ -49,6 +49,7 @@ from kvol.surface import (
     veech_generators,
 )
 
+from geodesic_helpers import dist_to
 from intersect_oracle import intersect
 
 
@@ -179,7 +180,7 @@ def test_criterion_05_angle_distance_identity():
     z8 = point_of_surface(M8)
     d1, d2 = "inf", 1.0 / float(CycloReal.phi(8))
     s = angle_sine(M8, d1, d2)
-    c = math.cosh(geodesic_of_directions(d1, d2).dist_to(z8))
+    c = math.cosh(dist_to(geodesic_of_directions(d1, d2), z8))
     assert abs(s - 1 / math.sqrt(2)) < 1e-9
     assert abs(c - math.sqrt(2)) < 1e-9
     assert abs(s * c - 1) < 1e-9
@@ -196,7 +197,7 @@ def test_criterion_05_angle_distance_identity():
             continue
         z = point_of_surface(M)
         s = angle_sine(M, d1, d2)
-        c = math.cosh(geodesic_of_directions(d1, d2).dist_to(z))
+        c = math.cosh(dist_to(geodesic_of_directions(d1, d2), z))
         assert abs(s * c - 1) < 1e-9, (M, d1, d2)
         checked += 1
 

@@ -4,8 +4,8 @@ imports a module of the test suite at any depth, no private helper of the
 package is left without a caller, no keyword-only option of the package is
 left that no caller sets, no public module-level function, class or
 constant of the package is left that nothing reads, nor one that only the
-tests read without README.md naming it, and no public member of a package
-class is left that nothing reads.  Exactly one function of the package
+tests read without README.md naming it, and the same holds for every public
+member of a package class.  Exactly one function of the package
 steps a trace across glued edges, and no module of the package writes
 mpmath's process-global precision."""
 
@@ -405,6 +405,45 @@ def test_no_unread_members():
     assert unread_members(package, readers) == []
 
 
+def unreached_members(modules: dict[str, str], readme: str) -> list[str]:
+    """``module:Class.member`` for every public method, property or ``self.``
+    attribute of a class of ``modules`` that no source in ``modules`` reads
+    and that ``readme`` does not name.
+
+    The rule of ``unreached_names``, one level down: reads are those of
+    ``unread_members``, from ``modules`` only, so the tests and the
+    benchmark do not count as readers, and the allowlist is what
+    ``readme_names`` finds in the library table and the fenced examples."""
+    named = readme_names(readme)
+    return [entry for entry in unread_members(modules, []) if entry.split(".")[-1] not in named]
+
+
+def test_scanner_flags_unreached_members():
+    module = (
+        "class A:\n"
+        "    def __init__(self):\n        self.x = 1\n        self.y = 2\n"
+        "    @property\n    def p(self):\n        return self.x\n"
+        "    def m(self, k):\n        return self.m(k - 1) if k else 0\n"
+        "    def api(self):\n        pass\n"
+        "    def used(self):\n        pass\n"
+        "    def _private(self):\n        pass\n"
+        "A().used()\n"
+    )
+    test = "from m import A\nA().p\nA().m(1)\nA().y\n"
+    readme = "```python\nA().api()\n```\n\nprose names m\n"
+    # tests count as readers for unread_members, not for unreached_members
+    assert unread_members({"m": module}, [test]) == ["m:A.api"]
+    assert unreached_members({"m": module}, readme) == ["m:A.y", "m:A.p", "m:A.m"]
+    # a code span in a library-table row names p
+    row = "| Module | What it does |\n| --- | --- |\n| `kvol.m` | `A.p` reads x. |\n"
+    assert unreached_members({"m": module}, readme + row) == ["m:A.y", "m:A.m"]
+
+
+def test_no_unreached_members():
+    package = {p.stem: p.read_text() for p in FILES if p.parent.name == "kvol"}
+    assert unreached_members(package, (ROOT / "README.md").read_text()) == []
+
+
 def _own_nodes(func: ast.AST):
     """The nodes of a function's body, without those of functions nested in it."""
     stack = list(ast.iter_child_nodes(func))
@@ -498,13 +537,6 @@ def test_scanner_flags_global_precision_writes():
         "x = mpmath.mpf(1)\n"
     )
     assert global_precision_writes(source) == [3, 5, 6, 7, 8]
-
-
-def test_global_precision_written_in_hyperbolic_only():
-    writers = [
-        p.name for p in FILES if p.parent.name == "kvol" and global_precision_writes(p.read_text())
-    ]
-    assert set(writers) <= {"hyperbolic.py"}, writers
 
 
 def test_global_precision_never_written():

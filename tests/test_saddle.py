@@ -117,10 +117,14 @@ class TestOctagonModel:
             assert abs(total - sc.length) < 1e-9
 
     def test_germs(self):
+        """The oracle's passage rays: a connection leaves its start corner
+        along its holonomy and enters its end corner along minus it."""
         S = build_ngon(8)
         for sc in enumerate_saddle_connections(S, 2):
-            assert sc.start.direction == sc.holonomy
-            assert sc.end.direction == (-sc.holonomy[0], -sc.holonomy[1])
+            at_end, at_start = oracle.passages(ClosedCurve([sc, sc.reversed()]))
+            assert at_start[2] == (sc.start.corner, sc.holonomy)
+            assert at_end[1] == (sc.end.corner, vneg(sc.holonomy))
+            assert (at_start[0], at_end[0]) == (sc.start.class_id, sc.end.class_id)
             assert sc.start.class_id == S.corner_class[sc.start.corner][0]
             assert sc.end.class_id == S.corner_class[sc.end.corner][0]
 
@@ -297,7 +301,7 @@ class TestPath:
         (f, v), exits, last = sc.path
         k = len(S.faces[S.glue[exits[-1]][0]])
         bad = SaddleConnection(
-            S, sc.holonomy, sc.start, sc.end, ((f, v), exits, (last + 1) % k)
+            S, sc._lat, sc._packed, sc.start, sc.end, ((f, v), exits, (last + 1) % k)
         )
         with pytest.raises(RuntimeError, match="recorded path"):
             oracle.pieces(bad)
@@ -664,12 +668,39 @@ class TestPackedRecord:
                 assert [x.hex() for x in stored] == [x.hex() for x in vfloat(c.holonomy)]
 
     def test_germ_directions_follow_the_reverse(self):
+        """A reverse swaps the germs, and the oracle's rays at them are
+        minus its holonomy leaving, this holonomy entering."""
         S, L = _CASES["ngon10-L3"]()
         for sc in enumerate_saddle_connections(S, L):
             rev = sc.reversed()
             assert rev.start is sc.end and rev.end is sc.start
-            assert rev.start.direction == rev.holonomy == vneg(sc.holonomy)
-            assert rev.end.direction == sc.holonomy
+            at_start, at_end = oracle.passages(ClosedCurve([sc, rev]))
+            assert at_start[2] == (rev.start.corner, rev.holonomy)
+            assert rev.holonomy == vneg(sc.holonomy)
+            assert at_end[1] == (rev.end.corner, sc.holonomy)
+
+    @pytest.mark.parametrize("case", ["ngon10-L3", "stair10-8lm", "sheared8-12lm"])
+    def test_connections_share_the_lattice_corner_germs(self, case, monkeypatch):
+        """An enumeration builds one germ per corner, in its lattice, and
+        every connection and its reverse carry those germs themselves."""
+        S, L = _CASES[case]()
+        built = [0]
+        new = saddle.Germ.__new__
+
+        def record(cls, *args):
+            built[0] += 1
+            return new(cls, *args)
+
+        monkeypatch.setattr(saddle.Germ, "__new__", record)
+        scs = enumerate_saddle_connections(S, L)
+        assert built[0] == len(S.corner_class)
+        (lat,) = {id(sc._lat): sc._lat for sc in scs}.values()
+        for sc in scs:
+            for c in (sc, sc.reversed()):
+                assert c._lat is lat
+                assert c.start is lat.germs[c.start.corner]
+                assert c.end is lat.germs[c.end.corner]
+        assert built[0] == len(S.corner_class)  # reversing built none
 
     def test_reverse_does_not_depend_on_a_read_holonomy(self):
         """Reversing a recorded connection keeps its packed holonomy whether
@@ -689,10 +720,10 @@ class TestPackedRecord:
             assert saddle._order(before, after) == 0
 
     def test_brute_force_leaves_no_reference_cycle(self):
-        """A recorded connection's germs keep packed directions of their own,
-        not a reference back to the connection, so a sheared surface is freed
-        as soon as it and its brute-force report are deleted, with the cyclic
-        collector off."""
+        """A recorded connection's germs are its lattice's corner germs, which
+        refer to neither a connection nor the surface, so a sheared surface is
+        freed as soon as it and its brute-force report are deleted, with the
+        cyclic collector off."""
         T = build_staircase(8).transform(Mat2(8, 1, Fraction(1, 7), 0, Fraction(2, 5)))
         ref = weakref.ref(T)
         rep = kvol_bruteforce(T, _lm(8) * 8)
