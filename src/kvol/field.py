@@ -201,6 +201,27 @@ def _bareiss(rows: list[list[int]]) -> int:
     return sign * prev
 
 
+def _solve(rows: list[list[int]]) -> tuple[int, list[list[int]]]:
+    """(D, [D x_1, D x_2, ...]) for M x_c = b_c, with ``rows`` the augmented
+    [M | b_1 b_2 ...]: ``_bareiss`` gives D = det M, and back substitution
+    the integer vectors D x_c = adj(M) b_c, every division exact; D is made
+    positive.  (0, []) when M is singular."""
+    d = len(rows)
+    D = _bareiss(rows)
+    if not D:
+        return 0, []
+    sols = []
+    for c in range(d, len(rows[0])):
+        x = [0] * d
+        for i in range(d - 1, -1, -1):
+            row = rows[i]
+            x[i] = (D * row[c] - sum(row[j] * x[j] for j in range(i + 1, d))) // row[i]
+        sols.append(x)
+    if D < 0:
+        D, sols = -D, [[-v for v in x] for x in sols]
+    return D, sols
+
+
 def _horner(num: Sequence[int], X: int, shift: int) -> int:
     """``2^(shift len(num))`` times the polynomial ``num`` at ``X/2^shift``."""
     acc = 0
@@ -398,9 +419,8 @@ class CycloReal:
         """Multiplicative inverse, in integers only.
 
         With self = N / den, solve M y = e_0 for the integer matrix M of
-        multiplication by N by Bareiss elimination; back substitution yields
-        the integers D*y with D the final pivot (Cramer), so the inverse is
-        den * (D*y) / D.
+        multiplication by N (``_solve``): it yields the integers D*y with D
+        the final pivot, so the inverse is den * (D*y) / D.
         """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
@@ -412,16 +432,10 @@ class CycloReal:
         rows = _mul_matrix(self.n, num)
         for i, row in enumerate(rows):
             row.append(1 if i == 0 else 0)
-        if not _bareiss(rows):
+        D, sols = _solve(rows)
+        if not D:
             raise ArithmeticError("element not invertible (reducible modulus?)")
-        D = rows[-1][d - 1]
-        x = [0] * d
-        for i in range(d - 1, -1, -1):
-            row = rows[i]
-            x[i] = (D * row[d] - sum(row[j] * x[j] for j in range(i + 1, d))) // row[i]
-        if D < 0:
-            D, x = -D, [-v for v in x]
-        return _element(self.n, [den * v for v in x], D)
+        return _element(self.n, [den * v for v in sols[0]], D)
 
     # -- predicates and comparisons -----------------------------------------
 
@@ -650,18 +664,14 @@ def accurate_float(x: CycloReal) -> float:
 @lru_cache(maxsize=None)
 def _trace_inverse(n: int) -> tuple[int, list[list[int]]]:
     """``scale`` and the integers ``scale T^-1`` for the trace matrix
-    ``T[i][j] = Tr(Phi^(i+j))``, V^T V for V[k][j] = phi_k^j (conjugates)."""
+    ``T[i][j] = Tr(Phi^(i+j))``, V^T V for V[k][j] = phi_k^j (conjugates),
+    with ``scale`` the least common denominator of T^-1."""
     d = field_degree(n)
     powers = (_fold(n, [0] * k + [1] + [0] * d, d) for k in range(2 * d - 1))
     tr = [sum(r[i] for i, r in enumerate(_mul_matrix(n, x))) for x in powers]
-    rows = [tr[i:i + d] + [int(i == j) for j in range(d)] for i in range(d)]
-    for c, pivot in enumerate(rows):  # Gauss-Jordan; T is positive definite
-        pivot[:] = [Fraction(v, pivot[c]) for v in pivot]
-        for row in rows:
-            if row is not pivot:
-                row[:] = [v - row[c] * w for v, w in zip(row, pivot)]
-    scale = math.lcm(*(v.denominator for row in rows for v in row[d:]))
-    return scale, [[int(v * scale) for v in row[d:]] for row in rows]
+    D, cols = _solve([tr[i:i + d] + [int(i == j) for j in range(d)] for i in range(d)])
+    g = math.gcd(D, *(v for col in cols for v in col))  # T is positive definite, so D > 0
+    return D // g, [[v // g for v in row] for row in zip(*cols)]
 
 
 def sqrt_in_field(x: CycloReal) -> Union[CycloReal, None]:

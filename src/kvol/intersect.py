@@ -251,11 +251,6 @@ class IntersectionForm:
             return np.zeros((0, len(self.surface.edge_pairs)), dtype=np.int64)
         return np.add.reduceat(self._table.rows[idx], starts, axis=0)
 
-    def gram(self, objs: Sequence[CurveLike]) -> np.ndarray:
-        """All pairwise intersection numbers of a family, as an integer matrix."""
-        C = self.coord_rows(objs)
-        return C @ self.matrix @ C.T
-
 
 def intersection_form(surface: TranslationSurface) -> IntersectionForm:
     """The intersection form of the surface on its edge chains."""

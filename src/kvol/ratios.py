@@ -52,9 +52,10 @@ float ratio keeps a margin far above that error:
   the float ratio alone when it is at most ``bound (1 - 1e-6)`` and decides
   every other pair exactly.
 
-Brute force and bound certification both run this pass.  The directional
-constant ``K(d, d')`` needs no square roots at all - the wedge of two
-holonomies is a field element - so it is compared entirely in the field, with
+All four callers run this pass: brute force, bound certification, the
+directional constant and the parallel check (its pairs above a floor of 0).
+``K(d, d')`` needs no square roots - the wedge of two holonomies is a field
+element - so its near-maximum pairs are compared entirely in the field, with
 the same tournament loop (``_argmax_ties``).
 
 The closed-formula evaluator composes the exact constant ``K_0`` with the
@@ -664,58 +665,48 @@ def K_of_directions(
     """Certified lower bound for K(d, d') = sup |Int(a, b)| / |hol(a) ^ hol(b)|.
 
     The supremum runs over closed curves ``a`` in direction ``d`` and ``b`` in
-    direction ``d'``; the scan covers all atoms assembled from saddle
-    connections of length at most ``L`` in each direction.  Every quantity is
-    a field element, so the maximum and the reported value are exact.
+    direction ``d'`` whose components all point the same way, so that a
+    curve's length is |hol|: the atoms of connections of length at most
+    ``L`` in each direction, less the unions ``a + reverse(b)`` (recorded
+    connections are canonically oriented).  Then |hol(a) ^ hol(b)| =
+    l(a) l(b) |sin theta| with one theta per call, so the float pass ranks
+    pairs as K does; its near-maximum pairs, which cross between the two
+    families (curves of one direction never cross), are compared exactly in
+    the field, and the reported value is exact.
     """
     d_lo, d_hi = _canonical_pair(surface.n, d1, d2)
     if form is None:
         form = intersection_form(surface)
     families = []
     for d in (d_lo, d_hi):
-        scs = enumerate_saddle_connections(surface, L, direction=d)
-        if not scs:
+        atoms = closed_atoms(surface, enumerate_saddle_connections(surface, L, direction=d))
+        families.append(
+            [c for c in atoms if all(canonical_orientation(sc.holonomy) for sc in c.components)]
+        )
+        if not families[-1]:
             raise UnrealizedDirectionError(
-                f"no saddle connection in direction {d!r} within length {float(L):g}"
+                f"no closed curve along direction {d!r} within length {float(L):g}"
             )
-        atoms = closed_atoms(surface, scs)
-        curves = []
-        for c in atoms:
-            hx, hy = c.components[0].holonomy
-            for sc in c.components[1:]:
-                hx, hy = hx + sc.holonomy[0], hy + sc.holonomy[1]
-            if not (hx.is_zero() and hy.is_zero()):
-                curves.append((c, (hx, hy)))
-        if not curves:
-            raise UnrealizedDirectionError(
-                f"no closed curve with nonzero holonomy in direction {d!r} "
-                f"within length {float(L):g}"
-            )
-        families.append(curves)
-    fa, fb = families
-    Ca, Cb = (form.coord_rows([c for c, _ in fam]) for fam in families)
-    G = Ca @ form.matrix @ Cb.T
-    items = []  # (a, b, |I|, |wedge|)
-    for r, s in zip(*G.nonzero()):
-        (a, ha), (b, hb) = fa[r], fb[s]
-        w = cross(ha, hb)
-        if not w.is_zero():
-            items.append((a, b, abs(int(G[r, s])), abs(w)))
+    curves = families[0] + families[1]
+    split = len(families[0])
+    items = []  # (i, j, |Int|, |hol_i ^ hol_j|), the wedge summed over components
+    for i, j, I in _scan_pairs(form, curves).near_max:
+        if i < split <= j:
+            comps = curves[i].components, curves[j].components
+            w = sum(cross(p.holonomy, q.holonomy) for p in comps[0] for q in comps[1])
+            items.append((i, j, abs(I), abs(w)))
     #  I_x/w_x  vs  I_y/w_y  <=>  sign(I_x w_y - I_y w_x)
     best, ties = _argmax_ties(items, lambda x, y: (y[3] * x[2] - x[3] * y[2]).sign())
     if best is None:
         zero = CycloReal.from_rational(surface.n, 0)
         return DirectionPairReport(d_lo, d_hi, zero, 0.0, [], {"L": float(L)})
     exact = CycloReal.from_rational(surface.n, best[2]) / best[3]
-    witnesses = sorted(
-        ((a, b, I) for a, b, I, _ in ties), key=lambda w: _pair_key(w[0], w[1])
-    )
     return DirectionPairReport(
         d=d_lo,
         d_prime=d_hi,
         exact=exact,
         value=float(exact),
-        witnesses=witnesses,
+        witnesses=_witnesses(curves, (p[:3] for p in ties)),
         params={"L": float(L)},
     )
 
@@ -880,13 +871,13 @@ def check_parallel_criterion(surface: TranslationSurface, d, L) -> ParallelRepor
             "(direction not periodic?)"
         )
     curves = closed_atoms(surface, scs)
-    G = intersection_form(surface).gram(curves)
+    above = _scan_pairs(intersection_form(surface), curves, floor=0.0).above
     return ParallelReport(
         direction=_coslope(v),
         count_connections=len(scs),
         count_curves=len(curves),
         pairs_checked=len(curves) * (len(curves) - 1) // 2,
-        nonzero=[(curves[i], curves[j], int(G[i, j])) for i, j in zip(*G.nonzero()) if i < j],
+        nonzero=[(curves[i], curves[j], I) for i, j, I in above],
     )
 
 

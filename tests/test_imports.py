@@ -6,8 +6,9 @@ left that no caller sets, no public module-level function, class or
 constant of the package is left that nothing reads, nor one that only the
 tests read without README.md naming it, and the same holds for every public
 member of a package class.  Exactly one function of the package
-steps a trace across glued edges, and no module of the package writes
-mpmath's process-global precision."""
+steps a trace across glued edges, exactly one outside ``kvol.intersect``
+reads a form's chains or matrix (the pair scan's), and no module of the
+package writes mpmath's process-global precision."""
 
 from __future__ import annotations
 
@@ -490,6 +491,51 @@ def test_scanner_flags_glue_stepping_loops():
 def test_one_glue_stepping_loop():
     package = {p.stem: p.read_text() for p in FILES if p.parent.name == "kvol"}
     assert len(glue_stepping_functions(package)) == 1, glue_stepping_functions(package)
+
+
+_FORM_INTERNALS = ("coord_rows", "matrix")
+
+
+def form_internals_readers(modules: dict[str, str]) -> list[str]:
+    """``module:function`` of every function, lambda or module body outside
+    ``intersect`` that reads an attribute ``coord_rows`` or ``matrix``: a
+    place that multiplies a form's chains itself rather than through the
+    pair scan."""
+    found = []
+    for name, source in modules.items():
+        if name == "intersect":
+            continue
+        tree = ast.parse(source)
+        scopes = [("<module>", tree)] + [
+            (getattr(node, "name", "<lambda>"), node)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        ]
+        for scope, node in scopes:
+            if any(
+                isinstance(n, ast.Attribute) and n.attr in _FORM_INTERNALS
+                for n in _own_nodes(node)
+            ):
+                found.append(f"{name}:{scope}")
+    return found
+
+
+def test_scanner_flags_form_internals_readers():
+    module = (
+        "C = form.coord_rows(curves)\n"
+        "def a(form, c):\n    return c @ form.matrix @ c\n"
+        "def b(form):\n    def inner(c):\n        return form.coord_rows(c)\n    return inner\n"
+        "def c(form, x, y):\n    return form.pair(x, y)\n"
+        "class K:\n    def m(self):\n        return sorted(self.items, key=lambda f: f.matrix)\n"
+    )
+    assert form_internals_readers({"m": module}) == ["m:<module>", "m:a", "m:inner", "m:<lambda>"]
+    assert form_internals_readers({"intersect": module}) == []
+
+
+def test_one_reader_of_form_internals():
+    # the pair scan is the one engine that multiplies chains by the form
+    package = {p.stem: p.read_text() for p in FILES if p.parent.name == "kvol"}
+    assert form_internals_readers(package) == ["ratios:_ratio_blocks"]
 
 
 _PRECISION_CALLS = ("workprec", "workdps", "extraprec", "extradps")

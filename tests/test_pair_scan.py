@@ -33,6 +33,8 @@ from kvol.ratios import (
 from kvol.saddle import enumerate_saddle_connections
 from kvol.surface import build_ngon, build_staircase
 
+from pair_judges import gram
+
 
 def _sheared8():
     return build_staircase(8).transform(Mat2(8, 1, Fraction(13, 37), 0, Fraction(31, 40)))
@@ -118,7 +120,7 @@ def test_block_rows_need_not_divide_the_curve_count(monkeypatch):
 def test_float_filter_drops_no_maximizer(X, L):
     curves = closed_atoms(X, enumerate_saddle_connections(X, L))
     form = intersection_form(X)
-    G = form.gram(curves)
+    G = gram(form, curves)
     crossing = [(i, j, int(G[i, j])) for i, j in zip(*np.nonzero(np.triu(G, 1)))]
     ctx = _RadicalContext(X.n)
     ((_, _, I), den), ties = _exact_max(ctx, curves, crossing)

@@ -30,6 +30,7 @@ from kvol.ratios import (
     UnrealizedDirectionError,
     UnsupportedCaseError,
     _RadicalContext,
+    _pair_key,
     _scan_pairs,
     bound_4m2,
     check_parallel_criterion,
@@ -43,6 +44,7 @@ from kvol.ratios import (
     side_pairs,
     verify_ngon_bound,
 )
+from kvol.plane import canonical_orientation, vfloat
 from kvol.saddle import enumerate_saddle_connections
 from kvol.surface import (
     Mat2,
@@ -50,10 +52,12 @@ from kvol.surface import (
     build_ngon,
     build_staircase,
     conversion_matrix,
+    direction_vector,
     veech_generators,
 )
 
 from geodesic_helpers import dist_to
+from pair_judges import exhaustive_K, gram
 
 
 def F(n, v):
@@ -283,6 +287,143 @@ class TestKOfDirections:
         assert d["value"] == pytest.approx(float(rep.exact))
 
 
+def _unit(S):
+    return lm(S.n) if S.model == "staircase" else F(S.n, 1)
+
+
+def _seeded_direction_pairs(S, count, seed, closing=False):
+    """``count`` seeded pairs of distinct direction labels of the connections
+    of ``S`` up to 5 length units; with ``closing``, only of labels that at
+    least two of those connections share."""
+    labels = []
+    for sc in enumerate_saddle_connections(S, _unit(S) * 5):
+        x, y = sc.holonomy
+        labels.append("inf" if y.is_zero() else x / y)
+    least = 2 if closing else 1
+    labels = [d for i, d in enumerate(labels) if d not in labels[:i] and labels.count(d) >= least]
+    pairs = list(itertools.combinations(labels, 2))
+    random.Random(seed).shuffle(pairs)
+    return pairs[:count]
+
+
+def _or_unrealized(f):
+    try:
+        return f()
+    except UnrealizedDirectionError:
+        return None
+
+
+def _keys(witnesses):
+    return [(_pair_key(a, b), I) for a, b, I in witnesses]
+
+
+class TestDirectionalJudge:
+    """K_of_directions against the exhaustive exact scan of every pair."""
+
+    @pytest.mark.parametrize(
+        "S, caps",
+        [
+            (build_staircase(8), (8, 12)),
+            (build_staircase(12), (8, 12)),
+            (build_staircase(16), (8, 12)),
+            (build_ngon(8), (3, 5)),
+        ],
+        ids=["S8", "S12", "S16", "X8"],
+    )
+    def test_one_class_matches_the_judge(self, S, caps):
+        # with one singularity every atom is one canonical connection, so
+        # keeping same-direction atoms drops nothing
+        form = intersection_form(S)
+        compared = 0
+        for cap in caps:
+            L = _unit(S) * cap
+            for d1, d2 in _seeded_direction_pairs(S, 12, seed=S.n):
+                got = _or_unrealized(lambda: K_of_directions(S, d1, d2, L, form=form))
+                judge = _or_unrealized(lambda: exhaustive_K(S, d1, d2, L, form=form))
+                assert (got is None) == (judge is None), (d1, d2, cap)
+                if got is not None:
+                    assert got.exact == judge[0], (d1, d2, cap)
+                    assert _keys(got.witnesses) == _keys(judge[1]), (d1, d2, cap)
+                    compared += bool(judge[1])
+        assert compared >= 10
+
+    @pytest.mark.parametrize(
+        "S, caps, closing",
+        [
+            (build_staircase(10), (8, 12), False),
+            (build_staircase(14), (8, 12), False),
+            (build_ngon(10), (3, 5), True),
+        ],
+        ids=["S10", "S14", "X10"],
+    )
+    def test_two_classes_match_the_same_direction_judge(self, S, caps, closing):
+        form = intersection_form(S)
+        compared = 0
+        for cap in caps:
+            L = _unit(S) * cap
+            for d1, d2 in _seeded_direction_pairs(S, 12, seed=S.n, closing=closing):
+                got = _or_unrealized(lambda: K_of_directions(S, d1, d2, L, form=form))
+                judge = _or_unrealized(
+                    lambda: exhaustive_K(S, d1, d2, L, form=form, same_direction=True)
+                )
+                assert (got is None) == (judge is None), (d1, d2, cap)
+                if got is None:
+                    continue
+                assert got.exact == judge[0], (d1, d2, cap)
+                assert _keys(got.witnesses) == _keys(judge[1]), (d1, d2, cap)
+                compared += bool(judge[1])
+                # dropping the a + reverse(b) atoms never raises K
+                every = exhaustive_K(S, d1, d2, L, form=form)[0]
+                assert (every - got.exact).sign() >= 0, (d1, d2, cap)
+        assert compared >= 5
+
+
+def _sine(n, d1, d2):
+    (x1, y1), (x2, y2) = (vfloat(direction_vector(n, d)) for d in (d1, d2))
+    return abs(x1 * y2 - x2 * y1) / math.hypot(x1, y1) / math.hypot(x2, y2)
+
+
+def _assert_lengths_are_holonomies(rep, n):
+    """Every witness component is canonically oriented, and each witness
+    pair attains |Int| / (l(a) l(b)) = K |sin theta(d, d')|."""
+    assert rep.witnesses
+    target = rep.value * _sine(n, rep.d, rep.d_prime)
+    for a, b, I in rep.witnesses:
+        assert all(canonical_orientation(sc.holonomy) for c in (a, b) for sc in c.components)
+        assert abs(I) / (a.length * b.length) == pytest.approx(target, rel=1e-12)
+
+
+class TestSameDirectionWitnesses:
+    """For n = 2 mod 4 a directional curve has every component along its
+    direction, so its length is |hol| and K feeds the KVol supremum."""
+
+    @pytest.mark.parametrize("L", [10, 20, 40])
+    def test_staircase10_pair(self, L):
+        S = build_staircase(10)
+        phi, one = CycloReal.phi(10), F(10, 1)
+        rep = K_of_directions(S, -one / phi, one / (phi * 2), L)
+        assert rep.exact == phi * Fraction(8, 5) - phi**3 * Fraction(8, 25)
+        assert rep.value == pytest.approx(0.8411697793906139, rel=1e-15)
+        assert [I for _, _, I in rep.witnesses] == [6, 6, 6, 6]
+        _assert_lengths_are_holonomies(rep, 10)
+        a, b, I = rep.witnesses[0]
+        assert {round(a.length, 4), round(b.length, 4)} == {2.4026, 4.3977}
+        assert abs(I) / (a.length * b.length) == pytest.approx(0.56785511019508, rel=1e-12)
+
+    def test_seeded_pairs(self):
+        checked = 0
+        for S in (build_staircase(10), build_staircase(14), build_ngon(10)):
+            form = intersection_form(S)
+            for d1, d2 in _seeded_direction_pairs(S, 8, seed=3, closing=True):
+                rep = _or_unrealized(
+                    lambda: K_of_directions(S, d1, d2, _unit(S) * 12, form=form)
+                )
+                if rep is not None and rep.witnesses:
+                    _assert_lengths_are_holonomies(rep, S.n)
+                    checked += 1
+        assert checked >= 10
+
+
 class TestClosedFormula:
     def test_peak_constants(self):
         phi8, phi12 = CycloReal.phi(8), CycloReal.phi(12)
@@ -365,13 +506,13 @@ class TestParallelAndStaircaseBound:
         json.dumps(rep8.to_dict())
 
     def test_crossing_pairs_match_the_float_scan(self):
-        # the parallel check reads nonzero entries of the integer Gram matrix;
-        # on a family of many directions they are the float pass's pairs above
-        # a floor of 0, in its order and with its Int
+        # the parallel check reads the float pass's pairs above a floor of 0;
+        # on a family of many directions they are the nonzero entries of the
+        # integer Gram matrix, in its order and with its Int
         S = build_staircase(8)
         form = intersection_form(S)
         curves = closed_atoms(S, enumerate_saddle_connections(S, lm(8) * 6))
-        G = form.gram(curves)
+        G = gram(form, curves)
         pairs = [(int(i), int(j), int(G[i, j])) for i, j in zip(*np.nonzero(np.triu(G, 1)))]
         assert len(pairs) > 100
         assert pairs == _scan_pairs(form, curves, floor=0.0).above
