@@ -21,10 +21,11 @@ directions ``"inf"`` and ``-1``.  With this pairing the angle identity
 holds exactly for every surface point and every pair of labels.
 
 Points, distances and the orbit search of ``dist_to_Gmax`` are double
-precision, with one search per query.  One point (``nearest_witness``) is
-framed and searched in Python floats by ``_nearest_point``, with no array;
-batches and deep-cusp points run in numpy blocks.  Both do the same double
-operations in the same order, so their results are identical to the bit.
+precision, with one search per query and one budget (``_offsets``).  One
+point (``nearest_witness``) is searched in Python floats by
+``_nearest_point`` unless its row has over ``_ROW_OFFSETS`` offsets, batches
+in numpy blocks, with the same double operations in the same order and one
+``math.asinh``, so their distances are identical to the bit.
 numpy is imported only where arrays are built, and mpmath never (an ``mpc``
 argument is handled with its caller's mpmath).  Reduction to the fundamental
 domain steps the point in integer fixed point, at a precision chosen per
@@ -227,7 +228,7 @@ def _upper_point(z):
 
 
 # a TV step is taken only this far inside its disk, so rounding in the test
-# on the double never admits a point just outside
+# on the double never admits a point just outside, where Im z would fall
 _DISK_MARGIN = 1e-12
 # bits of the reduction's fixed point past its stated error bound
 _GUARD_BITS = 8
@@ -244,25 +245,29 @@ def reduce_to_fundamental_domain(z, n: int, *, max_steps: int = 10000):
     in kind.
 
     Each token is chosen from the double nearest the current point:
-    ``TH^-k`` with ``k = round(x/phi)`` while that is nonzero, else ``TV^+-1``
-    while the point lies inside the disk
-    ``|z -+ 1/phi| < 1/phi - _DISK_MARGIN``.  The point itself is carried in
-    fixed point, as two integers ``X``, ``Y`` over ``2^p`` with ``p`` fixed
-    at entry, and the double is ``X/2^p + i Y/2^p``, correctly rounded by
-    integer division.  ``phi`` is the integer ``F``, ``Phi 2^p`` rounded
-    (``_phi_fixed``).  ``TH^k`` adds ``k F`` to ``X``; ``TV^k`` forms
-    ``D = k phi z + 1`` rounded to ``2^-p`` and rounds each coordinate of
-    ``w = z conj(D)/|D|^2`` to ``2^-p``.
+    ``TH^-k`` with ``k = round(x/phi)`` while that is nonzero, else ``TV^j``
+    while the point lies inside the disk ``|z -+ 1/phi| < 1/phi -
+    _DISK_MARGIN``, with ``j = +-max(1, round(|Re W|/phi))`` in the chart
+    ``W = -1/z``, where ``TV^j`` is ``W -> W - j phi``: the nearest multiple,
+    as for ``TH`` in ``z`` (Rosen 1954), so a run of ``TV`` steps is one
+    token.  The point itself is carried in fixed point, as two integers
+    ``X``, ``Y`` over ``2^p`` with ``p`` fixed at entry, and the double is
+    ``X/2^p + i Y/2^p``, correctly rounded by integer division.  ``phi`` is
+    the integer ``F``, ``Phi 2^p`` rounded (``_phi_fixed``).  ``TH^k`` adds
+    ``k F`` to ``X``; ``TV^j`` forms ``D = j phi z + 1`` rounded to ``2^-p``
+    and rounds each coordinate of ``w = z conj(D)/|D|^2`` to ``2^-p``.
 
     Error.  Every step is an isometry, so an error made at one step is
     carried to the end unchanged in hyperbolic distance, and the errors of
-    the steps add.  ``TH`` keeps ``Im z``, and a ``TV`` step is only taken
-    inside a disk where ``|k phi z + 1| < 1`` (``_DISK_MARGIN`` keeps the test
-    on the double from admitting a point just outside), so it raises ``Im z``:
-    ``Im z`` never falls below ``y0``, its value at entry, and a Euclidean
-    error ``e`` at any point of the path is at most ``e/y0`` in hyperbolic
-    distance.  Rounding the input to ``2^-p`` costs ``2^-p/y0``, and per
-    step, with ``F/2^p`` within ``2^-p`` of ``phi``:
+    the steps add.  ``TH`` keeps ``Im z``, and ``TV^j`` raises it, as
+    ``|D| = |W - j phi|/|W| < 1``: inside the disk ``+-Re W > phi/2`` (to
+    ``_DISK_MARGIN``, which keeps the test on the double from admitting a
+    point just outside), and ``|j| >= 2`` only where ``|Re W| >= 3 phi/2``
+    and ``|Re W - j phi| <= phi/2``, each to rounding.  So ``Im z`` never
+    falls below ``y0``, its value at entry, and a Euclidean error ``e`` at
+    any point of the path is at most ``e/y0`` in hyperbolic distance.
+    Rounding the input to ``2^-p`` costs ``2^-p/y0``, and per step, with
+    ``F/2^p`` within ``2^-p`` of ``phi``:
 
     * ``TH^k`` is exact but for ``F``, which moves the point by
       ``|k| 2^-p``.  ``k`` is nonzero only for ``|x| >= phi/2``, so
@@ -272,11 +277,11 @@ def reduce_to_fundamental_domain(z, n: int, *, max_steps: int = 10000):
       ``|w|/Im w <= |z|/Im z``, and a ``TV`` step starts inside a disk of
       radius ``1/phi`` on ``+-1/phi``, where ``|z| < 2``.  So the step is
       off by at most ``2^(1-p) (|x0| + 2)/y0``.
-    * ``TV^k``: ``Im w = Im z/|D|^2``, so an error ``dD`` in ``D`` moves
+    * ``TV^j``: ``Im w = Im z/|D|^2``, so an error ``dD`` in ``D`` moves
       ``w`` by ``|z| |dD|/|D|^2``, that is ``|z| |dD|/Im z`` in hyperbolic
-      distance.  ``F`` and the rounding of ``D`` give
-      ``|dD| <= (|z| + 1) 2^-p``, and ``|z| < 2``: at most ``6 2^-p/y0``.
-      Rounding ``w`` adds ``2^-p/y0``.
+      distance.  ``F`` and the rounding of ``D`` give ``|dD| <= (|j| |z| +
+      1) 2^-p``, with ``|j phi z| = |D - 1| < 2``, and ``|z| < 2``: at most
+      ``6 2^-p/y0``.  Rounding ``w`` adds ``2^-p/y0``.
 
     Each step is thus off by at most ``4 2^-p (|x0| + 2)/y0``, and
     ``p = base + ceil(log2((|x0| + 2)/y0)) + bitlen(max_steps)`` plus
@@ -311,9 +316,10 @@ def reduce_to_fundamental_domain(z, n: int, *, max_steps: int = 10000):
             word.append(("TH", k))
             X += k * F
         else:
-            word.append(("TV", s))
-            Dx = ((s * F * X + half) >> p) + one
-            Dy = (s * F * Y + half) >> p
+            j = s * max(1, round(abs(zc.real) / (zc.real * zc.real + zc.imag * zc.imag) / phi))
+            word.append(("TV", j))
+            Dx = ((j * F * X + half) >> p) + one
+            Dy = (j * F * Y + half) >> p
             den = Dx * Dx + Dy * Dy
             X, Y = (
                 (((X * Dx + Y * Dy) << (p + 1)) + den) // (den << 1),
@@ -413,7 +419,7 @@ def word_matrix(word: Iterable[tuple[str, int]], n: int) -> Mat2:
 # geodesic joining two points of Z u {inf}: 1/(j phi) + m phi goes to -j, inf
 # to 0 and m phi to inf.
 
-# beyond this frame height the index search is cut short and not converged
+# past this frame height a search row keeps the nearest vertical, unconverged
 _MAX_HEIGHT = 1e6
 # entries per vectorized block of the index search
 _BLOCK = 1 << 15
@@ -422,6 +428,13 @@ _BLOCK = 1 << 15
 # numpy 2.4): one row costs the same both ways at about 48 offsets (the loop
 # takes about 28 us plus 3 us per offset, one numpy block about 160 us)
 _ROW_OFFSETS = 32
+
+
+def _offsets(v, floor=math.floor, least=min):
+    """The offsets a search row at frame height ``v`` tries, ``floor(v) + 2``,
+    or none past ``_MAX_HEIGHT``; ``v`` may be inf, or an array with
+    ``np.floor``, ``np.minimum``."""
+    return (v <= _MAX_HEIGHT) * (floor(least(v, _MAX_HEIGHT)) + 2)
 
 
 def _offset_blocks(count):
@@ -450,13 +463,13 @@ def _lattice_search(u, v):
     endpoints ``a`` and ``b`` (``b = inf`` for the vertical ``Re w = a``)
     and whether the search reached its bound, ``v <= _MAX_HEIGHT``.
 
-    Row ``i`` tries ``floor(min(v_i, _MAX_HEIGHT)) + 2`` offsets, which
-    ``_offset_blocks`` batches into numpy blocks.  ``_search_row`` searches
-    one row in Python floats with the same double operations in the same
-    order, the same masks and the same tie order (candidate-major, then by
-    offset, the first minimum winning, and it replaces the vertical only when
-    strictly smaller), so on a row of at most ``_ROW_OFFSETS`` offsets, which
-    the block code searches as one block, the two agree to the bit.
+    Row ``i`` tries ``_offsets(v_i)`` offsets, which ``_offset_blocks``
+    batches into numpy blocks.  ``_search_row`` searches one row in Python
+    floats with the same double operations in the same order, the same masks
+    and the same tie order (candidate-major, then by offset, the first
+    minimum winning, and it replaces the vertical only when strictly
+    smaller), so on a row of at most ``_ROW_OFFSETS`` offsets, which the
+    block code searches as one block, the two agree to the bit.
 
     The search is exhaustive.  The vertical at ``a`` has
     ``sinh dist = |u - a|/v``, least at the nearest integer.  With offsets
@@ -478,7 +491,8 @@ def _lattice_search(u, v):
       ``s = g, g + 1, ... <= v + 1`` on each side, ``g`` the distance from
       ``u`` to the nearest integer on that side, with two ``t`` each.
 
-    Points with ``v > _MAX_HEIGHT`` only enumerate up to that height.
+    A row with ``v > _MAX_HEIGHT`` keeps the nearest vertical, at
+    ``sinh dist <= 1/(2v)``, and has not reached its bound.
     """
     import numpy as np
     a = np.floor(u + 0.5)
@@ -486,7 +500,7 @@ def _lattice_search(u, v):
     b = np.full(u.shape, np.inf)
     fl = np.floor(u)
     f = u - fl
-    count = np.floor(np.minimum(v, _MAX_HEIGHT)).astype(np.int64) + 2
+    count = _offsets(v, np.floor, np.minimum).astype(np.int64)
     for rows, k in _offset_blocks(count):
         uf, ff, vv = fl[rows, None], f[rows, None], v[rows, None]
         v2 = vv * vv
@@ -525,7 +539,7 @@ def _search_row(u, vv):
     best = abs(u - a) / vv
     uf = float(math.floor(u))
     ff = u - uf
-    count = math.floor(min(vv, _MAX_HEIGHT)) + 2
+    count = _offsets(vv)
     v2 = vv * vv
     ks = range(count)
     s_left = [ff + k for k in ks]
@@ -601,9 +615,10 @@ def _nearest(xs, ys, n: int):
     same, otherwise it is at most ``1/phi^2``.
 
     The flag certifies the search.  It is set when the search reached its
-    bound and the rounding bound below, taken at the winning value, is at
-    most ``_ROUNDING_TOL``; the value is then within that much of ``sinh``
-    of the exact distance from the double point to ``S``.  Orbit members
+    bound, ``v <= _MAX_HEIGHT`` (``_offsets``), and the rounding bound below,
+    taken at the winning value, is at most ``_ROUNDING_TOL``; the value is
+    then within that much of ``sinh`` of the exact distance from the double
+    point to ``S``.  Orbit members
     outside ``S`` are not ruled out: none has been found (random words of
     length at most 6, ``tests/test_hyperbolic.py``), and the six images
     above could never rule them out either.
@@ -667,8 +682,8 @@ def _nearest_point(x: float, y: float, n: int):
     Only zeros may differ in sign, where numpy's round and floor keep it:
     m at x = -0.0, then floor(u) at u = -0.0; but at u = +-0 the vertical at
     0 is at distance 0, which no candidate beats, so no result changes.
-    A point whose frame asks for more than ``_ROW_OFFSETS`` offsets, deep
-    in the cusp at 0, takes ``_nearest`` on one row."""
+    A point whose row has more than ``_ROW_OFFSETS`` offsets takes
+    ``_nearest`` on one row; past ``_MAX_HEIGHT`` a row has none."""
     phi = _phi_float(n)
     m = round(x / phi)  # half to even, as np.round
     dx = x - m * phi
@@ -681,14 +696,13 @@ def _nearest_point(x: float, y: float, n: int):
         u, v = -dxs / dens / s, ysc / dens / s
     else:
         u, v = -dx / den, y / den
-    if math.floor(min(v, _MAX_HEIGHT)) + 2 > _ROW_OFFSETS:
+    if _offsets(v) > _ROW_OFFSETS:
         import numpy as np
         sinh, m, a, b, flag = _nearest(np.array([x]), np.array([y]), n)
         return float(sinh[0]), int(m[0]), float(a[0]), float(b[0]), bool(flag[0])
     sinh, a, b = _search_row(u, v)
-    # the row reached its bound: v < _ROW_OFFSETS <= _MAX_HEIGHT
     rounding = 2.0**-51 * ((1.0 + 3.0 * abs(u)) / v + 4.0 * (1.0 + sinh))
-    return sinh, m, a, b, rounding <= _ROUNDING_TOL
+    return sinh, m, a, b, v <= _MAX_HEIGHT and rounding <= _ROUNDING_TOL
 
 
 # points per chunk of dist_to_Gmax_batch: one search row each, whose
@@ -701,7 +715,8 @@ def dist_to_Gmax_batch(zs: Sequence[complex], n: int):
 
     Returns a float array of distances and a bool array of convergence
     flags.  Points outside the fundamental domain are reduced first; the
-    search runs over chunks of ``_CELLS`` points.
+    search runs over chunks of ``_CELLS`` points.  Each distance is
+    ``math.asinh`` of the search value, so it has the bits of one point's.
     """
     import numpy as np
     zs = np.asarray(zs, dtype=complex)
@@ -714,7 +729,7 @@ def dist_to_Gmax_batch(zs: Sequence[complex], n: int):
     for start in range(0, zs.size, _CELLS):
         part = slice(start, start + _CELLS)
         sinh, _, _, _, flags[part] = _nearest(xs[part], ys[part], n)
-        dists[part] = np.arcsinh(sinh)
+        dists[part] = list(map(math.asinh, sinh.tolist()))
     return dists, flags
 
 
@@ -727,10 +742,9 @@ def dist_to_Gmax(z: complex, n: int) -> tuple[float, bool]:
     the distance is never below the true one.  The flag is the certificate
     of ``_nearest``: the search reached its bound and its stated rounding
     bound is at most ``_ROUNDING_TOL``.  It does not rule out orbit members
-    outside ``S``.
+    outside ``S``.  It is ``nearest_witness`` without the witness.
     """
-    dists, flags = dist_to_Gmax_batch([z], n)
-    return float(dists[0]), bool(flags[0])
+    return nearest_witness(z, n)[:2]
 
 
 def _witness_geodesic(ends, undo, n: int) -> Geodesic:

@@ -106,10 +106,20 @@ def _reduction_digest(n, rng):
     return h.hexdigest()
 
 
+def _seeded_set(n):
+    """20,000 seeded points, x in [-50, 50] and y log-uniform in [1e-9, 10]."""
+    rng = random.Random(37000 + n)
+    return [
+        complex(rng.uniform(-50.0, 50.0), math.exp(rng.uniform(math.log(1e-9), math.log(10.0))))
+        for _ in range(20000)
+    ]
+
+
 def _reduce_oracle(z, n):
     """The reduction's token rule, with the point stepped in mpmath at 1,000
     bits: the reduction's word and reduced double, computed independently
-    of its fixed point."""
+    of its fixed point.  A run of TV steps is one token TV^j, j the nearest
+    multiple of phi to Re(-1/z) and at least 1 in size."""
     phi = _phi_float(n)
     r = 1.0 / phi
     word = []
@@ -127,6 +137,8 @@ def _reduce_oracle(z, n):
                 gen, k = "TV", -1
             else:
                 return zc, word
+            if gen == "TV":
+                k *= max(1, round(abs(zc.real) / (zc.real * zc.real + zc.imag * zc.imag) / phi))
             word.append((gen, k))
             zz = zz + k * phi_mp if gen == "TH" else zz / (k * phi_mp * zz + 1)
 
@@ -405,14 +417,14 @@ class TestReduction:
             assert in_fundamental_domain(np.array(pts), n).tolist() == want
 
     def test_pinned_double_reductions(self):
-        # the digest comes from a reduction that re-evaluated the exact word
-        # matrix from the input at every step
+        # re-pinned when a run of TV steps became one token: the reduced
+        # doubles kept their bits, the words changed
         digest = _reduction_digest(8, random.Random(2000))
-        assert digest == "810d479d97a394929bba15bf9e3c8f99bb44d1ae1e552771e15b9c10fe4e7e70"
+        assert digest == "6939ad1ade37b69f9ff3855d32ac381b9aa95a5ad11da6a6ee62811bafddea1f"
 
     def test_pinned_deep_mpc_reductions(self):
         # 300 images under 30-token words with |k| <= 3, kept at 400 bits;
-        # same provenance as above
+        # re-pinned as above
         rng = random.Random(300)
         h = hashlib.sha256()
         with mpmath.workprec(400):
@@ -422,7 +434,7 @@ class TestReduction:
                     word = [(rng.choice(["TH", "TV"]), rng.choice([-3, -2, -1, 1, 2, 3])) for _ in range(30)]
                     zr, red = reduce_to_fundamental_domain(apply_word(word, z0, 8), 8)
                     h.update(repr((red, repr(complex(zr)))).encode())
-        assert h.hexdigest() == "82464c4fb1a8594118b193e779f67c44b7ba5d70e6727e4b46726c4e20a04291"
+        assert h.hexdigest() == "8b6b9510972ff2db50af1f4be99109d32761d62117794479bbd0f036909da2a9"
 
     def test_working_precision_does_not_leak(self):
         before = mpmath.mp.prec
@@ -461,14 +473,36 @@ class TestReduction:
     @pytest.mark.parametrize(
         "n, digest",
         [
-            (12, "1b2f703ab052a2de4ecb7706cb381e09f89669fa3cd32f51fd8d724a9beadfd6"),
-            (16, "5f7d24e43d965366b6e736b5988682272b878feba62f829372194cde8361a253"),
+            (12, "b13b659560414ec1b4f3b36a1f950be356ad2c6d7ad3eec21f0a0b0e460baefd"),
+            (16, "360df66029e2ca2af6031017172690d0825d06b9c3a50a856f244f089661a07a"),
         ],
     )
     def test_pinned_double_reductions_other_degrees(self, n, digest):
-        # the digests come from the reduction that stepped the point as one
-        # mpc at 300+ bits
+        # re-pinned as above
         assert _reduction_digest(n, random.Random(2000 + n)) == digest
+
+    @pytest.mark.parametrize(
+        "n, digest",
+        [
+            (8, "fc746441ec22b1ad6b7717265bb988828b3f957830530b55770ed1f92803184c"),
+            (12, "f205f3c64237dceec46af14d61c97bc068354f5bedf7945c7437ee2e1f6e6bf6"),
+            (16, "12b3a4ff81d2d967057004fd4e21ea7cf733db25ad3793eaf2a8b81ad10c963f"),
+        ],
+    )
+    def test_seeded_sets_reduce_in_few_tokens(self, n, digest):
+        # the digests hash the reduced doubles alone, and come from the
+        # reduction that took TV one step at a time (with its step budget
+        # raised for the two points each at n = 8 and 16 that needed more
+        # than 10,000 tokens), so taking a run as one token moved no point
+        pts = _seeded_set(n)
+        h = hashlib.sha256()
+        for z in pts:
+            zr, word = reduce_to_fundamental_domain(z, n)
+            assert len(word) <= 32
+            h.update((zr.real.hex() + zr.imag.hex()).encode())
+        assert h.hexdigest() == digest
+        for z in pts[:100]:
+            assert reduce_to_fundamental_domain(z, n) == _reduce_oracle(z, n), z
 
     @pytest.mark.parametrize("n", [8, 12, 16])
     def test_first_decision_boundaries_match_oracle(self, n):
@@ -591,15 +625,14 @@ class TestDistToGmax:
 
     def test_grid_agrees_with_closed_formula(self, capsys):
         # kvol-grid's batch distance and kvol-point's closed formula at the
-        # same cells: the same flag, and distances within 2 ulp
+        # same cells: the same flag and the same distance, to the bit
         assert main(["kvol-grid", "--n", "8", "--resolution", "40"]) == 0
         rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
         cells = random.Random(53).sample(rows, 300)
         for x, y, _, dist, converged in cells:
             rep = kvol_closed_formula(8, complex(float(x), float(y)))
-            d = rep.params["dist"]
             assert rep.converged == (converged == "true")
-            assert abs(d - float(dist)) <= 2 * math.ulp(d)
+            assert rep.params["dist"].hex() == float(dist).hex()
 
 
 def _window_sinh(z, n, width=60):
@@ -729,12 +762,11 @@ class TestOrbitSearch:
 
     @pytest.mark.parametrize("n", [8, 12])
     def test_pinned_witnesses(self, n):
-        # distance, flag, witness circle and word, hashed; the digests come
-        # from a witness map that multiplied the exact word matrix and divided
-        # in the field at both ends
+        # distance, flag, witness circle and word, hashed; re-pinned when a
+        # run of TV steps became one token, which changed words alone
         digest = {
-            8: "788c2fe555fd1b7bbc91c3dba1a2d04656e0db9f1b16ebd89c098f3d656a88c8",
-            12: "465dfe33c85ffe270b4d68742f6804607a7a0537a0a1d162dd1a5c1527ed2e6c",
+            8: "c956116d23075dc75d4787f2830cac06db1a154f5257d1ac971fab9033026ce6",
+            12: "aa8e14c6b6a974be1559d0a038f10ff14fdbd6349ecdb84f610f2b93557eaf22",
         }[n]
         rng = random.Random(2227)
         pts = [
@@ -748,10 +780,10 @@ class TestOrbitSearch:
             h.update(repr((repr(d), converged, repr(g.foot), repr(g.center), repr(g.radius), word)).encode())
             single.append((d, converged))
         assert h.hexdigest() == digest
-        # the batch takes asinh in numpy, which can differ in the last bit
+        # the batch rounds each distance as one point does, to the bit
         dists, flags = dist_to_Gmax_batch(pts, n)
         assert flags.tolist() == [f for _, f in single]
-        assert np.all(np.abs(dists - [d for d, _ in single]) <= 4e-16 * dists)
+        assert _same_bits(dists, np.array([d for d, _ in single]))
 
     @pytest.mark.parametrize("z, inside", [(complex(3.3, 0.01), False), (complex(0.1, 0.9), True)])
     def test_one_search_and_one_inverse_per_query(self, z, inside, monkeypatch):
@@ -1033,16 +1065,36 @@ class TestSearchPaths:
         assert [x.size for x in empty] == [0, 0, 0, 0]
 
     def test_row_loop_runs_only_for_small_searches(self, monkeypatch):
-        rows = []
-        search_row = hyperbolic._search_row
+        rows, blocks = [], []
+        search_row, search = hyperbolic._search_row, hyperbolic._lattice_search
         monkeypatch.setattr(hyperbolic, "_search_row", lambda *row: rows.append(row) or search_row(*row))
-        nearest_gmax_geodesic(complex(0.1, 0.9), 8)
-        assert len(rows) == 1
+        monkeypatch.setattr(hyperbolic, "_lattice_search", lambda u, v: blocks.append(u.size) or search(u, v))
+        # frame heights about 0.6, 5e6 (deep in the cusp at 0, past
+        # _MAX_HEIGHT: no offset, the nearest vertical alone) and 540 (more
+        # offsets than _ROW_OFFSETS, one block of one row)
+        for z in (complex(0.1, 0.9), complex(5e-15, 1e-7), complex(0.0, 1e-3)):
+            dist_to_Gmax(z, 8)
+        assert len(rows) == 2 and rows[0][1] < 1 and rows[1][1] > hyperbolic._MAX_HEIGHT
+        assert blocks == [1]
         rows.clear()
-        # deep in the cusp at 0, at frame height about 5e6
-        dist_to_Gmax(complex(5e-15, 1e-7), 8)
         dist_to_Gmax_batch(_interior_points(8, hyperbolic._CELLS, seed=71), 8)
         assert not rows
+
+    @pytest.mark.parametrize("z", [complex(5e-15, 1e-7), complex(-3e-19, 1e-9), complex(0.0, 2e-7)])
+    def test_past_the_search_budget_is_not_certified(self, z):
+        # a row past _MAX_HEIGHT keeps the nearest vertical, sinh <= 1/(2v),
+        # and reads false on both paths, though its rounding bound is small
+        phi = _phi(8)
+        u, v = -z.real / (phi * abs(z) ** 2), z.imag / (phi * abs(z) ** 2)
+        assert in_fundamental_domain(z, 8) and v > hyperbolic._MAX_HEIGHT
+        assert hyperbolic._offsets(v) == 0
+        one = _nearest_point(z.real, z.imag, 8)
+        block = [c[0] for c in _nearest(np.array([z.real]), np.array([z.imag]), 8)]
+        assert one[4] is False and bool(block[4]) is False
+        assert _same_bits((one[0], one[2], one[3]), (block[0], block[2], block[3]))
+        assert one[0] <= 1 / (2 * v) and math.isinf(one[3])
+        assert 2.0**-51 * ((1 + 3 * abs(u)) / v + 4 * (1 + one[0])) <= hyperbolic._ROUNDING_TOL
+        assert dist_to_Gmax(z, 8) == (math.asinh(one[0]), False)
 
 
 def _one_point_cases(n):
@@ -1129,15 +1181,18 @@ class TestOnePointPath:
     @pytest.mark.parametrize(
         "n, digest",
         [
-            (8, "487136496775cd943d8a7bba1fb49a88f6fc6e0518b6d90e96e835d1d01be1b9"),
-            (12, "6be2d013de8063134d7748abf5f349810978aaa09afba9fe7d082100f710ef64"),
-            (16, "fa5b1fefd4c516005f1010b29d4ca23ff1aa9a0491d56431556bd51ca2af3e0d"),
+            (8, "f664845d89e20f12fbb75556e3d2f1bd79628810bbcf744c20b6156b95481d19"),
+            (12, "da825e286eea30dda3081c7d620fe4c0d612224ff9861e9692c383b979f5edbf"),
+            (16, "728853e429164060a5dfcac934942ad3e6be225f20bf0079e80f762fab99cab8"),
         ],
     )
     def test_witnesses_pinned(self, n, digest):
         # pinned from the array code, which searched one point as a one-row
         # array; at 1e-200j, whose frame denominator underflows, it read NaN
-        # until the frame was scaled there, and reads dist 0 now
+        # until the frame was scaled there, and reads dist 0 now.  Re-pinned
+        # when a run of TV steps became one token (words only) and a row
+        # past _MAX_HEIGHT kept the nearest vertical (the dist and ends at
+        # 5e-15 + 1e-7 i only)
         assert _witness_digest(n) == digest
 
     @pytest.mark.parametrize("n", [8, 12, 16])
