@@ -674,6 +674,28 @@ def _trace_inverse(n: int) -> tuple[int, list[list[int]]]:
     return D // g, [[v // g for v in row] for row in zip(*cols)]
 
 
+@lru_cache(maxsize=None)
+def _residue_maps(n: int) -> tuple[tuple[int, int], ...]:
+    """32 pairs (p, r): the first primes p = 1 mod 2n above 10^6, and for
+    each a root r of ``minimal_polynomial(n)`` mod p, checked by evaluating
+    the polynomial.  F_p* is cyclic of order p - 1, a multiple of 2n, so it
+    holds a primitive 2n-th root z, and z + 1/z is such a root; r is taken
+    as z + 1/z for the first power z = a^((p - 1)/2n), a = 2, 3, ..., that
+    passes the check."""
+    P, out, p = minimal_polynomial(n), [], 10**6 // (2 * n) * 2 * n + 1
+    while len(out) < 32:
+        p += 2 * n
+        if any(p % q == 0 for q in range(3, math.isqrt(p) + 1, 2)):
+            continue
+        for a in range(2, p):
+            z = pow(a, (p - 1) // (2 * n), p)
+            r = (z + pow(z, -1, p)) % p
+            if _horner(P, r, 0) % p == 0:
+                out.append((p, r))
+                break
+    return tuple(out)
+
+
 def sqrt_in_field(x: CycloReal) -> Union[CycloReal, None]:
     """The exact square root of ``x`` inside Q(Phi), or None.  The returned
     root is the nonnegative one; the answer is exact both ways.
@@ -684,6 +706,11 @@ def sqrt_in_field(x: CycloReal) -> Union[CycloReal, None]:
     integer of the field: s = D*r lies in Z[Phi] and has integer
     coefficients.  Hence:
 
+    - m maps to a square in every F_p: for (p, r) of ``_residue_maps``,
+      Phi -> r is a ring homomorphism Z[Phi] = Z[X]/(P) -> F_p, since the
+      minimal polynomial P vanishes at r mod p, so it maps s^2 = m to a
+      square.  An image that is a non-residue by Euler's criterion, v^((p -
+      1)/2) = -1 mod p, proves that x has no root, before any other test.
     - Norm(m) = det(multiplication by m) = Norm(s)^2 must be the square of
       an integer (checked exactly), and no conjugate of m may be negative.
     - The conjugates of s are rho_k = +-sqrt(sigma_k(m)), with + at Phi
@@ -711,6 +738,9 @@ def sqrt_in_field(x: CycloReal) -> Union[CycloReal, None]:
     n, den = x.n, x._den
     d = len(x._num)
     m = [a * den for a in x._num]
+    for p, r in _residue_maps(n):
+        if pow(_horner(m, r, 0) % p, (p - 1) // 2, p) == p - 1:
+            return None
     norm = _bareiss(_mul_matrix(n, m))
     if norm < 0 or math.isqrt(norm) ** 2 != norm:
         return None

@@ -142,22 +142,25 @@ class _ChainTable:
             base += k * k
         self.rows = rows
 
-    def indices(self, curve: ClosedCurve) -> list[int]:
-        """Row indices of the chain of a closed curve, component by component."""
+    def indices(self, curves: Sequence[ClosedCurve]) -> tuple[list[int], list[int]]:
+        """Row indices of the chains of closed curves, component by
+        component, and the position in them where each curve's rows start."""
         arc, glue, start = self.arc, self.glue, self.start
-        out = []
-        for sc in curve.components:
-            h, exits, last = sc.path
-            out.append(start[h])
-            for x in exits:
-                out.append(arc[h] + x[1])
-                h = glue[x]
-            out.append(arc[h] + last)
-        return out
+        out, starts = [], []
+        for curve in curves:
+            starts.append(len(out))
+            for sc in curve.components:
+                h, exits, last = sc.path
+                out.append(start[h])
+                for x in exits:
+                    out.append(arc[h] + x[1])
+                    h = glue[x]
+                out.append(arc[h] + last)
+        return out, starts
 
     def chain(self, curve: ClosedCurve) -> np.ndarray:
         """The chain of a closed curve over the edge pairs: its rows summed."""
-        return self.rows[self.indices(curve)].sum(axis=0)
+        return self.rows[self.indices([curve])[0]].sum(axis=0)
 
 
 def homology_class(curve: CurveLike) -> np.ndarray:
@@ -242,13 +245,9 @@ class IntersectionForm:
     def coord_rows(self, objs: Sequence[CurveLike]) -> np.ndarray:
         """Chains of a family, one row each: a gather and a segmented sum."""
         import numpy as np
-        idx: list[int] = []
-        starts = []
-        for obj in objs:
-            starts.append(len(idx))
-            idx += self._table.indices(self._curve(obj))
-        if not starts:
+        if not objs:
             return np.zeros((0, len(self.surface.edge_pairs)), dtype=np.int64)
+        idx, starts = self._table.indices([self._curve(obj) for obj in objs])
         return np.add.reduceat(self._table.rows[idx], starts, axis=0)
 
 

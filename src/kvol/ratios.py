@@ -256,9 +256,7 @@ def closed_atoms(
             "curve atoms are only exhaustive for surfaces with at most two "
             f"singularity classes (got {nclasses})"
         )
-    curves = [
-        ClosedCurve([sc]) for sc in scs if sc.start.class_id == sc.end.class_id
-    ]
+    curves = [_closing(sc) for sc in scs if sc.start.class_id == sc.end.class_id]
     open_scs = [sc for sc in scs if sc.start.class_id != sc.end.class_id]
     for i, a in enumerate(open_scs):
         for b in open_scs[i + 1 :]:
@@ -267,6 +265,14 @@ def closed_atoms(
             elif b.start.class_id == a.start.class_id and b.end.class_id == a.end.class_id:
                 curves.append(ClosedCurve([a, b.reversed()]))
     return curves
+
+
+def _closing(sc: SaddleConnection) -> ClosedCurve:
+    """``ClosedCurve([sc])`` for a connection whose end class is its start
+    class, without the constructor's checks, which such a connection passes."""
+    curve = ClosedCurve.__new__(ClosedCurve)
+    curve.surface, curve.components = sc.surface, (sc,)
+    return curve
 
 
 def _curve_key(curve: ClosedCurve):

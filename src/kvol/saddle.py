@@ -12,12 +12,12 @@ nothing else of a connection's route; the tests trace its exact pieces and
 crossing points from the path, in ``tests/intersect_oracle.py``.
 
 The search runs in floats and does exact work only when a float test cannot
-decide or a connection is recorded.  A node is a named tuple (face, tau_fl,
-entry, parent, tau): its float and its exact translation are each its
-parent's minus the glue shift of the edge crossed.  Per call, two tables
-hold the walk's vertices per face and entry edge as (j, x, y) floats, and
-per half-edge its floats, glue shifts and partner: a child costs one table
-lookup and one node.
+decide or a connection is recorded.  A node is a flat tuple (face, tx, ty,
+entry, parent, Tx, Ty): its float translation (tx, ty) and its packed one
+(Tx, Ty) are each its parent's minus the glue shift of the edge crossed.
+Per call, two tables hold the walk's vertices per face and entry edge as
+(j, x, y) floats, and per half-edge its floats, glue shifts and partner in
+one flat row: a child costs one table lookup and one tuple.
 Glued edges are opposite translates, so crossing edge (f, e) into (f2, e2)
 takes vertex e to vertex e2 + 1 and vertex e + 1 to vertex e2 at the same
 developed position: the ends of a face's entry edge are the ends of the edge
@@ -134,6 +134,7 @@ from __future__ import annotations
 
 import math
 from functools import cmp_to_key
+from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .field import (
@@ -354,41 +355,33 @@ def _cross_sign(lat: _Lattice, u, v) -> int:
     return lat.sign(lat.digits(P, 2 * lat.d - 1)) if P else 0
 
 
-class _Node(NamedTuple):
-    """A face reached by a cone.  Vertex j of ``face`` develops to
-    ``faces[face][j] + tau``, with the cone's apex at the origin: ``tau`` is
-    the packed translation and ``tau_fl`` its float.  ``entry`` is the
-    half-edge of ``face`` through which the cone entered (None at the
-    root)."""
-
-    face: int
-    tau_fl: tuple
-    entry: Optional[tuple]
-    parent: Optional["_Node"]
-    tau: tuple
+# A node (face, tx, ty, entry, parent, Tx, Ty) is a face reached by a cone:
+# vertex j of ``face`` develops to ``faces[face][j] + (Tx, Ty)``, with the
+# cone's apex at the origin, and (tx, ty) is that packed translation's float.
+# ``entry`` is the half-edge of ``face`` through which the cone entered and
+# ``parent`` the node it left (both None at the root).
 
 
-def _vertex(lat: _Lattice, node: _Node, j: int):
+def _vertex(lat: _Lattice, node: tuple, j: int):
     """The lattice developed position of vertex j of ``node``'s face."""
-    x, y = lat.faces[node.face][j]
-    tx, ty = node.tau
-    return (x + tx, y + ty)
+    x, y = lat.faces[node[0]][j]
+    return (x + node[5], y + node[6])
 
 
-# A direction is a tuple (float vector, node, j, below, norm): the developed
-# vertex j of node's face, its lattice vector built on demand, whether the
-# half-plane filter finds it strictly below the horizontal axis, and |x| + |y|
-# of its float vector.  The direction filter's lines are (float vector, None,
-# lattice vector).
+# A direction is a flat tuple (x, y, node, j, below, norm): the float vector
+# of the developed vertex j of node's face, its lattice vector built on
+# demand, whether the half-plane filter finds it strictly below the
+# horizontal axis, and |x| + |y|.  The direction filter's lines, and an edge
+# connection's direction, are (x, y, None, lattice vector).
 
 
 def _exact(lat: _Lattice, d):
-    return d[2] if d[1] is None else _vertex(lat, d[1], d[2])
+    return d[3] if d[2] is None else _vertex(lat, d[2], d[3])
 
 
 def _cs(lat: _Lattice, a, b) -> int:
     """Sign of cross(a, b) for two directions: float filter, exact fallback."""
-    (ax, ay), (bx, by) = a[0], b[0]
+    ax, ay, bx, by = a[0], a[1], b[0], b[1]
     c = ax * by - ay * bx
     if abs(c) > _SIGN_MARGIN * ((abs(ax) + abs(ay)) * (abs(bx) + abs(by)) + 1.0):
         return 1 if c > 0.0 else -1
@@ -417,7 +410,7 @@ def enumerate_saddle_connections(
     if dfilt is not None:
         dx, dy = vfloat(dfilt)
         lx, ly = lat.line
-        lines = (((dx, dy), None, lat.line), ((-dx, -dy), None, (-lx, -ly)))
+        lines = ((dx, dy, None, lat.line), (-dx, -dy, None, (-lx, -ly)))
 
     faces, glue = S.faces, S.glue
     fverts = [[vfloat(p) for p in verts] for verts in faces]
@@ -425,6 +418,7 @@ def enumerate_saddle_connections(
     far = L2f * (1.0 + _PRUNE_SLACK) + _PRUNE_SLACK
 
     found: list[SaddleConnection] = []
+    germs = lat.germs
 
     # 1. edge saddle connections, each along its canonically oriented half
     for pid, halves in enumerate(S.edge_pairs):
@@ -432,10 +426,11 @@ def enumerate_saddle_connections(
             b = (e + 1) % len(faces[f])
             (ax, ay), (bx, by) = fverts[f][e], fverts[f][b]
             (px, py), (qx, qy) = lat.faces[f][e], lat.faces[f][b]
-            w = ((bx - ax, by - ay), None, (qx - px, qy - py))
+            w = (bx - ax, by - ay, None, (qx - px, qy - py))
             P = _endpoint(lat, w, L2, L2f, lines)
             if P is not None:
-                found.append(_recorded(S, lat, P, (f, e), glue[(f, e)], ((f, e), (), b), pid))
+                path = ((f, e), (), b)
+                found.append(SaddleConnection(S, lat, P, germs[f, e], germs[glue[f, e]], path, pid))
                 break
 
     # 2. cone DFS from every corner, over the canonical half-plane only.
@@ -444,8 +439,9 @@ def enumerate_saddle_connections(
     # lie on or outside the cone, and so do the apex and its two neighbours
     # in the root face, so the inside test walks only the rest of the face.
     # half[f][e]: half-edge (f, e) as its start vertex, edge vector and
-    # 1 / |edge|^2 in floats, its float and packed glue shifts and its partner
-    # (half[f][j - 1] is the edge ending at vertex j, j = 0 included).
+    # 1 / |edge|^2 in floats, its float and packed glue shifts (x, y each)
+    # and its partner (half[f][j - 1] is the edge ending at vertex j, j = 0
+    # included).
     walk, half = [], []
     for f, fv in enumerate(fverts):
         k = len(fv)
@@ -453,7 +449,7 @@ def enumerate_saddle_connections(
         half.append([])
         for e, ((ax, ay), (bx, by)) in enumerate(zip(fv, fv[1:] + fv[:1])):
             ex, ey, h = bx - ax, by - ay, (f, e)
-            tail = (*vfloat(S.glue_shift[h]), lat.shift[h], glue[h])
+            tail = (*vfloat(S.glue_shift[h]), *lat.shift[h], glue[h])
             half[f].append((ax, ay, ex, ey, 1.0 / (ex * ex + ey * ey), *tail))
     nodes_seen = 0
     for f0, verts0 in enumerate(faces):
@@ -462,23 +458,23 @@ def enumerate_saddle_connections(
             ox, oy = fverts[f0][v0]
             a, b = (v0 + 1) % k0, (v0 - 1) % k0
             (ax, ay), (bx, by) = fverts[f0][a], fverts[f0][b]
-            lo, hi = (ax - ox, ay - oy), (bx - ox, by - oy)
-            lo_n, hi_n = (abs(x) + abs(y) for x, y in (lo, hi))
-            lo_dn, hi_dn = lo[1] < -m * (lo_n + 1.0), hi[1] < -m * (hi_n + 1.0)
+            lx, ly, hx, hy = ax - ox, ay - oy, bx - ox, by - oy
+            lo_n, hi_n = abs(lx) + abs(ly), abs(hx) + abs(hy)
+            lo_dn, hi_dn = ly < -m * (lo_n + 1.0), hy < -m * (hi_n + 1.0)
             if lo_dn and hi_dn:
                 continue  # the corner's wedge lies below the horizontal axis
             px, py = lat.faces[f0][v0]
-            root = _Node(f0, (-ox, -oy), None, None, (-px, -py))
+            root = (f0, -ox, -oy, None, None, -px, -py)
             root_walk = walk[f0][v0][:-1]
-            stack = [(root, (lo, root, a, lo_dn, lo_n), (hi, root, b, hi_dn, hi_n))]
+            stack = [(root, (lx, ly, root, a, lo_dn, lo_n), (hx, hy, root, b, hi_dn, hi_n))]
             while stack:
                 node, lo, hi = stack.pop()
                 nodes_seen += 1
                 if nodes_seen > _MAX_NODES:
                     raise ComputationLimitError("saddle enumeration exceeded the node budget")
-                f, (tx, ty), entry, _parent, (Tx, Ty) = node
-                (lx, ly), _, _, _, lo_n = lo
-                (hx, hy), _, _, _, hi_n = hi
+                f, tx, ty, entry, _parent, Tx, Ty = node
+                lx, ly, _, _, _, lo_n = lo
+                hx, hy, _, _, _, hi_n = hi
                 if entry is None:
                     a0, chain = b, root_walk
                 else:
@@ -505,7 +501,7 @@ def enumerate_saddle_connections(
                     ):
                         j_exit = j
                         break
-                    inside.append(((wx, wy), node, j, wy < -m * (w_n + 1.0), w_n))
+                    inside.append((wx, wy, node, j, wy < -m * (w_n + 1.0), w_n))
 
                 # a subcone's beam leaves through part of its exit edge and is
                 # dropped when all of that edge is beyond the bound (written
@@ -518,41 +514,48 @@ def enumerate_saddle_connections(
                         _cs(lat, lo, ln) >= 0 and _cs(lat, ln, hi) >= 0 for ln in lines
                     ):
                         continue
-                    ax, ay, ex, ey, inv, sx, sy, (px, py), entry = hf[j_exit - 1]
+                    ax, ay, ex, ey, inv, sx, sy, px, py, entry = hf[j_exit - 1]
                     ax, ay = ax + tx, ay + ty
                     s = -(ax * ex + ay * ey) * inv
                     s = 0.0 if s < 0.0 else (1.0 if s > 1.0 else s)
                     ax, ay = ax + s * ex, ay + s * ey
                     if ax * ax + ay * ay <= far:
-                        child = _Node(entry[0], (tx - sx, ty - sy), entry, node, (Tx - px, Ty - py))
+                        child = (entry[0], tx - sx, ty - sy, entry, node, Tx - px, Ty - py)
                         stack.append((child, lo, hi))
                     continue
+                exits = None
                 for w in inside:
                     P = _endpoint(lat, w, L2, L2f, lines)
                     if P is not None:
-                        found.append(_cone_connection(S, lat, node, w[2], P, (f0, v0)))
+                        if exits is None:  # the node chain's crossings, root first
+                            exits, cur = [], node
+                            while cur[4] is not None:
+                                exits.append(glue[cur[3]])
+                                cur = cur[4]
+                            exits = tuple(reversed(exits))
+                        j = w[3]
+                        path = ((f0, v0), exits, j)
+                        found.append(SaddleConnection(S, lat, P, germs[f0, v0], germs[f, j], path))
                 # consecutive bounds are distinct counterclockwise rays, so
                 # each subcone is open and nonempty; beside a split vertex it
                 # leaves through the edge ending there (clockwise side) or
                 # starting there (counterclockwise side)
-                d1, e = lo, inside[0][2] - 1
+                d1, e = lo, inside[0][3] - 1
                 inside.append(hi)
                 for d2 in inside:
-                    if not (d1[3] and d2[3]) and (  # else below the horizontal axis
+                    if not (d1[4] and d2[4]) and (  # else below the horizontal axis
                         lines is None  # else the closed subcone must meet the line
                         or any(_cs(lat, d1, ln) >= 0 and _cs(lat, ln, d2) >= 0 for ln in lines)
                     ):
-                        ax, ay, ex, ey, inv, sx, sy, (px, py), entry = hf[e]
+                        ax, ay, ex, ey, inv, sx, sy, px, py, entry = hf[e]
                         ax, ay = ax + tx, ay + ty
                         s = -(ax * ex + ay * ey) * inv
                         s = 0.0 if s < 0.0 else (1.0 if s > 1.0 else s)
                         ax, ay = ax + s * ex, ay + s * ey
                         if ax * ax + ay * ay <= far:
-                            child = _Node(
-                                entry[0], (tx - sx, ty - sy), entry, node, (Tx - px, Ty - py)
-                            )
+                            child = (entry[0], tx - sx, ty - sy, entry, node, Tx - px, Ty - py)
                             stack.append((child, d1, d2))
-                    d1, e = d2, d2[2]
+                    d1, e = d2, d2[3]
 
     return _sorted(found)
 
@@ -581,20 +584,19 @@ def _sorted(found: list[SaddleConnection]) -> list[SaddleConnection]:
     for sc in found:
         x, y = sc.holonomy_float
         keyed.append((x * x + y * y, sc))
-    keyed.sort(key=lambda entry: entry[0])
-    out = []
-    start = 0
-    for i in range(1, len(keyed) + 1):
-        if i < len(keyed):
-            fa, fb = keyed[i - 1][0], keyed[i][0]
-            if fb - fa <= _SIGN_MARGIN * (fa + fb + 1.0):
-                continue
-        run = [sc for _f, sc in keyed[start:i]]
-        if len(run) > 1:
-            run.sort(key=cmp_to_key(_order))
-        out += run
-        start = i
-    return out
+    keyed.sort(key=itemgetter(0))
+    out, run, fa, m = [], [], 0.0, _SIGN_MARGIN
+    for fb, sc in keyed:
+        if run and fb - fa > m * (fa + fb + 1.0):
+            if len(run) > 1:
+                run.sort(key=cmp_to_key(_order))
+            out += run
+            run = []
+        run.append(sc)
+        fa = fb
+    if len(run) > 1:
+        run.sort(key=cmp_to_key(_order))
+    return out + run
 
 
 def _order(a: SaddleConnection, b: SaddleConnection) -> int:
@@ -628,7 +630,7 @@ def _endpoint(lat: _Lattice, w, L2: CycloReal, L2f: float, lines):
     otherwise None.  Each test is decided in floats when the margin allows
     and otherwise from unpacked digits, as the module docstring says."""
     m, d = _SIGN_MARGIN, lat.d
-    x, y = w[0]
+    x, y = w[0], w[1]
     if abs(y) > m * (abs(x) + abs(y) + 1.0):
         if y < 0.0:
             return None
@@ -648,33 +650,3 @@ def _endpoint(lat: _Lattice, w, L2: CycloReal, L2f: float, lines):
         if lat.sign([b * s - D2 * t for s, t in zip(norm, a + (0,) * (d - 1))]) > 0:
             return None
     return P
-
-
-def _recorded(
-    S: TranslationSurface, lat: _Lattice, P, start_corner, end_corner, path, edge_pair=None
-) -> SaddleConnection:
-    """The connection with packed holonomy ``P`` along ``path``, between the
-    lattice's germs of its two corners."""
-    germs = lat.germs
-    return SaddleConnection(S, lat, P, germs[start_corner], germs[end_corner], path, edge_pair)
-
-
-def _cone_connection(
-    S: TranslationSurface,
-    lat: _Lattice,
-    node: _Node,
-    vertex: int,
-    P,
-    start_corner: tuple[int, int],
-) -> SaddleConnection:
-    """The connection with packed holonomy ``P`` from ``start_corner`` to
-    vertex ``vertex`` of ``node``'s face, its path read off the cone's node
-    chain."""
-    exits = []
-    cur = node
-    while cur.parent is not None:
-        exits.append(S.glue[cur.entry])
-        cur = cur.parent
-    exits.reverse()
-    path = (start_corner, tuple(exits), vertex)
-    return _recorded(S, lat, P, start_corner, (node.face, vertex), path)

@@ -17,6 +17,7 @@ from hypothesis import assume, given, settings, strategies as st
 from kvol.field import (
     FLOAT_SPEC,
     CycloReal,
+    _residue_maps,
     accurate_float,
     cyclotomic_polynomial,
     field_degree,
@@ -552,3 +553,51 @@ class TestExactSqrt:
             muls.append(len(calls))
             assert roots[-1] == sqrt_oracle.sqrt_in_field(x)
         assert muls == [int(r is not None) for r in roots] == [1, 1, 0, 0, 0, 0]
+
+
+class TestResidueCertificate:
+    """``sqrt_in_field`` rejects a radicand whose image under some
+    Phi -> r mod p is a quadratic non-residue, before its norm test and its
+    sign-pattern search, which is exponential in the degree d."""
+
+    @pytest.mark.parametrize("n", [8, 40, 56, 64])
+    def test_each_map_sends_phi_to_a_root_mod_a_prime(self, n):
+        maps = _residue_maps(n)
+        P = minimal_polynomial(n)
+        assert len({p for p, _r in maps}) == len(maps) == 32
+        for p, r in maps:
+            assert p > 10**6 and p % (2 * n) == 1
+            assert all(p % q for q in range(2, math.isqrt(p) + 1))
+            assert sum(c * pow(r, i, p) for i, c in enumerate(P)) % p == 0
+
+    @pytest.mark.parametrize("n", [16, 40, 56, 64])
+    def test_squares_map_to_squares(self, n):
+        """Integral squares pass every prime, n with an odd factor (40, 56)
+        included, where a 2n-th root of unity mod p is not primitive merely
+        because its n-th power is -1."""
+        import random
+
+        rng = random.Random(n)
+        d = field_degree(n)
+        for _ in range(20):
+            s = CycloReal(n, [rng.randint(-(2**20), 2**20) for _ in range(d)])
+            m = (s * s)._num
+            for p, r in _residue_maps(n):
+                v = sum(c * pow(r, i, p) for i, c in enumerate(m)) % p
+                assert pow(v, (p - 1) // 2, p) != p - 1
+
+    @pytest.mark.parametrize("n", [56, 64])
+    def test_phi_times_a_square_is_rejected_at_once(self, n):
+        """At d = 24 and d = 32 the sign-pattern search alone would try
+        2^23 and 2^31 patterns."""
+        import random
+        import time
+
+        rng = random.Random(n)
+        d = field_degree(n)
+        assert d == {56: 24, 64: 32}[n]
+        s = CycloReal(n, [Fraction(rng.randint(-(2**64), 2**64), rng.randint(1, 2**32)) for _ in range(d)])
+        x = CycloReal.phi(n) * s * s
+        start = time.perf_counter()
+        assert sqrt_in_field(x) is None
+        assert time.perf_counter() - start < 0.1

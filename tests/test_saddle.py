@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import ast
+import contextlib
 import gc
 import hashlib
+import inspect
 import json
 import math
 import random
 import sys
+import textwrap
 import weakref
 from fractions import Fraction
 from functools import cmp_to_key
@@ -368,30 +372,64 @@ _CASES = {
 }
 
 
-def _count_nodes(monkeypatch):
-    """Patch ``_Node`` to count the nodes built; returns the counter list."""
-    built = [0]
-    new = saddle._Node.__new__
+def _node_lines():
+    """{line: local} for the search: the line of the statement right after
+    each ``root = ...`` and ``child = ...``, where the new node is in that
+    local."""
+    lines, first = inspect.getsourcelines(saddle.enumerate_saddle_connections)
+    watch, assigned = {}, 0
+    for block in ast.walk(ast.parse(textwrap.dedent("".join(lines)))):
+        for body in (getattr(block, "body", None), getattr(block, "orelse", None)):
+            if not isinstance(body, list):
+                continue
+            for stmt, after in zip(body, body[1:] + [None]):
+                target = stmt.targets[0] if isinstance(stmt, ast.Assign) else None
+                if isinstance(target, ast.Name) and target.id in ("root", "child"):
+                    assigned += 1
+                    if after is not None:
+                        watch[after.lineno + first - 1] = target.id
+    assert 0 < assigned == len(watch)
+    return watch
 
-    def record(cls, *args):
-        built[0] += 1
-        return new(cls, *args)
 
-    monkeypatch.setattr(saddle._Node, "__new__", record)
-    return built
+@contextlib.contextmanager
+def _search_nodes():
+    """Collects every node the cone search builds, roots included, in the
+    order built.  A line tracer on the search's own frame reads its ``root``
+    or ``child`` local at the statement after each assignment to it, so
+    ``src/`` needs no hook to be observed (the list keeps every node alive,
+    so a new node is never an old one's object)."""
+    code, watch = saddle.enumerate_saddle_connections.__code__, _node_lines()
+    nodes = []
+
+    def local(frame, event, _arg):
+        name = watch.get(frame.f_lineno)
+        if name is not None and event == "line":
+            node = frame.f_locals[name]
+            if not nodes or node is not nodes[-1]:
+                nodes.append(node)
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, _event, _arg: local if frame.f_code is code else None)
+    try:
+        yield nodes
+    finally:
+        sys.settrace(previous)
 
 
 def _root(lat, f, v):
-    """The root node at corner (f, v), with its packed translation."""
+    """The root node at corner (f, v), with its packed translation and no
+    floats."""
     x, y = lat.faces[f][v]
-    return saddle._Node(f, None, None, None, (-x, -y))
+    return (f, None, None, None, None, -x, -y)
 
 
 def _child(S, lat, node, h):
     """The node a cone reaches by leaving ``node``'s face through half-edge
     h, its packed translation formed as the search forms it."""
-    (Tx, Ty), (x, y) = node.tau, lat.shift[h]
-    return saddle._Node(S.glue[h][0], None, S.glue[h], node, (Tx - x, Ty - y))
+    x, y = lat.shift[h]
+    return (S.glue[h][0], None, None, S.glue[h], node, node[5] - x, node[6] - y)
 
 
 def _unpacked(lat, u):
@@ -409,10 +447,10 @@ def _developed(S, lat, rng, depth):
     node = _root(lat, f, v)
     out = []
     for _ in range(depth + 1):
-        k = len(S.faces[node.face])
+        k = len(S.faces[node[0]])
         for j in range(k):
-            out.append((saddle._vertex(lat, node, j), vadd(S.faces[node.face][j], tau)))
-        h = (node.face, rng.randrange(k))
+            out.append((saddle._vertex(lat, node, j), vadd(S.faces[node[0]][j], tau)))
+        h = (node[0], rng.randrange(k))
         tau = vsub(tau, S.glue_shift[h])
         node = _child(S, lat, node, h)
     return out
@@ -446,23 +484,15 @@ class TestFloatFilter:
                     assert saddle._vertex(lat, child, (e2 + 1) % k2) == saddle._vertex(lat, root, e)
                     assert saddle._vertex(lat, child, e2) == saddle._vertex(lat, root, (e + 1) % k)
 
-    def test_developed_float_error_within_stated_bound(self, monkeypatch):
+    def test_developed_float_error_within_stated_bound(self):
         """Every node's float translation is within (D + 2)(eps_c + u R) of
         the exact one, and 4 R times that bound is inside the sign margin.
         The exact translations the search carries are checked in the field:
         a root's is minus a vertex of its face, a child's its parent's minus
         the glue shift of the edge crossed."""
         S, L = _sheared_staircase(8), _lm(8) * 30
-        nodes = []
-        new = saddle._Node.__new__
-
-        def record(cls, *args):
-            node = new(cls, *args)
-            nodes.append(node)
-            return node
-
-        monkeypatch.setattr(saddle._Node, "__new__", record)
-        enumerate_saddle_connections(S, L)
+        with _search_nodes() as nodes:
+            enumerate_saddle_connections(S, L)
         lat = saddle._Lattice(S)
         u = 2.0**-53
         phi = float(CycloReal.phi(8))
@@ -474,22 +504,23 @@ class TestFloatFilter:
         coords = [c for verts in S.faces for p in verts for c in p]
         coords += [c for shift in S.glue_shift.values() for c in shift]
         eps_c = max(conversion_error(c) for c in coords)
-        R = max(abs(node.tau_fl[0]) + abs(node.tau_fl[1]) for node in nodes)
+        R = max(abs(tx) + abs(ty) for _f, tx, ty, *_rest in nodes)
         R += max(abs(float(c)) for c in coords) * 2
         depth, exact = {}, {}
         worst = 0.0
         for node in nodes:  # parents are recorded before their children
-            tau = exact[id(node)] = _unpacked(lat, node.tau)
-            if node.parent is None:
+            f, tx, ty, entry, parent, Tx, Ty = node
+            tau = exact[id(node)] = _unpacked(lat, (Tx, Ty))
+            if parent is None:
                 D = depth[id(node)] = 0
-                assert tuple(tau) in {vneg(p) for p in S.faces[node.face]}
+                assert tuple(tau) in {vneg(p) for p in S.faces[f]}
             else:
-                D = depth[id(node)] = depth[id(node.parent)] + 1
-                shift = S.glue_shift[S.glue[node.entry]]
-                assert tuple(tau) == vsub(exact[id(node.parent)], shift)
+                D = depth[id(node)] = depth[id(parent)] + 1
+                shift = S.glue_shift[S.glue[entry]]
+                assert tuple(tau) == vsub(exact[id(parent)], shift)
             bound = (D + 2) * (eps_c + u * R)
             worst = max(worst, bound)
-            for c, c_fl in zip(tau, node.tau_fl):
+            for c, c_fl in zip(tau, (tx, ty)):
                 assert abs(c_fl - float(c)) <= bound + conversion_error(c)
         assert max(depth.values()) > 20
         assert 4 * R * worst < saddle._SIGN_MARGIN
@@ -501,13 +532,12 @@ class TestLatticeSearch:
         builds at most 0.6 of the nodes of one whose float tests never decide
         (and so never prune), and finds the same list."""
         S, L = _CASES["sheared8-30lm"]()
-        built = _count_nodes(monkeypatch)
-        default = _rows(enumerate_saddle_connections(S, L))
-        pruned = built[0]
+        with _search_nodes() as pruned:
+            default = _rows(enumerate_saddle_connections(S, L))
         monkeypatch.setattr(saddle, "_SIGN_MARGIN", math.inf)
-        built[0] = 0
-        assert _rows(enumerate_saddle_connections(S, L)) == default
-        assert pruned <= 0.6 * built[0]
+        with _search_nodes() as built:
+            assert _rows(enumerate_saddle_connections(S, L)) == default
+        assert len(pruned) <= 0.6 * len(built)
 
     @pytest.mark.parametrize(
         "case, count",
@@ -521,13 +551,13 @@ class TestLatticeSearch:
             ("vertical8-17lm", 1564),
         ],
     )
-    def test_pinned_node_counts(self, case, count, monkeypatch):
+    def test_pinned_node_counts(self, case, count):
         """Every node the search builds is popped once, roots included: a
         change to the loop may not grow or shrink the search tree unnoticed."""
         S, L = _CASES[case]()
-        built = _count_nodes(monkeypatch)
-        enumerate_saddle_connections(S, L)
-        assert built[0] == count
+        with _search_nodes() as built:
+            enumerate_saddle_connections(S, L)
+        assert len(built) == count
 
     @pytest.mark.parametrize("n", [8, 10, 16])
     def test_lattice_cross_sign_matches_the_field(self, n):
@@ -602,11 +632,12 @@ class TestLatticeSearch:
         packs = [(lat.pack(x), lat.pack(y)) for x, y in vecs]
         fields = [[CycloReal(n, [Fraction(a, lat.den) for a in x]) for x in V] for V in vecs]
         norms = [norm2(U) for U in fields]
-        scs = [saddle._recorded(S, lat, u, (0, 0), (0, 0), None) for u in packs]
+        germ = lat.germs[0, 0]
+        scs = [SaddleConnection(S, lat, u, germ, germ, None) for u in packs]
         for u, U, N, sa in zip(packs, fields, norms, scs):
             for W, L2, sb in zip(fields, norms, scs):
                 kept = plane.canonical_orientation(U) and not N > L2
-                got = saddle._endpoint(lat, ((0.0, 0.0), None, u), L2, float(L2), None)
+                got = saddle._endpoint(lat, (0.0, 0.0, None, u), L2, float(L2), None)
                 assert got == (u if kept else None)
                 signs = ((N - L2).sign(), (U[0] - W[0]).sign(), (U[1] - W[1]).sign())
                 assert saddle._order(sa, sb) == next((s for s in signs if s), 0)
@@ -615,21 +646,22 @@ class TestLatticeSearch:
         """Once the cone search has started, no plane vector arithmetic runs:
         developed positions stay packed integers until a holonomy is recorded."""
         S, L = _CASES["sheared8-30lm"]()
-        built = _count_nodes(monkeypatch)
+        built = []
         calls = []
         for name in ("vsub", "vadd", "cross"):
             fn = getattr(plane, name)
 
             def counted(*args, _fn=fn, _name=name):
-                if built[0]:
+                if built:
                     calls.append(_name)
                 return _fn(*args)
 
             for mod in list(sys.modules.values()):
                 if getattr(mod, "__name__", "").startswith("kvol") and getattr(mod, name, None) is fn:
                     monkeypatch.setattr(mod, name, counted)
-        scs = enumerate_saddle_connections(S, L)
-        assert len(scs) == 950 and built[0] > 0 and calls == []
+        with _search_nodes() as built:
+            scs = enumerate_saddle_connections(S, L)
+        assert len(scs) == 950 and len(built) > 0 and calls == []
         cylinder_decomposition(S, scs[0].holonomy)  # the tracer's calls are counted
         assert "cross" in calls and "vsub" in calls
 
@@ -835,6 +867,39 @@ class TestPinnedEnumeration:
             build_staircase(8), _lm(8) * cap, direction=one / (phi * k)
         )
         self._check_rows(scs, count, digest)
+
+    @pytest.mark.parametrize(
+        "case, digest",
+        [
+            ("ngon8-L3", "67ff9080313d6e5d6de17d8188914d98120f8427ed3dbb8af4076d5c2a209672"),
+            ("ngon10-L3", "d4f84896a64bbadf2d258a2d3272b435648d81a3464f8ce06d00fbc1c0143e7c"),
+            ("stair10-8lm", "dbc676fdd2018f5cbb2280ba8f09ed67252b5ef023b12d972f4e81cc355c8f89"),
+            ("sheared8-12lm", "a6cae221842cbcd7ca2dd71b67a2af20a49467cefa7252a8a4741c574b8f2e77"),
+            ("sheared8-30lm", "d77d472b1856429d1012ee5d5c0edf201146fd1ae47f6b41fbd25e5133245a0f"),
+            ("tilted8-12lm", "c65e3942d8f007277c3326c38485d20fc818e5fa855049ef619ca62463a5252f"),
+            ("vertical8-17lm", "dd3f24f223a0e4d27459fcacf03d8baa657b1b11791b912029ed57f01493a8d8"),
+        ],
+    )
+    def test_pinned_packed_rows(self, case, digest):
+        """Every ``_CASES`` entry bit for bit: each row's packed holonomy
+        digits, path, corners, edge pair and ``holonomy_float`` as
+        ``float.hex``, so the record the search builds is pinned as well as
+        the field values it stands for."""
+        S, L = _CASES[case]()
+        rows = []
+        for sc in enumerate_saddle_connections(S, L):
+            lat = sc._lat
+            rows.append(
+                [
+                    [lat.digits(X, lat.d) for X in sc._packed],
+                    sc.path,
+                    sc.start.corner,
+                    sc.end.corner,
+                    sc.edge_pair,
+                    [x.hex() for x in sc.holonomy_float],
+                ]
+            )
+        assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest
 
     @staticmethod
     def _check_rows(scs, count, digest):
