@@ -168,27 +168,24 @@ def in_fundamental_domain(z, n: int, *, tol: float = 1e-9):
     boundary points count as inside.  ``z`` is a complex number or an array
     of them; the answer is a bool or a bool array in kind.
 
-    A complex runs in Python floats with the array code's operations.
-    ``math.hypot`` and ``np.hypot`` may round one ulp apart, which flips the
-    test only within one ulp of ``r - tol``, so a complex whose
-    ``math.hypot`` lies within two ulps of it takes the array code.
+    A complex runs in Python floats, an array in numpy, with the same
+    arithmetic: the distance to a disk's center is compared squared,
+    min((x - r)^2, (x + r)^2) + y^2 >= (r - tol)^2, in +, - and * alone,
+    which round correctly in both, so the two agree on every point.
     """
     phi = _phi_float(n)
     r = 1.0 / phi
+    edge = (r - tol) * (r - tol)
     if type(z) is complex:
         x, y = z.real, z.imag
-        hs, edge = (math.hypot(x - r, y), math.hypot(x + r, y)), r - tol
-        if all(abs(h - edge) > 2.0 * math.ulp(edge) for h in hs):
-            return y > 0 and abs(x) <= phi / 2 + tol and min(hs) >= edge
+        near = min((x - r) * (x - r), (x + r) * (x + r))
+        return y > 0 and abs(x) <= phi / 2 + tol and near + y * y >= edge
     import numpy as np
     z = np.asarray(z)
     x, y = z.real, z.imag
-    inside = (
-        (y > 0)
-        & (np.abs(x) <= phi / 2 + tol)
-        & (np.hypot(x - r, y) >= r - tol)
-        & (np.hypot(x + r, y) >= r - tol)
-    )
+    with np.errstate(over="ignore"):  # y * y overflows to inf past 1e154
+        near = np.minimum((x - r) * (x - r), (x + r) * (x + r))
+        inside = (y > 0) & (np.abs(x) <= phi / 2 + tol) & (near + y * y >= edge)
     return inside if inside.ndim else bool(inside)
 
 

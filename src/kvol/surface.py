@@ -352,52 +352,44 @@ def build_ngon(n: int) -> TranslationSurface:
 
 
 def staircase_lengths(n: int) -> tuple[list[CycloReal], list[CycloReal]]:
-    """Column widths and row heights of the staircase model (1-based order)."""
+    """Column widths and row heights of the staircase model (1-based order).
+
+    With h = n/2, m = floor(n/4) and o = 1 when 4 divides n, else 0, there
+    are m + 1 - o columns of width sin((h - 2i + 2 - o) pi/n) and m rows of
+    height sin((h - 2j + 1 + o) pi/n).
+    """
     if n < 8 or n % 2 != 0:
         raise SurfaceError("staircase model requires even n >= 8")
-    h = n // 2
-    if n % 4 == 0:
-        m = n // 4
-        widths = [trig_value(n, "sin", h - 2 * i + 1) for i in range(1, m + 1)]
-        heights = [trig_value(n, "sin", h - 2 * j + 2) for j in range(1, m + 1)]
-    else:
-        m = (n - 2) // 4
-        widths = [trig_value(n, "sin", h - 2 * i + 2) for i in range(1, m + 2)]
-        heights = [trig_value(n, "sin", h - 2 * j + 1) for j in range(1, m + 1)]
+    h, m, o = n // 2, n // 4, int(n % 4 == 0)
+    widths = [trig_value(n, "sin", h - 2 * i + 2 - o) for i in range(1, m + 2 - o)]
+    heights = [trig_value(n, "sin", h - 2 * j + 1 + o) for j in range(1, m + 1)]
     return widths, heights
 
 
 def build_staircase(n: int) -> TranslationSurface:
     """The staircase model: one convex face per column of the rectangle stack.
 
-    Column i covers one or two rows; flat (angle pi) corners are kept where a
-    row boundary meets a column side, so every glued sub-edge is a whole face
-    edge.  Labels: a{i} for the top<->bottom pair of column i, b{j} for the
-    outer right<->left pair of row j, c{i} for the interior cut between
-    columns i and i+1.
+    One layout rule serves both residues of n mod 4, with o = 1 when 4
+    divides n, else 0 (so o = rows + 1 - columns): column i spans rows
+    max(i - 1 + o, 1) to min(i + o, rows), row j spans columns
+    max(j - o, 1) to min(j + 1 - o, columns), and the cut between columns
+    i and i+1 lies in row i + o.  Rows are numbered from the top.  Flat
+    (angle pi) corners are kept where a row boundary meets a column side,
+    so every glued sub-edge is a whole face edge.  Labels: a{i} for the
+    top<->bottom pair of column i, b{j} for the outer right<->left pair of
+    row j, c{i} for the interior cut between columns i and i+1.
     """
     widths, heights = staircase_lengths(n)
     ncols, nrows = len(widths), len(heights)
+    o = nrows + 1 - ncols
     zero = CycloReal.from_rational(n, 0)
 
-    if n % 4 == 0:
-        def col_rows(i: int) -> tuple[int, int]:  # (top row, bottom row)
-            return i, min(i + 1, nrows)
+    def rows(i: int) -> tuple[int, int]:  # (top row, bottom row) of column i
+        return max(i - 1 + o, 1), min(i + o, nrows)
 
-        def row_cols(j: int) -> tuple[int, int]:  # (leftmost col, rightmost col)
-            return max(j - 1, 1), min(j, ncols)
-
-        def cut_row(i: int) -> int:  # row shared by columns i and i+1
-            return i + 1
-    else:
-        def col_rows(i: int) -> tuple[int, int]:
-            return max(i - 1, 1), min(i, nrows)
-
-        def row_cols(j: int) -> tuple[int, int]:
-            return j, j + 1
-
-        def cut_row(i: int) -> int:
-            return i
+    def sides(i: int, j: int) -> tuple[int, int]:  # (right, left) edge of column i in row j
+        top, bot = rows(i)
+        return 1 + bot - j, 3 + bot - top + (j - top)
 
     x_right = [zero]
     for w in widths:
@@ -406,24 +398,17 @@ def build_staircase(n: int) -> TranslationSurface:
     for j in range(nrows - 1, -1, -1):
         y_bottom[j] = y_bottom[j + 1] + heights[j]
 
+    # counterclockwise from the bottom left corner: the bottom edge, the
+    # right side bottom to top, the top edge, the left side top to bottom
     faces = []
-    right_edge: dict[tuple[int, int], int] = {}
-    left_edge: dict[tuple[int, int], int] = {}
-    top_edge: dict[int, int] = {}
     for i in range(1, ncols + 1):
-        top, bot = col_rows(i)
+        top, bot = rows(i)
         xl, xr = x_right[i - 1], x_right[i]
-        verts = [(xl, y_bottom[bot]), (xr, y_bottom[bot])]
-        for j in range(bot, top - 1, -1):  # right side, bottom to top
-            right_edge[(i, j)] = len(verts) - 1
-            verts.append((xr, y_bottom[j - 1]))
-        top_edge[i] = len(verts) - 1
-        verts.append((xl, y_bottom[top - 1]))
-        for j in range(top, bot + 1):  # left side, top to bottom
-            left_edge[(i, j)] = len(verts) - 1
-            if j < bot:
-                verts.append((xl, y_bottom[j]))
-        faces.append(verts)
+        faces.append(
+            [(xl, y_bottom[bot])]
+            + [(xr, y_bottom[j]) for j in range(bot, top - 2, -1)]
+            + [(xl, y_bottom[j]) for j in range(top - 1, bot)]
+        )
 
     glue: dict[Half, Half] = {}
     labels: dict[Half, str] = {}
@@ -434,13 +419,13 @@ def build_staircase(n: int) -> TranslationSurface:
         labels[h1] = labels[h2] = lab
 
     for i in range(1, ncols + 1):
-        join((i - 1, 0), (i - 1, top_edge[i]), f"a{i}")
+        top, bot = rows(i)
+        join((i - 1, 0), (i - 1, 2 + bot - top), f"a{i}")
     for j in range(1, nrows + 1):
-        lc, rc = row_cols(j)
-        join((rc - 1, right_edge[(rc, j)]), (lc - 1, left_edge[(lc, j)]), f"b{j}")
+        lc, rc = max(j - o, 1), min(j + 1 - o, ncols)
+        join((rc - 1, sides(rc, j)[0]), (lc - 1, sides(lc, j)[1]), f"b{j}")
     for i in range(1, ncols):
-        j = cut_row(i)
-        join((i - 1, right_edge[(i, j)]), (i, left_edge[(i + 1, j)]), f"c{i}")
+        join((i - 1, sides(i, i + o)[0]), (i, sides(i + 1, i + o)[1]), f"c{i}")
 
     return TranslationSurface(n, "staircase", faces, glue, labels)
 
@@ -584,7 +569,10 @@ def cylinder_decomposition(
     The direction may be given as a co-slope x/y, a vector, or None for
     horizontal.  Raises NonPeriodicDirectionError when some separatrix fails
     to close within the budget (the direction is then not periodic, or the
-    budget is too small).
+    budget is too small).  ``max_length`` bounds each separatrix's length
+    and must be finite and positive: an infinite or NaN budget would end no
+    trace short of the step budget, and a non-positive one would end every
+    trace at its first exit; ValueError otherwise.
 
     Every field is exact.  The level of a point p is cross(v, p).  Faces are
     convex, so a separatrix chord spans the whole level segment of its face,
@@ -600,6 +588,8 @@ def cylinder_decomposition(
     v = direction_vector(S.n, direction)
     if max_length is None:
         max_length = 64.0 * sum(math.hypot(*vfloat(S.edge_vector(h))) for h in S.glue)
+    elif not (math.isfinite(max_length) and max_length > 0):
+        raise ValueError(f"max_length must be finite and positive, not {max_length!r}")
 
     # 1. the singular levels of each face: its vertices and the chords of
     # every separatrix leaving a vertex in direction +v

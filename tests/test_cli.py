@@ -583,6 +583,9 @@ def _loaders(statement: str) -> dict:
         # past the search budget, deep in the cusp at 0: the nearest vertical
         "from kvol.cli import main; main(['kvol-point', '--n', '8', '--x', '5e-15', '--y', '1e-7'])",
         "from kvol.cli import main; main(['surface', '--n', '8'])",
+        # within two ulps of a disk edge, where the point and array domain
+        # tests once rounded apart
+        "from kvol.cli import main; main(['kvol-point', '--n', '8', '--x', '0.1766508797262053', '--y', '0.4'])",
     ],
 )
 def test_one_point_commands_load_neither_numpy_nor_mpmath(statement):

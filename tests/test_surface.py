@@ -78,6 +78,40 @@ class TestNgonModel:
             build_ngon(7)
 
 
+_STAIRCASE_DIGESTS = {
+        8: "69341491cc900eb47f68790ea50435035750277566eb4806680e9cebb9a98f65",
+        10: "c98721bbd8383741e3b662f062fa50ed80fc037e710287d2bab12ad57d94ec82",
+        12: "7180dd6dda82054dc06ba09d8fdda2d3af0e064ebcf741cdda9a9b7b6e260942",
+        14: "cd6df34e34860a4f2bb083a63862b32507d148bb93e4f450a33cbf5bccb4d5d6",
+        16: "6b9c1a58cc2d87404fff9650849370a614a63e3640af6f7016e970324c90b903",
+        18: "2bd30b9b4291c6e5463e15ea2a466fdec86db996a6d53276e56458ee5cfbc947",
+        20: "e6c3c73e6e1bdeea04df5e8735420c1de32fa63e1ed1d5d2a2d7afba93a41cd5",
+        22: "ab0596866acdf60d98cb99a33f0e65dd0b8cedb944c8325c4308ef18af379e91",
+        24: "a1078d8a31f33528d7244f5189654104917af791ac46c8760606ed7c13fa4e63",
+        26: "875862f885b3f97f50e4675b65145067574c4973fa7204ca44ac953156f238a7",
+        28: "230c3108fd6fe58cd7a3bfe0089f090a6bb83c5d2f71c54c5e17580a9d3c4915",
+        30: "e766416d75f1a5034ad2768e2c98894919d742f4e029015bf3ba1ab5d072d185",
+        32: "b5ff5cd43c6e9fe902e3196e4b819896267cd2c25417586e5330c03dcf028709",
+        34: "f3d082c9dfd4ab62320b9943d2e28db1a5f6fa1e87f6193071fb071bd4095ad0",
+        36: "d315ed94012bd07fb2a4ba40027baafe1b2a94c5968732959d6a52ca7200c5e1",
+        38: "d0b345fd6799d7a1039d8f746bdba3de295d2bb9f25ee8c52d1c72598eb3d7d0",
+        40: "3e9cd50d5f27d0a858cb2b0467456f0f05fd6afebee2e002fd2800810bb14bdc",
+        42: "2347552f35d99f1ad8645c0a41dc96de2d0589164d2cf0321b7b9bd07c1b91e1",
+        44: "e72449f7bb784b10d4f774d411da2e85ae145b9878056c12bac7da50013c89a3",
+        46: "2d848bf322057ee830737e0da5bfcbfba856f886488309385bc3202f6970b771",
+        48: "c3ace5132fa54d1c1982cc2a8e473b6e6154cfc6b2a85cc6c770b5a4707e644b",
+        50: "ec8db67324f08e117f1e9b4ec352a5fb40a037fffa7231a68f8832b611b70e10",
+        52: "2f69cd572701bce1fbd30645c8258d2f68cb1e5456acd2ae09c30278a1c0d963",
+        54: "9286a666a024f3859571d59f3706c75feca73099d79d2e1bfaccdcdf6fd72932",
+        56: "653791a4691102a2ca69eaeba2fef9d9b056f097b2cec2257b79855fe0b57c86",
+        58: "dfc502d034aabe5b2de155b33ef42fed63ade25f2efe8688484d2ac6cb3fd38e",
+        60: "83578e9accbac47fa8862f6cdc15e05b25618a695e3bdc6921f78722860b6f18",
+        62: "a93e28f4883e0a09f254ce4417f45e6f83dc180878b397434d11f709ff5874b7",
+        64: "20856303db190309301677348f7d249c38951713e1e616371fb39748cab93f7c",
+        66: "c0f8fbcfac0a9fb5b8878243e922f2227fe5dd668c59f0330c5395acdb13dc07",
+}
+
+
 class TestStaircaseModel:
     @pytest.mark.parametrize("n", [8, 10, 12, 14, 16, 18])
     def test_area_matches_scaled_ngon(self, n):
@@ -128,6 +162,13 @@ class TestStaircaseModel:
         assert widths[-2] == (phi * phi - 1) * lm
         if len(heights) >= 2:
             assert heights[-2] == (phi ** 3 - 2 * phi) * lm
+
+    def test_every_staircase_pinned(self):
+        # sha256 of json.dumps(build_staircase(n).to_dict()) for every even
+        # n from 8 to 66, both residues of n mod 4
+        for n, digest in _STAIRCASE_DIGESTS.items():
+            dump = json.dumps(build_staircase(n).to_dict())
+            assert hashlib.sha256(dump.encode()).hexdigest() == digest, n
 
     def test_rejects_small_or_odd(self):
         for bad in (4, 6, 7, 9):
@@ -436,6 +477,16 @@ class TestCylinders:
         # co-slope 1 is not a periodic direction on the octagon staircase
         with pytest.raises(NonPeriodicDirectionError):
             cylinder_decomposition(S, 1, max_length=200.0)
+
+    @pytest.mark.parametrize("direction", [0, 1])
+    @pytest.mark.parametrize("max_length", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+    def test_budget_that_ends_no_trace_refused(self, direction, max_length):
+        # an infinite or NaN budget would run each separatrix in the
+        # non-periodic co-slope 1 to the step budget, and a non-positive one
+        # would give up in the periodic horizontal direction too
+        S = build_staircase(8)
+        with pytest.raises(ValueError, match="finite and positive"):
+            cylinder_decomposition(S, direction, max_length=max_length)
 
 
 def _point(p) -> list:
