@@ -706,20 +706,20 @@ def sqrt_in_field(x: CycloReal) -> Union[CycloReal, None]:
     integer of the field: s = D*r lies in Z[Phi] and has integer
     coefficients.  Hence:
 
-    - m maps to a square in every F_p: for (p, r) of ``_residue_maps``,
-      Phi -> r is a ring homomorphism Z[Phi] = Z[X]/(P) -> F_p, since the
-      minimal polynomial P vanishes at r mod p, so it maps s^2 = m to a
-      square.  An image that is a non-residue by Euler's criterion, v^((p -
-      1)/2) = -1 mod p, proves that x has no root, before any other test.
-    - Norm(m) = det(multiplication by m) = Norm(s)^2 must be the square of
-      an integer (checked exactly), and no conjugate of m may be negative.
-    - The conjugates of s are rho_k = +-sqrt(sigma_k(m)), with + at Phi
-      itself, and s = V^-1 rho = T^-1 V^T rho (``_trace_inverse``), where
-      V^T rho holds the traces Tr(s Phi^i), integers.  Under each sign
+    - Sign: x < 0 has no root, and 0 is its own.
+    - Residues: for (p, r) of ``_residue_maps``, Phi -> r is a ring
+      homomorphism Z[Phi] = Z[X]/(P) -> F_p, since the minimal polynomial P
+      vanishes at r mod p, so it maps s^2 = m to a square.  An image that is
+      a non-residue by Euler's criterion, v^((p - 1)/2) = -1 mod p, proves
+      that x has no root.
+    - Search: the conjugates of s are rho_k = +-sqrt(sigma_k(m)), with + at
+      Phi itself, and s = V^-1 rho = T^-1 V^T rho (``_trace_inverse``),
+      where V^T rho holds the traces Tr(s Phi^i), integers.  Under each sign
       pattern, traces all within 1/4 of integers are rounded and T^-1
       (exact) gives s; a pattern whose s has a non-integer coefficient is
-      skipped, and the candidate s/D is accepted only if it squares to x
-      exactly.
+      skipped.  The candidate s/D is accepted only if it squares to x
+      exactly; a square has the true pattern among them (below), so None
+      is exact too.  A negative conjugate of m, as no square has, reads as 0.
 
     Precision: with |m_i| < 2^h, |sigma_k(m)| < 2^(h+d).  From the powers
     phi_k^i rounded to 2^-p (off by under i 2^i 2^-p), it is off by at most
@@ -741,9 +741,6 @@ def sqrt_in_field(x: CycloReal) -> Union[CycloReal, None]:
     for p, r in _residue_maps(n):
         if pow(_horner(m, r, 0) % p, (p - 1) // 2, p) == p - 1:
             return None
-    norm = _bareiss(_mul_matrix(n, m))
-    if norm < 0 or math.isqrt(norm) ** 2 != norm:
-        return None
     h = max(abs(a) for a in m).bit_length()
     prec = -(-(h + 3 * d + 2 * d.bit_length() + 64) // 64) * 64  # few distinct enclosures
     pows = []  # phi_k^i 2^p, i < d, rounded, for phi_k = 2cos(k pi/n), Phi first
@@ -753,9 +750,7 @@ def sqrt_in_field(x: CycloReal) -> Union[CycloReal, None]:
         while len(row) < d:
             row.append((row[-1] * row[1] + (1 << (prec - 1))) >> prec)
         pows.append(row[:d])
-    conj = [sum(a * w for a, w in zip(m, row)) for row in pows]
-    if min(conj) < -(1 << (h + d + 8)):  # below -E: a negative conjugate
-        return None
+    conj = (sum(a * w for a, w in zip(m, row)) for row in pows)
     # Tr(s Phi^i) = sum_k +-cols[k][i] over 2^(2p)
     cols = [[w * math.isqrt(max(c, 0) << prec) for w in row] for row, c in zip(pows, conj)]
     scale, inv = _trace_inverse(n)

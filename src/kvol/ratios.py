@@ -249,6 +249,9 @@ def closed_atoms(
     orientations); chains of three or more always revisit a class and
     decompose.  Intersection-ratio maxima over all closed curves are attained
     on atoms by the mediant inequality, so scanning atoms is exhaustive.
+
+    A later open connection b runs back to a's start, closing [a, b], or
+    from it, closing [a, b reversed]; each open connection is reversed once.
     """
     nclasses = len(surface.vertex_classes)
     if nclasses > 2:
@@ -258,20 +261,19 @@ def closed_atoms(
         )
     curves = [_closing(sc) for sc in scs if sc.start.class_id == sc.end.class_id]
     open_scs = [sc for sc in scs if sc.start.class_id != sc.end.class_id]
+    flipped = [sc.reversed() for sc in open_scs]
     for i, a in enumerate(open_scs):
-        for b in open_scs[i + 1 :]:
-            if b.start.class_id == a.end.class_id and b.end.class_id == a.start.class_id:
-                curves.append(ClosedCurve([a, b]))
-            elif b.start.class_id == a.start.class_id and b.end.class_id == a.end.class_id:
-                curves.append(ClosedCurve([a, b.reversed()]))
+        start = a.start.class_id
+        for b, b_rev in zip(open_scs[i + 1 :], flipped[i + 1 :]):
+            curves.append(_closing(a, b_rev if b.start.class_id == start else b))
     return curves
 
 
-def _closing(sc: SaddleConnection) -> ClosedCurve:
-    """``ClosedCurve([sc])`` for a connection whose end class is its start
-    class, without the constructor's checks, which such a connection passes."""
+def _closing(*components: SaddleConnection) -> ClosedCurve:
+    """``ClosedCurve(components)`` for components that ``closed_atoms`` has
+    already matched class to class, without the constructor's checks."""
     curve = ClosedCurve.__new__(ClosedCurve)
-    curve.surface, curve.components = sc.surface, (sc,)
+    curve.surface, curve.components = components[0].surface, components
     return curve
 
 

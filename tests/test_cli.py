@@ -353,6 +353,18 @@ class TestVerifyCommand:
         d = json.loads(out)
         assert (code, d["pass"], d["pairs_checked"]) == (EXIT_VERIFY, False, 0)
 
+    def test_thm12_strict_bound_decided_exactly(self, capsys, monkeypatch):
+        """For n = 2 mod 4 no violation and no equality decide the strict
+        bound, whatever float the largest ratio rounds to."""
+        from kvol import cli
+        from kvol.field import CycloReal
+        from kvol.ratios import BoundReport
+
+        rep = BoundReport(10, "ngon", 3.0, CycloReal.from_rational(10, 1), 1, [], [], 1 - 1e-12, [])
+        monkeypatch.setattr(cli, "verify_ngon_bound", lambda n, L: rep)
+        code, out, _ = run(capsys, "verify", "--suite", "thm12", "--n", "10")
+        assert (code, json.loads(out)["pass"]) == (EXIT_OK, True)
+
     def test_parallel_cap_below_every_connection_fails(self, capsys):
         code, out, err = run(capsys, "verify", "--suite", "parallel", "--n", "8",
                              "--L-abs", "1e-300")

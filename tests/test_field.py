@@ -557,8 +557,8 @@ class TestExactSqrt:
 
 class TestResidueCertificate:
     """``sqrt_in_field`` rejects a radicand whose image under some
-    Phi -> r mod p is a quadratic non-residue, before its norm test and its
-    sign-pattern search, which is exponential in the degree d."""
+    Phi -> r mod p is a quadratic non-residue, before its sign search,
+    which is exponential in the degree d."""
 
     @pytest.mark.parametrize("n", [8, 40, 56, 64])
     def test_each_map_sends_phi_to_a_root_mod_a_prime(self, n):
@@ -585,6 +585,29 @@ class TestResidueCertificate:
             for p, r in _residue_maps(n):
                 v = sum(c * pow(r, i, p) for i, c in enumerate(m)) % p
                 assert pow(v, (p - 1) // 2, p) != p - 1
+
+    @pytest.mark.parametrize("n", [8, 16, 40])
+    def test_no_norm_determinant(self, n, monkeypatch):
+        """The residues reject and the search accepts: once the trace
+        matrix's inverse is cached, no call takes a determinant, for a
+        square, Phi times a square, or a square plus 1/den."""
+        import random
+
+        from kvol import field
+
+        rng = random.Random(n)
+        d = field_degree(n)
+        field._trace_inverse(n)
+        calls = []
+        bareiss = field._bareiss
+        monkeypatch.setattr(field, "_bareiss", lambda rows: calls.append(1) or bareiss(rows))
+        for _ in range(3):
+            s = CycloReal(n, [Fraction(rng.randint(-(2**20), 2**20), rng.randint(1, 99)) for _ in range(d)])
+            sq = s * s
+            assert sqrt_in_field(sq) == abs(s)
+            assert sqrt_in_field(CycloReal.phi(n) * sq) is None
+            assert sqrt_in_field(sq + Fraction(1, sq._den)) is None
+        assert calls == []
 
     @pytest.mark.parametrize("n", [56, 64])
     def test_phi_times_a_square_is_rejected_at_once(self, n):

@@ -22,7 +22,7 @@ import pytest
 
 from kvol.field import CycloReal, trig_value
 from kvol.hyperbolic import Geodesic, apply_word
-from kvol.intersect import intersection_form
+from kvol.intersect import ClosedCurve, intersection_form
 from kvol.ratios import (
     DirectionPairReport,
     K_of_directions,
@@ -45,7 +45,7 @@ from kvol.ratios import (
     verify_ngon_bound,
 )
 from kvol.plane import canonical_orientation, vfloat
-from kvol.saddle import enumerate_saddle_connections
+from kvol.saddle import SaddleConnection, enumerate_saddle_connections
 from kvol.surface import (
     Mat2,
     TranslationSurface,
@@ -175,6 +175,25 @@ class TestClosedAtoms:
                 expect += 1
         assert sum(1 for c in atoms if len(c.components) == 2) == expect
 
+    def test_each_open_connection_reversed_once(self, monkeypatch):
+        """On S_10 sheared to 10/47 + 50i/47, the atoms equal the ones the
+        validating ``ClosedCurve`` constructor builds, in order and component
+        by component, with at most one reversal per open connection."""
+        S = build_staircase(10).transform(Mat2(10, 1, Fraction(10, 47), 0, Fraction(50, 47)))
+        scs = enumerate_saddle_connections(S, lm(10) * 12)
+        open_scs = [sc for sc in scs if sc.start.class_id != sc.end.class_id]
+        expect = [ClosedCurve([sc]) for sc in scs if sc.start.class_id == sc.end.class_id]
+        for a, b in itertools.combinations(open_scs, 2):
+            expect.append(ClosedCurve([a, b if b.start.class_id == a.end.class_id else b.reversed()]))
+        calls = []
+        reverse = SaddleConnection.reversed
+        monkeypatch.setattr(SaddleConnection, "reversed", lambda sc: calls.append(1) or reverse(sc))
+        atoms = closed_atoms(S, scs)
+        assert len(calls) <= len(open_scs) < len(scs) == 118
+        assert [[sc._key() for sc in c.components] for c in atoms] == [
+            [sc._key() for sc in c.components] for c in expect
+        ]
+
 
 class TestLengthUnit:
     def test_staircase_unit_is_short_side(self):
@@ -214,6 +233,12 @@ class TestBruteForce:
         assert rep.exact_value == k0_constant(8)
         phi = CycloReal.phi(8)
         assert rep.exact_value == phi * phi * 2  # 4 + 2 sqrt(2)
+
+    def test_peak_value_is_a_root_at_degree_16(self):
+        """At n = 40 the winning l_a^2 l_b^2 is a true square in a degree-16
+        field, so its root comes from the sign search, not the residues."""
+        rep = kvol_bruteforce(build_staircase(40), lm(40) * 2)
+        assert rep.exact_value == k0_constant(40)
 
     def test_monotone_in_length(self, stc8, stc8_form):
         lo = kvol_bruteforce(stc8, lm(8) * 2, form=stc8_form)
