@@ -29,12 +29,13 @@ in numpy blocks, with the same double operations in the same order and one
 numpy is imported only where arrays are built, and mpmath never (an ``mpc``
 argument is handled with its caller's mpmath).  Reduction to the fundamental
 domain steps the point in integer fixed point, at a precision chosen per
-call from ``|x|/y``.  A given word is applied only by ``_step_pairs``,
-exactly on pairs over Z[Phi]: ``apply_word`` evaluates its matrix once, in
-integer fixed point at a precision proven from the sizes.  A query's
-witness (``nearest_witness``) is kept as exact data, the search's frame
-ends, the shift and the reduction word; its float ``Geodesic``, mapped back
-exactly and rounded to doubles at the end, is built on first read.
+call from ``|x|/y``, and returns a double only when Ziv's rounding test
+proves it correctly rounded.  A given word is applied only by
+``_step_pairs``, exactly on pairs over Z[Phi]: ``apply_word`` evaluates its
+matrix once, in integer fixed point at a precision proven from the sizes.
+A query's witness (``nearest_witness``) is kept as exact data, the search's
+frame ends, the shift and the reduction word; its float ``Geodesic``, mapped
+back exactly and rounded to doubles at the end, is built on first read.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .field import (
@@ -189,6 +190,7 @@ def in_fundamental_domain(z, n: int, *, tol: float = 1e-9):
     return inside if inside.ndim else bool(inside)
 
 
+@lru_cache(maxsize=None)
 def _phi_fixed(n: int, p: int) -> int:
     """``Phi 2^p`` rounded to an integer, within one unit, from the cached
     rigorous enclosure at the next multiple of 64 bits past ``p + 64``."""
@@ -215,6 +217,9 @@ def _fixed(man: int, exp: int, p: int) -> int:
 def _upper_point(z):
     """``z`` (a complex unless an mpc or mpf), mpmath for an mpc or mpf, else
     None, and ``_man_exp`` of its parts; without mpmath loaded none can be."""
+    if type(z) is complex and 0 < z.imag < math.inf and math.isfinite(z.real):
+        (mx, dx), (my, dy) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+        return z, None, (mx, 1 - dx.bit_length()), (my, 1 - dy.bit_length())
     mp = sys.modules.get("mpmath")
     if mp is None or not isinstance(z, (mp.mpc, mp.mpf)):
         z, mp = complex(z), None
@@ -229,6 +234,9 @@ def _upper_point(z):
 _DISK_MARGIN = 1e-12
 # bits of the reduction's fixed point past its stated error bound
 _GUARD_BITS = 8
+# the reduction's first and last base precision for a complex point
+_FIRST_BASE = 96
+_LAST_BASE = 4800
 
 
 def reduce_to_fundamental_domain(z, n: int, *, max_steps: int = 10000):
@@ -248,11 +256,11 @@ def reduce_to_fundamental_domain(z, n: int, *, max_steps: int = 10000):
     ``W = -1/z``, where ``TV^j`` is ``W -> W - j phi``: the nearest multiple,
     as for ``TH`` in ``z`` (Rosen 1954), so a run of ``TV`` steps is one
     token.  The point itself is carried in fixed point, as two integers
-    ``X``, ``Y`` over ``2^p`` with ``p`` fixed at entry, and the double is
-    ``X/2^p + i Y/2^p``, correctly rounded by integer division.  ``phi`` is
-    the integer ``F``, ``Phi 2^p`` rounded (``_phi_fixed``).  ``TH^k`` adds
-    ``k F`` to ``X``; ``TV^j`` forms ``D = j phi z + 1`` rounded to ``2^-p``
-    and rounds each coordinate of ``w = z conj(D)/|D|^2`` to ``2^-p``.
+    ``X``, ``Y`` over ``2^p``, and the double is read off them by integer
+    division, which rounds correctly.  ``phi`` is the integer ``F``,
+    ``Phi 2^p`` rounded (``_phi_fixed``).  ``TH^k`` adds ``k F`` to ``X``;
+    ``TV^j`` forms ``D = j phi z + 1`` rounded to ``2^-p`` and rounds each
+    coordinate of ``w = z conj(D)/|D|^2`` to ``2^-p``.
 
     Error.  Every step is an isometry, so an error made at one step is
     carried to the end unchanged in hyperbolic distance, and the errors of
@@ -282,50 +290,73 @@ def reduce_to_fundamental_domain(z, n: int, *, max_steps: int = 10000):
 
     Each step is thus off by at most ``4 2^-p (|x0| + 2)/y0``, and
     ``p = base + ceil(log2((|x0| + 2)/y0)) + bitlen(max_steps)`` plus
-    ``_GUARD_BITS`` keeps the summed error below ``2^-base`` in hyperbolic
-    distance.  ``base`` is 300 bits for a ``complex`` input, whose reduced
-    point then differs from the exact image by under ``2^-290 Im z`` in each
-    coordinate, far below one rounding of the returned double; for an
-    ``mpc`` input it is ``max(mp.prec + 60, 300)``, 60 bits past the
-    caller's precision, and the caller's precision is only read.
+    ``_GUARD_BITS`` keeps the summed error below ``2^(-base-6)`` in
+    hyperbolic distance, so each coordinate is within ``2^(-base-5) Im z``
+    of the exact image of the input under the word: ``e = Y 2^(-base-4) +
+    1`` units of ``2^-p``, with a factor 2 to spare.
+
+    Certificate (Ziv 1991).  For a ``complex`` input the double of ``X``,
+    ``Y`` is returned only if ``X -+ e`` round to it, and ``Y -+ e`` too:
+    rounding is monotone, so the exact image between them rounds to it as
+    well, and the result is the correctly rounded image of the input under
+    the returned word (an empty word returns the input).  A real part that
+    rounds to zero, whose sign no bound settles, fails.  A failed pass is
+    rerun at ``base`` 300, then at twice the bits; a failure at
+    ``_LAST_BASE`` raises ``ComputationLimitError``.  At ``_FIRST_BASE`` =
+    96, ``e`` is some ``2^47`` times below half an ulp of a coordinate as
+    large as ``Im z``, so a pass fails by chance about once in ``2^45``, and
+    always once the real part is below about ``2^-47 Im z`` (as for ``x``
+    the double next to ``k phi``); the integers carry four or five 30-bit
+    digits, not eleven.  Tokens are chosen from uncertified doubles.
+    For an ``mpc`` input ``base`` is ``max(mp.prec + 60, 300)``, nothing is
+    tested, and the caller's precision is only read.
     """
     z, mp, (mx, ex), (my, ey) = _upper_point(z)
     # |x0| + 2 < 2^top and y0 >= 2^(bitlen(my) + ey - 1)
     top = max(mx.bit_length() + ex, 1) + 1
     spread = max(top - (my.bit_length() + ey - 1), 0)
-    base = max(mp.mp.prec + 60, 300) if mp else 300
-    p = base + spread + max_steps.bit_length() + _GUARD_BITS
-    F, one, half = _phi_fixed(n, p), 1 << p, 1 << (p - 1)
-    X, Y = _fixed(mx, ex, p), _fixed(my, ey, p)
+    base = max(mp.mp.prec + 60, 300) if mp else _FIRST_BASE
     phi = _phi_float(n)
     r = 1.0 / phi
-    word: list[tuple[str, int]] = []
+    inner = r - _DISK_MARGIN
     while True:
-        zc = complex(X / one, Y / one)
-        k = -round(zc.real / phi)
-        # the disks are disjoint: s is +-1 inside the one on -+1/phi, else 0
-        s = 0 if k else (abs(zc + r) < r - _DISK_MARGIN) - (abs(zc - r) < r - _DISK_MARGIN)
-        if not (k or s):
-            break
-        if len(word) == max_steps:
-            raise ComputationLimitError("fundamental-domain reduction did not terminate")
-        if k:
-            word.append(("TH", k))
-            X += k * F
-        else:
+        p = base + spread + max_steps.bit_length() + _GUARD_BITS
+        F, one, half = _phi_fixed(n, p), 1 << p, 1 << (p - 1)
+        X, Y = _fixed(mx, ex, p), _fixed(my, ey, p)
+        zc, word = complex(X / one, Y / one) if mp else z, []
+        while True:
+            k = -round(zc.real / phi)
+            # s is +-1 inside the disk on -+1/phi (disjoint, below Im z = r), else 0
+            s = 0 if k or zc.imag >= r else 1 if abs(zc + r) < inner else -(abs(zc - r) < inner)
+            if not (k or s):
+                break
+            if len(word) == max_steps:
+                raise ComputationLimitError("fundamental-domain reduction did not terminate")
+            if k:
+                word.append(("TH", k))
+                X += k * F
+                zc = complex(X / one, zc.imag)  # TH keeps Im z
+                continue
             j = s * max(1, round(abs(zc.real) / (zc.real * zc.real + zc.imag * zc.imag) / phi))
             word.append(("TV", j))
-            Dx = ((j * F * X + half) >> p) + one
-            Dy = (j * F * Y + half) >> p
+            jF = j * F
+            Dx = ((jF * X + half) >> p) + one
+            Dy = (jF * Y + half) >> p
             den = Dx * Dx + Dy * Dy
-            X, Y = (
-                (((X * Dx + Y * Dy) << (p + 1)) + den) // (den << 1),
-                (((Y * Dx - X * Dy) << (p + 1)) + den) // (den << 1),
-            )
-    if not mp:
-        return zc, word
-    # X/2^p + i Y/2^p exactly, whatever the caller's precision
-    return mp.mp.make_mpc((mp.libmp.from_man_exp(X, -p), mp.libmp.from_man_exp(Y, -p))), word
+            rnd = den >> 1  # to within half a unit, den odd or even
+            X, Y = (((X * Dx + Y * Dy) << p) + rnd) // den, (((Y * Dx - X * Dy) << p) + rnd) // den
+            zc = complex(X / one, Y / one)
+        if mp:
+            # X/2^p + i Y/2^p exactly, whatever the caller's precision
+            parts = mp.libmp.from_man_exp(X, -p), mp.libmp.from_man_exp(Y, -p)
+            return mp.mp.make_mpc(parts), word
+        e = (Y >> (base + 4)) + 1
+        lo, hi = complex((X - e) / one, (Y - e) / one), complex((X + e) / one, (Y + e) / one)
+        if not word or zc.real and lo == zc == hi:
+            return zc, word
+        if base >= _LAST_BASE:
+            raise ComputationLimitError(f"fundamental-domain reduction: uncertified at {base} bits")
+        base = max(2 * base, 300)
 
 
 def apply_word(word: Iterable[tuple[str, int]], z, n: int):
@@ -527,46 +558,39 @@ def _lattice_search(u, v):
 
 
 def _search_row(u, vv):
-    """One row of ``_lattice_search`` in Python floats, with the block
-    code's operations, masks and tie order: ``sinh`` of the distance and the
-    ends ``a``, ``b``.  The row must have at most ``_ROW_OFFSETS`` offsets.
-    A zero denominator, skipped here, gives the block code a value that is
-    not finite, which it masks."""
+    """One row of ``_lattice_search`` in Python floats: ``sinh`` of the
+    distance and the ends ``a``, ``b``, for a row of at most
+    ``_ROW_OFFSETS`` offsets.  One loop over the offsets takes the lattice
+    indices, ``x - x % 1.0`` standing for ``np.floor`` (exact on a finite
+    ``x``); the candidates are then scanned from them in the block code's
+    order and double operations: the first least value wins, and replaces
+    the vertical only when strictly smaller.  What the block code masks is
+    skipped: ``s = 0`` (taken as ``x = inf``) and ``x = inf`` give the index
+    nan, whose value fails ``val < best``.  Otherwise ``s + t >= 1``, so the
+    denominator is at least ``vv`` (rounded), never 0."""
     a = float(math.floor(u + 0.5))
-    best = abs(u - a) / vv
+    best, j = abs(u - a) / vv, None
     uf = float(math.floor(u))
     ff = u - uf
-    count = _offsets(vv)
+    g1 = 1.0 - ff
     v2 = vv * vv
-    ks = range(count)
-    s_left = [ff + k for k in ks]
-    s_right = [1.0 - ff + k for k in ks]
-    # index of the lattice t just below v^2/s, as np.maximum(np.floor(x), 0.0)
-    # in floats, inf and nan passing through
-    l_left, l_right = (
-        [float(max(math.floor(x), 0)) if x < math.inf else x for x in xs]
-        for xs in (
-            [v2 / s - (1.0 - ff) if s > 0 else math.nan for s in s_left],
-            [v2 / s - ff if s > 0 else math.nan for s in s_right],
-        )
-    )
-    s = s_left + s_left + s_right + s_right
-    t = (
-        [1.0 - ff + l for l in l_left]
-        + [2.0 - ff + l for l in l_left]
-        + [ff + l for l in l_right]
-        + [1.0 + ff + l for l in l_right]
-    )
-    j = -1
-    for i, (si, ti) in enumerate(zip(s, t)):
-        den = (si + ti) * vv
-        if si > 0 and den:
-            val = abs(v2 - si * ti) / den
+    l_left, l_right = [], []
+    for k in range(_offsets(vv)):
+        x = v2 / (ff + k) - g1 if ff or k else math.inf
+        y = v2 / (g1 + k) - ff if g1 or k else math.inf
+        l_left.append(x - x % 1.0 if x >= 0.0 else 0.0)
+        l_right.append(y - y % 1.0 if y >= 0.0 else 0.0)
+    # (s at k = 0, t less its index, indices) of each candidate
+    cands = (ff, g1, l_left), (ff, 2.0 - ff, l_left), (g1, ff, l_right), (g1, 1.0 + ff, l_right)
+    for c, (s0, t0, ls) in enumerate(cands):
+        for k, l in enumerate(ls):
+            s, t = s0 + k, t0 + l
+            val = abs(v2 - s * t) / ((s + t) * vv)
             if val < best:
-                best, j = val, i
-    if j < 0:
+                best, j = val, (c, k)
+    if j is None:
         return best, a, math.inf
-    c, k = divmod(j, count)
+    c, k = j
     if c < 2:
         return best, uf - k, (uf + 1.0 if c == 0 else uf + 2.0) + l_left[k]
     return best, uf - l_right[k] if c == 2 else uf - l_right[k] - 1.0, uf + 1.0 + k
@@ -764,7 +788,7 @@ def _witness_geodesic(ends, undo, n: int) -> Geodesic:
     return Geodesic.circle(accurate_float((p + q) * inv), accurate_float(abs((q - p) * inv)))
 
 
-@dataclass(frozen=True)
+@dataclass
 class OrbitWitness:
     """The nearest orbit member that a closed-formula query found, as exact
     data.

@@ -753,15 +753,15 @@ def kvol_closed_formula(
     it and are only reported in ``params``.
     """
     require_closed_formula(n)
-    dist, converged, witness = nearest_witness(complex(z), n)
-    k0 = k0_constant(n)
+    dist, converged, witness = nearest_witness(z, n)
+    k0 = float(k0_constant(n))
     return KvolReport(
         mode="closed_formula",
-        value=float(k0) / math.cosh(dist),
+        value=k0 / math.cosh(dist),
         exact_ratio=None,
         exact_value=None,
         witnesses=[witness],
-        params={"L": None, "K_max": k_max, "W": word_len, "dist": dist, "K0": float(k0)},
+        params={"L": None, "K_max": k_max, "W": word_len, "dist": dist, "K0": k0},
         converged=converged,
     )
 

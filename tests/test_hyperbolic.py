@@ -540,6 +540,96 @@ class TestReduction:
                 reduce_to_fundamental_domain(z, 8, max_steps=max_steps - 1)
 
 
+def _near_axis_points(n):
+    """Points that reduce to a real part far below their imaginary part:
+    x the double next to k phi for k = 1..40, at y = 1/2, 1e-3 and 1e-9,
+    and the images TV^j(i t), rounded to doubles."""
+    phi = _phi_float(n)
+    pts = [complex(k * phi, y) for k in range(1, 41) for y in (0.5, 1e-3, 1e-9)]
+    with mpmath.workprec(200):
+        phi_mp = 2 * mpmath.cos(mpmath.pi / n)
+        for j in (1, 2, 3, -1, -2):
+            for t in (0.5, 0.9, 1.3, 2.0, 7.0):
+                pts.append(complex(1j * t / (j * phi_mp * 1j * t + 1)))
+    return pts
+
+
+def _count_passes(monkeypatch):
+    """Each reduction pass asks for Phi in fixed point once: record the
+    precision of every request."""
+    requests = []
+    phi_fixed = hyperbolic._phi_fixed
+    monkeypatch.setattr(hyperbolic, "_phi_fixed", lambda n, p: requests.append(p) or phi_fixed(n, p))
+    return requests
+
+
+class TestReductionCertificate:
+    """A complex point is reduced at a low first-pass precision, and the
+    returned double is kept only when Ziv's rounding test certifies it;
+    otherwise the pass is rerun at more bits."""
+
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    def test_near_axis_points_rerun_and_match_oracle(self, n, monkeypatch):
+        requests = _count_passes(monkeypatch)
+        reruns = 0
+        for z in _near_axis_points(n):
+            requests.clear()
+            assert reduce_to_fundamental_domain(z, n) == _reduce_oracle(z, n), z
+            reruns += len(requests) > 1
+        # 65 of the 145: the 25 images of i t and nearly all points at y = 1/2
+        assert reruns >= 60
+
+    def test_first_pass_is_at_most_128_bits(self, monkeypatch):
+        # at 0.3 + 0.05i, |x|/y and max_steps = 10,000 add 7 + 14 bits, and
+        # the guard bits 8, to the base
+        requests = _count_passes(monkeypatch)
+        _, word = reduce_to_fundamental_domain(complex(0.3, 0.05), 8)
+        assert word and len(requests) == 1
+        assert requests[0] <= 128 + 7 + 14 + hyperbolic._GUARD_BITS
+
+    @pytest.mark.parametrize(
+        "n, seed, digest",
+        [
+            (8, 2000, "6939ad1ade37b69f9ff3855d32ac381b9aa95a5ad11da6a6ee62811bafddea1f"),
+            (12, 2012, "b13b659560414ec1b4f3b36a1f950be356ad2c6d7ad3eec21f0a0b0e460baefd"),
+            (16, 2016, "360df66029e2ca2af6031017172690d0825d06b9c3a50a856f244f089661a07a"),
+        ],
+    )
+    def test_forced_reruns_keep_the_pinned_digests(self, n, seed, digest, monkeypatch):
+        # an 8-bit first pass fails the test on every point it moves, so
+        # every such point is settled by a rerun at 300 bits or more; an
+        # 8-bit pass asks for under 100 bits, |x|/y adding at most 39 here
+        monkeypatch.setattr(hyperbolic, "_FIRST_BASE", 8)
+        requests = _count_passes(monkeypatch)
+        assert _reduction_digest(n, random.Random(seed)) == digest
+        first = [p for p in requests if p < 100]
+        assert len(first) == 2000 and len(requests) - len(first) >= 1980
+
+    def test_no_certificate_past_the_last_base_is_a_limit(self, monkeypatch, capsys):
+        monkeypatch.setattr(hyperbolic, "_FIRST_BASE", 8)
+        monkeypatch.setattr(hyperbolic, "_LAST_BASE", 8)
+        with pytest.raises(ComputationLimitError, match="uncertified"):
+            reduce_to_fundamental_domain(complex(7 / 3, 1 / 50), 8)
+        assert main(["kvol-point", "--n", "8", "--x", "7/3", "--y", "1/50"]) == 5
+        assert "limit:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n, drawn", [(8, 50000), (12, 0), (16, 0)])
+    def test_rerun_rate(self, n, drawn, monkeypatch):
+        # no point of the seeded sets needs a rerun, nor does any of 50,000
+        # drawn like the benchmark's formula points: x in [-5, 5], y
+        # log-uniform in [1e-3, 4]
+        requests = _count_passes(monkeypatch)
+        rng = random.Random(f"formula-like:{n}")
+        drawn_pts = [
+            complex(rng.uniform(-5.0, 5.0), math.exp(rng.uniform(math.log(1e-3), math.log(4.0))))
+            for _ in range(drawn)
+        ]
+        for z in _seeded_set(n) + drawn_pts:
+            requests.clear()
+            reduce_to_fundamental_domain(z, n)
+            assert len(requests) == 1, z
+
+
 class TestDistToGmax:
     def test_octagon_corner_anchor(self):
         z8 = complex(math.cos(math.pi / 8), math.sin(math.pi / 8))
