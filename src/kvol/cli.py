@@ -201,22 +201,91 @@ def cmd_kvol_grid(args) -> int:
     cells = np.tile(xs, res) + 1j * np.repeat(ys, res)
     kept = np.flatnonzero(in_fundamental_domain(cells, n))
     dists, flags = dist_to_Gmax_batch(cells[kept], n)
-    # each column's x and each row's y is formatted once and picked by index;
-    # k0/cosh per element, as np.cosh can differ in the last bit; 1,024 rows at
-    # a time, as floats of whole columns would hold their memory among the rows
-    spec = "%" + FLOAT_SPEC
-    x_txt, y_txt = ([spec % v for v in a.tolist()] for a in (xs, ys))
-    row = ",".join(["%s", "%s", spec, spec, "%s"])
-    out = ["x,y,kvol,dist,converged"]
-    for i in range(0, kept.size, 1024):
-        y_at, x_at = np.divmod(kept[i : i + 1024], res)
-        cols = (c.tolist() for c in (x_at, y_at, dists[i : i + 1024], flags[i : i + 1024]))
-        out += [
-            row % (x_txt[c], y_txt[r], k0 / math.cosh(d), d, ("false", "true")[ok])
-            for c, r, d, ok in zip(*cols)
-        ]
-    _emit(args, "\n".join(out) + "\n")
+    # a row is its fields, NUL-padded to fixed widths, and separators; each
+    # column's x and each row's y is formatted once and picked by index
+    text = lambda strs: np.array([s.encode() for s in strs]).view(np.uint8).reshape(len(strs), -1)
+    xt, yt = (text([("%" + FLOAT_SPEC) % v for v in a.tolist()]) for a in (xs, ys))
+    ft = text(["false", "true"])
+    out = ["x,y,kvol,dist,converged\n"]
+    for i in range(0, kept.size, _GRID_ROWS):
+        part = slice(i, i + _GRID_ROWS)
+        y_at, x_at = np.divmod(kept[part], res)
+        # k0/cosh per element, as np.cosh can differ in the last bit
+        kvols = [k0 / math.cosh(d) for d in dists[part].tolist()]
+        kd = _g17(np, np.concatenate([kvols, dists[part]]))
+        fields = [xt[x_at], yt[y_at], *np.split(kd, 2), ft[flags[part].view(np.uint8)]]
+        seps = [np.full((x_at.size, 1), c, np.uint8) for c in b",,,,\n"]
+        rows = np.concatenate([c for pair in zip(fields, seps) for c in pair], axis=1)
+        out.append(rows.tobytes().translate(None, b"\0").decode("ascii"))
+    _emit(args, "".join(out))
     return EXIT_OK
+
+
+# rows of the grid written at a time, and the width of a field of _g17: a
+# lead "0.000", 17 digits each with a slot for a point after it, and "e-XX"
+_GRID_ROWS, _G17_WIDTH = 4096, 43
+
+
+def _g17(np, v):
+    """``'%.17g' % x`` (``FLOAT_SPEC``) of each double ``x`` of ``v``, as the
+    rows of a ``uint8`` matrix ``_G17_WIDTH`` wide, NUL bytes around them.
+
+    A double of ``[1e-10, 2^40)`` is ``x = M 2^(e - 53)``, ``2^52 <= M <
+    2^53``.  With ``k = floor(log10 x)`` and ``q = 16 - k``, ``x 10^q = P/2^s``
+    for ``P = M 5^q`` and ``s = 53 - e - q``, so ``P/2^s`` rounded half to
+    even is the correctly rounded 17-digit significand ``N``, as dtoa's mode
+    2 gives it.  There ``4 <= q <= 27``, so ``5^q < 2^64``, and ``1 <= s <=
+    63``: ``P < 2^116`` is exact as two 64-bit words from 32-bit limbs.
+    ``np.log10`` may put ``k`` one off beside a power of ten: a truncated
+    ``P/2^s`` outside ``[10^16, 10^17)`` is redone at the next ``k``.  No
+    double of the range rounds up to a power of ten at 17 digits (only the
+    one below each is near enough), so ``N < 10^17``.  The layout is
+    ``%g``'s: fixed notation for ``-4 <= k < 17``, else an exponent of at
+    least two digits; trailing zeros are stripped, and a bare point dropped.
+    Any other double takes ``'%.17g' % x`` itself.
+    """
+    out = np.zeros((v.size, _G17_WIDTH), np.uint8)
+    fast = (v >= 1e-10) & (v < 2.0**40)
+    w = np.where(fast, v, 1.0)
+    m, e = np.frexp(w)
+    M, k = (m * 2.0**53).astype(np.uint64), np.floor(np.log10(w)).astype(np.int64)
+    N, todo = np.empty(v.size, np.uint64), np.arange(v.size)
+    pow5 = np.array([5**j for j in range(28)], np.uint64)
+    while todo.size:
+        q = 16 - k[todo]
+        F, Mt, s = pow5[q], M[todo], (53 - e[todo] - q).astype(np.uint64)
+        # P = hi 2^64 + lo, from the 32-bit limbs of M and 5^q
+        M0, M1, F0, F1 = Mt & 0xFFFFFFFF, Mt >> 32, F & 0xFFFFFFFF, F >> 32
+        low, mid = M0 * F0, M0 * F1 + M1 * F0
+        lo = low + (mid << 32)
+        T = ((M1 * F1 + (mid >> 32) + (lo < low)) << (64 - s)) | (lo >> s)
+        half, rem = np.uint64(1) << (s - 1), lo & ((np.uint64(1) << s) - 1)
+        N[todo] = T + ((rem > half) | ((rem == half) & (T & 1 == 1)))
+        wrong = (T < 10**16) | (T >= 10**17)
+        k[todo[wrong]] += np.where(T[wrong] < 10**16, -1, 1)
+        todo = todo[wrong]
+    # N's 17 ASCII digits, two at a time from "00".."99", behind one pad byte
+    two = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), np.uint16)
+    D, x = np.empty((v.size, 9), np.uint16), N.astype(np.int64)
+    for j in range(8, -1, -1):
+        q = x // 100
+        D[:, j], x = two[x - 100 * q], q
+    out[:, 5:39:2] = D = D.view(np.uint8)[:, 1:]
+    fixed = (k >= -4) & (k < 17)
+    point = np.where(fixed & (k > 0), k, 0)  # the digit the point follows
+    # the digits shown: to the last one not 0, and at least to the point
+    shown, z = np.full(v.size, 17), np.flatnonzero(D[:, 16] == 48)
+    shown[z] = np.maximum(17 - np.argmax(D[z, ::-1] != 48, axis=1), point[z] + 1)
+    out[z, 5:39:2] *= np.arange(17) < shown[z, None]
+    small = fixed & (k < 0)
+    out[small, :5] = np.frombuffer(b"0.000", np.uint8) * (np.arange(5) < 1 - k[small, None])
+    dot = np.flatnonzero((shown > point + 1) & ~small)
+    out[dot, 6 + 2 * point[dot]] = 46
+    sci = np.flatnonzero(~fixed)
+    out[sci, 39:] = np.array([b"e%+03d" % j for j in k[sci]], "S4").view(np.uint8).reshape(-1, 4)
+    for i in np.flatnonzero(~fast).tolist():
+        out[i] = np.frombuffer(("%.17g" % v[i]).encode().ljust(_G17_WIDTH, b"\0"), np.uint8)
+    return out
 
 
 # ---------------------------------------------------------------------------

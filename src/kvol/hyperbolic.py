@@ -32,7 +32,7 @@ domain steps the point in integer fixed point, at a precision chosen per
 call from ``|x|/y``, and returns a double only when Ziv's rounding test
 proves it correctly rounded.  A given word is applied only by
 ``_step_pairs``, exactly on pairs over Z[Phi]: ``apply_word`` evaluates its
-matrix once, in integer fixed point at a precision proven from the sizes.
+matrix in integer fixed point, under the reduction's rounding test.
 A query's witness (``nearest_witness``) is kept as exact data, the search's
 frame ends, the shift and the reduction word; its float ``Geodesic``, mapped
 back exactly and rounded to doubles at the end, is built on first read.
@@ -365,10 +365,10 @@ def apply_word(word: Iterable[tuple[str, int]], z, n: int):
     Accepts a ``complex`` or an ``mpmath.mpc`` and returns the same kind; a
     point off the half plane raises the reduction's ``ValueError``, an
     unknown token that of ``_step_pairs``.  The word's exact matrix
-    ``[[a, b], [c, d]]`` (``word_matrix``) is evaluated once, as
+    ``[[a, b], [c, d]]`` (``word_matrix``) is evaluated as
     ``w = (a z + b)/(c z + d)`` in integer fixed point at ``p`` bits, as the
     reduction steps its point, and the exact quotient of those integers is
-    rounded once to the caller's precision.
+    rounded to the caller's precision.
 
     Precision.  An entry ``e = sum e_i Phi^i`` is at most ``A(e) =
     sum |e_i| 2^i``, as ``0 < Phi < 2``.  Evaluated exactly at
@@ -383,8 +383,12 @@ def apply_word(word: Iterable[tuple[str, int]], z, n: int):
     ``D``, since ``|N| |D| >= y``, so the first order holds.  ``p = base +
     _GUARD_BITS + ceil(log2(2 B))``, from integer bounds on ``r`` and ``y``,
     keeps ``w`` within ``2^-base`` in hyperbolic distance, each coordinate
-    within ``2^-base Im w``: ``base`` is 300 for a ``complex``,
-    ``mp.prec + 60`` for an ``mpc``, and the caller's precision is only read.
+    within ``2^-base Im w``.  Certificate, as the reduction's: a ``complex``
+    starts at ``base = _FIRST_BASE``, and its double is returned only if both
+    ends of each coordinate's interval of radius ``2^-base Im w`` round to
+    it, else the pass reruns at ``base`` 300, then at twice the bits, and
+    past ``_LAST_BASE`` raises ``ComputationLimitError``.  An ``mpc`` takes
+    ``base = mp.prec + 60`` untested; the caller's precision is only read.
     """
     M = word_matrix(word, n)
     z, mp, (mx, ex), (my, ey) = _upper_point(z)
@@ -393,19 +397,26 @@ def apply_word(word: Iterable[tuple[str, int]], z, n: int):
     rho = max(mx.bit_length() + ex, ty, 0) + 2
     A = lambda e: sum(abs(v) << i for i, v in enumerate(e._num))
     top = ((A(M.a) << rho) + A(M.b)).bit_length() + ((A(M.c) << rho) + A(M.d)).bit_length()
-    p = (mp.mp.prec + 60 if mp else 300) + _GUARD_BITS + 2 + top - ty
-    q = p + field_degree(n).bit_length()
-    F = _phi_fixed(n, q)
-    # an entry at F/2^q, an integer over 2^(q len), rounded to 2^-p
-    a, b, c, d = (_fixed(_horner(e._num, F, q), -q * len(e._num), p) for e in (M.a, M.b, M.c, M.d))
-    X, Y = _fixed(mx, ex, p), _fixed(my, ey, p)
-    # N and D over 2^(2p), and w = N conj(D)/|D|^2
-    Nx, Ny, Dx, Dy = a * X + (b << p), a * Y, c * X + (d << p), c * Y
-    re, im, den = Nx * Dx + Ny * Dy, Ny * Dx - Nx * Dy, Dx * Dx + Dy * Dy
-    if mp:
-        part = lambda v: mp.libmp.from_rational(v, den, mp.mp.prec, mp.libmp.round_nearest)
-        return mp.mp.make_mpc((part(re), part(im)))
-    return complex(re / den, im / den)
+    base, entries = (mp.mp.prec + 60 if mp else _FIRST_BASE), (M.a, M.b, M.c, M.d)
+    while True:
+        p = base + _GUARD_BITS + 2 + top - ty
+        q = p + field_degree(n).bit_length()
+        F = _phi_fixed(n, q)
+        # an entry at F/2^q, an integer over 2^(q len), rounded to 2^-p
+        a, b, c, d = (_fixed(_horner(e._num, F, q), -q * len(e._num), p) for e in entries)
+        X, Y = _fixed(mx, ex, p), _fixed(my, ey, p)
+        # N and D over 2^(2p), and w = N conj(D)/|D|^2
+        Nx, Ny, Dx, Dy = a * X + (b << p), a * Y, c * X + (d << p), c * Y
+        re, im, den = Nx * Dx + Ny * Dy, Ny * Dx - Nx * Dy, Dx * Dx + Dy * Dy
+        if mp:
+            part = lambda v: mp.libmp.from_rational(v, den, mp.mp.prec, mp.libmp.round_nearest)
+            return mp.mp.make_mpc((part(re), part(im)))
+        r, w = (im >> base) + 1, complex(re / den, im / den)  # r/den >= 2^-base Im w
+        if complex((re - r) / den, (im - r) / den) == w == complex((re + r) / den, (im + r) / den):
+            return w
+        if base >= _LAST_BASE:
+            raise ComputationLimitError(f"apply_word: uncertified at {base} bits")
+        base = max(2 * base, 300)
 
 
 def _step_pairs(pairs, word: Iterable[tuple[str, int]], n: int) -> list:
@@ -492,10 +503,12 @@ def _lattice_search(u, v):
     and whether the search reached its bound, ``v <= _MAX_HEIGHT``.
 
     Row ``i`` tries ``_offsets(v_i)`` offsets, which ``_offset_blocks``
-    batches into numpy blocks.  ``_search_row`` searches one row in Python
-    floats with the same double operations in the same order, the same masks
-    and the same tie order (candidate-major, then by offset, the first
-    minimum winning, and it replaces the vertical only when strictly
+    batches into numpy blocks laid out (row, candidate, offset): a row's
+    values flatten, with no copy, into the tie order below, and only each
+    improving row's winner gets its ends.  ``_search_row`` searches one row
+    in Python floats with the same double operations in the same order, the
+    same masks and the same tie order (candidate-major, then by offset, the
+    first minimum winning, and it replaces the vertical only when strictly
     smaller), so on a row of at most ``_ROW_OFFSETS`` offsets, which the
     block code searches as one block, the two agree to the bit.
 
@@ -530,37 +543,35 @@ def _lattice_search(u, v):
     f = u - fl
     count = _offsets(v, np.floor, np.minimum).astype(np.int64)
     for rows, k in _offset_blocks(count):
-        uf, ff, vv = fl[rows, None], f[rows, None], v[rows, None]
-        v2 = vv * vv
-        s_left, s_right = ff + k, 1.0 - ff + k
+        # axes (row, side, candidate, k), the left side first
+        ff, vv = f[rows, None, None, None], v[rows, None, None, None]
+        v2, g = vv * vv, np.concatenate([ff, 1.0 - ff], axis=1)
+        s = g + k
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             # index of the lattice t just below v^2/s, counted from the first
-            l_left = np.maximum(np.floor(v2 / s_left - (1.0 - ff)), 0.0)
-            l_right = np.maximum(np.floor(v2 / s_right - ff), 0.0)
-            s = np.stack([s_left, s_left, s_right, s_right])
-            t = np.stack([1.0 - ff + l_left, 2.0 - ff + l_left, ff + l_right, 1.0 + ff + l_right])
+            idx = np.maximum(np.floor(v2 / s - g[:, ::-1]), 0.0)
+            t = np.concatenate([1.0 - ff, 2.0 - ff, ff, 1.0 + ff], axis=1).reshape(-1, 2, 2, 1)
+            t = t + idx
             val = np.abs(v2 - s * t) / ((s + t) * vv)
         # s = 0 puts u on the vertical at a, which already gives zero
-        val = np.where((k < count[rows, None]) & (s > 0) & np.isfinite(val), val, np.inf)
-        ends_a = np.stack([uf - k, uf - k, uf - l_right, uf - l_right - 1.0])
-        ends_b = np.stack([uf + 1.0 + l_left, uf + 2.0 + l_left, uf + 1.0 + k, uf + 1.0 + k])
-        # (candidate, row, k) -> (row, candidate * k)
-        flat = lambda x: x.transpose(1, 0, 2).reshape(rows.size, -1)
-        val = flat(val)
+        val[~((k < count[rows, None, None, None]) & (s > 0) & np.isfinite(val))] = np.inf
+        val = val.reshape(rows.size, -1)
         j = np.argmin(val, axis=1)
         got = val[np.arange(rows.size), j]
         better = got < best[rows]
-        hit = rows[better]
+        hit, (c, i) = rows[better], np.divmod(j[better], k.shape[-1])
         best[hit] = got[better]
-        a[hit] = flat(ends_a)[better, j[better]]
-        b[hit] = flat(ends_b)[better, j[better]]
+        # the winner's ends: its offset k on its side, idx or idx + 1 on the other
+        uf, kk, ii = fl[hit], k[0, i], idx[better, c // 2, 0, i]
+        a[hit] = np.where(c < 2, uf - kk, uf - ii - (c - 2.0))
+        b[hit] = np.where(c < 2, uf + (1.0 + c) + ii, uf + 1.0 + kk)
     return best, a, b, v <= _MAX_HEIGHT
 
 
-def _search_row(u, vv):
-    """One row of ``_lattice_search`` in Python floats: ``sinh`` of the
-    distance and the ends ``a``, ``b``, for a row of at most
-    ``_ROW_OFFSETS`` offsets.  One loop over the offsets takes the lattice
+def _search_row(u, vv, count):
+    """One row of ``_lattice_search`` in Python floats, of ``count =
+    _offsets(vv) <= _ROW_OFFSETS`` offsets: ``sinh`` of the distance and the
+    ends ``a``, ``b``.  One loop over the offsets takes the lattice
     indices, ``x - x % 1.0`` standing for ``np.floor`` (exact on a finite
     ``x``); the candidates are then scanned from them in the block code's
     order and double operations: the first least value wins, and replaces
@@ -575,7 +586,7 @@ def _search_row(u, vv):
     g1 = 1.0 - ff
     v2 = vv * vv
     l_left, l_right = [], []
-    for k in range(_offsets(vv)):
+    for k in range(count):
         x = v2 / (ff + k) - g1 if ff or k else math.inf
         y = v2 / (g1 + k) - ff if g1 or k else math.inf
         l_left.append(x - x % 1.0 if x >= 0.0 else 0.0)
@@ -717,11 +728,11 @@ def _nearest_point(x: float, y: float, n: int):
         u, v = -dxs / dens / s, ysc / dens / s
     else:
         u, v = -dx / den, y / den
-    if _offsets(v) > _ROW_OFFSETS:
+    if (count := _offsets(v)) > _ROW_OFFSETS:
         import numpy as np
         sinh, m, a, b, flag = _nearest(np.array([x]), np.array([y]), n)
         return float(sinh[0]), int(m[0]), float(a[0]), float(b[0]), bool(flag[0])
-    sinh, a, b = _search_row(u, v)
+    sinh, a, b = _search_row(u, v, count)
     rounding = 2.0**-51 * ((1.0 + 3.0 * abs(u)) / v + 4.0 * (1.0 + sinh))
     return sinh, m, a, b, v <= _MAX_HEIGHT and rounding <= _ROUNDING_TOL
 

@@ -9,8 +9,11 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kvol.cli import (
@@ -19,6 +22,7 @@ from kvol.cli import (
     EXIT_OK,
     EXIT_UNSUPPORTED,
     EXIT_VERIFY,
+    _g17,
     main,
 )
 from kvol.hyperbolic import dist_to_Gmax_batch
@@ -284,6 +288,16 @@ class TestKvolGridCommand:
                  "--ymin", "0.01", "--ymax", "3"),
                 "5faeb82ce60b8c2daca0d30adcb45ff2c9fe872058218839a71c4337f3094f1c",
             ),
+            # taken from the grid written row by row with '%.17g', before the
+            # rows were written from arrays
+            (
+                ("--n", "8", "--resolution", "400"),
+                "ff2f501da820bb488e3c05394a4a06597f8ae694966bd2dfcd28cd7609ecac30",
+            ),
+            (
+                ("--n", "16", "--resolution", "200"),
+                "04a45ebba89686383f959b2b669f59bacd3678c656a14fa3c9bf7af627809258",
+            ),
         ],
     )
     def test_pinned_grids(self, capsys, argv, digest):
@@ -294,6 +308,15 @@ class TestKvolGridCommand:
         code, out, _ = run(capsys, "kvol-grid", *argv)
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_small_dist_takes_the_exponent_layout(self, capsys):
+        # dist below 1e-4 prints as d.ddde-XX: 1,813 rows with e-05, 712 with
+        # e-06 and 108 with e-07, as the row-by-row '%.17g' grid printed them
+        code, out, _ = run(capsys, "kvol-grid", "--n", "8", "--resolution", "400")
+        assert code == EXIT_OK
+        dists = [row.split(",")[3] for row in out.splitlines()[1:]]
+        exps = [d[-4:] for d in dists if "e" in d]
+        assert len(exps) == 2633 and set(exps) == {"e-05", "e-06", "e-07"}
 
     def test_window_outside_domain(self, capsys):
         code, out, _ = run(
@@ -329,6 +352,61 @@ class TestKvolGridCommand:
         )
         assert code == EXIT_CONFIG
         assert "finite" in err
+
+
+def _written(values):
+    """``_g17`` of the values, each row read back as a string."""
+    rows = _g17(np, np.array(values, dtype=float))
+    assert rows.shape == (len(values), 43)
+    return [row.tobytes().translate(None, b"\0").decode("ascii") for row in rows]
+
+
+class TestGridWriter:
+    """``_g17`` writes the grid's kvol and dist fields in numpy, and each is
+    ``'%.17g' % x`` (``FLOAT_SPEC``) to the byte."""
+
+    def test_seeded_doubles_in_every_decade(self):
+        rng = np.random.default_rng(4401)
+        values = [
+            x
+            for d in range(-10, 13)
+            for x in rng.uniform(10.0**d, min(10.0 ** (d + 1), 2.0**40), 10000).tolist()
+        ]
+        assert len(values) == 230000 and min(values) >= 1e-10 and max(values) < 2.0**40
+        assert _written(values) == ["%.17g" % x for x in values]
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        powers = [float(f"1e{j}") for j in range(-10, 13)]
+        below = [float(np.nextafter(p, 0.0)) for p in powers]
+        values = below + powers + [float(np.nextafter(p, math.inf)) for p in powers]
+        values += [float(np.nextafter(2.0**40, 0.0)), float(np.nextafter(1e-10, math.inf))]
+        assert _written(values) == ["%.17g" % x for x in values]
+        # log10 rounds up to the next power of ten for some doubles below
+        # one, whose k is then recomputed; none of them rounds up to it at
+        # 17 digits
+        assert any(math.floor(np.log10(x)) == j for x, j in zip(below, range(-10, 13)))
+        assert all(Fraction("%.17g" % x) < Fraction(10) ** j for x, j in zip(below, range(-10, 13)))
+
+    def test_exact_ties_round_half_to_even(self):
+        # a + b/64, a of 12 digits and b odd: 18 digits, the last a 5
+        rng = np.random.default_rng(4402)
+        ties = [123456789012.015625, 123456789012.046875]
+        ties += [a + b / 64 for a, b in zip(rng.integers(10**11, 10**12, 94).tolist(), range(1, 189, 2))]
+        exact = [str(Decimal(t)) for t in ties]
+        assert all(len(e) == 19 and e.endswith("5") for e in exact)
+        written = _written(ties)
+        assert written[:2] == ["123456789012.01562", "123456789012.04688"]
+        assert written == ["%.17g" % x for x in ties]
+        # both parities of the 17th digit: kept and rounded up
+        kept = sum(w == e[:-1] for w, e in zip(written, exact))
+        assert 0 < kept < len(ties)
+
+    def test_other_doubles_and_empty_arrays(self):
+        others = [0.0, 5e-324, 1e-300, 2.0**53, 1e300, -1.5, math.inf, math.nan]
+        assert _written(others) == ["%.17g" % x for x in others]
+        mixed = [1e300, 0.25, 0.0, 3e-7]
+        assert _written(mixed) == ["%.17g" % x for x in mixed]
+        assert _written([]) == []
 
 
 class TestVerifyCommand:

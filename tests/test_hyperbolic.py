@@ -630,6 +630,54 @@ class TestReductionCertificate:
             assert len(requests) == 1, z
 
 
+def _applied_digest(cases, n):
+    """``apply_word`` of each ``(word, z)``, its doubles hashed."""
+    h = hashlib.sha256()
+    for word, z in cases:
+        h.update(repr(apply_word(word, z, n)).encode())
+    return h.hexdigest()
+
+
+class TestApplyWordCertificate:
+    """A complex point's image under a word is evaluated at a low first-pass
+    precision and kept only when the rounding test certifies it, as in the
+    reduction; the doubles are those of a single pass at 300 bits."""
+
+    # apply_word of every point of _seeded_set(8) under its reduction word,
+    # each image evaluated at 300 bits and rounded with no test
+    DIGEST = "9198ac0fb3add963eb0b4f59e34adec635c0af091533c79883c1f939059b048a"
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        return [(reduce_to_fundamental_domain(z, 8)[1], z) for z in _seeded_set(8)]
+
+    def test_first_pass_keeps_the_300_bit_doubles(self, cases, monkeypatch):
+        requests = _count_passes(monkeypatch)
+        assert _applied_digest(cases, 8) == self.DIGEST
+        # every image of the set is certified by its first pass
+        assert len(requests) == len(cases)
+
+    def test_forced_reruns_keep_the_300_bit_doubles(self, cases, monkeypatch):
+        # an 8-bit first pass fails the test on every image, each then
+        # settled by a rerun at 300 bits or more
+        monkeypatch.setattr(hyperbolic, "_FIRST_BASE", 8)
+        requests = _count_passes(monkeypatch)
+        assert _applied_digest(cases, 8) == self.DIGEST
+        assert len(requests) >= 2 * len(cases)
+
+    def test_no_certificate_past_the_last_base_is_a_limit(self, monkeypatch):
+        monkeypatch.setattr(hyperbolic, "_FIRST_BASE", 8)
+        monkeypatch.setattr(hyperbolic, "_LAST_BASE", 8)
+        with pytest.raises(ComputationLimitError, match="uncertified"):
+            apply_word([("TH", 1), ("TV", -1)], complex(0.3, 0.7), 8)
+
+    def test_zero_real_part_is_certified(self):
+        # the interval around an exact zero rounds to 0.0 once it is below
+        # the least subnormal, so the ladder ends
+        assert apply_word([], 1j, 8) == 1j
+        assert apply_word([("TH", 1), ("TH", -1)], complex(0.0, 2.5), 8) == 2.5j
+
+
 class TestDistToGmax:
     def test_octagon_corner_anchor(self):
         z8 = complex(math.cos(math.pi / 8), math.sin(math.pi / 8))
@@ -1085,7 +1133,7 @@ class TestCertificate:
         search, search_row = hyperbolic._lattice_search, hyperbolic._search_row
         monkeypatch.setattr(hyperbolic, "_lattice_search", lambda u, v: rows.append(u.size) or search(u, v))
         # a float row counts as a search of one row
-        monkeypatch.setattr(hyperbolic, "_search_row", lambda u, v: rows.append(1) or search_row(u, v))
+        monkeypatch.setattr(hyperbolic, "_search_row", lambda *row: rows.append(1) or search_row(*row))
         # a point that needs reduction and a point already in the domain
         for z in (complex(3.3, 0.01), complex(0.1, 0.9)):
             nearest_gmax_geodesic(z, 8)
@@ -1105,7 +1153,9 @@ def _same_bits(x, y):
 def _row_loop(u, v):
     """``_search_row`` on each row of ``u``, ``v``: arrays of ``sinh``,
     ``a`` and ``b`` in the layout of ``_lattice_search``."""
-    rows = [hyperbolic._search_row(*row) for row in zip(u.tolist(), v.tolist())]
+    rows = [
+        hyperbolic._search_row(x, y, hyperbolic._offsets(y)) for x, y in zip(u.tolist(), v.tolist())
+    ]
     return [np.array(c, dtype=float) for c in zip(*rows)]
 
 
