@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .field import FLOAT_SPEC, ComputationLimitError, CycloReal, as_field, trig_value
-from .hyperbolic import dist_to_Gmax_batch, in_fundamental_domain
+from .hyperbolic import _dist_batch_in_domain, in_fundamental_domain
 from .plane import Mat2
 from .ratios import (
     ParallelReport,
@@ -200,7 +200,7 @@ def cmd_kvol_grid(args) -> int:
     xs, ys = xmin + steps * dx, ymin + steps * dy
     cells = np.tile(xs, res) + 1j * np.repeat(ys, res)
     kept = np.flatnonzero(in_fundamental_domain(cells, n))
-    dists, flags = dist_to_Gmax_batch(cells[kept], n)
+    dists, flags = _dist_batch_in_domain(cells.real[kept], cells.imag[kept], n)
     # a row is its fields, NUL-padded to fixed widths, and separators; each
     # column's x and each row's y is formatted once and picked by index
     text = lambda strs: np.array([s.encode() for s in strs]).view(np.uint8).reshape(len(strs), -1)

@@ -751,14 +751,17 @@ def dist_to_Gmax_batch(zs: Sequence[complex], n: int):
     ``math.asinh`` of the search value, so it has the bits of one point's.
     """
     import numpy as np
-    zs = np.asarray(zs, dtype=complex)
-    xs, ys = zs.real.copy(), zs.imag.copy()
+    zs = np.array(zs, dtype=complex)
     for i in np.flatnonzero(~in_fundamental_domain(zs, n)):
-        w, _ = reduce_to_fundamental_domain(complex(zs[i]), n)
-        xs[i], ys[i] = w.real, w.imag
-    dists = np.empty(zs.size)
-    flags = np.empty(zs.size, dtype=bool)
-    for start in range(0, zs.size, _CELLS):
+        zs[i] = reduce_to_fundamental_domain(complex(zs[i]), n)[0]
+    return _dist_batch_in_domain(zs.real, zs.imag, n)
+
+
+def _dist_batch_in_domain(xs, ys, n: int):
+    """``dist_to_Gmax_batch`` of points ``xs + i ys`` of the domain."""
+    import numpy as np
+    dists, flags = np.empty(xs.size), np.empty(xs.size, dtype=bool)
+    for start in range(0, xs.size, _CELLS):
         part = slice(start, start + _CELLS)
         sinh, _, _, _, flags[part] = _nearest(xs[part], ys[part], n)
         dists[part] = list(map(math.asinh, sinh.tolist()))

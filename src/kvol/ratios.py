@@ -24,11 +24,10 @@ Three layers of exactness:
 * floating point appears only as a filter in front of exact work.
 
 One engine scans the pairs.  A single float pass (``_scan_pairs``) computes
-every pair's intersection number exactly (an integer matrix product of the
-form's coordinate rows) and its ratio in floating point, block by block.  A
-connection's float length is ``hypot`` of its holonomy floats, which the
-enumeration read from the packed digits, so the pass does no field
-arithmetic.
+every pair's intersection number exactly (a matrix product of the form's
+coordinate rows, in doubles below 2^53) and its ratio in floating point,
+block by block.  A connection's float length is ``hypot`` of its holonomy
+floats, read from the packed digits, so the pass does no field arithmetic.
 ``float(c)`` of c = sum c_i Phi^i runs Horner's rule in doubles, within
 eps(c) = (4d + 4) 2^-52 sum |c_i| Phi^i of c in degree d (the bound of the
 float filter of ``CycloReal.sign``).  A length is then off by at most the
@@ -475,7 +474,7 @@ class ConjectureReport:
 
 _NEAR_MAX = 1e-9  # relative slack below the float maximum kept for exact ranking
 _BOUND_MARGIN = 1e-6  # relative margin below a bound left to the exact check
-_BLOCK_ENTRIES = 1 << 15  # entries of a pair-scan block (rows x columns), at most
+_BLOCK_ENTRIES = 1 << 12  # entries of a pair-scan block (rows x columns), at most
 
 
 class _Scan(NamedTuple):
@@ -498,26 +497,30 @@ def _ratio_blocks(form: IntersectionForm, curves: Sequence[ClosedCurve]):
     """Yield (i0, I_block, R_block) over strictly-upper-triangular pairs.
 
     A block holds rows ``i0 <= i < i1`` and only the columns ``j >= i0``:
-    ``I_block[r, c]`` is the int64 intersection number of curves ``i0+r``
-    and ``i0+c`` and ``R_block[r, c]`` its float ratio, masked to 0 where
+    ``I_block[r, c]`` is the intersection number of curves ``i0+r`` and
+    ``i0+c`` and ``R_block[r, c]`` its float ratio, masked to 0 where
     ``c <= r``.  Every block has max(1, ``_BLOCK_ENTRIES // N``) rows (the
     last one fewer), so it holds at most max(``_BLOCK_ENTRIES``, N)
-    entries: its int64 and float64 arrays, a handful of that size, are all
-    the memory the scan takes beyond the N-row inputs.
-    """
+    entries: its arrays, a handful of that size, stay in cache and are all
+    the memory the scan takes beyond the N-row inputs.  ``I_block`` is a
+    float64 product, exact as max|W| max|C| E < 2^53 (W = C matrix, E edge
+    pairs) bounds every partial sum, else an int64 one."""
     import numpy as np
     N = len(curves)
     if N < 2:
         return
     C = form.coord_rows(curves)
     W = C @ form.matrix
+    if int(np.abs(W).max()) * int(np.abs(C).max()) * C.shape[1] < 1 << 53:
+        W, C = W.astype(np.float64), C.astype(np.float64)
     lf = np.array([_float_length(c) for c in curves])
     block = max(1, _BLOCK_ENTRIES // N)
+    low = np.tri(min(block, N), dtype=bool)  # c <= r, in a block's first columns
     for i0 in range(0, N, block):
-        i1 = min(N, i0 + block)
-        I = W[i0:i1] @ C[i0:].T
-        R = np.abs(I) / np.outer(lf[i0:i1], lf[i0:])
-        R[np.tri(i1 - i0, N - i0, dtype=bool)] = 0.0
+        k = min(N, i0 + block) - i0
+        I = W[i0:i0 + k] @ C[i0:].T
+        R = np.abs(I) / (lf[i0:i0 + k, None] * lf[i0:])
+        R[:, :k][low[:k, :k]] = 0.0
         yield i0, I, R
 
 
@@ -534,11 +537,11 @@ def _scan_pairs(
     best, crossing, near, above = 0.0, 0, [], []
     for i0, I, R in _ratio_blocks(form, curves):
         crossing += int(np.count_nonzero(R))
-        best = max(best, float(R.max()))
-        if best > 0.0:  # at 0 the threshold would take every pair
+        best = max(best, top := float(R.max()))
+        if top >= best * (1.0 - _NEAR_MAX) > 0.0:  # at best 0 it would take every pair
             for r, c in zip(*np.nonzero(R >= best * (1.0 - _NEAR_MAX))):
                 near.append((float(R[r, c]), (i0 + int(r), i0 + int(c), int(I[r, c]))))
-        if floor is not None:
+        if floor is not None and top > floor:
             for r, c in zip(*np.nonzero(R > floor)):
                 above.append((i0 + int(r), i0 + int(c), int(I[r, c])))
     thr = best * (1.0 - _NEAR_MAX)

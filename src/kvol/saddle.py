@@ -64,7 +64,7 @@ sum of two packed ints packs the digit sums and their product packs the
 product polynomial.  A node's exact translation is carried eagerly, like
 its float one, and a developed vertex is a face vertex plus it: two int
 additions each.  An exact cross sign is P = u_x v_y - u_y v_x, two big-int
-products; P = 0 is a zero at once, and otherwise the 2d - 1 digits of P are
+products; P % M = 0 is a zero (below), otherwise the 2d - 1 digits of P are
 unpacked, folded by the minimal polynomial and passed to the field's sign
 (the positive factor D^2 does not change it).  A direction filter's line is
 packed from its own common denominator, a positive scale, since only its
@@ -95,6 +95,16 @@ their differences, 2 (N + 1) c; cross products and squared norms X^2 + Y^2,
 4d ((N + 1) c)^2, so squared norms are scaled and subtracted once unpacked.
 B is 51 bits on S_8, 57 on S_16 (degree 8) and up to 75 on S_8 sheared to
 rational points, where P stays under 530 bits.
+
+Remainder test.  P = p(2^B) for the unfolded cross product p, and
+M = m(2^B) for the monic minimal polynomial m.  If p(Phi) = 0, m | p and
+M | P: P % M != 0 proves a nonzero sign.  The fold r = F p (F the fold
+matrix) has M | r(2^B) - P.  After D >= 1 pops (edges come first), digits
+are at most (D + 1) c and |r_i| <= |F| 2d ((D + 1) c)^2, |F| the largest
+absolute row sum.  While that is below 2^(B - 1), |r(2^B)| < M (checked
+on building), so M | P forces r(2^B) = 0 and r = 0.  ``_Lattice.zero_nodes``
+is the largest such D: about 1.3e6 on S_8 (|F| = 19) and 1e5 on S_16
+(|F| = 4,391).  Past it the modulus exceeds every |P|.
 
 Float margins.  Let u = 2^-53.  A face-vertex or glue-shift coordinate
 sum(c_i Phi^i) converts to a float with error eps_c <= (3d + 1) u
@@ -145,6 +155,7 @@ from .field import (
     _phi_float,
     as_field,
     common_denominator,
+    minimal_polynomial,
 )
 from .plane import Vec2, norm2, vfloat
 from .surface import TranslationSurface, direction_vector
@@ -289,7 +300,8 @@ class _Lattice:
     over its own common denominator (None without a filter), and
     ``germs[corner]`` the germ of each corner."""
 
-    __slots__ = ("n", "d", "den", "width", "_bias", "_digit", "faces", "shift", "line", "germs")
+    __slots__ = ("n", "d", "den", "width", "_bias", "_digit", "faces", "shift", "line", "germs",
+                 "modulus", "zero_nodes")
 
     def __init__(self, S: TranslationSurface, direction: Optional[Vec2] = None):
         coords = [c for verts in S.faces for p in verts for c in p]
@@ -311,6 +323,12 @@ class _Lattice:
         self.shift = {h: (pack(next(it)), pack(next(it))) for h in S.glue_shift}
         self.line = (pack(line[0]), pack(line[1])) if line else None
         self.germs = {c: Germ(cls, c) for c, (cls, _pos) in S.corner_class.items()}
+        folds = [_fold(S.n, [0] * j + [1] + [0] * d, d) for j in range(2 * d - 1)]
+        norm = max(sum(abs(col[i]) for col in folds) for i in range(d))
+        half, M = 1 << (B - 1), self.pack(minimal_polynomial(S.n))
+        D = math.isqrt((half - 1) // (norm * 2 * d * c * c)) - 1
+        self.zero_nodes = D if D >= 1 and M > self.pack([half - 1] * d) else 0
+        self.modulus = M if self.zero_nodes else self._bias  # _bias exceeds every |P|
 
     def pack(self, digits) -> int:
         """The packed int of balanced ``digits``, lowest first."""
@@ -349,10 +367,10 @@ class _Lattice:
 
 def _cross_sign(lat: _Lattice, u, v) -> int:
     """Exact sign of cross(u, v) for two lattice vectors, unpacked only when
-    the packed P = u_x v_y - u_y v_x is nonzero.  Both carry a positive scale
-    (den, or an integer for a filter line), which leaves the sign unchanged."""
+    P = u_x v_y - u_y v_x passes the remainder test.  Both carry a positive
+    scale (den, or an integer for a filter line), which keeps the sign."""
     P = u[0] * v[1] - u[1] * v[0]
-    return lat.sign(lat.digits(P, 2 * lat.d - 1)) if P else 0
+    return lat.sign(lat.digits(P, 2 * lat.d - 1)) if P % lat.modulus else 0
 
 
 # A node (face, tx, ty, entry, parent, Tx, Ty) is a face reached by a cone:
@@ -451,7 +469,7 @@ def enumerate_saddle_connections(
             ex, ey, h = bx - ax, by - ay, (f, e)
             tail = (*vfloat(S.glue_shift[h]), *lat.shift[h], glue[h])
             half[f].append((ax, ay, ex, ey, 1.0 / (ex * ex + ey * ey), *tail))
-    nodes_seen = 0
+    nodes_seen, limit = 0, min(lat.zero_nodes, _MAX_NODES)
     for f0, verts0 in enumerate(faces):
         k0 = len(verts0)
         for v0 in range(k0):
@@ -470,8 +488,10 @@ def enumerate_saddle_connections(
             while stack:
                 node, lo, hi = stack.pop()
                 nodes_seen += 1
-                if nodes_seen > _MAX_NODES:
-                    raise ComputationLimitError("saddle enumeration exceeded the node budget")
+                if nodes_seen > limit:
+                    if nodes_seen > _MAX_NODES:
+                        raise ComputationLimitError("saddle enumeration exceeded the node budget")
+                    lat.modulus, limit = lat._bias, _MAX_NODES  # past the remainder test
                 f, tx, ty, entry, _parent, Tx, Ty = node
                 lx, ly, _, _, _, lo_n = lo
                 hx, hy, _, _, _, hi_n = hi

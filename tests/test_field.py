@@ -7,6 +7,7 @@ Frozen expected values were derived before implementation:
   - sympy.minimal_polynomial(2cos(pi/n)) as an independent oracle
 """
 
+import hashlib
 import math
 import sys
 from fractions import Fraction
@@ -17,6 +18,7 @@ from hypothesis import assume, given, settings, strategies as st
 from kvol.field import (
     FLOAT_SPEC,
     CycloReal,
+    _is_prime,
     _residue_maps,
     accurate_float,
     cyclotomic_polynomial,
@@ -569,6 +571,44 @@ class TestResidueCertificate:
             assert p > 10**6 and p % (2 * n) == 1
             assert all(p % q for q in range(2, math.isqrt(p) + 1))
             assert sum(c * pow(r, i, p) for i, c in enumerate(P)) % p == 0
+
+    @pytest.mark.parametrize(
+        "n, first, last, digest",
+        [
+            (8, (1000033, 313302), (1003601, 845651), "2a91e304551d234a0dbc6cc7d7d7bf61"),
+            (12, (1000033, 126284), (1002553, 681381), "fc1e3d8f5f6bc3224b4aa9e7664571ae"),
+            (16, (1000033, 684710), (1006721, 969284), "3239313bae0679ad3fa853223a1ccb12"),
+            (40, (1000081, 373281), (1012321, 350194), "258d043efe54f9c821b91adc72267909"),
+            (64, (1000193, 957577), (1027969, 10895), "afcbe512235dde30235cd21176fcdb3d"),
+        ],
+    )
+    def test_pinned_maps(self, n, first, last, digest):
+        """The 32 (p, r) pairs are those the trial-division search found:
+        the first and last pair, and a sha256 prefix of the tuple's repr."""
+        maps = _residue_maps(n)
+        assert maps[0] == first and maps[-1] == last
+        assert hashlib.sha256(repr(maps).encode()).hexdigest()[:32] == digest
+
+    def test_miller_rabin_is_trial_division(self):
+        """``_is_prime`` agrees with trial division on every integer below
+        1e5 and on seeded ones up to 1e9, and rejects the least strong
+        pseudoprimes to the bases 2; 2, 3; ...; 2, ..., 37 below 2^64 and a
+        Carmichael number, which a Fermat test passes."""
+        import random
+
+        def trial(p):
+            return p > 1 and all(p % q for q in range(2, math.isqrt(p) + 1))
+
+        assert all(_is_prime(p) == trial(p) for p in range(100_000))
+        rng = random.Random(5)
+        for _ in range(2000):
+            p = rng.randrange(10**6, 10**9)
+            assert _is_prime(p) == trial(p)
+        pseudo = [2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+                  341550071728321, 3825123056546413051]
+        pseudo.append(211 * 421 * 631)  # a Carmichael number, no factor below 211
+        assert not any(map(_is_prime, pseudo))
+        assert _is_prime(2**61 - 1) and _is_prime(2**64 - 59) and not _is_prime(2**64 - 1)
 
     @pytest.mark.parametrize("n", [16, 40, 56, 64])
     def test_squares_map_to_squares(self, n):

@@ -112,6 +112,51 @@ def test_block_rows_need_not_divide_the_curve_count(monkeypatch):
 @pytest.mark.parametrize(
     "X, L",
     [
+        (_sheared8(), trig_value(8, "sin", 1) * 20),
+        (build_staircase(10).transform(Mat2(10, 1, Fraction(10, 47), 0, Fraction(50, 47))),
+         trig_value(10, "sin", 1) * 12),
+        (build_ngon(10), 5),
+    ],
+    ids=["sheared8-20lm", "sheared10-12lm", "ngon10-L5"],
+)
+def test_float_product_is_the_int_product(X, L):
+    """Every block's intersection numbers come from a float64 product equal
+    to the int64 one, and its ratios have the bits of the int64 block's."""
+    curves = closed_atoms(X, enumerate_saddle_connections(X, L))
+    form = intersection_form(X)
+    C = form.coord_rows(curves)
+    W = C @ form.matrix
+    lf = np.array([ratios._float_length(c) for c in curves])
+    rows = 0
+    for i0, I, R in ratios._ratio_blocks(form, curves):
+        i1 = i0 + len(I)
+        J = W[i0:i1] @ C[i0:].T
+        Q = np.abs(J) / np.outer(lf[i0:i1], lf[i0:])
+        Q[np.tri(i1 - i0, len(curves) - i0, dtype=bool)] = 0.0
+        assert I.dtype == np.float64 and J.dtype == np.int64
+        assert np.array_equal(I, J) and np.array_equal(R.view(np.int64), Q.view(np.int64))
+        rows += len(I)
+    assert rows == len(curves) and len(I) < rows
+
+
+def test_int_product_past_the_float_bound():
+    """Chains with max|W| max|C| E >= 2^53 take the int64 product: here a
+    pair's intersection number is odd and above 2^53, so no double holds it."""
+    from types import SimpleNamespace
+
+    a = (1 << 27) + 1
+    C = np.array([[a, 0], [0, a], [1, 1]], dtype=np.int64)
+    form = SimpleNamespace(coord_rows=lambda curves: C, matrix=np.array([[1, 1], [0, 1]]))
+    curve = SimpleNamespace(components=[SimpleNamespace(holonomy_float=(3.0, 4.0))])
+    ((i0, I, R),) = ratios._ratio_blocks(form, [curve] * 3)
+    assert i0 == 0 and I.dtype == np.int64
+    assert int(I[0, 1]) == a * a and float(a * a) != a * a and R[0, 1] == float(a * a) / 25
+    assert [int(x) for x in I[:, 2]] == [2 * a, a, 3]
+
+
+@pytest.mark.parametrize(
+    "X, L",
+    [
         (build_ngon(8), 2),
         (build_staircase(10), trig_value(10, "sin", 1) * 3),
     ],

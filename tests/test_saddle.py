@@ -687,6 +687,128 @@ class TestLatticeSearch:
         assert calls in (["__mul__"], ["__rmul__"])
 
 
+def _brute_points(seed):
+    """(surface, cap) of each point of the benchmark's ``brute`` workload at
+    ``seed``: S_8 sheared to the point, at a 20 l_m normalised cap."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    try:  # its dataclasses look their module up in sys.modules
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    brute = workloads.Brute(seed, 12, False)
+    brute.setup(lambda _name: contextlib.nullcontext())
+    return [(brute.S.transform(M), L) for M, L, _x in brute.jobs]
+
+
+@contextlib.contextmanager
+def _cross_signs(monkeypatch):
+    """Records, for every ``_cross_sign`` call, its sign, the sign of the
+    unpacked and folded P (0 for P = 0), whether P is nonzero, and whether
+    the call itself unpacked and folded a zero."""
+    cross_sign, sign = saddle._cross_sign, saddle._Lattice.sign
+    folds, calls = [], []
+
+    def counted(lat, p):
+        folds.append(sign(lat, p))
+        return folds[-1]
+
+    def spy(lat, u, v):
+        k = len(folds)
+        got = cross_sign(lat, u, v)
+        P = u[0] * v[1] - u[1] * v[0]
+        folded = sign(lat, lat.digits(P, 2 * lat.d - 1)) if P else 0
+        calls.append((got, folded, P != 0, 0 in folds[k:]))
+        return got
+
+    monkeypatch.setattr(saddle._Lattice, "sign", counted)
+    monkeypatch.setattr(saddle, "_cross_sign", spy)
+    try:
+        yield calls
+    finally:
+        monkeypatch.undo()
+
+
+class TestRemainderTest:
+    """A packed cross product P is a zero when m(2^B) divides it, proven while
+    the search has popped at most ``zero_nodes`` nodes (module docstring)."""
+
+    @pytest.mark.parametrize("n", [8, 10, 12, 16, 40, 64])
+    def test_node_bound_is_the_largest_proven(self, n):
+        from kvol.field import _fold, minimal_polynomial
+
+        for S in (build_ngon(n), _sheared_staircase(n) if n % 4 == 0 else build_staircase(n)):
+            lat = saddle._Lattice(S)
+            d, half = lat.d, 1 << (lat.width - 1)
+            nums = [a for verts in lat.faces for p in verts for X in p for a in lat.digits(X, d)]
+            c = max(map(abs, nums + [a for p in lat.shift.values() for X in p for a in lat.digits(X, d)]))
+            folds = [_fold(n, [0] * j + [1] + [0] * d, d) for j in range(2 * d - 1)]
+            norm = max(sum(abs(col[i]) for col in folds) for i in range(d))
+            D = lat.zero_nodes
+            assert lat.pack(minimal_polynomial(n)) > lat.pack([half - 1] * d)
+            if D:
+                assert norm * 2 * d * ((D + 1) * c) ** 2 < half <= norm * 2 * d * ((D + 2) * c) ** 2
+                assert lat.modulus == lat.pack(minimal_polynomial(n))
+            else:
+                assert norm * 2 * d * (2 * c) ** 2 >= half and lat.modulus == lat._bias
+        S8, S16 = saddle._Lattice(_sheared_staircase(8)), saddle._Lattice(build_staircase(16))
+        assert S8.zero_nodes > 1_300_000 and S16.zero_nodes > 100_000
+        assert saddle._Lattice(build_staircase(64)).zero_nodes == 0
+
+    def test_brute_workload_folds_no_zero(self, monkeypatch):
+        """On the six ``brute`` points of seed 1 every cross sign is the
+        folded one, and no zero is unpacked and folded, though about 158
+        per point have P != 0."""
+        points = _brute_points(1)
+        assert len(points) == 6
+        with _cross_signs(monkeypatch) as calls:
+            for S, L in points:
+                enumerate_saddle_connections(S, L)
+        assert all(got == folded for got, folded, _P, _z in calls)
+        assert sum(P and folded == 0 for _g, folded, P, _z in calls) >= 6 * 150
+        assert not any(zero for *_, zero in calls)
+
+    @pytest.mark.parametrize(
+        "S, L",
+        [
+            (build_staircase(12), _lm(12) * 12),
+            (build_staircase(16), _lm(16) * 8),
+            (_sheared_staircase(16), _lm(16) * 6),
+            *[(build_ngon(n), cap) for n, cap in ((8, 4), (10, 4), (12, 4), (16, 3), (20, 3))],
+        ],
+        ids=["S12", "S16", "sheared16", "ngon8", "ngon10", "ngon12", "ngon16", "ngon20"],
+    )
+    def test_agrees_with_the_fold(self, S, L, monkeypatch):
+        with _cross_signs(monkeypatch) as calls:
+            enumerate_saddle_connections(S, L)
+        assert calls and all(got == folded for got, folded, _P, _z in calls)
+        assert not any(zero for *_, zero in calls)
+
+    def test_past_the_node_bound_the_fold_decides(self, monkeypatch):
+        """With the bound cut to 20 nodes, the search after the 20th pop
+        unpacks and folds every nonzero P, zeros included, and finds the
+        same connections."""
+        S, L = _CASES["sheared8-30lm"]()
+        expected = _rows(enumerate_saddle_connections(S, L))
+        init, lats = saddle._Lattice.__init__, []
+
+        def low(self, *args):
+            init(self, *args)
+            self.zero_nodes = 20
+            lats.append(self)
+
+        monkeypatch.setattr(saddle._Lattice, "__init__", low)
+        with _cross_signs(monkeypatch) as calls:
+            assert _rows(enumerate_saddle_connections(S, L)) == expected
+        assert all(got == folded for got, folded, _P, _z in calls)
+        assert sum(zero for *_, zero in calls) > 100
+        assert lats[0].modulus == lats[0]._bias
+
+
 class TestPackedRecord:
     @pytest.mark.parametrize("case", sorted(_CASES))
     def test_float_holonomy_matches_the_field(self, case):
