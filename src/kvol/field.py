@@ -10,12 +10,16 @@ with equal denominators add numerators directly; every operation ends with
 one gcd pass.  Inverses come from fraction-free (Bareiss) elimination on the
 integer matrix of multiplication.
 
-Sign determination is exact: a floating-point filter with a rigorous forward
-error bound handles the bulk of queries, and the remainder fall through to
-interval arithmetic on the integer numerators at increasing precision
-(53 -> 113 -> 233 -> ... bits), up to the precision that the root-separation
-bound proves decides the sign.  Phi is enclosed by certified integer Newton
-steps, and mpmath is never imported.
+Every conversion of an element to a number reads one cached table per
+precision p: T_i = Phi^i 2^p rounded, i < d (``_powers``, from a certified
+integer enclosure of Phi).  The dot product S = sum a_i T_i of the
+numerators a_i is within E = sum |a_i| units of 2^p N, N = sum a_i Phi^i,
+and it climbs the rungs p = 128, 256, ... (``_rung``).  The sign is S's
+once |S| > E; ``float`` is the correctly rounded quotient S / (den 2^p) once
+|S| > 2^60 E, the double nearest a value within 2^-60 relative of the
+element.  The root-separation bound (``_separation_bits``) proves that a
+nonzero element passes both tests at a finite rung.  mpmath is never
+imported.
 """
 
 from __future__ import annotations
@@ -25,11 +29,11 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 Rational = Union[int, Fraction]
 
-_FLOAT_EPS = 2.0 ** -52
 _HASH_MODULUS = sys.hash_info.modulus
 FLOAT_SPEC = ".17g"  # 17 significant digits: round-trip safe
 
@@ -271,20 +275,6 @@ def _root_enclosure(n: int, k: int, bits: int) -> tuple[int, int, int]:
     return X - 4, X + 4, q
 
 
-def _interval_eval(num: Sequence[int], lo: int, hi: int, shift: int) -> tuple[int, int]:
-    """Exact interval Horner evaluation of the integer polynomial ``num`` at
-    Phi in [lo, hi] / 2**shift.  The bounds come back multiplied by a power of
-    two, which leaves their signs unchanged."""
-    acc_lo = acc_hi = 0
-    k = 0
-    for c in reversed(num):
-        cands = (acc_lo * lo, acc_lo * hi, acc_hi * lo, acc_hi * hi)
-        k += shift
-        acc_lo = min(cands) + (c << k)
-        acc_hi = max(cands) + (c << k)
-    return acc_lo, acc_hi
-
-
 class CycloReal:
     """An element of Q(Phi), Phi = 2*cos(pi/n), with exact arithmetic.
 
@@ -447,40 +437,10 @@ class CycloReal:
         return not any(self._num[1:])
 
     def sign(self) -> int:
-        """Exact sign: -1, 0 or +1.
-
-        The interval ladder ends at ``_separation_bits``, where a nonzero
-        element's enclosure is narrower than the root-separation lower
-        bound on its size, so it excludes 0 and the last rung decides.
-        """
-        # den > 0, so the numerator polynomial has the sign of self.  Float
-        # filter with rigorous forward error bound: float(a) is the correctly
-        # rounded coefficient (a numerator past the float range skips it).
-        phi, rel_err = _filter_constants(self.n)
-        try:
-            top = reversed(self._num)
-            val = float(next(top))
-            mag = abs(val)
-            for a in top:
-                fc = float(a)
-                val = val * phi + fc
-                mag = mag * phi + abs(fc)
-        except OverflowError:
-            val = mag = math.inf
-        if abs(val) > mag * rel_err:
-            return 1 if val > 0 else -1
-        if not mag:  # every numerator is 0
-            return 0
-        bits, top = 53, _separation_bits(self._num)
-        while True:
-            lo, hi = _interval_eval(self._num, *_root_enclosure(self.n, 1, bits))
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-            if bits == top:
-                raise ArithmeticError("sign undecided at the proven precision")
-            bits = min(2 * bits + 7, top)
+        """Exact sign: -1, 0 or +1, that of the table dot product at the
+        first rung where it exceeds its error bound (``_rung``)."""
+        S = _rung(self.n, self._num, 0)[0]
+        return (S > 0) - (S < 0)  # den > 0
 
     def __eq__(self, other):
         if isinstance(other, CycloReal):
@@ -544,11 +504,7 @@ class CycloReal:
             return self._float
         except AttributeError:
             pass
-        phi = _phi_float(self.n)
-        den = self._den
-        f = 0.0
-        for a in reversed(self._num):
-            f = f * phi + a / den
+        f = _to_float(self.n, self._num, self._den)
         _set(self, "_float", f)
         return f
 
@@ -597,13 +553,6 @@ def _phi_float(n: int) -> float:
 
 
 @lru_cache(maxsize=None)
-def _filter_constants(n: int) -> tuple[float, float]:
-    """Phi as a float, and the sign filter's relative error bound
-    (4d + 4) * eps for d coefficients."""
-    return _phi_float(n), (4 * field_degree(n) + 4) * _FLOAT_EPS
-
-
-@lru_cache(maxsize=None)
 def _cos_table(n: int) -> tuple[CycloReal, ...]:
     """cos(k*pi/n) for k = 0..n as exact field elements."""
     one = CycloReal.from_rational(n, 1)
@@ -632,34 +581,70 @@ def trig_value(n: int, kind: str, k: int) -> CycloReal:
     return _cos_table(n)[k]
 
 
+@lru_cache(maxsize=None)
+def _powers(n: int, p: int) -> tuple[int, ...]:
+    """The table T_i = Phi^i 2^p, i < d, each rounded to within 1/2 + 2^-64:
+    the nearest integer, unless Phi^i 2^p is that close to a half.
+
+    X, the midpoint of the enclosure of Phi at ``t`` >= p + d + bitlen(d) +
+    67 bits (a multiple of 64 past p, plus 3, to share enclosures), is within
+    4 units of Phi 2^t.  The powers P_(i+1) = X P_i / 2^t, each rounded, are
+    off by e_(i+1) <= Phi e_i + 4 Phi^i + 1/2 with Phi < 2, so e_i <= (4i +
+    1) 2^i < 2d 2^d, and rounding P_i from 2^-t to 2^-p adds at most 1/2 to
+    e_i 2^(p - t) < 2^-66."""
+    d = field_degree(n)
+    lo, hi, t = _root_enclosure(n, 1, -(-(p + d + d.bit_length() + 64) // 64) * 64)
+    X, P = (lo + hi) >> 1, [1 << t]
+    for _ in range(1, d):
+        P.append((P[-1] * X + (1 << (t - 1))) >> t)
+    s = t - p
+    return tuple((v + (1 << (s - 1))) >> s for v in P)
+
+
+def _rung(n: int, num: Sequence[int], margin: int) -> tuple[int, int]:
+    """(S, p): the dot product S = sum a_i T_i of the numerators a_i of
+    ``num`` with the table at the first rung p = 128, 256, ... where
+    |S| > 2^margin E, E = sum |a_i|; (0, 128) when every a_i is 0.
+
+    S is within E units of 2^p N, N = sum a_i Phi^i, so it has N's sign, and
+    S / 2^p is within 2^-margin |S| / 2^p of N.  The test depends on num only
+    up to a positive factor, so a fraction and its reduced form stop at the
+    same rung.  For margin <= 60 every rung from ``_separation_bits`` up
+    passes it, so the ladder ends."""
+    E, p, top = sum(map(abs, num)) << margin, 128, 0
+    while True:
+        S = sum(map(mul, num, _powers(n, p)))
+        if abs(S) > E or not E:
+            return S, p
+        top = top or _separation_bits(num)
+        if p >= top:
+            raise ArithmeticError("dot product undecided at the proven precision")
+        p *= 2
+
+
 def _separation_bits(num: Sequence[int]) -> int:
-    """Precision of an enclosure of Phi at which interval Horner evaluation
-    of ``N = sum a_i Phi^i`` (``num`` = a_0 .. a_(d-1), not all 0) is good to
-    2^-60 relative, so certainly excludes 0.
+    """A precision p at which the table dot product S of ``N = sum a_i
+    Phi^i`` (``num`` = a_0 .. a_(d-1), not all 0) exceeds 2^60 E.
 
     N is a nonzero algebraic integer, so the product of its d conjugates is
     a nonzero integer.  Each conjugate is at most ``A = sum |a_i| 2^i``,
-    hence ``|N| >= A^(1 - d)``.  Interval Horner over an enclosure of Phi of
-    width ``2^-p`` encloses N in width about ``d 2^-p A``, so
-    ``p = 64 + d (log2 A + 1)`` bits suffice; p is rounded up to a multiple
-    of 64 to keep few distinct precisions in the enclosure cache.
+    hence ``|N| >= A^(1 - d)``.  At ``p = 62 + d bitlen(A)``, ``|N| 2^p >
+    2^62 A >= 2^62 E``, so ``|S| >= |N| 2^p - E > 2^60 E``; a larger p only
+    raises ``|N| 2^p``.
     """
-    d = len(num)
-    bits = 64 + d * (sum(abs(a) << i for i, a in enumerate(num)).bit_length() + 1)
-    return -(-bits // 64) * 64
+    return 62 + len(num) * sum(abs(a) << i for i, a in enumerate(num)).bit_length()
 
 
-def accurate_float(x: CycloReal) -> float:
-    """``x`` as a double with relative error below about 2^-60, however far
-    its numerators cancel.  (``float(x)`` runs Horner's rule in doubles,
-    whose error is relative to the numerators, not to ``x``.)  The
-    enclosure of ``den * x`` at ``_separation_bits`` has its midpoint good
-    to 2^-60 relative; it is rounded to a double by one integer division.
-    """
-    d = len(x._num)
-    lo, hi, shift = _root_enclosure(x.n, 1, _separation_bits(x._num))
-    acc_lo, acc_hi = _interval_eval(x._num, lo, hi, shift)
-    return (acc_lo + acc_hi) / (x._den << (d * shift + 1))
+def _to_float(n: int, num: Sequence[int], den: int) -> float:
+    """``num / den`` as a double: the correctly rounded quotient
+    S / (den 2^p) of one integer division, at the first rung with
+    |S| > 2^60 E (``_rung``).  That quotient is within 2^-60 relative of
+    the element, so the double is within half an ulp plus 2^-60 relative,
+    however far the numerators cancel; it depends on ``num`` and ``den``
+    only up to a common positive factor.  Past the double range it raises
+    OverflowError."""
+    S, p = _rung(n, num, 60)
+    return S / (den << p)
 
 
 @lru_cache(maxsize=None)

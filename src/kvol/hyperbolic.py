@@ -43,17 +43,16 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .field import (
     ComputationLimitError,
     _element,
     _fold,
-    _horner,
     _phi_float,
-    _root_enclosure,
-    accurate_float,
+    _powers,
     field_degree,
 )
 from .plane import Mat2, direction_pair
@@ -190,14 +189,6 @@ def in_fundamental_domain(z, n: int, *, tol: float = 1e-9):
     return inside if inside.ndim else bool(inside)
 
 
-@lru_cache(maxsize=None)
-def _phi_fixed(n: int, p: int) -> int:
-    """``Phi 2^p`` rounded to an integer, within one unit, from the cached
-    rigorous enclosure at the next multiple of 64 bits past ``p + 64``."""
-    lo, hi, shift = _root_enclosure(n, 1, (p // 64 + 2) * 64)
-    return (((lo + hi) << p) + (1 << shift)) >> (shift + 1)
-
-
 def _man_exp(v) -> tuple[int, int]:
     """A finite double or ``mpf`` as integers ``(man, exp)``, its value
     ``man 2^exp``."""
@@ -258,7 +249,7 @@ def reduce_to_fundamental_domain(z, n: int, *, max_steps: int = 10000):
     token.  The point itself is carried in fixed point, as two integers
     ``X``, ``Y`` over ``2^p``, and the double is read off them by integer
     division, which rounds correctly.  ``phi`` is the integer ``F``,
-    ``Phi 2^p`` rounded (``_phi_fixed``).  ``TH^k`` adds ``k F`` to ``X``;
+    ``Phi 2^p`` rounded (``field._powers``).  ``TH^k`` adds ``k F`` to ``X``;
     ``TV^j`` forms ``D = j phi z + 1`` rounded to ``2^-p`` and rounds each
     coordinate of ``w = z conj(D)/|D|^2`` to ``2^-p``.
 
@@ -321,7 +312,7 @@ def reduce_to_fundamental_domain(z, n: int, *, max_steps: int = 10000):
     inner = r - _DISK_MARGIN
     while True:
         p = base + spread + max_steps.bit_length() + _GUARD_BITS
-        F, one, half = _phi_fixed(n, p), 1 << p, 1 << (p - 1)
+        F, one, half = _powers(n, p)[1], 1 << p, 1 << (p - 1)
         X, Y = _fixed(mx, ex, p), _fixed(my, ey, p)
         zc, word = complex(X / one, Y / one) if mp else z, []
         while True:
@@ -371,11 +362,11 @@ def apply_word(word: Iterable[tuple[str, int]], z, n: int):
     rounded to the caller's precision.
 
     Precision.  An entry ``e = sum e_i Phi^i`` is at most ``A(e) =
-    sum |e_i| 2^i``, as ``0 < Phi < 2``.  Evaluated exactly at
-    ``_phi_fixed(n, q)/2^q``, ``q = p + bitlen(degree)``, and rounded to
-    ``2^-p``, it is off by under ``2^(1-p) A(e)``; ``z`` is rounded to
-    ``2^-p`` in each coordinate.  With ``r = |x| + |y| + 1``, ``N = a z + b``
-    and ``D = c z + d``, formed exactly from these, are then off by under
+    sum |e_i| 2^i``, as ``0 < Phi < 2``.  Read from the field's table of
+    ``Phi^i 2^p`` (``field._powers``), it is off by under ``2^-p sum |e_i| <=
+    2^-p A(e)``; ``z`` is rounded to ``2^-p`` in each coordinate.  With
+    ``r = |x| + |y| + 1``, ``N = a z + b`` and ``D = c z + d``, formed
+    exactly from these, are then off by under
     ``5 2^-p`` times ``A(a) r + A(b)`` and ``A(c) r + A(d)``, whose product
     over ``y`` is ``B``.  The determinant is 1, so ``Im w = y/|D|^2``: to
     first order ``w`` moves by ``(|dN| |D| + |N| |dD|)/y`` in hyperbolic
@@ -400,10 +391,8 @@ def apply_word(word: Iterable[tuple[str, int]], z, n: int):
     base, entries = (mp.mp.prec + 60 if mp else _FIRST_BASE), (M.a, M.b, M.c, M.d)
     while True:
         p = base + _GUARD_BITS + 2 + top - ty
-        q = p + field_degree(n).bit_length()
-        F = _phi_fixed(n, q)
-        # an entry at F/2^q, an integer over 2^(q len), rounded to 2^-p
-        a, b, c, d = (_fixed(_horner(e._num, F, q), -q * len(e._num), p) for e in entries)
+        T = _powers(n, p)
+        a, b, c, d = (sum(map(mul, e._num, T)) for e in entries)  # entries over 2^p
         X, Y = _fixed(mx, ex, p), _fixed(my, ey, p)
         # N and D over 2^(2p), and w = N conj(D)/|D|^2
         Nx, Ny, Dx, Dy = a * X + (b << p), a * Y, c * X + (d << p), c * Y
@@ -795,11 +784,11 @@ def _witness_geodesic(ends, undo, n: int) -> Geodesic:
     (P1, Q1), (P2, Q2) = [[_element(n, v, 1) for v in pq] for pq in _step_pairs(starts, undo, n)]
     if Q1.is_zero() or Q2.is_zero():
         P, Q = (P2, Q2) if Q1.is_zero() else (P1, Q1)
-        return Geodesic.vertical(accurate_float(P * Q.inverse()))
+        return Geodesic.vertical(float(P * Q.inverse()))
     # from the exact center and half-width: rounding the ends first can merge
     # them into one double far from the strip
     p, q, inv = P1 * Q2, P2 * Q1, (2 * Q1 * Q2).inverse()
-    return Geodesic.circle(accurate_float((p + q) * inv), accurate_float(abs((q - p) * inv)))
+    return Geodesic.circle(float((p + q) * inv), float(abs((q - p) * inv)))
 
 
 @dataclass

@@ -28,19 +28,18 @@ every pair's intersection number exactly (a matrix product of the form's
 coordinate rows, in doubles below 2^53) and its ratio in floating point,
 block by block.  A connection's float length is ``hypot`` of its holonomy
 floats, read from the packed digits, so the pass does no field arithmetic.
-``float(c)`` of c = sum c_i Phi^i runs Horner's rule in doubles, within
-eps(c) = (4d + 4) 2^-52 sum |c_i| Phi^i of c in degree d (the bound of the
-float filter of ``CycloReal.sign``).  A length is then off by at most the
-relative
+``float(c)`` of c = sum c_i Phi^i is the double nearest a value within
+2^-60 |c| of c (``field._to_float``), so within (2^-53 + 2^-60) |c|,
+however far the c_i cancel.  A length, ``hypot`` of the holonomy floats
+(under one ulp, 2^-52, of its own error), is then off by at most the relative
 
-    eta = (eps(x) + eps(y)) / |hol| + 2^-52,
+    eta = sqrt(2) (2^-53 + 2^-60) + 2^-52 < 4e-16,
 
 and a ratio of two curves of at most two components by at most
-2 eta + 2^-50, with eta the largest over the scanned connections.  The root
-of the float squared length, sqrt(float(|hol|^2)), is off by at most
-eps(|hol|^2) / (2 |hol|^2) + 2^-52.  Both are below 1e-13 on sheared S_8 at
-20 l_m and below 2e-12 on the n-gons up to n = 24 at L = 3.  Each use of the
-float ratio keeps a margin far above that error:
+2 eta + 2^-50 < 2e-15, on every surface and for every n.  The root of the
+float squared length, sqrt(float(|hol|^2)), is off by at most
+(2^-53 + 2^-60) / 2 + 2^-52 < 3e-16.  Each use of the float ratio keeps a
+margin far above that error:
 
 * near-maximum slack 1e-9 (``_NEAR_MAX``): every pair within this fraction of
   the float maximum goes on to one exact tournament in the radical field
@@ -791,7 +790,7 @@ def _certify_bound(
     float operations of a scan with those lengths, over the near-maximum
     pairs only; it is that scan's maximum to the bit, because that scan's
     argmax is a near-maximum pair.  With relative ratio errors d for these
-    lengths and d' for the scan's (module docstring: both below 4e-12), the
+    lengths and d' for the scan's (module docstring: both below 2e-15), the
     argmax's scan ratio is at least the scan's maximum times
     (1 - d)(1 - d') / ((1 + d)(1 + d')) >= 1 - 2 (d + d'), far inside the
     1e-9 window.

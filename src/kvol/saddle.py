@@ -107,24 +107,23 @@ is the largest such D: about 1.3e6 on S_8 (|F| = 19) and 1e5 on S_16
 (|F| = 4,391).  Past it the modulus exceeds every |P|.
 
 Float margins.  Let u = 2^-53.  A face-vertex or glue-shift coordinate
-sum(c_i Phi^i) converts to a float with error eps_c <= (3d + 1) u
-sum(|c_i| Phi^i) (Horner in degree d, with a rounded Phi): at most 9e-15 on
-S_8 to S_12, sheared or not, and 5e-13 on S_16.  The float position of a
+c = sum(c_i Phi^i) converts to the double nearest a value within 2^-60 |c|
+of it (``field._to_float``), so with an error eps_c <= (u + 2^-60) |c|,
+whatever n and however far its numerators cancel.  The float position of a
 vertex developed across D glued edges is a float sum of D + 2 such
 coordinates, so each of its coordinates is off by at most
 
-    delta <= (D + 2) (eps_c + u R),
+    delta <= (D + 2) (eps_c + u R) <= 2.01 (D + 2) u R,
 
 R bounding |x| + |y| along the way: the error grows linearly with depth.
-At S_8 and 90 l_m the search reaches D = 69 with R < 54, so delta <= 9.4e-13
+At S_8 and 90 l_m the search reaches D = 69 with R < 54, so delta <= 8.6e-13
 (the largest error measured there is 3.6e-14).
 
 * ``_SIGN_MARGIN`` = 1e-9, relative.  The float sign of c = cross(a, b) is
   used when |c| > 1e-9 (|a|_1 |b|_1 + 1).  For developed vertices the error
   of c is at most 4 R delta + 2 u |a|_1 |b|_1, so the margin covers it
-  while 4 R delta <= 1e-9.  That bound is 2e-10 at S_8 and 90 l_m, 3e-11 at
-  sheared S_8 and 30 l_m, 9e-11 at the 16-gon and L = 3 and 7e-10 at S_16
-  and 30 l_m; on S_8 it stays below 1e-9 up to about 170 l_m.  The same
+  while 4 R delta <= 8.04 (D + 2) u R^2 <= 1e-9, that is while
+  (D + 2) R^2 < 1.1e6, for every n: 2.1e5 at S_8 and 90 l_m.  The same
   margin, on the same kind of scale, decides the length cut (|W|^2 against
   L^2), the orientation and the half-plane filter (y against |x| + |y| + 1),
   and cuts the final order into runs by float lengths, the floats of the
@@ -152,7 +151,7 @@ from .field import (
     CycloReal,
     _element,
     _fold,
-    _phi_float,
+    _to_float,
     as_field,
     common_denominator,
     minimal_polynomial,
@@ -301,7 +300,7 @@ class _Lattice:
     ``germs[corner]`` the germ of each corner."""
 
     __slots__ = ("n", "d", "den", "width", "_bias", "_digit", "faces", "shift", "line", "germs",
-                 "modulus", "zero_nodes")
+                 "modulus", "zero_nodes", "_floats")
 
     def __init__(self, S: TranslationSurface, direction: Optional[Vec2] = None):
         coords = [c for verts in S.faces for p in verts for c in p]
@@ -313,10 +312,12 @@ class _Lattice:
         c = max(abs(a) for num in nums + line for a in num)
         self.width = (2 * d * ((_MAX_NODES + 1) * c) ** 2).bit_length() + 1
         # adding 2^(width - 1) to each digit makes every digit nonnegative;
-        # _digit: that half, the digit mask, and the digit shifts, highest first
+        # _digit: that half and the digit mask; _floats: ``floats`` of each
+        # coordinate converted so far, as many connections share one
         B = self.width
         self._bias = self.pack([1 << (B - 1)] * (2 * d - 1))
-        self._digit = (1 << (B - 1), (1 << B) - 1, range(B * (d - 1), -1, -B))
+        self._digit = (1 << (B - 1), (1 << B) - 1)
+        self._floats = {}
         it = iter(nums)
         pack = self.pack
         self.faces = [[(pack(next(it)), pack(next(it))) for _p in verts] for verts in S.faces]
@@ -337,7 +338,7 @@ class _Lattice:
 
     def digits(self, X: int, k: int) -> list[int]:
         """The k lowest balanced digits of the packed int ``X``."""
-        B, (half, mask, _) = self.width, self._digit
+        B, (half, mask) = self.width, self._digit
         X += self._bias
         return [((X >> (B * i)) & mask) - half for i in range(k)]
 
@@ -352,17 +353,19 @@ class _Lattice:
         return (_element(n, self.digits(u[0], d), den), _element(n, self.digits(u[1], d), den))
 
     def floats(self, u) -> tuple[float, float]:
-        """``vfloat`` of the field vector of ``u``, to the bit: the Horner
-        steps of ``CycloReal.__float__``, with each digit over the unreduced
-        ``den``.  An int quotient is correctly rounded, so a / den is the
-        double of the reduced fraction."""
-        phi, den, (half, mask, shifts) = _phi_float(self.n), self.den, self._digit
-        X, Y = u[0] + self._bias, u[1] + self._bias
-        x = y = 0.0
-        for s in shifts:
-            x = x * phi + (((X >> s) & mask) - half) / den
-            y = y * phi + (((Y >> s) & mask) - half) / den
-        return (x, y)
+        """``vfloat`` of the field vector of ``u``, to the bit: the field's
+        one conversion of each coordinate's digits over the unreduced
+        ``den``, which stops at the rung and quotient of the reduced
+        fraction (``field._to_float``), made once per coordinate and
+        lattice."""
+        memo = self._floats
+        out = []
+        for v in u:
+            f = memo.get(v)
+            if f is None:
+                f = memo[v] = _to_float(self.n, self.digits(v, self.d), self.den)
+            out.append(f)
+        return tuple(out)
 
 
 def _cross_sign(lat: _Lattice, u, v) -> int:
@@ -596,9 +599,11 @@ def _sorted(found: list[SaddleConnection]) -> list[SaddleConnection]:
     input order in both sorts: this is a full ``cmp_to_key(_order)`` sort.
 
     ``_order`` takes x, then y, from the same floats when they differ by
-    more than m (|a| + |b| + 1): each is its exact digits summed by Horner's
-    rule, within the bound delta of a developed float (module docstring),
-    far below m / 2, so floats that far apart order the exact coordinates.
+    more than m (|a| + |b| + 1): each is the field's conversion of its
+    exact digits, within (u + 2^-60) |a| of the coordinate a (module
+    docstring), far below m / 2, so floats that far apart order the exact
+    coordinates.  The same bound puts the float length within 4.1 u f of
+    the exact one, far inside (m / 2) (f + 1).
     """
     keyed = []
     for sc in found:

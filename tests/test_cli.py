@@ -121,6 +121,25 @@ class TestKvolPointCommand:
         assert abs(d["x"] - math.cos(math.pi / 8)) < 1e-12
         assert abs(d["y"] - math.sin(math.pi / 8)) < 1e-12
 
+    def test_ngon_point_at_n64(self, capsys):
+        # the point is (float(Phi/2), float(sin(pi/64))), each the double
+        # nearest its exact value, and K0 the double nearest K0
+        code, out, _ = run(capsys, "kvol-point", "--n", "64", "--at-ngon")
+        assert code == EXIT_OK
+        d = json.loads(out)
+        assert d["y"] == 0.049067674327418015 == math.sin(math.pi / 64)
+        assert d["params"]["K0"] == 3322.7604978552126
+
+    def test_bruteforce_at_n16_far_shear_stays_below_k0(self, capsys):
+        # brute force at x = 29 once printed 52.58420, above K0 = 52.54828
+        code, out, _ = run(
+            capsys, "kvol-point", "--n", "16", "--x", "29", "--y", "2/47", "--bruteforce", "--L", "6"
+        )
+        assert code == EXIT_OK
+        d = json.loads(out)
+        assert d["bruteforce"]["value"] <= d["params"]["K0"]
+        assert abs(d["rel_gap"]) <= 1e-15
+
     def test_twisted_model_unsupported(self, capsys):
         code, _, err = run(capsys, "kvol-point", "--n", "10", "--x", "0", "--y", "1")
         assert code == EXIT_UNSUPPORTED
@@ -260,6 +279,25 @@ class TestKvolGridCommand:
         code, _, err = run(capsys, "kvol-grid", "--n", "8", "--resolution", "2001")
         assert code == EXIT_CONFIG
         assert "resolution" in err
+
+    def test_ngon_point_at_n64(self, capsys):
+        # the point is (float(Phi/2), float(sin(pi/64))), each the double
+        # nearest its exact value, and K0 the double nearest K0
+        code, out, _ = run(capsys, "kvol-point", "--n", "64", "--at-ngon")
+        assert code == EXIT_OK
+        d = json.loads(out)
+        assert d["y"] == 0.049067674327418015 == math.sin(math.pi / 64)
+        assert d["params"]["K0"] == 3322.7604978552126
+
+    def test_bruteforce_at_n16_far_shear_stays_below_k0(self, capsys):
+        # brute force at x = 29 once printed 52.58420, above K0 = 52.54828
+        code, out, _ = run(
+            capsys, "kvol-point", "--n", "16", "--x", "29", "--y", "2/47", "--bruteforce", "--L", "6"
+        )
+        assert code == EXIT_OK
+        d = json.loads(out)
+        assert d["bruteforce"]["value"] <= d["params"]["K0"]
+        assert abs(d["rel_gap"]) <= 1e-15
 
     def test_twisted_model_unsupported(self, capsys):
         code, _, _ = run(capsys, "kvol-grid", "--n", "10", "--resolution", "10")
@@ -571,11 +609,11 @@ class TestComputationLimits:
     [
         (
             ("kvol-point", "--n", "8", "--x", "1/5", "--y", "7/10", "--bruteforce", "--L", "8"),
-            "d4dc311781a0acfc122093c048de44bb47f1cf24eb4a9e6c838a17510c85ae6d",
+            "b086a8dd490b55900efafd2de88dbb2e6700dab085deb7b995bf7b691284ee6e",
         ),
         (
             ("kvol-point", "--n", "8", "--x", "1/7", "--y", "2/5", "--bruteforce", "--L", "6"),
-            "5983c57c59b73743add2885b4df85ada7c4f7fdce6e3d062deef7b70d7f1a598",
+            "316a13f4c27b2b084064234e7778f8f80fe5c70d5d856b68993d0d09baf7fbb9",
         ),
         (
             ("verify", "--suite", "thm12", "--n", "8"),
@@ -587,11 +625,11 @@ class TestComputationLimits:
         ),
         (
             ("verify", "--suite", "parallel", "--n", "8"),
-            "095e9d4648c28339ea27020002cba5bfd85e985f400f92629d6c2914067445da",
+            "0e53e945db1703c35671a2dbfe2ef2ece782836d6923c000839b635b62d7a2b6",
         ),
         (
             ("kvol-bound", "--n", "10"),
-            "5ccc5f2bbe989f14155a3daf819c721630c803272eb21c2503ce2987e6d2f1c5",
+            "9e51aeec5650f05be65d4e0691925a7bedcfac9ba2c04e4761e840bcff34af73",
         ),
         (
             ("surface", "--n", "12", "--model", "staircase"),

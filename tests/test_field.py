@@ -19,8 +19,8 @@ from kvol.field import (
     FLOAT_SPEC,
     CycloReal,
     _is_prime,
+    _phi_float,
     _residue_maps,
-    accurate_float,
     cyclotomic_polynomial,
     field_degree,
     minimal_polynomial,
@@ -229,6 +229,21 @@ class TestTrig:
             assert trig_value(n, "cos", 1) * 2 == CycloReal.phi(n)
 
 
+def _mp_value(n, coeffs):
+    """sum c_i Phi^i at the caller's mpmath precision, from the exact
+    coefficients."""
+    import mpmath
+
+    phi = 2 * mpmath.cos(mpmath.pi / n)
+    return mpmath.polyval([mpmath.mpf(c.numerator) / c.denominator for c in reversed(coeffs)], phi)
+
+
+def _within_contract(f, exact):
+    """``f`` is the double nearest a value within 2^-60 relative of
+    ``exact``: off by at most half an ulp of ``f`` plus 2^-60 |exact|."""
+    return abs(f - exact) <= math.ulp(f) / 2 + abs(exact) * 2.0**-60
+
+
 class TestAccurateFloat:
     @pytest.mark.parametrize("n", [8, 12, 16])
     def test_cancelling_numerators(self, n):
@@ -243,11 +258,37 @@ class TestAccurateFloat:
                 base = phi * q - int(mpmath.nint(q * phi_mp))
                 for x in (base, -base, base ** 3):
                     exact = mpmath.polyval(list(reversed(x.coeffs)), phi_mp)
-                    assert abs(accurate_float(x) / exact - 1) <= 2.0 ** -52
-                    if x is not base and q == 10**15:
-                        assert abs(float(x) / exact - 1) > 1e-3
-        assert accurate_float(C(n, 0)) == 0.0
-        assert accurate_float(C(n, Fraction(-3, 7))) == -3 / 7
+                    assert abs(float(x) / exact - 1) <= 2.0 ** -52
+                    assert _within_contract(float(x), exact)
+        assert float(C(n, 0)) == 0.0
+        assert float(C(n, Fraction(-3, 7))) == -3 / 7
+
+    @pytest.mark.parametrize("n", range(8, 65, 2))
+    def test_phi_is_libm_seed(self, n):
+        assert _phi_float(n) == float(CycloReal.phi(n))
+
+    @pytest.mark.parametrize("n", range(8, 65, 8))
+    def test_against_a_200_bit_judge(self, n):
+        """Seeded elements, generic and cancelling (an element minus a
+        rational near it, and a short integer combination near 0), each
+        converted within the contract of a 200-bit value."""
+        import random
+
+        import mpmath
+
+        rng = random.Random(n)
+        d = field_degree(n)
+        phi = CycloReal.phi(n)
+        with mpmath.workprec(200):
+            for _ in range(40):
+                cs = [Fraction(rng.randint(-(10**12), 10**12), rng.randint(1, 10**6)) for _ in range(d)]
+                x = CycloReal(n, cs)
+                near = Fraction(round(float(x) * 2**40), 2**40)
+                q = rng.randint(10**8, 10**10)
+                for y in (x, x - near, phi * q - round(q * float(phi)), -x * x):
+                    f = float(y)
+                    assert _within_contract(f, _mp_value(n, y.coeffs)), (n, y)
+                    assert float(-y) == -f
 
 
 class TestSerialization:
@@ -357,10 +398,12 @@ class Ref:
         return Ref(self.n, [row[d] for row in rows])
 
     def float(self):
-        phi, f = 2 * math.cos(math.pi / self.n), 0.0
-        for c in reversed(self.cs):
-            f = f * phi + float(c)
-        return f
+        """The value at 4,000 bits, which ``float`` must round to within
+        half an ulp plus 2^-60 relative (``_within_contract``)."""
+        import mpmath
+
+        with mpmath.workprec(4000):
+            return _mp_value(self.n, self.cs)
 
     def sign(self):
         import mpmath
@@ -378,7 +421,7 @@ def _same(x: CycloReal, r: Ref) -> None:
     assert x.coeffs == r.cs
     assert x._den > 0 and math.gcd(x._den, *x._num) == 1
     assert hash(x) == hash((r.n, r.cs))
-    assert float(x) == r.float()
+    assert _within_contract(float(x), r.float())
     assert x.sign() == r.sign()
     assert CycloReal.from_dict(x.to_dict()) == x
 
@@ -414,20 +457,26 @@ class TestIntegerLayout:
     def test_near_zero_signs_reach_the_ladder(self, monkeypatch):
         import random
 
+        import mpmath
+        from mpmath.libmp import to_rational
+
         from kvol import field
 
-        ladder = []
-        evaluate = field._interval_eval
-        monkeypatch.setattr(field, "_interval_eval", lambda *a: ladder.append(1) or evaluate(*a))
+        ladder = []  # table rungs past the first
+        powers = field._powers
+        monkeypatch.setattr(field, "_powers", lambda n, p: p > 128 and ladder.append(p) or powers(n, p))
         rng = random.Random(5)
         for n in LAYOUT_NS:
             d = field_degree(n)
             for _ in range(20):
                 cs = [Fraction(rng.randint(-(10**40), 10**40), rng.randint(1, 10**20)) for _ in range(d)]
                 x = CycloReal(n, cs)
-                # x minus its own double: nonzero, far below the filter's margin
-                tiny = x - Fraction(float(x))
-                ref = Ref(n, cs) - Ref(n, [Fraction(float(x))])
+                # x minus a 200-bit rational near it: nonzero, far below the
+                # first rung's error bound
+                with mpmath.workprec(200):
+                    near = Fraction(*to_rational((+Ref(n, cs).float())._mpf_))
+                tiny = x - near
+                ref = Ref(n, cs) - Ref(n, [near])
                 assert tiny.coeffs == ref.cs
                 assert tiny.sign() == ref.sign() != 0
                 assert (tiny - tiny).sign() == 0

@@ -555,11 +555,12 @@ def _near_axis_points(n):
 
 
 def _count_passes(monkeypatch):
-    """Each reduction pass asks for Phi in fixed point once: record the
-    precision of every request."""
+    """Each reduction or ``apply_word`` pass asks for the field's table of
+    Phi's powers in fixed point once: record the precision of every
+    request."""
     requests = []
-    phi_fixed = hyperbolic._phi_fixed
-    monkeypatch.setattr(hyperbolic, "_phi_fixed", lambda n, p: requests.append(p) or phi_fixed(n, p))
+    powers = hyperbolic._powers
+    monkeypatch.setattr(hyperbolic, "_powers", lambda n, p: requests.append(p) or powers(n, p))
     return requests
 
 

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from kvol import ratios, saddle
-from kvol.field import CycloReal, _phi_float, accurate_float, field_degree, trig_value
+from kvol.field import CycloReal, trig_value
 from kvol.intersect import intersection_form
 from kvol.plane import Mat2, norm2, vfloat
 from kvol.ratios import (
@@ -221,12 +221,13 @@ def test_scan_does_no_field_arithmetic(monkeypatch):
 
 # SHA-256 of kvol_bruteforce(...).to_dict() as JSON with sorted keys, at the
 # _BRUTE_POINTS, as computed when enumeration built every field holonomy and
-# the pair scan formed full N x N blocks
+# the pair scan formed full N x N blocks; the float fields re-pinned when
+# ``float`` became the correctly rounded table conversion, the rest unchanged
 _PINNED_BRUTE = [
-    "0520ec799023ae862a15618cdaa5ef88198ab67cac7e425d0b9e6762c128af7c",
-    "4b03ffb8f43183ad635e73d592a1b2bfdd89fefda8bb2957dc4edd8dab45f500",
-    "e2426b6ab8cb52f17f7e0b4a43733d1294d3a68fc6971586a405e5c47b025e47",
-    "4e197b5643a594cb43e359c539afcbe20ca725ae6fb0e9c1aaa85a2280a01c67",
+    "537f8fdc0ea8a67b89d72f6f7bec553b4fcba5f1c51e60cfab5115444504b6f9",
+    "c8c843c2447b5407e2e5e00831e2989e8185f2e259948a89ce864f3249c8b1f0",
+    "1a1bad72c8e3022dea1443cdd17ea06f2790508b5ab2b5c895ce8a4d7e564ea6",
+    "1e8411fc82c90f9207dc7276fcc610e40bbfdf6db9ed5e5162caa040940ac709",
 ]
 
 
@@ -241,13 +242,13 @@ def test_pinned_brute_reports(point, digest):
 _PINNED_SCANS = {
     "ngon10-L3-floor0.3": (
         lambda: (build_ngon(10), 3, 0.3),
-        (310, "0x1.0000000000002p-1", 35115, 5, 85),
-        "d50c884fa95618503cde4617b92d27695c1c301707041b1d8467469a0a7c24bb",
+        (310, "0x1.0000000000000p-1", 35115, 5, 85),
+        "a5e7f9b876b6b64dfc9d21d9f418f77c2f2ea63cbf22ab59b59c4c0dc294218e",
     ),
     "sheared8-20lm": (
         lambda: (_sheared8(), trig_value(8, "sin", 1) * 20, None),
-        (419, "0x1.2f88f2a5a7c4ep+2", 83862, 1, 0),
-        "8b6b5d3b5a63970f2f553b54fd30588e0f12e7693e8cee21e64395ae76351abc",
+        (419, "0x1.2f88f2a5a7c4dp+2", 83862, 1, 0),
+        "922a188b4476f4fbff16887e3201c31ace8812abe65b8001f71059a00184b00a",
     ),
 }
 
@@ -289,26 +290,38 @@ def test_field_holonomies_built_for_near_maximum_curves_only(monkeypatch):
     assert calls["vector"] == search + len(near)
 
 
+def _judge(c: CycloReal):
+    """c at 200 bits, from its exact coefficients."""
+    import mpmath
+
+    with mpmath.workprec(200):
+        phi = 2 * mpmath.cos(mpmath.pi / c.n)
+        return mpmath.polyval([mpmath.mpf(a.numerator) / a.denominator for a in reversed(c.coeffs)], phi)
+
+
 def _conversion_error(c: CycloReal) -> float:
-    """The bound on |float(c) - c| that the ratios docstring states."""
-    phi, d = _phi_float(c.n), field_degree(c.n)
-    return (4 * d + 4) * 2.0**-52 * sum(abs(a / c._den) * phi**i for i, a in enumerate(c._num))
+    """The bound on |float(c) - c| that the ratios docstring states: half
+    an ulp plus 2^-60, relative."""
+    return (2.0**-53 + 2.0**-60) * abs(float(_judge(c)))
 
 
 def _length_errors(scs):
     """The largest stated relative length errors (hypot of the holonomy
     floats, and the root of the float squared length) over the connections,
-    each checked against a reference length."""
+    each checked against a 200-bit length."""
+    import mpmath
+
     eta_hypot = eta_norm = 0.0
     for sc in scs:
         x, y = sc.holonomy
         n2 = norm2(sc.holonomy)
-        ref = math.sqrt(accurate_float(n2))
-        e_hypot = (_conversion_error(x) + _conversion_error(y)) / ref + 2.0**-52
-        e_norm = _conversion_error(n2) / (2 * accurate_float(n2)) + 2.0**-52
-        # the reference itself is off by up to 2^-52
-        assert abs(math.hypot(*vfloat(sc.holonomy)) - ref) <= (e_hypot + 2.0**-52) * ref
-        assert abs(math.sqrt(float(n2)) - ref) <= (e_norm + 2.0**-52) * ref
+        with mpmath.workprec(200):
+            ref = mpmath.sqrt(_judge(n2))
+        fref = float(ref)
+        e_hypot = (_conversion_error(x) + _conversion_error(y)) / fref + 2.0**-52
+        e_norm = _conversion_error(n2) / (2 * fref * fref) + 2.0**-52
+        assert abs(math.hypot(*vfloat(sc.holonomy)) - ref) <= e_hypot * fref
+        assert abs(math.sqrt(float(n2)) - ref) <= e_norm * fref
         eta_hypot, eta_norm = max(eta_hypot, e_hypot), max(eta_norm, e_norm)
     return eta_hypot, eta_norm
 
@@ -319,14 +332,9 @@ def _length_errors(scs):
     + [pytest.param(n, id=f"ngon{n}") for n in (8, 10, 12, 16, 20, 24)],
 )
 def test_float_length_error_is_far_below_the_margins(family):
-    if isinstance(family, int):
-        S, L = build_ngon(family), 3
-        stated = 2e-12
-    else:
-        S, L = _brute_point(*family)
-        stated = 1e-13
+    S, L = (build_ngon(family), 3) if isinstance(family, int) else _brute_point(*family)
     eta_hypot, eta_norm = _length_errors(enumerate_saddle_connections(S, L))
-    assert eta_hypot < stated and eta_norm < stated
+    assert eta_hypot < 4e-16 and eta_norm < 4e-16
     # ratio errors: the near-maximum window holds every pair within both
     # scans' errors of the maximum, and the bound margin dwarfs them
     d_hypot, d_norm = 2 * eta_hypot + 2.0**-50, 2 * eta_norm + 2.0**-50
@@ -335,13 +343,15 @@ def test_float_length_error_is_far_below_the_margins(family):
 
 
 # SHA-256 of BoundReport.to_dict() as JSON with sorted keys, as computed when
-# the pair scan took every length from the float of its exact square
+# the pair scan took every length from the float of its exact square; the
+# float fields re-pinned when ``float`` became the correctly rounded table
+# conversion, the rest unchanged
 _PINNED_BOUNDS = {
     "ngon8": "0b3a30a273638852003b11a81e2fc20bfdf12516055cd942333fa8818ee0d716",
     "ngon10": "7ad011306f46dad943732528b1624c8dc0aee4a6f80d5175900910217215be4e",
     "ngon12": "488bedbd5d64a4a4c335a0b5f2511f2c6b0f8a33a245010162c35486d599a594",
-    "stair10": "db70053b7e306612bdd80597b5f31f451b493a1d00f8aa0af25885050a831c30",
-    "sheared10": "84b1f360bb36d3dc8152fc67b450d99a779df5b284b1e38005719823a47b50ef",
+    "stair10": "d8ea5134c29abd8fac17b04dffbf4fb050d8f7f472d44dd9cf290e68523f7c93",
+    "sheared10": "eef7faa19d46c20c23eef9aff4e319a7b429c234c62b71ed400a5b55765f182b",
 }
 
 
