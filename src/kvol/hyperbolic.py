@@ -24,7 +24,8 @@ Points, distances and the orbit search of ``dist_to_Gmax`` are double
 precision, with one search per query and one budget (``_offsets``).  One
 point (``nearest_witness``) is searched in Python floats by
 ``_nearest_point`` unless its row has over ``_ROW_OFFSETS`` offsets, batches
-in numpy blocks, with the same double operations in the same order and one
+in numpy passes, offset by offset over the rows still live, with the same
+double operations in the same order, the same tie order and one
 ``math.asinh``, so their distances are identical to the bit.
 numpy is imported only where arrays are built, and mpmath never (an ``mpc``
 argument is handled with its caller's mpmath).  Reduction to the fundamental
@@ -449,12 +450,12 @@ def word_matrix(word: Iterable[tuple[str, int]], n: int) -> Mat2:
 
 # past this frame height a search row keeps the nearest vertical, unconverged
 _MAX_HEIGHT = 1e6
-# entries per vectorized block of the index search
+# (row, offset) entries of a pass of the index search, and a tie segment
 _BLOCK = 1 << 15
 # one point whose search row has at most this many offsets is searched in
-# Python floats.  Measured crossover on a 2-CPU x86-64 host (Python 3.11.7,
-# numpy 2.4): one row costs the same both ways at about 48 offsets (the loop
-# takes about 28 us plus 3 us per offset, one numpy block about 160 us)
+# Python floats.  Measured on a 2-CPU x86-64 host (Python 3.11.7, numpy 2.4):
+# the loop takes about 1.5 us plus 0.7 us per offset, the array search of
+# one row about 70 us, so the two cost the same at about 96 offsets
 _ROW_OFFSETS = 32
 
 
@@ -465,25 +466,6 @@ def _offsets(v, floor=math.floor, least=min):
     return (v <= _MAX_HEIGHT) * (floor(least(v, _MAX_HEIGHT)) + 2)
 
 
-def _offset_blocks(count):
-    """Blocks ``(rows, k)`` that together cover every offset index
-    ``k < count[row]``, each about ``_BLOCK`` entries large."""
-    import numpy as np
-    order = np.argsort(count, kind="stable")
-    c = count[order]
-    start = 0
-    while start < c.size:
-        # (rows taken) * (largest count among them), nondecreasing in rows
-        span = np.arange(1, c.size - start + 1) * c[start:]
-        end = start + max(1, int(np.searchsorted(span, _BLOCK, side="right")))
-        rows = order[start:end]
-        top = int(c[end - 1])
-        step = max(1, _BLOCK // rows.size)
-        for k0 in range(0, top, step):
-            yield rows, np.arange(k0, min(top, k0 + step))[None, :]
-        start = end
-
-
 def _lattice_search(u, v):
     """The geodesic joining two points of ``Z u {inf}`` nearest ``u + iv``.
 
@@ -491,15 +473,18 @@ def _lattice_search(u, v):
     endpoints ``a`` and ``b`` (``b = inf`` for the vertical ``Re w = a``)
     and whether the search reached its bound, ``v <= _MAX_HEIGHT``.
 
-    Row ``i`` tries ``_offsets(v_i)`` offsets, which ``_offset_blocks``
-    batches into numpy blocks laid out (row, candidate, offset): a row's
-    values flatten, with no copy, into the tie order below, and only each
-    improving row's winner gets its ends.  ``_search_row`` searches one row
-    in Python floats with the same double operations in the same order, the
-    same masks and the same tie order (candidate-major, then by offset, the
-    first minimum winning, and it replaces the vertical only when strictly
-    smaller), so on a row of at most ``_ROW_OFFSETS`` offsets, which the
-    block code searches as one block, the two agree to the bit.
+    Row ``i`` tries ``_offsets(v_i)`` offsets, offset by offset: a pass
+    takes offsets ``k0 <= k < k0 + w`` over the rows of more than ``k0``,
+    in arrays laid out (offset, row), or (row, offset) where ``w`` is the
+    longer.  ``w`` covers the live row of fewest offsets, or more while the
+    pass holds under ``_BLOCK/16`` entries, but never over ``_BLOCK``
+    entries or across a multiple of ``_BLOCK``.  Each row keeps its winner.
+    Tie order: within a segment of ``_BLOCK`` offsets the first least value
+    in candidate-major, then offset order wins; across segments, as against
+    the vertical, only a strictly smaller value replaces.  ``_search_row``
+    searches one row in Python floats with the same double operations in
+    the same order, the same masks and tie order, so on a row of at most
+    ``_ROW_OFFSETS`` offsets the two agree to the bit.
 
     The search is exhaustive.  The vertical at ``a`` has
     ``sinh dist = |u - a|/v``, least at the nearest integer.  With offsets
@@ -530,30 +515,50 @@ def _lattice_search(u, v):
     b = np.full(u.shape, np.inf)
     fl = np.floor(u)
     f = u - fl
-    count = _offsets(v, np.floor, np.minimum).astype(np.int64)
-    for rows, k in _offset_blocks(count):
-        # axes (row, side, candidate, k), the left side first
-        ff, vv = f[rows, None, None, None], v[rows, None, None, None]
-        v2, g = vv * vv, np.concatenate([ff, 1.0 - ff], axis=1)
-        s = g + k
+    g = 1.0 - f
+    count = _offsets(v, np.floor, np.minimum)
+    # a winner's candidate; -1, which no tie beats, for the vertical or an earlier segment
+    rank = np.full(u.shape, -1)
+    live, k0 = np.flatnonzero(count), 0
+    while live.size:
+        top, L = count[live], live.size
+        lo, hi = int(top.min()) - k0, int(top.max()) - k0
+        w = max(1, min(max(lo, _BLOCK // 16 // L), hi, _BLOCK // L, _BLOCK - k0 % _BLOCK))
+        wide = w >= L  # (row, offset), else (offset, row): the longer axis innermost
+        shape, axes = ((L, w), (1, 0, 2)) if wide else ((w, L), (2, 0, 1))
+        k = np.arange(k0, k0 + w, dtype=float).reshape(-1 if wide else (-1, 1))
+        ff, gg, vv, tp = (x[:, None] if wide else x for x in (f[live], g[live], v[live], top))
+        v2 = vv * vv
+        # axes (candidate, ...), the left side's two first, and (side, ...)
+        val, idx = np.empty((4, *shape)), np.empty((2, *shape))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            # index of the lattice t just below v^2/s, counted from the first
-            idx = np.maximum(np.floor(v2 / s - g[:, ::-1]), 0.0)
-            t = np.concatenate([1.0 - ff, 2.0 - ff, ff, 1.0 + ff], axis=1).reshape(-1, 2, 2, 1)
-            t = t + idx
-            val = np.abs(v2 - s * t) / ((s + t) * vv)
-        # s = 0 puts u on the vertical at a, which already gives zero
-        val[~((k < count[rows, None, None, None]) & (s > 0) & np.isfinite(val))] = np.inf
-        val = val.reshape(rows.size, -1)
+            for side, (gs, go, t0s) in enumerate(((ff, gg, (gg, 2.0 - ff)), (gg, ff, (ff, 1.0 + ff)))):
+                s = gs + k
+                # index of the lattice t just below v^2/s, counted from the first
+                np.maximum(np.floor(v2 / s - go), 0.0, out=idx[side])
+                for c, t0 in enumerate(t0s, 2 * side):
+                    t = t0 + idx[side]
+                    np.divide(np.abs(v2 - s * t), (s + t) * vv, out=val[c])
+        # nan, at k = 0 alone, where s is 0 or v^2/s overflows, never wins
+        np.fmin(val, np.inf, out=val)
+        if lo < w:
+            np.copyto(val, np.inf, where=k >= tp)
+        val = val.transpose(axes).reshape(L, -1)
         j = np.argmin(val, axis=1)
-        got = val[np.arange(rows.size), j]
-        better = got < best[rows]
-        hit, (c, i) = rows[better], np.divmod(j[better], k.shape[-1])
-        best[hit] = got[better]
+        got = val[np.arange(L), j]
+        c, i = np.divmod(j, w)
+        old = best[live]
+        better = (got < old) | ((got == old) & (c < rank[live]))
+        hit, c, i = live[better], c[better], i[better]
+        best[hit], rank[hit] = got[better], c
         # the winner's ends: its offset k on its side, idx or idx + 1 on the other
-        uf, kk, ii = fl[hit], k[0, i], idx[better, c // 2, 0, i]
+        uf, kk, ii = fl[hit], k.ravel()[i], idx.transpose(axes)[better, c // 2, i]
         a[hit] = np.where(c < 2, uf - kk, uf - ii - (c - 2.0))
         b[hit] = np.where(c < 2, uf + (1.0 + c) + ii, uf + 1.0 + kk)
+        k0 += w
+        if k0 % _BLOCK == 0:
+            rank[live] = -1
+        live = live[top > k0]
     return best, a, b, v <= _MAX_HEIGHT
 
 
@@ -562,9 +567,9 @@ def _search_row(u, vv, count):
     _offsets(vv) <= _ROW_OFFSETS`` offsets: ``sinh`` of the distance and the
     ends ``a``, ``b``.  One loop over the offsets takes the lattice
     indices, ``x - x % 1.0`` standing for ``np.floor`` (exact on a finite
-    ``x``); the candidates are then scanned from them in the block code's
+    ``x``); the candidates are then scanned from them in the array code's
     order and double operations: the first least value wins, and replaces
-    the vertical only when strictly smaller.  What the block code masks is
+    the vertical only when strictly smaller.  What the array code masks is
     skipped: ``s = 0`` (taken as ``x = inf``) and ``x = inf`` give the index
     nan, whose value fails ``val < best``.  Otherwise ``s + t >= 1``, so the
     denominator is at least ``vv`` (rounded), never 0."""
@@ -726,8 +731,9 @@ def _nearest_point(x: float, y: float, n: int):
     return sinh, m, a, b, v <= _MAX_HEIGHT and rounding <= _ROUNDING_TOL
 
 
-# points per chunk of dist_to_Gmax_batch: one search row each, whose
-# temporaries take about 8 MB, so a grid is never one batch
+# points per chunk of dist_to_Gmax_batch, one search row each: a pass's
+# temporaries take under 4 MB, and kvol-grid's search is fastest here
+# (chunks of 8,192 and 32,768 points take 35% and 80% longer)
 _CELLS = 3066
 
 

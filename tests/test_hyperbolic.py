@@ -1142,7 +1142,7 @@ class TestCertificate:
         rows.clear()
         pts = _interior_points(8, 2 * hyperbolic._CELLS + 5, seed=71)
         dist_to_Gmax_batch(pts, 8)
-        # every chunk, the last one of 5 points too, is one block search
+        # every chunk, the last one of 5 points too, is one array search
         assert rows == [hyperbolic._CELLS, hyperbolic._CELLS, 5]
 
 
@@ -1162,7 +1162,7 @@ def _row_loop(u, v):
 
 class TestSearchPaths:
     """``_search_row`` searches one row in Python floats and
-    ``_lattice_search`` searches a batch in numpy blocks; on every row the
+    ``_lattice_search`` searches a batch in numpy passes; on every row the
     two agree to the bit."""
 
     @pytest.mark.parametrize("n", [8, 12, 16])
@@ -1212,7 +1212,7 @@ class TestSearchPaths:
         monkeypatch.setattr(hyperbolic, "_lattice_search", lambda u, v: blocks.append(u.size) or search(u, v))
         # frame heights about 0.6, 5e6 (deep in the cusp at 0, past
         # _MAX_HEIGHT: no offset, the nearest vertical alone) and 540 (more
-        # offsets than _ROW_OFFSETS, one block of one row)
+        # offsets than _ROW_OFFSETS, one array search of one row)
         for z in (complex(0.1, 0.9), complex(5e-15, 1e-7), complex(0.0, 1e-3)):
             dist_to_Gmax(z, 8)
         assert len(rows) == 2 and rows[0][1] < 1 and rows[1][1] > hyperbolic._MAX_HEIGHT
@@ -1236,6 +1236,161 @@ class TestSearchPaths:
         assert one[0] <= 1 / (2 * v) and math.isinf(one[3])
         assert 2.0**-51 * ((1 + 3 * abs(u)) / v + 4 * (1 + one[0])) <= hyperbolic._ROUNDING_TOL
         assert dist_to_Gmax(z, 8) == (math.asinh(one[0]), False)
+
+
+def _reference_row(u, v, block):
+    """One search row by the documented order, in Python floats with the
+    search's double operations: ``(sinh, a, b)``.  The offsets fall into
+    segments of ``block``; within one, the candidates are scanned
+    candidate-major (the left side's two ``t``, then the right side's), each
+    over the segment's offsets, and the first least value wins.  It replaces
+    the vertical, or an earlier segment's winner, only when strictly
+    smaller.  ``s = 0`` and values that are not finite are skipped."""
+    floor = lambda x: x - x % 1.0  # np.floor of a finite double, zero's sign kept
+    a = floor(u + 0.5)
+    best, b = abs(u - a) / v, math.inf
+    fl = floor(u)
+    f = u - fl
+    g = 1.0 - f
+    v2 = v * v
+    count = int(hyperbolic._offsets(v))
+    # (s at offset 0, the other side's distance, t less its index)
+    cands = ((f, g, g), (f, g, 2.0 - f), (g, f, f), (g, f, 1.0 + f))
+    for start in range(0, count, block):
+        seg_best, seg = math.inf, None
+        for c, (s0, other, t0) in enumerate(cands):
+            for k in range(start, min(count, start + block)):
+                s = s0 + k
+                if s == 0.0:
+                    continue
+                # inf or nan make a nan index, whose value fails the test
+                idx = max(floor(v2 / s - other), 0.0)
+                t = t0 + idx
+                val = abs(v2 - s * t) / ((s + t) * v)
+                if val < seg_best:
+                    seg_best, seg = val, (c, k, idx)
+        if seg_best < best:
+            best, (c, k, idx) = seg_best, seg
+            a, b = (fl - k, fl + (1.0 + c) + idx) if c < 2 else (fl - idx - (c - 2.0), fl + 1.0 + k)
+    return best, a, b
+
+
+# search rows built by hand: u in {0, +-1/2}, where the two sides mirror and
+# tie, and exact zeros v^2 = s t, which tie each other and the vertical; at
+# (+-1/2, 1) a tie found at a later offset in a lower candidate wins
+_TIE_ROWS = [
+    (0.0, 0.7), (0.0, 2.0), (0.0, 3.0), (0.0, 6.0), (0.0, 12.0), (-0.0, 2.0),
+    (0.5, 0.5), (0.5, 1.0), (-0.5, 1.0), (0.5, 1.5), (-0.5, 2.5), (0.5, 7.5), (-0.5, 7.5),
+    (1.5, 1.0), (-2.5, 1.0), (2.5, 4.5), (-1.5, 10.5), (0.5, 31.5), (-0.5, 40.5),
+    (1.0, 2.0), (2.0, 4.0), (-3.0, 6.0), (0.25, 1.3), (-0.75, 0.75),
+]
+
+
+def _frame(zs, n=8):
+    """The search row ``(u, v)`` of each point of the domain, as ``_nearest``
+    frames it."""
+    phi = _phi(n)
+    dx = zs.real - np.round(zs.real / phi) * phi
+    den = phi * (dx * dx + zs.imag * zs.imag)
+    return -dx / den, zs.imag / den
+
+
+def _grid_cells(n=8, res=200):
+    """The cells of ``kvol-grid --resolution res`` over the default window
+    that lie in the domain, as the command builds them."""
+    phi = _phi(n)
+    steps = np.arange(res) + 0.5
+    xs, ys = 0.0 + steps * ((phi / 2 - 0.0) / res), 0.0 + steps * ((1.25 - 0.0) / res)
+    cells = np.tile(xs, res) + 1j * np.repeat(ys, res)
+    return cells[in_fundamental_domain(cells, n)]
+
+
+def _domain_points(count, seed, n=8):
+    """Seeded points of the domain, y log-uniform in [2e-3, 100] and x
+    uniform across the domain at that height (the cusp at 0 below the
+    corners), so about a fifth of the rows have more than ``_ROW_OFFSETS``
+    offsets, up to 272."""
+    rng = np.random.default_rng(seed)
+    phi = _phi(n)
+    y = np.exp(rng.uniform(math.log(2e-3), math.log(1e2), count))
+    half = np.where(y > 0.5, phi / 2, y * y * phi / 2)
+    z = rng.uniform(-1.0, 1.0, count) * half + 1j * y
+    return z[in_fundamental_domain(z, n, tol=0.0)]
+
+
+def _search_digest(zs, n=8):
+    sinh, _, a, b, flag = _nearest(zs.real, zs.imag, n)
+    return hashlib.sha256(b"".join(c.tobytes() for c in (sinh, a, b, flag))).hexdigest()
+
+
+class TestSearchOrder:
+    """``_lattice_search`` against ``_reference_row``, a plain reading of
+    its documented tie order, bit for bit."""
+
+    @staticmethod
+    def _assert_reference(u, v, block=None):
+        block = block or hyperbolic._BLOCK
+        want = [np.array(c) for c in zip(*(_reference_row(x, y, block) for x, y in zip(u.tolist(), v.tolist())))]
+        got = hyperbolic._lattice_search(u, v)
+        for g, w in zip(got, want):
+            assert _same_bits(g, w)
+
+    def test_hand_built_ties(self):
+        u, v = (np.array(c) for c in zip(*_TIE_ROWS))
+        self._assert_reference(u, v)
+        # one row at a time, one pass each
+        for x, y in _TIE_ROWS:
+            self._assert_reference(np.array([x]), np.array([y]))
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 8])
+    def test_ties_across_segments(self, block, monkeypatch):
+        # short segments, so rows cross them: a tie in a later segment
+        # never replaces
+        monkeypatch.setattr(hyperbolic, "_BLOCK", block)
+        u, v = (np.array(c) for c in zip(*_TIE_ROWS))
+        self._assert_reference(u, v, block)
+        # beside a row of two offsets, a row's later passes start off a
+        # segment's start
+        for x, y in _TIE_ROWS:
+            self._assert_reference(np.array([x, 0.3]), np.array([y, 0.5]), block)
+
+    def test_rows_of_33_to_200_offsets(self):
+        rng = np.random.default_rng(33)
+        v = np.linspace(31.0, 198.9, 300)
+        u = rng.uniform(-3.0, 3.0, 300)
+        # and a quarter of them at a half-integer u, where the sides tie
+        u[::4] = np.round(u[::4]) + 0.5
+        count = hyperbolic._offsets(v, np.floor, np.minimum)
+        assert count.min() == 33 and count.max() == 200
+        self._assert_reference(u, v)
+
+    @pytest.mark.parametrize("z, offsets", [(complex(1e-9, 1e-5), 54121), (complex(0.0, 3e-6), 180400)])
+    def test_deep_cusp_rows(self, z, offsets):
+        # rows of more than _BLOCK offsets, in two and in six segments
+        assert in_fundamental_domain(z, 8)
+        u, v = _frame(np.array([z]))
+        assert hyperbolic._offsets(v[0]) == offsets
+        self._assert_reference(u, v)
+
+    def test_mixed_batch(self):
+        # deep rows, hand-built ties and ordinary cells in one batch, so the
+        # rows leave the passes at different offsets
+        deep = _frame(np.array([complex(1e-9, 1e-5), complex(2e-8, 4e-5), complex(0.0, 1e-3)]))
+        cells = _frame(np.array(_interior_points(8, 1500, seed=34)))
+        u = np.concatenate([np.array([x for x, _ in _TIE_ROWS]), deep[0], cells[0]])
+        v = np.concatenate([np.array([y for _, y in _TIE_ROWS]), deep[1], cells[1]])
+        self._assert_reference(u, v)
+
+    def test_grid_pinned(self):
+        # taken from the search that laid whole rows out in padded blocks
+        cells = _grid_cells()
+        assert cells.size == 25511
+        assert _search_digest(cells) == "87e3f1710a48438fafa5ca2eb95dd20303ff754e2a2c5215ae63adfe702e78bd"
+
+    def test_domain_points_pinned(self):
+        zs = _domain_points(120000, seed=47)
+        assert zs.size > 100000
+        assert _search_digest(zs) == "2f2fe1ff2cd6f79703bbe3814d4b29576968f842e3ae285d409b0e5608387836"
 
 
 def _one_point_cases(n):
@@ -1303,7 +1458,7 @@ class TestOnePointPath:
             offsets = np.floor(np.minimum(zs.imag / (phi * (dx * dx + zs.imag**2)), 1e6)) + 2
             # points with a scaled frame
             assert np.isinf(phi * zs.imag**2).sum() == 36
-        # against the block code; past _ROW_OFFSETS, where the float path
+        # against the array code; past _ROW_OFFSETS, where the float path
         # hands the point to _nearest, against _nearest on its one row
         rows = offsets <= hyperbolic._ROW_OFFSETS
         assert rows.sum() > 20000 and (~rows).sum() > 100

@@ -11,6 +11,7 @@ the trichotomy of realized directional constants.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
@@ -20,6 +21,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from kvol import ratios
 from kvol.field import CycloReal, trig_value
 from kvol.hyperbolic import Geodesic, apply_word
 from kvol.intersect import ClosedCurve, intersection_form
@@ -263,6 +265,43 @@ class TestBruteForce:
         assert set(d["params"]) >= {"L", "K_max", "W"}
         assert d["witness_count"] == len(rep.witnesses)
         assert d["exact"] is not None and d["exact_ratio"] is not None
+
+
+class TestFlatTorus:
+    """KVol is 1 on every flat torus (``PAPER.md``): two closed geodesics
+    with holonomies ``u``, ``w`` cross ``|u x w|/Vol`` times, so the ratio is
+    ``|sin|/Vol``, and brute force never exceeds 1.  It reaches 1 where the
+    lattice has a right angle, as at ``x = 0``."""
+
+    @staticmethod
+    def _at_most_one(rep, S):
+        if rep.exact_value is not None:
+            return (rep.exact_value - 1).sign() <= 0
+        # Vol |I| / (l_a l_b) <= 1 exactly when (l_a l_b)^2 - (Vol I)^2 >= 0
+        a, b, I = rep.witnesses[0]
+        ctx, vol = _RadicalContext(S.n), S.area()
+        lhs = ctx.mul(ctx.length_sq(a), ctx.length_sq(b))
+        return ctx.sign(ctx.add(lhs, ctx.const(-(vol * vol) * (I * I)))) >= 0
+
+    @pytest.mark.parametrize("n, cap", [(4, 6), (6, 4)])
+    def test_sheared_tori_at_most_one(self, n, cap):
+        one = CycloReal.from_rational(n, 1)
+        torus = build_ngon(n)
+        rng = random.Random(4000 + n)
+        inexact = 0
+        for i in range(8):
+            # the first at x = 0 and y <= 1, where the right angle is within the cap
+            x = Fraction(rng.randint(-40, 40), rng.randint(1, 16)) if i else Fraction(0)
+            y = Fraction(rng.randint(8, 40), rng.randint(8, 24)) if i else Fraction(rng.randint(8, 16), 16)
+            S = torus.transform(Mat2(n, 1, one * x, 0, one * y))
+            rep = kvol_bruteforce(S, cap)
+            assert self._at_most_one(rep, S), (x, y)
+            assert rep.value <= 1.0 + 1e-15, (x, y)
+            inexact += rep.exact_value is None
+            if x == 0:
+                assert rep.exact_value == one and rep.exact_ratio == one / S.area()
+        # both judgments ran
+        assert 0 < inexact < 8
 
 
 class TestKOfDirections:
@@ -607,6 +646,22 @@ class TestConjectureExplorer:
     def test_wrong_residue_rejected(self):
         with pytest.raises(UnsupportedCaseError):
             explore_conjecture(12, 2)
+
+    def test_strictness_without_a_field_ratio_is_exact(self, monkeypatch):
+        # a report with no field ratio and a float ratio of 1 - 1e-12, within
+        # a float margin of the bound 1, whose witnesses' exact ratio is 1/2
+        search = ratios.kvol_bruteforce
+
+        def stub(X, L):
+            rep = search(X, L)
+            assert rep.exact_ratio == F(10, Fraction(1, 2))
+            value = (1.0 - 1e-12) * float(X.area())
+            return dataclasses.replace(rep, value=value, exact_ratio=None, exact_value=None)
+
+        monkeypatch.setattr(ratios, "kvol_bruteforce", stub)
+        rep = explore_conjecture(10, 2)
+        assert rep.best.value / float(build_ngon(10).area()) > 1.0 - 1e-9
+        assert rep.strictly_below_ngon_bound
 
 
 def _chart_sine(Ci, d1, d2):
