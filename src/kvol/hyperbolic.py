@@ -450,7 +450,7 @@ def word_matrix(word: Iterable[tuple[str, int]], n: int) -> Mat2:
 
 # past this frame height a search row keeps the nearest vertical, unconverged
 _MAX_HEIGHT = 1e6
-# (row, offset) entries of a pass of the index search, and a tie segment
+# (row, offset) entries of a pass of the index search
 _BLOCK = 1 << 15
 # one point whose search row has at most this many offsets is searched in
 # Python floats.  Measured on a 2-CPU x86-64 host (Python 3.11.7, numpy 2.4):
@@ -478,10 +478,9 @@ def _lattice_search(u, v):
     in arrays laid out (offset, row), or (row, offset) where ``w`` is the
     longer.  ``w`` covers the live row of fewest offsets, or more while the
     pass holds under ``_BLOCK/16`` entries, but never over ``_BLOCK``
-    entries or across a multiple of ``_BLOCK``.  Each row keeps its winner.
-    Tie order: within a segment of ``_BLOCK`` offsets the first least value
-    in candidate-major, then offset order wins; across segments, as against
-    the vertical, only a strictly smaller value replaces.  ``_search_row``
+    entries.  Each row keeps its winner.  Tie order: over the row's offsets
+    the first least value in candidate-major, then offset order wins, and it
+    replaces the vertical only when strictly smaller.  ``_search_row``
     searches one row in Python floats with the same double operations in
     the same order, the same masks and tie order, so on a row of at most
     ``_ROW_OFFSETS`` offsets the two agree to the bit.
@@ -517,13 +516,13 @@ def _lattice_search(u, v):
     f = u - fl
     g = 1.0 - f
     count = _offsets(v, np.floor, np.minimum)
-    # a winner's candidate; -1, which no tie beats, for the vertical or an earlier segment
+    # a winner's candidate; -1, which no tie beats, for the vertical
     rank = np.full(u.shape, -1)
     live, k0 = np.flatnonzero(count), 0
     while live.size:
         top, L = count[live], live.size
         lo, hi = int(top.min()) - k0, int(top.max()) - k0
-        w = max(1, min(max(lo, _BLOCK // 16 // L), hi, _BLOCK // L, _BLOCK - k0 % _BLOCK))
+        w = max(1, min(max(lo, _BLOCK // 16 // L), hi, _BLOCK // L))
         wide = w >= L  # (row, offset), else (offset, row): the longer axis innermost
         shape, axes = ((L, w), (1, 0, 2)) if wide else ((w, L), (2, 0, 1))
         k = np.arange(k0, k0 + w, dtype=float).reshape(-1 if wide else (-1, 1))
@@ -556,8 +555,6 @@ def _lattice_search(u, v):
         a[hit] = np.where(c < 2, uf - kk, uf - ii - (c - 2.0))
         b[hit] = np.where(c < 2, uf + (1.0 + c) + ii, uf + 1.0 + kk)
         k0 += w
-        if k0 % _BLOCK == 0:
-            rank[live] = -1
         live = live[top > k0]
     return best, a, b, v <= _MAX_HEIGHT
 

@@ -940,9 +940,8 @@ def explore_conjecture(n: int, L=3) -> ConjectureReport:
         return abs(I) == 2
 
     found = any(is_two_side_pair(w) for w in best.witnesses)
-    if best.exact_ratio is not None:
-        strict = (one - best.exact_ratio).sign() > 0
-    else:  # the ratio is below 1 exactly when (l_a l_b)^2 - I^2 > 0 for the witnesses
+    strict = True  # no crossing pair: the ratio is 0
+    if best.witnesses:  # the ratio is below 1 exactly when (l_a l_b)^2 - I^2 > 0
         ctx, (a, b, I) = _RadicalContext(n), best.witnesses[0]
         strict = ctx.sign(ctx.add(ctx.mul(ctx.length_sq(a), ctx.length_sq(b)), ctx.const(-I * I))) > 0
     return ConjectureReport(

@@ -1238,14 +1238,13 @@ class TestSearchPaths:
         assert dist_to_Gmax(z, 8) == (math.asinh(one[0]), False)
 
 
-def _reference_row(u, v, block):
+def _reference_row(u, v):
     """One search row by the documented order, in Python floats with the
-    search's double operations: ``(sinh, a, b)``.  The offsets fall into
-    segments of ``block``; within one, the candidates are scanned
-    candidate-major (the left side's two ``t``, then the right side's), each
-    over the segment's offsets, and the first least value wins.  It replaces
-    the vertical, or an earlier segment's winner, only when strictly
-    smaller.  ``s = 0`` and values that are not finite are skipped."""
+    search's double operations: ``(sinh, a, b)``.  The candidates are
+    scanned candidate-major (the left side's two ``t``, then the right
+    side's), each over the row's offsets, and the first least value wins.
+    It replaces the vertical only when strictly smaller.  ``s = 0`` and
+    values that are not finite are skipped."""
     floor = lambda x: x - x % 1.0  # np.floor of a finite double, zero's sign kept
     a = floor(u + 0.5)
     best, b = abs(u - a) / v, math.inf
@@ -1256,22 +1255,18 @@ def _reference_row(u, v, block):
     count = int(hyperbolic._offsets(v))
     # (s at offset 0, the other side's distance, t less its index)
     cands = ((f, g, g), (f, g, 2.0 - f), (g, f, f), (g, f, 1.0 + f))
-    for start in range(0, count, block):
-        seg_best, seg = math.inf, None
-        for c, (s0, other, t0) in enumerate(cands):
-            for k in range(start, min(count, start + block)):
-                s = s0 + k
-                if s == 0.0:
-                    continue
-                # inf or nan make a nan index, whose value fails the test
-                idx = max(floor(v2 / s - other), 0.0)
-                t = t0 + idx
-                val = abs(v2 - s * t) / ((s + t) * v)
-                if val < seg_best:
-                    seg_best, seg = val, (c, k, idx)
-        if seg_best < best:
-            best, (c, k, idx) = seg_best, seg
-            a, b = (fl - k, fl + (1.0 + c) + idx) if c < 2 else (fl - idx - (c - 2.0), fl + 1.0 + k)
+    for c, (s0, other, t0) in enumerate(cands):
+        for k in range(count):
+            s = s0 + k
+            if s == 0.0:
+                continue
+            # inf or nan make a nan index, whose value fails the test
+            idx = max(floor(v2 / s - other), 0.0)
+            t = t0 + idx
+            val = abs(v2 - s * t) / ((s + t) * v)
+            if val < best:
+                best = val
+                a, b = (fl - k, fl + (1.0 + c) + idx) if c < 2 else (fl - idx - (c - 2.0), fl + 1.0 + k)
     return best, a, b
 
 
@@ -1328,9 +1323,8 @@ class TestSearchOrder:
     its documented tie order, bit for bit."""
 
     @staticmethod
-    def _assert_reference(u, v, block=None):
-        block = block or hyperbolic._BLOCK
-        want = [np.array(c) for c in zip(*(_reference_row(x, y, block) for x, y in zip(u.tolist(), v.tolist())))]
+    def _assert_reference(u, v):
+        want = [np.array(c) for c in zip(*(_reference_row(x, y) for x, y in zip(u.tolist(), v.tolist())))]
         got = hyperbolic._lattice_search(u, v)
         for g, w in zip(got, want):
             assert _same_bits(g, w)
@@ -1343,16 +1337,14 @@ class TestSearchOrder:
             self._assert_reference(np.array([x]), np.array([y]))
 
     @pytest.mark.parametrize("block", [1, 2, 3, 8])
-    def test_ties_across_segments(self, block, monkeypatch):
-        # short segments, so rows cross them: a tie in a later segment
-        # never replaces
+    def test_ties_across_passes(self, block, monkeypatch):
+        # short passes, so a row's ties fall into different passes
         monkeypatch.setattr(hyperbolic, "_BLOCK", block)
         u, v = (np.array(c) for c in zip(*_TIE_ROWS))
-        self._assert_reference(u, v, block)
-        # beside a row of two offsets, a row's later passes start off a
-        # segment's start
+        self._assert_reference(u, v)
+        # beside a row of two offsets, a row's later passes start at other offsets
         for x, y in _TIE_ROWS:
-            self._assert_reference(np.array([x, 0.3]), np.array([y, 0.5]), block)
+            self._assert_reference(np.array([x, 0.3]), np.array([y, 0.5]))
 
     def test_rows_of_33_to_200_offsets(self):
         rng = np.random.default_rng(33)
@@ -1366,7 +1358,7 @@ class TestSearchOrder:
 
     @pytest.mark.parametrize("z, offsets", [(complex(1e-9, 1e-5), 54121), (complex(0.0, 3e-6), 180400)])
     def test_deep_cusp_rows(self, z, offsets):
-        # rows of more than _BLOCK offsets, in two and in six segments
+        # rows of more than _BLOCK offsets, so the widest passes run
         assert in_fundamental_domain(z, 8)
         u, v = _frame(np.array([z]))
         assert hyperbolic._offsets(v[0]) == offsets
