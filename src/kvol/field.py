@@ -12,7 +12,8 @@ integer matrix of multiplication.
 
 Every conversion of an element to a number reads one cached table per
 precision p: T_i = Phi^i 2^p rounded, i < d (``_powers``, from a certified
-integer enclosure of Phi).  The dot product S = sum a_i T_i of the
+integer enclosure of Phi; ``sqrt_in_field`` reads the same table of each
+conjugate of Phi).  The dot product S = sum a_i T_i of the
 numerators a_i is within E = sum |a_i| units of 2^p N, N = sum a_i Phi^i,
 and it climbs the rungs p = 128, 256, ... (``_rung``).  The sign is S's
 once |S| > E; ``float`` is the correctly rounded quotient S / (den 2^p) once
@@ -25,7 +26,6 @@ imported.
 from __future__ import annotations
 
 import math
-import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -34,7 +34,6 @@ from typing import Iterable, Sequence, Union
 
 Rational = Union[int, Fraction]
 
-_HASH_MODULUS = sys.hash_info.modulus
 FLOAT_SPEC = ".17g"  # 17 significant digits: round-trip safe
 
 _new = object.__new__
@@ -481,19 +480,9 @@ class CycloReal:
             return self._hash
         except AttributeError:
             pass
-        # hash((n, coeffs)) without building Fractions: when the hash modulus
-        # P does not divide den, the Fraction a/den (reduced or not) hashes
-        # like the integer +-(|a| den^-1 mod P), and a tuple hashes its
-        # entries' hashes
-        n, num, den = self.n, self._num, self._den
-        P = _HASH_MODULUS
-        if den == 1:
-            h = hash((n, num))
-        elif den % P:
-            inv = pow(den, -1, P)
-            h = hash((n, tuple([a * inv % P if a >= 0 else -(-a * inv % P) for a in num])))
-        else:
-            h = hash((n, self.coeffs))
+        # a rational element equals, and so hashes as, its int or Fraction
+        num, den = self._num, self._den
+        h = hash(Fraction(num[0], den)) if self.is_rational() else hash((self.n, num, den))
         _set(self, "_hash", h)
         return h
 
@@ -582,18 +571,19 @@ def trig_value(n: int, kind: str, k: int) -> CycloReal:
 
 
 @lru_cache(maxsize=None)
-def _powers(n: int, p: int) -> tuple[int, ...]:
-    """The table T_i = Phi^i 2^p, i < d, each rounded to within 1/2 + 2^-64:
-    the nearest integer, unless Phi^i 2^p is that close to a half.
+def _powers(n: int, p: int, k: int = 1) -> tuple[int, ...]:
+    """The table T_i = phi_k^i 2^p, i < d, of the conjugate phi_k =
+    2cos(k pi/n), k prime to 2n (k = 1: Phi), each rounded to within 1/2 +
+    2^-64: the nearest integer, unless phi_k^i 2^p is that close to a half.
 
-    X, the midpoint of the enclosure of Phi at ``t`` >= p + d + bitlen(d) +
-    67 bits (a multiple of 64 past p, plus 3, to share enclosures), is within
-    4 units of Phi 2^t.  The powers P_(i+1) = X P_i / 2^t, each rounded, are
-    off by e_(i+1) <= Phi e_i + 4 Phi^i + 1/2 with Phi < 2, so e_i <= (4i +
-    1) 2^i < 2d 2^d, and rounding P_i from 2^-t to 2^-p adds at most 1/2 to
-    e_i 2^(p - t) < 2^-66."""
+    X, the midpoint of the enclosure of phi_k at ``t`` >= p + d + bitlen(d)
+    + 67 bits (a multiple of 64 past p, plus 3, to share enclosures), is
+    within 4 units of phi_k 2^t.  The powers P_(i+1) = X P_i / 2^t, each
+    rounded, are off by e_(i+1) <= |phi_k| e_i + 4 |phi_k|^i + 1/2 with
+    |phi_k| < 2, so e_i <= (4i + 1) 2^i < 2d 2^d, and rounding P_i from
+    2^-t to 2^-p adds at most 1/2 to e_i 2^(p - t) < 2^-66."""
     d = field_degree(n)
-    lo, hi, t = _root_enclosure(n, 1, -(-(p + d + d.bit_length() + 64) // 64) * 64)
+    lo, hi, t = _root_enclosure(n, k, -(-(p + d + d.bit_length() + 64) // 64) * 64)
     X, P = (lo + hi) >> 1, [1 << t]
     for _ in range(1, d):
         P.append((P[-1] * X + (1 << (t - 1))) >> t)
@@ -721,10 +711,10 @@ def sqrt_in_field(x: CycloReal) -> Union[CycloReal, None]:
       is exact too.  A negative conjugate of m, as no square has, reads as 0.
 
     Precision: with |m_i| < 2^h, |sigma_k(m)| < 2^(h+d).  From the powers
-    phi_k^i rounded to 2^-p (off by under i 2^i 2^-p), it is off by at most
-    E = 2^(h+d+8-p) (d <= 64), its ``math.isqrt`` by sqrt(E) + 2^-p, and
-    V^T rho, as ||V^T||_inf <= d 2^(d-1), by 2^(log2(d)+d+(h+d+8-p)/2) plus
-    terms in 2^-p.  p >= h + 3d + 2 log2(d) + 64 makes that below 2^-27, so
+    phi_k^i 2^p of ``_powers`` (each off by at most 1/2 + 2^-64 units), it
+    is off by at most E = 2^(h+d+8-p) (d <= 64), its ``math.isqrt`` by
+    sqrt(E) + 2^-p, and V^T rho, as ||V^T||_inf <= d 2^(d-1), by
+    2^(log2(d)+d+(h+d+8-p)/2) plus terms in 2^-p.  p >= h + 3d + 2 log2(d) + 64 makes that below 2^-27, so
     the true pattern always rounds to the traces, and a square root, when it
     exists, is never missed.  T^-1 acts exactly, after the rounding, so
     ||T^-1 V^T||_inf, unlike ||V^T||_inf, sets no precision.
@@ -742,13 +732,8 @@ def sqrt_in_field(x: CycloReal) -> Union[CycloReal, None]:
             return None
     h = max(abs(a) for a in m).bit_length()
     prec = -(-(h + 3 * d + 2 * d.bit_length() + 64) // 64) * 64  # few distinct enclosures
-    pows = []  # phi_k^i 2^p, i < d, rounded, for phi_k = 2cos(k pi/n), Phi first
-    for k in (k for k in range(1, n) if math.gcd(k, 2 * n) == 1):
-        lo, hi, t = _root_enclosure(n, k, prec + 2)
-        row = [1 << prec, (lo + hi + (1 << (t - prec))) >> (t - prec + 1)]
-        while len(row) < d:
-            row.append((row[-1] * row[1] + (1 << (prec - 1))) >> prec)
-        pows.append(row[:d])
+    # phi_k^i 2^p, i < d, for phi_k = 2cos(k pi/n), Phi first
+    pows = [_powers(n, prec, k) for k in range(1, n) if math.gcd(k, 2 * n) == 1]
     conj = (sum(a * w for a, w in zip(m, row)) for row in pows)
     # Tr(s Phi^i) = sum_k +-cols[k][i] over 2^(2p)
     cols = [[w * math.isqrt(max(c, 0) << prec) for w in row] for row, c in zip(pows, conj)]

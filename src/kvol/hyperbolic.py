@@ -25,8 +25,11 @@ precision, with one search per query and one budget (``_offsets``).  One
 point (``nearest_witness``) is searched in Python floats by
 ``_nearest_point`` unless its row has over ``_ROW_OFFSETS`` offsets, batches
 in numpy passes, offset by offset over the rows still live, with the same
-double operations in the same order, the same tie order and one
-``math.asinh``, so their distances are identical to the bit.
+double operations in the same order and one ``math.asinh``, so their
+distances are identical to the bit.  Both break ties in the order they
+search: the first least value in offset order, then in candidate order
+within an offset (the left side's two ``t``, then the right side's), and
+the vertical is kept on a tie.
 numpy is imported only where arrays are built, and mpmath never (an ``mpc``
 argument is handled with its caller's mpmath).  Reduction to the fundamental
 domain steps the point in integer fixed point, at a precision chosen per
@@ -454,9 +457,9 @@ _MAX_HEIGHT = 1e6
 _BLOCK = 1 << 15
 # one point whose search row has at most this many offsets is searched in
 # Python floats.  Measured on a 2-CPU x86-64 host (Python 3.11.7, numpy 2.4):
-# the loop takes about 1.5 us plus 0.7 us per offset, the array search of
-# one row about 70 us, so the two cost the same at about 96 offsets
-_ROW_OFFSETS = 32
+# the loop takes about 0.7 us per offset, the array search of one row about
+# 70-77 us, so the two cost the same at about 105 offsets
+_ROW_OFFSETS = 105
 
 
 def _offsets(v, floor=math.floor, least=min):
@@ -478,12 +481,14 @@ def _lattice_search(u, v):
     in arrays laid out (offset, row), or (row, offset) where ``w`` is the
     longer.  ``w`` covers the live row of fewest offsets, or more while the
     pass holds under ``_BLOCK/16`` entries, but never over ``_BLOCK``
-    entries.  Each row keeps its winner.  Tie order: over the row's offsets
-    the first least value in candidate-major, then offset order wins, and it
-    replaces the vertical only when strictly smaller.  ``_search_row``
-    searches one row in Python floats with the same double operations in
-    the same order, the same masks and tie order, so on a row of at most
-    ``_ROW_OFFSETS`` offsets the two agree to the bit.
+    entries.  Tie order: the first least value in offset order, then in
+    candidate order within an offset (the left side's two ``t``, then the
+    right side's), wins, and the vertical is kept on a tie.  A pass takes
+    its first least value in that order, and a row's winner is replaced
+    only by a strictly smaller one.  ``_search_row`` searches one row in
+    Python floats with the same double operations in the same order and
+    the same masks, so on a row of at most ``_ROW_OFFSETS`` offsets the two
+    agree to the bit.
 
     The search is exhaustive.  The vertical at ``a`` has
     ``sinh dist = |u - a|/v``, least at the nearest integer.  With offsets
@@ -516,15 +521,13 @@ def _lattice_search(u, v):
     f = u - fl
     g = 1.0 - f
     count = _offsets(v, np.floor, np.minimum)
-    # a winner's candidate; -1, which no tie beats, for the vertical
-    rank = np.full(u.shape, -1)
     live, k0 = np.flatnonzero(count), 0
     while live.size:
         top, L = count[live], live.size
         lo, hi = int(top.min()) - k0, int(top.max()) - k0
         w = max(1, min(max(lo, _BLOCK // 16 // L), hi, _BLOCK // L))
         wide = w >= L  # (row, offset), else (offset, row): the longer axis innermost
-        shape, axes = ((L, w), (1, 0, 2)) if wide else ((w, L), (2, 0, 1))
+        shape = (L, w) if wide else (w, L)
         k = np.arange(k0, k0 + w, dtype=float).reshape(-1 if wide else (-1, 1))
         ff, gg, vv, tp = (x[:, None] if wide else x for x in (f[live], g[live], v[live], top))
         v2 = vv * vv
@@ -538,20 +541,23 @@ def _lattice_search(u, v):
                 for c, t0 in enumerate(t0s, 2 * side):
                     t = t0 + idx[side]
                     np.divide(np.abs(v2 - s * t), (s + t) * vv, out=val[c])
-        # nan, at k = 0 alone, where s is 0 or v^2/s overflows, never wins
-        np.fmin(val, np.inf, out=val)
+        # the first least value in (offset, candidate) order: the least over
+        # the candidates, the first offset that reaches it, its first
+        # candidate.  nan, at k = 0 alone, where s is 0 or v^2/s overflows,
+        # never wins: fmin skips it and it equals nothing
+        least = np.fmin.reduce(val, axis=0, initial=np.inf)
         if lo < w:
-            np.copyto(val, np.inf, where=k >= tp)
-        val = val.transpose(axes).reshape(L, -1)
-        j = np.argmin(val, axis=1)
-        got = val[np.arange(L), j]
-        c, i = np.divmod(j, w)
-        old = best[live]
-        better = (got < old) | ((got == old) & (c < rank[live]))
-        hit, c, i = live[better], c[better], i[better]
-        best[hit], rank[hit] = got[better], c
+            np.copyto(least, np.inf, where=k >= tp)
+        i = least.argmin(axis=1 if wide else 0)
+        rows = np.arange(L)
+        at = rows * w + i if wide else i * L + rows  # flat position in the pass
+        got = least.ravel()[at]
+        better = got < best[live]
+        hit, at, got = live[better], at[better], got[better]
+        c = (val.reshape(4, -1).take(at, axis=1) == got).argmax(axis=0)
+        best[hit] = got
         # the winner's ends: its offset k on its side, idx or idx + 1 on the other
-        uf, kk, ii = fl[hit], k.ravel()[i], idx.transpose(axes)[better, c // 2, i]
+        uf, kk, ii = fl[hit], k.ravel()[i[better]], idx.reshape(2, -1)[c // 2, at]
         a[hit] = np.where(c < 2, uf - kk, uf - ii - (c - 2.0))
         b[hit] = np.where(c < 2, uf + (1.0 + c) + ii, uf + 1.0 + kk)
         k0 += w
@@ -562,40 +568,50 @@ def _lattice_search(u, v):
 def _search_row(u, vv, count):
     """One row of ``_lattice_search`` in Python floats, of ``count =
     _offsets(vv) <= _ROW_OFFSETS`` offsets: ``sinh`` of the distance and the
-    ends ``a``, ``b``.  One loop over the offsets takes the lattice
-    indices, ``x - x % 1.0`` standing for ``np.floor`` (exact on a finite
-    ``x``); the candidates are then scanned from them in the array code's
-    order and double operations: the first least value wins, and replaces
-    the vertical only when strictly smaller.  What the array code masks is
-    skipped: ``s = 0`` (taken as ``x = inf``) and ``x = inf`` give the index
-    nan, whose value fails ``val < best``.  Otherwise ``s + t >= 1``, so the
-    denominator is at least ``vv`` (rounded), never 0."""
+    ends ``a``, ``b``.  One loop over the offsets takes, on each side, the
+    lattice index, ``x - x % 1.0`` standing for ``np.floor`` (exact on a
+    finite ``x``), then both ``t`` candidates, with the array code's double
+    operations.  It keeps the first least value in offset order, then in
+    candidate order within an offset (the left side's two ``t``, then the
+    right side's), and the vertical on a tie: a winner is replaced only by
+    a strictly smaller value.  What the array code masks is skipped:
+    ``s = 0``, and ``x = inf``, whose index is nan and whose value fails
+    ``val < best``.  Otherwise ``s + t >= 1``, so the denominator is at
+    least ``vv`` (rounded), never 0."""
     a = float(math.floor(u + 0.5))
-    best, j = abs(u - a) / vv, None
+    best, b = abs(u - a) / vv, math.inf
     uf = float(math.floor(u))
     ff = u - uf
     g1 = 1.0 - ff
     v2 = vv * vv
-    l_left, l_right = [], []
+    t1, t3 = 2.0 - ff, 1.0 + ff
     for k in range(count):
-        x = v2 / (ff + k) - g1 if ff or k else math.inf
-        y = v2 / (g1 + k) - ff if g1 or k else math.inf
-        l_left.append(x - x % 1.0 if x >= 0.0 else 0.0)
-        l_right.append(y - y % 1.0 if y >= 0.0 else 0.0)
-    # (s at k = 0, t less its index, indices) of each candidate
-    cands = (ff, g1, l_left), (ff, 2.0 - ff, l_left), (g1, ff, l_right), (g1, 1.0 + ff, l_right)
-    for c, (s0, t0, ls) in enumerate(cands):
-        for k, l in enumerate(ls):
-            s, t = s0 + k, t0 + l
+        # the left side's two t, then the right side's
+        s = ff + k
+        if s:
+            x = v2 / s - g1
+            l = x - x % 1.0 if x >= 0.0 else 0.0
+            t = g1 + l
             val = abs(v2 - s * t) / ((s + t) * vv)
             if val < best:
-                best, j = val, (c, k)
-    if j is None:
-        return best, a, math.inf
-    c, k = j
-    if c < 2:
-        return best, uf - k, (uf + 1.0 if c == 0 else uf + 2.0) + l_left[k]
-    return best, uf - l_right[k] if c == 2 else uf - l_right[k] - 1.0, uf + 1.0 + k
+                best, a, b = val, uf - k, uf + 1.0 + l
+            t = t1 + l
+            val = abs(v2 - s * t) / ((s + t) * vv)
+            if val < best:
+                best, a, b = val, uf - k, uf + 2.0 + l
+        s = g1 + k
+        if s:
+            x = v2 / s - ff
+            l = x - x % 1.0 if x >= 0.0 else 0.0
+            t = ff + l
+            val = abs(v2 - s * t) / ((s + t) * vv)
+            if val < best:
+                best, a, b = val, uf - l, uf + 1.0 + k
+            t = t3 + l
+            val = abs(v2 - s * t) / ((s + t) * vv)
+            if val < best:
+                best, a, b = val, uf - l - 1.0, uf + 1.0 + k
+    return best, a, b
 
 
 # the largest rounding bound of a certified search value
@@ -705,8 +721,8 @@ def _nearest_point(x: float, y: float, n: int):
     Only zeros may differ in sign, where numpy's round and floor keep it:
     m at x = -0.0, then floor(u) at u = -0.0; but at u = +-0 the vertical at
     0 is at distance 0, which no candidate beats, so no result changes.
-    A point whose row has more than ``_ROW_OFFSETS`` offsets takes
-    ``_nearest`` on one row; past ``_MAX_HEIGHT`` a row has none."""
+    A point whose row has more than ``_ROW_OFFSETS`` offsets searches that
+    row with ``_lattice_search``; past ``_MAX_HEIGHT`` a row has none."""
     phi = _phi_float(n)
     m = round(x / phi)  # half to even, as np.round
     dx = x - m * phi
@@ -721,9 +737,9 @@ def _nearest_point(x: float, y: float, n: int):
         u, v = -dx / den, y / den
     if (count := _offsets(v)) > _ROW_OFFSETS:
         import numpy as np
-        sinh, m, a, b, flag = _nearest(np.array([x]), np.array([y]), n)
-        return float(sinh[0]), int(m[0]), float(a[0]), float(b[0]), bool(flag[0])
-    sinh, a, b = _search_row(u, v, count)
+        sinh, a, b = (float(c[0]) for c in _lattice_search(np.array([u]), np.array([v]))[:3])
+    else:
+        sinh, a, b = _search_row(u, v, count)
     rounding = 2.0**-51 * ((1.0 + 3.0 * abs(u)) / v + 4.0 * (1.0 + sinh))
     return sinh, m, a, b, v <= _MAX_HEIGHT and rounding <= _ROUNDING_TOL
 
@@ -807,11 +823,6 @@ class OrbitWitness:
     as a float ``Geodesic``: built on first read by ``_witness_geodesic``,
     which maps the ends back exactly over Z[Phi] with one field inverse, and
     kept from then on.
-
-    It unpacks as ``(geodesic, word)``, reading the geodesic: callers of a
-    closed-formula report take its witness as ``geod, word =
-    rep.witnesses[0]``, the pair the report held when it stored the
-    geodesic itself.
     """
 
     ends: tuple[float, float]
@@ -825,9 +836,6 @@ class OrbitWitness:
         # then undo the reduction word
         undo = [("TH", self.shift)] + [(gen, -k) for gen, k in reversed(self.word)]
         return _witness_geodesic(self.ends, undo, self.n)
-
-    def __iter__(self):
-        return iter((self.geodesic, self.word))
 
 
 def nearest_witness(z: complex, n: int) -> tuple[float, bool, OrbitWitness]:

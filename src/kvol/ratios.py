@@ -329,11 +329,10 @@ class KvolReport:
     the maximizing curve pairs as ``(curve, curve, int)`` triples, or, in
     closed-formula mode, one ``OrbitWitness``: the exact frame ends, shift
     and reduction word of the nearest orbit member, whose float
-    ``Geodesic`` is built on first read.  It unpacks as
-    ``(geodesic, word)``; in JSON it is the word alone.  ``converged`` is
-    set in closed-formula mode only: the flag of ``nearest_witness``, which
-    certifies the orbit-distance search (its bound reached, its rounding
-    bound at most 1e-12).
+    ``Geodesic`` is built on first read; in JSON it is the word alone.
+    ``converged`` is set in closed-formula mode only: the flag of
+    ``nearest_witness``, which certifies the orbit-distance search (its
+    bound reached, its rounding bound at most 1e-12).
     """
 
     mode: str

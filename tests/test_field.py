@@ -420,7 +420,10 @@ class Ref:
 def _same(x: CycloReal, r: Ref) -> None:
     assert x.coeffs == r.cs
     assert x._den > 0 and math.gcd(x._den, *x._num) == 1
-    assert hash(x) == hash((r.n, r.cs))
+    # equal elements hash equal, a rational one as its int or Fraction
+    assert hash(x) == hash(CycloReal(r.n, r.cs))
+    if not any(r.cs[1:]):
+        assert x == r.cs[0] and hash(x) == hash(r.cs[0])
     assert _within_contract(float(x), r.float())
     assert x.sign() == r.sign()
     assert CycloReal.from_dict(x.to_dict()) == x
@@ -492,12 +495,13 @@ class TestIntegerLayout:
             (phi**k for k in range(3 * d)), CycloReal.from_rational(n, 0)
         ) / 3
 
-    def test_hash_equals_the_coefficient_tuple_hash(self):
-        """The numerator hash matches hash((n, coeffs)) at the corner cases:
-        coefficients hashing to -1 (read as -2), negative and zero
-        numerators, a denominator of 1, and denominators that the hash
-        modulus P divides, where a coefficient's own Fraction can reduce to
-        an invertible denominator."""
+    def test_hash_agrees_with_equality(self):
+        """Equal elements hash equal: an element and its copies built from
+        its coefficients, its JSON and arithmetic, and a rational element
+        and the int or Fraction it equals, so either finds the other in a
+        set or dict.  The cases include coefficients hashing to -1 (read as
+        -2), negative and zero numerators, and denominators that the hash
+        modulus P divides."""
         P = sys.hash_info.modulus
         cases = [
             [Fraction(-1), Fraction(P - 1, 7), Fraction(-1, 3), 0],
@@ -508,8 +512,15 @@ class TestIntegerLayout:
         ]
         for cs in cases:
             x = CycloReal(8, cs)
-            assert hash(x) == hash((8, x.coeffs))
-            assert hash(x) == hash(CycloReal.from_dict(x.to_dict()))
+            for y in (CycloReal(8, x.coeffs), CycloReal.from_dict(x.to_dict()), x * 1, x + 0, -(-x)):
+                assert y == x and hash(y) == hash(x)
+        rationals = [0, 1, -1, -2, 7, P, -P - 1, 10**30, Fraction(1, 2), Fraction(-1, 3), Fraction(P - 1, 7)]
+        rationals += [Fraction(1, P), Fraction(-3, 2 * P), Fraction(10**30, 7)]
+        for n in (8, 12):
+            for v in rationals:
+                for x in (CycloReal.from_rational(n, v), CycloReal(n, [v]), CycloReal(n, [v, 0]) * 1):
+                    assert x == v and hash(x) == hash(v)
+                    assert x in {v} and v in {x} and {v: "a"}.get(x) == "a"
 
 
 def _square_norm_with_a_negative_conjugate(n):

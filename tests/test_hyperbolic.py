@@ -948,7 +948,7 @@ class TestOrbitSearch:
         rep = kvol_closed_formula(8, z)
         rep.to_dict()
         assert calls == {"step": 0, "inverse": 0}
-        geod, word = rep.witnesses[0]
+        geod = rep.witnesses[0].geodesic
         assert calls["inverse"] <= 1
         assert rep.witnesses[0].geodesic is geod
         assert _geodesic_bits(geod) == _geodesic_bits(nearest_gmax_geodesic(z, 8)[2])
@@ -1240,11 +1240,11 @@ class TestSearchPaths:
 
 def _reference_row(u, v):
     """One search row by the documented order, in Python floats with the
-    search's double operations: ``(sinh, a, b)``.  The candidates are
-    scanned candidate-major (the left side's two ``t``, then the right
-    side's), each over the row's offsets, and the first least value wins.
-    It replaces the vertical only when strictly smaller.  ``s = 0`` and
-    values that are not finite are skipped."""
+    search's double operations: ``(sinh, a, b)``.  The offsets are scanned
+    in order, and at each offset the candidates, the left side's two ``t``
+    then the right side's; the first least value wins.  It replaces the
+    vertical only when strictly smaller.  ``s = 0`` and values that are not
+    finite are skipped."""
     floor = lambda x: x - x % 1.0  # np.floor of a finite double, zero's sign kept
     a = floor(u + 0.5)
     best, b = abs(u - a) / v, math.inf
@@ -1252,11 +1252,10 @@ def _reference_row(u, v):
     f = u - fl
     g = 1.0 - f
     v2 = v * v
-    count = int(hyperbolic._offsets(v))
     # (s at offset 0, the other side's distance, t less its index)
     cands = ((f, g, g), (f, g, 2.0 - f), (g, f, f), (g, f, 1.0 + f))
-    for c, (s0, other, t0) in enumerate(cands):
-        for k in range(count):
+    for k in range(int(hyperbolic._offsets(v))):
+        for c, (s0, other, t0) in enumerate(cands):
             s = s0 + k
             if s == 0.0:
                 continue
@@ -1272,7 +1271,8 @@ def _reference_row(u, v):
 
 # search rows built by hand: u in {0, +-1/2}, where the two sides mirror and
 # tie, and exact zeros v^2 = s t, which tie each other and the vertical; at
-# (+-1/2, 1) a tie found at a later offset in a lower candidate wins
+# (+-1/2, 1), (3/2, 1) and (-5/2, 1) two mirror circles tie, one at offset 0
+# and one at offset 2 in a lower candidate, so the order picks the ends
 _TIE_ROWS = [
     (0.0, 0.7), (0.0, 2.0), (0.0, 3.0), (0.0, 6.0), (0.0, 12.0), (-0.0, 2.0),
     (0.5, 0.5), (0.5, 1.0), (-0.5, 1.0), (0.5, 1.5), (-0.5, 2.5), (0.5, 7.5), (-0.5, 7.5),
@@ -1303,7 +1303,7 @@ def _grid_cells(n=8, res=200):
 def _domain_points(count, seed, n=8):
     """Seeded points of the domain, y log-uniform in [2e-3, 100] and x
     uniform across the domain at that height (the cusp at 0 below the
-    corners), so about a fifth of the rows have more than ``_ROW_OFFSETS``
+    corners), so about one row in eleven has more than ``_ROW_OFFSETS``
     offsets, up to 272."""
     rng = np.random.default_rng(seed)
     phi = _phi(n)
@@ -1345,6 +1345,19 @@ class TestSearchOrder:
         # beside a row of two offsets, a row's later passes start at other offsets
         for x, y in _TIE_ROWS:
             self._assert_reference(np.array([x, 0.3]), np.array([y, 0.5]))
+
+    @pytest.mark.parametrize("block", [hyperbolic._BLOCK, 1])
+    def test_mirror_ties_pinned(self, block, monkeypatch):
+        # two mirror circles at sinh 1/12 each: the winner is the one at
+        # offset 0, on the left side, not its mirror at offset 2
+        monkeypatch.setattr(hyperbolic, "_BLOCK", block)
+        rows = {(0.5, 1.0): (0.0, 3.0), (-0.5, 1.0): (-1.0, 2.0), (1.5, 1.0): (1.0, 4.0), (-2.5, 1.0): (-3.0, 0.0)}
+        u, v = (np.array(c) for c in zip(*rows))
+        sinh, a, b, bounded = hyperbolic._lattice_search(u, v)
+        assert sinh.tolist() == [0.25 / 3.0] * 4 and bounded.all()
+        assert list(zip(a.tolist(), b.tolist())) == list(rows.values())
+        for (x, y), ends in rows.items():
+            assert hyperbolic._search_row(x, y, hyperbolic._offsets(y)) == (0.25 / 3.0, *ends)
 
     def test_rows_of_33_to_200_offsets(self):
         rng = np.random.default_rng(33)
@@ -1451,7 +1464,7 @@ class TestOnePointPath:
             # points with a scaled frame
             assert np.isinf(phi * zs.imag**2).sum() == 36
         # against the array code; past _ROW_OFFSETS, where the float path
-        # hands the point to _nearest, against _nearest on its one row
+        # searches its row in numpy, against _nearest on its one row
         rows = offsets <= hyperbolic._ROW_OFFSETS
         assert rows.sum() > 20000 and (~rows).sum() > 100
         batch = [c.tolist() for c in _nearest(zs.real[rows], zs.imag[rows], n)]

@@ -516,9 +516,9 @@ class TestClosedFormula:
     def test_witness_geodesic_realizes_distance(self):
         z = 0.35 + 0.8j
         rep = kvol_closed_formula(8, z)
-        geod, word = rep.witnesses[0]
-        assert abs(dist_to(geod, z) - rep.params["dist"]) < 1e-9
-        assert isinstance(word, list)
+        witness = rep.witnesses[0]
+        assert abs(dist_to(witness.geodesic, z) - rep.params["dist"]) < 1e-9
+        assert isinstance(witness.word, list)
 
     def test_invariant_under_deck_moves(self):
         z = 0.21 + 0.93j
@@ -530,9 +530,9 @@ class TestClosedFormula:
     def test_witness_serializes_as_its_word(self):
         z = complex(5.0, 0.01)
         rep = kvol_closed_formula(8, z)
-        geod, word = rep.witnesses[0]
-        assert isinstance(geod, Geodesic) and word
-        assert rep.to_dict()["witnesses"] == [{"word": [[gen, k] for gen, k in word]}]
+        witness = rep.witnesses[0]
+        assert isinstance(witness.geodesic, Geodesic) and witness.word
+        assert rep.to_dict()["witnesses"] == [{"word": [[gen, k] for gen, k in witness.word]}]
 
     def test_unsupported_for_twisted_models(self):
         with pytest.raises(UnsupportedCaseError):
