@@ -10,6 +10,7 @@ verification suite fails, and 5 when a computation hits its budget.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import random
@@ -18,7 +19,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .field import FLOAT_SPEC, ComputationLimitError, CycloReal, as_field, trig_value
-from .hyperbolic import _dist_batch_in_domain, in_fundamental_domain
+from . import hyperbolic
 from .plane import Mat2
 from .ratios import (
     ParallelReport,
@@ -86,19 +87,22 @@ def _resolve_length(args, surface: TranslationSurface, default_units: Fraction):
     return L
 
 
-def _emit(args, text: str) -> None:
-    if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ConfigError(f"cannot write --out {args.out}: {exc.strerror}") from None
-    else:
-        sys.stdout.write(text)
+@contextlib.contextmanager
+def _output(args):
+    """stdout, or the ``--out`` file opened on entry; failing to write it is exit 2."""
+    if not args.out:
+        yield sys.stdout
+        return
+    try:
+        with open(args.out, "w") as fh:
+            yield fh
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out {args.out}: {exc.strerror}") from None
 
 
 def _emit_json(args, payload: dict) -> None:
-    _emit(args, json.dumps(payload, indent=2) + "\n")
+    with _output(args) as out:
+        out.write(json.dumps(payload, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -199,31 +203,30 @@ def cmd_kvol_grid(args) -> int:
     steps = np.arange(res) + 0.5
     xs, ys = xmin + steps * dx, ymin + steps * dy
     cells = np.tile(xs, res) + 1j * np.repeat(ys, res)
-    kept = np.flatnonzero(in_fundamental_domain(cells, n))
-    dists, flags = _dist_batch_in_domain(cells.real[kept], cells.imag[kept], n)
-    # a row is its fields, NUL-padded to fixed widths, and separators; each
-    # column's x and each row's y is formatted once and picked by index
+    kept = np.flatnonzero(hyperbolic.in_fundamental_domain(cells, n))
+    # a row is its fields, NUL-padded to fixed widths, x, y and the flag with
+    # their separator; each column's x and each row's y is formatted once
     text = lambda strs: np.array([s.encode() for s in strs]).view(np.uint8).reshape(len(strs), -1)
-    xt, yt = (text([("%" + FLOAT_SPEC) % v for v in a.tolist()]) for a in (xs, ys))
-    ft = text(["false", "true"])
-    out = ["x,y,kvol,dist,converged\n"]
-    for i in range(0, kept.size, _GRID_ROWS):
-        part = slice(i, i + _GRID_ROWS)
-        y_at, x_at = np.divmod(kept[part], res)
-        # k0/cosh per element, as np.cosh can differ in the last bit
-        kvols = [k0 / math.cosh(d) for d in dists[part].tolist()]
-        kd = _g17(np, np.concatenate([kvols, dists[part]]))
-        fields = [xt[x_at], yt[y_at], *np.split(kd, 2), ft[flags[part].view(np.uint8)]]
-        seps = [np.full((x_at.size, 1), c, np.uint8) for c in b",,,,\n"]
-        rows = np.concatenate([c for pair in zip(fields, seps) for c in pair], axis=1)
-        out.append(rows.tobytes().translate(None, b"\0").decode("ascii"))
-    _emit(args, "".join(out))
+    xt, yt = (text([("%" + FLOAT_SPEC + ",") % v for v in a.tolist()]) for a in (xs, ys))
+    ft = text(["false\n", "true\n"])
+    with _output(args) as out:
+        out.write("x,y,kvol,dist,converged\n")
+        for i in range(0, kept.size, hyperbolic._CELLS):
+            part = kept[i : i + hyperbolic._CELLS]
+            sinh, _, _, _, flags = hyperbolic._nearest(cells.real[part], cells.imag[part], n)
+            dists = list(map(math.asinh, sinh.tolist()))
+            # k0/cosh per element, as np.cosh can differ in the last bit
+            kv, dv = np.split(_g17(np, np.array([k0 / math.cosh(d) for d in dists] + dists)), 2)
+            y_at, x_at = np.divmod(part, res)
+            comma = np.full((part.size, 1), 44, np.uint8)
+            fields = [xt[x_at], yt[y_at], kv, comma, dv, comma, ft[flags.view(np.uint8)]]
+            out.write(np.concatenate(fields, 1).tobytes().translate(None, b"\0").decode("ascii"))
     return EXIT_OK
 
 
-# rows of the grid written at a time, and the width of a field of _g17: a
-# lead "0.000", 17 digits each with a slot for a point after it, and "e-XX"
-_GRID_ROWS, _G17_WIDTH = 4096, 43
+# the width of a field of _g17: a lead "0.000", 17 digits each with a slot
+# for a point after it, and "e-XX"
+_G17_WIDTH = 43
 
 
 def _g17(np, v):
@@ -373,7 +376,7 @@ def _verify_formula(args) -> dict:
     while len(samples) < args.samples:
         x = Fraction(rng.uniform(0.0, phi / 2)).limit_denominator(400)
         y = Fraction(rng.uniform(0.4, 1.3)).limit_denominator(400)
-        if in_fundamental_domain(complex(x, y), n):
+        if hyperbolic.in_fundamental_domain(complex(x, y), n):
             samples.append((x, y))
     points = []
     ok = True

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kvol import hyperbolic
 from kvol.cli import (
     EXIT_CONFIG,
     EXIT_LIMIT,
@@ -346,6 +347,28 @@ class TestKvolGridCommand:
         code, out, _ = run(capsys, "kvol-grid", *argv)
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("cells", [1, 7, hyperbolic._CELLS, 2 * hyperbolic._CELLS])
+    def test_chunk_size_does_not_show(self, capsys, monkeypatch, cells):
+        # the grid is searched and written a chunk of cells at a time; the
+        # 6,376 cells of this grid in chunks of one, seven, the default and
+        # twice it give the bytes of the grid in one chunk
+        argv = ("--n", "8", "--resolution", "100")
+        monkeypatch.setattr(hyperbolic, "_CELLS", 1 << 30)
+        code, whole, _ = run(capsys, "kvol-grid", *argv)
+        assert code == EXIT_OK and whole.count("\n") - 1 > cells
+        monkeypatch.setattr(hyperbolic, "_CELLS", cells)
+        code, out, _ = run(capsys, "kvol-grid", *argv)
+        assert code == EXIT_OK and out == whole
+
+    def test_out_file_is_stdout(self, capsys, tmp_path):
+        argv = ("kvol-grid", "--n", "8", "--resolution", "60")
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        target = tmp_path / "grid.csv"
+        code, empty, _ = run(capsys, *argv, "--out", str(target))
+        assert code == EXIT_OK and empty == ""
+        assert target.read_bytes() == out.encode()
 
     def test_small_dist_takes_the_exponent_layout(self, capsys):
         # dist below 1e-4 prints as d.ddde-XX: 1,813 rows with e-05, 712 with

@@ -1409,6 +1409,16 @@ def _one_point_cases(n):
     return np.concatenate([zs, _edge_points(n)])
 
 
+def _crossover_points(n):
+    """Points of the domain beside the cusp at 0 whose search rows have
+    ``_ROW_OFFSETS + k`` offsets, ``1 <= |k| <= 8``, eight points each: in
+    the frame ``w = -1/(phi z)`` the domain there is ``|u| <= 1/2``, and a
+    row at frame height ``v`` has ``floor(v) + 2`` offsets."""
+    phi = _phi(n)
+    counts = [hyperbolic._ROW_OFFSETS + k for k in (*range(-8, 0), *range(1, 9))]
+    return np.array([-1 / (phi * complex(u, c - 1.5)) for c in counts for u in np.linspace(-0.45, 0.45, 8)])
+
+
 def _edge_points(n):
     """Points of the domain at x = +-0, deep in the cusp at 0 (the last two
     with a frame denominator that underflows to 0, or with u = -x/(phi
@@ -1455,7 +1465,7 @@ class TestOnePointPath:
 
     @pytest.mark.parametrize("n", [8, 12, 16])
     def test_matches_array_code_on_points(self, n):
-        zs = _one_point_cases(n)
+        zs = np.concatenate([_one_point_cases(n), _crossover_points(n)])
         assert zs.size > 20000 and in_fundamental_domain(zs, n).all()
         phi = _phi(n)
         dx = zs.real - np.round(zs.real / phi) * phi
@@ -1466,7 +1476,10 @@ class TestOnePointPath:
         # against the array code; past _ROW_OFFSETS, where the float path
         # searches its row in numpy, against _nearest on its one row
         rows = offsets <= hyperbolic._ROW_OFFSETS
-        assert rows.sum() > 20000 and (~rows).sum() > 100
+        assert rows.sum() > 20000
+        # rows on both sides of the constant, whatever its value
+        near = {hyperbolic._ROW_OFFSETS + k for k in (*range(-8, 0), *range(1, 9))}
+        assert near <= set(offsets.tolist())
         batch = [c.tolist() for c in _nearest(zs.real[rows], zs.imag[rows], n)]
         want = iter(zip(*batch))
         for z, row in zip(zs.tolist(), rows):
