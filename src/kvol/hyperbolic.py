@@ -24,12 +24,12 @@ Points, distances and the orbit search of ``dist_to_Gmax`` are double
 precision, with one search per query and one budget (``_offsets``).  One
 point (``nearest_witness``) is searched in Python floats by
 ``_nearest_point`` unless its row has over ``_ROW_OFFSETS`` offsets, batches
-in numpy passes, offset by offset over the rows still live, with the same
-double operations in the same order and one ``math.asinh``, so their
-distances are identical to the bit.  Both break ties in the order they
-search: the first least value in offset order, then in candidate order
-within an offset (the left side's two ``t``, then the right side's), and
-the vertical is kept on a tie.
+in numpy passes, offset by offset over the rows still live and laid out
+(offset, row), with the same double operations in the same order and one
+``math.asinh``, so their distances are identical to the bit.  Both break
+ties in the order they search: the first least value in offset order, then
+in candidate order within an offset (the left side's two ``t``, then the
+right side's), and the vertical is kept on a tie.
 numpy is imported only where arrays are built, and mpmath never (an ``mpc``
 argument is handled with its caller's mpmath).  Reduction to the fundamental
 domain steps the point in integer fixed point, at a precision chosen per
@@ -453,12 +453,16 @@ def word_matrix(word: Iterable[tuple[str, int]], n: int) -> Mat2:
 
 # past this frame height a search row keeps the nearest vertical, unconverged
 _MAX_HEIGHT = 1e6
-# (row, offset) entries of a pass of the index search
+# (offset, row) entries of a pass of the index search
 _BLOCK = 1 << 15
 # one point whose search row has at most this many offsets is searched in
 # Python floats.  Measured on a 2-CPU x86-64 host (Python 3.11.7, numpy 2.4):
 # the loop takes about 0.7 us per offset, the array search of one row about
-# 70-77 us, so the two cost the same at about 105 offsets
+# 70-77 us, so the two cost the same at about 105 offsets.  The fallback to
+# the array search is kept for the deep rows it pays on: 7 of the 4,440
+# scattered points of the benchmark's formula workload (seeds 1-20) have rows
+# of more than 105 offsets, at most 210, and a row of 535,839 offsets takes
+# 345-360 ms in the Python loop against 12 ms in numpy passes
 _ROW_OFFSETS = 105
 
 
@@ -477,18 +481,17 @@ def _lattice_search(u, v):
     and whether the search reached its bound, ``v <= _MAX_HEIGHT``.
 
     Row ``i`` tries ``_offsets(v_i)`` offsets, offset by offset: a pass
-    takes offsets ``k0 <= k < k0 + w`` over the rows of more than ``k0``,
-    in arrays laid out (offset, row), or (row, offset) where ``w`` is the
-    longer.  ``w`` covers the live row of fewest offsets, or more while the
-    pass holds under ``_BLOCK/16`` entries, but never over ``_BLOCK``
-    entries.  Tie order: the first least value in offset order, then in
-    candidate order within an offset (the left side's two ``t``, then the
-    right side's), wins, and the vertical is kept on a tie.  A pass takes
-    its first least value in that order, and a row's winner is replaced
-    only by a strictly smaller one.  ``_search_row`` searches one row in
-    Python floats with the same double operations in the same order and
-    the same masks, so on a row of at most ``_ROW_OFFSETS`` offsets the two
-    agree to the bit.
+    takes offsets ``k0 <= k < k0 + w`` over the rows of more than ``k0``, in
+    arrays laid out (offset, row) whatever their shape.  ``w`` covers the
+    live row of fewest offsets, or more while the pass holds under
+    ``_BLOCK/16`` entries, but never over ``_BLOCK`` entries.  Tie order:
+    the first least value in offset order, then in candidate order within an
+    offset (the left side's two ``t``, then the right side's), wins, and the
+    vertical is kept on a tie.  A pass takes its first least value in that
+    order, and a row's winner is replaced only by a strictly smaller one.
+    ``_search_row`` searches one row in Python floats with the same double
+    operations in the same order and the same masks, so on a row of at most
+    ``_ROW_OFFSETS`` offsets the two agree to the bit.
 
     The search is exhaustive.  The vertical at ``a`` has
     ``sinh dist = |u - a|/v``, least at the nearest integer.  With offsets
@@ -526,13 +529,11 @@ def _lattice_search(u, v):
         top, L = count[live], live.size
         lo, hi = int(top.min()) - k0, int(top.max()) - k0
         w = max(1, min(max(lo, _BLOCK // 16 // L), hi, _BLOCK // L))
-        wide = w >= L  # (row, offset), else (offset, row): the longer axis innermost
-        shape = (L, w) if wide else (w, L)
-        k = np.arange(k0, k0 + w, dtype=float).reshape(-1 if wide else (-1, 1))
-        ff, gg, vv, tp = (x[:, None] if wide else x for x in (f[live], g[live], v[live], top))
+        k = np.arange(k0, k0 + w, dtype=float).reshape(-1, 1)
+        ff, gg, vv = f[live], g[live], v[live]
         v2 = vv * vv
-        # axes (candidate, ...), the left side's two first, and (side, ...)
-        val, idx = np.empty((4, *shape)), np.empty((2, *shape))
+        # axes (candidate, offset, row), the left side's two first, and (side, ...)
+        val, idx = np.empty((4, w, L)), np.empty((2, w, L))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for side, (gs, go, t0s) in enumerate(((ff, gg, (gg, 2.0 - ff)), (gg, ff, (ff, 1.0 + ff)))):
                 s = gs + k
@@ -547,10 +548,9 @@ def _lattice_search(u, v):
         # never wins: fmin skips it and it equals nothing
         least = np.fmin.reduce(val, axis=0, initial=np.inf)
         if lo < w:
-            np.copyto(least, np.inf, where=k >= tp)
-        i = least.argmin(axis=1 if wide else 0)
-        rows = np.arange(L)
-        at = rows * w + i if wide else i * L + rows  # flat position in the pass
+            np.copyto(least, np.inf, where=k >= top)
+        i = least.argmin(axis=0)
+        at = i * L + np.arange(L)  # flat position in the pass
         got = least.ravel()[at]
         better = got < best[live]
         hit, at, got = live[better], at[better], got[better]

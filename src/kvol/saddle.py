@@ -41,7 +41,8 @@ inside the cone meets the convex face in a segment from the open entry edge
 (or the apex) to one exit point, so no two inside vertices share a
 direction: each splits the cone, and the subcones beside it leave the face
 through the edges at it.  A cone with no vertex inside leaves through the
-edge ending where the walk stopped, or at a.
+edge ending where the walk stopped, or at a.  One loop pushes every node's
+subcones; a cone with no vertex inside, most of them, has one, itself.
 
 Half-plane search.  Only canonically oriented connections are kept, so a
 cone is dropped, and a corner's wedge skipped, when both of its bounding
@@ -526,26 +527,6 @@ def enumerate_saddle_connections(
                         break
                     inside.append((wx, wy, node, j, wy < -m * (w_n + 1.0), w_n))
 
-                # a subcone's beam leaves through part of its exit edge and is
-                # dropped when all of that edge is beyond the bound (written
-                # twice, to keep the common path of one subcone flat)
-                hf = half[f]
-                if not inside:
-                    # the node's own cone, half-plane tested when it was
-                    # pushed, leaves through the edge ending at j_exit
-                    if lines is not None and not any(
-                        _cs(lat, lo, ln) >= 0 and _cs(lat, ln, hi) >= 0 for ln in lines
-                    ):
-                        continue
-                    ax, ay, ex, ey, inv, sx, sy, px, py, entry = hf[j_exit - 1]
-                    ax, ay = ax + tx, ay + ty
-                    s = -(ax * ex + ay * ey) * inv
-                    s = 0.0 if s < 0.0 else (1.0 if s > 1.0 else s)
-                    ax, ay = ax + s * ex, ay + s * ey
-                    if ax * ax + ay * ay <= far:
-                        child = (entry[0], tx - sx, ty - sy, entry, node, Tx - px, Ty - py)
-                        stack.append((child, lo, hi))
-                    continue
                 exits = None
                 for w in inside:
                     P = _endpoint(lat, w, L2, L2f, lines)
@@ -562,9 +543,15 @@ def enumerate_saddle_connections(
                 # consecutive bounds are distinct counterclockwise rays, so
                 # each subcone is open and nonempty; beside a split vertex it
                 # leaves through the edge ending there (clockwise side) or
-                # starting there (counterclockwise side)
-                d1, e = lo, inside[0][3] - 1
+                # starting there (counterclockwise side).  With no split the
+                # one subcone is the node's own cone, whose tests repeat those
+                # of its push (a root's line test is its first), and it leaves
+                # through the edge ending at j_exit.  A subcone's beam leaves
+                # through part of its exit edge and is dropped when all of
+                # that edge is beyond the bound
+                d1, e = lo, (inside[0][3] if inside else j_exit) - 1
                 inside.append(hi)
+                hf = half[f]
                 for d2 in inside:
                     if not (d1[4] and d2[4]) and (  # else below the horizontal axis
                         lines is None  # else the closed subcone must meet the line
