@@ -19,8 +19,9 @@ and it climbs the rungs p = 128, 256, ... (``_rung``).  The sign is S's
 once |S| > E; ``float`` is the correctly rounded quotient S / (den 2^p) once
 |S| > 2^60 E, the double nearest a value within 2^-60 relative of the
 element.  The root-separation bound (``_separation_bits``) proves that a
-nonzero element passes both tests at a finite rung.  mpmath is never
-imported.
+nonzero element passes both tests at a finite rung.  ``_rounded`` rounds an
+element once, correctly, at the first rung where S -+ E round alike, a rung
+that a like bound caps.  mpmath is never imported.
 """
 
 from __future__ import annotations
@@ -28,8 +29,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
-from operator import mul
+from operator import mul, truediv
 from typing import Iterable, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -625,6 +625,45 @@ def _separation_bits(num: Sequence[int]) -> int:
     return 62 + len(num) * sum(abs(a) << i for i, a in enumerate(num)).bit_length()
 
 
+def _rounded(x: "CycloReal", rnd=truediv, bits: int = 53):
+    """``x`` rounded once, correctly, by ``rnd(a, b)``, which rounds a / b to
+    nearest in a format of ``bits``-bit significands (by default, int true
+    division, to a double).
+
+    Ziv's test.  T_0 = 2^p exactly and every other T_i is off by under 1,
+    so the dot product S at rung p (``_rung``) is within E = sum_(i >= 1)
+    |a_i| of 2^p N, N = x den: exact for a rational x.  Rounding is
+    monotone, so once S - E and S + E, over den 2^p, round alike and have
+    one sign (a zero keeps its sign), that is x's rounding; a rational
+    midpoint rounds as ``rnd`` does, half to even.  Else the next rung, up
+    to a proven one, past which ArithmeticError.
+
+    The proven rung.  Every conjugate of N is at most A = sum |a_i| 2^i, so
+    |N| >= A^(1 - d) (``_separation_bits``).  A rounding boundary b with
+    2^(t - 1) <= |b| < 2^t is a multiple of 2^(t - bits - 1); one within
+    |x|/2 of an irrational x has |b| >= |x|/2 >= A^(1 - d)/(2 den), so b 2^K
+    is an integer for K = bits + 2 + (d - 1) bitlen(A) + bitlen(den).  Then
+    2^K (N - den b) is a nonzero algebraic integer with conjugates at most
+    2^K (A + 2|N|) <= 3A 2^K, so |x - b| >= (3A)^(1 - d) 2^(-dK)/den.  At
+    p = 1 + d (bitlen(3A) + K) the interval's width 2E/(den 2^p) is below
+    that and below |x|/2: no boundary lies in it, and its ends have x's
+    sign."""
+    n, num, den = x.n, x._num, x._den
+    d, E, p, top = len(num), sum(map(abs, num[1:])), 128, 0
+    while True:
+        S = sum(map(mul, num, _powers(n, p)))
+        lo = rnd(S - E, den << p)
+        if (S - E >= 0 or S + E <= 0) and lo == rnd(S + E, den << p):
+            return lo
+        if not top:
+            A = sum(abs(a) << i for i, a in enumerate(num))
+            K = bits + 2 + (d - 1) * A.bit_length() + den.bit_length()
+            top = 1 + d * ((3 * A).bit_length() + K)
+        if p >= top:
+            raise ArithmeticError("rounding undecided at the proven precision")
+        p *= 2
+
+
 def _to_float(n: int, num: Sequence[int], den: int) -> float:
     """``num / den`` as a double: the correctly rounded quotient
     S / (den 2^p) of one integer division, at the first rung with
@@ -650,32 +689,19 @@ def _trace_inverse(n: int) -> tuple[int, list[list[int]]]:
     return D // g, [[v // g for v in row] for row in zip(*cols)]
 
 
-def _is_prime(p: int) -> bool:
-    """Miller-Rabin to the first 12 prime bases: exact below 3.18e23 (Sorenson, Webster 2015)."""
-    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    if p < 38 or any(p % a == 0 for a in bases):
-        return p in bases
-    k = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = 2^k q, q odd
-    for a in bases:  # a^q = 1, or -1 among a^q, a^(2q), ..., a^(2^(k-1) q)
-        x = pow(a, (p - 1) >> k, p)
-        if x != 1 and p - 1 not in accumulate(range(k - 1), lambda y, _: y * y % p, initial=x):
-            return False
-    return True
-
-
 @lru_cache(maxsize=None)
 def _residue_maps(n: int) -> tuple[tuple[int, int], ...]:
-    """32 pairs (p, r): the first primes p = 1 mod 2n above 10^6, and for
-    each a root r of ``minimal_polynomial(n)`` mod p, checked by evaluating
-    the polynomial.  F_p* is cyclic of order p - 1, a multiple of 2n, so it
-    holds a primitive 2n-th root z, and z + 1/z is such a root; r is taken
-    as z + 1/z for the first power z = a^((p - 1)/2n), a = 2, 3, ..., that
-    passes the check."""
+    """32 pairs (p, r): the first primes p = 1 mod 2n above 10^6, found by
+    trial division, and for each a root r of ``minimal_polynomial(n)`` mod
+    p, checked by evaluating the polynomial.  F_p* is cyclic of order
+    p - 1, a multiple of 2n, so it holds a primitive 2n-th root z, and
+    z + 1/z is such a root; r is taken as z + 1/z for the first power
+    z = a^((p - 1)/2n), a = 2, 3, ..., that passes the check."""
     P, out, p = minimal_polynomial(n), [], 10**6 // (2 * n) * 2 * n + 1
     while len(out) < 32:
         p += 2 * n
-        if not _is_prime(p):
-            continue
+        if not all(p % q for q in range(3, math.isqrt(p) + 1, 2)):
+            continue  # p is odd: trial division by the odd q <= sqrt(p)
         for a in range(2, p):
             z = pow(a, (p - 1) // (2 * n), p)
             r = (z + pow(z, -1, p)) % p

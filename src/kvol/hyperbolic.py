@@ -35,8 +35,8 @@ argument is handled with its caller's mpmath).  Reduction to the fundamental
 domain steps the point in integer fixed point, at a precision chosen per
 call from ``|x|/y``, and returns a double only when Ziv's rounding test
 proves it correctly rounded.  A given word is applied only by
-``_step_pairs``, exactly on pairs over Z[Phi]: ``apply_word`` evaluates its
-matrix in integer fixed point, under the reduction's rounding test.
+``_step_pairs``, exactly on pairs over Z[Phi]: ``apply_word`` rounds the
+exact image once.
 A query's witness (``nearest_witness``) is kept as exact data, the search's
 frame ends, the shift and the reduction word; its float ``Geodesic``, mapped
 back exactly and rounded to doubles at the end, is built on first read.
@@ -48,7 +48,6 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .field import (
@@ -57,6 +56,7 @@ from .field import (
     _fold,
     _phi_float,
     _powers,
+    _rounded,
     field_degree,
 )
 from .plane import Mat2, direction_pair
@@ -355,61 +355,32 @@ def reduce_to_fundamental_domain(z, n: int, *, max_steps: int = 10000):
 
 
 def apply_word(word: Iterable[tuple[str, int]], z, n: int):
-    """Apply a token word (as produced by the reduction) to a point.
+    """Apply a token word (as produced by the reduction) to a point: the
+    exact image, rounded once.
 
     Accepts a ``complex`` or an ``mpmath.mpc`` and returns the same kind; a
     point off the half plane raises the reduction's ``ValueError``, an
-    unknown token that of ``_step_pairs``.  The word's exact matrix
-    ``[[a, b], [c, d]]`` (``word_matrix``) is evaluated as
-    ``w = (a z + b)/(c z + d)`` in integer fixed point at ``p`` bits, as the
-    reduction steps its point, and the exact quotient of those integers is
-    rounded to the caller's precision.
-
-    Precision.  An entry ``e = sum e_i Phi^i`` is at most ``A(e) =
-    sum |e_i| 2^i``, as ``0 < Phi < 2``.  Read from the field's table of
-    ``Phi^i 2^p`` (``field._powers``), it is off by under ``2^-p sum |e_i| <=
-    2^-p A(e)``; ``z`` is rounded to ``2^-p`` in each coordinate.  With
-    ``r = |x| + |y| + 1``, ``N = a z + b`` and ``D = c z + d``, formed
-    exactly from these, are then off by under
-    ``5 2^-p`` times ``A(a) r + A(b)`` and ``A(c) r + A(d)``, whose product
-    over ``y`` is ``B``.  The determinant is 1, so ``Im w = y/|D|^2``: to
-    first order ``w`` moves by ``(|dN| |D| + |N| |dD|)/y`` in hyperbolic
-    distance, under ``16 2^-p B`` in all, as is the relative error of
-    ``D``, since ``|N| |D| >= y``, so the first order holds.  ``p = base +
-    _GUARD_BITS + ceil(log2(2 B))``, from integer bounds on ``r`` and ``y``,
-    keeps ``w`` within ``2^-base`` in hyperbolic distance, each coordinate
-    within ``2^-base Im w``.  Certificate, as the reduction's: a ``complex``
-    starts at ``base = _FIRST_BASE``, and its double is returned only if both
-    ends of each coordinate's interval of radius ``2^-base Im w`` round to
-    it, else the pass reruns at ``base`` 300, then at twice the bits, and
-    past ``_LAST_BASE`` raises ``ComputationLimitError``.  An ``mpc`` takes
-    ``base = mp.prec + 60`` untested; the caller's precision is only read.
+    unknown token that of ``_step_pairs``.  The point's parts are rationals,
+    ``z = (X + iY)/2^k``, and ``_step_pairs`` steps the projective pair
+    ``(X + iY : 2^k)`` through the word exactly, its real and imaginary
+    parts apart, to ``(P : Q)``.  The word has determinant 1, so
+    ``Im(P conj Q) = Y 2^k``, and the image ``w = P conj(Q)/|Q|^2`` has the
+    parts ``(P_r Q_r + P_i Q_i)/|Q|^2`` and ``Y 2^k/|Q|^2`` in Q(Phi), from
+    one field inverse.  ``field._rounded`` rounds each correctly, to a
+    double or to the caller's mpmath precision, which is only read.
     """
-    M = word_matrix(word, n)
     z, mp, (mx, ex), (my, ey) = _upper_point(z)
-    # r < 2^rho and y >= 2^(ty - 1)
-    ty = my.bit_length() + ey
-    rho = max(mx.bit_length() + ex, ty, 0) + 2
-    A = lambda e: sum(abs(v) << i for i, v in enumerate(e._num))
-    top = ((A(M.a) << rho) + A(M.b)).bit_length() + ((A(M.c) << rho) + A(M.d)).bit_length()
-    base, entries = (mp.mp.prec + 60 if mp else _FIRST_BASE), (M.a, M.b, M.c, M.d)
-    while True:
-        p = base + _GUARD_BITS + 2 + top - ty
-        T = _powers(n, p)
-        a, b, c, d = (sum(map(mul, e._num, T)) for e in entries)  # entries over 2^p
-        X, Y = _fixed(mx, ex, p), _fixed(my, ey, p)
-        # N and D over 2^(2p), and w = N conj(D)/|D|^2
-        Nx, Ny, Dx, Dy = a * X + (b << p), a * Y, c * X + (d << p), c * Y
-        re, im, den = Nx * Dx + Ny * Dy, Ny * Dx - Nx * Dy, Dx * Dx + Dy * Dy
-        if mp:
-            part = lambda v: mp.libmp.from_rational(v, den, mp.mp.prec, mp.libmp.round_nearest)
-            return mp.mp.make_mpc((part(re), part(im)))
-        r, w = (im >> base) + 1, complex(re / den, im / den)  # r/den >= 2^-base Im w
-        if complex((re - r) / den, (im - r) / den) == w == complex((re + r) / den, (im + r) / den):
-            return w
-        if base >= _LAST_BASE:
-            raise ComputationLimitError(f"apply_word: uncertified at {base} bits")
-        base = max(2 * base, 300)
+    k = max(0, -ex, -ey)
+    Y, tail = my << (ey + k), [0] * (field_degree(n) - 1)
+    starts = [([mx << (ex + k), *tail], [1 << k, *tail]), ([Y, *tail], [0, *tail])]
+    (Pr, Qr), (Pi, Qi) = [[_element(n, v, 1) for v in pq] for pq in _step_pairs(starts, word, n)]
+    inv = (Qr * Qr + Qi * Qi).inverse()
+    re, im = (Pr * Qr + Pi * Qi) * inv, _element(n, [(Y << k) * c for c in inv._num], inv._den)
+    if not mp:
+        return complex(_rounded(re), _rounded(im))
+    prec, libmp = mp.mp.prec, mp.libmp
+    rnd = lambda a, b: libmp.from_rational(a, b, prec, libmp.round_nearest)
+    return mp.mp.make_mpc((_rounded(re, rnd, prec), _rounded(im, rnd, prec)))
 
 
 def _step_pairs(pairs, word: Iterable[tuple[str, int]], n: int) -> list:

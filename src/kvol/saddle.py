@@ -5,11 +5,14 @@ the polygon complex with no vertex in its interior.  For each corner the
 enumerator develops the surface along a depth-first search over open
 direction cones: a cone entering a convex face either ends at vertices
 (strictly inside the cone, recorded when short enough) or continues through
-the boundary edges, splitting at every interior vertex direction.  Each
-connection records its exact holonomy, endpoint germs and combinatorial
-path (start corner, crossed half-edges, end vertex).  The library reads
-nothing else of a connection's route; the tests trace its exact pieces and
-crossing points from the path, in ``tests/intersect_oracle.py``.
+the boundary edges, splitting at every interior vertex direction.  An edge
+is recorded at the root whose first bound it is, the corner it leaves; a
+corner the half-plane test skips leaves by an edge below the axis, never
+canonical.  Each connection records its exact holonomy, endpoint germs and
+combinatorial path (start corner, crossed half-edges, end vertex).  The
+library reads nothing else of a connection's route; the tests trace its
+exact pieces and crossing points from the path, in
+``tests/intersect_oracle.py``.
 
 The search runs in floats and does exact work only when a float test cannot
 decide or a connection is recorded.  A node is a flat tuple (face, tx, ty,
@@ -100,12 +103,13 @@ rational points, where P stays under 530 bits.
 Remainder test.  P = p(2^B) for the unfolded cross product p, and
 M = m(2^B) for the monic minimal polynomial m.  If p(Phi) = 0, m | p and
 M | P: P % M != 0 proves a nonzero sign.  The fold r = F p (F the fold
-matrix) has M | r(2^B) - P.  After D >= 1 pops (edges come first), digits
-are at most (D + 1) c and |r_i| <= |F| 2d ((D + 1) c)^2, |F| the largest
-absolute row sum.  While that is below 2^(B - 1), |r(2^B)| < M (checked
-on building), so M | P forces r(2^B) = 0 and r = 0.  ``_Lattice.zero_nodes``
-is the largest such D: about 1.3e6 on S_8 (|F| = 19) and 1e5 on S_16
-(|F| = 4,391).  Past it the modulus exceeds every |P|.
+matrix) has M | r(2^B) - P.  After D >= 1 pops (a root's edge, tested
+before its pop, has the digits of D = 1), digits are at most (D + 1) c
+and |r_i| <= |F| 2d ((D + 1) c)^2, |F| the largest absolute row sum.
+While that is below 2^(B - 1), |r(2^B)| < M (checked on building), so
+M | P forces r(2^B) = 0 and r = 0.  ``_Lattice.zero_nodes`` is the largest
+such D: about 1.3e6 on S_8 (|F| = 19) and 1e5 on S_16 (|F| = 4,391).
+Past it the modulus exceeds every |P|.
 
 Float margins.  Let u = 2^-53.  A face-vertex or glue-shift coordinate
 c = sum(c_i Phi^i) converts to the double nearest a value within 2^-60 |c|
@@ -393,8 +397,8 @@ def _vertex(lat: _Lattice, node: tuple, j: int):
 # A direction is a flat tuple (x, y, node, j, below, norm): the float vector
 # of the developed vertex j of node's face, its lattice vector built on
 # demand, whether the half-plane filter finds it strictly below the
-# horizontal axis, and |x| + |y|.  The direction filter's lines, and an edge
-# connection's direction, are (x, y, None, lattice vector).
+# horizontal axis, and |x| + |y|.  The direction filter's lines are
+# (x, y, None, lattice vector).
 
 
 def _exact(lat: _Lattice, d):
@@ -442,20 +446,7 @@ def enumerate_saddle_connections(
     found: list[SaddleConnection] = []
     germs = lat.germs
 
-    # 1. edge saddle connections, each along its canonically oriented half
-    for pid, halves in enumerate(S.edge_pairs):
-        for f, e in halves:
-            b = (e + 1) % len(faces[f])
-            (ax, ay), (bx, by) = fverts[f][e], fverts[f][b]
-            (px, py), (qx, qy) = lat.faces[f][e], lat.faces[f][b]
-            w = (bx - ax, by - ay, None, (qx - px, qy - py))
-            P = _endpoint(lat, w, L2, L2f, lines)
-            if P is not None:
-                path = ((f, e), (), b)
-                found.append(SaddleConnection(S, lat, P, germs[f, e], germs[glue[f, e]], path, pid))
-                break
-
-    # 2. cone DFS from every corner, over the canonical half-plane only.
+    # cone DFS from every corner, over the canonical half-plane only.
     # walk[f][e]: the vertices of face f off edge e as (j, x, y) floats,
     # counterclockwise from the one after e + 1.  The ends of the entry edge
     # lie on or outside the cone, and so do the apex and its two neighbours
@@ -488,7 +479,13 @@ def enumerate_saddle_connections(
             px, py = lat.faces[f0][v0]
             root = (f0, -ox, -oy, None, None, -px, -py)
             root_walk = walk[f0][v0][:-1]
-            stack = [(root, (lx, ly, root, a, lo_dn, lo_n), (hx, hy, root, b, hi_dn, hi_n))]
+            lo = (lx, ly, root, a, lo_dn, lo_n)
+            P = _endpoint(lat, lo, L2, L2f, lines)
+            if P is not None:  # the root's first bound, its outgoing edge h
+                h = (f0, v0)
+                end, pid = germs[glue[h]], S.pair_of[h]
+                found.append(SaddleConnection(S, lat, P, germs[h], end, (h, (), a), pid))
+            stack = [(root, lo, (hx, hy, root, b, hi_dn, hi_n))]
             while stack:
                 node, lo, hi = stack.pop()
                 nodes_seen += 1

@@ -18,9 +18,9 @@ from hypothesis import assume, given, settings, strategies as st
 from kvol.field import (
     FLOAT_SPEC,
     CycloReal,
-    _is_prime,
     _phi_float,
     _residue_maps,
+    _rounded,
     cyclotomic_polynomial,
     field_degree,
     minimal_polynomial,
@@ -289,6 +289,54 @@ class TestAccurateFloat:
                     f = float(y)
                     assert _within_contract(f, _mp_value(n, y.coeffs)), (n, y)
                     assert float(-y) == -f
+
+
+class TestRounded:
+    """``_rounded`` rounds an element once, correctly, judged exactly: m + delta
+    for m a midpoint of the format and 0 < |delta| below 2^-16 of the gap at
+    m rounds to m's neighbour on delta's side, which the exact sign of delta
+    names."""
+
+    @staticmethod
+    def _near_midpoints(n, bits, count, seed):
+        """Seeded (x, lo, hi): lo < hi adjacent ``bits``-bit numbers with
+        |lo| in [2^-11, 2^10], as Fractions, and x = (lo + hi)/2 + delta,
+        delta = +-Phi^j (sqrt(2) - 1)^k with 0 < |delta| < 2^-(bits + 17) |lo|:
+        integer numerators about 1/|delta|, far past the first rung's reach."""
+        import random
+
+        rng = random.Random(seed)
+        u = 2 * trig_value(n, "cos", n // 4) - 1  # sqrt(2) - 1
+        phi = CycloReal.phi(n)
+        for _ in range(count):
+            man = rng.getrandbits(bits - 1) | 1 << (bits - 1)
+            scale = rng.choice((-1, 1)) * Fraction(2) ** rng.randint(-bits - 10, -bits + 10)
+            lo, hi = sorted((man * scale, (man + 1) * scale))
+            j = rng.randrange(4)
+            k = math.ceil((bits + 20 + j - math.log2(abs(lo))) / math.log2(1 + 2**0.5)) + rng.randrange(8)
+            delta = rng.choice((-1, 1)) * phi**j * u**k
+            assert 0 < abs(delta) < abs(lo) * Fraction(1, 2 ** (bits + 17))
+            yield delta + (lo + hi) / 2, (lo if delta.sign() < 0 else hi)
+
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    def test_doubles_beside_midpoints(self, n):
+        for x, want in self._near_midpoints(n, 53, 300, seed=n):
+            assert _rounded(x) == float(want), x
+
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    def test_200_bit_mpf_beside_midpoints(self, n):
+        from mpmath.libmp import from_rational, round_nearest
+
+        rnd = lambda a, b: from_rational(a, b, 200, round_nearest)
+        for x, want in self._near_midpoints(n, 200, 100, seed=200 + n):
+            assert _rounded(x, rnd, 200) == rnd(want.numerator, want.denominator), x
+
+    def test_rational_midpoints_round_half_to_even(self):
+        assert _rounded(C(8, 1 + Fraction(1, 2**53))) == 1.0
+        assert _rounded(C(8, 1 + Fraction(3, 2**53))) == 1 + 2.0**-51
+        assert _rounded(C(8, -1 - Fraction(3, 2**53))) == -1 - 2.0**-51
+        assert _rounded(C(12, Fraction(1, 3))) == 1 / 3
+        assert math.copysign(1.0, _rounded(C(8, 0))) == 1.0
 
 
 class TestSerialization:
@@ -648,27 +696,6 @@ class TestResidueCertificate:
         maps = _residue_maps(n)
         assert maps[0] == first and maps[-1] == last
         assert hashlib.sha256(repr(maps).encode()).hexdigest()[:32] == digest
-
-    def test_miller_rabin_is_trial_division(self):
-        """``_is_prime`` agrees with trial division on every integer below
-        1e5 and on seeded ones up to 1e9, and rejects the least strong
-        pseudoprimes to the bases 2; 2, 3; ...; 2, ..., 37 below 2^64 and a
-        Carmichael number, which a Fermat test passes."""
-        import random
-
-        def trial(p):
-            return p > 1 and all(p % q for q in range(2, math.isqrt(p) + 1))
-
-        assert all(_is_prime(p) == trial(p) for p in range(100_000))
-        rng = random.Random(5)
-        for _ in range(2000):
-            p = rng.randrange(10**6, 10**9)
-            assert _is_prime(p) == trial(p)
-        pseudo = [2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
-                  341550071728321, 3825123056546413051]
-        pseudo.append(211 * 421 * 631)  # a Carmichael number, no factor below 211
-        assert not any(map(_is_prime, pseudo))
-        assert _is_prime(2**61 - 1) and _is_prime(2**64 - 59) and not _is_prime(2**64 - 1)
 
     @pytest.mark.parametrize("n", [16, 40, 56, 64])
     def test_squares_map_to_squares(self, n):

@@ -555,9 +555,8 @@ def _near_axis_points(n):
 
 
 def _count_passes(monkeypatch):
-    """Each reduction or ``apply_word`` pass asks for the field's table of
-    Phi's powers in fixed point once: record the precision of every
-    request."""
+    """Each reduction pass asks for the field's table of Phi's powers in
+    fixed point once: record the precision of every request."""
     requests = []
     powers = hyperbolic._powers
     monkeypatch.setattr(hyperbolic, "_powers", lambda n, p: requests.append(p) or powers(n, p))
@@ -640,9 +639,9 @@ def _applied_digest(cases, n):
 
 
 class TestApplyWordCertificate:
-    """A complex point's image under a word is evaluated at a low first-pass
-    precision and kept only when the rounding test certifies it, as in the
-    reduction; the doubles are those of a single pass at 300 bits."""
+    """A point's image under a word is the exact image, rounded once: the
+    doubles are those of a single evaluation at 300 bits, and the
+    reduction's precision ladder plays no part."""
 
     # apply_word of every point of _seeded_set(8) under its reduction word,
     # each image evaluated at 300 bits and rounded with no test
@@ -652,29 +651,18 @@ class TestApplyWordCertificate:
     def cases(self):
         return [(reduce_to_fundamental_domain(z, 8)[1], z) for z in _seeded_set(8)]
 
-    def test_first_pass_keeps_the_300_bit_doubles(self, cases, monkeypatch):
-        requests = _count_passes(monkeypatch)
+    def test_first_pass_keeps_the_300_bit_doubles(self, cases):
         assert _applied_digest(cases, 8) == self.DIGEST
-        # every image of the set is certified by its first pass
-        assert len(requests) == len(cases)
 
-    def test_forced_reruns_keep_the_300_bit_doubles(self, cases, monkeypatch):
-        # an 8-bit first pass fails the test on every image, each then
-        # settled by a rerun at 300 bits or more
-        monkeypatch.setattr(hyperbolic, "_FIRST_BASE", 8)
-        requests = _count_passes(monkeypatch)
-        assert _applied_digest(cases, 8) == self.DIGEST
-        assert len(requests) >= 2 * len(cases)
-
-    def test_no_certificate_past_the_last_base_is_a_limit(self, monkeypatch):
+    def test_reduction_bases_do_not_reach_apply_word(self, cases, monkeypatch):
+        # 8-bit first and last bases, which leave the reduction a limit
+        # error on every point it moves, change no image
         monkeypatch.setattr(hyperbolic, "_FIRST_BASE", 8)
         monkeypatch.setattr(hyperbolic, "_LAST_BASE", 8)
-        with pytest.raises(ComputationLimitError, match="uncertified"):
-            apply_word([("TH", 1), ("TV", -1)], complex(0.3, 0.7), 8)
+        assert _applied_digest(cases, 8) == self.DIGEST
 
     def test_zero_real_part_is_certified(self):
-        # the interval around an exact zero rounds to 0.0 once it is below
-        # the least subnormal, so the ladder ends
+        # an exact zero is rational, and a rational rounds at the first rung
         assert apply_word([], 1j, 8) == 1j
         assert apply_word([("TH", 1), ("TH", -1)], complex(0.0, 2.5), 8) == 2.5j
 
