@@ -654,12 +654,24 @@ class TestApplyWordCertificate:
     def test_first_pass_keeps_the_300_bit_doubles(self, cases):
         assert _applied_digest(cases, 8) == self.DIGEST
 
-    def test_reduction_bases_do_not_reach_apply_word(self, cases, monkeypatch):
-        # 8-bit first and last bases, which leave the reduction a limit
-        # error on every point it moves, change no image
+    def test_forced_reruns_keep_the_300_bit_doubles(self, cases, monkeypatch):
+        # an 8-bit first base, which forces the reduction to rerun every
+        # point it moves, changes no image, and apply_word asks for no pass
+        monkeypatch.setattr(hyperbolic, "_FIRST_BASE", 8)
+        requests = _count_passes(monkeypatch)
+        assert _applied_digest(cases, 8) == self.DIGEST
+        assert requests == []
+
+    def test_no_certificate_past_the_last_base_is_a_limit(self, monkeypatch):
+        # 8-bit first and last bases leave the reduction a limit error, but
+        # the exact image never gives up: apply_word returns the same point
+        word, z = [("TH", 1), ("TV", -1)], complex(0.3, 0.7)
+        image = apply_word(word, z, 8)
         monkeypatch.setattr(hyperbolic, "_FIRST_BASE", 8)
         monkeypatch.setattr(hyperbolic, "_LAST_BASE", 8)
-        assert _applied_digest(cases, 8) == self.DIGEST
+        with pytest.raises(ComputationLimitError, match="uncertified"):
+            reduce_to_fundamental_domain(complex(7 / 3, 1 / 50), 8)
+        assert apply_word(word, z, 8) == image
 
     def test_zero_real_part_is_certified(self):
         # an exact zero is rational, and a rational rounds at the first rung
